@@ -436,13 +436,9 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool = False):
     parser.add_argument("--output", default=d, help="output file (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default=d,
                         help="output format")
-    parser.add_argument("--seed", type=int, default=d,
-                        help="reserved; the current pipeline is deterministic")
     parser.add_argument("--literal-log-half", action="store_true", default=flag,
                         help="use the literal log(1/2) step value at |i-j| = D "
                              "(weight 2)")
-    parser.add_argument("--clamp-nonnegative", action="store_true", default=flag,
-                        help="clamp negative proper-time distance integrands to zero")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,14 +20,12 @@ from itertools import permutations
 from typing import Callable
 
 from .errors import StructureMismatch, TooManyComponents
-from .paths import CompositePath, _span_of
+from .paths import _SPAN_ATOL, CompositePath, _span_of
 
 PRODUCT_RULES = ("max", "sum", "average", "geometric_mean")
 SEQUENCE_RULES = ("max",)
 
 MAX_SYMMETRIZE_COMPONENTS = 8
-
-_SPAN_ATOL = 1e-9
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ import numpy as np
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
-from .errors import EndpointMismatch, IncompatibleGrids
+from .errors import EndpointMismatch, IncompatibleGrids, ModelTooLarge
 from .paths import SpacetimePath
 
 INDEX_VARIANTS = ("step", "exp_index")
@@ -46,6 +46,9 @@ GALILEAN_VARIANTS = (
 LOG2 = math.log(2.0)
 
 _ENDPOINT_ATOL = 1e-9
+
+# largest dense float64 distance matrix grid_distance_matrix will build
+MAX_MATRIX_BYTES = 2 << 30
 
 
 def step_distance(i: int, j: int, D: int, literal_log_half: bool = False) -> float:
@@ -94,13 +97,6 @@ class DistanceSpec:
     @property
     def is_index_based(self) -> bool:
         return self.name in INDEX_VARIANTS
-
-    def index_distance(self, i: int, j: int, literal_log_half: bool = False) -> float:
-        if self.name == "step":
-            return step_distance(i, j, self.D, literal_log_half)
-        if self.name == "exp_index":
-            return exp_index_distance(i, j, self.D)
-        raise ValueError(f"{self.name} is not an index distance")
 
     def to_json(self) -> str:
         out = {"name": self.name}
@@ -216,13 +212,20 @@ def grid_distance_matrix(
 
     ``positions`` is (n_paths, n_times) of 1-d coordinates; rows are
     resampled paths.  Matches galilean_distance on every pair but runs
-    vectorized, which is what the lattice experiments need.
+    vectorized, which is what the lattice experiments need.  Raises
+    ModelTooLarge, before allocating anything of size n x n, when the
+    matrix would exceed MAX_MATRIX_BYTES.
     """
     if spec.is_index_based:
         raise ValueError("index distances do not apply to gridded paths")
     X = np.asarray(positions, dtype=float)
     t = np.asarray(times, dtype=float)
     n = X.shape[0]
+    if n * n * 8 > MAX_MATRIX_BYTES:
+        raise ModelTooLarge(
+            f"{n} paths need a {n * n * 8 / 2**30:.2f} GiB distance matrix, "
+            f"above {MAX_MATRIX_BYTES / 2**30:.0f} GiB"
+        )
     m = spec.mass if spec.mass is not None else mass
 
     # trapezoid weights for the shared grid

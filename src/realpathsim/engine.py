@@ -12,16 +12,21 @@ over the ensemble gives the conditioned per-path distribution; summing
 per endpoint group and normalizing across groups gives the unconditioned
 final-state probabilities.
 
-Two evaluation routes produce identical values:
+The smearing sum has two routes:
 
-* a dense O(N^2) route for arbitrary distance matrices or callables;
-* a banded O(N·D)-memory-free route for the step distance, using prefix
-  sums over the closed and open windows (the weight at exactly D is 1/2,
-  so the smeared value is the mean of the two window sums).
+* ``banded_smeared``, a separable banded kernel for step distances over
+  K index components combined by the max rule.  It needs only closed and
+  open window sums per component (the weight at exactly D is 1/2).  K=1
+  is the single ensemble; K=3 is the particle x screen composite.
+* a dense route over an (N, N) distance matrix, exponentiated a block of
+  rows at a time.
+
+Distances given as Python callables are not accepted: build the matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -33,6 +38,12 @@ from .errors import AllZeroProbability, EmptyEnsemble
 from .paths import PathEnsemble
 
 _SUM_ATOL = 1e-9
+
+# smearing weight exp(-log 2) of a pair at exactly the step distance D
+RIM_WEIGHT = 0.5
+
+# rows of exp(-d) held at once on the dense route
+_DENSE_ROWS = 512
 
 WEIGHT_NAMES = ("uniform", "causal_only", "curvature_cutoff", "corridor")
 
@@ -103,69 +114,83 @@ def _resolve_weights(weights, n: int) -> np.ndarray | None:
     return w
 
 
-def _distance_rows(distance, n: int, lo: int, hi: int) -> np.ndarray:
-    """Rows [lo, hi) of the distance matrix, whatever form d came in."""
-    if isinstance(distance, np.ndarray):
-        return distance[lo:hi]
-    rows = np.empty((hi - lo, n), dtype=float)
-    for r, i in enumerate(range(lo, hi)):
-        for j in range(n):
-            rows[r, j] = distance(i + 1, j + 1)
-    return rows
-
-
 def smeared_components(
     ensemble: PathEnsemble,
     distance,
     literal_log_half: bool = False,
-    chunk: int = 512,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-path smeared amplitude and smearing volume (denominator).
 
-    ``distance`` may be a DistanceSpec (step gets the banded route), a
-    dense (N, N) matrix with np.inf allowed, or a callable d(i, j) on
-    1-based indices.
+    ``distance`` is a DistanceSpec (step gets the banded route, other
+    index distances become a matrix) or a dense (N, N) matrix with
+    np.inf allowed.  Anything else raises TypeError.
     """
     amps = ensemble.amplitudes
     n = amps.size
 
-    if isinstance(distance, DistanceSpec) and distance.name == "step":
-        return _step_smeared(amps, distance.D, literal_log_half)
     if isinstance(distance, DistanceSpec):
+        if distance.name == "step":
+            half = 2.0 if literal_log_half else RIM_WEIGHT
+            return banded_smeared([amps], distance.D, half)
         distance = index_distance_matrix(distance, n, literal_log_half)
+    if not (isinstance(distance, np.ndarray) and distance.shape == (n, n)):
+        raise TypeError(f"distance must be a DistanceSpec or an ({n}, {n}) array")
 
     smeared = np.empty(n, dtype=np.complex128)
     denom = np.empty(n, dtype=float)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        E = np.exp(-_distance_rows(distance, n, lo, hi))
-        smeared[lo:hi] = E @ amps
-        denom[lo:hi] = E.sum(axis=1)
+    for lo in range(0, n, _DENSE_ROWS):
+        E = np.exp(-distance[lo : lo + _DENSE_ROWS])
+        smeared[lo : lo + _DENSE_ROWS] = E @ amps
+        denom[lo : lo + _DENSE_ROWS] = E.sum(axis=1)
     return smeared, denom
 
 
-def _window_sums(values: np.ndarray, radius: int) -> np.ndarray:
-    """sums[i] = sum of values[j] over |j-i| <= radius (0-based, clipped)."""
-    n = values.size
-    prefix = np.concatenate([[0], np.cumsum(values)])
-    idx = np.arange(n)
-    lo = np.maximum(idx - radius, 0)
-    hi = np.minimum(idx + radius, n - 1)
-    return prefix[hi + 1] - prefix[lo]
-
-
-def _step_smeared(
-    amps: np.ndarray, D: int, literal_log_half: bool
+def banded_smeared(
+    components: Sequence[np.ndarray], D: int, half: float = RIM_WEIGHT
 ) -> tuple[np.ndarray, np.ndarray]:
-    ones = np.ones(amps.size)
-    s_closed = _window_sums(amps, D)       # |j-i| <= D
-    s_open = _window_sums(amps, D - 1)     # |j-i| <  D
-    n_closed = _window_sums(ones, D)
-    n_open = _window_sums(ones, D - 1)
-    if literal_log_half:
-        # weight 2 at exactly D: open + 2*(closed - open)
-        return 2.0 * s_closed - s_open, 2.0 * n_closed - n_open
-    return 0.5 * (s_closed + s_open), 0.5 * (n_closed + n_open)
+    """Smeared amplitude and volume under the max of step distances.
+
+    Each component is an index family with its own amplitudes; a
+    composite path picks one index per component and its amplitude is
+    the product.  The pair weight exp(-max_c d_c) is 1 when every
+    component gap is < D, ``half`` when every gap is <= D and one equals
+    D, and 0 otherwise, so both sums factorize into per-component window
+    sums S<= (|j-i| <= D) and S< (|j-i| < D):
+
+        smeared = half * (x_c S<=_c) + (1 - half) * (x_c S<_c)
+
+    and the same with window counts for the denominator.  Results have
+    shape (n_1, ..., n_K).  K=1 is the single ensemble under the step
+    distance.  ``half`` other than 1/2 (the literal log(1/2) step value
+    gives 2) is exact only for K=1: with several components the weight
+    at the rim then depends on how many gaps equal D.
+    """
+    s_le, s_lt, n_le, n_lt = zip(*(_windows(amps, D) for amps in components))
+    outer = functools.partial(functools.reduce, np.multiply.outer)  # x_c v_c
+    smeared = half * outer(s_le)
+    smeared += (1 - half) * outer(s_lt)
+    denom = half * outer(n_le)
+    denom += (1 - half) * outer(n_lt)
+    return smeared, denom
+
+
+def _windows(amps: np.ndarray, D: int):
+    """Closed (|j-i| <= D) and open (|j-i| < D) window sums and counts.
+
+    Windows are clipped at both ends.  Both sums are differences of two
+    slices of one prefix sum, padded so that prefix[D + j] is the sum of
+    amps[:j] with j clamped to [0, n].
+    """
+    n = amps.size
+    D = min(D, n)  # any wider window already covers every index
+    idx = np.arange(n)
+    n_le = np.minimum(idx + D, n - 1) - np.maximum(idx - D, 0) + 1.0
+    n_lt = np.minimum(idx + D - 1, n - 1) - np.maximum(idx - D + 1, 0) + 1.0
+    csum = np.cumsum(amps)
+    prefix = np.concatenate([np.zeros(D + 1), csum, csum[-1:].repeat(D)])
+    s_le = prefix[2 * D + 1 : 2 * D + 1 + n] - prefix[:n]
+    s_lt = prefix[2 * D : 2 * D + n] - prefix[1 : n + 1]
+    return s_le, s_lt, n_le, n_lt
 
 
 def unnormalized_probabilities(
@@ -262,8 +287,8 @@ def block_distance_matrix(
 ) -> np.ndarray:
     """Union distance matrix from per-group distances plus a cross value.
 
-    ``within[g]`` is the distance for group g (DistanceSpec, matrix, or
-    callable); pairs in different groups get the constant ``across``
+    ``within[g]`` is the distance for group g (DistanceSpec or matrix);
+    pairs in different groups get the constant ``across``
     (default: infinitely distant, the disjoint-endpoint-families case).
     """
     n = int(sum(sizes))
@@ -272,14 +297,7 @@ def block_distance_matrix(
     for size, dist in zip(sizes, within):
         block = slice(offset, offset + size)
         if isinstance(dist, DistanceSpec):
-            out[block, block] = index_distance_matrix(dist, size, literal_log_half)
-        elif isinstance(dist, np.ndarray):
-            out[block, block] = dist
-        else:
-            sub = np.empty((size, size))
-            for i in range(size):
-                for j in range(size):
-                    sub[i, j] = dist(i + 1, j + 1)
-            out[block, block] = sub
+            dist = index_distance_matrix(dist, size, literal_log_half)
+        out[block, block] = dist
         offset += size
     return out

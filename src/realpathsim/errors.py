@@ -61,7 +61,7 @@ class AllZeroProbability(RealPathError):
 
 
 class ModelTooLarge(RealPathError):
-    """A composite model exceeds the desk-scale path budget."""
+    """A model exceeds its desk-scale path or memory budget."""
 
 
 class NoPaths(RealPathError):

@@ -17,16 +17,11 @@ for all endpoints; letting it vary would let post-impact screen
 dynamics retroactively shift detection probabilities.
 
 The composite distance is the max of component step distances, so the
-pair weight exp(-max d_c) equals 1 when every component gap is < D,
-1/2 when all are <= D with at least one exactly at D, and 0 otherwise.
-That makes the smeared amplitude of a composite path
-
-    W(i,k,m) = (1/2) [ Sp<=(i) Ss<=(k) Sa<=(m) + Sp<(i) Ss<(k) Sa<(m) ]
-
-with S<= / S< the per-component closed/open window sums (same shape for
-the denominator with amplitudes replaced by ones).  This evaluates the
-whole composite ensemble in O(total paths) without materializing any
-composite path objects, and agrees with the dense engine exactly.
+smeared amplitude and volume of every composite path come from the
+engine's separable banded kernel (``engine.banded_smeared``) over the
+three components.  This evaluates the whole composite ensemble in
+O(total paths) without materializing any composite path objects, and
+agrees with the dense engine exactly.
 """
 
 from __future__ import annotations
@@ -37,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distances import DistanceSpec, index_distance_matrix
-from .engine import _window_sums
+from .engine import banded_smeared
 from .errors import ModelTooLarge, SpecViolation
 from .paths import PathEnsemble
 from .toymodels import M1Spec, M3Spec, build_m1, build_m3
@@ -120,18 +115,13 @@ class ScreenSpec:
 MAX_COMPOSITE_PATHS = 10**6
 
 
-def _after_amplitudes(spec: ScreenSpec, j: int) -> np.ndarray:
-    return build_m1(M1Spec(N=spec.n_after, M=spec.anchors[j], K=spec.k_after)).amplitudes
-
-
-def _component_sums(amps: np.ndarray, D: int):
-    ones = np.ones(amps.size)
-    return (
-        _window_sums(amps, D),
-        _window_sums(amps, D - 1),
-        _window_sums(ones, D),
-        _window_sums(ones, D - 1),
-    )
+def _components(spec: ScreenSpec, j: int) -> list[np.ndarray]:
+    """Particle, pre-impact screen and post-absorption amplitudes of endpoint j."""
+    return [
+        build_m3(spec.endpoints[j]).amplitudes,
+        build_m1(spec.screen_before).amplitudes,
+        build_m1(M1Spec(N=spec.n_after, M=spec.anchors[j], K=spec.k_after)).amplitudes,
+    ]
 
 
 @dataclass
@@ -189,9 +179,8 @@ def evaluate_screen_model(
     spec: ScreenSpec,
     d_override: int | None = None,
     check_separations: bool = True,
-    chunk: int = 64,
 ) -> ScreenResult:
-    """Endpoint detection masses via the factorized two-pass evaluation.
+    """Endpoint detection masses from the factorized composite evaluation.
 
     ``d_override`` replaces the spec's D (used for quantum-limit runs
     where everything is d-close, with ``check_separations=False`` since
@@ -205,57 +194,21 @@ def evaluate_screen_model(
         spec.validate_separations()
     D = spec.D if d_override is None else int(d_override)
 
-    amps_s = build_m1(spec.screen_before).amplitudes
-    s_le, s_lt, ns_le, ns_lt = _component_sums(amps_s, D)
-
     totals: dict = {}
     quantum: dict = {}
     for j, pspec in enumerate(spec.endpoints):
-        amps_p = build_m3(pspec).amplitudes
-        amps_a = _after_amplitudes(spec, j)
-        p_le, p_lt, np_le, np_lt = _component_sums(amps_p, D)
-        a_le, a_lt, na_le, na_lt = _component_sums(amps_a, D)
-
-        total = 0.0
-        for lo in range(0, amps_p.size, chunk):
-            hi = min(lo + chunk, amps_p.size)
-            # (chunk, N', N'') blocks of smeared amplitude and volume
-            w = 0.5 * (
-                p_le[lo:hi, None, None] * s_le[None, :, None] * a_le[None, None, :]
-                + p_lt[lo:hi, None, None] * s_lt[None, :, None] * a_lt[None, None, :]
-            )
-            den = 0.5 * (
-                np_le[lo:hi, None, None] * ns_le[None, :, None] * na_le[None, None, :]
-                + np_lt[lo:hi, None, None] * ns_lt[None, :, None] * na_lt[None, None, :]
-            )
-            total += float(np.sum(np.abs(w) ** 2 / den))
-        totals[j] = total
+        w, den = banded_smeared(_components(spec, j), D)
+        totals[j] = float(np.sum(np.abs(w) ** 2 / den))
         quantum[j] = abs(pspec.beam_sum) ** 2
     return ScreenResult(totals=totals, quantum=quantum)
 
 
-def composite_unnormalized(
-    spec: ScreenSpec, j: int, d_override: int | None = None
-) -> np.ndarray:
+def composite_unnormalized(spec: ScreenSpec, j: int) -> np.ndarray:
     """Unnormalized probability for every composite path of endpoint j.
 
     Shape (N_j, N', N''); used to check which composites carry mass.
     """
-    D = spec.D if d_override is None else int(d_override)
-    amps_p = build_m3(spec.endpoints[j]).amplitudes
-    amps_s = build_m1(spec.screen_before).amplitudes
-    amps_a = _after_amplitudes(spec, j)
-    p_le, p_lt, np_le, np_lt = _component_sums(amps_p, D)
-    s_le, s_lt, ns_le, ns_lt = _component_sums(amps_s, D)
-    a_le, a_lt, na_le, na_lt = _component_sums(amps_a, D)
-    w = 0.5 * (
-        p_le[:, None, None] * s_le[None, :, None] * a_le[None, None, :]
-        + p_lt[:, None, None] * s_lt[None, :, None] * a_lt[None, None, :]
-    )
-    den = 0.5 * (
-        np_le[:, None, None] * ns_le[None, :, None] * na_le[None, None, :]
-        + np_lt[:, None, None] * ns_lt[None, :, None] * na_lt[None, None, :]
-    )
+    w, den = banded_smeared(_components(spec, j), spec.D)
     return np.abs(w) ** 2 / den
 
 
@@ -283,8 +236,7 @@ def materialize_composite_ensemble(
     labels = np.empty((total, 4), dtype=int)
     r = 0
     for j, pspec in enumerate(spec.endpoints):
-        amps_p = build_m3(pspec).amplitudes
-        amps_a = _after_amplitudes(spec, j)
+        amps_p, _, amps_a = _components(spec, j)
         for i in range(pspec.N):
             for k in range(n_before):
                 base = amps_p[i] * amps_s[k]
@@ -307,12 +259,3 @@ def materialize_composite_ensemble(
                    d_a[labels[:, 3][:, None], labels[:, 3][None, :]]),
     )
     return PathEnsemble(amps), labels, dmat
-
-
-def build_screen_model(spec: ScreenSpec, check_separations: bool = True):
-    """Validate and return the evaluated model (see evaluate_screen_model)."""
-    return evaluate_screen_model(spec, check_separations=check_separations)
-
-
-def detection_ratios(result: ScreenResult) -> list[dict]:
-    return result.ratio_rows()

@@ -1,10 +1,14 @@
 """Independent reference implementations used only by the tests.
 
 Deliberately naive: pure Python loops, no numpy, no shared code with the
-package's evaluation routes, so that agreement is meaningful.
+package's evaluation routes, so that agreement is meaningful.  The one
+exception is the sliding-window reference, which uses numpy vector adds
+so it can run at the sizes the banded route runs at.
 """
 
 import math
+
+import numpy as np
 
 
 def brute_force_unnormalized(amplitudes, dmat, weights=None):
@@ -36,6 +40,24 @@ def brute_force_probabilities(amplitudes, dmat, weights=None):
     if total <= 0.0:
         raise ZeroDivisionError("no probability mass")
     return [u / total for u in unnorm]
+
+
+def sliding_window_smeared(amplitudes, D, rim=0.5):
+    """Step-distance smeared sums by direct summation, O(N*D), no prefix sums.
+
+    Adds each offset 1..D from both sides, one vector add per offset and
+    side; the offset D carries the rim weight.
+    """
+    amps = np.asarray(amplitudes, dtype=complex)
+    smeared = amps.copy()
+    denom = np.ones(amps.size)
+    for k in range(1, D + 1):
+        w = rim if k == D else 1.0
+        smeared[k:] += w * amps[:-k]
+        smeared[:-k] += w * amps[k:]
+        denom[k:] += w
+        denom[:-k] += w
+    return smeared, denom
 
 
 def step_distance_table(n, D, at_exactly=math.log(2.0)):

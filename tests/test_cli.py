@@ -175,6 +175,18 @@ def test_lattice_subcommand_writes_paths_file(tmp_path):
     assert len(lines) == 20  # 19 paths + header
 
 
+def test_lattice_matrix_over_budget_exits_65(capsys):
+    # 38,131 paths pass LatticeSpec but need a 10.8 GiB distance matrix;
+    # admission refuses before any n x n allocation
+    rc = run_cli([
+        "lattice", "--steps", "8", "--extent", "6", "--hop", "2",
+        "--distance", "max_sep",
+    ])
+    assert rc == 65
+    err = capsys.readouterr().err
+    assert err.startswith("ModelTooLarge:") and "Traceback" not in err
+
+
 def test_sweep_visibility_transition(tmp_path):
     cfg = write(
         tmp_path / "sweep.json",

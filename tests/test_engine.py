@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from realpathsim.distances import DistanceSpec
 from realpathsim.engine import (
     WeightFunction,
+    banded_smeared,
     block_distance_matrix,
     final_state_probabilities,
     path_probabilities,
@@ -18,7 +19,11 @@ from realpathsim.errors import AllZeroProbability
 from realpathsim.paths import make_indexed_ensemble
 from realpathsim.toymodels import M1Spec, build_m1
 
-from oracles import brute_force_probabilities, step_distance_table
+from oracles import (
+    brute_force_probabilities,
+    sliding_window_smeared,
+    step_distance_table,
+)
 
 
 def _random_unit(rng, n):
@@ -129,12 +134,20 @@ def test_banded_literal_log_half_matches_dense():
     assert np.allclose(banded.probs, dense.probs, atol=1e-14)
 
 
-def test_callable_distance_accepted():
+def test_callable_distance_rejected():
     ens = make_indexed_ensemble([1, -1, 1, -1, 1])
-    by_callable = path_probabilities(ens, lambda i, j: float(abs(i - j)))
-    mat = np.abs(np.subtract.outer(np.arange(5), np.arange(5))).astype(float)
-    by_matrix = path_probabilities(ens, mat)
-    assert np.array_equal(by_callable.probs, by_matrix.probs)
+    with pytest.raises(TypeError):
+        path_probabilities(ens, lambda i, j: float(abs(i - j)))
+
+
+def test_banded_matches_sliding_window_at_scale():
+    # the size the banded route runs at, random phases so nothing cancels
+    rng = np.random.default_rng(15)
+    amps = _random_unit(rng, 10**6)
+    smeared, denom = banded_smeared([amps], 50)
+    ref_smeared, ref_denom = sliding_window_smeared(amps, 50)
+    assert np.max(np.abs(smeared - ref_smeared)) <= 1e-12 * np.max(np.abs(smeared))
+    assert np.array_equal(denom, ref_denom)
 
 
 def test_brute_force_agreement_small_sample():
