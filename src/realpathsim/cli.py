@@ -242,11 +242,10 @@ def _sweep_cell(config: dict, args) -> dict:
     if isinstance(spec, lattice_mod.LatticeSpec):
         dspec = _distance_spec(config)
         scale = float(config.get("distance_scale", 1.0))
-        vis = lattice_mod.two_arm_visibility(spec, dspec, distance_scale=scale)
-        # block mass: how much unweighted probability sits on corridor paths
-        dist, sites = lattice_mod.run_lattice_experiment(
+        vis, dist, sites = lattice_mod.two_arm_experiment(
             spec, dspec, distance_scale=scale
         )
+        # block mass: how much unweighted probability sits on corridor paths
         w = lattice_mod.corridor_weights(sites)
         mass = float(np.sum(dist.probs[w > 0]))
         return {"visibility": vis, "block_mass": mass, "norm_constant": dist.norm_constant}

@@ -201,72 +201,133 @@ def index_distance_matrix(
     raise ValueError(f"{spec.name} is not an index distance")
 
 
+# narrowest signed integer dtypes tried for integer site differences
+_INT_TILES = (np.int8, np.int16, np.int32, np.int64)
+
+# rows per block when grid_distance_matrix stacks a full matrix
+_MATRIX_ROWS = 512
+
+
+class GridPathSource:
+    """Pairwise geometric distances of scalar paths on one shared grid, by rows.
+
+    ``positions`` is (n_paths, n_times) of 1-d coordinates; rows are
+    resampled paths.  ``rows(lo, hi)`` computes the (hi - lo, n) block of
+    distances from paths lo..hi-1 to every path, times ``scale``, so a
+    caller can stream a distance matrix without ever holding n x n.
+    Matches galilean_distance on every pair.
+
+    The max and L1 reductions run one time step at a time into a block-
+    sized accumulator; steps where all paths agree add nothing and are
+    skipped.  The max variants difference integer positions (enumerated
+    lattice sites) in the narrowest integer dtype that holds every step's
+    spread.  Mass multiplies before ``scale``, as for a scaled matrix.
+    """
+
+    def __init__(
+        self,
+        positions: np.ndarray,
+        times: np.ndarray,
+        spec: DistanceSpec,
+        mass: float = 1.0,
+        scale: float = 1.0,
+    ):
+        if spec.is_index_based:
+            raise ValueError("index distances do not apply to gridded paths")
+        self.name = spec.name
+        self.mass = spec.mass if spec.mass is not None else mass
+        self.scale = float(scale)
+        X = np.asarray(positions)
+        if not (self.name in ("max_sep", "mass_max_sep") and np.issubdtype(X.dtype, np.integer)):
+            X = X.astype(float)
+        self.n = X.shape[0]
+        t = np.asarray(times, dtype=float)
+
+        # trapezoid weights for the shared grid
+        w = np.zeros_like(t)
+        dt = np.diff(t)
+        w[:-1] += dt / 2.0
+        w[1:] += dt / 2.0
+        self._duration = t[-1] - t[0]
+
+        if self.name == "l2":
+            self._q = X**2 @ w
+            self._Xw = X * w
+            self._Xt = np.ascontiguousarray(X.T)
+            return
+        if self.name == "velocity_l1":
+            base, seg_w = np.diff(X, axis=1) / dt, dt
+        elif self.name in ("l1_time_integral", "l1_time_average", "mass_l1"):
+            base, seg_w = X, w
+        elif self.name in ("max_sep", "mass_max_sep"):
+            base, seg_w = X, None
+        else:
+            raise ValueError(f"unhandled variant {self.name!r}")
+
+        spans = np.zeros(base.shape[1], dtype=base.dtype)
+        if self.n:
+            spans = np.ptp(base, axis=0)
+        self._dtype = base.dtype
+        if np.issubdtype(base.dtype, np.integer):
+            if self.n:
+                base = base - base.min(axis=0)   # same differences, each step from 0
+            widest = int(spans.max(initial=0))
+            self._dtype = next(d for d in _INT_TILES if np.iinfo(d).max >= widest)
+        self._steps = [
+            (np.ascontiguousarray(base[:, k], dtype=self._dtype),
+             None if seg_w is None else float(seg_w[k]))
+            for k in np.flatnonzero(spans > 0)
+        ]
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Distances from paths lo..hi-1 to all n paths, as a new float array."""
+        if self.name == "l2":
+            twice_G = self._Xw[lo:hi] @ self._Xt
+            twice_G *= 2.0
+            d = self._q[lo:hi, None] + self._q[None, :]
+            d -= twice_G
+            d = np.sqrt(np.maximum(d, 0.0, out=d), out=d)
+        else:
+            acc = np.zeros((hi - lo, self.n), dtype=self._dtype)
+            diff = np.empty_like(acc)
+            for col, w in self._steps:
+                np.subtract(col[lo:hi, None], col[None, :], out=diff)
+                np.abs(diff, out=diff)
+                if w is None:
+                    np.maximum(acc, diff, out=acc)
+                else:
+                    diff *= w
+                    acc += diff
+            d = acc.astype(float, copy=False)
+        if self.name == "l1_time_average":
+            d /= self._duration
+        if self.name in ("mass_max_sep", "mass_l1"):
+            d *= self.mass
+        if self.scale != 1.0:
+            d *= self.scale
+        return d
+
+
 def grid_distance_matrix(
     positions: np.ndarray,
     times: np.ndarray,
     spec: DistanceSpec,
     mass: float = 1.0,
-    chunk: int = 256,
 ) -> np.ndarray:
-    """Pairwise geometric distances for scalar paths on one shared grid.
+    """Dense (n, n) matrix of GridPathSource distances, stacked by row blocks.
 
-    ``positions`` is (n_paths, n_times) of 1-d coordinates; rows are
-    resampled paths.  Matches galilean_distance on every pair but runs
-    vectorized, which is what the lattice experiments need.  Raises
-    ModelTooLarge, before allocating anything of size n x n, when the
-    matrix would exceed MAX_MATRIX_BYTES.
+    Raises ModelTooLarge, before allocating anything of size n x n, when
+    the matrix would exceed MAX_MATRIX_BYTES.
     """
-    if spec.is_index_based:
-        raise ValueError("index distances do not apply to gridded paths")
-    X = np.asarray(positions, dtype=float)
-    t = np.asarray(times, dtype=float)
-    n = X.shape[0]
+    n = np.shape(positions)[0]
     if n * n * 8 > MAX_MATRIX_BYTES:
         raise ModelTooLarge(
             f"{n} paths need a {n * n * 8 / 2**30:.2f} GiB distance matrix, "
             f"above {MAX_MATRIX_BYTES / 2**30:.0f} GiB"
         )
-    m = spec.mass if spec.mass is not None else mass
-
-    # trapezoid weights for the shared grid
-    w = np.zeros_like(t)
-    dt = np.diff(t)
-    w[:-1] += dt / 2.0
-    w[1:] += dt / 2.0
-    T = t[-1] - t[0]
-
+    source = GridPathSource(positions, times, spec, mass)
     out = np.empty((n, n), dtype=float)
-    name = spec.name
-
-    if name == "l2":
-        q = X**2 @ w
-        G = (X * w) @ X.T
-        d2 = np.maximum(q[:, None] + q[None, :] - 2.0 * G, 0.0)
-        return np.sqrt(d2)
-
-    if name == "velocity_l1":
-        V = np.diff(X, axis=1) / dt
-        base, seg_w = V, dt
-        reduce = "l1"
-    elif name in ("l1_time_integral", "l1_time_average", "mass_l1"):
-        base, seg_w = X, w
-        reduce = "l1"
-    elif name in ("max_sep", "mass_max_sep"):
-        base, seg_w = X, None
-        reduce = "max"
-    else:
-        raise ValueError(f"unhandled variant {name!r}")
-
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        diff = np.abs(base[lo:hi, None, :] - base[None, :, :])
-        if reduce == "max":
-            out[lo:hi] = diff.max(axis=2)
-        else:
-            out[lo:hi] = diff @ seg_w
-
-    if name == "l1_time_average":
-        out /= T
-    if name in ("mass_max_sep", "mass_l1"):
-        out *= m
+    for lo in range(0, n, _MATRIX_ROWS):
+        hi = min(lo + _MATRIX_ROWS, n)
+        out[lo:hi] = source.rows(lo, hi)
     return out

@@ -18,8 +18,12 @@ The smearing sum has two routes:
   K index components combined by the max rule.  It needs only closed and
   open window sums per component (the weight at exactly D is 1/2).  K=1
   is the single ensemble; K=3 is the particle x screen composite.
-* a dense route over an (N, N) distance matrix, exponentiated a block of
-  rows at a time.
+* ``dense_smeared``, a dense route for any other distance.  It streams
+  blocks of _DENSE_ROWS rows, either from an (N, N) distance matrix or
+  from a ``GridPathSource`` that computes the distances of gridded paths
+  block by block, and exponentiates and reduces each block once into the
+  smeared sums of every amplitude vector and the shared denominators.
+  Fed from grid paths, it never holds anything of size N x N.
 
 Distances given as Python callables are not accepted: build the matrix.
 """
@@ -33,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distances import DistanceSpec, index_distance_matrix
+from .distances import DistanceSpec, GridPathSource, index_distance_matrix
 from .errors import AllZeroProbability, EmptyEnsemble
 from .paths import PathEnsemble
 
@@ -42,8 +46,18 @@ _SUM_ATOL = 1e-9
 # smearing weight exp(-log 2) of a pair at exactly the step distance D
 RIM_WEIGHT = 0.5
 
-# rows of exp(-d) held at once on the dense route
+# rows of exp(-d) held at once on the dense route; block edges at its
+# multiples keep the E @ amps products, and so every output bit, fixed
 _DENSE_ROWS = 512
+
+# rows of distances computed and exponentiated at once inside a block,
+# sized to stay in cache; any value gives the same bits
+_TILE_ROWS = 32
+
+# largest working set one dense pass may hold (see dense_tile_bytes):
+# half the 2 GiB matrix limit, as a sweep runs one pass per worker thread
+# (two at once on a 2-core host)
+MAX_TILE_BYTES = 1 << 30
 
 WEIGHT_NAMES = ("uniform", "causal_only", "curvature_cutoff", "corridor")
 
@@ -122,26 +136,70 @@ def smeared_components(
     """Per-path smeared amplitude and smearing volume (denominator).
 
     ``distance`` is a DistanceSpec (step gets the banded route, other
-    index distances become a matrix) or a dense (N, N) matrix with
-    np.inf allowed.  Anything else raises TypeError.
+    index distances become a matrix), a dense (N, N) matrix with np.inf
+    allowed, or a GridPathSource over the N paths.  Anything else raises
+    TypeError.
     """
     amps = ensemble.amplitudes
-    n = amps.size
-
     if isinstance(distance, DistanceSpec):
         if distance.name == "step":
             half = 2.0 if literal_log_half else RIM_WEIGHT
             return banded_smeared([amps], distance.D, half)
-        distance = index_distance_matrix(distance, n, literal_log_half)
-    if not (isinstance(distance, np.ndarray) and distance.shape == (n, n)):
-        raise TypeError(f"distance must be a DistanceSpec or an ({n}, {n}) array")
+        distance = index_distance_matrix(distance, amps.size, literal_log_half)
+    (smeared,), denom = dense_smeared([amps], distance)
+    return smeared, denom
 
-    smeared = np.empty(n, dtype=np.complex128)
+
+def dense_tile_bytes(n: int) -> int:
+    """Peak bytes one dense_smeared pass over n paths holds beyond its inputs.
+
+    The complex exp(-d) block, 16 bytes per entry, plus one cache tile of
+    distance temporaries and the O(n) outputs, bounded by 32 bytes per
+    tile entry.  tracemalloc puts the tile share at 19 to 27 bytes per
+    entry over the seven Galilean variants on 1 751 and 8 135 lattice
+    paths.
+    """
+    return min(n, _DENSE_ROWS) * n * 16 + min(n, _TILE_ROWS) * n * 32
+
+
+def dense_smeared(
+    amplitudes: Sequence[np.ndarray], distance
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Smeared sums of each amplitude vector and their shared denominators.
+
+    ``distance`` is an (N, N) matrix (np.inf allowed) or a GridPathSource
+    over N paths.  Rows are read _DENSE_ROWS at a time and exponentiated
+    _TILE_ROWS at a time into one complex block, which every amplitude
+    vector then multiplies; the denominators are the block's row sums.
+    """
+    n = amplitudes[0].size
+    if isinstance(distance, GridPathSource) and distance.n == n:
+        def neg_rows(lo, hi):
+            block = distance.rows(lo, hi)
+            return np.negative(block, out=block)
+    elif isinstance(distance, np.ndarray) and distance.shape == (n, n):
+        def neg_rows(lo, hi):
+            return np.negative(distance[lo:hi])
+    else:
+        raise TypeError(
+            f"distance must be an ({n}, {n}) array or a GridPathSource over {n} paths"
+        )
+
+    smeared = [np.empty(n, dtype=np.complex128) for _ in amplitudes]
     denom = np.empty(n, dtype=float)
+    # exp(-d) of one block as complex, the type E @ amps computes in; the
+    # imaginary parts stay 0
+    E = np.zeros((min(n, _DENSE_ROWS), n), dtype=np.complex128)
     for lo in range(0, n, _DENSE_ROWS):
-        E = np.exp(-distance[lo : lo + _DENSE_ROWS])
-        smeared[lo : lo + _DENSE_ROWS] = E @ amps
-        denom[lo : lo + _DENSE_ROWS] = E.sum(axis=1)
+        hi = min(lo + _DENSE_ROWS, n)
+        for t in range(lo, hi, _TILE_ROWS):
+            u = min(t + _TILE_ROWS, hi)
+            tile = neg_rows(t, u)
+            np.exp(tile, out=tile)
+            denom[t:u] = tile.sum(axis=1)
+            E.real[t - lo : u - lo] = tile
+        for out, amps in zip(smeared, amplitudes):
+            out[lo:hi] = E[: hi - lo] @ amps
     return smeared, denom
 
 
@@ -193,6 +251,37 @@ def _windows(amps: np.ndarray, D: int):
     return s_le, s_lt, n_le, n_lt
 
 
+def weighted_probabilities(
+    smeared: np.ndarray, denom: np.ndarray, weights: np.ndarray | None = None
+) -> np.ndarray:
+    """w * |smeared|^2 / denom per path (0 where denom is 0), without C.
+
+    ``weights`` is a resolved per-path vector, or None for the plain
+    postulate.
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        unnorm = np.where(denom > 0, np.abs(smeared) ** 2 / denom, 0.0)
+    return unnorm if weights is None else weights * unnorm
+
+
+def distribution_from_sums(
+    smeared: np.ndarray, denom: np.ndarray, weights: np.ndarray | None = None
+) -> PathDistribution:
+    """Normalized distribution from smeared sums and denominators.
+
+    Raises AllZeroProbability when every weighted smeared amplitude
+    vanishes, since the postulate then defines no distribution.
+    """
+    unnorm = weighted_probabilities(smeared, denom, weights)
+    total = float(np.sum(unnorm))
+    if total <= 0.0:
+        raise AllZeroProbability("all paths have zero probability weight")
+    C = 1.0 / total
+    return PathDistribution(
+        probs=unnorm * C, norm_constant=C, smeared=smeared, denom=denom
+    )
+
+
 def unnormalized_probabilities(
     ensemble: PathEnsemble,
     distance,
@@ -202,11 +291,7 @@ def unnormalized_probabilities(
     """(unnormalized probs, smeared, denom) without the constant C."""
     smeared, denom = smeared_components(ensemble, distance, literal_log_half)
     w = _resolve_weights(weights, ensemble.n_paths)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        unnorm = np.where(denom > 0, np.abs(smeared) ** 2 / denom, 0.0)
-    if w is not None:
-        unnorm = w * unnorm
-    return unnorm, smeared, denom
+    return weighted_probabilities(smeared, denom, w), smeared, denom
 
 
 def path_probabilities(
@@ -215,23 +300,12 @@ def path_probabilities(
     weights=None,
     literal_log_half: bool = False,
 ) -> PathDistribution:
-    """Conditioned per-path distribution for one ensemble (endpoints fixed).
-
-    Raises AllZeroProbability when every weighted smeared amplitude
-    vanishes, since the postulate then defines no distribution.
-    """
+    """Conditioned per-path distribution for one ensemble (endpoints fixed)."""
     if ensemble.n_paths == 0:
         raise EmptyEnsemble("empty ensemble")
-    unnorm, smeared, denom = unnormalized_probabilities(
-        ensemble, distance, weights, literal_log_half
-    )
-    total = float(np.sum(unnorm))
-    if total <= 0.0:
-        raise AllZeroProbability("all paths have zero probability weight")
-    C = 1.0 / total
-    return PathDistribution(
-        probs=unnorm * C, norm_constant=C, smeared=smeared, denom=denom
-    )
+    smeared, denom = smeared_components(ensemble, distance, literal_log_half)
+    w = _resolve_weights(weights, ensemble.n_paths)
+    return distribution_from_sums(smeared, denom, w)
 
 
 def union_ensemble(ensembles: Sequence[PathEnsemble]) -> PathEnsemble:

@@ -22,14 +22,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import DistanceSpec, grid_distance_matrix
+from .distances import DistanceSpec, GridPathSource
 from .engine import (
+    MAX_TILE_BYTES,
     PathDistribution,
     WeightFunction,
+    dense_smeared,
+    dense_tile_bytes,
+    distribution_from_sums,
     path_probabilities,
-    unnormalized_probabilities,
+    weighted_probabilities,
 )
-from .errors import NoPaths, SpecViolation, TooManyPaths
+from .errors import ModelTooLarge, NoPaths, SpecViolation, TooManyPaths
 from .paths import PathEnsemble, SpacetimePath
 
 ENUMERATION_BOUND = 10**7
@@ -78,13 +82,9 @@ def enumerate_paths(spec: LatticeSpec) -> np.ndarray:
         if k == T:
             out.append(tuple(prefix))
             return
-        remaining = T - k - 1
-        for step in range(-h, h + 1):
-            nxt = x + step
-            if abs(nxt) > X:
-                continue
-            if abs(spec.end - nxt) > h * remaining:
-                continue
+        reach = h * (T - k - 1)
+        for nxt in range(max(x - h, -X, spec.end - reach),
+                         min(x + h, X, spec.end + reach) + 1):
             prefix.append(nxt)
             walk(nxt, k + 1)
             prefix.pop()
@@ -110,6 +110,45 @@ def lattice_ensemble(
     if extra_phase is not None:
         phases = phases + extra_phase
     return PathEnsemble(np.exp(-1j * phases)), sites
+
+
+def path_count(spec: LatticeSpec) -> int:
+    """Exact number of enumerated paths, without enumerating them.
+
+    Counts paths into each site step by step, over only the sites a
+    complete path can occupy at that step (an interval no wider than the
+    path count), so the cost is bounded for any hop and extent.
+    """
+    T, X, h = spec.steps, spec.extent, spec.hop
+    lo = hi = spec.start
+    counts = np.ones(1, dtype=np.int64)
+    for k in range(1, T + 1):
+        reach = h * (T - k)
+        new_lo = max(lo - h, -X, spec.end - reach)
+        new_hi = min(hi + h, X, spec.end + reach)
+        # paths into site x come from sites x-h..x+h of the last step
+        prefix = np.concatenate([[0], np.cumsum(counts)])
+        x = np.arange(new_lo, new_hi + 1)
+        counts = (prefix[np.clip(x + h - lo + 1, 0, counts.size)]
+                  - prefix[np.clip(x - h - lo, 0, counts.size)])
+        lo, hi = new_lo, new_hi
+    return int(counts.sum())
+
+
+def admit(spec: LatticeSpec) -> int:
+    """Path count of ``spec``, checked against the dense route's budget.
+
+    Raises ModelTooLarge, before anything is enumerated, when one block
+    of the dense pass over all paths would pass MAX_TILE_BYTES.
+    """
+    n = path_count(spec)
+    need = dense_tile_bytes(n)
+    if need > MAX_TILE_BYTES:
+        raise ModelTooLarge(
+            f"{n} paths need {need / 2**30:.2f} GiB per dense block, "
+            f"above {MAX_TILE_BYTES / 2**30:.0f} GiB"
+        )
+    return n
 
 
 def site_path(spec: LatticeSpec, sites_row: np.ndarray) -> SpacetimePath:
@@ -191,6 +230,14 @@ def resolve_weight(
     raise SpecViolation(f"weight {wf.name!r} does not apply to lattice paths")
 
 
+def _grid_source(
+    spec: LatticeSpec, sites: np.ndarray, distance: DistanceSpec, distance_scale: float
+) -> GridPathSource:
+    """Distances between enumerated paths, served to the engine by row block."""
+    times = np.arange(spec.steps + 1, dtype=float)
+    return GridPathSource(sites, times, distance, mass=spec.mass, scale=distance_scale)
+
+
 def run_lattice_experiment(
     spec: LatticeSpec,
     distance: DistanceSpec,
@@ -205,19 +252,34 @@ def run_lattice_experiment(
     quantum limit); ``arm_phase`` is the upper-arm phase plate setting.
     Returns (distribution, sites).
     """
+    admit(spec)
     sites = enumerate_paths(spec)
     extra = None
     if arm_phase != 0.0:
         extra = arm_phase * upper_arm_mask(sites, phase_margin).astype(float)
     ensemble, _ = lattice_ensemble(spec, sites, extra)
-    dmat = grid_distance_matrix(
-        sites.astype(float), np.arange(spec.steps + 1, dtype=float), distance,
-        mass=spec.mass,
-    )
-    if distance_scale != 1.0:
-        dmat = dmat * distance_scale
     w = resolve_weight(weight, sites)
-    return path_probabilities(ensemble, dmat, weights=w), sites
+    source = _grid_source(spec, sites, distance, distance_scale)
+    return path_probabilities(ensemble, source, weights=w), sites
+
+
+def _two_arm_pass(spec, distance, distance_scale, margin):
+    """(visibility, sites, phase-0 smeared sums, denominators) in one pass.
+
+    One enumeration and one dense pass carry both phase plate settings,
+    0 (constructive) and pi (destructive); the denominators do not
+    depend on the amplitudes, so the two settings share them.
+    """
+    admit(spec)
+    sites = enumerate_paths(spec)
+    mask = upper_arm_mask(sites, margin).astype(float)
+    amps = [lattice_ensemble(spec, sites, phase * mask)[0].amplitudes
+            for phase in (0.0, np.pi)]
+    smeared, denom = dense_smeared(amps, _grid_source(spec, sites, distance, distance_scale))
+    w = corridor_weights(sites, margin)
+    p_plus, p_minus = (float(np.sum(weighted_probabilities(s, denom, w))) for s in smeared)
+    vis = 0.0 if p_plus + p_minus == 0.0 else abs(p_plus - p_minus) / (p_plus + p_minus)
+    return vis, sites, smeared[0], denom
 
 
 def two_arm_visibility(
@@ -232,21 +294,20 @@ def two_arm_visibility(
     (constructive) and pi (destructive); the normalization constant is
     setting-dependent, so raw masses are the comparable quantity.
     """
-    sites = enumerate_paths(spec)
-    dmat = grid_distance_matrix(
-        sites.astype(float), np.arange(spec.steps + 1, dtype=float), distance,
-        mass=spec.mass,
-    )
-    if distance_scale != 1.0:
-        dmat = dmat * distance_scale
-    w = corridor_weights(sites, margin)
-    mask = upper_arm_mask(sites, margin).astype(float)
-    masses = []
-    for phase in (0.0, np.pi):
-        ensemble, _ = lattice_ensemble(spec, sites, phase * mask)
-        unnorm, _, _ = unnormalized_probabilities(ensemble, dmat, weights=w)
-        masses.append(float(np.sum(unnorm)))
-    p_plus, p_minus = masses
-    if p_plus + p_minus == 0.0:
-        return 0.0
-    return abs(p_plus - p_minus) / (p_plus + p_minus)
+    return _two_arm_pass(spec, distance, distance_scale, margin)[0]
+
+
+def two_arm_experiment(
+    spec: LatticeSpec,
+    distance: DistanceSpec,
+    distance_scale: float = 1.0,
+    margin: int = 1,
+) -> tuple[float, PathDistribution, np.ndarray]:
+    """(visibility, distribution, sites) from one enumeration and one pass.
+
+    The visibility is two_arm_visibility's; the distribution is the
+    unweighted one run_lattice_experiment gives at arm phase 0, which the
+    phase-0 smeared sums and the shared denominators already are.
+    """
+    vis, sites, smeared, denom = _two_arm_pass(spec, distance, distance_scale, margin)
+    return vis, distribution_from_sums(smeared, denom), sites

@@ -1,10 +1,14 @@
 """Command-line harness: formats, determinism, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from realpathsim.cli import main
+
+# golden outputs of the lattice commands, checked byte for byte
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(args):
@@ -175,16 +179,47 @@ def test_lattice_subcommand_writes_paths_file(tmp_path):
     assert len(lines) == 20  # 19 paths + header
 
 
-def test_lattice_matrix_over_budget_exits_65(capsys):
-    # 38,131 paths pass LatticeSpec but need a 10.8 GiB distance matrix;
-    # admission refuses before any n x n allocation
+def test_lattice_outputs_match_golden_bytes(tmp_path):
+    out = tmp_path / "lattice_smoke.csv"
+    assert run_cli([
+        "lattice", "--steps", "4", "--extent", "3", "--hop", "2",
+        "--weight", "corridor", "--output", str(out),
+    ]) == 0
+    for name in ("lattice_smoke.csv", "lattice_smoke.csv.paths.csv"):
+        assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+    sweep = tmp_path / "lattice_sweep.csv"
+    cfg = str(DATA / "lattice_sweep.json")
+    assert run_cli(["--config", cfg, "--output", str(sweep), "sweep"]) == 0
+    assert sweep.read_bytes() == (DATA / "lattice_sweep.csv").read_bytes()
+
+
+def test_lattice_over_tile_budget_exits_65_before_enumeration(capsys, monkeypatch):
+    # 179,755 paths pass LatticeSpec, but one dense block over them would
+    # pass MAX_TILE_BYTES; admission counts them without enumerating
+    from realpathsim import lattice
+
+    def refuse(spec):
+        raise AssertionError("enumerated an over-budget spec")
+
+    monkeypatch.setattr(lattice, "enumerate_paths", refuse)
     rc = run_cli([
-        "lattice", "--steps", "8", "--extent", "6", "--hop", "2",
+        "lattice", "--steps", "9", "--extent", "6", "--hop", "2",
         "--distance", "max_sep",
     ])
     assert rc == 65
     err = capsys.readouterr().err
     assert err.startswith("ModelTooLarge:") and "Traceback" not in err
+
+
+def test_lattice_streamed_spec_passes_admission():
+    # 38,131 paths: a 10.8 GiB distance matrix, but only about 0.3 GiB
+    # per dense block, so the streamed route admits it
+    from realpathsim.engine import MAX_TILE_BYTES, dense_tile_bytes
+    from realpathsim.lattice import LatticeSpec, admit
+
+    n = admit(LatticeSpec(steps=8, extent=6, start=0, end=0, hop=2))
+    assert n == 38131
+    assert n * n * 8 > 10 * 2**30 and dense_tile_bytes(n) < MAX_TILE_BYTES
 
 
 def test_sweep_visibility_transition(tmp_path):

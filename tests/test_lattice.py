@@ -1,20 +1,37 @@
 """Lattice path integral: enumeration, transfer matrix, decoherence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from realpathsim.distances import DistanceSpec, galilean_distance
-from realpathsim.engine import WeightFunction, path_probabilities
+from realpathsim.distances import (
+    GALILEAN_VARIANTS,
+    DistanceSpec,
+    GridPathSource,
+    galilean_distance,
+    grid_distance_matrix,
+)
+from realpathsim.engine import (
+    WeightFunction,
+    dense_smeared,
+    dense_tile_bytes,
+    path_probabilities,
+    unnormalized_probabilities,
+)
 from realpathsim.errors import NoPaths, SpecViolation, TooManyPaths
 from realpathsim.lattice import (
     LatticeSpec,
     corridor_weights,
     enumerate_paths,
     lattice_ensemble,
+    path_count,
     run_lattice_experiment,
     site_path,
     transfer_amplitude,
+    two_arm_experiment,
     two_arm_visibility,
+    upper_arm_mask,
 )
 
 
@@ -163,3 +180,100 @@ def test_normalization_and_phase_invariance_on_lattice():
         PathEnsemble(np.exp(0.7j) * ens.amplitudes), dmat
     )
     assert np.max(np.abs(base.probs - rotated.probs)) < 1e-12
+
+
+def test_path_count_matches_enumeration_and_transfer():
+    for T, X, h, a, b in [(1, 5, 3, -2, 1), (2, 10, 4, 0, 0), (3, 2, 3, -2, 2),
+                          (4, 1, 1, 0, 0), (5, 3, 1, 0, 1), (6, 6, 2, 0, 0)]:
+        spec = LatticeSpec(steps=T, extent=X, start=a, end=b, hop=h)
+        count = LatticeSpec(steps=T, extent=X, start=a, end=b, hop=h, mass=0.0)
+        n = path_count(spec)
+        assert n == enumerate_paths(spec).shape[0]
+        assert n == transfer_amplitude(count).real
+
+
+# T=6, X=6, h=2: 1 751 paths, three full 512-row blocks and a 215-row tail
+STREAM_SPEC = LatticeSpec(steps=6, extent=6, start=0, end=0, hop=2, mass=1.7)
+
+
+def test_streamed_route_matches_matrix_route():
+    sites = enumerate_paths(STREAM_SPEC)
+    assert sites.shape[0] == 1751
+    times = np.arange(STREAM_SPEC.steps + 1, dtype=float)
+    mask = upper_arm_mask(sites).astype(float)
+    amps = [lattice_ensemble(STREAM_SPEC, sites, phase * mask)[0].amplitudes
+            for phase in (0.0, np.pi)]
+    for name in GALILEAN_VARIANTS:
+        dspec = DistanceSpec(name)
+        dmat = grid_distance_matrix(sites, times, dspec, mass=STREAM_SPEC.mass)
+        for scale in (0.0, 0.3, 1.0, 300.0):
+            source = GridPathSource(sites, times, dspec, STREAM_SPEC.mass, scale)
+            streamed, denom = dense_smeared(amps, source)
+            scaled = dmat * scale if scale != 1.0 else dmat
+            for vec, got in zip(amps, streamed):
+                (want,), want_denom = dense_smeared([vec], scaled)
+                assert np.array_equal(got, want), (name, scale)
+                assert np.array_equal(denom, want_denom), (name, scale)
+
+
+def test_one_pass_experiment_matches_separate_runs():
+    spec = LatticeSpec(steps=5, extent=4, start=0, end=0, hop=2)
+    dspec = DistanceSpec("max_sep")
+    vis, dist, sites = two_arm_experiment(spec, dspec, distance_scale=0.3)
+    alone, alone_sites = run_lattice_experiment(spec, dspec, distance_scale=0.3)
+    assert np.array_equal(sites, alone_sites)
+    assert np.array_equal(dist.probs, alone.probs)
+    assert dist.norm_constant == alone.norm_constant
+    assert vis == two_arm_visibility(spec, dspec, distance_scale=0.3)
+    # the same visibility from two matrix-route runs, one per phase setting
+    dmat = 0.3 * grid_distance_matrix(sites, np.arange(6.0), dspec)
+    w = corridor_weights(sites)
+    masses = []
+    for phase in (0.0, np.pi):
+        ens, _ = lattice_ensemble(spec, sites, phase * upper_arm_mask(sites))
+        masses.append(float(np.sum(unnormalized_probabilities(ens, dmat, weights=w)[0])))
+    assert vis == abs(masses[0] - masses[1]) / (masses[0] + masses[1])
+
+
+def test_single_step_admits_any_hop_and_extent():
+    # T=1 passes the enumeration bound for every hop; sites far outside
+    # any small integer type still give the one path distance 0
+    big = 10**12
+    spec = LatticeSpec(steps=1, extent=big, start=-big, end=big, hop=2 * big)
+    assert path_count(spec) == 1
+    dist, sites = run_lattice_experiment(spec, DistanceSpec("max_sep"))
+    assert sites.tolist() == [[-big, big]]
+    assert dist.probs.tolist() == [1.0] and dist.denom.tolist() == [1.0]
+
+
+def test_integer_tiles_hold_every_difference():
+    times = np.arange(3.0)
+    for top in (127, 128, 40_000, 2**40):
+        sites = np.array([[0, top, 0], [0, 0, 0], [0, -top, 0]])
+        got = grid_distance_matrix(sites, times, DistanceSpec("max_sep"))
+        assert got[0].tolist() == [0.0, top, 2.0 * top]
+    # two steps with a wide hop: 401 paths spreading 400 sites in one step
+    spec = LatticeSpec(steps=2, extent=200, start=0, end=0, hop=200)
+    sites = enumerate_paths(spec)
+    for name in GALILEAN_VARIANTS:
+        ints = grid_distance_matrix(sites, times, DistanceSpec(name), mass=1.7)
+        floats = grid_distance_matrix(sites.astype(float), times, DistanceSpec(name), mass=1.7)
+        assert np.array_equal(ints, floats), name
+
+
+def test_dense_pass_peak_within_tile_bytes():
+    sites = enumerate_paths(STREAM_SPEC)
+    n = sites.shape[0]
+    amps = [lattice_ensemble(STREAM_SPEC, sites)[0].amplitudes] * 2
+    times = np.arange(STREAM_SPEC.steps + 1, dtype=float)
+    for name in GALILEAN_VARIANTS:
+        source = GridPathSource(sites, times, DistanceSpec(name), STREAM_SPEC.mass, 0.3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            dense_smeared(amps, source)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the complex block is most of it; nothing of size n x n appears
+        assert 512 * n * 16 < peak <= dense_tile_bytes(n) < n * n * 8, name
