@@ -11,7 +11,6 @@ from .distances import (
     DistanceSpec,
     exp_index_distance,
     galilean_distance,
-    step_distance,
     weight,
 )
 from .engine import (
@@ -65,6 +64,5 @@ __all__ = [
     "m2_closed_form",
     "make_indexed_ensemble",
     "path_probabilities",
-    "step_distance",
     "weight",
 ]

@@ -26,7 +26,15 @@ import numpy as np
 
 from . import lattice as lattice_mod
 from .distances import DistanceSpec
-from .engine import PathDistribution, WeightFunction, path_probabilities
+from .engine import (
+    PathDistribution,
+    WeightFunction,
+    distribution_from_sums,
+    path_probabilities,
+    smeared_components,
+    unnormalized_probabilities,
+    weighted_probabilities,
+)
 from .errors import (
     AllZeroProbability,
     GridTooLarge,
@@ -151,11 +159,6 @@ def _weight_fn(config: dict) -> WeightFunction:
     return WeightFunction.from_dict(config.get("weight"))
 
 
-def _toy_distribution(spec, dspec: DistanceSpec, literal: bool) -> PathDistribution:
-    ensemble = build_model(spec)
-    return path_probabilities(ensemble, dspec, literal_log_half=literal)
-
-
 def _summary_line(dist: PathDistribution) -> str:
     top = np.argsort(dist.probs)[::-1][:5] + 1
     return (
@@ -184,8 +187,10 @@ def _run_once(config: dict, args) -> tuple[str, str]:
             arm_phase=float(config.get("arm_phase", 0.0)),
         )
     else:
-        dspec = _distance_spec(config)
-        dist = _toy_distribution(spec, dspec, args.literal_log_half)
+        dist = path_probabilities(
+            build_model(spec), _distance_spec(config),
+            literal_log_half=args.literal_log_half,
+        )
     text = _distribution_json(dist) if fmt == "json" else _distribution_csv(dist)
     return text, _summary_line(dist)
 
@@ -223,22 +228,41 @@ def _flip_last_theta(spec):
     return M3Spec(N=spec.N, regions=tuple(regions))
 
 
-def _toy_mass(spec, dspec: DistanceSpec, literal: bool) -> float:
-    """Unnormalized beam-neighborhood mass at the spec's own phases."""
-    from .engine import unnormalized_probabilities
+def _toy_experiment(
+    spec, dspec: DistanceSpec, literal: bool
+) -> tuple[float, float, PathDistribution]:
+    """(visibility, block mass, distribution): one build and pass per phase.
 
-    ensemble = build_model(spec)
-    unnorm, _, _ = unnormalized_probabilities(
-        ensemble, dspec, literal_log_half=literal
+    The visibility compares the unnormalized beam-neighborhood masses at
+    the spec's own phases and with the last region's phase flipped by pi;
+    the distribution is the one ``run`` gives at the spec's own phases,
+    and the block mass is its share on the beam neighborhood.  The
+    flipped setting is reduced to its mass before the other pass, so only
+    one setting's O(N) arrays are alive at a time.
+    """
+    def smeared_pass(s):
+        smeared, denom = smeared_components(build_model(s), dspec, literal)
+        lo, hi = _block_range_indices(s, dspec.D)
+        return smeared, denom, slice(lo - 1, hi)
+
+    def block_mass(smeared, denom, block):
+        return float(np.sum(weighted_probabilities(smeared[block], denom[block])))
+
+    p_minus = block_mass(*smeared_pass(_flip_last_theta(spec)))
+    smeared, denom, block = smeared_pass(spec)
+    p_plus = block_mass(smeared, denom, block)
+    vis = (
+        abs(p_plus - p_minus) / (p_plus + p_minus)
+        if (p_plus + p_minus) > 0
+        else 0.0
     )
-    lo, hi = _block_range_indices(spec, dspec.D)
-    return float(np.sum(unnorm[lo - 1 : hi]))
+    dist = distribution_from_sums(smeared, denom)
+    return vis, float(np.sum(dist.probs[block])), dist
 
 
 def _sweep_cell(config: dict, args) -> dict:
     """visibility / block mass / norm constant summaries for one cell."""
     spec = _model_spec(config)
-    literal = args.literal_log_half
     if isinstance(spec, lattice_mod.LatticeSpec):
         dspec = _distance_spec(config)
         scale = float(config.get("distance_scale", 1.0))
@@ -251,17 +275,7 @@ def _sweep_cell(config: dict, args) -> dict:
         return {"visibility": vis, "block_mass": mass, "norm_constant": dist.norm_constant}
     if isinstance(spec, ScreenSpec):
         raise SpecViolation("sweep does not apply to the screen model")
-    dspec = _distance_spec(config)
-    p_plus = _toy_mass(spec, dspec, literal)
-    p_minus = _toy_mass(_flip_last_theta(spec), dspec, literal)
-    vis = (
-        abs(p_plus - p_minus) / (p_plus + p_minus)
-        if (p_plus + p_minus) > 0
-        else 0.0
-    )
-    dist = _toy_distribution(spec, dspec, literal)
-    lo, hi = _block_range_indices(spec, dspec.D)
-    mass = float(np.sum(dist.probs[lo - 1 : hi]))
+    vis, mass, dist = _toy_experiment(spec, _distance_spec(config), args.literal_log_half)
     return {"visibility": vis, "block_mass": mass, "norm_constant": dist.norm_constant}
 
 
@@ -329,8 +343,6 @@ def cmd_compare(args) -> int:
     dspec = _distance_spec(config)
     if dspec.name != "step":
         raise SpecViolation("closed forms are stated for the step distance")
-    from .engine import unnormalized_probabilities
-
     ensemble = build_model(spec)
     direct, _, _ = unnormalized_probabilities(
         ensemble, dspec, literal_log_half=args.literal_log_half

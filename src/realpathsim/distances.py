@@ -51,16 +51,6 @@ _ENDPOINT_ATOL = 1e-9
 MAX_MATRIX_BYTES = 2 << 30
 
 
-def step_distance(i: int, j: int, D: int, literal_log_half: bool = False) -> float:
-    """Window step distance on indices: 0 below D, log 2 at D, inf beyond."""
-    gap = abs(i - j)
-    if gap < D:
-        return 0.0
-    if gap > D:
-        return math.inf
-    return -LOG2 if literal_log_half else LOG2
-
-
 def exp_index_distance(i: int, j: int, D: int) -> float:
     """Smooth index distance exp(|i-j|/D)."""
     return math.exp(abs(i - j) / D)

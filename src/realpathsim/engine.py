@@ -225,10 +225,16 @@ def banded_smeared(
     """
     s_le, s_lt, n_le, n_lt = zip(*(_windows(amps, D) for amps in components))
     outer = functools.partial(functools.reduce, np.multiply.outer)  # x_c v_c
-    smeared = half * outer(s_le)
-    smeared += (1 - half) * outer(s_lt)
-    denom = half * outer(n_le)
-    denom += (1 - half) * outer(n_lt)
+    # scaled in place: each product is a fresh array (K=1 returns the
+    # component's own window sum), and a *= b has the bits of a * b
+    smeared, smeared_lt = outer(s_le), outer(s_lt)
+    smeared *= half
+    smeared_lt *= 1 - half
+    smeared += smeared_lt
+    denom, denom_lt = outer(n_le), outer(n_lt)
+    denom *= half
+    denom_lt *= 1 - half
+    denom += denom_lt
     return smeared, denom
 
 
@@ -241,14 +247,24 @@ def _windows(amps: np.ndarray, D: int):
     """
     n = amps.size
     D = min(D, n)  # any wider window already covers every index
-    idx = np.arange(n)
-    n_le = np.minimum(idx + D, n - 1) - np.maximum(idx - D, 0) + 1.0
-    n_lt = np.minimum(idx + D - 1, n - 1) - np.maximum(idx - D + 1, 0) + 1.0
-    csum = np.cumsum(amps)
-    prefix = np.concatenate([np.zeros(D + 1), csum, csum[-1:].repeat(D)])
+    prefix = np.zeros(n + 2 * D + 1, dtype=np.result_type(amps, 0.0))
+    np.cumsum(amps, out=prefix[D + 1 : D + 1 + n])
+    prefix[D + 1 + n :] = prefix[D + n]
     s_le = prefix[2 * D + 1 : 2 * D + 1 + n] - prefix[:n]
     s_lt = prefix[2 * D : 2 * D + n] - prefix[1 : n + 1]
-    return s_le, s_lt, n_le, n_lt
+    return s_le, s_lt, _window_counts(n, D), _window_counts(n, D - 1)
+
+
+def _window_counts(n: int, r: int) -> np.ndarray:
+    """Number of indices j in [0, n) with |j-i| <= r, for each i; r <= n.
+
+    2r+1 away from the ends; only the at most 2r indices whose window is
+    clipped (i < r or i >= n-r) take the formula.
+    """
+    counts = np.full(n, 2.0 * r + 1)
+    edge = np.concatenate([np.arange(r), np.arange(max(n - r, r), n)])
+    counts[edge] = np.minimum(edge, r) + np.minimum(n - 1 - edge, r) + 1.0
+    return counts
 
 
 def weighted_probabilities(

@@ -38,6 +38,10 @@ from .paths import PathEnsemble, SpacetimePath
 
 ENUMERATION_BOUND = 10**7
 
+# most site updates (steps x live hop offsets x sites) transfer_amplitude
+# makes; its two site vectors then stay within 1 GiB
+TRANSFER_BOUND = 10**8
+
 
 @dataclass(frozen=True)
 class LatticeSpec:
@@ -160,15 +164,24 @@ def site_path(spec: LatticeSpec, sites_row: np.ndarray) -> SpacetimePath:
 def transfer_amplitude(spec: LatticeSpec) -> complex:
     """Total amplitude sum_paths exp(-i S) by stepwise matrix application.
 
-    Dynamic programming over site occupation; needs no enumeration bound.
-    m = 0 returns the path count as a real number.
+    Dynamic programming over site occupation; needs no enumeration bound,
+    but raises ModelTooLarge, before allocating anything, when it would
+    make more than TRANSFER_BOUND site updates.  m = 0 returns the path
+    count as a real number.
     """
-    X, h, m = spec.extent, spec.hop, spec.mass
+    X, m = spec.extent, spec.mass
     n_sites = 2 * X + 1
     if abs(spec.start) > X or abs(spec.end) > X:
         raise NoPaths("endpoint outside the lattice")
     if abs(spec.end - spec.start) > spec.hop * spec.steps:
         raise NoPaths("endpoints unreachable")
+    h = min(spec.hop, 2 * X)  # a longer hop leaves the lattice from every site
+    updates = spec.steps * (2 * h + 1) * n_sites
+    if updates > TRANSFER_BOUND:
+        raise ModelTooLarge(
+            f"the transfer matrix needs {updates:.3g} site updates, "
+            f"above {TRANSFER_BOUND:.0e}"
+        )
     offsets = np.arange(-h, h + 1)
     kernel = np.exp(-0.5j * m * offsets.astype(float) ** 2)
     psi = np.zeros(n_sites, dtype=np.complex128)

@@ -149,9 +149,10 @@ class M3Spec:
         return self.regions[0][0], self.regions[-1][0] + self.regions[-1][1]
 
 
-def _alternating(count: int, start_sign: float) -> np.ndarray:
-    signs = np.where(np.arange(count) % 2 == 0, start_sign, -start_sign)
-    return signs.astype(np.complex128)
+def _alternating(out: np.ndarray, start_sign: float):
+    """Fill ``out`` with start_sign, -start_sign, start_sign, ..."""
+    out[::2] = start_sign
+    out[1::2] = -start_sign
 
 
 def build_m3(spec: M3Spec) -> PathEnsemble:
@@ -165,14 +166,10 @@ def build_m3(spec: M3Spec) -> PathEnsemble:
     amps = np.empty(spec.N, dtype=np.complex128)
     pos = 1  # next index to fill, 1-based
     for M, K, th in spec.regions:
-        run = M - pos
-        if run:
-            amps[pos - 1 : M - 1] = _alternating(run, 1.0 if pos == 1 else -1.0)
+        _alternating(amps[pos - 1 : M - 1], 1.0 if pos == 1 else -1.0)
         amps[M - 1 : M + K] = np.exp(-1j * th)
         pos = M + K + 1
-    tail = spec.N - pos + 1
-    if tail:
-        amps[pos - 1 :] = _alternating(tail, -1.0)
+    _alternating(amps[pos - 1 :], -1.0)
     return PathEnsemble(amps)
 
 

@@ -46,18 +46,29 @@ def sliding_window_smeared(amplitudes, D, rim=0.5):
     """Step-distance smeared sums by direct summation, O(N*D), no prefix sums.
 
     Adds each offset 1..D from both sides, one vector add per offset and
-    side; the offset D carries the rim weight.
+    side; the offset D carries the rim weight.  Offsets of N or more pair
+    no indices and are skipped.
     """
     amps = np.asarray(amplitudes, dtype=complex)
     smeared = amps.copy()
     denom = np.ones(amps.size)
-    for k in range(1, D + 1):
+    for k in range(1, min(D, amps.size - 1) + 1):
         w = rim if k == D else 1.0
         smeared[k:] += w * amps[:-k]
         smeared[:-k] += w * amps[k:]
         denom[k:] += w
         denom[:-k] += w
     return smeared, denom
+
+
+def step_distance(i, j, D, literal_log_half=False):
+    """Window step distance on indices: 0 below D, log 2 at D, inf beyond."""
+    gap = abs(i - j)
+    if gap < D:
+        return 0.0
+    if gap > D:
+        return math.inf
+    return -math.log(2.0) if literal_log_half else math.log(2.0)
 
 
 def step_distance_table(n, D, at_exactly=math.log(2.0)):

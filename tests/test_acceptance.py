@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 
-from realpathsim.distances import DistanceSpec, grid_distance_matrix, step_distance
+from realpathsim.distances import DistanceSpec, grid_distance_matrix
 from realpathsim.engine import (
     block_distance_matrix,
     final_state_probabilities,
@@ -38,7 +38,7 @@ from realpathsim.toymodels import (
     m2_closed_form,
 )
 
-from oracles import brute_force_probabilities
+from oracles import brute_force_probabilities, step_distance
 
 
 def _verdict(number: int, ok: bool, detail: str):

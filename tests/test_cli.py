@@ -7,7 +7,8 @@ import pytest
 
 from realpathsim.cli import main
 
-# golden outputs of the lattice commands, checked byte for byte
+# golden outputs of the lattice and banded-route commands, checked byte
+# for byte
 DATA = Path(__file__).parent / "data"
 
 
@@ -191,6 +192,24 @@ def test_lattice_outputs_match_golden_bytes(tmp_path):
     cfg = str(DATA / "lattice_sweep.json")
     assert run_cli(["--config", cfg, "--output", str(sweep), "sweep"]) == 0
     assert sweep.read_bytes() == (DATA / "lattice_sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "config, command, flags, golden",
+    [
+        ("m2_sweep.json", "sweep", [], "m2_sweep.csv"),
+        ("m2_sweep.json", "sweep", ["--literal-log-half"], "m2_sweep_literal.csv"),
+        ("m1.json", "run", [], "m1_run.csv"),
+        ("m1.json", "compare", [], "m1_compare.csv"),
+        ("screen.json", "ratios", [], "screen_ratios.csv"),
+    ],
+)
+def test_banded_outputs_match_golden_bytes(tmp_path, config, command, flags, golden):
+    # the README's M1 and M2 examples and a K=3 screen config
+    out = tmp_path / golden
+    argv = ["--config", str(DATA / config), "--output", str(out), *flags, command]
+    assert run_cli(argv) == 0
+    assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
 def test_lattice_over_tile_budget_exits_65_before_enumeration(capsys, monkeypatch):

@@ -17,13 +17,12 @@ from realpathsim.distances import (
     galilean_distance,
     grid_distance_matrix,
     index_distance_matrix,
-    step_distance,
     weight,
 )
 from realpathsim.errors import EndpointMismatch, IncompatibleGrids
 from realpathsim.paths import SpacetimePath
 
-from oracles import grid_max_separation, trapezoid_l1
+from oracles import grid_max_separation, step_distance, trapezoid_l1
 
 
 def test_step_distance_values():

@@ -150,6 +150,19 @@ def test_banded_matches_sliding_window_at_scale():
     assert np.array_equal(denom, ref_denom)
 
 
+@pytest.mark.parametrize("half", [0.5, 2.0])
+@pytest.mark.parametrize("n", [1, 2, 17])
+def test_banded_window_counts_at_the_edges(n, half):
+    # windows clipped at one end, at both ends, or wider than the ensemble
+    rng = np.random.default_rng(n)
+    amps = _random_unit(rng, n)
+    for D in sorted({d for d in (1, n - 1, n, n + 1, 10**7) if d >= 1}):
+        smeared, denom = banded_smeared([amps], D, half)
+        ref_smeared, ref_denom = sliding_window_smeared(amps, D, rim=half)
+        assert np.array_equal(denom, ref_denom), D
+        assert np.max(np.abs(smeared - ref_smeared)) <= 1e-12 * np.max(np.abs(smeared)), D
+
+
 def test_brute_force_agreement_small_sample():
     rng = np.random.default_rng(11)
     for _ in range(50):

@@ -19,7 +19,7 @@ from realpathsim.engine import (
     path_probabilities,
     unnormalized_probabilities,
 )
-from realpathsim.errors import NoPaths, SpecViolation, TooManyPaths
+from realpathsim.errors import ModelTooLarge, NoPaths, SpecViolation, TooManyPaths
 from realpathsim.lattice import (
     LatticeSpec,
     corridor_weights,
@@ -244,6 +244,21 @@ def test_single_step_admits_any_hop_and_extent():
     dist, sites = run_lattice_experiment(spec, DistanceSpec("max_sep"))
     assert sites.tolist() == [[-big, big]]
     assert dist.probs.tolist() == [1.0] and dist.denom.tolist() == [1.0]
+
+
+def test_transfer_amplitude_refuses_oversized_lattice(monkeypatch):
+    # T=1 passes LatticeSpec for any hop, but the transfer matrix would
+    # need 2*10^12 + 1 sites and 4*10^12 + 1 hop offsets
+    big = 10**12
+    spec = LatticeSpec(steps=1, extent=big, start=0, end=0, hop=2 * big)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated the site vector")
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    monkeypatch.setattr(np, "arange", refuse)
+    with pytest.raises(ModelTooLarge):
+        transfer_amplitude(spec)
 
 
 def test_integer_tiles_hold_every_difference():

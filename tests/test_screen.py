@@ -10,11 +10,12 @@ import math
 import numpy as np
 import pytest
 
-from realpathsim.engine import final_state_probabilities
+from realpathsim.engine import banded_smeared, final_state_probabilities, smeared_components
 from realpathsim.errors import ModelTooLarge, SpecViolation
 from realpathsim.paths import PathEnsemble
 from realpathsim.screen import (
     ScreenSpec,
+    _components,
     composite_unnormalized,
     evaluate_screen_model,
     materialize_composite_ensemble,
@@ -59,6 +60,22 @@ def test_fast_route_matches_dense_engine():
     fast = evaluate_screen_model(spec)
     for j in range(spec.n_endpoints):
         assert by_endpoint[str(j)] == pytest.approx(fast.probabilities[j], abs=1e-12)
+
+
+@pytest.mark.parametrize("D", [1, 2, 30])
+def test_banded_composite_matches_materialized_sums(D):
+    # K=3 window counts, clipped in every component at D=30, against the
+    # dense engine on the materialized composite with the max rule
+    spec = small_spec(theta1=0.7, D=D)
+    ensemble, labels, dmat = materialize_composite_ensemble(spec)
+    ref_smeared, ref_denom = smeared_components(ensemble, dmat)
+    for j in range(spec.n_endpoints):
+        smeared, denom = banded_smeared(_components(spec, j), D)
+        rows = labels[:, 0] == j
+        at = tuple(labels[rows, 1:].T)
+        assert np.array_equal(denom[at], ref_denom[rows])
+        scale = np.max(np.abs(ref_smeared[rows]))
+        assert np.max(np.abs(smeared[at] - ref_smeared[rows])) <= 1e-12 * scale
 
 
 def test_single_endpoint_probability_one():
