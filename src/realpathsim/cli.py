@@ -42,11 +42,11 @@ from .errors import (
     SpecViolation,
 )
 from .minkowski import CausalClass, MinkowskiPath, classify
+from .paths import PathEnsemble
 from .screen import ScreenSpec, evaluate_screen_model
 from .toymodels import (
     M1Spec,
     M2Spec,
-    M3Spec,
     build_model,
     m1_closed_form,
     m2_closed_form,
@@ -59,6 +59,9 @@ EX_DATAERR = 65
 EX_SOFTWARE = 70  # AllZeroProbability: the postulate defines no ontology
 
 MAX_SWEEP_CELLS = 10**4
+
+# rows formatted per call by _csv_lines, bounding its temporaries
+_CSV_ROWS = 1 << 14
 
 
 def _fmt(x) -> str:
@@ -73,22 +76,31 @@ def _write_text(path: str | None, text: str):
             fh.write(text)
 
 
+def _csv_lines(row: str, *columns) -> str:
+    """The %-format ``row`` applied to each row of the stacked columns.
+
+    Formats _CSV_ROWS rows per call; "%.17g" % x prints exactly _fmt(x).
+    """
+    table = np.column_stack(columns)
+    parts = []
+    for lo in range(0, len(table), _CSV_ROWS):
+        block = table[lo : lo + _CSV_ROWS]
+        parts.append((row * len(block)) % tuple(block.ravel().tolist()))
+    return "".join(parts)
+
+
 def _distribution_csv(dist: PathDistribution) -> str:
-    lines = [f"# norm_constant = {_fmt(dist.norm_constant)}"]
-    lines.append("index,prob,smeared_re,smeared_im,denom")
-    for i in range(dist.n_paths):
-        lines.append(
-            ",".join(
-                [
-                    str(i + 1),
-                    _fmt(dist.probs[i]),
-                    _fmt(dist.smeared[i].real),
-                    _fmt(dist.smeared[i].imag),
-                    _fmt(dist.denom[i]),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return (
+        f"# norm_constant = {_fmt(dist.norm_constant)}\n"
+        "index,prob,smeared_re,smeared_im,denom\n"
+    ) + _csv_lines(
+        "%d,%.17g,%.17g,%.17g,%.17g\n",
+        np.arange(1, dist.n_paths + 1),
+        dist.probs,
+        dist.smeared.real,
+        dist.smeared.imag,
+        dist.denom,
+    )
 
 
 def _distribution_json(dist: PathDistribution) -> str:
@@ -214,43 +226,61 @@ def _block_range_indices(spec, D: int) -> tuple[int, int]:
     return max(1, first - D), min(spec.N, last + D)
 
 
-def _flip_last_theta(spec):
+def _last_region(spec) -> tuple[int, int, float]:
+    """(M, K, theta) of the spec's last beam region."""
     if isinstance(spec, M1Spec):
-        return M3Spec(N=spec.N, regions=((spec.M, spec.K, math.pi),))
+        return spec.M, spec.K, 0.0
     if isinstance(spec, M2Spec):
-        return M2Spec(
-            N=spec.N, M0=spec.M0, K0=spec.K0, M1=spec.M1, K1=spec.K1,
-            theta0=spec.theta0, theta1=spec.theta1 + math.pi,
-        )
-    regions = list(spec.regions)
-    M, K, th = regions[-1]
-    regions[-1] = (M, K, th + math.pi)
-    return M3Spec(N=spec.N, regions=tuple(regions))
+        return spec.M1, spec.K1, spec.theta1
+    return spec.regions[-1]
+
+
+def _flipped_prefix(spec, amps: np.ndarray, L: int) -> np.ndarray:
+    """The first L amplitudes with the last region's phase flipped by pi.
+
+    Only the last region differs from the spec's own amplitudes; it gets
+    the expression build_m3 evaluates for theta + pi, so the bits are
+    those of a full build of the flipped spec.
+    """
+    flipped = amps[:L].copy()
+    M, K, th = _last_region(spec)
+    flipped[M - 1 : M + K] = np.exp(-1j * (th + math.pi))
+    return flipped
 
 
 def _toy_experiment(
     spec, dspec: DistanceSpec, literal: bool
 ) -> tuple[float, float, PathDistribution]:
-    """(visibility, block mass, distribution): one build and pass per phase.
+    """(visibility, block mass, distribution): one build, two passes.
 
     The visibility compares the unnormalized beam-neighborhood masses at
     the spec's own phases and with the last region's phase flipped by pi;
     the distribution is the one ``run`` gives at the spec's own phases,
-    and the block mass is its share on the beam neighborhood.  The
-    flipped setting is reduced to its mass before the other pass, so only
-    one setting's O(N) arrays are alive at a time.
-    """
-    def smeared_pass(s):
-        smeared, denom = smeared_components(build_model(s), dspec, literal)
-        lo, hi = _block_range_indices(s, dspec.D)
-        return smeared, denom, slice(lo - 1, hi)
+    and the block mass is its share on the beam neighborhood.
 
-    def block_mass(smeared, denom, block):
+    The flipped setting only feeds its mass on the beam block [lo, hi],
+    whose step windows end before index hi + D, and a prefix's running
+    sums are the first entries of the full ones; so it is evaluated on
+    the first min(N, hi + D) amplitudes only (all N for other index
+    distances, whose windows are unbounded) and reduced to its mass
+    before the full pass.
+    """
+    def block_mass(smeared, denom):
         return float(np.sum(weighted_probabilities(smeared[block], denom[block])))
 
-    p_minus = block_mass(*smeared_pass(_flip_last_theta(spec)))
-    smeared, denom, block = smeared_pass(spec)
-    p_plus = block_mass(smeared, denom, block)
+    ensemble = build_model(spec)
+    L = spec.N
+    if dspec.name == "step":
+        L = min(L, _block_range_indices(spec, dspec.D)[1] + dspec.D)
+    flipped = PathEnsemble(_flipped_prefix(spec, ensemble.amplitudes, L))
+    smeared, denom = smeared_components(flipped, dspec, literal)
+    # after the engine, which rejects a distance without an index window
+    lo, hi = _block_range_indices(spec, dspec.D)
+    block = slice(lo - 1, hi)
+    p_minus = block_mass(smeared, denom)
+    del flipped, smeared, denom
+    smeared, denom = smeared_components(ensemble, dspec, literal)
+    p_plus = block_mass(smeared, denom)
     vis = (
         abs(p_plus - p_minus) / (p_plus + p_minus)
         if (p_plus + p_minus) > 0
@@ -427,10 +457,12 @@ def cmd_lattice(args) -> int:
     _write_text(args.output, text)
     if args.output and args.output != "-":
         header = "index," + ",".join(f"x{t}" for t in range(spec.steps + 1))
-        lines = [header]
-        for i, row in enumerate(sites):
-            lines.append(str(i + 1) + "," + ",".join(str(int(x)) for x in row))
-        _write_text(args.output + ".paths.csv", "\n".join(lines) + "\n")
+        rows = _csv_lines(
+            ",".join(["%d"] * (spec.steps + 2)) + "\n",
+            np.arange(1, len(sites) + 1),
+            sites,
+        )
+        _write_text(args.output + ".paths.csv", header + "\n" + rows)
     print(_summary_line(dist))
     return EX_OK
 

@@ -47,7 +47,7 @@ LOG2 = math.log(2.0)
 
 _ENDPOINT_ATOL = 1e-9
 
-# largest dense float64 distance matrix grid_distance_matrix will build
+# largest dense float64 distance matrix the package will build
 MAX_MATRIX_BYTES = 2 << 30
 
 
@@ -177,18 +177,31 @@ def galilean_distance(P: SpacetimePath, Q: SpacetimePath, spec: DistanceSpec) ->
     raise ValueError(f"unhandled variant {name!r}")
 
 
+def _admit_matrix(n: int):
+    """Raise ModelTooLarge when an (n, n) float matrix passes MAX_MATRIX_BYTES."""
+    if n * n * 8 > MAX_MATRIX_BYTES:
+        raise ModelTooLarge(
+            f"{n} paths need a {n * n * 8 / 2**30:.2f} GiB distance matrix, "
+            f"above {MAX_MATRIX_BYTES / 2**30:.0f} GiB"
+        )
+
+
 def index_distance_matrix(
     spec: DistanceSpec, n: int, literal_log_half: bool = False
 ) -> np.ndarray:
-    """Dense (n, n) matrix of an index distance over labels 1..n."""
+    """Dense (n, n) matrix of an index distance over labels 1..n.
+
+    Raises ModelTooLarge, before allocating anything of size n x n, when
+    the matrix would exceed MAX_MATRIX_BYTES.
+    """
+    if spec.name not in INDEX_VARIANTS:
+        raise ValueError(f"{spec.name} is not an index distance")
+    _admit_matrix(n)
     gaps = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
     if spec.name == "step":
         at = -LOG2 if literal_log_half else LOG2
-        d = np.where(gaps < spec.D, 0.0, np.where(gaps > spec.D, np.inf, at))
-        return d
-    if spec.name == "exp_index":
-        return np.exp(gaps / spec.D)
-    raise ValueError(f"{spec.name} is not an index distance")
+        return np.where(gaps < spec.D, 0.0, np.where(gaps > spec.D, np.inf, at))
+    return np.exp(gaps / spec.D)
 
 
 # narrowest signed integer dtypes tried for integer site differences
@@ -310,11 +323,7 @@ def grid_distance_matrix(
     the matrix would exceed MAX_MATRIX_BYTES.
     """
     n = np.shape(positions)[0]
-    if n * n * 8 > MAX_MATRIX_BYTES:
-        raise ModelTooLarge(
-            f"{n} paths need a {n * n * 8 / 2**30:.2f} GiB distance matrix, "
-            f"above {MAX_MATRIX_BYTES / 2**30:.0f} GiB"
-        )
+    _admit_matrix(n)
     source = GridPathSource(positions, times, spec, mass)
     out = np.empty((n, n), dtype=float)
     for lo in range(0, n, _MATRIX_ROWS):

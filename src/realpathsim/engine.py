@@ -54,6 +54,10 @@ _DENSE_ROWS = 512
 # sized to stay in cache; any value gives the same bits
 _TILE_ROWS = 32
 
+# output entries of banded_smeared computed at once, sized to stay in
+# cache; any value gives the same bits
+_BAND_TILE = 1 << 15
+
 # largest working set one dense pass may hold (see dense_tile_bytes):
 # half the 2 GiB matrix limit, as a sweep runs one pass per worker thread
 # (two at once on a 2-core host)
@@ -222,48 +226,86 @@ def banded_smeared(
     distance.  ``half`` other than 1/2 (the literal log(1/2) step value
     gives 2) is exact only for K=1: with several components the weight
     at the rim then depends on how many gaps equal D.
+
+    The first component is taken _BAND_TILE output entries at a time:
+    its window sums and counts for those rows are differenced, scaled and
+    summed in cache, straight into the outputs; components 2..K keep
+    whole windows.
     """
-    s_le, s_lt, n_le, n_lt = zip(*(_windows(amps, D) for amps in components))
-    outer = functools.partial(functools.reduce, np.multiply.outer)  # x_c v_c
-    # scaled in place: each product is a fresh array (K=1 returns the
-    # component's own window sum), and a *= b has the bits of a * b
-    smeared, smeared_lt = outer(s_le), outer(s_lt)
-    smeared *= half
-    smeared_lt *= 1 - half
-    smeared += smeared_lt
-    denom, denom_lt = outer(n_le), outer(n_lt)
-    denom *= half
-    denom_lt *= 1 - half
-    denom += denom_lt
+    first, rest = components[0], components[1:]
+    n = first.size
+    prefix, D1 = _prefix(first, D)
+    rest_windows = [
+        _windows(*_prefix(amps, D), amps.size, 0, amps.size) for amps in rest
+    ]
+    shape = (n, *(amps.size for amps in rest))
+    smeared = np.empty(shape, dtype=np.result_type(*components, 0.0))
+    denom = np.empty(shape, dtype=float)
+    rows = max(1, _BAND_TILE // math.prod(shape[1:]))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        # per kind (S<=, S<, counts<=, counts<), one factor per component
+        s_le, s_lt, n_le, n_lt = zip(_windows(prefix, D1, n, lo, hi), *rest_windows)
+        _rim_sum(s_le, s_lt, half, smeared[lo:hi])
+        _rim_sum(n_le, n_lt, half, denom[lo:hi])
     return smeared, denom
 
 
-def _windows(amps: np.ndarray, D: int):
-    """Closed (|j-i| <= D) and open (|j-i| < D) window sums and counts.
+_outer = functools.partial(functools.reduce, np.multiply.outer)  # x_c v_c
 
-    Windows are clipped at both ends.  Both sums are differences of two
-    slices of one prefix sum, padded so that prefix[D + j] is the sum of
-    amps[:j] with j clamped to [0, n].
+
+def _rim_sum(le, lt, half: float, out: np.ndarray):
+    """out = half * (x_c le_c) + (1 - half) * (x_c lt_c).
+
+    Scaled in place: each product is a fresh array (K=1 returns the
+    first component's own fresh window slice, never a shared one), and
+    a *= b has the bits of a * b.
+    """
+    closed, open_ = _outer(le), _outer(lt)
+    closed *= half
+    open_ *= 1 - half
+    np.add(closed, open_, out=out)
+
+
+def _prefix(amps: np.ndarray, D: int) -> tuple[np.ndarray, int]:
+    """Padded prefix sum of amps and the window radius clipped to n.
+
+    prefix[D + j] is the sum of amps[:j] with j clamped to [0, n], so
+    every window sum is the difference of two slices.  Any radius past n
+    already covers every index.
     """
     n = amps.size
-    D = min(D, n)  # any wider window already covers every index
+    D = min(D, n)
     prefix = np.zeros(n + 2 * D + 1, dtype=np.result_type(amps, 0.0))
     np.cumsum(amps, out=prefix[D + 1 : D + 1 + n])
     prefix[D + 1 + n :] = prefix[D + n]
-    s_le = prefix[2 * D + 1 : 2 * D + 1 + n] - prefix[:n]
-    s_lt = prefix[2 * D : 2 * D + n] - prefix[1 : n + 1]
-    return s_le, s_lt, _window_counts(n, D), _window_counts(n, D - 1)
+    return prefix, D
 
 
-def _window_counts(n: int, r: int) -> np.ndarray:
-    """Number of indices j in [0, n) with |j-i| <= r, for each i; r <= n.
+def _windows(prefix: np.ndarray, D: int, n: int, lo: int, hi: int):
+    """S<=, S<, counts<=, counts< for the rows lo..hi-1 of n indices.
 
-    2r+1 away from the ends; only the at most 2r indices whose window is
-    clipped (i < r or i >= n-r) take the formula.
+    S<= sums the window |j-i| <= D and S< the window |j-i| < D, both
+    clipped at the ends; ``prefix`` and ``D`` come from _prefix.
     """
-    counts = np.full(n, 2.0 * r + 1)
-    edge = np.concatenate([np.arange(r), np.arange(max(n - r, r), n)])
-    counts[edge] = np.minimum(edge, r) + np.minimum(n - 1 - edge, r) + 1.0
+    s_le = prefix[2 * D + 1 + lo : 2 * D + 1 + hi] - prefix[lo:hi]
+    s_lt = prefix[2 * D + lo : 2 * D + hi] - prefix[1 + lo : 1 + hi]
+    return s_le, s_lt, _window_counts(n, D, lo, hi), _window_counts(n, D - 1, lo, hi)
+
+
+def _window_counts(n: int, r: int, lo: int, hi: int) -> np.ndarray:
+    """Number of j in [0, n) with |j-i| <= r, for each i in [lo, hi); r <= n.
+
+    2r+1 away from the ends; only the indices whose window is clipped
+    (i < r or i >= n-r) take the formula.
+    """
+    counts = np.full(hi - lo, 2.0 * r + 1)
+    for a, b in ((lo, min(r, hi)), (max(n - r, r, lo), hi)):
+        if a < b:
+            edge = np.arange(a, b)
+            counts[a - lo : b - lo] = (
+                np.minimum(edge, r) + np.minimum(n - 1 - edge, r) + 1.0
+            )
     return counts
 
 
@@ -275,8 +317,13 @@ def weighted_probabilities(
     ``weights`` is a resolved per-path vector, or None for the plain
     postulate.
     """
+    # in place on one fresh array, with the bits of the expression
+    # np.where(denom > 0, np.abs(smeared) ** 2 / denom, 0.0)
+    unnorm = np.abs(smeared)
+    unnorm **= 2
     with np.errstate(invalid="ignore", divide="ignore"):
-        unnorm = np.where(denom > 0, np.abs(smeared) ** 2 / denom, 0.0)
+        np.divide(unnorm, denom, out=unnorm)
+    unnorm[~(denom > 0)] = 0.0
     return unnorm if weights is None else weights * unnorm
 
 
@@ -293,8 +340,9 @@ def distribution_from_sums(
     if total <= 0.0:
         raise AllZeroProbability("all paths have zero probability weight")
     C = 1.0 / total
+    unnorm *= C
     return PathDistribution(
-        probs=unnorm * C, norm_constant=C, smeared=smeared, denom=denom
+        probs=unnorm, norm_constant=C, smeared=smeared, denom=denom
     )
 
 

@@ -1,14 +1,21 @@
 """Independent reference implementations used only by the tests.
 
 Deliberately naive: pure Python loops, no numpy, no shared code with the
-package's evaluation routes, so that agreement is meaningful.  The one
-exception is the sliding-window reference, which uses numpy vector adds
-so it can run at the sizes the banded route runs at.
+package's evaluation routes, so that agreement is meaningful.  The
+exceptions run at the sizes the banded route runs at: the sliding-window
+reference uses numpy vector adds, and the untiled banded kernel and the
+two-pass toy sweep cell keep the plain forms the package's tiled kernel
+and one-build cell must reproduce bit for bit.
 """
 
+import functools
 import math
 
 import numpy as np
+
+from realpathsim.engine import PathDistribution, smeared_components
+from realpathsim.paths import PathEnsemble
+from realpathsim.toymodels import M1Spec, M2Spec, M3Spec, build_model
 
 
 def brute_force_unnormalized(amplitudes, dmat, weights=None):
@@ -59,6 +66,104 @@ def sliding_window_smeared(amplitudes, D, rim=0.5):
         denom[k:] += w
         denom[:-k] += w
     return smeared, denom
+
+
+def untiled_banded_smeared(components, D, half=0.5):
+    """The banded kernel over whole windows, no row tiles.
+
+    Per component: one padded prefix sum, both window sums as differences
+    of two of its slices, window counts from the clipped formula on every
+    index; then half * (x_c S<=_c) + (1 - half) * (x_c S<_c), and the
+    same with counts.
+    """
+    def windows(amps):
+        n = amps.size
+        r = min(D, n)
+        prefix = np.zeros(n + 2 * r + 1, dtype=np.result_type(amps, 0.0))
+        prefix[r + 1 : r + 1 + n] = np.cumsum(amps)
+        prefix[r + 1 + n :] = prefix[r + n]
+        i = np.arange(n)
+
+        def counts(k):
+            return (np.minimum(i, k) + np.minimum(n - 1 - i, k) + 1).astype(float)
+
+        return (
+            prefix[2 * r + 1 : 2 * r + 1 + n] - prefix[:n],
+            prefix[2 * r : 2 * r + n] - prefix[1 : n + 1],
+            counts(r),
+            counts(r - 1),
+        )
+
+    s_le, s_lt, n_le, n_lt = zip(*(windows(np.asarray(a)) for a in components))
+    outer = functools.partial(functools.reduce, np.multiply.outer)
+    return (
+        outer(s_le) * half + outer(s_lt) * (1 - half),
+        outer(n_le) * half + outer(n_lt) * (1 - half),
+    )
+
+
+def flip_last_theta(spec):
+    """The toy spec with its last region's phase turned by pi."""
+    if isinstance(spec, M1Spec):
+        return M3Spec(N=spec.N, regions=((spec.M, spec.K, math.pi),))
+    if isinstance(spec, M2Spec):
+        return M2Spec(
+            N=spec.N, M0=spec.M0, K0=spec.K0, M1=spec.M1, K1=spec.K1,
+            theta0=spec.theta0, theta1=spec.theta1 + math.pi,
+        )
+    regions = list(spec.regions)
+    M, K, th = regions[-1]
+    regions[-1] = (M, K, th + math.pi)
+    return M3Spec(N=spec.N, regions=tuple(regions))
+
+
+def two_pass_toy_experiment(spec, dspec, literal_log_half=False):
+    """(visibility, block mass, distribution) of a toy sweep cell, the long way.
+
+    Two full builds, the spec's own phases and flip_last_theta(spec), each
+    smeared over all N paths (untiled banded kernel for the step
+    distance, the engine's dense route otherwise); the masses are taken
+    on the beam block widened by D on both sides.
+    """
+    if isinstance(spec, M1Spec):
+        first, last = spec.M, spec.M + spec.K
+    elif isinstance(spec, M2Spec):
+        first, last = spec.M0, spec.M1 + spec.K1
+    else:
+        first, last = spec.block_range
+    block = slice(max(1, first - dspec.D) - 1, min(spec.N, last + dspec.D))
+
+    def sums(s):
+        amps = build_model(s).amplitudes
+        if dspec.name == "step":
+            half = 2.0 if literal_log_half else 0.5
+            return untiled_banded_smeared([amps], dspec.D, half)
+        return smeared_components(PathEnsemble(amps), dspec, literal_log_half)
+
+    def unnormalized(smeared, denom):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(denom > 0, np.abs(smeared) ** 2 / denom, 0.0)
+
+    smeared, denom = sums(flip_last_theta(spec))
+    p_minus = float(np.sum(unnormalized(smeared[block], denom[block])))
+    smeared, denom = sums(spec)
+    p_plus = float(np.sum(unnormalized(smeared[block], denom[block])))
+    total = p_plus + p_minus
+    vis = abs(p_plus - p_minus) / total if total > 0 else 0.0
+    unnorm = unnormalized(smeared, denom)
+    C = 1.0 / float(np.sum(unnorm))
+    dist = PathDistribution(probs=unnorm * C, norm_constant=C, smeared=smeared, denom=denom)
+    return vis, float(np.sum(dist.probs[block])), dist
+
+
+def distribution_csv_rows(dist):
+    """Rows of the distribution CSV formatted one value at a time."""
+    lines = [f"# norm_constant = {float(dist.norm_constant):.17g}"]
+    lines.append("index,prob,smeared_re,smeared_im,denom")
+    for i in range(dist.n_paths):
+        values = (dist.probs[i], dist.smeared[i].real, dist.smeared[i].imag, dist.denom[i])
+        lines.append(",".join([str(i + 1)] + [f"{float(x):.17g}" for x in values]))
+    return "\n".join(lines) + "\n"
 
 
 def step_distance(i, j, D, literal_log_half=False):

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from realpathsim.cli import main
@@ -55,6 +56,28 @@ def test_run_deterministic_byte_identical(tmp_path):
     run_cli(["--config", cfg, "--output", str(a), "run"])
     run_cli(["--config", cfg, "--output", str(b), "run"])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_distribution_csv_matches_row_loop():
+    # blocks of _CSV_ROWS rows, and values whose text is easy to get wrong
+    from realpathsim.cli import _CSV_ROWS, _distribution_csv
+    from realpathsim.engine import PathDistribution
+
+    from oracles import distribution_csv_rows
+
+    n = 2 * _CSV_ROWS + 5
+    rng = np.random.default_rng(4)
+    probs = rng.uniform(0, 1, n)
+    probs[:3] = [0.0, 5e-324, 1e-300]
+    probs /= probs.sum()
+    odd = [np.inf, -np.inf, np.nan, -0.0, 5e-324, 1e300, -1.5, 0.1, 2.0**53]
+    smeared = rng.normal(size=n) + 1j * rng.normal(size=n)
+    smeared.real[: len(odd)] = odd
+    smeared.imag[: len(odd)] = odd[::-1]
+    denom = rng.uniform(0, 1e6, n)
+    denom[: len(odd)] = odd
+    dist = PathDistribution(probs=probs, norm_constant=1 / 3, smeared=smeared, denom=denom)
+    assert _distribution_csv(dist) == distribution_csv_rows(dist)
 
 
 def test_output_floats_round_trip(tmp_path):
@@ -202,10 +225,14 @@ def test_lattice_outputs_match_golden_bytes(tmp_path):
         ("m1.json", "run", [], "m1_run.csv"),
         ("m1.json", "compare", [], "m1_compare.csv"),
         ("screen.json", "ratios", [], "screen_ratios.csv"),
+        ("m2_sweep_wide.json", "sweep", [], "m2_sweep_wide.csv"),
+        ("m2_sweep_wide.json", "sweep", ["--literal-log-half"], "m2_sweep_wide_literal.csv"),
+        ("m2_exp_index.json", "sweep", [], "m2_exp_index.csv"),
     ],
 )
 def test_banded_outputs_match_golden_bytes(tmp_path, config, command, flags, golden):
-    # the README's M1 and M2 examples and a K=3 screen config
+    # the README's M1 and M2 examples, a K=3 screen config, an M2 sweep
+    # whose windows reach past N/2 and an M2 sweep under exp_index
     out = tmp_path / golden
     argv = ["--config", str(DATA / config), "--output", str(out), *flags, command]
     assert run_cli(argv) == 0

@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from realpathsim.distances import DistanceSpec
 from realpathsim.engine import (
+    _BAND_TILE,
     WeightFunction,
     banded_smeared,
     block_distance_matrix,
     final_state_probabilities,
     path_probabilities,
     unnormalized_probabilities,
+    weighted_probabilities,
 )
 from realpathsim.errors import AllZeroProbability
 from realpathsim.paths import make_indexed_ensemble
@@ -23,6 +25,7 @@ from oracles import (
     brute_force_probabilities,
     sliding_window_smeared,
     step_distance_table,
+    untiled_banded_smeared,
 )
 
 
@@ -161,6 +164,49 @@ def test_banded_window_counts_at_the_edges(n, half):
         ref_smeared, ref_denom = sliding_window_smeared(amps, D, rim=half)
         assert np.array_equal(denom, ref_denom), D
         assert np.max(np.abs(smeared - ref_smeared)) <= 1e-12 * np.max(np.abs(smeared)), D
+
+
+def _same_bits(got, want):
+    return all(g.tobytes() == w.tobytes() and g.shape == w.shape for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize(
+    "n", [1, _BAND_TILE - 1, _BAND_TILE, _BAND_TILE + 1, 3 * _BAND_TILE + 7]
+)
+def test_tiled_kernel_has_the_untiled_bits(n):
+    # tile edges at, around and past the ensemble's end
+    amps = _random_unit(np.random.default_rng(n), n)
+    for D in (1, 2, 50, n - 1, n, 10**7):
+        if D < 1:
+            continue
+        for half in (0.5, 2.0):
+            got = banded_smeared([amps], D, half)
+            assert _same_bits(got, untiled_banded_smeared([amps], D, half)), (D, half)
+
+
+def test_tiled_composite_has_the_untiled_bits():
+    # K=3: the first component is tiled by _BAND_TILE // (3 * 4) rows
+    rng = np.random.default_rng(3)
+    rows = _BAND_TILE // 12
+    comps = [_random_unit(rng, m) for m in (3 * rows + 7, 3, 4)]
+    for D in (1, 2, 3, 10**7):
+        got = banded_smeared(comps, D)
+        assert _same_bits(got, untiled_banded_smeared(comps, D)), D
+
+
+def test_weighted_probabilities_have_the_expression_bits():
+    # computed in place; zero, signed-zero, NaN and infinite volumes included
+    rng = np.random.default_rng(8)
+    n = 1000
+    smeared = rng.normal(size=n) + 1j * rng.normal(size=n)
+    denom = rng.uniform(-1, 5, n)
+    denom[:5] = [0.0, -0.0, np.nan, np.inf, 1e-300]
+    weights = rng.uniform(0, 2, n)
+    with np.errstate(all="ignore"):
+        want = np.where(denom > 0, np.abs(smeared) ** 2 / denom, 0.0)
+        assert weighted_probabilities(smeared, denom).tobytes() == want.tobytes()
+        got = weighted_probabilities(smeared, denom, weights)
+    assert got.tobytes() == (weights * want).tobytes()
 
 
 def test_brute_force_agreement_small_sample():
