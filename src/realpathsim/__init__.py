@@ -15,7 +15,6 @@ from .distances import (
 )
 from .engine import (
     PathDistribution,
-    WeightFunction,
     final_state_probabilities,
     path_probabilities,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "PathEnsemble",
     "RealPathError",
     "SpacetimePath",
-    "WeightFunction",
     "build_m1",
     "build_m2",
     "build_m3",

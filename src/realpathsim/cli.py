@@ -16,6 +16,7 @@ distribution exists.  REALPATH_THREADS caps sweep parallelism.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -28,7 +29,6 @@ from . import lattice as lattice_mod
 from .distances import DistanceSpec
 from .engine import (
     PathDistribution,
-    WeightFunction,
     distribution_from_sums,
     path_probabilities,
     smeared_components,
@@ -117,6 +117,11 @@ def _distribution_json(dist: PathDistribution) -> str:
     return json.dumps({"norm_constant": float(dist.norm_constant), "paths": rows}) + "\n"
 
 
+def _ratios_text(spec: ScreenSpec, fmt: str) -> str:
+    rows = evaluate_screen_model(spec).ratio_rows()
+    return json.dumps({"ratios": rows}) + "\n" if fmt == "json" else _ratio_csv(rows)
+
+
 def _ratio_csv(rows) -> str:
     lines = ["j,k,direct_ratio,quantum_ratio,rel_err"]
     for r in rows:
@@ -155,20 +160,34 @@ def _model_spec(config: dict):
     raise ValueError(f"unknown model kind {kind!r}")
 
 
-def _distance_spec(config: dict) -> DistanceSpec:
+def _distance_spec(config: dict, args) -> DistanceSpec:
+    """The config's distance, carrying the run's --literal-log-half setting."""
     dist = config.get("distance")
     if not isinstance(dist, dict):
         # toy-model shorthand: a "D" inside the model object means the
         # step distance of that half-width
         model = config.get("model")
         if isinstance(model, dict) and "D" in model:
-            return DistanceSpec("step", D=int(model["D"]))
-        raise ValueError('config needs a "distance" object')
-    return DistanceSpec.from_dict(dist)
+            dist = {"name": "step", "D": model["D"]}
+        else:
+            raise ValueError('config needs a "distance" object')
+    spec = DistanceSpec.from_dict(dist)
+    return dataclasses.replace(spec, literal_log_half=args.literal_log_half)
 
 
-def _weight_fn(config: dict) -> WeightFunction:
-    return WeightFunction.from_dict(config.get("weight"))
+def _weight(config: dict) -> dict:
+    """The config's weight object, {} for the plain postulate."""
+    weight = config.get("weight") or {}
+    if not isinstance(weight, dict):
+        raise ValueError('"weight" must be an object {"name": ...}')
+    return weight
+
+
+def _require_uniform(config: dict):
+    """Raise SpecViolation for a weight on a model that has no weights."""
+    name = _weight(config).get("name", "uniform")
+    if name != "uniform":
+        raise SpecViolation(f"weight {name!r} applies to lattice models only")
 
 
 def _summary_line(dist: PathDistribution) -> str:
@@ -183,26 +202,20 @@ def _run_once(config: dict, args) -> tuple[str, str]:
     """(output text, summary line) for one resolved config."""
     spec = _model_spec(config)
     fmt = config.get("format", args.format or "csv")
+    if not isinstance(spec, lattice_mod.LatticeSpec):
+        _require_uniform(config)
     if isinstance(spec, ScreenSpec):
-        result = evaluate_screen_model(spec)
-        rows = result.ratio_rows()
-        if fmt == "json":
-            return json.dumps({"ratios": rows}) + "\n", f"endpoints={spec.n_endpoints}"
-        return _ratio_csv(rows), f"endpoints={spec.n_endpoints}"
+        return _ratios_text(spec, fmt), f"endpoints={spec.n_endpoints}"
     if isinstance(spec, lattice_mod.LatticeSpec):
-        dspec = _distance_spec(config)
         dist, _sites = lattice_mod.run_lattice_experiment(
             spec,
-            dspec,
-            weight=_weight_fn(config),
+            _distance_spec(config, args),
+            weight=_weight(config),
             distance_scale=float(config.get("distance_scale", 1.0)),
             arm_phase=float(config.get("arm_phase", 0.0)),
         )
     else:
-        dist = path_probabilities(
-            build_model(spec), _distance_spec(config),
-            literal_log_half=args.literal_log_half,
-        )
+        dist = path_probabilities(build_model(spec), _distance_spec(config, args))
     text = _distribution_json(dist) if fmt == "json" else _distribution_csv(dist)
     return text, _summary_line(dist)
 
@@ -218,21 +231,8 @@ def cmd_run(args) -> int:
 # -- sweep ---------------------------------------------------------------------
 
 def _block_range_indices(spec, D: int) -> tuple[int, int]:
-    if isinstance(spec, M1Spec):
-        return max(1, spec.M - D), min(spec.N, spec.M + spec.K + D)
-    if isinstance(spec, M2Spec):
-        return max(1, spec.M0 - D), min(spec.N, spec.M1 + spec.K1 + D)
-    first, last = spec.block_range
+    first, last = spec.as_m3().block_range
     return max(1, first - D), min(spec.N, last + D)
-
-
-def _last_region(spec) -> tuple[int, int, float]:
-    """(M, K, theta) of the spec's last beam region."""
-    if isinstance(spec, M1Spec):
-        return spec.M, spec.K, 0.0
-    if isinstance(spec, M2Spec):
-        return spec.M1, spec.K1, spec.theta1
-    return spec.regions[-1]
 
 
 def _flipped_prefix(spec, amps: np.ndarray, L: int) -> np.ndarray:
@@ -243,13 +243,13 @@ def _flipped_prefix(spec, amps: np.ndarray, L: int) -> np.ndarray:
     those of a full build of the flipped spec.
     """
     flipped = amps[:L].copy()
-    M, K, th = _last_region(spec)
+    M, K, th = spec.as_m3().regions[-1]
     flipped[M - 1 : M + K] = np.exp(-1j * (th + math.pi))
     return flipped
 
 
 def _toy_experiment(
-    spec, dspec: DistanceSpec, literal: bool
+    spec, dspec: DistanceSpec
 ) -> tuple[float, float, PathDistribution]:
     """(visibility, block mass, distribution): one build, two passes.
 
@@ -273,13 +273,13 @@ def _toy_experiment(
     if dspec.name == "step":
         L = min(L, _block_range_indices(spec, dspec.D)[1] + dspec.D)
     flipped = PathEnsemble(_flipped_prefix(spec, ensemble.amplitudes, L))
-    smeared, denom = smeared_components(flipped, dspec, literal)
+    smeared, denom = smeared_components(flipped, dspec)
     # after the engine, which rejects a distance without an index window
     lo, hi = _block_range_indices(spec, dspec.D)
     block = slice(lo - 1, hi)
     p_minus = block_mass(smeared, denom)
     del flipped, smeared, denom
-    smeared, denom = smeared_components(ensemble, dspec, literal)
+    smeared, denom = smeared_components(ensemble, dspec)
     p_plus = block_mass(smeared, denom)
     vis = (
         abs(p_plus - p_minus) / (p_plus + p_minus)
@@ -294,7 +294,7 @@ def _sweep_cell(config: dict, args) -> dict:
     """visibility / block mass / norm constant summaries for one cell."""
     spec = _model_spec(config)
     if isinstance(spec, lattice_mod.LatticeSpec):
-        dspec = _distance_spec(config)
+        dspec = _distance_spec(config, args)
         scale = float(config.get("distance_scale", 1.0))
         vis, dist, sites = lattice_mod.two_arm_experiment(
             spec, dspec, distance_scale=scale
@@ -305,7 +305,8 @@ def _sweep_cell(config: dict, args) -> dict:
         return {"visibility": vis, "block_mass": mass, "norm_constant": dist.norm_constant}
     if isinstance(spec, ScreenSpec):
         raise SpecViolation("sweep does not apply to the screen model")
-    vis, mass, dist = _toy_experiment(spec, _distance_spec(config), args.literal_log_half)
+    _require_uniform(config)
+    vis, mass, dist = _toy_experiment(spec, _distance_spec(config, args))
     return {"visibility": vis, "block_mass": mass, "norm_constant": dist.norm_constant}
 
 
@@ -370,13 +371,11 @@ def cmd_compare(args) -> int:
     spec = _model_spec(config)
     if not isinstance(spec, (M1Spec, M2Spec)):
         raise SpecViolation("compare applies to M1 and M2 models only")
-    dspec = _distance_spec(config)
+    _require_uniform(config)
+    dspec = _distance_spec(config, args)
     if dspec.name != "step":
         raise SpecViolation("closed forms are stated for the step distance")
-    ensemble = build_model(spec)
-    direct, _, _ = unnormalized_probabilities(
-        ensemble, dspec, literal_log_half=args.literal_log_half
-    )
+    direct, _, _ = unnormalized_probabilities(build_model(spec), dspec)
     case = config.get("case", "i")
     rows = []
     max_abs = 0.0
@@ -422,13 +421,9 @@ def cmd_classify(args) -> int:
 
 def cmd_ratios(args) -> int:
     config = _load_config(args)
-    model = config.get("model", config)
-    spec = ScreenSpec.from_dict(model)
-    result = evaluate_screen_model(spec)
-    rows = result.ratio_rows()
-    fmt = config.get("format", args.format or "csv")
-    text = json.dumps({"ratios": rows}) + "\n" if fmt == "json" else _ratio_csv(rows)
-    _write_text(args.output, text)
+    spec = ScreenSpec.from_dict(config.get("model", config))
+    _require_uniform(config)
+    _write_text(args.output, _ratios_text(spec, config.get("format", args.format or "csv")))
     print(f"endpoints={spec.n_endpoints}")
     return EX_OK
 
@@ -444,13 +439,10 @@ def cmd_lattice(args) -> int:
         mass=args.mass,
         hop=args.hop,
     )
-    dspec = DistanceSpec(name=args.distance)
-    weight = WeightFunction(
-        name=args.weight,
-        params={"threshold": args.threshold, "margin": args.margin},
-    )
+    weight = {"name": args.weight, "threshold": args.threshold, "margin": args.margin}
     dist, sites = lattice_mod.run_lattice_experiment(
-        spec, dspec, weight=weight, distance_scale=args.distance_scale
+        spec, DistanceSpec(args.distance), weight=weight,
+        distance_scale=args.distance_scale,
     )
     fmt = args.format or "csv"
     text = _distribution_json(dist) if fmt == "json" else _distribution_csv(dist)

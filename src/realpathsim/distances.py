@@ -15,8 +15,8 @@ inequality (0 + log2 + log2 < inf across a window boundary); the
 geometric variants induced by norms are.
 
 The step value at exactly |i-j| = D is log 2, so that the smearing weight
-exp(-d) equals 1/2.  ``literal_log_half=True`` switches to log(1/2)
-(negative distance, weight 2) for comparison runs only.
+exp(-d) equals 1/2.  ``DistanceSpec(literal_log_half=True)`` switches to
+log(1/2) (negative distance, weight 2) for comparison runs only.
 """
 
 from __future__ import annotations
@@ -69,12 +69,14 @@ class DistanceSpec:
 
     ``D`` is required for the index variants; ``mass`` overrides the path
     mass for the mass-weighted geometric variants (defaults to the mass
-    stored on the first path).
+    stored on the first path).  ``literal_log_half`` puts log(1/2) at the
+    step rim |i-j| = D; a run setting, not part of the JSON form.
     """
 
     name: str
     D: int | None = None
     mass: float | None = None
+    literal_log_half: bool = False
 
     def __post_init__(self):
         if self.name not in INDEX_VARIANTS + GALILEAN_VARIANTS:
@@ -177,7 +179,7 @@ def galilean_distance(P: SpacetimePath, Q: SpacetimePath, spec: DistanceSpec) ->
     raise ValueError(f"unhandled variant {name!r}")
 
 
-def _admit_matrix(n: int):
+def admit_matrix(n: int):
     """Raise ModelTooLarge when an (n, n) float matrix passes MAX_MATRIX_BYTES."""
     if n * n * 8 > MAX_MATRIX_BYTES:
         raise ModelTooLarge(
@@ -186,9 +188,7 @@ def _admit_matrix(n: int):
         )
 
 
-def index_distance_matrix(
-    spec: DistanceSpec, n: int, literal_log_half: bool = False
-) -> np.ndarray:
+def index_distance_matrix(spec: DistanceSpec, n: int) -> np.ndarray:
     """Dense (n, n) matrix of an index distance over labels 1..n.
 
     Raises ModelTooLarge, before allocating anything of size n x n, when
@@ -196,10 +196,10 @@ def index_distance_matrix(
     """
     if spec.name not in INDEX_VARIANTS:
         raise ValueError(f"{spec.name} is not an index distance")
-    _admit_matrix(n)
+    admit_matrix(n)
     gaps = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
     if spec.name == "step":
-        at = -LOG2 if literal_log_half else LOG2
+        at = -LOG2 if spec.literal_log_half else LOG2
         return np.where(gaps < spec.D, 0.0, np.where(gaps > spec.D, np.inf, at))
     return np.exp(gaps / spec.D)
 
@@ -323,7 +323,7 @@ def grid_distance_matrix(
     the matrix would exceed MAX_MATRIX_BYTES.
     """
     n = np.shape(positions)[0]
-    _admit_matrix(n)
+    admit_matrix(n)
     source = GridPathSource(positions, times, spec, mass)
     out = np.empty((n, n), dtype=float)
     for lo in range(0, n, _MATRIX_ROWS):

@@ -25,19 +25,22 @@ The smearing sum has two routes:
   smeared sums of every amplitude vector and the shared denominators.
   Fed from grid paths, it never holds anything of size N x N.
 
-Distances given as Python callables are not accepted: build the matrix.
+The engine takes resolved inputs only: the step rim convention rides on
+the DistanceSpec, and a weight is a per-path vector or None, resolved by
+the model module that defines it.  Distances given as Python callables
+are not accepted: build the matrix.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .distances import DistanceSpec, GridPathSource, index_distance_matrix
+from .distances import DistanceSpec, GridPathSource, admit_matrix, index_distance_matrix
 from .errors import AllZeroProbability, EmptyEnsemble
 from .paths import PathEnsemble
 
@@ -62,33 +65,6 @@ _BAND_TILE = 1 << 15
 # half the 2 GiB matrix limit, as a sweep runs one pass per worker thread
 # (two at once on a 2-core host)
 MAX_TILE_BYTES = 1 << 30
-
-WEIGHT_NAMES = ("uniform", "causal_only", "curvature_cutoff", "corridor")
-
-
-@dataclass(frozen=True)
-class WeightFunction:
-    """Named non-negative per-path weight (prefactor of the postulate).
-
-    ``uniform`` is the plain postulate.  ``causal_only`` (Minkowski
-    ensembles) and ``curvature_cutoff`` / ``corridor`` (lattice ensembles)
-    are resolved into per-path weight vectors by their model modules.
-    """
-
-    name: str = "uniform"
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.name not in WEIGHT_NAMES:
-            raise ValueError(f"unknown weight function {self.name!r}")
-
-    @classmethod
-    def from_dict(cls, data: dict | None) -> "WeightFunction":
-        if not data:
-            return cls()
-        params = {k: v for k, v in data.items() if k != "name"}
-        return cls(name=data.get("name", "uniform"), params=params)
-
 
 @dataclass(frozen=True)
 class PathDistribution:
@@ -117,13 +93,6 @@ class PathDistribution:
 def _resolve_weights(weights, n: int) -> np.ndarray | None:
     if weights is None:
         return None
-    if isinstance(weights, WeightFunction):
-        if weights.name == "uniform":
-            return None
-        raise ValueError(
-            f"weight function {weights.name!r} must be resolved to a per-path "
-            "vector by its model module before reaching the engine"
-        )
     w = np.asarray(weights, dtype=float)
     if w.shape != (n,):
         raise ValueError(f"weights must have shape ({n},), got {w.shape}")
@@ -133,9 +102,7 @@ def _resolve_weights(weights, n: int) -> np.ndarray | None:
 
 
 def smeared_components(
-    ensemble: PathEnsemble,
-    distance,
-    literal_log_half: bool = False,
+    ensemble: PathEnsemble, distance
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-path smeared amplitude and smearing volume (denominator).
 
@@ -147,9 +114,9 @@ def smeared_components(
     amps = ensemble.amplitudes
     if isinstance(distance, DistanceSpec):
         if distance.name == "step":
-            half = 2.0 if literal_log_half else RIM_WEIGHT
+            half = 2.0 if distance.literal_log_half else RIM_WEIGHT
             return banded_smeared([amps], distance.D, half)
-        distance = index_distance_matrix(distance, amps.size, literal_log_half)
+        distance = index_distance_matrix(distance, amps.size)
     (smeared,), denom = dense_smeared([amps], distance)
     return smeared, denom
 
@@ -347,65 +314,39 @@ def distribution_from_sums(
 
 
 def unnormalized_probabilities(
-    ensemble: PathEnsemble,
-    distance,
-    weights=None,
-    literal_log_half: bool = False,
+    ensemble: PathEnsemble, distance, weights=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(unnormalized probs, smeared, denom) without the constant C."""
-    smeared, denom = smeared_components(ensemble, distance, literal_log_half)
+    smeared, denom = smeared_components(ensemble, distance)
     w = _resolve_weights(weights, ensemble.n_paths)
     return weighted_probabilities(smeared, denom, w), smeared, denom
 
 
 def path_probabilities(
-    ensemble: PathEnsemble,
-    distance,
-    weights=None,
-    literal_log_half: bool = False,
+    ensemble: PathEnsemble, distance, weights=None
 ) -> PathDistribution:
     """Conditioned per-path distribution for one ensemble (endpoints fixed)."""
-    if ensemble.n_paths == 0:
-        raise EmptyEnsemble("empty ensemble")
-    smeared, denom = smeared_components(ensemble, distance, literal_log_half)
+    smeared, denom = smeared_components(ensemble, distance)
     w = _resolve_weights(weights, ensemble.n_paths)
     return distribution_from_sums(smeared, denom, w)
 
 
-def union_ensemble(ensembles: Sequence[PathEnsemble]) -> PathEnsemble:
-    """Concatenate endpoint groups into one indexed ensemble."""
-    amps = np.concatenate([e.amplitudes for e in ensembles])
-    return PathEnsemble(amps, endpoint_tag="|".join(e.endpoint_tag for e in ensembles))
-
-
 def final_state_probabilities(
-    ensembles: Sequence[PathEnsemble],
-    distance,
-    weights=None,
-    literal_log_half: bool = False,
+    ensembles: Sequence[PathEnsemble], distance, weights=None
 ) -> tuple[dict[str, float], PathDistribution]:
     """Unconditioned endpoint probabilities Prob(B_j | A).
 
     The ensembles are concatenated (the distance must be defined across
     the union index space; paths to different endpoints are typically
-    infinitely distant), per-path unnormalized probabilities are summed
-    within each endpoint group, and the group totals are normalized over
-    the discrete final-state basis.  Returns the per-endpoint map and the
-    per-path distribution over the union.
+    infinitely distant) and normalized as one ensemble; an endpoint's
+    probability is the sum over its group, so the group totals are
+    normalized over the discrete final-state basis.  Returns the
+    per-endpoint map and the per-path distribution over the union.
     """
     if not ensembles:
         raise EmptyEnsemble("no endpoint groups")
-    union = union_ensemble(ensembles)
-    unnorm, smeared, denom = unnormalized_probabilities(
-        union, distance, weights, literal_log_half
-    )
-    total = float(np.sum(unnorm))
-    if total <= 0.0:
-        raise AllZeroProbability("all endpoint groups have zero weight")
-    C = 1.0 / total
-    dist = PathDistribution(
-        probs=unnorm * C, norm_constant=C, smeared=smeared, denom=denom
-    )
+    union = PathEnsemble(np.concatenate([e.amplitudes for e in ensembles]))
+    dist = path_probabilities(union, distance, weights)
     by_endpoint: dict[str, float] = {}
     offset = 0
     for e in ensembles:
@@ -418,24 +359,24 @@ def final_state_probabilities(
 
 
 def block_distance_matrix(
-    sizes: Sequence[int],
-    within: Sequence,
-    across: float = math.inf,
-    literal_log_half: bool = False,
+    sizes: Sequence[int], within: Sequence, across: float = math.inf
 ) -> np.ndarray:
     """Union distance matrix from per-group distances plus a cross value.
 
     ``within[g]`` is the distance for group g (DistanceSpec or matrix);
     pairs in different groups get the constant ``across``
     (default: infinitely distant, the disjoint-endpoint-families case).
+    Raises ModelTooLarge, before allocating anything of size n x n, when
+    the union matrix would exceed MAX_MATRIX_BYTES.
     """
     n = int(sum(sizes))
+    admit_matrix(n)
     out = np.full((n, n), float(across))
     offset = 0
     for size, dist in zip(sizes, within):
         block = slice(offset, offset + size)
         if isinstance(dist, DistanceSpec):
-            dist = index_distance_matrix(dist, size, literal_log_half)
+            dist = index_distance_matrix(dist, size)
         out[block, block] = dist
         offset += size
     return out

@@ -26,7 +26,6 @@ from .distances import DistanceSpec, GridPathSource
 from .engine import (
     MAX_TILE_BYTES,
     PathDistribution,
-    WeightFunction,
     dense_smeared,
     dense_tile_bytes,
     distribution_from_sums,
@@ -228,19 +227,21 @@ def upper_arm_mask(sites: np.ndarray, margin: int = 1) -> np.ndarray:
     return sites[:, mid] >= margin
 
 
-def resolve_weight(
-    wf: WeightFunction | None, sites: np.ndarray
-) -> np.ndarray | None:
-    """Per-path weight vector for a named lattice weight function."""
-    if wf is None or (isinstance(wf, WeightFunction) and wf.name == "uniform"):
+def resolve_weight(weight: dict | None, sites: np.ndarray) -> np.ndarray | None:
+    """Per-path weight vector of a weight object, None for the plain postulate.
+
+    ``weight`` is {"name": ..., "threshold": ..., "margin": ...} as in a
+    config, or None (uniform).  An unknown name raises ValueError.
+    """
+    weight = weight or {}
+    name = weight.get("name", "uniform")
+    if name == "uniform":
         return None
-    if not isinstance(wf, WeightFunction):
-        return np.asarray(wf, dtype=float)
-    if wf.name == "curvature_cutoff":
-        return curvature_cutoff_weights(sites, float(wf.params.get("threshold", 1.0)))
-    if wf.name == "corridor":
-        return corridor_weights(sites, int(wf.params.get("margin", 1)))
-    raise SpecViolation(f"weight {wf.name!r} does not apply to lattice paths")
+    if name == "curvature_cutoff":
+        return curvature_cutoff_weights(sites, float(weight.get("threshold", 1.0)))
+    if name == "corridor":
+        return corridor_weights(sites, int(weight.get("margin", 1)))
+    raise ValueError(f"unknown weight function {name!r}")
 
 
 def _grid_source(
@@ -254,24 +255,25 @@ def _grid_source(
 def run_lattice_experiment(
     spec: LatticeSpec,
     distance: DistanceSpec,
-    weight: WeightFunction | np.ndarray | None = None,
+    weight: dict | None = None,
     distance_scale: float = 1.0,
     arm_phase: float = 0.0,
     phase_margin: int = 1,
 ) -> tuple[PathDistribution, np.ndarray]:
     """Path probabilities over the enumerated ensemble.
 
-    ``distance_scale`` multiplies every pairwise distance (0 is the
-    quantum limit); ``arm_phase`` is the upper-arm phase plate setting.
+    ``weight`` is a weight object for resolve_weight; ``distance_scale``
+    multiplies every pairwise distance (0 is the quantum limit);
+    ``arm_phase`` is the upper-arm phase plate setting.
     Returns (distribution, sites).
     """
     admit(spec)
     sites = enumerate_paths(spec)
+    w = resolve_weight(weight, sites)
     extra = None
     if arm_phase != 0.0:
         extra = arm_phase * upper_arm_mask(sites, phase_margin).astype(float)
     ensemble, _ = lattice_ensemble(spec, sites, extra)
-    w = resolve_weight(weight, sites)
     source = _grid_source(spec, sites, distance, distance_scale)
     return path_probabilities(ensemble, source, weights=w), sites
 

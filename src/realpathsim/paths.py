@@ -35,6 +35,17 @@ UNIT_MODULUS_ATOL = 1e-12
 UNIT_MODULUS_INPUT_ATOL = 1e-9
 
 
+def _require_unit_modulus(amps: np.ndarray, atol: float):
+    """Raise NonUnitAmplitude at the first A with ||A| - 1| > atol or NaN."""
+    dev = np.abs(amps)
+    dev -= 1.0
+    np.abs(dev, out=dev)
+    ok = dev <= atol
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise NonUnitAmplitude(i + 1, complex(amps[i]))
+
+
 @dataclass(frozen=True)
 class PathEnsemble:
     """Finite set of paths with unit-modulus amplitudes, indexed 1..N."""
@@ -46,10 +57,7 @@ class PathEnsemble:
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         if amps.ndim != 1 or amps.size == 0:
             raise EmptyEnsemble("ensemble needs a non-empty 1-d amplitude list")
-        bad = np.nonzero(np.abs(np.abs(amps) - 1.0) > UNIT_MODULUS_ATOL)[0]
-        if bad.size:
-            i = int(bad[0])
-            raise NonUnitAmplitude(i + 1, complex(amps[i]))
+        _require_unit_modulus(amps, UNIT_MODULUS_ATOL)
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -90,12 +98,8 @@ def make_indexed_ensemble(
     amps = np.asarray(list(amplitudes), dtype=np.complex128)
     if amps.size == 0:
         raise EmptyEnsemble("no amplitudes given")
-    mods = np.abs(amps)
-    bad = np.nonzero(np.abs(mods - 1.0) > UNIT_MODULUS_INPUT_ATOL)[0]
-    if bad.size:
-        i = int(bad[0])
-        raise NonUnitAmplitude(i + 1, complex(amps[i]))
-    return PathEnsemble(amps / mods, endpoint_tag=endpoint_tag)
+    _require_unit_modulus(amps, UNIT_MODULUS_INPUT_ATOL)
+    return PathEnsemble(amps / np.abs(amps), endpoint_tag=endpoint_tag)
 
 
 @dataclass(frozen=True)

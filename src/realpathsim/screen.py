@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distances import DistanceSpec, index_distance_matrix
-from .engine import banded_smeared
+from .engine import banded_smeared, weighted_probabilities
 from .errors import ModelTooLarge, SpecViolation
 from .paths import PathEnsemble
 from .toymodels import M1Spec, M3Spec, build_m1, build_m3
@@ -197,8 +197,8 @@ def evaluate_screen_model(
     totals: dict = {}
     quantum: dict = {}
     for j, pspec in enumerate(spec.endpoints):
-        w, den = banded_smeared(_components(spec, j), D)
-        totals[j] = float(np.sum(np.abs(w) ** 2 / den))
+        smeared, denom = banded_smeared(_components(spec, j), D)
+        totals[j] = float(np.sum(weighted_probabilities(smeared, denom)))
         quantum[j] = abs(pspec.beam_sum) ** 2
     return ScreenResult(totals=totals, quantum=quantum)
 
@@ -208,8 +208,8 @@ def composite_unnormalized(spec: ScreenSpec, j: int) -> np.ndarray:
 
     Shape (N_j, N', N''); used to check which composites carry mass.
     """
-    w, den = banded_smeared(_components(spec, j), spec.D)
-    return np.abs(w) ** 2 / den
+    smeared, denom = banded_smeared(_components(spec, j), spec.D)
+    return weighted_probabilities(smeared, denom)
 
 
 def materialize_composite_ensemble(

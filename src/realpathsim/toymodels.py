@@ -57,6 +57,9 @@ class M1Spec:
         _require(self.K >= 1, f"need M < M+K, got K={self.K}")
         _require(self.M + self.K < self.N, "need M+K < N")
 
+    def as_m3(self) -> "M3Spec":
+        return M3Spec(N=self.N, regions=((self.M, self.K, 0.0),))
+
     def validate_scale(self):
         """Opt-in smallness conditions K <= M/2 and K <= N/10.
 
@@ -136,6 +139,9 @@ class M3Spec:
             f"N-M-K tail = {self.N - prev_end} must be even",
         )
 
+    def as_m3(self) -> "M3Spec":
+        return self
+
     @property
     def beam_sum(self) -> complex:
         """Total quasiclassical amplitude sum_k (K_k + 1) exp(-i theta_k)."""
@@ -174,7 +180,7 @@ def build_m3(spec: M3Spec) -> PathEnsemble:
 
 
 def build_m1(spec: M1Spec) -> PathEnsemble:
-    return build_m3(M3Spec(N=spec.N, regions=((spec.M, spec.K, 0.0),)))
+    return build_m3(spec.as_m3())
 
 
 def build_m2(spec: M2Spec) -> PathEnsemble:
@@ -339,10 +345,6 @@ def parse_model_spec(data: dict):
 
 
 def build_model(spec) -> PathEnsemble:
-    if isinstance(spec, M1Spec):
-        return build_m1(spec)
-    if isinstance(spec, M2Spec):
-        return build_m2(spec)
-    if isinstance(spec, M3Spec):
-        return build_m3(spec)
-    raise SpecViolation(f"cannot build ensemble from {type(spec).__name__}")
+    if not isinstance(spec, (M1Spec, M2Spec, M3Spec)):
+        raise SpecViolation(f"cannot build ensemble from {type(spec).__name__}")
+    return build_m3(spec.as_m3())

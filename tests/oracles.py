@@ -117,7 +117,7 @@ def flip_last_theta(spec):
     return M3Spec(N=spec.N, regions=tuple(regions))
 
 
-def two_pass_toy_experiment(spec, dspec, literal_log_half=False):
+def two_pass_toy_experiment(spec, dspec):
     """(visibility, block mass, distribution) of a toy sweep cell, the long way.
 
     Two full builds, the spec's own phases and flip_last_theta(spec), each
@@ -136,9 +136,9 @@ def two_pass_toy_experiment(spec, dspec, literal_log_half=False):
     def sums(s):
         amps = build_model(s).amplitudes
         if dspec.name == "step":
-            half = 2.0 if literal_log_half else 0.5
+            half = 2.0 if dspec.literal_log_half else 0.5
             return untiled_banded_smeared([amps], dspec.D, half)
-        return smeared_components(PathEnsemble(amps), dspec, literal_log_half)
+        return smeared_components(PathEnsemble(amps), dspec)
 
     def unnormalized(smeared, denom):
         with np.errstate(invalid="ignore", divide="ignore"):

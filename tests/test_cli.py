@@ -189,6 +189,45 @@ def test_ratios_csv(tmp_path):
     assert len(lines) == 3  # both ordered pairs
 
 
+def test_uniform_weight_on_toy_model_gives_plain_bytes(tmp_path):
+    plain, uniform = tmp_path / "plain.csv", tmp_path / "uniform.csv"
+    cfg = write(tmp_path / "plain.json", M1_CONFIG)
+    assert run_cli(["--config", cfg, "--output", str(plain), "run"]) == 0
+    cfg = write(tmp_path / "uniform.json", {**M1_CONFIG, "weight": {"name": "uniform"}})
+    assert run_cli(["--config", cfg, "--output", str(uniform), "run"]) == 0
+    assert uniform.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize("config,command", [
+    (M1_CONFIG, "run"),
+    (M1_CONFIG, "compare"),
+    ({**M1_CONFIG, "sweep": {"name": "D", "values": [2, 3]}}, "sweep"),
+    (json.loads((DATA / "screen.json").read_text()), "run"),
+    (json.loads((DATA / "screen.json").read_text()), "ratios"),
+])
+def test_weight_on_unweighted_model_exits_65(tmp_path, capsys, config, command):
+    # toy and screen models have no weights: one in the config is refused,
+    # not ignored
+    for name in ("corridor", "bogus"):
+        cfg = write(tmp_path / "w.json", {**config, "weight": {"name": name}})
+        out = tmp_path / f"{name}.csv"
+        assert run_cli(["--config", cfg, "--output", str(out), command]) == 65
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("SpecViolation:")
+
+
+@pytest.mark.parametrize("weight", [{"name": "causal_only"}, {"name": "bogus"}, "corridor"])
+def test_bad_lattice_weight_exits_64(tmp_path, weight):
+    cfg = write(tmp_path / "lat.json", {
+        "model": {"model": "lattice", "steps": 4, "extent": 3, "start": 0, "end": 0},
+        "distance": {"name": "max_sep"},
+        "weight": weight,
+    })
+    out = tmp_path / "lat.csv"
+    assert run_cli(["--config", cfg, "--output", str(out), "run"]) == 64
+    assert not out.exists()
+
+
 def test_lattice_subcommand_writes_paths_file(tmp_path):
     out = tmp_path / "lat.csv"
     rc = run_cli([

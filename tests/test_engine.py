@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from realpathsim.distances import DistanceSpec
 from realpathsim.engine import (
     _BAND_TILE,
-    WeightFunction,
     banded_smeared,
     block_distance_matrix,
     final_state_probabilities,
@@ -17,7 +16,7 @@ from realpathsim.engine import (
     unnormalized_probabilities,
     weighted_probabilities,
 )
-from realpathsim.errors import AllZeroProbability
+from realpathsim.errors import AllZeroProbability, ModelTooLarge
 from realpathsim.paths import make_indexed_ensemble
 from realpathsim.toymodels import M1Spec, build_m1
 
@@ -92,9 +91,7 @@ def test_uniform_weight_is_bit_for_bit_plain():
     dmat = _random_dmat(rng, n)
     plain = path_probabilities(ens, dmat)
     weighted = path_probabilities(ens, dmat, weights=np.ones(n))
-    named = path_probabilities(ens, dmat, weights=WeightFunction("uniform"))
     assert np.array_equal(plain.probs, weighted.probs)
-    assert np.array_equal(plain.probs, named.probs)
 
 
 def test_all_zero_probability_raises():
@@ -127,13 +124,11 @@ def test_banded_equals_dense_exactly():
 
 def test_banded_literal_log_half_matches_dense():
     ens = build_m1(M1Spec(N=24, M=9, K=3))
-    spec = DistanceSpec("step", D=3)
+    spec = DistanceSpec("step", D=3, literal_log_half=True)
     from realpathsim.distances import index_distance_matrix
 
-    banded = path_probabilities(ens, spec, literal_log_half=True)
-    dense = path_probabilities(
-        ens, index_distance_matrix(spec, 24, literal_log_half=True)
-    )
+    banded = path_probabilities(ens, spec)
+    dense = path_probabilities(ens, index_distance_matrix(spec, 24))
     assert np.allclose(banded.probs, dense.probs, atol=1e-14)
 
 
@@ -301,6 +296,16 @@ def test_final_state_all_zero_raises():
     a = make_indexed_ensemble([1, -1], endpoint_tag="B1")
     with pytest.raises(AllZeroProbability):
         final_state_probabilities([a], np.zeros((2, 2)), weights=np.zeros(2))
+
+
+def test_block_distance_matrix_refuses_oversized_union(monkeypatch):
+    # 10^6 paths would need a 7.28 TiB union matrix
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated the union matrix")
+
+    monkeypatch.setattr(np, "full", refuse)
+    with pytest.raises(ModelTooLarge):
+        block_distance_matrix([10**6], [DistanceSpec("exp_index", D=5)])
 
 
 def test_unnormalized_route_matches_distribution():

@@ -13,7 +13,6 @@ from realpathsim.distances import (
     grid_distance_matrix,
 )
 from realpathsim.engine import (
-    WeightFunction,
     dense_smeared,
     dense_tile_bytes,
     path_probabilities,
@@ -26,6 +25,7 @@ from realpathsim.lattice import (
     enumerate_paths,
     lattice_ensemble,
     path_count,
+    resolve_weight,
     run_lattice_experiment,
     site_path,
     transfer_amplitude,
@@ -127,12 +127,25 @@ def test_curvature_cutoff_zeroes_kinked_paths():
     dist, sites = run_lattice_experiment(
         spec,
         DistanceSpec("max_sep"),
-        weight=WeightFunction("curvature_cutoff", {"threshold": 1.0}),
+        weight={"name": "curvature_cutoff", "threshold": 1.0},
     )
     kinked = np.abs(np.diff(sites, n=2, axis=1)).max(axis=1) > 1.0
     assert kinked.any()
     assert np.all(dist.probs[kinked] == 0.0)
     assert np.all(dist.probs[~kinked] > 0.0)
+
+
+def test_resolve_weight_from_weight_objects():
+    sites = enumerate_paths(LatticeSpec(steps=4, extent=4, start=0, end=0, hop=2))
+    assert resolve_weight(None, sites) is None
+    assert resolve_weight({"name": "uniform"}, sites) is None
+    assert np.array_equal(
+        resolve_weight({"name": "corridor", "margin": 2}, sites), corridor_weights(sites, 2)
+    )
+    # causal_only is a Minkowski prescription, not a lattice weight
+    for name in ("causal_only", "bogus"):
+        with pytest.raises(ValueError, match=name):
+            resolve_weight({"name": name}, sites)
 
 
 def test_corridor_weights_split_arms():

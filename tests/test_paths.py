@@ -43,6 +43,18 @@ def test_make_indexed_ensemble_non_unit_reports_index():
     assert exc.value.index == 2
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_amplitude_reports_first_index(bad):
+    # NaN compares False with everything, so it must fail the check too
+    pairs = [[1, 0], [0, 1], [bad, 0], [math.nan, 0]]
+    with pytest.raises(NonUnitAmplitude) as exc:
+        PathEnsemble.from_json(json.dumps({"amplitudes": pairs}))
+    assert exc.value.index == 3
+    with pytest.raises(NonUnitAmplitude) as exc:
+        make_indexed_ensemble([complex(re, im) for re, im in pairs])
+    assert exc.value.index == 3
+
+
 def test_round_trip_exact_for_unit_inputs():
     amps = [1, -1, 1j, -1j]
     ens = make_indexed_ensemble(amps)

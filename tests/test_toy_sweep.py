@@ -48,9 +48,9 @@ def _widths(spec):
 def test_cell_matches_two_pass_oracle(spec):
     for D in _widths(spec):
         for literal in (False, True):
-            dspec = DistanceSpec("step", D=D)
-            vis, mass, dist = _toy_experiment(spec, dspec, literal)
-            ref_vis, ref_mass, ref = two_pass_toy_experiment(spec, dspec, literal)
+            dspec = DistanceSpec("step", D=D, literal_log_half=literal)
+            vis, mass, dist = _toy_experiment(spec, dspec)
+            ref_vis, ref_mass, ref = two_pass_toy_experiment(spec, dspec)
             case = (D, literal)
             assert vis == ref_vis, case
             assert mass == ref_mass, case
@@ -64,7 +64,7 @@ def test_cell_matches_two_pass_oracle_exp_index():
     spec = SMALL[1]
     for D in (1, 5, 600):
         dspec = DistanceSpec("exp_index", D=D)
-        vis, mass, dist = _toy_experiment(spec, dspec, False)
+        vis, mass, dist = _toy_experiment(spec, dspec)
         ref_vis, ref_mass, ref = two_pass_toy_experiment(spec, dspec)
         assert (vis, mass, dist.norm_constant) == (ref_vis, ref_mass, ref.norm_constant)
         assert dist.probs.tobytes() == ref.probs.tobytes()

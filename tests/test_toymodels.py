@@ -124,7 +124,7 @@ def test_m1_closed_form_preconditions():
 
 def _direct_unnormalized(ensemble, D, literal=False):
     unnorm, _, _ = unnormalized_probabilities(
-        ensemble, DistanceSpec("step", D=D), literal_log_half=literal
+        ensemble, DistanceSpec("step", D=D, literal_log_half=literal)
     )
     return unnorm
 
