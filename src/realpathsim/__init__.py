@@ -2,9 +2,9 @@
 
 Assigns a probability to each configuration-space path via a distance-
 smeared amplitude rule, and provides the toy interferometry ensembles,
-geometric and Lorentz-invariant path distances, composite-path rules,
-and lattice experiments used to study where interference survives and
-where it decoheres.
+the particle x screen composite, geometric and Lorentz-invariant path
+distances, and lattice experiments used to study where interference
+survives and where it decoheres.
 """
 
 from .distances import (
@@ -20,10 +20,8 @@ from .engine import (
 )
 from .errors import RealPathError
 from .paths import (
-    CompositePath,
     PathEnsemble,
     SpacetimePath,
-    compose,
     free_action,
     make_indexed_ensemble,
 )
@@ -41,7 +39,6 @@ from .toymodels import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompositePath",
     "DistanceSpec",
     "M1Spec",
     "M2Spec",
@@ -53,7 +50,6 @@ __all__ = [
     "build_m1",
     "build_m2",
     "build_m3",
-    "compose",
     "exp_index_distance",
     "final_state_probabilities",
     "free_action",

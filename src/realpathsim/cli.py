@@ -183,11 +183,11 @@ def _weight(config: dict) -> dict:
     return weight
 
 
-def _require_uniform(config: dict):
-    """Raise SpecViolation for a weight on a model that has no weights."""
+def _require_uniform(config: dict, reason: str = "applies to lattice models only"):
+    """Raise SpecViolation, saying ``reason``, for a weight that cannot apply."""
     name = _weight(config).get("name", "uniform")
     if name != "uniform":
-        raise SpecViolation(f"weight {name!r} applies to lattice models only")
+        raise SpecViolation(f"weight {name!r} {reason}")
 
 
 def _summary_line(dist: PathDistribution) -> str:
@@ -294,6 +294,7 @@ def _sweep_cell(config: dict, args) -> dict:
     """visibility / block mass / norm constant summaries for one cell."""
     spec = _model_spec(config)
     if isinstance(spec, lattice_mod.LatticeSpec):
+        _require_uniform(config, "does not apply to a lattice sweep, which fixes the corridor weight")
         dspec = _distance_spec(config, args)
         scale = float(config.get("distance_scale", 1.0))
         vis, dist, sites = lattice_mod.two_arm_experiment(
@@ -441,7 +442,8 @@ def cmd_lattice(args) -> int:
     )
     weight = {"name": args.weight, "threshold": args.threshold, "margin": args.margin}
     dist, sites = lattice_mod.run_lattice_experiment(
-        spec, DistanceSpec(args.distance), weight=weight,
+        spec, DistanceSpec(args.distance, literal_log_half=args.literal_log_half),
+        weight=weight,
         distance_scale=args.distance_scale,
     )
     fmt = args.format or "csv"
@@ -473,7 +475,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool = False):
                         help="output format")
     parser.add_argument("--literal-log-half", action="store_true", default=flag,
                         help="use the literal log(1/2) step value at |i-j| = D "
-                             "(weight 2)")
+                             "(weight 2); step distance only")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -67,10 +67,12 @@ def weight(d: float) -> float:
 class DistanceSpec:
     """Named, parameterized distance function on path pairs.
 
-    ``D`` is required for the index variants; ``mass`` overrides the path
-    mass for the mass-weighted geometric variants (defaults to the mass
-    stored on the first path).  ``literal_log_half`` puts log(1/2) at the
-    step rim |i-j| = D; a run setting, not part of the JSON form.
+    ``D`` is required for the index variants and refused for the others;
+    ``mass`` overrides the path mass for the mass-weighted geometric
+    variants (defaults to the mass stored on the first path).
+    ``literal_log_half`` puts log(1/2) at the step rim |i-j| = D and is
+    refused for every other distance; a run setting, not part of the JSON
+    form.
     """
 
     name: str
@@ -81,10 +83,14 @@ class DistanceSpec:
     def __post_init__(self):
         if self.name not in INDEX_VARIANTS + GALILEAN_VARIANTS:
             raise ValueError(f"unknown distance name {self.name!r}")
+        if self.literal_log_half and self.name != "step":
+            raise ValueError(f"literal_log_half applies to the step distance only, not {self.name}")
         if self.name in INDEX_VARIANTS:
             if self.D is None or int(self.D) < 1:
                 raise ValueError(f"{self.name} distance needs a positive integer D")
             object.__setattr__(self, "D", int(self.D))
+        elif self.D is not None:
+            raise ValueError(f"{self.name} distance takes no D")
 
     @property
     def is_index_based(self) -> bool:

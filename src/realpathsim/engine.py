@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distances import DistanceSpec, GridPathSource, admit_matrix, index_distance_matrix
+from .distances import DistanceSpec, GridPathSource, index_distance_matrix
 from .errors import AllZeroProbability, EmptyEnsemble
 from .paths import PathEnsemble
 
@@ -356,27 +356,3 @@ def final_state_probabilities(
         )
         offset += e.n_paths
     return by_endpoint, dist
-
-
-def block_distance_matrix(
-    sizes: Sequence[int], within: Sequence, across: float = math.inf
-) -> np.ndarray:
-    """Union distance matrix from per-group distances plus a cross value.
-
-    ``within[g]`` is the distance for group g (DistanceSpec or matrix);
-    pairs in different groups get the constant ``across``
-    (default: infinitely distant, the disjoint-endpoint-families case).
-    Raises ModelTooLarge, before allocating anything of size n x n, when
-    the union matrix would exceed MAX_MATRIX_BYTES.
-    """
-    n = int(sum(sizes))
-    admit_matrix(n)
-    out = np.full((n, n), float(across))
-    offset = 0
-    for size, dist in zip(sizes, within):
-        block = slice(offset, offset + size)
-        if isinstance(dist, DistanceSpec):
-            dist = index_distance_matrix(dist, size)
-        out[block, block] = dist
-        offset += size
-    return out

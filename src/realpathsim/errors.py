@@ -28,24 +28,12 @@ class DegenerateSegment(RealPathError):
     """A path segment has non-positive duration."""
 
 
-class TimeMismatch(RealPathError):
-    """Composite components do not line up in time."""
-
-
 class EndpointMismatch(RealPathError):
     """Two paths that must share endpoints do not."""
 
 
 class IncompatibleGrids(RealPathError):
     """Two paths have non-overlapping time ranges."""
-
-
-class StructureMismatch(RealPathError):
-    """Two composites differ in kind, arity, or component spans."""
-
-
-class TooManyComponents(RealPathError):
-    """Permutation symmetrization is limited to small products."""
 
 
 class SpecViolation(RealPathError):

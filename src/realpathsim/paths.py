@@ -1,14 +1,12 @@
 """Path representations shared by every model in the package.
 
-Three kinds of object live here:
+Two kinds of object live here:
 
 * ``PathEnsemble`` -- a finite indexed family of paths carrying unit-modulus
   complex amplitudes.  Indices run 1..N in the order given, the convention
   used throughout for toy ensembles.
 * ``SpacetimePath`` -- a polyline (x(t), t) in Galilean spacetime with a
   particle mass attached, the geometric object the distance catalog acts on.
-* ``CompositePath`` -- a product (simultaneous subsystems) or sequence
-  (temporal concatenation) of component paths.
 
 Units are natural (hbar = c = 1); the amplitude convention is
 A(P) = exp(-i S(P)).
@@ -17,17 +15,12 @@ A(P) = exp(-i S(P)).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateSegment,
-    EmptyEnsemble,
-    NonUnitAmplitude,
-    TimeMismatch,
-)
+from .errors import DegenerateSegment, EmptyEnsemble, NonUnitAmplitude
 
 UNIT_MODULUS_ATOL = 1e-12
 # Construction inputs get a looser gate, then are renormalized onto the
@@ -183,62 +176,3 @@ def free_action(path: SpacetimePath, mass: float | None = None) -> float:
 def amplitude_for(path: SpacetimePath, mass: float | None = None) -> complex:
     """exp(-i S) for the discrete free action."""
     return complex(np.exp(-1j * free_action(path, mass)))
-
-
-@dataclass(frozen=True)
-class CompositePath:
-    """Product (kind='product') or sequence (kind='sequence') of paths."""
-
-    kind: str
-    components: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        if self.kind not in ("product", "sequence"):
-            raise ValueError(f"unknown composite kind {self.kind!r}")
-        object.__setattr__(self, "components", tuple(self.components))
-
-    def time_span(self) -> tuple[float, float] | None:
-        spans = [_span_of(c) for c in self.components]
-        if any(s is None for s in spans):
-            return None
-        if self.kind == "product":
-            return spans[0]
-        return spans[0][0], spans[-1][1]
-
-
-def _span_of(component) -> tuple[float, float] | None:
-    if isinstance(component, (SpacetimePath, CompositePath)):
-        return component.time_span()
-    return None
-
-
-_SPAN_ATOL = 1e-9
-
-
-def compose(kind: str, components: Sequence) -> CompositePath:
-    """Build a CompositePath, validating component time spans when known.
-
-    Product components must span identical time intervals; sequence
-    components must abut (end of one = start of next).  Components without
-    a time span (abstract labels) skip the check.
-    """
-    comps = list(components)
-    if not comps:
-        raise TimeMismatch("composite needs at least one component")
-    spans = [_span_of(c) for c in comps]
-    known = [s for s in spans if s is not None]
-    if len(known) == len(comps):
-        if kind == "product":
-            t0, t1 = known[0]
-            for s in known[1:]:
-                if abs(s[0] - t0) > _SPAN_ATOL or abs(s[1] - t1) > _SPAN_ATOL:
-                    raise TimeMismatch(
-                        f"product components span {known[0]} vs {s}"
-                    )
-        elif kind == "sequence":
-            for a, b in zip(known, known[1:]):
-                if abs(a[1] - b[0]) > _SPAN_ATOL:
-                    raise TimeMismatch(
-                        f"sequence gap: component ends at {a[1]}, next starts at {b[0]}"
-                    )
-    return CompositePath(kind, tuple(comps))

@@ -20,8 +20,8 @@ The composite distance is the max of component step distances, so the
 smeared amplitude and volume of every composite path come from the
 engine's separable banded kernel (``engine.banded_smeared``) over the
 three components.  This evaluates the whole composite ensemble in
-O(total paths) without materializing any composite path objects, and
-agrees with the dense engine exactly.
+O(total paths) without materializing any composite path objects; the
+tests check it against the dense engine on the materialized ensemble.
 """
 
 from __future__ import annotations
@@ -31,10 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distances import DistanceSpec, index_distance_matrix
 from .engine import banded_smeared, weighted_probabilities
 from .errors import ModelTooLarge, SpecViolation
-from .paths import PathEnsemble
 from .toymodels import M1Spec, M3Spec, build_m1, build_m3
 
 
@@ -175,87 +173,18 @@ class ScreenResult:
         return rows
 
 
-def evaluate_screen_model(
-    spec: ScreenSpec,
-    d_override: int | None = None,
-    check_separations: bool = True,
-) -> ScreenResult:
-    """Endpoint detection masses from the factorized composite evaluation.
-
-    ``d_override`` replaces the spec's D (used for quantum-limit runs
-    where everything is d-close, with ``check_separations=False`` since
-    a huge D cannot satisfy the separation chain).
-    """
+def evaluate_screen_model(spec: ScreenSpec) -> ScreenResult:
+    """Endpoint detection masses from the factorized composite evaluation."""
     if spec.total_paths() > MAX_COMPOSITE_PATHS:
         raise ModelTooLarge(
             f"{spec.total_paths()} composite paths exceed {MAX_COMPOSITE_PATHS}"
         )
-    if check_separations:
-        spec.validate_separations()
-    D = spec.D if d_override is None else int(d_override)
+    spec.validate_separations()
 
     totals: dict = {}
     quantum: dict = {}
     for j, pspec in enumerate(spec.endpoints):
-        smeared, denom = banded_smeared(_components(spec, j), D)
+        smeared, denom = banded_smeared(_components(spec, j), spec.D)
         totals[j] = float(np.sum(weighted_probabilities(smeared, denom)))
         quantum[j] = abs(pspec.beam_sum) ** 2
     return ScreenResult(totals=totals, quantum=quantum)
-
-
-def composite_unnormalized(spec: ScreenSpec, j: int) -> np.ndarray:
-    """Unnormalized probability for every composite path of endpoint j.
-
-    Shape (N_j, N', N''); used to check which composites carry mass.
-    """
-    smeared, denom = banded_smeared(_components(spec, j), spec.D)
-    return weighted_probabilities(smeared, denom)
-
-
-def materialize_composite_ensemble(
-    spec: ScreenSpec,
-    cross_distance: float = math.inf,
-    max_paths: int = 200_000,
-) -> tuple[PathEnsemble, np.ndarray, np.ndarray]:
-    """Explicit composite ensemble for small specs (cross-validation).
-
-    Returns (ensemble, labels, distance_matrix) where labels[r] =
-    (j, i, k, m) 0-based and the matrix applies the max rule to the
-    component step distances, with ``cross_distance`` between particle
-    paths of different endpoints (default: infinitely distant).
-    """
-    total = spec.total_paths()
-    if total > max_paths:
-        raise ModelTooLarge(f"{total} paths too many to materialize")
-    D = spec.D
-    step = DistanceSpec("step", D=D)
-    n_before, n_after = spec.screen_before.N, spec.n_after
-    amps_s = build_m1(spec.screen_before).amplitudes
-
-    amps = np.empty(total, dtype=np.complex128)
-    labels = np.empty((total, 4), dtype=int)
-    r = 0
-    for j, pspec in enumerate(spec.endpoints):
-        amps_p, _, amps_a = _components(spec, j)
-        for i in range(pspec.N):
-            for k in range(n_before):
-                base = amps_p[i] * amps_s[k]
-                amps[r : r + n_after] = base * amps_a
-                labels[r : r + n_after, 0] = j
-                labels[r : r + n_after, 1] = i
-                labels[r : r + n_after, 2] = k
-                labels[r : r + n_after, 3] = np.arange(n_after)
-                r += n_after
-
-    d_s = index_distance_matrix(step, n_before)
-    d_a = index_distance_matrix(step, n_after)
-    gaps_i = np.abs(labels[:, 1][:, None] - labels[:, 1][None, :])
-    d_p = np.where(gaps_i < D, 0.0, np.where(gaps_i > D, np.inf, math.log(2.0)))
-    cross = labels[:, 0][:, None] != labels[:, 0][None, :]
-    d_p = np.where(cross, float(cross_distance), d_p)
-    dmat = np.maximum(
-        d_p,
-        np.maximum(d_s[labels[:, 2][:, None], labels[:, 2][None, :]],
-                   d_a[labels[:, 3][:, None], labels[:, 3][None, :]]),
-    )
-    return PathEnsemble(amps), labels, dmat

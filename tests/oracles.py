@@ -5,16 +5,32 @@ package's evaluation routes, so that agreement is meaningful.  The
 exceptions run at the sizes the banded route runs at: the sliding-window
 reference uses numpy vector adds, and the untiled banded kernel and the
 two-pass toy sweep cell keep the plain forms the package's tiled kernel
-and one-build cell must reproduce bit for bit.
+and one-build cell must reproduce bit for bit.  The screen model's
+materializer and block_distance_matrix build numpy arrays for the dense
+engine to read; the materializer's distance tables come from
+step_distance_table, not from the package's distance code.
+
+The composite-path layer lives here too: CompositePath, compose and the
+product/sequence composition rules define the max-of-steps distance the
+banded K=3 kernel evaluates for the screen model.
 """
 
 import functools
 import math
+from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
-from realpathsim.engine import PathDistribution, smeared_components
-from realpathsim.paths import PathEnsemble
+from realpathsim.engine import (
+    PathDistribution,
+    banded_smeared,
+    smeared_components,
+    weighted_probabilities,
+)
+from realpathsim.errors import ModelTooLarge, RealPathError
+from realpathsim.paths import PathEnsemble, SpacetimePath
+from realpathsim.screen import _components
 from realpathsim.toymodels import M1Spec, M2Spec, M3Spec, build_model
 
 
@@ -220,3 +236,218 @@ def dense_interval_max(events_p, events_q, samples=400):
             space = sum((p[c] - q[c]) ** 2 for c in range(len(p) - 1))
             best = max(best, space - (p[-1] - q[-1]) ** 2)
     return best
+
+
+# -- composite paths and their distance rules ---------------------------------
+
+class TimeMismatch(RealPathError):
+    """Composite components do not line up in time."""
+
+
+class StructureMismatch(RealPathError):
+    """Two composites differ in kind, arity, or component spans."""
+
+
+class TooManyComponents(RealPathError):
+    """Permutation symmetrization is limited to small products."""
+
+
+_SPAN_ATOL = 1e-9
+
+
+@dataclass(frozen=True)
+class CompositePath:
+    """Product (kind='product') or sequence (kind='sequence') of paths."""
+
+    kind: str
+    components: tuple = ()
+
+    def __post_init__(self):
+        if self.kind not in ("product", "sequence"):
+            raise ValueError(f"unknown composite kind {self.kind!r}")
+        object.__setattr__(self, "components", tuple(self.components))
+
+    def time_span(self):
+        spans = [_span_of(c) for c in self.components]
+        if any(s is None for s in spans):
+            return None
+        if self.kind == "product":
+            return spans[0]
+        return spans[0][0], spans[-1][1]
+
+
+def _span_of(component):
+    if isinstance(component, (SpacetimePath, CompositePath)):
+        return component.time_span()
+    return None
+
+
+def compose(kind, components):
+    """Build a CompositePath, validating component time spans when known.
+
+    Product components must span identical time intervals; sequence
+    components must abut (end of one = start of next).  Components without
+    a time span (abstract labels) skip the check.
+    """
+    comps = list(components)
+    if not comps:
+        raise TimeMismatch("composite needs at least one component")
+    spans = [_span_of(c) for c in comps]
+    if all(s is not None for s in spans):
+        if kind == "product":
+            t0, t1 = spans[0]
+            for s in spans[1:]:
+                if abs(s[0] - t0) > _SPAN_ATOL or abs(s[1] - t1) > _SPAN_ATOL:
+                    raise TimeMismatch(f"product components span {spans[0]} vs {s}")
+        elif kind == "sequence":
+            for a, b in zip(spans, spans[1:]):
+                if abs(a[1] - b[0]) > _SPAN_ATOL:
+                    raise TimeMismatch(
+                        f"sequence gap: component ends at {a[1]}, next starts at {b[0]}"
+                    )
+    return CompositePath(kind, tuple(comps))
+
+
+PRODUCT_RULES = ("max", "sum", "average", "geometric_mean")
+SEQUENCE_RULES = ("max",)
+
+MAX_SYMMETRIZE_COMPONENTS = 8
+
+
+@dataclass(frozen=True)
+class CompositionRule:
+    """How component distances combine: products under one of
+    PRODUCT_RULES, sequences under max."""
+
+    product_rule: str = "max"
+    sequence_rule: str = "max"
+
+    def __post_init__(self):
+        if self.product_rule not in PRODUCT_RULES:
+            raise ValueError(f"unknown product rule {self.product_rule!r}")
+        if self.sequence_rule not in SEQUENCE_RULES:
+            raise ValueError(f"unknown sequence rule {self.sequence_rule!r}")
+
+
+def _reduce(rule, values):
+    """One composition rule over component distances.
+
+    Extended-real conventions (limits of the finite formulas): inf is
+    absorbing in sum and max; an average over a set containing inf is
+    inf; a geometric mean containing inf is inf, otherwise containing a
+    0 it is 0 (inf wins the indeterminate mixed case).
+    """
+    if rule == "max":
+        return max(values)
+    if rule == "sum":
+        return sum(values)
+    if rule == "average":
+        return sum(values) / len(values)
+    if any(v == math.inf for v in values):
+        return math.inf
+    if any(v == 0.0 for v in values):
+        return 0.0
+    return math.exp(sum(math.log(v) for v in values) / len(values))
+
+
+def composite_distance(P, Q, rule, base):
+    """Recursive composite distance; ``base`` evaluates leaf pairs.
+
+    P and Q must have identical composite structure: same kind, same
+    arity, and matching component time spans where spans are known.
+    """
+    p_comp = isinstance(P, CompositePath)
+    if p_comp != isinstance(Q, CompositePath):
+        raise StructureMismatch("composite paired with a leaf")
+    if not p_comp:
+        return float(base(P, Q))
+    if P.kind != Q.kind:
+        raise StructureMismatch(f"kind {P.kind} vs {Q.kind}")
+    if len(P.components) != len(Q.components):
+        raise StructureMismatch(f"arity {len(P.components)} vs {len(Q.components)}")
+    for p, q in zip(P.components, Q.components):
+        sp, sq = _span_of(p), _span_of(q)
+        if sp is not None and sq is not None:
+            if abs(sp[0] - sq[0]) > _SPAN_ATOL or abs(sp[1] - sq[1]) > _SPAN_ATOL:
+                raise StructureMismatch(f"component spans {sp} vs {sq}")
+    parts = [composite_distance(p, q, rule, base) for p, q in zip(P.components, Q.components)]
+    return _reduce(rule.product_rule if P.kind == "product" else rule.sequence_rule, parts)
+
+
+def symmetrized_distance(P, Q, rule, base):
+    """min over permutations rho of composite_distance(P, rho(Q)).
+
+    Only defined for products of n <= 8 components of one particle
+    species; enumeration is exhaustive since a min of a max/geometric
+    composition is not a linear assignment problem.
+    """
+    if not (isinstance(P, CompositePath) and isinstance(Q, CompositePath)):
+        raise StructureMismatch("symmetrized distance needs composite products")
+    if P.kind != "product" or Q.kind != "product":
+        raise StructureMismatch("symmetrized distance is for products only")
+    n = len(P.components)
+    if n != len(Q.components):
+        raise StructureMismatch(f"arity {n} vs {len(Q.components)}")
+    if n > MAX_SYMMETRIZE_COMPONENTS:
+        raise TooManyComponents(f"n={n} > {MAX_SYMMETRIZE_COMPONENTS}")
+    return min(
+        composite_distance(
+            P, CompositePath("product", tuple(Q.components[k] for k in perm)), rule, base
+        )
+        for perm in permutations(range(n))
+    )
+
+
+# -- dense inputs for the engine's union and composite checks ----------------
+
+def block_distance_matrix(sizes, within, across=math.inf):
+    """Union distance matrix from per-group (n_g, n_g) matrices.
+
+    Pairs in different groups get the constant ``across`` (default:
+    infinitely distant, the disjoint-endpoint-families case).
+    """
+    n = int(sum(sizes))
+    out = np.full((n, n), float(across))
+    offset = 0
+    for size, dist in zip(sizes, within):
+        out[offset : offset + size, offset : offset + size] = dist
+        offset += size
+    return out
+
+
+def composite_unnormalized(spec, j):
+    """Unnormalized probability of every composite path of screen endpoint j.
+
+    Shape (N_j, N', N''), from the banded K=3 kernel at the spec's D.
+    """
+    smeared, denom = banded_smeared(_components(spec, j), spec.D)
+    return weighted_probabilities(smeared, denom)
+
+
+def materialize_composite_ensemble(spec, cross_distance=math.inf, max_paths=200_000):
+    """Explicit screen-model composite ensemble for small specs.
+
+    Returns (ensemble, labels, distance_matrix) where labels[r] =
+    (j, i, k, m) 0-based: endpoint, particle, pre-impact and
+    post-absorption screen index.  The matrix applies the max rule to the
+    three components' step_distance_table entries, with
+    ``cross_distance`` between particle paths of different endpoints
+    (default: infinitely distant).
+    """
+    total = spec.total_paths()
+    if total > max_paths:
+        raise ModelTooLarge(f"{total} paths too many to materialize")
+    amps, labels = [], []
+    for j, pspec in enumerate(spec.endpoints):
+        amps_p, amps_s, amps_a = _components(spec, j)
+        amps.append(np.multiply.outer(np.multiply.outer(amps_p, amps_s), amps_a).ravel())
+        idx = np.indices((pspec.N, amps_s.size, amps_a.size)).reshape(3, -1)
+        labels.append(np.vstack([np.full(idx.shape[1], j), idx]).T)
+    labels = np.concatenate(labels)
+    n_particle = max(p.N for p in spec.endpoints)
+    sizes = (n_particle, spec.screen_before.N, spec.n_after)
+    tables = [np.array(step_distance_table(n, spec.D)) for n in sizes]
+    d_p, d_s, d_a = (t[c[:, None], c[None, :]] for t, c in zip(tables, labels[:, 1:].T))
+    d_p[labels[:, 0][:, None] != labels[:, 0][None, :]] = cross_distance
+    dmat = np.maximum(d_p, np.maximum(d_s, d_a))
+    return PathEnsemble(np.concatenate(amps)), labels, dmat

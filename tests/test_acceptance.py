@@ -12,7 +12,6 @@ import numpy as np
 
 from realpathsim.distances import DistanceSpec, grid_distance_matrix
 from realpathsim.engine import (
-    block_distance_matrix,
     final_state_probabilities,
     path_probabilities,
     unnormalized_probabilities,
@@ -38,7 +37,7 @@ from realpathsim.toymodels import (
     m2_closed_form,
 )
 
-from oracles import brute_force_probabilities, step_distance
+from oracles import block_distance_matrix, brute_force_probabilities, step_distance
 
 
 def _verdict(number: int, ok: bool, detail: str):

@@ -373,3 +373,42 @@ def test_literal_log_half_flag_changes_output(tmp_path):
     run_cli(["--config", cfg, "--output", str(a), "run"])
     run_cli(["--config", cfg, "--output", str(b), "--literal-log-half", "run"])
     assert a.read_text() != b.read_text()
+
+
+def test_lattice_sweep_weight_exits_65(tmp_path, capsys):
+    # the sweep's visibility always weighs by the corridor: a weight in the
+    # config is refused, not ignored
+    config = json.loads((DATA / "lattice_sweep.json").read_text())
+    for name in ("corridor", "bogus"):
+        cfg = write(tmp_path / "w.json", {**config, "weight": {"name": name}})
+        out = tmp_path / f"{name}.csv"
+        assert run_cli(["--config", cfg, "--output", str(out), "sweep"]) == 65
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("SpecViolation:") and "fixes the corridor weight" in err
+    cfg = write(tmp_path / "uniform.json", {**config, "weight": {"name": "uniform"}})
+    out = tmp_path / "uniform.csv"
+    assert run_cli(["--config", cfg, "--output", str(out), "sweep"]) == 0
+    assert out.read_bytes() == (DATA / "lattice_sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--config", str(DATA / "m2_exp_index.json"), "run"],
+    ["--config", str(DATA / "lattice_sweep.json"), "sweep"],
+    ["lattice", "--steps", "4", "--extent", "3", "--hop", "2"],
+])
+def test_literal_log_half_off_step_exits_64(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert run_cli([*argv, "--literal-log-half", "--output", str(out)]) == 64
+    assert not out.exists()
+    assert "step distance only" in capsys.readouterr().err
+
+
+def test_sweep_over_d_on_lattice_exits_64(tmp_path, capsys):
+    # a Galilean distance has no D: the cells would all be equal
+    config = json.loads((DATA / "lattice_sweep.json").read_text())
+    cfg = write(tmp_path / "d.json", {**config, "sweep": {"name": "D", "values": [1, 5, 50]}})
+    out = tmp_path / "d.csv"
+    assert run_cli(["--config", cfg, "--output", str(out), "sweep"]) == 64
+    assert not out.exists()
+    assert "takes no D" in capsys.readouterr().err

@@ -189,3 +189,13 @@ def test_distance_spec_json():
         DistanceSpec.from_json('{"name": "mystery"}')
     with pytest.raises(ValueError):
         DistanceSpec("step")  # D required
+
+
+def test_spec_refuses_fields_its_distance_never_reads():
+    for name in ("max_sep", "l2", "velocity_l1"):
+        with pytest.raises(ValueError, match="takes no D"):
+            DistanceSpec(name, D=5)
+    for name, D in (("exp_index", 5), ("max_sep", None)):
+        with pytest.raises(ValueError, match="step distance only"):
+            DistanceSpec(name, D=D, literal_log_half=True)
+    assert DistanceSpec("step", D=5, literal_log_half=True).literal_log_half

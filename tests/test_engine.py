@@ -10,17 +10,17 @@ from realpathsim.distances import DistanceSpec
 from realpathsim.engine import (
     _BAND_TILE,
     banded_smeared,
-    block_distance_matrix,
     final_state_probabilities,
     path_probabilities,
     unnormalized_probabilities,
     weighted_probabilities,
 )
-from realpathsim.errors import AllZeroProbability, ModelTooLarge
+from realpathsim.errors import AllZeroProbability
 from realpathsim.paths import make_indexed_ensemble
 from realpathsim.toymodels import M1Spec, build_m1
 
 from oracles import (
+    block_distance_matrix,
     brute_force_probabilities,
     sliding_window_smeared,
     step_distance_table,
@@ -296,16 +296,6 @@ def test_final_state_all_zero_raises():
     a = make_indexed_ensemble([1, -1], endpoint_tag="B1")
     with pytest.raises(AllZeroProbability):
         final_state_probabilities([a], np.zeros((2, 2)), weights=np.zeros(2))
-
-
-def test_block_distance_matrix_refuses_oversized_union(monkeypatch):
-    # 10^6 paths would need a 7.28 TiB union matrix
-    def refuse(*args, **kwargs):
-        raise AssertionError("allocated the union matrix")
-
-    monkeypatch.setattr(np, "full", refuse)
-    with pytest.raises(ModelTooLarge):
-        block_distance_matrix([10**6], [DistanceSpec("exp_index", D=5)])
 
 
 def test_unnormalized_route_matches_distribution():

@@ -5,6 +5,7 @@ materialized small composite ensemble, so the fast route never drifts
 from the postulate it implements.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,14 +14,17 @@ import pytest
 from realpathsim.engine import banded_smeared, final_state_probabilities, smeared_components
 from realpathsim.errors import ModelTooLarge, SpecViolation
 from realpathsim.paths import PathEnsemble
-from realpathsim.screen import (
-    ScreenSpec,
-    _components,
-    composite_unnormalized,
-    evaluate_screen_model,
-    materialize_composite_ensemble,
-)
+from realpathsim.screen import ScreenSpec, _components, evaluate_screen_model
 from realpathsim.toymodels import M1Spec, M3Spec
+
+from oracles import (
+    CompositePath,
+    CompositionRule,
+    composite_distance,
+    composite_unnormalized,
+    materialize_composite_ensemble,
+    step_distance,
+)
 
 
 def small_spec(theta1=0.0, k0=2, k1=4, D=2):
@@ -78,6 +82,39 @@ def test_banded_composite_matches_materialized_sums(D):
         assert np.max(np.abs(smeared[at] - ref_smeared[rows])) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("D", [1, 2, 3])
+def test_composition_rule_gives_materialized_distances(D):
+    # (particle x pre-impact screen) then post-absorption screen, composed
+    # by the max rule over step distances, particles of different
+    # endpoints infinitely distant: the matrix the screen model stands on
+    spec = small_spec(D=D)
+    _, labels, dmat = materialize_composite_ensemble(spec)
+
+    def path(j, i, k, m):
+        # leaves are (endpoint family, index); the screens share one family
+        return CompositePath("sequence", (CompositePath("product", ((j, i), (None, k))), (None, m)))
+
+    def leaf(p, q):
+        return math.inf if p[0] != q[0] else step_distance(p[1], q[1], D)
+
+    row_of = {tuple(label): r for r, label in enumerate(labels.tolist())}
+    top = [1, spec.endpoints[0].N - 1, spec.screen_before.N - 1, spec.n_after - 1]
+    rng = np.random.default_rng(D)
+    seen = set()
+    for n, r in enumerate(rng.integers(0, len(labels), 3000)):
+        if n % 2:
+            s = rng.integers(len(labels))
+        else:
+            # a partner of the same endpoint within D+1 in every component,
+            # so the window and the rim show as well as inf
+            offsets = rng.integers(-D - 1, D + 2, 4) * [0, 1, 1, 1]
+            s = row_of[tuple(np.clip(labels[r] + offsets, 0, top))]
+        got = composite_distance(path(*labels[r]), path(*labels[s]), CompositionRule(), leaf)
+        assert got == dmat[r, s]
+        seen.add(got)
+    assert seen == {0.0, math.log(2.0), math.inf}
+
+
 def test_single_endpoint_probability_one():
     spec = ScreenSpec(
         D=2,
@@ -98,11 +135,14 @@ def test_symmetric_endpoints_ratio_exactly_one():
 
 
 def test_quantum_limit_recovers_quantum_ratios():
-    spec = small_spec(k0=2, k1=4)
-    res = evaluate_screen_model(spec, d_override=500, check_separations=False)
+    # D=500 makes every composite of one endpoint d-close to every other;
+    # no separation chain holds at that D, so the kernel is called directly
+    spec = dataclasses.replace(small_spec(k0=2, k1=4), D=500)
+    totals = [float(np.sum(composite_unnormalized(spec, j))) for j in range(2)]
+    probabilities = [t / sum(totals) for t in totals]
     # strengths 3 vs 5 -> probabilities 9/34, 25/34 exactly
-    assert res.probabilities[0] == pytest.approx(9 / 34, abs=1e-9)
-    assert res.probabilities[1] == pytest.approx(25 / 34, abs=1e-9)
+    assert probabilities[0] == pytest.approx(9 / 34, abs=1e-9)
+    assert probabilities[1] == pytest.approx(25 / 34, abs=1e-9)
 
 
 def test_detection_ratio_matches_quantum_within_tolerance():
