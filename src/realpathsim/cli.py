@@ -26,12 +26,15 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import lattice as lattice_mod
-from .distances import DistanceSpec
+from .distances import DistanceSpec, index_distance_matrix
 from .engine import (
     PathDistribution,
+    Prefix,
+    _prefix,
+    dense_smeared,
     distribution_from_sums,
     path_probabilities,
-    smeared_components,
+    step_smeared,
     unnormalized_probabilities,
     weighted_probabilities,
 )
@@ -190,6 +193,22 @@ def _require_uniform(config: dict, reason: str = "applies to lattice models only
         raise SpecViolation(f"weight {name!r} {reason}")
 
 
+def _refuse_lattice_fields(config: dict):
+    """Raise SpecViolation for what only a lattice model reads.
+
+    That is a weight other than uniform, or a distance_scale.
+    """
+    _require_uniform(config)
+    if "distance_scale" in config:
+        raise SpecViolation("distance_scale applies to lattice models only")
+
+
+def _refuse_literal_log_half(args):
+    """The screen model keeps the rim weight 1/2 of its K=3 composite."""
+    if args.literal_log_half:
+        raise ValueError("literal_log_half applies to the step distance only, not the screen model")
+
+
 def _summary_line(dist: PathDistribution) -> str:
     top = np.argsort(dist.probs)[::-1][:5] + 1
     return (
@@ -203,8 +222,9 @@ def _run_once(config: dict, args) -> tuple[str, str]:
     spec = _model_spec(config)
     fmt = config.get("format", args.format or "csv")
     if not isinstance(spec, lattice_mod.LatticeSpec):
-        _require_uniform(config)
+        _refuse_lattice_fields(config)
     if isinstance(spec, ScreenSpec):
+        _refuse_literal_log_half(args)
         return _ratios_text(spec, fmt), f"endpoints={spec.n_endpoints}"
     if isinstance(spec, lattice_mod.LatticeSpec):
         dist, _sites = lattice_mod.run_lattice_experiment(
@@ -235,52 +255,94 @@ def _block_range_indices(spec, D: int) -> tuple[int, int]:
     return max(1, first - D), min(spec.N, last + D)
 
 
-def _flipped_prefix(spec, amps: np.ndarray, L: int) -> np.ndarray:
-    """The first L amplitudes with the last region's phase flipped by pi.
+def _flipped_region(spec) -> tuple[int, np.ndarray]:
+    """0-based start of the last region and its amplitudes turned by pi.
 
-    Only the last region differs from the spec's own amplitudes; it gets
-    the expression build_m3 evaluates for theta + pi, so the bits are
-    those of a full build of the flipped spec.
+    The expression build_m3 evaluates for theta + pi, so the bits are
+    those of a full build of the flipped spec; checked for unit modulus
+    as a build is.
     """
-    flipped = amps[:L].copy()
     M, K, th = spec.as_m3().regions[-1]
-    flipped[M - 1 : M + K] = np.exp(-1j * (th + math.pi))
-    return flipped
+    region = np.full(K + 1, np.exp(-1j * (th + math.pi)))
+    return M - 1, PathEnsemble(region).amplitudes
+
+
+def _flipped_prefix(spec, prefix: Prefix, D: int, lo: int, hi: int) -> Prefix:
+    """What windows of radius D over rows lo..hi-1 read of ``prefix``, flipped.
+
+    ``prefix`` holds the sums of the spec's own amplitudes; the result
+    holds those of the spec with the last region's phase turned by pi.
+    Sums up to P(M-1), M the region's 1-based start, do not see the flip
+    and are copied.  The later ones are rebuilt from P(M-1) by one cumsum
+    over the flipped region and the alternating run after it (-1, +1,
+    ...), the values build_m3 writes there, so the bits are those of a
+    full flipped build's prefix.  The rows must start no later than the
+    region, as a beam block's rows do.
+    """
+    n = prefix.n
+    D = min(D, n)  # the windows clip their radius to n
+    origin = D - lo  # out[origin + k] = P(k) for k in [lo - D, hi + D]
+    out = prefix.sums[prefix.origin + lo - D : prefix.origin + hi + D + 1].copy()
+    start, region = _flipped_region(spec)
+    run = out[origin + start : origin + min(n, hi + D) + 1]
+    tail = run[1:]
+    tail[: region.size] = region
+    tail[region.size :: 2] = -1.0
+    tail[region.size + 1 :: 2] = 1.0
+    np.cumsum(run, out=run)
+    out[origin + n + 1 :] = run[-1]  # the right pad copies P(n)
+    return Prefix(out, origin, n)
+
+
+def _toy_prefix(spec, pad: int) -> Prefix:
+    """The spec's amplitudes built once and prefix-summed, padded by pad."""
+    return _prefix(build_model(spec).amplitudes, pad)
 
 
 def _toy_experiment(
-    spec, dspec: DistanceSpec
+    spec, dspec: DistanceSpec, prefix: Prefix | None = None
 ) -> tuple[float, float, PathDistribution]:
-    """(visibility, block mass, distribution): one build, two passes.
+    """(visibility, block mass, distribution) of one toy sweep cell.
 
     The visibility compares the unnormalized beam-neighborhood masses at
     the spec's own phases and with the last region's phase flipped by pi;
     the distribution is the one ``run`` gives at the spec's own phases,
     and the block mass is its share on the beam neighborhood.
 
-    The flipped setting only feeds its mass on the beam block [lo, hi],
-    whose step windows end before index hi + D, and a prefix's running
-    sums are the first entries of the full ones; so it is evaluated on
-    the first min(N, hi + D) amplitudes only (all N for other index
-    distances, whose windows are unbounded) and reduced to its mass
-    before the full pass.
-    """
-    def block_mass(smeared, denom):
-        return float(np.sum(weighted_probabilities(smeared[block], denom[block])))
+    Under the step distance, ``prefix`` is the padded prefix sum of the
+    spec's amplitudes (_toy_prefix, padded by at least dspec.D), which
+    the cells of a sweep over D share; None prepares the cell's own.  The
+    spec's phases take one banded pass over all N rows.  The flipped
+    setting only feeds its mass on the beam block, so it is smeared over
+    the block rows alone, from _flipped_prefix; its denominators are the
+    window counts, the same as at the spec's phases, and are reused.
 
-    ensemble = build_model(spec)
-    L = spec.N
+    Other index distances take the dense route: one matrix, and one
+    dense_smeared call over both phase vectors, which multiplies each
+    block of exp(-d) by each vector, so both get the bits of a call of
+    their own.
+    """
     if dspec.name == "step":
-        L = min(L, _block_range_indices(spec, dspec.D)[1] + dspec.D)
-    flipped = PathEnsemble(_flipped_prefix(spec, ensemble.amplitudes, L))
-    smeared, denom = smeared_components(flipped, dspec)
-    # after the engine, which rejects a distance without an index window
-    lo, hi = _block_range_indices(spec, dspec.D)
+        if prefix is None:
+            prefix = _toy_prefix(spec, dspec.D)
+        smeared, denom = step_smeared(prefix, dspec)
+        lo, hi = _block_range_indices(spec, dspec.D)
+        flipped = _flipped_prefix(spec, prefix, dspec.D, lo - 1, hi)
+        flipped_block, _counts = step_smeared(flipped, dspec, lo - 1, hi)
+    else:
+        amps = build_model(spec).amplitudes
+        # refuses a distance without an index window
+        matrix = index_distance_matrix(dspec, spec.N)
+        start, region = _flipped_region(spec)
+        flipped = amps.copy()
+        flipped[start : start + region.size] = region
+        (smeared, flipped_smeared), denom = dense_smeared([amps, flipped], matrix)
+        del matrix, amps, flipped
+        lo, hi = _block_range_indices(spec, dspec.D)
+        flipped_block = flipped_smeared[lo - 1 : hi]
     block = slice(lo - 1, hi)
-    p_minus = block_mass(smeared, denom)
-    del flipped, smeared, denom
-    smeared, denom = smeared_components(ensemble, dspec)
-    p_plus = block_mass(smeared, denom)
+    p_minus = float(np.sum(weighted_probabilities(flipped_block, denom[block])))
+    p_plus = float(np.sum(weighted_probabilities(smeared[block], denom[block])))
     vis = (
         abs(p_plus - p_minus) / (p_plus + p_minus)
         if (p_plus + p_minus) > 0
@@ -290,12 +352,21 @@ def _toy_experiment(
     return vis, float(np.sum(dist.probs[block])), dist
 
 
-def _sweep_cell(config: dict, args) -> dict:
-    """visibility / block mass / norm constant summaries for one cell."""
+def _sweep_specs(config: dict, args) -> tuple:
+    """(model spec, distance spec) of one sweep cell, refusing what cannot apply."""
     spec = _model_spec(config)
+    if isinstance(spec, ScreenSpec):
+        raise SpecViolation("sweep does not apply to the screen model")
     if isinstance(spec, lattice_mod.LatticeSpec):
         _require_uniform(config, "does not apply to a lattice sweep, which fixes the corridor weight")
-        dspec = _distance_spec(config, args)
+    else:
+        _refuse_lattice_fields(config)
+    return spec, _distance_spec(config, args)
+
+
+def _sweep_cell(config: dict, spec, dspec: DistanceSpec, prefix: Prefix | None = None) -> dict:
+    """visibility / block mass / norm constant summaries for one cell."""
+    if isinstance(spec, lattice_mod.LatticeSpec):
         scale = float(config.get("distance_scale", 1.0))
         vis, dist, sites = lattice_mod.two_arm_experiment(
             spec, dspec, distance_scale=scale
@@ -304,10 +375,7 @@ def _sweep_cell(config: dict, args) -> dict:
         w = lattice_mod.corridor_weights(sites)
         mass = float(np.sum(dist.probs[w > 0]))
         return {"visibility": vis, "block_mass": mass, "norm_constant": dist.norm_constant}
-    if isinstance(spec, ScreenSpec):
-        raise SpecViolation("sweep does not apply to the screen model")
-    _require_uniform(config)
-    vis, mass, dist = _toy_experiment(spec, _distance_spec(config, args))
+    vis, mass, dist = _toy_experiment(spec, dspec, prefix)
     return {"visibility": vis, "block_mass": mass, "norm_constant": dist.norm_constant}
 
 
@@ -344,15 +412,34 @@ def cmd_sweep(args) -> int:
     if len(values) > MAX_SWEEP_CELLS:
         raise GridTooLarge(f"{len(values)} cells exceed {MAX_SWEEP_CELLS}")
     cells = [_apply_sweep_value(config, name, v) for v in values]
+    specs = [_sweep_specs(c, args) for c in cells]
+
+    # toy cells under the step distance with equal model specs (a sweep
+    # over D, or a repeated value) share one build and one prefix sum,
+    # padded for the widest of them; one group's prefix is alive at a
+    # time, and every other cell prepares its own inside its task
+    groups: dict = {}
+    for i, (spec, dspec) in enumerate(specs):
+        if not isinstance(spec, lattice_mod.LatticeSpec) and dspec.name == "step":
+            groups.setdefault(spec, []).append(i)
+    shared = [g for g in groups.values() if len(g) > 1]
+    alone = sorted(set(range(len(cells))).difference(*shared))
+    results: list = [None] * len(cells)
+
+    def run(pool, indices, prefix=None):
+        done = pool.map(lambda i: _sweep_cell(cells[i], *specs[i], prefix), indices)
+        for i, r in zip(indices, done):
+            results[i] = r
 
     workers = int(os.environ.get("REALPATH_THREADS", "0")) or min(
         os.cpu_count() or 1, max(len(cells), 1)
     )
     if cells:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: _sweep_cell(c, args), cells))
-    else:
-        results = []
+            for indices in shared:
+                pad = max(specs[i][1].D for i in indices)
+                run(pool, indices, pool.submit(_toy_prefix, specs[indices[0]][0], pad).result())
+            run(pool, alone)
 
     lines = ["param,value,visibility,block_mass,norm_constant"]
     for v, r in zip(values, results):
@@ -372,7 +459,7 @@ def cmd_compare(args) -> int:
     spec = _model_spec(config)
     if not isinstance(spec, (M1Spec, M2Spec)):
         raise SpecViolation("compare applies to M1 and M2 models only")
-    _require_uniform(config)
+    _refuse_lattice_fields(config)
     dspec = _distance_spec(config, args)
     if dspec.name != "step":
         raise SpecViolation("closed forms are stated for the step distance")
@@ -423,7 +510,8 @@ def cmd_classify(args) -> int:
 def cmd_ratios(args) -> int:
     config = _load_config(args)
     spec = ScreenSpec.from_dict(config.get("model", config))
-    _require_uniform(config)
+    _refuse_lattice_fields(config)
+    _refuse_literal_log_half(args)
     _write_text(args.output, _ratios_text(spec, config.get("format", args.format or "csv")))
     print(f"endpoints={spec.n_endpoints}")
     return EX_OK

@@ -17,7 +17,9 @@ The smearing sum has two routes:
 * ``banded_smeared``, a separable banded kernel for step distances over
   K index components combined by the max rule.  It needs only closed and
   open window sums per component (the weight at exactly D is 1/2).  K=1
-  is the single ensemble; K=3 is the particle x screen composite.
+  is the single ensemble; K=3 is the particle x screen composite.  One
+  padded prefix sum serves every narrower window (``step_smeared``), so
+  a sweep over the step width takes it once.
 * ``dense_smeared``, a dense route for any other distance.  It streams
   blocks of _DENSE_ROWS rows, either from an (N, N) distance matrix or
   from a ``GridPathSource`` that computes the distances of gridded paths
@@ -36,7 +38,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -114,8 +116,7 @@ def smeared_components(
     amps = ensemble.amplitudes
     if isinstance(distance, DistanceSpec):
         if distance.name == "step":
-            half = 2.0 if distance.literal_log_half else RIM_WEIGHT
-            return banded_smeared([amps], distance.D, half)
+            return step_smeared(_prefix(amps, distance.D), distance)
         distance = index_distance_matrix(distance, amps.size)
     (smeared,), denom = dense_smeared([amps], distance)
     return smeared, denom
@@ -174,6 +175,20 @@ def dense_smeared(
     return smeared, denom
 
 
+class Prefix(NamedTuple):
+    """Prefix sums P(k), the sum of amps[:k], of n amplitudes.
+
+    sums[origin + k] holds P(k) with k clamped to [0, n], so a window sum
+    is the difference of two entries.  _prefix holds every k in
+    [-pad, n + pad]; a slice of it, as a sweep cell's flipped setting
+    takes, holds a shorter range and a smaller or negative origin.
+    """
+
+    sums: np.ndarray
+    origin: int
+    n: int
+
+
 def banded_smeared(
     components: Sequence[np.ndarray], D: int, half: float = RIM_WEIGHT
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -193,28 +208,44 @@ def banded_smeared(
     distance.  ``half`` other than 1/2 (the literal log(1/2) step value
     gives 2) is exact only for K=1: with several components the weight
     at the rim then depends on how many gaps equal D.
+    """
+    first = components[0]
+    return _banded(_prefix(first, D), D, half, 0, first.size, components[1:])
+
+
+def step_smeared(
+    prefix: Prefix, distance: DistanceSpec, lo: int = 0, hi: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """banded_smeared's K=1 sums under a step distance, rows lo..hi-1 only.
+
+    ``prefix`` comes from _prefix padded by at least distance.D, so one
+    prefix serves every narrower step distance over the same amplitudes;
+    or it holds at least the entries those rows read (see _windows).
+    Rows outside lo..hi-1 are not computed.
+    """
+    half = 2.0 if distance.literal_log_half else RIM_WEIGHT
+    return _banded(prefix, distance.D, half, lo, prefix.n if hi is None else hi)
+
+
+def _banded(prefix: Prefix, D: int, half: float, lo: int, hi: int, rest=()):
+    """The banded kernel: rows lo..hi-1 of the first component, whole rest.
 
     The first component is taken _BAND_TILE output entries at a time:
     its window sums and counts for those rows are differenced, scaled and
     summed in cache, straight into the outputs; components 2..K keep
     whole windows.
     """
-    first, rest = components[0], components[1:]
-    n = first.size
-    prefix, D1 = _prefix(first, D)
-    rest_windows = [
-        _windows(*_prefix(amps, D), amps.size, 0, amps.size) for amps in rest
-    ]
-    shape = (n, *(amps.size for amps in rest))
-    smeared = np.empty(shape, dtype=np.result_type(*components, 0.0))
+    rest_windows = [_windows(_prefix(amps, D), D, 0, amps.size) for amps in rest]
+    shape = (hi - lo, *(amps.size for amps in rest))
+    smeared = np.empty(shape, dtype=np.result_type(prefix.sums, *rest))
     denom = np.empty(shape, dtype=float)
     rows = max(1, _BAND_TILE // math.prod(shape[1:]))
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
+    for t in range(lo, hi, rows):
+        u = min(t + rows, hi)
         # per kind (S<=, S<, counts<=, counts<), one factor per component
-        s_le, s_lt, n_le, n_lt = zip(_windows(prefix, D1, n, lo, hi), *rest_windows)
-        _rim_sum(s_le, s_lt, half, smeared[lo:hi])
-        _rim_sum(n_le, n_lt, half, denom[lo:hi])
+        s_le, s_lt, n_le, n_lt = zip(_windows(prefix, D, t, u), *rest_windows)
+        _rim_sum(s_le, s_lt, half, smeared[t - lo : u - lo])
+        _rim_sum(n_le, n_lt, half, denom[t - lo : u - lo])
     return smeared, denom
 
 
@@ -234,29 +265,34 @@ def _rim_sum(le, lt, half: float, out: np.ndarray):
     np.add(closed, open_, out=out)
 
 
-def _prefix(amps: np.ndarray, D: int) -> tuple[np.ndarray, int]:
-    """Padded prefix sum of amps and the window radius clipped to n.
+def _prefix(amps: np.ndarray, pad: int) -> Prefix:
+    """Prefix sum of amps padded by ``pad`` entries each side, pad clipped to n.
 
-    prefix[D + j] is the sum of amps[:j] with j clamped to [0, n], so
-    every window sum is the difference of two slices.  Any radius past n
-    already covers every index.
+    The left pad holds P(0) = 0 and the right pad copies P(n), so the
+    windows of every radius D <= pad (any radius past n already covers
+    every index) read it without bounds checks: one prefix serves them
+    all, with the bits a prefix padded by D itself would give.
     """
     n = amps.size
-    D = min(D, n)
-    prefix = np.zeros(n + 2 * D + 1, dtype=np.result_type(amps, 0.0))
-    np.cumsum(amps, out=prefix[D + 1 : D + 1 + n])
-    prefix[D + 1 + n :] = prefix[D + n]
-    return prefix, D
+    pad = min(pad, n)
+    sums = np.zeros(n + 2 * pad + 1, dtype=np.result_type(amps, 0.0))
+    np.cumsum(amps, out=sums[pad + 1 : pad + 1 + n])
+    sums[pad + 1 + n :] = sums[pad + n]
+    return Prefix(sums, pad, n)
 
 
-def _windows(prefix: np.ndarray, D: int, n: int, lo: int, hi: int):
-    """S<=, S<, counts<=, counts< for the rows lo..hi-1 of n indices.
+def _windows(prefix: Prefix, D: int, lo: int, hi: int):
+    """S<=, S<, counts<=, counts< for the rows lo..hi-1 of prefix.n indices.
 
     S<= sums the window |j-i| <= D and S< the window |j-i| < D, both
-    clipped at the ends; ``prefix`` and ``D`` come from _prefix.
+    clipped at the ends.  D is clipped to n first; the rows read P(k)
+    for k in [lo - D, hi + D], which a _prefix padded by pad >= D holds
+    for every row.
     """
-    s_le = prefix[2 * D + 1 + lo : 2 * D + 1 + hi] - prefix[lo:hi]
-    s_lt = prefix[2 * D + lo : 2 * D + hi] - prefix[1 + lo : 1 + hi]
+    sums, o, n = prefix
+    D = min(D, n)
+    s_le = sums[o + lo + D + 1 : o + hi + D + 1] - sums[o + lo - D : o + hi - D]
+    s_lt = sums[o + lo + D : o + hi + D] - sums[o + lo - D + 1 : o + hi - D + 1]
     return s_le, s_lt, _window_counts(n, D, lo, hi), _window_counts(n, D - 1, lo, hi)
 
 

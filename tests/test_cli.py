@@ -216,6 +216,26 @@ def test_weight_on_unweighted_model_exits_65(tmp_path, capsys, config, command):
         assert capsys.readouterr().err.startswith("SpecViolation:")
 
 
+@pytest.mark.parametrize("config,command", [
+    ({**M1_CONFIG, "distance_scale": 7.0}, "run"),
+    ({**M1_CONFIG, "distance_scale": 7.0}, "compare"),
+    ({**json.loads((DATA / "m2_sweep.json").read_text()),
+      "sweep": {"name": "distance_scale", "values": [0, 1, 100]}}, "sweep"),
+    ({**json.loads((DATA / "screen.json").read_text()), "distance_scale": 7.0}, "run"),
+    ({**json.loads((DATA / "screen.json").read_text()), "distance_scale": 7.0}, "ratios"),
+])
+def test_distance_scale_on_non_lattice_model_exits_65(tmp_path, capsys, config, command):
+    # only lattice distances are scaled: elsewhere the field is refused,
+    # not ignored
+    cfg = write(tmp_path / "s.json", config)
+    out = tmp_path / "out.csv"
+    assert run_cli(["--config", cfg, "--output", str(out), command]) == 65
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("SpecViolation:") and "lattice models only" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("weight", [{"name": "causal_only"}, {"name": "bogus"}, "corridor"])
 def test_bad_lattice_weight_exits_64(tmp_path, weight):
     cfg = write(tmp_path / "lat.json", {
@@ -267,11 +287,16 @@ def test_lattice_outputs_match_golden_bytes(tmp_path):
         ("m2_sweep_wide.json", "sweep", [], "m2_sweep_wide.csv"),
         ("m2_sweep_wide.json", "sweep", ["--literal-log-half"], "m2_sweep_wide_literal.csv"),
         ("m2_exp_index.json", "sweep", [], "m2_exp_index.csv"),
+        ("m3_sweep.json", "sweep", [], "m3_sweep.csv"),
+        ("m3_sweep.json", "sweep", ["--literal-log-half"], "m3_sweep_literal.csv"),
+        ("m2_theta_sweep.json", "sweep", [], "m2_theta_sweep.csv"),
     ],
 )
 def test_banded_outputs_match_golden_bytes(tmp_path, config, command, flags, golden):
     # the README's M1 and M2 examples, a K=3 screen config, an M2 sweep
-    # whose windows reach past N/2 and an M2 sweep under exp_index
+    # whose windows reach past N/2, an M2 sweep under exp_index, a
+    # three-region M3 sweep over D from 1 past N (sharing one prefix), and
+    # an M2 theta1 sweep (a model spec, so a prefix, per cell)
     out = tmp_path / golden
     argv = ["--config", str(DATA / config), "--output", str(out), *flags, command]
     assert run_cli(argv) == 0
@@ -396,6 +421,8 @@ def test_lattice_sweep_weight_exits_65(tmp_path, capsys):
     ["--config", str(DATA / "m2_exp_index.json"), "run"],
     ["--config", str(DATA / "lattice_sweep.json"), "sweep"],
     ["lattice", "--steps", "4", "--extent", "3", "--hop", "2"],
+    ["--config", str(DATA / "screen.json"), "run"],
+    ["--config", str(DATA / "screen.json"), "ratios"],
 ])
 def test_literal_log_half_off_step_exits_64(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"

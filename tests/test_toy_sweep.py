@@ -1,18 +1,32 @@
-"""Toy sweep cell: one build, the flipped phase over the beam window only.
+"""Toy sweep cell: one build per model spec, the flipped phase on the block only.
 
 The cell must give the bits of the two-pass cell it replaces (two full
 builds, two full-length untiled passes, tests/oracles.py) for every
-model kind, every window width and both rim weights.
+model kind, every window width and both rim weights, whether it
+prepares its own prefix sum or shares one padded for a wider window.
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from realpathsim.cli import _flipped_prefix, _toy_experiment, main
+from realpathsim import cli
+from realpathsim.cli import (
+    _block_range_indices,
+    _flipped_prefix,
+    _toy_experiment,
+    _toy_prefix,
+    main,
+)
 from realpathsim.distances import DistanceSpec
+from realpathsim.engine import _prefix
 from realpathsim.toymodels import M1Spec, M2Spec, M3Spec, build_model
 
 from oracles import flip_last_theta, two_pass_toy_experiment
+
+DATA = Path(__file__).parent / "data"
 
 SMALL = [
     M1Spec(N=204, M=101, K=3),
@@ -46,10 +60,13 @@ def _widths(spec):
 
 @pytest.mark.parametrize("spec", SMALL + LARGE, ids=lambda s: f"{type(s).__name__}-{s.N}")
 def test_cell_matches_two_pass_oracle(spec):
+    # a small cell prepares its own prefix; the large ones share one,
+    # padded for the widest window, as a sweep over D does
+    shared = _toy_prefix(spec, max(_widths(spec))) if spec in LARGE else None
     for D in _widths(spec):
         for literal in (False, True):
             dspec = DistanceSpec("step", D=D, literal_log_half=literal)
-            vis, mass, dist = _toy_experiment(spec, dspec)
+            vis, mass, dist = _toy_experiment(spec, dspec, shared)
             ref_vis, ref_mass, ref = two_pass_toy_experiment(spec, dspec)
             case = (D, literal)
             assert vis == ref_vis, case
@@ -72,10 +89,68 @@ def test_cell_matches_two_pass_oracle_exp_index():
 
 @pytest.mark.parametrize("spec", SMALL + LARGE[1:2], ids=lambda s: f"{type(s).__name__}-{s.N}")
 def test_flipped_prefix_is_a_flipped_build(spec):
-    amps = build_model(spec).amplitudes
-    full = build_model(flip_last_theta(spec)).amplitudes
-    for L in (_last_end(spec), _last_end(spec) + 3, spec.N):
-        assert _flipped_prefix(spec, amps, L).tobytes() == full[:L].tobytes(), L
+    prefix = _toy_prefix(spec, max(_widths(spec)))
+    full = _prefix(build_model(flip_last_theta(spec)).amplitudes, spec.N)
+    for D in _widths(spec):
+        lo, hi = _block_range_indices(spec, D)
+        got = _flipped_prefix(spec, prefix, D, lo - 1, hi)
+        r = min(D, spec.N)
+        # the entries the block rows' windows read, P(lo-1-r) .. P(hi+r)
+        want = full.sums[full.origin + lo - 1 - r : full.origin + hi + r + 1]
+        assert got.origin == r - (lo - 1), D
+        assert got.sums.tobytes() == want.tobytes(), D
+
+
+def _count_builds(monkeypatch):
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return build_model(spec)
+
+    monkeypatch.setattr(cli, "build_model", counted)
+    return calls
+
+
+@pytest.mark.parametrize("config, builds", [("m2_sweep.json", 1), ("m2_theta_sweep.json", 4)])
+def test_sweep_builds_once_per_model_spec(tmp_path, monkeypatch, config, builds):
+    # a sweep over D shares one build; a theta1 sweep has a spec per cell
+    calls = _count_builds(monkeypatch)
+    out = tmp_path / "out.csv"
+    assert main(["--config", str(DATA / config), "--output", str(out), "sweep"]) == 0
+    assert len(calls) == builds
+
+
+def test_repeated_value_shares_a_build(tmp_path, monkeypatch):
+    calls = _count_builds(monkeypatch)
+    cfg = tmp_path / "rep.json"
+    cfg.write_text(
+        '{"model": {"model": "M2", "N": 600, "M0": 201, "K0": 4, "M1": 216, "K1": 4},'
+        ' "distance": {"name": "step", "D": 20},'
+        ' "sweep": {"name": "theta1", "values": [0.5, 1.0, 0.5, 0.5]}}'
+    )
+    out = tmp_path / "rep.csv"
+    assert main(["--config", str(cfg), "--output", str(out), "sweep"]) == 0
+    assert len(calls) == 2  # theta1 = 0.5 once, 1.0 once
+    lines = out.read_text().splitlines()
+    assert lines[1].split(",")[2:] == lines[3].split(",")[2:] == lines[4].split(",")[2:]
+
+
+@pytest.mark.parametrize("config", ["m2_sweep.json", "m2_theta_sweep.json"])
+def test_sweep_bytes_do_not_depend_on_threads(tmp_path, monkeypatch, config):
+    # more pool threads than cores, switching often, all reading the
+    # shared prefix (or preparing their own)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("REALPATH_THREADS", threads)
+            out = tmp_path / f"{threads}.csv"
+            assert main(["--config", str(DATA / config), "--output", str(out), "sweep"]) == 0
+            golden = (DATA / config.replace(".json", ".csv")).read_bytes()
+            assert out.read_bytes() == golden, threads
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_toy_sweep_rejects_galilean_distance(tmp_path, capsys):
