@@ -43,6 +43,9 @@ GALILEAN_VARIANTS = (
     "velocity_l1",
 )
 
+# the Galilean variants that read a mass
+MASS_VARIANTS = ("mass_max_sep", "mass_l1")
+
 LOG2 = math.log(2.0)
 
 _ENDPOINT_ATOL = 1e-9
@@ -69,7 +72,8 @@ class DistanceSpec:
 
     ``D`` is required for the index variants and refused for the others;
     ``mass`` overrides the path mass for the mass-weighted geometric
-    variants (defaults to the mass stored on the first path).
+    variants (defaults to the mass stored on the first path) and is
+    refused for the others.
     ``literal_log_half`` puts log(1/2) at the step rim |i-j| = D and is
     refused for every other distance; a run setting, not part of the JSON
     form.
@@ -91,6 +95,8 @@ class DistanceSpec:
             object.__setattr__(self, "D", int(self.D))
         elif self.D is not None:
             raise ValueError(f"{self.name} distance takes no D")
+        if self.mass is not None and self.name not in MASS_VARIANTS:
+            raise ValueError(f"{self.name} distance takes no mass")
 
     @property
     def is_index_based(self) -> bool:
@@ -310,7 +316,7 @@ class GridPathSource:
             d = acc.astype(float, copy=False)
         if self.name == "l1_time_average":
             d /= self._duration
-        if self.name in ("mass_max_sep", "mass_l1"):
+        if self.name in MASS_VARIANTS:
             d *= self.mass
         if self.scale != 1.0:
             d *= self.scale

@@ -21,11 +21,12 @@ The smearing sum has two routes:
   padded prefix sum serves every narrower window (``step_smeared``), so
   a sweep over the step width takes it once.
 * ``dense_smeared``, a dense route for any other distance.  It streams
-  blocks of _DENSE_ROWS rows, either from an (N, N) distance matrix or
-  from a ``GridPathSource`` that computes the distances of gridded paths
-  block by block, and exponentiates and reduces each block once into the
-  smeared sums of every amplitude vector and the shared denominators.
-  Fed from grid paths, it never holds anything of size N x N.
+  cache-sized tiles of _TILE_ROWS rows, either from an (N, N) distance
+  matrix or from a ``GridPathSource`` that computes the distances of
+  gridded paths tile by tile, exponentiates each tile straight into one
+  reused complex tile and reduces it there, once per amplitude vector,
+  into the smeared sums and the shared denominators.  Fed from grid
+  paths, it never holds anything of size N x N.
 
 The engine takes resolved inputs only: the step rim convention rides on
 the DistanceSpec, and a weight is a per-path vector or None, resolved by
@@ -51,13 +52,12 @@ _SUM_ATOL = 1e-9
 # smearing weight exp(-log 2) of a pair at exactly the step distance D
 RIM_WEIGHT = 0.5
 
-# rows of exp(-d) held at once on the dense route; block edges at its
-# multiples keep the E @ amps products, and so every output bit, fixed
-_DENSE_ROWS = 512
-
-# rows of distances computed and exponentiated at once inside a block,
-# sized to stay in cache; any value gives the same bits
-_TILE_ROWS = 32
+# rows of exp(-d) computed, exponentiated and multiplied at once on the
+# dense route; any value gives the same bits (see _tile_edges).  Measured
+# on 1 751 and 8 135 lattice paths (2-core host), 16 to 128 rows run
+# alike when nothing else is busy; beside one busy process 64 beat 32,
+# as each tile's product is one hand-off to the BLAS threads
+_TILE_ROWS = 64
 
 # output entries of banded_smeared computed at once, sized to stay in
 # cache; any value gives the same bits
@@ -65,7 +65,8 @@ _BAND_TILE = 1 << 15
 
 # largest working set one dense pass may hold (see dense_tile_bytes):
 # half the 2 GiB matrix limit, as a sweep runs one pass per worker thread
-# (two at once on a 2-core host)
+# (two at once on a 2-core host).  The tile grows linearly in the path
+# count: at the most paths the lattice admits it takes a third of this.
 MAX_TILE_BYTES = 1 << 30
 
 @dataclass(frozen=True)
@@ -122,16 +123,31 @@ def smeared_components(
     return smeared, denom
 
 
+def _tile_edges(n: int) -> list[int]:
+    """Row edges of dense_smeared's tiles over n rows: _TILE_ROWS apart.
+
+    A lone last row joins the tile before it: numpy computes a 1-row
+    E @ amps by a dot call that sums in another order than the matrix-
+    vector product of a taller tile, and would change that row's bits.
+    Only n = 1 takes a 1-row product.
+    """
+    edges = [*range(0, n, _TILE_ROWS), n]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return edges
+
+
 def dense_tile_bytes(n: int) -> int:
     """Peak bytes one dense_smeared pass over n paths holds beyond its inputs.
 
-    The complex exp(-d) block, 16 bytes per entry, plus one cache tile of
-    distance temporaries and the O(n) outputs, bounded by 32 bytes per
-    tile entry.  tracemalloc puts the tile share at 19 to 27 bytes per
+    The complex exp(-d) tile, 16 bytes per entry, plus the distance
+    temporaries of one tile and the O(n) outputs, bounded by 32 bytes per
+    tile entry.  tracemalloc puts the temporaries at 19 to 27 bytes per
     entry over the seven Galilean variants on 1 751 and 8 135 lattice
     paths.
     """
-    return min(n, _DENSE_ROWS) * n * 16 + min(n, _TILE_ROWS) * n * 32
+    rows = max(np.diff(_tile_edges(n)), default=0)
+    return int(rows) * n * (16 + 32)
 
 
 def dense_smeared(
@@ -140,15 +156,16 @@ def dense_smeared(
     """Smeared sums of each amplitude vector and their shared denominators.
 
     ``distance`` is an (N, N) matrix (np.inf allowed) or a GridPathSource
-    over N paths.  Rows are read _DENSE_ROWS at a time and exponentiated
-    _TILE_ROWS at a time into one complex block, which every amplitude
-    vector then multiplies; the denominators are the block's row sums.
+    over N paths.  Rows are taken one tile at a time (_tile_edges) and
+    exponentiated into the real part of one reused complex tile, which
+    every amplitude vector then multiplies; the denominators are the
+    tile's row sums.
     """
     n = amplitudes[0].size
     if isinstance(distance, GridPathSource) and distance.n == n:
         def neg_rows(lo, hi):
-            block = distance.rows(lo, hi)
-            return np.negative(block, out=block)
+            rows = distance.rows(lo, hi)
+            return np.negative(rows, out=rows)
     elif isinstance(distance, np.ndarray) and distance.shape == (n, n):
         def neg_rows(lo, hi):
             return np.negative(distance[lo:hi])
@@ -159,19 +176,16 @@ def dense_smeared(
 
     smeared = [np.empty(n, dtype=np.complex128) for _ in amplitudes]
     denom = np.empty(n, dtype=float)
-    # exp(-d) of one block as complex, the type E @ amps computes in; the
+    edges = _tile_edges(n)
+    # exp(-d) of one tile as complex, the type E @ amps computes in; the
     # imaginary parts stay 0
-    E = np.zeros((min(n, _DENSE_ROWS), n), dtype=np.complex128)
-    for lo in range(0, n, _DENSE_ROWS):
-        hi = min(lo + _DENSE_ROWS, n)
-        for t in range(lo, hi, _TILE_ROWS):
-            u = min(t + _TILE_ROWS, hi)
-            tile = neg_rows(t, u)
-            np.exp(tile, out=tile)
-            denom[t:u] = tile.sum(axis=1)
-            E.real[t - lo : u - lo] = tile
+    E = np.zeros((max(np.diff(edges), default=0), n), dtype=np.complex128)
+    for lo, hi in zip(edges, edges[1:]):
+        tile = E[: hi - lo]
+        np.exp(neg_rows(lo, hi), out=tile.real)
+        tile.real.sum(axis=1, out=denom[lo:hi])
         for out, amps in zip(smeared, amplitudes):
-            out[lo:hi] = E[: hi - lo] @ amps
+            out[lo:hi] = tile @ amps
     return smeared, denom
 
 

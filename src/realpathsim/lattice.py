@@ -2,8 +2,9 @@
 
 Sites are integers -X..X, time steps are unit (dt = 1), and a path moves
 at most ``hop`` sites per step.  Every admissible site sequence from the
-start site (t=0) to the end site (t=T) is enumerated depth-first, with
-amplitude exp(-i S) for the discrete free action S = sum m (dx)^2 / 2.
+start site (t=0) to the end site (t=T) is enumerated, in depth-first
+(lexicographic) order, with amplitude exp(-i S) for the discrete free
+action S = sum m (dx)^2 / 2.
 A transfer-matrix pass computes the total amplitude independently of the
 enumeration, which is the correctness oracle for both.
 
@@ -24,10 +25,8 @@ import numpy as np
 
 from .distances import DistanceSpec, GridPathSource
 from .engine import (
-    MAX_TILE_BYTES,
     PathDistribution,
     dense_smeared,
-    dense_tile_bytes,
     distribution_from_sums,
     path_probabilities,
     weighted_probabilities,
@@ -40,6 +39,14 @@ ENUMERATION_BOUND = 10**7
 # most site updates (steps x live hop offsets x sites) transfer_amplitude
 # makes; its two site vectors then stay within 1 GiB
 TRANSFER_BOUND = 10**8
+
+# most paths one lattice run admits.  The dense pass holds one tile of
+# rows, so time, not memory, bounds it: n^2 exponentials, 1.4e10 here,
+# about 70 s at the 5 ns per pair a max_sep pass takes over 8 135 paths
+# on a 2-core host.  The value is the count admitted when the pass held
+# 512 rows of exp(-d) against a 1 GiB budget, 2**30 // (512*16 + 32*32),
+# kept so that the same specs run.
+DENSE_PATH_BOUND = 116_508
 
 
 @dataclass(frozen=True)
@@ -71,31 +78,46 @@ class LatticeSpec:
             )
 
 
+def _site_steps(spec: LatticeSpec):
+    """(lo, hi, new_lo, new_hi) for each of the T steps.
+
+    [lo, hi] holds the sites a complete path can occupy before the step
+    and [new_lo, new_hi] those after it: sites within hop of the last
+    interval, inside the extent and within reach of the end
+    (|end - x| <= hop * steps_left).
+    """
+    T, X, h = spec.steps, spec.extent, spec.hop
+    lo = hi = spec.start
+    for k in range(1, T + 1):
+        reach = h * (T - k)
+        new_lo = max(lo - h, -X, spec.end - reach)
+        new_hi = min(hi + h, X, spec.end + reach)
+        yield lo, hi, new_lo, new_hi
+        lo, hi = new_lo, new_hi
+
+
 def enumerate_paths(spec: LatticeSpec) -> np.ndarray:
     """All site sequences as an (n_paths, T+1) int array, DFS order.
 
-    Pruned on reachability (|end - x| <= hop * steps_left) so only
-    completable prefixes are walked.
+    Grown one step at a time: every prefix takes every hop offset, in
+    increasing order, that lands in the step's interval of sites
+    (_site_steps), so only completable prefixes survive.  Prefixes stay
+    in row-major order, which is the lexicographic, that is depth-first,
+    order of the paths.
     """
-    T, X, h = spec.steps, spec.extent, spec.hop
-    out: list[tuple[int, ...]] = []
-    prefix = [spec.start]
-
-    def walk(x: int, k: int):
-        if k == T:
-            out.append(tuple(prefix))
-            return
-        reach = h * (T - k - 1)
-        for nxt in range(max(x - h, -X, spec.end - reach),
-                         min(x + h, X, spec.end + reach) + 1):
-            prefix.append(nxt)
-            walk(nxt, k + 1)
-            prefix.pop()
-
-    walk(spec.start, 0)
-    if not out:
+    h = spec.hop
+    paths = np.full((1, 1), spec.start, dtype=int)
+    for lo, hi, new_lo, new_hi in _site_steps(spec):
+        # only offsets that reach [new_lo, new_hi] from some site in
+        # [lo, hi]; a hop wider than the lattice has far fewer than 2h+1
+        offsets = np.arange(max(-h, new_lo - hi), min(h, new_hi - lo) + 1)
+        nxt = paths[:, -1:] + offsets
+        keep = (nxt >= new_lo) & (nxt <= new_hi)
+        rows, cols = np.nonzero(keep)
+        paths = np.column_stack([paths[rows], nxt[rows, cols]])
+    if paths.shape[0] == 0:
         raise NoPaths("no admissible path (extent too tight)")
-    return np.asarray(out, dtype=int)
+    return paths
 
 
 def path_actions(sites: np.ndarray, mass: float) -> np.ndarray:
@@ -122,34 +144,28 @@ def path_count(spec: LatticeSpec) -> int:
     complete path can occupy at that step (an interval no wider than the
     path count), so the cost is bounded for any hop and extent.
     """
-    T, X, h = spec.steps, spec.extent, spec.hop
-    lo = hi = spec.start
+    h = spec.hop
     counts = np.ones(1, dtype=np.int64)
-    for k in range(1, T + 1):
-        reach = h * (T - k)
-        new_lo = max(lo - h, -X, spec.end - reach)
-        new_hi = min(hi + h, X, spec.end + reach)
+    for lo, hi, new_lo, new_hi in _site_steps(spec):
         # paths into site x come from sites x-h..x+h of the last step
         prefix = np.concatenate([[0], np.cumsum(counts)])
         x = np.arange(new_lo, new_hi + 1)
         counts = (prefix[np.clip(x + h - lo + 1, 0, counts.size)]
                   - prefix[np.clip(x - h - lo, 0, counts.size)])
-        lo, hi = new_lo, new_hi
     return int(counts.sum())
 
 
 def admit(spec: LatticeSpec) -> int:
-    """Path count of ``spec``, checked against the dense route's budget.
+    """Path count of ``spec``, checked against DENSE_PATH_BOUND.
 
-    Raises ModelTooLarge, before anything is enumerated, when one block
-    of the dense pass over all paths would pass MAX_TILE_BYTES.
+    Raises ModelTooLarge, before anything is enumerated, when the spec
+    has more paths than the dense pass is allowed to take.
     """
     n = path_count(spec)
-    need = dense_tile_bytes(n)
-    if need > MAX_TILE_BYTES:
+    if n > DENSE_PATH_BOUND:
         raise ModelTooLarge(
-            f"{n} paths need {need / 2**30:.2f} GiB per dense block, "
-            f"above {MAX_TILE_BYTES / 2**30:.0f} GiB"
+            f"{n} paths need {float(n) ** 2:.3g} exponentials in the dense pass, "
+            f"above the bound of {DENSE_PATH_BOUND} paths"
         )
     return n
 

@@ -5,7 +5,10 @@ package's evaluation routes, so that agreement is meaningful.  The
 exceptions run at the sizes the banded route runs at: the sliding-window
 reference uses numpy vector adds, and the untiled banded kernel and the
 two-pass toy sweep cell keep the plain forms the package's tiled kernel
-and one-build cell must reproduce bit for bit.  The screen model's
+and one-build cell must reproduce bit for bit; the 512-row block dense
+pass keeps the form whose bits the tiled dense route must reproduce; the
+recursive lattice walk gives the depth-first order the vectorized
+enumeration must keep.  The screen model's
 materializer and block_distance_matrix build numpy arrays for the dense
 engine to read; the materializer's distance tables come from
 step_distance_table, not from the package's distance code.
@@ -22,13 +25,14 @@ from itertools import permutations
 
 import numpy as np
 
+from realpathsim.distances import GridPathSource
 from realpathsim.engine import (
     PathDistribution,
     banded_smeared,
     smeared_components,
     weighted_probabilities,
 )
-from realpathsim.errors import ModelTooLarge, RealPathError
+from realpathsim.errors import ModelTooLarge, NoPaths, RealPathError
 from realpathsim.paths import PathEnsemble, SpacetimePath
 from realpathsim.screen import _components
 from realpathsim.toymodels import M1Spec, M2Spec, M3Spec, build_model
@@ -116,6 +120,67 @@ def untiled_banded_smeared(components, D, half=0.5):
         outer(s_le) * half + outer(s_lt) * (1 - half),
         outer(n_le) * half + outer(n_lt) * (1 - half),
     )
+
+
+def block_dense_smeared(amplitudes, distance):
+    """The dense pass over 512-row blocks of exp(-d), 32-row tiles inside.
+
+    Each tile of negated distances is exponentiated in place, summed into
+    the denominators and copied into the real part of one complex block
+    of 512 rows; every amplitude vector multiplies the whole block.  A
+    last block of one row takes a 1-row product.
+    """
+    n = amplitudes[0].size
+    if isinstance(distance, GridPathSource):
+        def neg_rows(lo, hi):
+            block = distance.rows(lo, hi)
+            return np.negative(block, out=block)
+    else:
+        def neg_rows(lo, hi):
+            return np.negative(distance[lo:hi])
+
+    smeared = [np.empty(n, dtype=np.complex128) for _ in amplitudes]
+    denom = np.empty(n, dtype=float)
+    E = np.zeros((min(n, 512), n), dtype=np.complex128)
+    for lo in range(0, n, 512):
+        hi = min(lo + 512, n)
+        for t in range(lo, hi, 32):
+            u = min(t + 32, hi)
+            tile = neg_rows(t, u)
+            np.exp(tile, out=tile)
+            denom[t:u] = tile.sum(axis=1)
+            E.real[t - lo : u - lo] = tile
+        for out, amps in zip(smeared, amplitudes):
+            out[lo:hi] = E[: hi - lo] @ amps
+    return smeared, denom
+
+
+def dfs_lattice_paths(spec):
+    """All site sequences of a LatticeSpec by a recursive depth-first walk.
+
+    Each step tries the sites x-h..x+h in increasing order, clipped to the
+    extent and to those from which the end site stays reachable; rows come
+    out in the order the walk completes them.
+    """
+    T, X, h = spec.steps, spec.extent, spec.hop
+    out = []
+    prefix = [spec.start]
+
+    def walk(x, k):
+        if k == T:
+            out.append(tuple(prefix))
+            return
+        reach = h * (T - k - 1)
+        for nxt in range(max(x - h, -X, spec.end - reach),
+                         min(x + h, X, spec.end + reach) + 1):
+            prefix.append(nxt)
+            walk(nxt, k + 1)
+            prefix.pop()
+
+    walk(spec.start, 0)
+    if not out:
+        raise NoPaths("no admissible path (extent too tight)")
+    return np.asarray(out, dtype=int)
 
 
 def flip_last_theta(spec):

@@ -248,6 +248,19 @@ def test_bad_lattice_weight_exits_64(tmp_path, weight):
     assert not out.exists()
 
 
+def test_mass_on_distance_without_mass_exits_64(tmp_path, capsys):
+    # only the mass-weighted distances read a mass: elsewhere the field is
+    # refused, not ignored
+    cfg = write(tmp_path / "lat.json", {
+        "model": {"model": "lattice", "steps": 4, "extent": 3, "start": 0, "end": 0},
+        "distance": {"name": "max_sep", "mass": 7.0},
+    })
+    out = tmp_path / "lat.csv"
+    assert run_cli(["--config", cfg, "--output", str(out), "run"]) == 64
+    assert not out.exists()
+    assert "takes no mass" in capsys.readouterr().err
+
+
 def test_lattice_subcommand_writes_paths_file(tmp_path):
     out = tmp_path / "lat.csv"
     rc = run_cli([
@@ -330,6 +343,20 @@ def test_lattice_streamed_spec_passes_admission():
     n = admit(LatticeSpec(steps=8, extent=6, start=0, end=0, hop=2))
     assert n == 38131
     assert n * n * 8 > 10 * 2**30 and dense_tile_bytes(n) < MAX_TILE_BYTES
+
+
+def test_lattice_admission_bound_is_a_path_count(monkeypatch):
+    # the bound the 512-row dense block set, 2**30 // (512*16 + 32*32)
+    # paths, is kept as a path count
+    from realpathsim import lattice
+    from realpathsim.errors import ModelTooLarge
+
+    spec = lattice.LatticeSpec(steps=4, extent=3, start=0, end=0)
+    monkeypatch.setattr(lattice, "path_count", lambda spec: 116_508)
+    assert lattice.admit(spec) == 116_508
+    monkeypatch.setattr(lattice, "path_count", lambda spec: 116_509)
+    with pytest.raises(ModelTooLarge):
+        lattice.admit(spec)
 
 
 def test_sweep_visibility_transition(tmp_path):

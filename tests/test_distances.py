@@ -12,6 +12,7 @@ import pytest
 
 from realpathsim.distances import (
     GALILEAN_VARIANTS,
+    MASS_VARIANTS,
     DistanceSpec,
     exp_index_distance,
     galilean_distance,
@@ -153,7 +154,7 @@ def test_grid_matrix_matches_scalar_evaluation():
     xs, ts = _random_grid_paths(rng, 12)
     paths = [_path(row, ts, mass=3.0) for row in xs]
     for name in GALILEAN_VARIANTS:
-        spec = DistanceSpec(name, mass=3.0)
+        spec = DistanceSpec(name, mass=3.0 if name in MASS_VARIANTS else None)
         mat = grid_distance_matrix(xs, ts, spec, mass=3.0)
         for a in range(0, 12, 3):
             for b in range(1, 12, 4):
@@ -198,4 +199,9 @@ def test_spec_refuses_fields_its_distance_never_reads():
     for name, D in (("exp_index", 5), ("max_sep", None)):
         with pytest.raises(ValueError, match="step distance only"):
             DistanceSpec(name, D=D, literal_log_half=True)
+    for name, D in (("max_sep", None), ("l2", None), ("step", 3), ("exp_index", 3)):
+        with pytest.raises(ValueError, match="takes no mass"):
+            DistanceSpec(name, D=D, mass=7.0)
+    for name in MASS_VARIANTS:
+        assert DistanceSpec(name, mass=7.0).mass == 7.0
     assert DistanceSpec("step", D=5, literal_log_half=True).literal_log_half

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from realpathsim.distances import DistanceSpec
+from realpathsim import engine
+from realpathsim.distances import DistanceSpec, index_distance_matrix
 from realpathsim.engine import (
     _BAND_TILE,
     banded_smeared,
+    dense_smeared,
     final_state_probabilities,
     path_probabilities,
     unnormalized_probabilities,
@@ -187,6 +189,23 @@ def test_tiled_composite_has_the_untiled_bits():
     for D in (1, 2, 3, 10**7):
         got = banded_smeared(comps, D)
         assert _same_bits(got, untiled_banded_smeared(comps, D)), D
+
+
+@pytest.mark.parametrize("n", [1, 2, 15, 33, 63, 65, 513])
+def test_dense_bits_do_not_depend_on_tile_rows(monkeypatch, n):
+    # tiles of 2, 7, 32 or 64 rows leave a lone last row at some of these
+    # n; it joins the tile before it rather than take a 1-row product
+    rng = np.random.default_rng(n)
+    amps = [_random_unit(rng, n), _random_unit(rng, n)]
+    for name in ("exp_index", "step"):
+        dmat = index_distance_matrix(DistanceSpec(name, D=3), n)
+        runs = []
+        for rows in (engine._TILE_ROWS, 2, 7, 32, n + 1):
+            monkeypatch.setattr(engine, "_TILE_ROWS", rows)
+            smeared, denom = dense_smeared(amps, dmat)
+            runs.append((*smeared, denom))
+        for run in runs[1:]:
+            assert _same_bits(run, runs[0]), name
 
 
 def test_weighted_probabilities_have_the_expression_bits():

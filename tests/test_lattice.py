@@ -1,10 +1,12 @@
 """Lattice path integral: enumeration, transfer matrix, decoherence."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from realpathsim import engine
 from realpathsim.distances import (
     GALILEAN_VARIANTS,
     DistanceSpec,
@@ -33,6 +35,8 @@ from realpathsim.lattice import (
     two_arm_visibility,
     upper_arm_mask,
 )
+
+from oracles import block_dense_smeared, dfs_lattice_paths
 
 
 def test_single_step_single_path():
@@ -195,6 +199,22 @@ def test_normalization_and_phase_invariance_on_lattice():
     assert np.max(np.abs(base.probs - rotated.probs)) < 1e-12
 
 
+def test_enumeration_matches_depth_first_walk():
+    for spec in (
+        LatticeSpec(steps=6, extent=6, start=0, end=0, hop=2),
+        LatticeSpec(steps=7, extent=6, start=0, end=0, hop=2),
+        LatticeSpec(steps=6, extent=1, start=0, end=1, hop=1),   # tight extent
+        LatticeSpec(steps=4, extent=2, start=-2, end=1, hop=7),  # hop past the extent
+        LatticeSpec(steps=1, extent=5, start=-2, end=1, hop=3),
+    ):
+        assert np.array_equal(enumerate_paths(spec), dfs_lattice_paths(spec)), spec
+    # an unreachable end, which LatticeSpec itself would refuse
+    unreachable = SimpleNamespace(steps=2, extent=3, start=0, end=3, hop=1)
+    for enumerate_ in (enumerate_paths, dfs_lattice_paths):
+        with pytest.raises(NoPaths):
+            enumerate_(unreachable)
+
+
 def test_path_count_matches_enumeration_and_transfer():
     for T, X, h, a, b in [(1, 5, 3, -2, 1), (2, 10, 4, 0, 0), (3, 2, 3, -2, 2),
                           (4, 1, 1, 0, 0), (5, 3, 1, 0, 1), (6, 6, 2, 0, 0)]:
@@ -205,7 +225,7 @@ def test_path_count_matches_enumeration_and_transfer():
         assert n == transfer_amplitude(count).real
 
 
-# T=6, X=6, h=2: 1 751 paths, three full 512-row blocks and a 215-row tail
+# T=6, X=6, h=2: 1 751 paths, 27 full 64-row tiles and a 23-row tail
 STREAM_SPEC = LatticeSpec(steps=6, extent=6, start=0, end=0, hop=2, mass=1.7)
 
 
@@ -227,6 +247,23 @@ def test_streamed_route_matches_matrix_route():
                 (want,), want_denom = dense_smeared([vec], scaled)
                 assert np.array_equal(got, want), (name, scale)
                 assert np.array_equal(denom, want_denom), (name, scale)
+
+
+@pytest.mark.parametrize("steps", [6, 7])
+def test_tiled_route_has_the_block_route_bits(steps):
+    # 1 751 and 8 135 paths, the sizes the benchmark runs
+    spec = LatticeSpec(steps=steps, extent=6, start=0, end=0, hop=2)
+    sites = enumerate_paths(spec)
+    mask = upper_arm_mask(sites).astype(float)
+    amps = [lattice_ensemble(spec, sites, phase * mask)[0].amplitudes
+            for phase in (0.0, np.pi)]
+    times = np.arange(steps + 1, dtype=float)
+    for scale in (0.3, 1.0):
+        source = GridPathSource(sites, times, DistanceSpec("max_sep"), spec.mass, scale)
+        got, denom = dense_smeared(amps, source)
+        want, want_denom = block_dense_smeared(amps, source)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), scale
+        assert np.array_equal(denom, want_denom), scale
 
 
 def test_one_pass_experiment_matches_separate_runs():
@@ -303,5 +340,5 @@ def test_dense_pass_peak_within_tile_bytes():
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        # the complex block is most of it; nothing of size n x n appears
-        assert 512 * n * 16 < peak <= dense_tile_bytes(n) < n * n * 8, name
+        # the complex tile is most of it; nothing of size n x n appears
+        assert engine._TILE_ROWS * n * 16 < peak <= dense_tile_bytes(n) < n * n * 8, name
