@@ -10,13 +10,20 @@ paths file).
 All numeric output uses 17-significant-digit floats, so identical
 configs produce byte-identical files.  Exit codes follow sysexits:
 64 bad config, 65 spec violation / bad data, 70 no probability
-distribution exists.  REALPATH_THREADS caps sweep parallelism.
+distribution exists.  REALPATH_THREADS, a positive integer, caps the
+threads of a run: the cells of a sweep, or the tiles of a lattice
+dense pass (``lattice`` and ``run`` on a lattice config); it defaults
+to the CPU count.  The sweep's cells each take a single-threaded pass.
+main caps every OpenBLAS loaded into its process at one thread, once,
+so that those threads are the only ones computing.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -65,6 +72,59 @@ MAX_SWEEP_CELLS = 10**4
 
 # rows formatted per call by _csv_lines, bounding its temporaries
 _CSV_ROWS = 1 << 14
+
+
+# OpenBLAS's thread-count setter under the names builds export it by
+_BLAS_SETTERS = ("openblas_set_num_threads", "scipy_openblas_set_num_threads64_")
+
+
+def _openblas_paths(maps: str = "/proc/self/maps") -> list[str]:
+    """Files of the OpenBLAS libraries mapped into this process, [] if unknown."""
+    try:
+        with open(maps) as fh:
+            lines = fh.read().splitlines()
+    except OSError:
+        return []
+    paths = {parts[5] for parts in (line.split(maxsplit=5) for line in lines)
+             if len(parts) == 6 and "openblas" in os.path.basename(parts[5]).lower()}
+    return sorted(paths)
+
+
+@functools.cache
+def _cap_blas_threads():
+    """Set every loaded OpenBLAS to one thread; the first call only.
+
+    The dense pass runs its tiles on threads of its own.  Each tile's
+    product would otherwise also hand off to OpenBLAS's pool, whose
+    helpers spin-wait between calls and burn a core for little work.
+    Without a loaded OpenBLAS nothing happens.
+    """
+    for path in _openblas_paths():
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:  # unmapped since, or not a library dlopen knows
+            continue
+        for name in _BLAS_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                break
+
+
+def _threads(default: int) -> int:
+    """REALPATH_THREADS as a positive integer, ``default`` when it is unset."""
+    raw = os.environ.get("REALPATH_THREADS")
+    if raw is None:
+        return default
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"REALPATH_THREADS must be a positive integer, not {raw!r}")
+    return threads
 
 
 def _fmt(x) -> str:
@@ -217,8 +277,11 @@ def _summary_line(dist: PathDistribution) -> str:
     )
 
 
-def _run_once(config: dict, args) -> tuple[str, str]:
-    """(output text, summary line) for one resolved config."""
+def _run_once(config: dict, args, workers: int) -> tuple[str, str]:
+    """(output text, summary line) for one resolved config.
+
+    A lattice model's dense pass runs on ``workers`` threads.
+    """
     spec = _model_spec(config)
     fmt = config.get("format", args.format or "csv")
     if not isinstance(spec, lattice_mod.LatticeSpec):
@@ -233,6 +296,7 @@ def _run_once(config: dict, args) -> tuple[str, str]:
             weight=_weight(config),
             distance_scale=float(config.get("distance_scale", 1.0)),
             arm_phase=float(config.get("arm_phase", 0.0)),
+            workers=workers,
         )
     else:
         dist = path_probabilities(build_model(spec), _distance_spec(config, args))
@@ -241,8 +305,9 @@ def _run_once(config: dict, args) -> tuple[str, str]:
 
 
 def cmd_run(args) -> int:
+    workers = _threads(os.cpu_count() or 1)
     config = _load_config(args)
-    text, summary = _run_once(config, args)
+    text, summary = _run_once(config, args, workers)
     _write_text(args.output, text)
     print(summary)
     return EX_OK
@@ -404,6 +469,7 @@ def _apply_sweep_value(config: dict, name: str, value):
 
 
 def cmd_sweep(args) -> int:
+    threads = _threads(os.cpu_count() or 1)
     config = _load_config(args)
     sweep = config.get("sweep")
     if not isinstance(sweep, dict) or "name" not in sweep or "values" not in sweep:
@@ -431,11 +497,8 @@ def cmd_sweep(args) -> int:
         for i, r in zip(indices, done):
             results[i] = r
 
-    workers = int(os.environ.get("REALPATH_THREADS", "0")) or min(
-        os.cpu_count() or 1, max(len(cells), 1)
-    )
     if cells:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(threads, len(cells))) as pool:
             for indices in shared:
                 pad = max(specs[i][1].D for i in indices)
                 run(pool, indices, pool.submit(_toy_prefix, specs[indices[0]][0], pad).result())
@@ -520,6 +583,7 @@ def cmd_ratios(args) -> int:
 # -- lattice -------------------------------------------------------------------
 
 def cmd_lattice(args) -> int:
+    workers = _threads(os.cpu_count() or 1)
     spec = lattice_mod.LatticeSpec(
         steps=args.steps,
         extent=args.extent,
@@ -533,6 +597,7 @@ def cmd_lattice(args) -> int:
         spec, DistanceSpec(args.distance, literal_log_half=args.literal_log_half),
         weight=weight,
         distance_scale=args.distance_scale,
+        workers=workers,
     )
     fmt = args.format or "csv"
     text = _distribution_json(dist) if fmt == "json" else _distribution_csv(dist)
@@ -611,6 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _cap_blas_threads()
     try:
         return args.func(args)
     except (json.JSONDecodeError, FileNotFoundError, KeyError, ValueError, TypeError) as exc:

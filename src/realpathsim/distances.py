@@ -229,8 +229,9 @@ class GridPathSource:
     ``positions`` is (n_paths, n_times) of 1-d coordinates; rows are
     resampled paths.  ``rows(lo, hi)`` computes the (hi - lo, n) block of
     distances from paths lo..hi-1 to every path, times ``scale``, so a
-    caller can stream a distance matrix without ever holding n x n.
-    Matches galilean_distance on every pair.
+    caller can stream a distance matrix without ever holding n x n;
+    ``neg_rows(lo, hi)`` computes the same block negated, as the dense
+    pass exponentiates it.  Matches galilean_distance on every pair.
 
     The max and L1 reductions run one time step at a time into a block-
     sized accumulator; steps where all paths agree add nothing and are
@@ -296,12 +297,30 @@ class GridPathSource:
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
         """Distances from paths lo..hi-1 to all n paths, as a new float array."""
+        return self._rows(lo, hi, negate=False)
+
+    def neg_rows(self, lo: int, hi: int) -> np.ndarray:
+        """The negated rows(lo, hi), exp(-d)'s exponent, as a new float array.
+
+        The max and L1 variants negate their accumulator as it becomes the
+        float result, in one pass with the integer-to-float conversion of
+        lattice sites.  Duration, mass and scale then act on -d, which
+        gives every nonzero entry the bits of a negation at the end: a
+        product's or quotient's sign does not change its magnitude.  A
+        zero may come out -0.0 where the negation gives 0.0, or the other
+        way round; exp takes both to 1.
+        """
+        return self._rows(lo, hi, negate=True)
+
+    def _rows(self, lo: int, hi: int, negate: bool) -> np.ndarray:
         if self.name == "l2":
             twice_G = self._Xw[lo:hi] @ self._Xt
             twice_G *= 2.0
             d = self._q[lo:hi, None] + self._q[None, :]
             d -= twice_G
             d = np.sqrt(np.maximum(d, 0.0, out=d), out=d)
+            if negate:
+                np.negative(d, out=d)
         else:
             acc = np.zeros((hi - lo, self.n), dtype=self._dtype)
             diff = np.empty_like(acc)
@@ -313,7 +332,10 @@ class GridPathSource:
                 else:
                     diff *= w
                     acc += diff
-            d = acc.astype(float, copy=False)
+            if negate:
+                d = np.negative(acc, out=acc if acc.dtype == float else np.empty(acc.shape))
+            else:
+                d = acc.astype(float, copy=False)
         if self.name == "l1_time_average":
             d /= self._duration
         if self.name in MASS_VARIANTS:

@@ -42,8 +42,9 @@ TRANSFER_BOUND = 10**8
 
 # most paths one lattice run admits.  The dense pass holds one tile of
 # rows, so time, not memory, bounds it: n^2 exponentials, 1.4e10 here,
-# about 70 s at the 5 ns per pair a max_sep pass takes over 8 135 paths
-# on a 2-core host.  The value is the count admitted when the pass held
+# about 30 s at the 2.2 ns per pair a max_sep pass takes over 8 135 and
+# 38 131 paths on two workers of a 2-core host (3.4 to 4.1 ns on one,
+# about 50 s).  The value is the count admitted when the pass held
 # 512 rows of exp(-d) against a 1 GiB budget, 2**30 // (512*16 + 32*32),
 # kept so that the same specs run.
 DENSE_PATH_BOUND = 116_508
@@ -275,12 +276,14 @@ def run_lattice_experiment(
     distance_scale: float = 1.0,
     arm_phase: float = 0.0,
     phase_margin: int = 1,
+    workers: int = 1,
 ) -> tuple[PathDistribution, np.ndarray]:
     """Path probabilities over the enumerated ensemble.
 
     ``weight`` is a weight object for resolve_weight; ``distance_scale``
     multiplies every pairwise distance (0 is the quantum limit);
-    ``arm_phase`` is the upper-arm phase plate setting.
+    ``arm_phase`` is the upper-arm phase plate setting; ``workers``
+    threads share the dense pass, with the bits of one.
     Returns (distribution, sites).
     """
     admit(spec)
@@ -291,7 +294,7 @@ def run_lattice_experiment(
         extra = arm_phase * upper_arm_mask(sites, phase_margin).astype(float)
     ensemble, _ = lattice_ensemble(spec, sites, extra)
     source = _grid_source(spec, sites, distance, distance_scale)
-    return path_probabilities(ensemble, source, weights=w), sites
+    return path_probabilities(ensemble, source, weights=w, workers=workers), sites
 
 
 def _two_arm_pass(spec, distance, distance_scale, margin):

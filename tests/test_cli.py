@@ -1,11 +1,14 @@
 """Command-line harness: formats, determinism, exit codes."""
 
+import ctypes
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from realpathsim import cli
 from realpathsim.cli import main
 
 # golden outputs of the lattice and banded-route commands, checked byte
@@ -287,6 +290,101 @@ def test_lattice_outputs_match_golden_bytes(tmp_path):
     cfg = str(DATA / "lattice_sweep.json")
     assert run_cli(["--config", cfg, "--output", str(sweep), "sweep"]) == 0
     assert sweep.read_bytes() == (DATA / "lattice_sweep.csv").read_bytes()
+
+
+LATTICE_SMOKE_CONFIG = {
+    "model": {"model": "lattice", "steps": 4, "extent": 3, "start": 0, "end": 0, "hop": 2},
+    "distance": {"name": "max_sep"},
+    "weight": {"name": "corridor"},
+}
+
+
+def test_lattice_bytes_do_not_depend_on_threads(tmp_path, monkeypatch):
+    # 83 paths: tiles of 32 rows over two threads, 21 rows over three,
+    # switching often; the sweep's cells each take a one-thread pass
+    cfg = write(tmp_path / "smoke.json", LATTICE_SMOKE_CONFIG)
+    golden = (DATA / "lattice_smoke.csv").read_bytes()
+    paths = (DATA / "lattice_smoke.csv.paths.csv").read_bytes()
+    sweep_golden = (DATA / "lattice_sweep.csv").read_bytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("REALPATH_THREADS", threads)
+            out = tmp_path / f"lat{threads}.csv"
+            assert run_cli([
+                "lattice", "--steps", "4", "--extent", "3", "--hop", "2",
+                "--weight", "corridor", "--output", str(out),
+            ]) == 0
+            assert out.read_bytes() == golden, threads
+            assert (tmp_path / f"lat{threads}.csv.paths.csv").read_bytes() == paths, threads
+            run = tmp_path / f"run{threads}.csv"
+            assert run_cli(["--config", cfg, "--output", str(run), "run"]) == 0
+            assert run.read_bytes() == golden, threads
+            sweep = tmp_path / f"sweep{threads}.csv"
+            cfg_sweep = str(DATA / "lattice_sweep.json")
+            assert run_cli(["--config", cfg_sweep, "--output", str(sweep), "sweep"]) == 0
+            assert sweep.read_bytes() == sweep_golden, threads
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "two", "1.5", ""])
+@pytest.mark.parametrize("command", ["sweep", "lattice", "run"])
+def test_bad_thread_count_exits_64(tmp_path, capsys, monkeypatch, value, command):
+    monkeypatch.setenv("REALPATH_THREADS", value)
+    out = tmp_path / "out.csv"
+    if command == "lattice":
+        argv = ["lattice", "--steps", "4", "--extent", "3", "--hop", "2"]
+    elif command == "run":
+        argv = ["--config", write(tmp_path / "smoke.json", LATTICE_SMOKE_CONFIG), "run"]
+    else:
+        argv = ["--config", str(DATA / "lattice_sweep.json"), "sweep"]
+    assert run_cli([*argv, "--output", str(out)]) == 64
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "REALPATH_THREADS must be a positive integer" in err and "Traceback" not in err
+
+
+def _openblas_getter():
+    """The get-threads function of a loaded OpenBLAS, or None."""
+    for path in cli._openblas_paths():
+        lib = ctypes.CDLL(path)
+        for name in ("openblas_get_num_threads", "scipy_openblas_get_num_threads64_"):
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return getter
+    return None
+
+
+def test_cli_caps_loaded_openblas_at_one_thread(tmp_path):
+    getter = _openblas_getter()
+    if getter is None:
+        pytest.skip("no OpenBLAS with a get-threads function is loaded")
+    assert run_cli(["--config", str(DATA / "m1.json"), "--output", str(tmp_path / "m1.csv"), "run"]) == 0
+    assert getter() == 1
+
+
+def test_blas_cap_without_openblas_does_nothing(tmp_path, monkeypatch):
+    maps = tmp_path / "maps"
+    maps.write_text(
+        "7f0000000000-7f0000001000 r--p 00000000 08:01 42 /usr/lib/libm.so.6\n"
+        "7f0000001000-7f0000002000 rw-p 00000000 00:00 0 \n"
+        "7ffd00000000-7ffd00021000 rw-p 00000000 00:00 0 [stack]\n"
+    )
+    assert cli._openblas_paths(str(maps)) == []
+    assert cli._openblas_paths(str(tmp_path / "absent")) == []
+    with maps.open("a") as fh:
+        fh.write("7f0000003000-7f0000004000 r-xp 00000000 08:01 43 /opt/lib/libopenblasp-r0.3.so\n")
+    assert cli._openblas_paths(str(maps)) == ["/opt/lib/libopenblasp-r0.3.so"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("loaded a library")
+
+    monkeypatch.setattr(cli, "_openblas_paths", lambda: [])
+    monkeypatch.setattr(ctypes, "CDLL", refuse)
+    cli._cap_blas_threads.__wrapped__()
 
 
 @pytest.mark.parametrize(

@@ -333,12 +333,15 @@ def test_dense_pass_peak_within_tile_bytes():
     times = np.arange(STREAM_SPEC.steps + 1, dtype=float)
     for name in GALILEAN_VARIANTS:
         source = GridPathSource(sites, times, DistanceSpec(name), STREAM_SPEC.mass, 0.3)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            dense_smeared(amps, source)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        # the complex tile is most of it; nothing of size n x n appears
-        assert engine._TILE_ROWS * n * 16 < peak <= dense_tile_bytes(n) < n * n * 8, name
+        for workers in (1, 2):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                dense_smeared(amps, source, workers)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            # the complex tiles, one per worker, are most of it; nothing
+            # of size n x n appears
+            bounds = engine._TILE_ROWS * n * 16 < peak <= dense_tile_bytes(n) < n * n * 8
+            assert bounds, (name, workers)
