@@ -7,24 +7,14 @@ distances, and lattice experiments used to study where interference
 survives and where it decoheres.
 """
 
-from .distances import (
-    DistanceSpec,
-    exp_index_distance,
-    galilean_distance,
-    weight,
-)
+from .distances import DistanceSpec
 from .engine import (
     PathDistribution,
     final_state_probabilities,
     path_probabilities,
 )
 from .errors import RealPathError
-from .paths import (
-    PathEnsemble,
-    SpacetimePath,
-    free_action,
-    make_indexed_ensemble,
-)
+from .paths import PathEnsemble
 from .toymodels import (
     M1Spec,
     M2Spec,
@@ -46,17 +36,11 @@ __all__ = [
     "PathDistribution",
     "PathEnsemble",
     "RealPathError",
-    "SpacetimePath",
     "build_m1",
     "build_m2",
     "build_m3",
-    "exp_index_distance",
     "final_state_probabilities",
-    "free_action",
-    "galilean_distance",
     "m1_closed_form",
     "m2_closed_form",
-    "make_indexed_ensemble",
     "path_probabilities",
-    "weight",
 ]

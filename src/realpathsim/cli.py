@@ -13,9 +13,10 @@ configs produce byte-identical files.  Exit codes follow sysexits:
 distribution exists.  REALPATH_THREADS, a positive integer, caps the
 threads of a run: the cells of a sweep, or the tiles of a lattice
 dense pass (``lattice`` and ``run`` on a lattice config); it defaults
-to the CPU count.  The sweep's cells each take a single-threaded pass.
-main caps every OpenBLAS loaded into its process at one thread, once,
-so that those threads are the only ones computing.
+to the number of CPUs the process may run on (its affinity).  The
+sweep's cells each take a single-threaded pass.  main caps every
+OpenBLAS loaded into its process at one thread, once, so that those
+threads are the only ones computing.
 """
 
 from __future__ import annotations
@@ -113,11 +114,17 @@ def _cap_blas_threads():
                 break
 
 
-def _threads(default: int) -> int:
-    """REALPATH_THREADS as a positive integer, ``default`` when it is unset."""
+def _threads() -> int:
+    """REALPATH_THREADS as a positive integer.
+
+    Unset, it is the number of CPUs this process may run on, where the
+    platform reports its affinity, and the CPU count elsewhere.
+    """
     raw = os.environ.get("REALPATH_THREADS")
     if raw is None:
-        return default
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     try:
         threads = int(raw)
     except ValueError:
@@ -178,6 +185,10 @@ def _distribution_json(dist: PathDistribution) -> str:
         for i in range(dist.n_paths)
     ]
     return json.dumps({"norm_constant": float(dist.norm_constant), "paths": rows}) + "\n"
+
+
+def _distribution_text(dist: PathDistribution, fmt: str) -> str:
+    return _distribution_json(dist) if fmt == "json" else _distribution_csv(dist)
 
 
 def _ratios_text(spec: ScreenSpec, fmt: str) -> str:
@@ -300,12 +311,11 @@ def _run_once(config: dict, args, workers: int) -> tuple[str, str]:
         )
     else:
         dist = path_probabilities(build_model(spec), _distance_spec(config, args))
-    text = _distribution_json(dist) if fmt == "json" else _distribution_csv(dist)
-    return text, _summary_line(dist)
+    return _distribution_text(dist, fmt), _summary_line(dist)
 
 
 def cmd_run(args) -> int:
-    workers = _threads(os.cpu_count() or 1)
+    workers = _threads()
     config = _load_config(args)
     text, summary = _run_once(config, args, workers)
     _write_text(args.output, text)
@@ -469,7 +479,7 @@ def _apply_sweep_value(config: dict, name: str, value):
 
 
 def cmd_sweep(args) -> int:
-    threads = _threads(os.cpu_count() or 1)
+    threads = _threads()
     config = _load_config(args)
     sweep = config.get("sweep")
     if not isinstance(sweep, dict) or "name" not in sweep or "values" not in sweep:
@@ -583,7 +593,7 @@ def cmd_ratios(args) -> int:
 # -- lattice -------------------------------------------------------------------
 
 def cmd_lattice(args) -> int:
-    workers = _threads(os.cpu_count() or 1)
+    workers = _threads()
     spec = lattice_mod.LatticeSpec(
         steps=args.steps,
         extent=args.extent,
@@ -599,9 +609,7 @@ def cmd_lattice(args) -> int:
         distance_scale=args.distance_scale,
         workers=workers,
     )
-    fmt = args.format or "csv"
-    text = _distribution_json(dist) if fmt == "json" else _distribution_csv(dist)
-    _write_text(args.output, text)
+    _write_text(args.output, _distribution_text(dist, args.format or "csv"))
     if args.output and args.output != "-":
         header = "index," + ",".join(f"x{t}" for t in range(spec.steps + 1))
         rows = _csv_lines(

@@ -5,9 +5,10 @@ Two families:
 * index distances on abstract path labels -- the step window distance
   (0 inside a window of half-width D, weight 1/2 exactly at D, infinite
   beyond) and its smooth cousin exp(|i-j|/D);
-* geometric distances on Galilean polylines -- max separation, time-
-  integrated L1/L2 separation, and a velocity-sensitive variant, each
-  with optional mass weighting.
+* geometric distances between Galilean paths sampled on one shared time
+  grid -- max separation, time-integrated L1/L2 separation, and a
+  velocity-sensitive variant, each with optional mass weighting --
+  served by rows from GridPathSource.
 
 All distances return extended non-negative reals (np.inf allowed).  The
 step distance is deliberately NOT a metric: it violates the triangle
@@ -21,16 +22,12 @@ log(1/2) (negative distance, weight 2) for comparison runs only.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
-from .errors import EndpointMismatch, IncompatibleGrids, ModelTooLarge
-from .paths import SpacetimePath
+from .errors import ModelTooLarge
 
 INDEX_VARIANTS = ("step", "exp_index")
 GALILEAN_VARIANTS = (
@@ -48,22 +45,8 @@ MASS_VARIANTS = ("mass_max_sep", "mass_l1")
 
 LOG2 = math.log(2.0)
 
-_ENDPOINT_ATOL = 1e-9
-
 # largest dense float64 distance matrix the package will build
 MAX_MATRIX_BYTES = 2 << 30
-
-
-def exp_index_distance(i: int, j: int, D: int) -> float:
-    """Smooth index distance exp(|i-j|/D)."""
-    return math.exp(abs(i - j) / D)
-
-
-def weight(d: float) -> float:
-    """Smearing weight exp(-d); +inf maps to exactly 0."""
-    if d == math.inf:
-        return 0.0
-    return math.exp(-d)
 
 
 @dataclass(frozen=True)
@@ -72,11 +55,11 @@ class DistanceSpec:
 
     ``D`` is required for the index variants and refused for the others;
     ``mass`` overrides the path mass for the mass-weighted geometric
-    variants (defaults to the mass stored on the first path) and is
+    variants (defaults to the mass GridPathSource is given) and is
     refused for the others.
     ``literal_log_half`` puts log(1/2) at the step rim |i-j| = D and is
-    refused for every other distance; a run setting, not part of the JSON
-    form.
+    refused for every other distance; a run setting, not part of the
+    config's distance object.
     """
 
     name: str
@@ -102,19 +85,6 @@ class DistanceSpec:
     def is_index_based(self) -> bool:
         return self.name in INDEX_VARIANTS
 
-    def to_json(self) -> str:
-        out = {"name": self.name}
-        if self.D is not None:
-            out["D"] = self.D
-        if self.mass is not None:
-            out["mass"] = self.mass
-        return json.dumps(out)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DistanceSpec":
-        data = json.loads(text)
-        return cls.from_dict(data)
-
     @classmethod
     def from_dict(cls, data: dict) -> "DistanceSpec":
         name = data.get("name")
@@ -125,70 +95,6 @@ class DistanceSpec:
             D=data.get("D"),
             mass=data.get("mass"),
         )
-
-
-def _common_grid(P: SpacetimePath, Q: SpacetimePath) -> np.ndarray:
-    """Union time grid of two paths that share a span, else raise."""
-    t0p, t1p = P.time_span()
-    t0q, t1q = Q.time_span()
-    if min(t1p, t1q) <= max(t0p, t0q):
-        raise IncompatibleGrids(
-            f"time ranges [{t0p},{t1p}] and [{t0q},{t1q}] do not overlap"
-        )
-    if abs(t0p - t0q) > _ENDPOINT_ATOL or abs(t1p - t1q) > _ENDPOINT_ATOL:
-        raise EndpointMismatch("paths span different time intervals")
-    grid = np.union1d(P.times, Q.times)
-    return grid
-
-
-def _check_endpoints(P: SpacetimePath, Q: SpacetimePath):
-    if P.positions.shape[1] != Q.positions.shape[1]:
-        raise EndpointMismatch("paths live in different spatial dimensions")
-    if (
-        np.max(np.abs(P.events[0] - Q.events[0])) > _ENDPOINT_ATOL
-        or np.max(np.abs(P.events[-1] - Q.events[-1])) > _ENDPOINT_ATOL
-    ):
-        raise EndpointMismatch("paths do not share endpoints A, B")
-
-
-def galilean_distance(P: SpacetimePath, Q: SpacetimePath, spec: DistanceSpec) -> float:
-    """Geometric distance between two Galilean polylines.
-
-    Paths are resampled onto their union time grid by linear interpolation
-    (they are piecewise linear already, so this loses nothing).  Integrals
-    use the trapezoid rule on that grid; derivatives are forward
-    differences per segment.
-    """
-    if spec.is_index_based:
-        raise ValueError("index distances do not apply to spacetime paths")
-    grid = _common_grid(P, Q)   # IncompatibleGrids before endpoint checks
-    _check_endpoints(P, Q)
-    xp = P.position_at(grid)
-    xq = Q.position_at(grid)
-    gap = np.linalg.norm(xp - xq, axis=1)
-    m = spec.mass if spec.mass is not None else P.mass
-
-    name = spec.name
-    if name == "max_sep":
-        return float(np.max(gap))
-    if name == "mass_max_sep":
-        return float(m * np.max(gap))
-    if name == "l1_time_integral":
-        return float(_trapezoid(gap, grid))
-    if name == "l1_time_average":
-        T = grid[-1] - grid[0]
-        return float(_trapezoid(gap, grid) / T)
-    if name == "mass_l1":
-        return float(m * _trapezoid(gap, grid))
-    if name == "l2":
-        return float(math.sqrt(_trapezoid(gap**2, grid)))
-    if name == "velocity_l1":
-        dt = np.diff(grid)
-        vp = np.diff(xp, axis=0) / dt[:, None]
-        vq = np.diff(xq, axis=0) / dt[:, None]
-        dv = np.linalg.norm(vp - vq, axis=1)
-        return float(np.sum(dv * dt))
-    raise ValueError(f"unhandled variant {name!r}")
 
 
 def admit_matrix(n: int):
@@ -213,7 +119,10 @@ def index_distance_matrix(spec: DistanceSpec, n: int) -> np.ndarray:
     if spec.name == "step":
         at = -LOG2 if spec.literal_log_half else LOG2
         return np.where(gaps < spec.D, 0.0, np.where(gaps > spec.D, np.inf, at))
-    return np.exp(gaps / spec.D)
+    # past n/D of about 709 exp overflows to inf, whose exp(-inf) is the
+    # exact 0 the postulate needs
+    with np.errstate(over="ignore"):
+        return np.exp(gaps / spec.D)
 
 
 # narrowest signed integer dtypes tried for integer site differences
@@ -227,11 +136,10 @@ class GridPathSource:
     """Pairwise geometric distances of scalar paths on one shared grid, by rows.
 
     ``positions`` is (n_paths, n_times) of 1-d coordinates; rows are
-    resampled paths.  ``rows(lo, hi)`` computes the (hi - lo, n) block of
-    distances from paths lo..hi-1 to every path, times ``scale``, so a
-    caller can stream a distance matrix without ever holding n x n;
-    ``neg_rows(lo, hi)`` computes the same block negated, as the dense
-    pass exponentiates it.  Matches galilean_distance on every pair.
+    resampled paths.  ``neg_rows(lo, hi)`` computes the (hi - lo, n) block
+    of negated distances from paths lo..hi-1 to every path, times
+    ``scale``, the exponent the dense pass takes exp of, so a caller can
+    stream a distance matrix without ever holding n x n.
 
     The max and L1 reductions run one time step at a time into a block-
     sized accumulator; steps where all paths agree add nothing and are
@@ -295,12 +203,8 @@ class GridPathSource:
             for k in np.flatnonzero(spans > 0)
         ]
 
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        """Distances from paths lo..hi-1 to all n paths, as a new float array."""
-        return self._rows(lo, hi, negate=False)
-
     def neg_rows(self, lo: int, hi: int) -> np.ndarray:
-        """The negated rows(lo, hi), exp(-d)'s exponent, as a new float array.
+        """The negated distances of rows lo..hi-1, as a new float array.
 
         The max and L1 variants negate their accumulator as it becomes the
         float result, in one pass with the integer-to-float conversion of
@@ -310,17 +214,13 @@ class GridPathSource:
         zero may come out -0.0 where the negation gives 0.0, or the other
         way round; exp takes both to 1.
         """
-        return self._rows(lo, hi, negate=True)
-
-    def _rows(self, lo: int, hi: int, negate: bool) -> np.ndarray:
         if self.name == "l2":
             twice_G = self._Xw[lo:hi] @ self._Xt
             twice_G *= 2.0
             d = self._q[lo:hi, None] + self._q[None, :]
             d -= twice_G
             d = np.sqrt(np.maximum(d, 0.0, out=d), out=d)
-            if negate:
-                np.negative(d, out=d)
+            np.negative(d, out=d)
         else:
             acc = np.zeros((hi - lo, self.n), dtype=self._dtype)
             diff = np.empty_like(acc)
@@ -332,10 +232,7 @@ class GridPathSource:
                 else:
                     diff *= w
                     acc += diff
-            if negate:
-                d = np.negative(acc, out=acc if acc.dtype == float else np.empty(acc.shape))
-            else:
-                d = acc.astype(float, copy=False)
+            d = np.negative(acc, out=acc if acc.dtype == float else np.empty(acc.shape))
         if self.name == "l1_time_average":
             d /= self._duration
         if self.name in MASS_VARIANTS:
@@ -353,6 +250,8 @@ def grid_distance_matrix(
 ) -> np.ndarray:
     """Dense (n, n) matrix of GridPathSource distances, stacked by row blocks.
 
+    Each block is 0.0 - neg_rows: the negation of every nonzero entry,
+    and +0.0 for a zero of either sign.
     Raises ModelTooLarge, before allocating anything of size n x n, when
     the matrix would exceed MAX_MATRIX_BYTES.
     """
@@ -362,5 +261,5 @@ def grid_distance_matrix(
     out = np.empty((n, n), dtype=float)
     for lo in range(0, n, _MATRIX_ROWS):
         hi = min(lo + _MATRIX_ROWS, n)
-        out[lo:hi] = source.rows(lo, hi)
+        np.subtract(0.0, source.neg_rows(lo, hi), out=out[lo:hi])
     return out

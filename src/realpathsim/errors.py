@@ -24,16 +24,8 @@ class NonUnitAmplitude(RealPathError):
         )
 
 
-class DegenerateSegment(RealPathError):
-    """A path segment has non-positive duration."""
-
-
 class EndpointMismatch(RealPathError):
     """Two paths that must share endpoints do not."""
-
-
-class IncompatibleGrids(RealPathError):
-    """Two paths have non-overlapping time ranges."""
 
 
 class SpecViolation(RealPathError):

@@ -32,7 +32,7 @@ from .engine import (
     weighted_probabilities,
 )
 from .errors import ModelTooLarge, NoPaths, SpecViolation, TooManyPaths
-from .paths import PathEnsemble, SpacetimePath
+from .paths import PathEnsemble
 
 ENUMERATION_BOUND = 10**7
 
@@ -171,12 +171,6 @@ def admit(spec: LatticeSpec) -> int:
     return n
 
 
-def site_path(spec: LatticeSpec, sites_row: np.ndarray) -> SpacetimePath:
-    """One enumerated row as a SpacetimePath (unit time grid)."""
-    t = np.arange(sites_row.size, dtype=float)
-    return SpacetimePath(np.column_stack([sites_row.astype(float), t]), mass=spec.mass)
-
-
 def transfer_amplitude(spec: LatticeSpec) -> complex:
     """Total amplitude sum_paths exp(-i S) by stepwise matrix application.
 
@@ -238,10 +232,10 @@ def corridor_weights(sites: np.ndarray, margin: int = 1) -> np.ndarray:
     return (upper | lower).astype(float)
 
 
-def upper_arm_mask(sites: np.ndarray, margin: int = 1) -> np.ndarray:
-    """Paths tagged by a phase plate in the upper arm at the middle step."""
+def upper_arm_mask(sites: np.ndarray) -> np.ndarray:
+    """Paths tagged by a phase plate in the upper arm: middle site >= 1."""
     mid = sites.shape[1] // 2
-    return sites[:, mid] >= margin
+    return sites[:, mid] >= 1
 
 
 def resolve_weight(weight: dict | None, sites: np.ndarray) -> np.ndarray | None:
@@ -275,15 +269,15 @@ def run_lattice_experiment(
     weight: dict | None = None,
     distance_scale: float = 1.0,
     arm_phase: float = 0.0,
-    phase_margin: int = 1,
     workers: int = 1,
 ) -> tuple[PathDistribution, np.ndarray]:
     """Path probabilities over the enumerated ensemble.
 
     ``weight`` is a weight object for resolve_weight; ``distance_scale``
     multiplies every pairwise distance (0 is the quantum limit);
-    ``arm_phase`` is the upper-arm phase plate setting; ``workers``
-    threads share the dense pass, with the bits of one.
+    ``arm_phase`` is the setting of the upper-arm phase plate
+    (upper_arm_mask); ``workers`` threads share the dense pass, with the
+    bits of one.
     Returns (distribution, sites).
     """
     admit(spec)
@@ -291,13 +285,13 @@ def run_lattice_experiment(
     w = resolve_weight(weight, sites)
     extra = None
     if arm_phase != 0.0:
-        extra = arm_phase * upper_arm_mask(sites, phase_margin).astype(float)
+        extra = arm_phase * upper_arm_mask(sites).astype(float)
     ensemble, _ = lattice_ensemble(spec, sites, extra)
     source = _grid_source(spec, sites, distance, distance_scale)
     return path_probabilities(ensemble, source, weights=w, workers=workers), sites
 
 
-def _two_arm_pass(spec, distance, distance_scale, margin):
+def _two_arm_pass(spec, distance, distance_scale):
     """(visibility, sites, phase-0 smeared sums, denominators) in one pass.
 
     One enumeration and one dense pass carry both phase plate settings,
@@ -306,11 +300,11 @@ def _two_arm_pass(spec, distance, distance_scale, margin):
     """
     admit(spec)
     sites = enumerate_paths(spec)
-    mask = upper_arm_mask(sites, margin).astype(float)
+    mask = upper_arm_mask(sites).astype(float)
     amps = [lattice_ensemble(spec, sites, phase * mask)[0].amplitudes
             for phase in (0.0, np.pi)]
     smeared, denom = dense_smeared(amps, _grid_source(spec, sites, distance, distance_scale))
-    w = corridor_weights(sites, margin)
+    w = corridor_weights(sites)
     p_plus, p_minus = (float(np.sum(weighted_probabilities(s, denom, w))) for s in smeared)
     vis = 0.0 if p_plus + p_minus == 0.0 else abs(p_plus - p_minus) / (p_plus + p_minus)
     return vis, sites, smeared[0], denom
@@ -320,7 +314,6 @@ def two_arm_visibility(
     spec: LatticeSpec,
     distance: DistanceSpec,
     distance_scale: float = 1.0,
-    margin: int = 1,
 ) -> float:
     """Interference visibility |P+ - P-| / (P+ + P-) of the two-arm setup.
 
@@ -328,14 +321,13 @@ def two_arm_visibility(
     (constructive) and pi (destructive); the normalization constant is
     setting-dependent, so raw masses are the comparable quantity.
     """
-    return _two_arm_pass(spec, distance, distance_scale, margin)[0]
+    return _two_arm_pass(spec, distance, distance_scale)[0]
 
 
 def two_arm_experiment(
     spec: LatticeSpec,
     distance: DistanceSpec,
     distance_scale: float = 1.0,
-    margin: int = 1,
 ) -> tuple[float, PathDistribution, np.ndarray]:
     """(visibility, distribution, sites) from one enumeration and one pass.
 
@@ -343,5 +335,5 @@ def two_arm_experiment(
     unweighted one run_lattice_experiment gives at arm phase 0, which the
     phase-0 smeared sums and the shared denominators already are.
     """
-    vis, sites, smeared, denom = _two_arm_pass(spec, distance, distance_scale, margin)
+    vis, sites, smeared, denom = _two_arm_pass(spec, distance, distance_scale)
     return vis, distribution_from_sums(smeared, denom), sites

@@ -310,15 +310,6 @@ def m2_closed_form(
     return _UNCOVERED
 
 
-def m2_tolerance(spec: M2Spec) -> float:
-    """Relative tolerance 3/(min K + 1) for closed-form comparisons."""
-    return 3.0 / (min(spec.K0, spec.K1) + 1)
-
-
-def amplitude_total(ensemble: PathEnsemble) -> complex:
-    return complex(np.sum(ensemble.amplitudes))
-
-
 def parse_model_spec(data: dict):
     """Model spec from its JSON dict form, e.g. {"model":"M1","N":24,...}."""
     kind = data.get("model")

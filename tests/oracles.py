@@ -13,27 +13,38 @@ materializer and block_distance_matrix build numpy arrays for the dense
 engine to read; the materializer's distance tables come from
 step_distance_table, not from the package's distance code.
 
-The composite-path layer lives here too: CompositePath, compose and the
-product/sequence composition rules define the max-of-steps distance the
-banded K=3 kernel evaluates for the screen model.
+The per-pair Galilean layer lives here too: SpacetimePath, the free
+action and its amplitude, make_indexed_ensemble, and galilean_distance,
+the pair-by-pair definition GridPathSource's streamed rows are checked
+against.  So does the composite-path layer: CompositePath, compose and
+the product/sequence composition rules define the max-of-steps distance
+the banded K=3 kernel evaluates for the screen model.
 """
 
 import functools
 import math
 from dataclasses import dataclass
 from itertools import permutations
+from typing import Sequence
 
 import numpy as np
 
-from realpathsim.distances import GridPathSource
+from realpathsim.distances import DistanceSpec, GridPathSource
 from realpathsim.engine import (
     PathDistribution,
     banded_smeared,
     smeared_components,
     weighted_probabilities,
 )
-from realpathsim.errors import ModelTooLarge, NoPaths, RealPathError
-from realpathsim.paths import PathEnsemble, SpacetimePath
+from realpathsim.errors import (
+    EmptyEnsemble,
+    EndpointMismatch,
+    ModelTooLarge,
+    NoPaths,
+    RealPathError,
+)
+from realpathsim.lattice import LatticeSpec
+from realpathsim.paths import PathEnsemble, _require_unit_modulus
 from realpathsim.screen import _components
 from realpathsim.toymodels import M1Spec, M2Spec, M3Spec, build_model
 
@@ -132,9 +143,7 @@ def block_dense_smeared(amplitudes, distance):
     """
     n = amplitudes[0].size
     if isinstance(distance, GridPathSource):
-        def neg_rows(lo, hi):
-            block = distance.rows(lo, hi)
-            return np.negative(block, out=block)
+        neg_rows = distance.neg_rows
     else:
         def neg_rows(lo, hi):
             return np.negative(distance[lo:hi])
@@ -301,6 +310,205 @@ def dense_interval_max(events_p, events_q, samples=400):
             space = sum((p[c] - q[c]) ** 2 for c in range(len(p) - 1))
             best = max(best, space - (p[-1] - q[-1]) ** 2)
     return best
+
+
+# -- the per-pair Galilean layer: paths, actions and distances -----------------
+
+class DegenerateSegment(RealPathError):
+    """A path segment has non-positive duration."""
+
+
+class IncompatibleGrids(RealPathError):
+    """Two paths have non-overlapping time ranges."""
+
+
+_trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
+_ENDPOINT_ATOL = 1e-9
+
+# Construction inputs get a looser gate, then are renormalized onto the
+# unit circle so the stored invariant is the tight one.
+UNIT_MODULUS_INPUT_ATOL = 1e-9
+
+
+def exp_index_distance(i: int, j: int, D: int) -> float:
+    """Smooth index distance exp(|i-j|/D)."""
+    return math.exp(abs(i - j) / D)
+
+
+def weight(d: float) -> float:
+    """Smearing weight exp(-d); +inf maps to exactly 0."""
+    if d == math.inf:
+        return 0.0
+    return math.exp(-d)
+
+
+def make_indexed_ensemble(
+    amplitudes: Sequence[complex], endpoint_tag: str = "B"
+) -> PathEnsemble:
+    """Build an ensemble from a list of unit-modulus amplitudes.
+
+    Entries must be of modulus 1 within 1e-9; they are projected exactly
+    onto the unit circle before storage.  Raises EmptyEnsemble or
+    NonUnitAmplitude (reporting the first offending 1-based index).
+    """
+    amps = np.asarray(list(amplitudes), dtype=np.complex128)
+    if amps.size == 0:
+        raise EmptyEnsemble("no amplitudes given")
+    _require_unit_modulus(amps, UNIT_MODULUS_INPUT_ATOL)
+    return PathEnsemble(amps / np.abs(amps), endpoint_tag=endpoint_tag)
+
+
+@dataclass(frozen=True)
+class SpacetimePath:
+    """Polyline (x(t), t) with non-decreasing t; x may be 1-d or a vector.
+
+    ``events`` has shape (n_events, ndim+1); the last column is t and the
+    leading columns are spatial coordinates.
+    """
+
+    events: np.ndarray
+    mass: float = 1.0
+
+    def __post_init__(self):
+        ev = np.asarray(self.events, dtype=float)
+        if ev.ndim == 1:
+            ev = ev.reshape(1, -1)
+        if ev.ndim != 2 or ev.shape[0] < 1 or ev.shape[1] < 2:
+            raise ValueError("events must be an (n, ndim+1) array with n >= 1")
+        if np.any(np.diff(ev[:, -1]) < 0):
+            raise ValueError("times must be non-decreasing along the path")
+        object.__setattr__(self, "events", ev)
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.events[:, -1]
+
+    @property
+    def positions(self) -> np.ndarray:
+        return self.events[:, :-1]
+
+    @property
+    def start(self) -> np.ndarray:
+        return self.events[0]
+
+    @property
+    def end(self) -> np.ndarray:
+        return self.events[-1]
+
+    def time_span(self) -> tuple[float, float]:
+        return float(self.times[0]), float(self.times[-1])
+
+    def position_at(self, t: np.ndarray) -> np.ndarray:
+        """Linear interpolation of position at times t (within the span)."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        cols = [
+            np.interp(t, self.times, self.positions[:, k])
+            for k in range(self.positions.shape[1])
+        ]
+        return np.stack(cols, axis=-1)
+
+
+def free_action(path: SpacetimePath, mass: float | None = None) -> float:
+    """Discrete free-particle action S = sum_segments m (dx)^2 / (2 dt).
+
+    Endpoint kinetic discretization on the polyline's own segments; the
+    matching amplitude is exp(-i S).  Raises DegenerateSegment if any
+    segment has dt <= 0.
+    """
+    if mass is None:
+        mass = path.mass
+    if path.events.shape[0] < 2:
+        raise DegenerateSegment("action needs at least two events")
+    dt = np.diff(path.times)
+    if np.any(dt <= 0):
+        raise DegenerateSegment("segment with non-positive duration")
+    dx2 = np.sum(np.diff(path.positions, axis=0) ** 2, axis=1)
+    return float(np.sum(mass * dx2 / (2.0 * dt)))
+
+
+def amplitude_for(path: SpacetimePath, mass: float | None = None) -> complex:
+    """exp(-i S) for the discrete free action."""
+    return complex(np.exp(-1j * free_action(path, mass)))
+
+
+def site_path(spec: LatticeSpec, sites_row: np.ndarray) -> SpacetimePath:
+    """One enumerated row as a SpacetimePath (unit time grid)."""
+    t = np.arange(sites_row.size, dtype=float)
+    return SpacetimePath(np.column_stack([sites_row.astype(float), t]), mass=spec.mass)
+
+
+def m2_tolerance(spec: M2Spec) -> float:
+    """Relative tolerance 3/(min K + 1) for closed-form comparisons."""
+    return 3.0 / (min(spec.K0, spec.K1) + 1)
+
+
+def amplitude_total(ensemble: PathEnsemble) -> complex:
+    return complex(np.sum(ensemble.amplitudes))
+
+
+def _common_grid(P: SpacetimePath, Q: SpacetimePath) -> np.ndarray:
+    """Union time grid of two paths that share a span, else raise."""
+    t0p, t1p = P.time_span()
+    t0q, t1q = Q.time_span()
+    if min(t1p, t1q) <= max(t0p, t0q):
+        raise IncompatibleGrids(
+            f"time ranges [{t0p},{t1p}] and [{t0q},{t1q}] do not overlap"
+        )
+    if abs(t0p - t0q) > _ENDPOINT_ATOL or abs(t1p - t1q) > _ENDPOINT_ATOL:
+        raise EndpointMismatch("paths span different time intervals")
+    grid = np.union1d(P.times, Q.times)
+    return grid
+
+
+def _check_endpoints(P: SpacetimePath, Q: SpacetimePath):
+    if P.positions.shape[1] != Q.positions.shape[1]:
+        raise EndpointMismatch("paths live in different spatial dimensions")
+    if (
+        np.max(np.abs(P.events[0] - Q.events[0])) > _ENDPOINT_ATOL
+        or np.max(np.abs(P.events[-1] - Q.events[-1])) > _ENDPOINT_ATOL
+    ):
+        raise EndpointMismatch("paths do not share endpoints A, B")
+
+
+def galilean_distance(P: SpacetimePath, Q: SpacetimePath, spec: DistanceSpec) -> float:
+    """Geometric distance between two Galilean polylines.
+
+    Paths are resampled onto their union time grid by linear interpolation
+    (they are piecewise linear already, so this loses nothing).  Integrals
+    use the trapezoid rule on that grid; derivatives are forward
+    differences per segment.
+    """
+    if spec.is_index_based:
+        raise ValueError("index distances do not apply to spacetime paths")
+    grid = _common_grid(P, Q)   # IncompatibleGrids before endpoint checks
+    _check_endpoints(P, Q)
+    xp = P.position_at(grid)
+    xq = Q.position_at(grid)
+    gap = np.linalg.norm(xp - xq, axis=1)
+    m = spec.mass if spec.mass is not None else P.mass
+
+    name = spec.name
+    if name == "max_sep":
+        return float(np.max(gap))
+    if name == "mass_max_sep":
+        return float(m * np.max(gap))
+    if name == "l1_time_integral":
+        return float(_trapezoid(gap, grid))
+    if name == "l1_time_average":
+        T = grid[-1] - grid[0]
+        return float(_trapezoid(gap, grid) / T)
+    if name == "mass_l1":
+        return float(m * _trapezoid(gap, grid))
+    if name == "l2":
+        return float(math.sqrt(_trapezoid(gap**2, grid)))
+    if name == "velocity_l1":
+        dt = np.diff(grid)
+        vp = np.diff(xp, axis=0) / dt[:, None]
+        vq = np.diff(xq, axis=0) / dt[:, None]
+        dv = np.linalg.norm(vp - vq, axis=1)
+        return float(np.sum(dv * dt))
+    raise ValueError(f"unhandled variant {name!r}")
 
 
 # -- composite paths and their distance rules ---------------------------------

@@ -25,7 +25,6 @@ from realpathsim.minkowski import (
     d1,
     d2,
 )
-from realpathsim.paths import make_indexed_ensemble
 from realpathsim.screen import ScreenSpec, evaluate_screen_model
 from realpathsim.toymodels import (
     M1Spec,
@@ -37,7 +36,12 @@ from realpathsim.toymodels import (
     m2_closed_form,
 )
 
-from oracles import block_distance_matrix, brute_force_probabilities, step_distance
+from oracles import (
+    block_distance_matrix,
+    brute_force_probabilities,
+    make_indexed_ensemble,
+    step_distance,
+)
 
 
 def _verdict(number: int, ok: bool, detail: str):

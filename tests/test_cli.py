@@ -2,6 +2,8 @@
 
 import ctypes
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -344,6 +346,37 @@ def test_bad_thread_count_exits_64(tmp_path, capsys, monkeypatch, value, command
     assert not out.exists()
     err = capsys.readouterr().err
     assert "REALPATH_THREADS must be a positive integer" in err and "Traceback" not in err
+
+
+def test_thread_default_is_the_affinity(monkeypatch):
+    monkeypatch.delenv("REALPATH_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli._threads() == 1
+    # without an affinity call, the CPU count, and 1 when that is unknown
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert cli._threads() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._threads() == 1
+
+
+def test_exp_index_overflow_prints_nothing(tmp_path):
+    # n/D = 2 048 > 709: exp(|i-j|/D) overflows to inf, whose exp(-inf)
+    # is the exact 0 the postulate needs, so there is nothing to report
+    cfg = write(tmp_path / "exp.json", {
+        "model": {"model": "M2", "N": 4097, "M0": 2001, "K0": 4, "M1": 2016, "K1": 5},
+        "distance": {"name": "exp_index", "D": 2},
+    })
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONWARNINGS", None)
+    code = "import sys; from realpathsim.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run(
+        [sys.executable, "-c", code, "--config", cfg, "--output", str(tmp_path / "out.csv"), "run"],
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == 0
+    assert done.stderr == ""
 
 
 def _openblas_getter():

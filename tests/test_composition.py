@@ -6,15 +6,15 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from realpathsim.paths import SpacetimePath
-
 from oracles import (
     CompositePath,
     CompositionRule,
+    SpacetimePath,
     StructureMismatch,
     TooManyComponents,
     composite_distance,
     compose,
+    galilean_distance,
     symmetrized_distance,
 )
 
@@ -154,7 +154,7 @@ def test_real_spacetime_composites_through_compose():
     b1 = SpacetimePath([[0.0, 2.0], [0.0, 3.0]])
     P = compose("sequence", [compose("product", [a1, a2]), b1])
     Q = compose("sequence", [compose("product", [a2, a1]), b1])
-    from realpathsim.distances import DistanceSpec, galilean_distance
+    from realpathsim.distances import DistanceSpec
 
     base = lambda p, q: galilean_distance(p, q, DistanceSpec("max_sep"))
     d = composite_distance(P, Q, CompositionRule(), base)

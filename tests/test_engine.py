@@ -18,12 +18,12 @@ from realpathsim.engine import (
     weighted_probabilities,
 )
 from realpathsim.errors import AllZeroProbability
-from realpathsim.paths import make_indexed_ensemble
 from realpathsim.toymodels import M1Spec, build_m1
 
 from oracles import (
     block_distance_matrix,
     brute_force_probabilities,
+    make_indexed_ensemble,
     sliding_window_smeared,
     step_distance_table,
     untiled_banded_smeared,

