@@ -12,7 +12,8 @@ configs produce byte-identical files.  Exit codes follow sysexits:
 64 bad config, 65 spec violation / bad data, 70 no probability
 distribution exists.  REALPATH_THREADS, a positive integer, caps the
 threads of a run: the cells of a sweep, or the tiles of a lattice
-dense pass (``lattice`` and ``run`` on a lattice config); it defaults
+dense pass (``lattice`` and ``run`` on a lattice config under l2; the
+other lattice distances take a single-threaded route); it defaults
 to the number of CPUs the process may run on (its affinity).  The
 sweep's cells each take a single-threaded pass.  main caps every
 OpenBLAS loaded into its process at one thread, once, so that those

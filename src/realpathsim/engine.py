@@ -164,10 +164,11 @@ def dense_tile_bytes(n: int) -> int:
     temporaries of one tile and the O(n) outputs, bounded by 32 bytes per
     tile entry.  tracemalloc puts the temporaries at 19 to 27 bytes per
     entry over the seven Galilean variants on 1 751 and 8 135 lattice
-    paths.  Split over workers, the tiles held at once come to as many
-    rows, or one more where a lone last row joins a worker's tile; the
-    allowance covers that row, as 5 spare bytes per entry over
-    _TILE_ROWS rows outweigh the 16 + 27 bytes per entry of one row.
+    paths (l2 from GridPathSource, the others from the tests' rows).
+    Split over workers, the tiles held at once come to as many rows, or
+    one more where a lone last row joins a worker's tile; the allowance
+    covers that row, as 5 spare bytes per entry over _TILE_ROWS rows
+    outweigh the 16 + 27 bytes per entry of one row.
     """
     rows = max(np.diff(_tile_edges(n, _TILE_ROWS)), default=0)
     return int(rows) * n * (16 + 32)

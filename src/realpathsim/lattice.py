@@ -8,8 +8,20 @@ action S = sum m (dx)^2 / 2.
 A transfer-matrix pass computes the total amplitude independently of the
 enumeration, which is the correctness oracle for both.
 
-Enumerated ensembles feed the probability engine with any geometric
-distance; weight functions carve experiments out of the ensemble:
+Enumerated ensembles feed the probability postulate with any geometric
+distance, by one of two routes:
+
+* ``transfer_smeared`` for the distances built step by step over time
+  (FACTORING_VARIANTS: the max-separation and L1 families).  exp(-d)
+  then factors over the time steps, so the smeared sum of every path is
+  a forward message over its prefix joined with a backward message over
+  its suffix, the forward-backward split of a hidden Markov model.  It
+  pairs no paths and runs on the calling thread.
+* the engine's dense pass for ``l2``, which does not factor: n^2
+  exponentials, streamed from a GridPathSource in tiles shared by
+  ``workers`` threads.
+
+Weight functions carve experiments out of the ensemble:
 ``curvature_cutoff`` suppresses rapidly-varying paths (second difference
 above a threshold), ``corridor`` keeps only paths that stay on one side
 of a two-arm interferometer (all interior sites >= margin or all
@@ -19,16 +31,18 @@ destructive settings interference visibility is measured between.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import DistanceSpec, GridPathSource
+from .distances import MASS_VARIANTS, DistanceSpec, GridPathSource
 from .engine import (
+    MAX_TILE_BYTES,
     PathDistribution,
     dense_smeared,
     distribution_from_sums,
-    path_probabilities,
     weighted_probabilities,
 )
 from .errors import ModelTooLarge, NoPaths, SpecViolation, TooManyPaths
@@ -40,14 +54,34 @@ ENUMERATION_BOUND = 10**7
 # makes; its two site vectors then stay within 1 GiB
 TRANSFER_BOUND = 10**8
 
-# most paths one lattice run admits.  The dense pass holds one tile of
+# most paths one dense pass, the l2 route, admits.  It holds one tile of
 # rows, so time, not memory, bounds it: n^2 exponentials, 1.4e10 here,
-# about 30 s at the 2.2 ns per pair a max_sep pass takes over 8 135 and
-# 38 131 paths on two workers of a 2-core host (3.4 to 4.1 ns on one,
-# about 50 s).  The value is the count admitted when the pass held
-# 512 rows of exp(-d) against a 1 GiB budget, 2**30 // (512*16 + 32*32),
-# kept so that the same specs run.
+# about 30 s at the 2.2 ns per pair a pass took over 8 135 and 38 131
+# paths on two workers of a 2-core host (3.4 to 4.1 ns on one, about
+# 50 s).  The value is the count admitted when the pass held 512 rows of
+# exp(-d) against a 1 GiB budget, 2**30 // (512*16 + 32*32), kept so
+# that the same specs run.  The factoring distances take
+# transfer_smeared instead, bounded by transfer_bytes.
 DENSE_PATH_BOUND = 116_508
+
+# the Galilean distances that are a max or a sum over time steps of a
+# term of one time (or, for velocity_l1, of one step) of the two paths;
+# transfer_smeared takes them, the dense pass takes the rest (l2)
+MAX_VARIANTS = ("max_sep", "mass_max_sep")
+FACTORING_VARIANTS = (
+    *MAX_VARIANTS, "l1_time_integral", "l1_time_average", "mass_l1", "velocity_l1",
+)
+
+# bytes transfer_smeared holds per message entry (a complex and a real
+# message on each side, with the product and factor temporaries of one
+# step) and per path (the joined blocks, the int64 codes and indices
+# that place each path in its block, and the outputs of two phase
+# settings), and a fixed allowance for the small arrays; tracemalloc
+# puts the peak at 0.45 to 0.98 of the total over the six variants from
+# 83 to 179 755 paths (see transfer_bytes)
+_MESSAGE_BYTES = 64
+_PATH_BYTES = 104
+_FIXED_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -138,30 +172,71 @@ def lattice_ensemble(
     return PathEnsemble(np.exp(-1j * phases)), sites
 
 
-def path_count(spec: LatticeSpec) -> int:
-    """Exact number of enumerated paths, without enumerating them.
+def _partial_counts(spec: LatticeSpec, steps: int) -> np.ndarray:
+    """Paths of ``steps`` steps from the start into each site at that time.
 
-    Counts paths into each site step by step, over only the sites a
-    complete path can occupy at that step (an interval no wider than the
-    path count), so the cost is bounded for any hop and extent.
+    Counts, step by step, over only the sites a complete path can occupy
+    (an interval no wider than the path count), so the cost is bounded
+    for any hop and extent; the result runs over that interval.
     """
     h = spec.hop
     counts = np.ones(1, dtype=np.int64)
-    for lo, hi, new_lo, new_hi in _site_steps(spec):
+    for _, (lo, hi, new_lo, new_hi) in zip(range(steps), _site_steps(spec)):
         # paths into site x come from sites x-h..x+h of the last step
         prefix = np.concatenate([[0], np.cumsum(counts)])
         x = np.arange(new_lo, new_hi + 1)
         counts = (prefix[np.clip(x + h - lo + 1, 0, counts.size)]
                   - prefix[np.clip(x - h - lo, 0, counts.size)])
-    return int(counts.sum())
+    return counts
 
 
-def admit(spec: LatticeSpec) -> int:
-    """Path count of ``spec``, checked against DENSE_PATH_BOUND.
+def path_count(spec: LatticeSpec) -> int:
+    """Exact number of enumerated paths, without enumerating them."""
+    return int(_partial_counts(spec, spec.steps).sum())
 
-    Raises ModelTooLarge, before anything is enumerated, when the spec
-    has more paths than the dense pass is allowed to take.
+
+def _site_bounds(spec: LatticeSpec) -> list[tuple[int, int]]:
+    """(lo, hi) of the sites a complete path can occupy, at each time 0..T."""
+    return [(spec.start, spec.start)] + [(lo, hi) for _, _, lo, hi in _site_steps(spec)]
+
+
+def transfer_bytes(spec: LatticeSpec, distance: DistanceSpec) -> int:
+    """Peak bytes transfer_smeared holds beyond its inputs, at two phase settings.
+
+    The messages run over the distinct prefixes and suffixes of the
+    paths, split at the middle time, each over a site interval and, for
+    the max variants, over as many radii as sites; the join holds O(1)
+    arrays per path.  The counts come from _partial_counts, without
+    enumerating: a path is any prefix joined with any suffix that starts
+    at its middle site.
     """
+    mid = (spec.steps + 1) // 2
+    into = _partial_counts(spec, mid)
+    back = dataclasses.replace(spec, start=spec.end, end=spec.start)
+    out_of = _partial_counts(back, spec.steps - mid)
+    n = int(into @ out_of)
+    width = max(hi - lo for lo, hi in _site_bounds(spec)) + 1
+    radii = width if distance.name in MAX_VARIANTS else 1
+    ends = int(into.sum() + out_of.sum())
+    return _MESSAGE_BYTES * ends * radii * width + _PATH_BYTES * n + _FIXED_BYTES
+
+
+def admit(spec: LatticeSpec, distance: DistanceSpec) -> int:
+    """Path count of ``spec``, checked against the bound of its route.
+
+    A factoring distance takes transfer_smeared, refused when
+    transfer_bytes passes engine.MAX_TILE_BYTES; ``l2`` takes the dense
+    pass, refused past DENSE_PATH_BOUND paths.  Either raises
+    ModelTooLarge before anything is enumerated.
+    """
+    if distance.name in FACTORING_VARIANTS:
+        need = transfer_bytes(spec, distance)
+        if need > MAX_TILE_BYTES:
+            raise ModelTooLarge(
+                f"the transfer route needs {need / 2**30:.2f} GiB, "
+                f"above {MAX_TILE_BYTES / 2**30:.0f} GiB"
+            )
+        return path_count(spec)
     n = path_count(spec)
     if n > DENSE_PATH_BOUND:
         raise ModelTooLarge(
@@ -255,12 +330,223 @@ def resolve_weight(weight: dict | None, sites: np.ndarray) -> np.ndarray | None:
     raise ValueError(f"unknown weight function {name!r}")
 
 
+def _check_scale(spec: LatticeSpec, distance: DistanceSpec, distance_scale: float):
+    """Raise SpecViolation for a scale or mass that would make exp(-d) exceed 1.
+
+    ``distance_scale`` must be finite and >= 0, and so must the lattice
+    mass where a mass-weighted distance reads it (DistanceSpec checks a
+    mass of its own).
+    """
+    if not (math.isfinite(distance_scale) and distance_scale >= 0):
+        raise SpecViolation(f"distance_scale must be finite and >= 0, not {distance_scale!r}")
+    if (distance.name in MASS_VARIANTS and distance.mass is None
+            and not (math.isfinite(spec.mass) and spec.mass >= 0)):
+        raise SpecViolation(
+            f"{distance.name} reads the lattice mass, which must be finite and >= 0, "
+            f"not {spec.mass!r}"
+        )
+
+
+def _distinct(rows: np.ndarray, bounds) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct rows, index of each row's distinct row) of site sequences.
+
+    Each row is coded as one integer, its sites' offsets in their
+    ``bounds`` intervals as mixed-radix digits with the last column most
+    significant, so the distinct rows come sorted by their last site.
+    Under ENUMERATION_BOUND the code fits int64: over the mid + 1 times
+    of a half, the widths multiply to at most mid! (2h+1)^mid, below
+    8! * 10^7.
+    """
+    code = np.zeros(rows.shape[0], dtype=np.int64)
+    stride = 1
+    for k, (lo, hi) in enumerate(bounds):
+        code += (rows[:, k] - lo) * stride
+        stride *= hi - lo + 1
+    _, first, which = np.unique(code, return_index=True, return_inverse=True)
+    return rows[first], which.ravel()
+
+
+def _messages(rows, bounds, hop, dtype, terms, last_site: bool) -> np.ndarray:
+    """Messages of each row over the sites of its last column, (m, radii, sites).
+
+    ``rows`` (m, L+1) are site sequences P sharing their first site.
+    Entry [i, r, x] sums, over every chain Q through the ``bounds``
+    intervals from that first site to x, the product of hop(q_k - q_k-1)
+    over Q's steps and of the distance factors between Q and row i:
+    the tube |q_k - p_k| <= radius r (max variants), exp(-c_k |q_k - p_k|)
+    per site (L1 variants), or exp(-c |dq - dp|) per step (velocity_l1).
+    The first column's factor is 1 (P and Q share the site); the last
+    column's is applied only if ``last_site``, so that a site shared by
+    two halves is counted once.
+    """
+    radii, site_c, edge_c = terms
+    m, L = rows.shape[0], rows.shape[1] - 1
+    lo, hi = bounds[0]
+    msg = np.zeros((m * radii.size, hi - lo + 1), dtype=dtype)
+    msg[:, rows[0, 0] - lo] = 1.0
+    for k in range(1, L + 1):
+        sites = np.arange(bounds[k][0], bounds[k][1] + 1)
+        delta = sites - np.arange(lo, hi + 1)[:, None]
+        kernel = hop(delta)
+        if edge_c is None:
+            msg = msg @ kernel
+        else:
+            # one radius; the factor depends on P's step, one kernel per value
+            out = np.empty((m, sites.size), dtype=dtype)
+            values, which = np.unique(rows[:, k] - rows[:, k - 1], return_inverse=True)
+            for j, v in enumerate(values):
+                pick = which.ravel() == j
+                out[pick] = msg[pick] @ (kernel * np.exp(-edge_c * np.abs(delta - v)))
+            msg = out
+        lo, hi = bounds[k]
+        if k < L or last_site:
+            gap = np.abs(sites - rows[:, k, None])
+            view = msg.reshape(m, radii.size, -1)
+            if site_c is not None:
+                view *= np.exp(-site_c[k] * gap)[:, None, :]
+            elif radii[0] < sites.size - 1:  # else every tube holds every site
+                view *= gap[:, None, :] <= radii[:, None]
+    return msg.reshape(m, radii.size, -1)
+
+
+def _distance_terms(spec: LatticeSpec, distance: DistanceSpec, scale: float, bounds):
+    """(radii, per-time coefficients, per-step coefficient), radius weights.
+
+    The max variants write exp(-s D), D = max_k |p_k - q_k| in 0..R, as
+    sum_r c_r [D <= r] with c_r = e^{-s r} - e^{-s (r+1)} for r < R and
+    c_R = e^{-s R}, s = scale (times mass for mass_max_sep) >= 0, so every
+    c_r >= 0; R is the widest interval of sites, and radii whose weight
+    underflows to 0 are dropped.  The other variants have the one radius
+    R, under which every tube holds every site, and weight 1.
+    """
+    mass = distance.mass if distance.mass is not None else spec.mass
+    spread = max(hi - lo for lo, hi in bounds)
+    radii, weights = np.array([spread]), np.ones(1)
+    if distance.name in MAX_VARIANTS:
+        s = scale * mass if distance.name == "mass_max_sep" else scale
+        radii = np.arange(spread + 1)
+        weights = np.exp(-s * radii) * -np.expm1(-s)
+        weights[-1] = np.exp(-s * spread)
+        keep = weights > 0
+        return (radii[keep], None, None), weights[keep]
+    if distance.name == "velocity_l1":
+        return (radii, None, float(scale)), weights
+    # trapezoid weights of the unit time grid, then duration, mass, scale
+    c = np.ones(spec.steps + 1)
+    c[[0, -1]] = 0.5
+    if distance.name == "l1_time_average":
+        c /= spec.steps
+    if distance.name == "mass_l1":
+        c *= mass
+    return (radii, c * scale, None), weights
+
+
+def transfer_smeared(
+    spec: LatticeSpec,
+    sites: np.ndarray,
+    distance: DistanceSpec,
+    distance_scale: float,
+    phases,
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Smeared sums at each upper-arm phase and their shared denominators.
+
+    ``sites`` is enumerate_paths(spec); ``distance`` one of
+    FACTORING_VARIANTS, times ``distance_scale``; ``phases`` the phase
+    plate settings, each turning the amplitude of every path with middle
+    site >= 1 (upper_arm_mask) by exp(-i phase).  For each path P the
+    smeared sum is sum_Q A(Q) exp(-d(P, Q)) over the whole ensemble and
+    the denominator sum_Q exp(-d(P, Q)), as the dense pass gives them.
+
+    exp(-d) factors over time (per radius, for the max variants), and so
+    does A, so each sum splits at the middle time into a forward message
+    over P's prefix and a backward message over its suffix (_messages),
+    both over Q's middle site.  The messages run once per distinct
+    prefix and suffix; the paths through one middle site are every
+    pairing of its prefixes with its suffixes, so one product of their
+    message matrices gives the sums of exactly those paths.  The phase
+    plate and the radius weights act on the forward side, and the
+    denominators come from the same messages with unit amplitudes.
+    Nothing of size n x n is built; transfer_bytes bounds what is.
+    """
+    if distance.name not in FACTORING_VARIANTS:
+        raise ValueError(f"{distance.name} does not factor over time steps")
+    mid = sites.shape[1] // 2
+    bounds = _site_bounds(spec)
+    (radii, site_c, edge_c), weights = _distance_terms(spec, distance, distance_scale, bounds)
+    # suffixes are walked backward from the end, so their middle site comes last
+    back_c = None if site_c is None else site_c[::-1]
+    pre, pre_of = _distinct(sites[:, : mid + 1], bounds[: mid + 1])
+    suf, suf_of = _distinct(sites[:, : mid - 1 : -1], bounds[: mid - 1 : -1])
+    h, m = spec.hop, spec.mass
+
+    def amp(delta):
+        return np.where(np.abs(delta) <= h, np.exp(-0.5j * m * delta.astype(float) ** 2), 0)
+
+    def count(delta):
+        return (np.abs(delta) <= h).astype(float)
+
+    def messages(hop, dtype):
+        """Forward and backward messages as (rows, radius x site) matrices."""
+        fwd = _messages(pre, bounds[: mid + 1], hop, dtype, (radii, site_c, edge_c),
+                        last_site=True)
+        fwd *= weights[:, None]
+        bwd = _messages(suf, bounds[: mid - 1 : -1], hop, dtype, (radii, back_c, edge_c),
+                        last_site=False)
+        return fwd.reshape(len(pre), -1), bwd.reshape(len(suf), -1)
+
+    lo, hi = bounds[mid]
+    middle = np.arange(lo, hi + 1)
+    # block k of the joined sums pairs the prefixes pre_at[k]:pre_at[k+1]
+    # with the suffixes suf_at[k]:suf_at[k+1], those through middle site k
+    pre_at = np.searchsorted(pre[:, -1], np.arange(lo, hi + 2))
+    suf_at = np.searchsorted(suf[:, -1], np.arange(lo, hi + 2))
+    n_suf = np.diff(suf_at)
+    start = np.concatenate([[0], np.cumsum(np.diff(pre_at) * n_suf)])
+    k = sites[:, mid] - lo
+    place = start[k] + (pre_of - pre_at[k]) * n_suf[k] + (suf_of - suf_at[k])
+    del k, pre_of, suf_of
+
+    def join(left, right):
+        flat = np.empty(start[-1], dtype=np.result_type(left, right))
+        for k in range(middle.size):
+            a, b, c, d = pre_at[k], pre_at[k + 1], suf_at[k], suf_at[k + 1]
+            block = flat[start[k] : start[k + 1]].reshape(b - a, d - c)
+            np.matmul(left[a:b], right[c:d].T, out=block)
+        return flat[place]
+
+    denom = join(*messages(count, float))
+    fwd, bwd = messages(amp, np.complex128)
+    smeared = []
+    for phase in phases:
+        if phase:
+            plate = np.tile(np.where(middle >= 1, np.exp(-1j * phase), 1.0), radii.size)
+            smeared.append(join(fwd * plate, bwd))
+        else:
+            smeared.append(join(fwd, bwd))
+    return smeared, denom
+
+
 def _grid_source(
     spec: LatticeSpec, sites: np.ndarray, distance: DistanceSpec, distance_scale: float
 ) -> GridPathSource:
-    """Distances between enumerated paths, served to the engine by row block."""
+    """l2 distances between enumerated paths, served to the engine by row block."""
     times = np.arange(spec.steps + 1, dtype=float)
-    return GridPathSource(sites, times, distance, mass=spec.mass, scale=distance_scale)
+    return GridPathSource(sites, times, distance, scale=distance_scale)
+
+
+def _smeared(spec, sites, distance, distance_scale, phases, workers=1):
+    """Smeared sums at each arm phase and the shared denominators, by route.
+
+    A factoring distance takes transfer_smeared, on this thread; l2 takes
+    the dense pass on ``workers`` threads, which multiplies each tile of
+    exp(-d) by every phase setting's amplitudes.
+    """
+    if distance.name in FACTORING_VARIANTS:
+        return transfer_smeared(spec, sites, distance, distance_scale, phases)
+    mask = upper_arm_mask(sites).astype(float)
+    amps = [lattice_ensemble(spec, sites, phase * mask if phase else None)[0].amplitudes
+            for phase in phases]
+    return dense_smeared(amps, _grid_source(spec, sites, distance, distance_scale), workers)
 
 
 def run_lattice_experiment(
@@ -276,34 +562,29 @@ def run_lattice_experiment(
     ``weight`` is a weight object for resolve_weight; ``distance_scale``
     multiplies every pairwise distance (0 is the quantum limit);
     ``arm_phase`` is the setting of the upper-arm phase plate
-    (upper_arm_mask); ``workers`` threads share the dense pass, with the
-    bits of one.
+    (upper_arm_mask); ``workers`` threads share the dense pass of l2,
+    with the bits of one.
     Returns (distribution, sites).
     """
-    admit(spec)
+    _check_scale(spec, distance, distance_scale)
+    admit(spec, distance)
     sites = enumerate_paths(spec)
     w = resolve_weight(weight, sites)
-    extra = None
-    if arm_phase != 0.0:
-        extra = arm_phase * upper_arm_mask(sites).astype(float)
-    ensemble, _ = lattice_ensemble(spec, sites, extra)
-    source = _grid_source(spec, sites, distance, distance_scale)
-    return path_probabilities(ensemble, source, weights=w, workers=workers), sites
+    (smeared,), denom = _smeared(spec, sites, distance, distance_scale, [arm_phase], workers)
+    return distribution_from_sums(smeared, denom, w), sites
 
 
 def _two_arm_pass(spec, distance, distance_scale):
     """(visibility, sites, phase-0 smeared sums, denominators) in one pass.
 
-    One enumeration and one dense pass carry both phase plate settings,
-    0 (constructive) and pi (destructive); the denominators do not
-    depend on the amplitudes, so the two settings share them.
+    One enumeration and one smearing pass carry both phase plate
+    settings, 0 (constructive) and pi (destructive); the denominators do
+    not depend on the amplitudes, so the two settings share them.
     """
-    admit(spec)
+    _check_scale(spec, distance, distance_scale)
+    admit(spec, distance)
     sites = enumerate_paths(spec)
-    mask = upper_arm_mask(sites).astype(float)
-    amps = [lattice_ensemble(spec, sites, phase * mask)[0].amplitudes
-            for phase in (0.0, np.pi)]
-    smeared, denom = dense_smeared(amps, _grid_source(spec, sites, distance, distance_scale))
+    smeared, denom = _smeared(spec, sites, distance, distance_scale, (0.0, np.pi))
     w = corridor_weights(sites)
     p_plus, p_minus = (float(np.sum(weighted_probabilities(s, denom, w))) for s in smeared)
     vis = 0.0 if p_plus + p_minus == 0.0 else abs(p_plus - p_minus) / (p_plus + p_minus)

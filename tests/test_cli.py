@@ -12,6 +12,7 @@ import pytest
 
 from realpathsim import cli
 from realpathsim.cli import main
+from realpathsim.distances import DistanceSpec
 
 # golden outputs of the lattice and banded-route commands, checked byte
 # for byte
@@ -89,7 +90,6 @@ def test_output_floats_round_trip(tmp_path):
     cfg = write(tmp_path / "m1.json", M1_CONFIG)
     out = tmp_path / "out.csv"
     run_cli(["--config", cfg, "--output", str(out), "run"])
-    from realpathsim.distances import DistanceSpec
     from realpathsim.engine import path_probabilities
     from realpathsim.toymodels import M1Spec, build_m1
 
@@ -448,8 +448,8 @@ def test_banded_outputs_match_golden_bytes(tmp_path, config, command, flags, gol
 
 
 def test_lattice_over_tile_budget_exits_65_before_enumeration(capsys, monkeypatch):
-    # 179,755 paths pass LatticeSpec, but one dense block over them would
-    # pass MAX_TILE_BYTES; admission counts them without enumerating
+    # 179,755 paths pass LatticeSpec, but past DENSE_PATH_BOUND for the
+    # dense pass l2 takes; admission counts them without enumerating
     from realpathsim import lattice
 
     def refuse(spec):
@@ -458,7 +458,7 @@ def test_lattice_over_tile_budget_exits_65_before_enumeration(capsys, monkeypatc
     monkeypatch.setattr(lattice, "enumerate_paths", refuse)
     rc = run_cli([
         "lattice", "--steps", "9", "--extent", "6", "--hop", "2",
-        "--distance", "max_sep",
+        "--distance", "l2",
     ])
     assert rc == 65
     err = capsys.readouterr().err
@@ -471,9 +471,95 @@ def test_lattice_streamed_spec_passes_admission():
     from realpathsim.engine import MAX_TILE_BYTES, dense_tile_bytes
     from realpathsim.lattice import LatticeSpec, admit
 
-    n = admit(LatticeSpec(steps=8, extent=6, start=0, end=0, hop=2))
+    n = admit(LatticeSpec(steps=8, extent=6, start=0, end=0, hop=2), DistanceSpec("l2"))
     assert n == 38131
     assert n * n * 8 > 10 * 2**30 and dense_tile_bytes(n) < MAX_TILE_BYTES
+
+
+def test_factoring_distances_admit_t9_and_t10():
+    # 179,755 and 850,739 paths: past the dense bound, but the transfer
+    # route holds O(1) arrays per path and small messages
+    from realpathsim.engine import MAX_TILE_BYTES
+    from realpathsim.errors import ModelTooLarge
+    from realpathsim.lattice import DENSE_PATH_BOUND, LatticeSpec, admit, transfer_bytes
+
+    for steps, n in ((9, 179_755), (10, 850_739)):
+        spec = LatticeSpec(steps=steps, extent=6, start=0, end=0, hop=2)
+        assert admit(spec, DistanceSpec("max_sep")) == n > DENSE_PATH_BOUND
+        assert transfer_bytes(spec, DistanceSpec("max_sep")) < MAX_TILE_BYTES
+        with pytest.raises(ModelTooLarge):
+            admit(spec, DistanceSpec("l2"))
+
+
+def test_transfer_over_budget_exits_65_before_enumeration(capsys, monkeypatch):
+    # 401 paths, but max_sep messages over 401 prefixes, 401 radii and
+    # 401 sites pass MAX_TILE_BYTES; refused before enumeration
+    from realpathsim import lattice
+
+    def refuse(spec):
+        raise AssertionError("enumerated an over-budget spec")
+
+    monkeypatch.setattr(lattice, "enumerate_paths", refuse)
+    rc = run_cli(["lattice", "--steps", "2", "--extent", "200", "--hop", "200"])
+    assert rc == 65
+    err = capsys.readouterr().err
+    assert err.startswith("ModelTooLarge:") and "transfer route" in err
+
+
+def test_lattice_steps_9_runs_where_the_dense_pass_refuses(tmp_path):
+    # the CI step: max_sep runs over 179,755 paths, l2 still exits 65
+    out = tmp_path / "t9.csv"
+    argv = ["lattice", "--steps", "9", "--extent", "6", "--hop", "2", "--weight", "corridor"]
+    assert run_cli([*argv, "--distance", "max_sep", "--output", str(out)]) == 0
+    with out.open() as fh:
+        assert sum(1 for _ in fh) == 179_755 + 2
+    assert run_cli([*argv, "--distance", "l2", "--output", str(tmp_path / "l2.csv")]) == 65
+
+
+@pytest.mark.parametrize("flags", [
+    ["--distance-scale", "-1"],
+    ["--distance-scale", "nan"],
+    ["--distance-scale", "inf"],
+    ["--mass", "-2", "--distance", "mass_l1"],
+    ["--mass", "nan", "--distance", "mass_max_sep"],
+])
+def test_lattice_bad_scale_or_mass_exits_65(tmp_path, capsys, flags):
+    out = tmp_path / "out.csv"
+    argv = ["lattice", "--steps", "4", "--extent", "3", "--hop", "2", *flags]
+    assert run_cli([*argv, "--output", str(out)]) == 65
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("SpecViolation:") and "finite and >= 0" in err
+
+
+@pytest.mark.parametrize("fields", [
+    {"distance_scale": -1},
+    {"distance_scale": float("nan")},
+    {"distance": {"name": "mass_l1", "mass": -2}},
+    {"model": {**LATTICE_SMOKE_CONFIG["model"], "mass": -2},
+     "distance": {"name": "mass_max_sep"}},
+])
+def test_run_bad_scale_or_mass_exits_65(tmp_path, capsys, fields):
+    cfg = write(tmp_path / "bad.json", {**LATTICE_SMOKE_CONFIG, **fields})
+    out = tmp_path / "out.csv"
+    assert run_cli(["--config", cfg, "--output", str(out), "run"]) == 65
+    assert not out.exists()
+    assert "finite and >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sweep", [
+    {"name": "distance_scale", "values": [0, 1, -0.5]},
+    {"name": "distance_scale", "values": [1, float("nan")]},
+    {"name": "mass", "values": [1, -4]},
+])
+def test_sweep_bad_scale_or_mass_exits_65(tmp_path, capsys, sweep):
+    config = json.loads((DATA / "lattice_sweep.json").read_text())
+    config["distance"] = {"name": "mass_max_sep"}
+    cfg = write(tmp_path / "bad.json", {**config, "sweep": sweep})
+    out = tmp_path / "out.csv"
+    assert run_cli(["--config", cfg, "--output", str(out), "sweep"]) == 65
+    assert not out.exists()
+    assert "finite and >= 0" in capsys.readouterr().err
 
 
 def test_lattice_admission_bound_is_a_path_count(monkeypatch):
@@ -484,10 +570,10 @@ def test_lattice_admission_bound_is_a_path_count(monkeypatch):
 
     spec = lattice.LatticeSpec(steps=4, extent=3, start=0, end=0)
     monkeypatch.setattr(lattice, "path_count", lambda spec: 116_508)
-    assert lattice.admit(spec) == 116_508
+    assert lattice.admit(spec, DistanceSpec("l2")) == 116_508
     monkeypatch.setattr(lattice, "path_count", lambda spec: 116_509)
     with pytest.raises(ModelTooLarge):
-        lattice.admit(spec)
+        lattice.admit(spec, DistanceSpec("l2"))
 
 
 def test_sweep_visibility_transition(tmp_path):

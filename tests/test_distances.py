@@ -14,16 +14,16 @@ from realpathsim.distances import (
     GALILEAN_VARIANTS,
     MASS_VARIANTS,
     DistanceSpec,
-    grid_distance_matrix,
     index_distance_matrix,
 )
-from realpathsim.errors import EndpointMismatch
+from realpathsim.errors import EndpointMismatch, SpecViolation
 
 from oracles import (
     IncompatibleGrids,
     SpacetimePath,
     exp_index_distance,
     galilean_distance,
+    grid_distance_matrix,
     grid_max_separation,
     step_distance,
     trapezoid_l1,
@@ -207,3 +207,11 @@ def test_spec_refuses_fields_its_distance_never_reads():
     for name in MASS_VARIANTS:
         assert DistanceSpec(name, mass=7.0).mass == 7.0
     assert DistanceSpec("step", D=5, literal_log_half=True).literal_log_half
+
+
+def test_distance_mass_must_be_finite_and_non_negative():
+    for name in MASS_VARIANTS:
+        for mass in (-2.0, -1e-300, math.nan, math.inf):
+            with pytest.raises(SpecViolation, match="finite and >= 0"):
+                DistanceSpec(name, mass=mass)
+        assert DistanceSpec(name, mass=0.0).mass == 0.0

@@ -7,20 +7,17 @@ import numpy as np
 import pytest
 
 from realpathsim import engine
-from realpathsim.distances import (
-    GALILEAN_VARIANTS,
-    DistanceSpec,
-    GridPathSource,
-    grid_distance_matrix,
-)
+from realpathsim.distances import GALILEAN_VARIANTS, DistanceSpec
 from realpathsim.engine import (
     dense_smeared,
     dense_tile_bytes,
+    distribution_from_sums,
     path_probabilities,
     unnormalized_probabilities,
 )
 from realpathsim.errors import ModelTooLarge, NoPaths, SpecViolation, TooManyPaths
 from realpathsim.lattice import (
+    FACTORING_VARIANTS,
     LatticeSpec,
     corridor_weights,
     enumerate_paths,
@@ -29,12 +26,21 @@ from realpathsim.lattice import (
     resolve_weight,
     run_lattice_experiment,
     transfer_amplitude,
+    transfer_bytes,
+    transfer_smeared,
     two_arm_experiment,
     two_arm_visibility,
     upper_arm_mask,
 )
 
-from oracles import block_dense_smeared, dfs_lattice_paths, galilean_distance, site_path
+from oracles import (
+    GridPathSource,
+    block_dense_smeared,
+    dfs_lattice_paths,
+    galilean_distance,
+    grid_distance_matrix,
+    site_path,
+)
 
 
 def test_single_step_single_path():
@@ -104,7 +110,6 @@ def test_site_paths_match_grid_distances():
     spec = LatticeSpec(steps=4, extent=4, start=0, end=0, hop=1, mass=1.5)
     sites = enumerate_paths(spec)
     a, b = site_path(spec, sites[0]), site_path(spec, sites[7])
-    from realpathsim.distances import grid_distance_matrix
 
     for name in ("max_sep", "l1_time_integral", "l2", "velocity_l1", "mass_l1"):
         dspec = DistanceSpec(name)
@@ -183,7 +188,6 @@ def test_mass_weighted_visibility_non_increasing():
 def test_normalization_and_phase_invariance_on_lattice():
     spec = LatticeSpec(steps=5, extent=3, start=0, end=1, hop=1, mass=0.8)
     ens, sites = lattice_ensemble(spec)
-    from realpathsim.distances import grid_distance_matrix
     from realpathsim.paths import PathEnsemble
 
     dmat = grid_distance_matrix(
@@ -280,7 +284,9 @@ def test_one_pass_experiment_matches_separate_runs():
     for phase in (0.0, np.pi):
         ens, _ = lattice_ensemble(spec, sites, phase * upper_arm_mask(sites))
         masses.append(float(np.sum(unnormalized_probabilities(ens, dmat, weights=w)[0])))
-    assert vis == abs(masses[0] - masses[1]) / (masses[0] + masses[1])
+    # the transfer route and the matrix route sum in different orders
+    assert vis == pytest.approx(abs(masses[0] - masses[1]) / (masses[0] + masses[1]),
+                                rel=0, abs=1e-12)
 
 
 def test_single_step_admits_any_hop_and_extent():
@@ -343,3 +349,145 @@ def test_dense_pass_peak_within_tile_bytes():
             # of size n x n appears
             bounds = engine._TILE_ROWS * n * 16 < peak <= dense_tile_bytes(n) < n * n * 8
             assert bounds, (name, workers)
+
+
+# The transfer route against the dense oracle.  Tolerances, fixed before
+# measuring: smeared sums and denominators within 1e-12 of the row's
+# denominator, probabilities within 1e-12 of the largest probability.
+# Arm phases 0 and 1.1 and the phase plate's pi ride in one pass.
+ORACLE_PHASES = (0.0, 1.1, np.pi)
+
+# rows of T=7 (8 135 paths) the oracle recomputes for every variant,
+# scale and mass: the first, a middle and the last block
+T7_BLOCKS = ((0, 128), (4000, 4128), (8071, 8135))
+
+
+def _dense_oracle(spec, sites, dspec, scale, blocks=None):
+    """(smeared sums per phase, denominators, rows) of the dense oracle.
+
+    Every row through the engine's dense pass, or only the rows of
+    ``blocks``, each an exp(-d) block times every amplitude vector.
+    """
+    mask = upper_arm_mask(sites).astype(float)
+    amps = [lattice_ensemble(spec, sites, phase * mask)[0].amplitudes for phase in ORACLE_PHASES]
+    times = np.arange(spec.steps + 1, dtype=float)
+    source = GridPathSource(sites, times, dspec, spec.mass, scale)
+    if blocks is None:
+        return *dense_smeared(amps, source, workers=2), slice(None)
+    E = np.exp(np.concatenate([source.neg_rows(lo, hi) for lo, hi in blocks]))
+    rows = np.concatenate([np.arange(lo, hi) for lo, hi in blocks])
+    return [E @ a for a in amps], E.sum(axis=1), rows
+
+
+def _assert_transfer_matches(spec, sites, dspec, scale, blocks=None):
+    got, denom = transfer_smeared(spec, sites, dspec, scale, ORACLE_PHASES)
+    want, want_denom, rows = _dense_oracle(spec, sites, dspec, scale, blocks)
+    assert np.all(np.abs(denom[rows] - want_denom) <= 1e-12 * want_denom), (dspec, scale)
+    for phase, g, v in zip(ORACLE_PHASES, got, want):
+        assert np.all(np.abs(g[rows] - v) <= 1e-12 * want_denom), (dspec, scale, phase)
+        if blocks is not None:
+            continue
+        for weights in (None, corridor_weights(sites)):
+            if weights is not None and not weights.any():
+                continue
+            p = distribution_from_sums(g, denom, weights).probs
+            q = distribution_from_sums(v, want_denom, weights).probs
+            assert np.max(np.abs(p - q)) <= 1e-12 * q.max(), (dspec, scale, phase)
+
+
+@pytest.mark.parametrize("steps", [6, 7])
+@pytest.mark.parametrize("mass", [1.0, 1.7])
+def test_transfer_route_matches_dense_oracle(steps, mass):
+    # every row at T=6 (1 751 paths), the T7_BLOCKS rows at T=7
+    spec = LatticeSpec(steps=steps, extent=6, start=0, end=0, hop=2, mass=mass)
+    sites = enumerate_paths(spec)
+    blocks = T7_BLOCKS if steps == 7 else None
+    for name in FACTORING_VARIANTS:
+        for scale in (0.0, 0.3, 1.0, 3.0, 10.0, 300.0):
+            _assert_transfer_matches(spec, sites, DistanceSpec(name), scale, blocks)
+
+
+def test_transfer_route_matches_dense_oracle_on_every_t7_row():
+    # the benchmark's lattice_run spec: all 8 135 rows, probabilities too
+    spec = LatticeSpec(steps=7, extent=6, start=0, end=0, hop=2)
+    _assert_transfer_matches(spec, enumerate_paths(spec), DistanceSpec("max_sep"), 1.0)
+
+
+@pytest.mark.parametrize("spec", [
+    LatticeSpec(steps=1, extent=5, start=-2, end=1, hop=3),          # T=1
+    LatticeSpec(steps=5, extent=3, start=-1, end=2, hop=2, mass=0.7),  # start != end
+    LatticeSpec(steps=4, extent=2, start=-2, end=1, hop=7),          # hop wider than 2X
+    LatticeSpec(steps=3, extent=0, start=0, end=0, hop=1),           # extent 0
+    LatticeSpec(steps=6, extent=1, start=0, end=1, hop=1),
+])
+def test_transfer_route_edge_specs(spec):
+    sites = enumerate_paths(spec)
+    for name in FACTORING_VARIANTS:
+        for scale in (0.0, 0.3, 300.0):
+            _assert_transfer_matches(spec, sites, DistanceSpec(name), scale)
+    # a distance mass of its own overrides the lattice mass
+    dspec = DistanceSpec("mass_l1", mass=2.5)
+    _assert_transfer_matches(spec, sites, dspec, 0.3)
+
+
+def test_experiments_take_the_route_of_their_distance(monkeypatch):
+    from realpathsim import lattice
+
+    spec = LatticeSpec(steps=4, extent=3, start=0, end=0, hop=2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("took the dense pass")
+
+    monkeypatch.setattr(lattice, "dense_smeared", refuse)
+    for name in FACTORING_VARIANTS:
+        run_lattice_experiment(spec, DistanceSpec(name), arm_phase=1.1)
+        two_arm_experiment(spec, DistanceSpec(name))
+    with pytest.raises(AssertionError, match="dense pass"):
+        run_lattice_experiment(spec, DistanceSpec("l2"))
+    with pytest.raises(ValueError, match="does not factor"):
+        transfer_smeared(spec, enumerate_paths(spec), DistanceSpec("l2"), 1.0, (0.0,))
+
+
+def test_transfer_route_runs_steps_10():
+    # 850,739 paths, past the dense bound, on every factoring variant
+    spec = LatticeSpec(steps=10, extent=6, start=0, end=0, hop=2)
+    for name in FACTORING_VARIANTS:
+        dist, sites = run_lattice_experiment(spec, DistanceSpec(name), weight={"name": "corridor"})
+        assert sites.shape[0] == dist.n_paths == 850_739
+        assert np.all(dist.denom >= 1.0)  # Q = P alone contributes 1
+
+
+def test_transfer_pass_peak_within_transfer_bytes():
+    sites = enumerate_paths(STREAM_SPEC)
+    n = sites.shape[0]
+    for name in FACTORING_VARIANTS:
+        dspec = DistanceSpec(name)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            transfer_smeared(STREAM_SPEC, sites, dspec, 0.3, (0.0, np.pi))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the outputs, 40 bytes per path, are a floor; nothing n x n appears
+        assert 40 * n < peak <= transfer_bytes(STREAM_SPEC, dspec) < n * n, name
+
+
+def test_bad_scale_or_mass_is_refused_before_enumeration(monkeypatch):
+    from realpathsim import lattice
+
+    def refuse(spec):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(lattice, "enumerate_paths", refuse)
+    spec = LatticeSpec(steps=4, extent=3, start=0, end=0, hop=2)
+    for scale in (-1.0, -1e-300, np.nan, np.inf):
+        with pytest.raises(SpecViolation, match="distance_scale"):
+            run_lattice_experiment(spec, DistanceSpec("max_sep"), distance_scale=scale)
+        with pytest.raises(SpecViolation, match="distance_scale"):
+            two_arm_visibility(spec, DistanceSpec("l2"), distance_scale=scale)
+    for mass in (-2.0, np.nan):
+        heavy = LatticeSpec(steps=4, extent=3, start=0, end=0, hop=2, mass=mass)
+        for name in ("mass_l1", "mass_max_sep"):
+            with pytest.raises(SpecViolation, match="lattice mass"):
+                run_lattice_experiment(heavy, DistanceSpec(name))
