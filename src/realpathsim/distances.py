@@ -7,10 +7,10 @@ Two families:
   beyond) and its smooth cousin exp(|i-j|/D);
 * geometric distances between Galilean paths sampled on one shared time
   grid -- max separation, time-integrated L1/L2 separation, and a
-  velocity-sensitive variant, each with optional mass weighting.  The
-  lattice smears the max and L1 families step by step over time
-  (lattice.transfer_smeared); l2, which does not factor over time, is
-  served by rows from GridPathSource.
+  velocity-sensitive variant, each with optional mass weighting --
+  served by rows from GridPathSource to the dense pass.  The lattice
+  smears the max and L1 families step by step over time instead
+  (lattice.transfer_smeared) where that costs less than pairing paths.
 
 All distances return extended non-negative reals (np.inf allowed).  The
 step distance is deliberately NOT a metric: it violates the triangle
@@ -130,30 +130,45 @@ def index_distance_matrix(spec: DistanceSpec, n: int) -> np.ndarray:
         return np.exp(gaps / spec.D)
 
 
+# narrowest signed integer dtypes tried for integer site differences
+_INT_TILES = (np.int8, np.int16, np.int32, np.int64)
+
 # rows per block when grid_distance_matrix stacks a full matrix
 _MATRIX_ROWS = 512
 
 
 class GridPathSource:
-    """Pairwise l2 distances of scalar paths on one shared grid, by rows.
+    """Pairwise geometric distances of scalar paths on one shared grid, by rows.
 
     ``positions`` is (n_paths, n_times) of 1-d coordinates; rows are
     resampled paths.  ``neg_rows(lo, hi)`` computes the (hi - lo, n) block
     of negated distances from paths lo..hi-1 to every path, times
     ``scale``, the exponent the dense pass takes exp of, so a caller can
-    stream a distance matrix without ever holding n x n.  The distance
-    is the trapezoid L2 norm of the separation, from a Gram product per
-    block.  The other Galilean variants factor over time steps and are
-    not served here: the lattice smears them by transfer matrices.
+    stream a distance matrix without ever holding n x n.
+
+    The max and L1 reductions run one time step at a time into a block-
+    sized accumulator; steps where all paths agree add nothing and are
+    skipped.  The max variants difference integer positions (enumerated
+    lattice sites) in the narrowest integer dtype that holds every step's
+    spread.  Mass multiplies before ``scale``, as for a scaled matrix.
     """
 
-    def __init__(self, positions: np.ndarray, times: np.ndarray, spec: DistanceSpec,
-                 scale: float = 1.0):
-        if spec.name != "l2":
-            raise ValueError(f"GridPathSource serves the l2 distance only, not {spec.name}")
+    def __init__(
+        self,
+        positions: np.ndarray,
+        times: np.ndarray,
+        spec: DistanceSpec,
+        mass: float = 1.0,
+        scale: float = 1.0,
+    ):
+        if spec.is_index_based:
+            raise ValueError("index distances do not apply to gridded paths")
         self.name = spec.name
+        self.mass = spec.mass if spec.mass is not None else mass
         self.scale = float(scale)
-        X = np.asarray(positions, dtype=float)
+        X = np.asarray(positions)
+        if not (self.name in ("max_sep", "mass_max_sep") and np.issubdtype(X.dtype, np.integer)):
+            X = X.astype(float)
         self.n = X.shape[0]
         t = np.asarray(times, dtype=float)
 
@@ -162,23 +177,71 @@ class GridPathSource:
         dt = np.diff(t)
         w[:-1] += dt / 2.0
         w[1:] += dt / 2.0
-        self._q = X**2 @ w
-        self._Xw = X * w
-        self._Xt = np.ascontiguousarray(X.T)
+        self._duration = t[-1] - t[0]
+
+        if self.name == "l2":
+            self._q = X**2 @ w
+            self._Xw = X * w
+            self._Xt = np.ascontiguousarray(X.T)
+            return
+        if self.name == "velocity_l1":
+            base, seg_w = np.diff(X, axis=1) / dt, dt
+        elif self.name in ("l1_time_integral", "l1_time_average", "mass_l1"):
+            base, seg_w = X, w
+        elif self.name in ("max_sep", "mass_max_sep"):
+            base, seg_w = X, None
+        else:
+            raise ValueError(f"unhandled variant {self.name!r}")
+
+        spans = np.zeros(base.shape[1], dtype=base.dtype)
+        if self.n:
+            spans = np.ptp(base, axis=0)
+        self._dtype = base.dtype
+        if np.issubdtype(base.dtype, np.integer):
+            if self.n:
+                base = base - base.min(axis=0)   # same differences, each step from 0
+            widest = int(spans.max(initial=0))
+            self._dtype = next(d for d in _INT_TILES if np.iinfo(d).max >= widest)
+        self._steps = [
+            (np.ascontiguousarray(base[:, k], dtype=self._dtype),
+             None if seg_w is None else float(seg_w[k]))
+            for k in np.flatnonzero(spans > 0)
+        ]
 
     def neg_rows(self, lo: int, hi: int) -> np.ndarray:
         """The negated distances of rows lo..hi-1, as a new float array.
 
-        Scale acts on -d, which gives every nonzero entry the bits of a
-        negation at the end: a product's sign does not change its
-        magnitude.
+        The max and L1 variants negate their accumulator as it becomes the
+        float result, in one pass with the integer-to-float conversion of
+        lattice sites.  Duration, mass and scale then act on -d, which
+        gives every nonzero entry the bits of a negation at the end: a
+        product's or quotient's sign does not change its magnitude.  A
+        zero may come out -0.0 where the negation gives 0.0, or the other
+        way round; exp takes both to 1.
         """
-        twice_G = self._Xw[lo:hi] @ self._Xt
-        twice_G *= 2.0
-        d = self._q[lo:hi, None] + self._q[None, :]
-        d -= twice_G
-        d = np.sqrt(np.maximum(d, 0.0, out=d), out=d)
-        np.negative(d, out=d)
+        if self.name == "l2":
+            twice_G = self._Xw[lo:hi] @ self._Xt
+            twice_G *= 2.0
+            d = self._q[lo:hi, None] + self._q[None, :]
+            d -= twice_G
+            d = np.sqrt(np.maximum(d, 0.0, out=d), out=d)
+            np.negative(d, out=d)
+        else:
+            acc = np.zeros((hi - lo, self.n), dtype=self._dtype)
+            diff = np.empty_like(acc)
+            for col, w in self._steps:
+                np.subtract(col[lo:hi, None], col[None, :], out=diff)
+                np.abs(diff, out=diff)
+                if w is None:
+                    np.maximum(acc, diff, out=acc)
+                else:
+                    diff *= w
+                    acc += diff
+            d = np.negative(acc, out=acc if acc.dtype == float else np.empty(acc.shape))
+        if self.name == "l1_time_average":
+            d /= self._duration
+        if self.name in MASS_VARIANTS:
+            d *= self.mass
         if self.scale != 1.0:
             d *= self.scale
         return d
@@ -188,8 +251,9 @@ def grid_distance_matrix(
     positions: np.ndarray,
     times: np.ndarray,
     spec: DistanceSpec,
+    mass: float = 1.0,
 ) -> np.ndarray:
-    """Dense (n, n) matrix of GridPathSource (l2) distances, stacked by row blocks.
+    """Dense (n, n) matrix of GridPathSource distances, stacked by row blocks.
 
     Each block is 0.0 - neg_rows: the negation of every nonzero entry,
     and +0.0 for a zero of either sign.
@@ -198,7 +262,7 @@ def grid_distance_matrix(
     """
     n = np.shape(positions)[0]
     admit_matrix(n)
-    source = GridPathSource(positions, times, spec)
+    source = GridPathSource(positions, times, spec, mass)
     out = np.empty((n, n), dtype=float)
     for lo in range(0, n, _MATRIX_ROWS):
         hi = min(lo + _MATRIX_ROWS, n)

@@ -25,11 +25,8 @@ The smearing sum has two routes:
   from a ``GridPathSource`` that computes the negated distances of
   gridded paths tile by tile, exponentiates each tile straight into a
   reused complex tile and reduces it there, once per amplitude vector,
-  into the smeared sums and the shared denominators.  With several
-  workers the tiles go round-robin to threads of the engine's own pool,
-  each owning its complex tile, _TILE_ROWS // workers rows high, so the
-  tiles held at once still make one _TILE_ROWS tile.  Fed from grid
-  paths, it never holds anything of size N x N.
+  into the smeared sums and the shared denominators, on the calling
+  thread.  Fed from grid paths, it never holds anything of size N x N.
 
 The engine takes resolved inputs only: the step rim convention rides on
 the DistanceSpec, and a weight is a per-path vector or None, resolved by
@@ -41,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -56,23 +52,21 @@ _SUM_ATOL = 1e-9
 # smearing weight exp(-log 2) of a pair at exactly the step distance D
 RIM_WEIGHT = 0.5
 
-# rows of exp(-d) one dense pass holds at once, split evenly over its
-# workers; any split gives the same bits (see _tile_edges).  Measured on
-# 8 135 lattice paths (2-core host, OpenBLAS at one thread), a pass takes
-# 0.16 to 0.18 s on one worker from 16 to 128 rows; on two workers 32 to
-# 256 rows take 0.11 to 0.12 s, and 16 rows (8 per worker) 0.13 s, as
-# the fixed cost of each call on a tile starts to show
+# rows of exp(-d) one dense pass holds at once; any count gives the same
+# bits (see _tile_edges).  Measured on 8 135 lattice paths (2-core host,
+# OpenBLAS at one thread), a pass takes 0.16 to 0.18 s from 16 to 128 rows
 _TILE_ROWS = 64
 
 # output entries of banded_smeared computed at once, sized to stay in
 # cache; any value gives the same bits
 _BAND_TILE = 1 << 15
 
-# largest working set one dense pass may hold (see dense_tile_bytes),
-# whatever its worker count: half the 2 GiB matrix limit, as a sweep runs
-# one single-worker pass per pool thread (two at once on a 2-core host).
+# largest working set one dense pass may hold (see dense_tile_bytes):
+# half the 2 GiB matrix limit, as a sweep runs one pass per pool thread
+# (two at once on a 2-core host).
 # The tiles grow linearly in the path count: at the most paths the
-# lattice admits they take a third of this.
+# dense pass admits they take a third of this.  A lattice run on the
+# transfer route is held to it as a whole (lattice.transfer_bytes).
 MAX_TILE_BYTES = 1 << 30
 
 @dataclass(frozen=True)
@@ -110,23 +104,20 @@ def _resolve_weights(weights, n: int) -> np.ndarray | None:
     return w
 
 
-def smeared_components(
-    ensemble: PathEnsemble, distance, workers: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
+def smeared_components(ensemble: PathEnsemble, distance) -> tuple[np.ndarray, np.ndarray]:
     """Per-path smeared amplitude and smearing volume (denominator).
 
     ``distance`` is a DistanceSpec (step gets the banded route, other
     index distances become a matrix), a dense (N, N) matrix with np.inf
     allowed, or a GridPathSource over the N paths.  Anything else raises
-    TypeError.  ``workers`` threads share a dense pass (dense_smeared);
-    the banded route runs on the calling thread.
+    TypeError.
     """
     amps = ensemble.amplitudes
     if isinstance(distance, DistanceSpec):
         if distance.name == "step":
             return step_smeared(_prefix(amps, distance.D), distance)
         distance = index_distance_matrix(distance, amps.size)
-    (smeared,), denom = dense_smeared([amps], distance, workers)
+    (smeared,), denom = dense_smeared([amps], distance)
     return smeared, denom
 
 
@@ -144,19 +135,6 @@ def _tile_edges(n: int, rows: int) -> list[int]:
     return edges
 
 
-def _tile_shares(n: int, workers: int) -> list[list[tuple[int, int]]]:
-    """The (lo, hi) tiles of each of dense_smeared's workers, dealt round-robin.
-
-    Each of at most _TILE_ROWS // 2 workers takes tiles of
-    _TILE_ROWS // workers rows, so the tiles they hold at once make one
-    _TILE_ROWS tile; workers left without a tile are dropped.
-    """
-    workers = max(1, min(workers, _TILE_ROWS // 2))
-    edges = _tile_edges(n, _TILE_ROWS // workers)
-    tiles = list(zip(edges, edges[1:]))
-    return [share for k in range(workers) if (share := tiles[k::workers])]
-
-
 def dense_tile_bytes(n: int) -> int:
     """Peak bytes one dense_smeared pass over n paths holds beyond its inputs.
 
@@ -164,18 +142,14 @@ def dense_tile_bytes(n: int) -> int:
     temporaries of one tile and the O(n) outputs, bounded by 32 bytes per
     tile entry.  tracemalloc puts the temporaries at 19 to 27 bytes per
     entry over the seven Galilean variants on 1 751 and 8 135 lattice
-    paths (l2 from GridPathSource, the others from the tests' rows).
-    Split over workers, the tiles held at once come to as many rows, or
-    one more where a lone last row joins a worker's tile; the allowance
-    covers that row, as 5 spare bytes per entry over _TILE_ROWS rows
-    outweigh the 16 + 27 bytes per entry of one row.
+    paths.
     """
     rows = max(np.diff(_tile_edges(n, _TILE_ROWS)), default=0)
     return int(rows) * n * (16 + 32)
 
 
 def dense_smeared(
-    amplitudes: Sequence[np.ndarray], distance, workers: int = 1
+    amplitudes: Sequence[np.ndarray], distance
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Smeared sums of each amplitude vector and their shared denominators.
 
@@ -183,9 +157,7 @@ def dense_smeared(
     over N paths.  Rows are taken one tile at a time (_tile_edges) and
     exponentiated into the real part of a reused complex tile, which
     every amplitude vector then multiplies; the denominators are the
-    tile's row sums.  ``workers`` > 1 deals the tiles round-robin to
-    that many threads (_tile_shares), each with a complex tile of its
-    own; every row gets the bits one worker gives it.
+    tile's row sums.
     """
     n = amplitudes[0].size
     if isinstance(distance, GridPathSource) and distance.n == n:
@@ -201,24 +173,16 @@ def dense_smeared(
     smeared = [np.empty(n, dtype=np.complex128) for _ in amplitudes]
     denom = np.empty(n, dtype=float)
 
-    def run(share):
-        # exp(-d) of one tile as complex, the type E @ amps computes in;
-        # the imaginary parts stay 0
-        E = np.zeros((max(hi - lo for lo, hi in share), n), dtype=np.complex128)
-        for lo, hi in share:
-            tile = E[: hi - lo]
-            np.exp(neg_rows(lo, hi), out=tile.real)
-            tile.real.sum(axis=1, out=denom[lo:hi])
-            for out, amps in zip(smeared, amplitudes):
-                out[lo:hi] = tile @ amps
-
-    shares = _tile_shares(n, workers)
-    if len(shares) > 1:
-        with ThreadPoolExecutor(len(shares), thread_name_prefix="dense") as pool:
-            list(pool.map(run, shares))
-    else:
-        for share in shares:
-            run(share)
+    edges = _tile_edges(n, _TILE_ROWS)
+    # exp(-d) of one tile as complex, the type E @ amps computes in; the
+    # imaginary parts stay 0
+    E = np.zeros((max(np.diff(edges), default=0), n), dtype=np.complex128)
+    for lo, hi in zip(edges, edges[1:]):
+        tile = E[: hi - lo]
+        np.exp(neg_rows(lo, hi), out=tile.real)
+        tile.real.sum(axis=1, out=denom[lo:hi])
+        for out, amps in zip(smeared, amplitudes):
+            out[lo:hi] = tile @ amps
     return smeared, denom
 
 
@@ -405,14 +369,9 @@ def unnormalized_probabilities(
     return weighted_probabilities(smeared, denom, w), smeared, denom
 
 
-def path_probabilities(
-    ensemble: PathEnsemble, distance, weights=None, workers: int = 1
-) -> PathDistribution:
-    """Conditioned per-path distribution for one ensemble (endpoints fixed).
-
-    ``workers`` threads share a dense pass (smeared_components).
-    """
-    smeared, denom = smeared_components(ensemble, distance, workers)
+def path_probabilities(ensemble: PathEnsemble, distance, weights=None) -> PathDistribution:
+    """Conditioned per-path distribution for one ensemble (endpoints fixed)."""
+    smeared, denom = smeared_components(ensemble, distance)
     w = _resolve_weights(weights, ensemble.n_paths)
     return distribution_from_sums(smeared, denom, w)
 

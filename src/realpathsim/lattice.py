@@ -9,17 +9,20 @@ A transfer-matrix pass computes the total amplitude independently of the
 enumeration, which is the correctness oracle for both.
 
 Enumerated ensembles feed the probability postulate with any geometric
-distance, by one of two routes:
+distance, by one of two routes, both on the calling thread:
 
 * ``transfer_smeared`` for the distances built step by step over time
   (FACTORING_VARIANTS: the max-separation and L1 families).  exp(-d)
   then factors over the time steps, so the smeared sum of every path is
   a forward message over its prefix joined with a backward message over
   its suffix, the forward-backward split of a hidden Markov model.  It
-  pairs no paths and runs on the calling thread.
-* the engine's dense pass for ``l2``, which does not factor: n^2
-  exponentials, streamed from a GridPathSource in tiles shared by
-  ``workers`` threads.
+  pairs no paths; its messages grow with the distinct prefixes and
+  suffixes times the square of the lattice width (sites times radii)
+  for the max variants.
+* the engine's dense pass, n^2 exponentials streamed from a
+  GridPathSource in tiles: always for ``l2``, which does not factor, and
+  for a factoring distance where it costs less than the transfer route,
+  as on a wide lattice with few paths (see admit).
 
 Weight functions carve experiments out of the ensemble:
 ``curvature_cutoff`` suppresses rapidly-varying paths (second difference
@@ -54,19 +57,31 @@ ENUMERATION_BOUND = 10**7
 # makes; its two site vectors then stay within 1 GiB
 TRANSFER_BOUND = 10**8
 
-# most paths one dense pass, the l2 route, admits.  It holds one tile of
-# rows, so time, not memory, bounds it: n^2 exponentials, 1.4e10 here,
-# about 30 s at the 2.2 ns per pair a pass took over 8 135 and 38 131
-# paths on two workers of a 2-core host (3.4 to 4.1 ns on one, about
-# 50 s).  The value is the count admitted when the pass held 512 rows of
-# exp(-d) against a 1 GiB budget, 2**30 // (512*16 + 32*32), kept so
-# that the same specs run.  The factoring distances take
-# transfer_smeared instead, bounded by transfer_bytes.
+# most paths one dense pass admits.  It holds one tile of rows, so time,
+# not memory, bounds it: n^2 exponentials, 1.4e10 here, about 50 s at
+# the 3.4 to 4.1 ns per pair a max_sep pass took over 8 135 and 38 131
+# paths on one core of a 2-core host (the L1 variants take 8 to 16 ns).  The value is the count admitted when the
+# pass held 512 rows of exp(-d) against a 1 GiB budget,
+# 2**30 // (512*16 + 32*32), kept so that the same specs run.  It bounds
+# l2; the factoring distances go past it on the transfer route, bounded
+# by transfer_bytes.
 DENSE_PATH_BOUND = 116_508
 
+# multiply-adds of the transfer route (transfer_work) worth one pair of
+# the dense pass, its exponential and its distance reduction; a
+# factoring distance under DENSE_PATH_BOUND takes the dense pass when
+# the transfer route would do more than this many times n^2.  Timed on
+# one core of a 2-core host, the routes break even near 2: at 2.0 the
+# transfer route took 0.83 of the dense pass's time (max_sep, 891
+# paths), at 1.2 to 1.4 it took 0.1 to 0.5 (max_sep, l1_time_integral
+# and velocity_l1 on 1 261 to 10 981 paths), at 3.0 it took 6.6 to 18
+# times as long (l1 and velocity_l1, 401 paths) and at 57, 18 times
+# (max_sep, 1 261 paths).
+_PAIR_WORK = 2
+
 # the Galilean distances that are a max or a sum over time steps of a
-# term of one time (or, for velocity_l1, of one step) of the two paths;
-# transfer_smeared takes them, the dense pass takes the rest (l2)
+# term of one time (or, for velocity_l1, of one step) of the two paths,
+# which transfer_smeared can take (see admit); l2 is not
 MAX_VARIANTS = ("max_sep", "mass_max_sep")
 FACTORING_VARIANTS = (
     *MAX_VARIANTS, "l1_time_integral", "l1_time_average", "mass_l1", "velocity_l1",
@@ -77,11 +92,18 @@ FACTORING_VARIANTS = (
 # step) and per path (the joined blocks, the int64 codes and indices
 # that place each path in its block, and the outputs of two phase
 # settings), and a fixed allowance for the small arrays; tracemalloc
-# puts the peak at 0.45 to 0.98 of the total over the six variants from
-# 83 to 179 755 paths (see transfer_bytes)
+# puts transfer_smeared's peak at 0.45 to 0.98 of these three terms over
+# the six variants from 83 to 179 755 paths (see transfer_bytes)
 _MESSAGE_BYTES = 64
 _PATH_BYTES = 104
 _FIXED_BYTES = 1 << 16
+
+# bytes a run holds per path beyond the transfer route's: per site of
+# the enumerated paths (they and a copy while they grow) and per path
+# (weights, the distribution, and the text the CLI writes of each row,
+# as CSV or JSON).  See transfer_bytes for the measurements.
+_RUN_SITE_BYTES = 16
+_RUN_PATH_BYTES = 720
 
 
 @dataclass(frozen=True)
@@ -200,50 +222,93 @@ def _site_bounds(spec: LatticeSpec) -> list[tuple[int, int]]:
     return [(spec.start, spec.start)] + [(lo, hi) for _, _, lo, hi in _site_steps(spec)]
 
 
-def transfer_bytes(spec: LatticeSpec, distance: DistanceSpec) -> int:
-    """Peak bytes transfer_smeared holds beyond its inputs, at two phase settings.
+def _halves(spec: LatticeSpec):
+    """(path count, prefixes, suffixes, site bounds) of the middle-time split.
 
-    The messages run over the distinct prefixes and suffixes of the
-    paths, split at the middle time, each over a site interval and, for
-    the max variants, over as many radii as sites; the join holds O(1)
-    arrays per path.  The counts come from _partial_counts, without
-    enumerating: a path is any prefix joined with any suffix that starts
-    at its middle site.
+    The prefixes and suffixes are the distinct halves of the paths,
+    counted by _partial_counts without enumerating: a path is any prefix
+    joined with any suffix that starts at its middle site.
     """
     mid = (spec.steps + 1) // 2
     into = _partial_counts(spec, mid)
     back = dataclasses.replace(spec, start=spec.end, end=spec.start)
     out_of = _partial_counts(back, spec.steps - mid)
-    n = int(into @ out_of)
-    width = max(hi - lo for lo, hi in _site_bounds(spec)) + 1
-    radii = width if distance.name in MAX_VARIANTS else 1
-    ends = int(into.sum() + out_of.sum())
-    return _MESSAGE_BYTES * ends * radii * width + _PATH_BYTES * n + _FIXED_BYTES
+    return int(into @ out_of), int(into.sum()), int(out_of.sum()), _site_bounds(spec)
+
+
+def _radii(spec: LatticeSpec, distance: DistanceSpec, bounds) -> int:
+    """Most tube radii transfer_smeared carries: one per gap for the max variants."""
+    return max(hi - lo for lo, hi in bounds) + 1 if distance.name in MAX_VARIANTS else 1
+
+
+def transfer_bytes(spec: LatticeSpec, distance: DistanceSpec) -> int:
+    """Peak bytes of a transfer_smeared run, at two phase settings.
+
+    The messages run over the distinct prefixes and suffixes of the
+    paths (_halves), each over a site interval and, for the max variants,
+    over as many radii as sites; the join holds O(1) arrays per path.
+    The run around it holds the enumerated sites and O(1) arrays and
+    text per path (_RUN_SITE_BYTES, _RUN_PATH_BYTES): the ``lattice``
+    command's peak RSS above a 30 MiB idle process came to 0.29 to 0.40
+    of this total writing CSV and 0.74 to 0.89 writing JSON, over
+    max_sep and l1_time_integral at T=8 to 10, X=6, h=2 (38 131 to
+    850 739 paths).
+    """
+    n, prefixes, suffixes, bounds = _halves(spec)
+    width = max(hi - lo for lo, hi in bounds) + 1
+    messages = (prefixes + suffixes) * _radii(spec, distance, bounds) * width
+    run = n * (_RUN_SITE_BYTES * (spec.steps + 1) + _RUN_PATH_BYTES)
+    return _MESSAGE_BYTES * messages + _PATH_BYTES * n + run + _FIXED_BYTES
+
+
+def transfer_work(spec: LatticeSpec, distance: DistanceSpec) -> int:
+    """Multiply-adds of one transfer_smeared message and join pass.
+
+    Each side's messages step once per time over its rows' radii, from
+    the last time's sites to the next's; the join pairs every path's
+    prefix and suffix messages over the radii and middle sites.
+    """
+    n, prefixes, suffixes, bounds = _halves(spec)
+    mid = (spec.steps + 1) // 2
+    widths = [hi - lo + 1 for lo, hi in bounds]
+    hops = [a * b for a, b in zip(widths, widths[1:])]
+    steps = prefixes * sum(hops[:mid]) + suffixes * sum(hops[mid:]) + n * widths[mid]
+    return _radii(spec, distance, bounds) * steps
+
+
+def _route(spec: LatticeSpec, distance: DistanceSpec) -> tuple[int, bool]:
+    """(path count, whether transfer_smeared takes the spec); see admit."""
+    n = path_count(spec)
+    if distance.name in FACTORING_VARIANTS:
+        need = transfer_bytes(spec, distance)
+        fits = need <= MAX_TILE_BYTES
+        if fits and (n > DENSE_PATH_BOUND
+                     or transfer_work(spec, distance) <= _PAIR_WORK * n * n):
+            return n, True
+        if n > DENSE_PATH_BOUND:
+            raise ModelTooLarge(
+                f"the transfer route needs {need / 2**30:.2f} GiB, "
+                f"above {MAX_TILE_BYTES / 2**30:.0f} GiB"
+            )
+    elif n > DENSE_PATH_BOUND:
+        raise ModelTooLarge(
+            f"{n} paths need {float(n) ** 2:.3g} exponentials in the dense pass, "
+            f"above the bound of {DENSE_PATH_BOUND} paths"
+        )
+    return n, False
 
 
 def admit(spec: LatticeSpec, distance: DistanceSpec) -> int:
     """Path count of ``spec``, checked against the bound of its route.
 
-    A factoring distance takes transfer_smeared, refused when
-    transfer_bytes passes engine.MAX_TILE_BYTES; ``l2`` takes the dense
-    pass, refused past DENSE_PATH_BOUND paths.  Either raises
-    ModelTooLarge before anything is enumerated.
+    A factoring distance takes transfer_smeared when transfer_bytes is
+    within engine.MAX_TILE_BYTES and either the dense pass is out of
+    reach (past DENSE_PATH_BOUND paths) or the transfer route costs less
+    (transfer_work within _PAIR_WORK n^2); otherwise it takes the dense
+    pass, as ``l2`` always does, refused past DENSE_PATH_BOUND paths.
+    Either refusal raises ModelTooLarge before anything is enumerated.
     """
-    if distance.name in FACTORING_VARIANTS:
-        need = transfer_bytes(spec, distance)
-        if need > MAX_TILE_BYTES:
-            raise ModelTooLarge(
-                f"the transfer route needs {need / 2**30:.2f} GiB, "
-                f"above {MAX_TILE_BYTES / 2**30:.0f} GiB"
-            )
-        return path_count(spec)
-    n = path_count(spec)
-    if n > DENSE_PATH_BOUND:
-        raise ModelTooLarge(
-            f"{n} paths need {float(n) ** 2:.3g} exponentials in the dense pass, "
-            f"above the bound of {DENSE_PATH_BOUND} paths"
-        )
-    return n
+    return _route(spec, distance)[0]
 
 
 def transfer_amplitude(spec: LatticeSpec) -> complex:
@@ -526,27 +591,21 @@ def transfer_smeared(
     return smeared, denom
 
 
-def _grid_source(
-    spec: LatticeSpec, sites: np.ndarray, distance: DistanceSpec, distance_scale: float
-) -> GridPathSource:
-    """l2 distances between enumerated paths, served to the engine by row block."""
-    times = np.arange(spec.steps + 1, dtype=float)
-    return GridPathSource(sites, times, distance, scale=distance_scale)
-
-
-def _smeared(spec, sites, distance, distance_scale, phases, workers=1):
+def _smeared(spec, sites, distance, distance_scale, phases, transfer):
     """Smeared sums at each arm phase and the shared denominators, by route.
 
-    A factoring distance takes transfer_smeared, on this thread; l2 takes
-    the dense pass on ``workers`` threads, which multiplies each tile of
-    exp(-d) by every phase setting's amplitudes.
+    ``transfer`` picks transfer_smeared (see admit); otherwise the dense
+    pass multiplies each tile of exp(-d), streamed from a GridPathSource,
+    by every phase setting's amplitudes.
     """
-    if distance.name in FACTORING_VARIANTS:
+    if transfer:
         return transfer_smeared(spec, sites, distance, distance_scale, phases)
     mask = upper_arm_mask(sites).astype(float)
     amps = [lattice_ensemble(spec, sites, phase * mask if phase else None)[0].amplitudes
             for phase in phases]
-    return dense_smeared(amps, _grid_source(spec, sites, distance, distance_scale), workers)
+    times = np.arange(spec.steps + 1, dtype=float)
+    source = GridPathSource(sites, times, distance, spec.mass, distance_scale)
+    return dense_smeared(amps, source)
 
 
 def run_lattice_experiment(
@@ -555,22 +614,20 @@ def run_lattice_experiment(
     weight: dict | None = None,
     distance_scale: float = 1.0,
     arm_phase: float = 0.0,
-    workers: int = 1,
 ) -> tuple[PathDistribution, np.ndarray]:
     """Path probabilities over the enumerated ensemble.
 
     ``weight`` is a weight object for resolve_weight; ``distance_scale``
     multiplies every pairwise distance (0 is the quantum limit);
     ``arm_phase`` is the setting of the upper-arm phase plate
-    (upper_arm_mask); ``workers`` threads share the dense pass of l2,
-    with the bits of one.
+    (upper_arm_mask).
     Returns (distribution, sites).
     """
     _check_scale(spec, distance, distance_scale)
-    admit(spec, distance)
+    _, transfer = _route(spec, distance)
     sites = enumerate_paths(spec)
     w = resolve_weight(weight, sites)
-    (smeared,), denom = _smeared(spec, sites, distance, distance_scale, [arm_phase], workers)
+    (smeared,), denom = _smeared(spec, sites, distance, distance_scale, [arm_phase], transfer)
     return distribution_from_sums(smeared, denom, w), sites
 
 
@@ -582,9 +639,9 @@ def _two_arm_pass(spec, distance, distance_scale):
     not depend on the amplitudes, so the two settings share them.
     """
     _check_scale(spec, distance, distance_scale)
-    admit(spec, distance)
+    _, transfer = _route(spec, distance)
     sites = enumerate_paths(spec)
-    smeared, denom = _smeared(spec, sites, distance, distance_scale, (0.0, np.pi))
+    smeared, denom = _smeared(spec, sites, distance, distance_scale, (0.0, np.pi), transfer)
     w = corridor_weights(sites)
     p_plus, p_minus = (float(np.sum(weighted_probabilities(s, denom, w))) for s in smeared)
     vis = 0.0 if p_plus + p_minus == 0.0 else abs(p_plus - p_minus) / (p_plus + p_minus)

@@ -16,10 +16,7 @@ step_distance_table, not from the package's distance code.
 The per-pair Galilean layer lives here too: SpacetimePath, the free
 action and its amplitude, make_indexed_ensemble, and galilean_distance,
 the pair-by-pair definition GridPathSource's streamed rows are checked
-against.  So do the max and L1 branches of GridPathSource, with
-grid_distance_matrix over every variant: the package serves only l2 by
-rows, and these rows are the dense oracle of the lattice's transfer
-route.  So does the composite-path layer: CompositePath, compose and
+against.  So does the composite-path layer: CompositePath, compose and
 the product/sequence composition rules define the max-of-steps distance
 the banded K=3 kernel evaluates for the screen model.
 """
@@ -32,8 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from realpathsim import distances
-from realpathsim.distances import MASS_VARIANTS, DistanceSpec
+from realpathsim.distances import DistanceSpec, GridPathSource
 from realpathsim.engine import (
     PathDistribution,
     banded_smeared,
@@ -146,7 +142,7 @@ def block_dense_smeared(amplitudes, distance):
     last block of one row takes a 1-row product.
     """
     n = amplitudes[0].size
-    if isinstance(distance, distances.GridPathSource):
+    if isinstance(distance, GridPathSource):
         neg_rows = distance.neg_rows
     else:
         def neg_rows(lo, hi):
@@ -513,114 +509,6 @@ def galilean_distance(P: SpacetimePath, Q: SpacetimePath, spec: DistanceSpec) ->
         dv = np.linalg.norm(vp - vq, axis=1)
         return float(np.sum(dv * dt))
     raise ValueError(f"unhandled variant {name!r}")
-
-
-# -- streamed Galilean distances, every variant ---------------------------------
-
-# narrowest signed integer dtypes tried for integer site differences
-_INT_TILES = (np.int8, np.int16, np.int32, np.int64)
-
-
-class GridPathSource(distances.GridPathSource):
-    """distances.GridPathSource for every Galilean variant, by rows.
-
-    The package serves l2 alone; the max and L1 variants the lattice
-    smears by transfer matrices are streamed here, as the dense oracle of
-    that route.  The max and L1 reductions run one time step at a time
-    into a block-sized accumulator; steps where all paths agree add
-    nothing and are skipped.  The max variants difference integer
-    positions (enumerated lattice sites) in the narrowest integer dtype
-    that holds every step's spread.  Mass multiplies before ``scale``,
-    as for a scaled matrix.
-    """
-
-    def __init__(self, positions, times, spec: DistanceSpec, mass: float = 1.0,
-                 scale: float = 1.0):
-        if spec.name == "l2":
-            super().__init__(positions, times, spec, scale)
-            return
-        if spec.is_index_based:
-            raise ValueError("index distances do not apply to gridded paths")
-        self.name = spec.name
-        self.mass = spec.mass if spec.mass is not None else mass
-        self.scale = float(scale)
-        X = np.asarray(positions)
-        if not (self.name in ("max_sep", "mass_max_sep") and np.issubdtype(X.dtype, np.integer)):
-            X = X.astype(float)
-        self.n = X.shape[0]
-        t = np.asarray(times, dtype=float)
-        dt = np.diff(t)
-        w = np.zeros_like(t)
-        w[:-1] += dt / 2.0
-        w[1:] += dt / 2.0
-        self._duration = t[-1] - t[0]
-
-        if self.name == "velocity_l1":
-            base, seg_w = np.diff(X, axis=1) / dt, dt
-        elif self.name in ("l1_time_integral", "l1_time_average", "mass_l1"):
-            base, seg_w = X, w
-        else:
-            base, seg_w = X, None
-
-        spans = np.zeros(base.shape[1], dtype=base.dtype)
-        if self.n:
-            spans = np.ptp(base, axis=0)
-        self._dtype = base.dtype
-        if np.issubdtype(base.dtype, np.integer):
-            if self.n:
-                base = base - base.min(axis=0)   # same differences, each step from 0
-            widest = int(spans.max(initial=0))
-            self._dtype = next(d for d in _INT_TILES if np.iinfo(d).max >= widest)
-        self._steps = [
-            (np.ascontiguousarray(base[:, k], dtype=self._dtype),
-             None if seg_w is None else float(seg_w[k]))
-            for k in np.flatnonzero(spans > 0)
-        ]
-
-    def neg_rows(self, lo: int, hi: int) -> np.ndarray:
-        """The negated distances of rows lo..hi-1, as a new float array.
-
-        The max and L1 variants negate their accumulator as it becomes the
-        float result, in one pass with the integer-to-float conversion of
-        lattice sites; duration, mass and scale then act on -d.
-        """
-        if self.name == "l2":
-            return super().neg_rows(lo, hi)
-        acc = np.zeros((hi - lo, self.n), dtype=self._dtype)
-        diff = np.empty_like(acc)
-        for col, w in self._steps:
-            np.subtract(col[lo:hi, None], col[None, :], out=diff)
-            np.abs(diff, out=diff)
-            if w is None:
-                np.maximum(acc, diff, out=acc)
-            else:
-                diff *= w
-                acc += diff
-        d = np.negative(acc, out=acc if acc.dtype == float else np.empty(acc.shape))
-        if self.name == "l1_time_average":
-            d /= self._duration
-        if self.name in MASS_VARIANTS:
-            d *= self.mass
-        if self.scale != 1.0:
-            d *= self.scale
-        return d
-
-
-def grid_distance_matrix(positions, times, spec: DistanceSpec, mass: float = 1.0) -> np.ndarray:
-    """Dense (n, n) matrix of GridPathSource distances, stacked by row blocks.
-
-    Each block is 0.0 - neg_rows: the negation of every nonzero entry,
-    and +0.0 for a zero of either sign.  Raises ModelTooLarge, before
-    allocating anything of size n x n, past distances.MAX_MATRIX_BYTES.
-    """
-    n = np.shape(positions)[0]
-    distances.admit_matrix(n)
-    source = GridPathSource(positions, times, spec, mass)
-    out = np.empty((n, n), dtype=float)
-    for lo in range(0, n, 512):
-        hi = min(lo + 512, n)
-        np.subtract(0.0, source.neg_rows(lo, hi), out=out[lo:hi])
-    return out
 
 
 # -- composite paths and their distance rules ---------------------------------

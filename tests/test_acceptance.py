@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 
-from realpathsim.distances import DistanceSpec
+from realpathsim.distances import DistanceSpec, grid_distance_matrix
 from realpathsim.engine import (
     final_state_probabilities,
     path_probabilities,
@@ -39,7 +39,6 @@ from realpathsim.toymodels import (
 from oracles import (
     block_distance_matrix,
     brute_force_probabilities,
-    grid_distance_matrix,
     make_indexed_ensemble,
     step_distance,
 )

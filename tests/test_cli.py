@@ -302,8 +302,9 @@ LATTICE_SMOKE_CONFIG = {
 
 
 def test_lattice_bytes_do_not_depend_on_threads(tmp_path, monkeypatch):
-    # 83 paths: tiles of 32 rows over two threads, 21 rows over three,
-    # switching often; the sweep's cells each take a one-thread pass
+    # 83 paths, switching threads often: max_sep and l2 on the dense pass,
+    # l1_time_integral on the transfer route; the sweep's cells run on
+    # up to three threads
     cfg = write(tmp_path / "smoke.json", LATTICE_SMOKE_CONFIG)
     golden = (DATA / "lattice_smoke.csv").read_bytes()
     paths = (DATA / "lattice_smoke.csv.paths.csv").read_bytes()
@@ -327,6 +328,13 @@ def test_lattice_bytes_do_not_depend_on_threads(tmp_path, monkeypatch):
             cfg_sweep = str(DATA / "lattice_sweep.json")
             assert run_cli(["--config", cfg_sweep, "--output", str(sweep), "sweep"]) == 0
             assert sweep.read_bytes() == sweep_golden, threads
+            for name in ("l2", "l1_time_integral"):
+                out = tmp_path / f"{name}{threads}.csv"
+                assert run_cli([
+                    "lattice", "--steps", "4", "--extent", "3", "--hop", "2",
+                    "--weight", "corridor", "--distance", name, "--output", str(out),
+                ]) == 0
+                assert out.read_bytes() == (tmp_path / f"{name}1.csv").read_bytes(), threads
     finally:
         sys.setswitchinterval(interval)
 
@@ -492,18 +500,44 @@ def test_factoring_distances_admit_t9_and_t10():
 
 
 def test_transfer_over_budget_exits_65_before_enumeration(capsys, monkeypatch):
-    # 401 paths, but max_sep messages over 401 prefixes, 401 radii and
-    # 401 sites pass MAX_TILE_BYTES; refused before enumeration
+    # 891,831 paths, 1.05 times the T=10 spec's: past the dense bound,
+    # and the transfer route's run, counted by transfer_bytes, comes to
+    # just over MAX_TILE_BYTES; refused before enumeration
     from realpathsim import lattice
+    from realpathsim.engine import MAX_TILE_BYTES
+
+    argv = ["--steps", "9", "--extent", "7", "--start", "1", "--end", "7", "--hop", "3"]
+    spec = lattice.LatticeSpec(steps=9, extent=7, start=1, end=7, hop=3)
+    need = lattice.transfer_bytes(spec, DistanceSpec("max_sep"))
+    assert lattice.path_count(spec) == 891_831
+    assert MAX_TILE_BYTES < need < 1.02 * MAX_TILE_BYTES
 
     def refuse(spec):
         raise AssertionError("enumerated an over-budget spec")
 
     monkeypatch.setattr(lattice, "enumerate_paths", refuse)
-    rc = run_cli(["lattice", "--steps", "2", "--extent", "200", "--hop", "200"])
-    assert rc == 65
+    assert run_cli(["lattice", *argv]) == 65
     err = capsys.readouterr().err
     assert err.startswith("ModelTooLarge:") and "transfer route" in err
+
+
+def test_wide_lattice_takes_the_dense_pass(tmp_path):
+    # 401 paths two steps wide: max_sep's transfer messages, over 401
+    # radii and sites per prefix, would take 7.7 GiB, so the dense pass
+    # runs it, with the probabilities it gave before the transfer route
+    from realpathsim.distances import GridPathSource
+    from realpathsim.engine import path_probabilities
+    from realpathsim.lattice import LatticeSpec, enumerate_paths, lattice_ensemble
+
+    out = tmp_path / "wide.csv"
+    argv = ["lattice", "--steps", "2", "--extent", "200", "--hop", "200"]
+    assert run_cli([*argv, "--output", str(out)]) == 0
+    spec = LatticeSpec(steps=2, extent=200, start=0, end=0, hop=200)
+    sites = enumerate_paths(spec)
+    source = GridPathSource(sites, np.arange(3.0), DistanceSpec("max_sep"), spec.mass)
+    want = path_probabilities(lattice_ensemble(spec, sites)[0], source)
+    rows = out.read_text().splitlines()[2:]
+    assert [float(r.split(",")[1]) for r in rows] == want.probs.tolist()
 
 
 def test_lattice_steps_9_runs_where_the_dense_pass_refuses(tmp_path):

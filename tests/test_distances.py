@@ -14,6 +14,7 @@ from realpathsim.distances import (
     GALILEAN_VARIANTS,
     MASS_VARIANTS,
     DistanceSpec,
+    grid_distance_matrix,
     index_distance_matrix,
 )
 from realpathsim.errors import EndpointMismatch, SpecViolation
@@ -23,7 +24,6 @@ from oracles import (
     SpacetimePath,
     exp_index_distance,
     galilean_distance,
-    grid_distance_matrix,
     grid_max_separation,
     step_distance,
     trapezoid_l1,

@@ -7,13 +7,19 @@ import numpy as np
 import pytest
 
 from realpathsim import engine
-from realpathsim.distances import GALILEAN_VARIANTS, DistanceSpec
+from realpathsim.distances import (
+    GALILEAN_VARIANTS,
+    DistanceSpec,
+    GridPathSource,
+    grid_distance_matrix,
+)
 from realpathsim.engine import (
     dense_smeared,
     dense_tile_bytes,
     distribution_from_sums,
     path_probabilities,
     unnormalized_probabilities,
+    weighted_probabilities,
 )
 from realpathsim.errors import ModelTooLarge, NoPaths, SpecViolation, TooManyPaths
 from realpathsim.lattice import (
@@ -33,14 +39,7 @@ from realpathsim.lattice import (
     upper_arm_mask,
 )
 
-from oracles import (
-    GridPathSource,
-    block_dense_smeared,
-    dfs_lattice_paths,
-    galilean_distance,
-    grid_distance_matrix,
-    site_path,
-)
+from oracles import block_dense_smeared, dfs_lattice_paths, galilean_distance, site_path
 
 
 def test_single_step_single_path():
@@ -277,15 +276,23 @@ def test_one_pass_experiment_matches_separate_runs():
     assert np.array_equal(dist.probs, alone.probs)
     assert dist.norm_constant == alone.norm_constant
     assert vis == two_arm_visibility(spec, dspec, distance_scale=0.3)
-    # the same visibility from two matrix-route runs, one per phase setting
-    dmat = 0.3 * grid_distance_matrix(sites, np.arange(6.0), dspec)
+    # the same visibility from two runs of the route the spec takes
+    # (transfer), one per phase setting
     w = corridor_weights(sites)
     masses = []
     for phase in (0.0, np.pi):
+        (smeared,), denom = transfer_smeared(spec, sites, dspec, 0.3, (phase,))
+        masses.append(float(np.sum(weighted_probabilities(smeared, denom, w))))
+    assert vis == abs(masses[0] - masses[1]) / (masses[0] + masses[1])
+    # and, within the 1e-12 of the oracle tests below, from two runs of
+    # the matrix route, which sums in another order
+    dmat = 0.3 * grid_distance_matrix(sites, np.arange(6.0), dspec)
+    dense = []
+    for phase in (0.0, np.pi):
         ens, _ = lattice_ensemble(spec, sites, phase * upper_arm_mask(sites))
-        masses.append(float(np.sum(unnormalized_probabilities(ens, dmat, weights=w)[0])))
-    # the transfer route and the matrix route sum in different orders
-    assert vis == pytest.approx(abs(masses[0] - masses[1]) / (masses[0] + masses[1]),
+        dense.append(float(np.sum(unnormalized_probabilities(ens, dmat, weights=w)[0])))
+    assert masses == pytest.approx(dense, rel=1e-12, abs=0)
+    assert vis == pytest.approx(abs(dense[0] - dense[1]) / (dense[0] + dense[1]),
                                 rel=0, abs=1e-12)
 
 
@@ -337,18 +344,16 @@ def test_dense_pass_peak_within_tile_bytes():
     times = np.arange(STREAM_SPEC.steps + 1, dtype=float)
     for name in GALILEAN_VARIANTS:
         source = GridPathSource(sites, times, DistanceSpec(name), STREAM_SPEC.mass, 0.3)
-        for workers in (1, 2):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                dense_smeared(amps, source, workers)
-                peak = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-            # the complex tiles, one per worker, are most of it; nothing
-            # of size n x n appears
-            bounds = engine._TILE_ROWS * n * 16 < peak <= dense_tile_bytes(n) < n * n * 8
-            assert bounds, (name, workers)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            dense_smeared(amps, source)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the complex tile is most of it; nothing of size n x n appears
+        bounds = engine._TILE_ROWS * n * 16 < peak <= dense_tile_bytes(n) < n * n * 8
+        assert bounds, name
 
 
 # The transfer route against the dense oracle.  Tolerances, fixed before
@@ -373,7 +378,7 @@ def _dense_oracle(spec, sites, dspec, scale, blocks=None):
     times = np.arange(spec.steps + 1, dtype=float)
     source = GridPathSource(sites, times, dspec, spec.mass, scale)
     if blocks is None:
-        return *dense_smeared(amps, source, workers=2), slice(None)
+        return *dense_smeared(amps, source), slice(None)
     E = np.exp(np.concatenate([source.neg_rows(lo, hi) for lo, hi in blocks]))
     rows = np.concatenate([np.arange(lo, hi) for lo, hi in blocks])
     return [E @ a for a in amps], E.sum(axis=1), rows
@@ -430,20 +435,30 @@ def test_transfer_route_edge_specs(spec):
     _assert_transfer_matches(spec, sites, dspec, 0.3)
 
 
-def test_experiments_take_the_route_of_their_distance(monkeypatch):
+def test_experiments_take_the_route_admit_picks(monkeypatch):
     from realpathsim import lattice
 
-    spec = LatticeSpec(steps=4, extent=3, start=0, end=0, hop=2)
+    spec = LatticeSpec(steps=5, extent=4, start=0, end=0, hop=2)
+    # 401 paths two steps wide: the messages over 401 sites (and radii,
+    # for max_sep) would outweigh the dense pass
+    wide = LatticeSpec(steps=2, extent=200, start=0, end=0, hop=200)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("took the dense pass")
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"took {name}")
+        return call
 
-    monkeypatch.setattr(lattice, "dense_smeared", refuse)
+    monkeypatch.setattr(lattice, "dense_smeared", refuse("the dense pass"))
     for name in FACTORING_VARIANTS:
         run_lattice_experiment(spec, DistanceSpec(name), arm_phase=1.1)
         two_arm_experiment(spec, DistanceSpec(name))
     with pytest.raises(AssertionError, match="dense pass"):
         run_lattice_experiment(spec, DistanceSpec("l2"))
+    monkeypatch.undo()
+    monkeypatch.setattr(lattice, "transfer_smeared", refuse("the transfer route"))
+    for name in FACTORING_VARIANTS:
+        run_lattice_experiment(wide, DistanceSpec(name))
+        two_arm_experiment(wide, DistanceSpec(name))
     with pytest.raises(ValueError, match="does not factor"):
         transfer_smeared(spec, enumerate_paths(spec), DistanceSpec("l2"), 1.0, (0.0,))
 
@@ -470,7 +485,8 @@ def test_transfer_pass_peak_within_transfer_bytes():
         finally:
             tracemalloc.stop()
         # the outputs, 40 bytes per path, are a floor; nothing n x n appears
-        assert 40 * n < peak <= transfer_bytes(STREAM_SPEC, dspec) < n * n, name
+        assert 40 * n < peak <= transfer_bytes(STREAM_SPEC, dspec), name
+        assert peak < n * n, name
 
 
 def test_bad_scale_or_mass_is_refused_before_enumeration(monkeypatch):
