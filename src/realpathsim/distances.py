@@ -5,7 +5,7 @@ Two families:
 * index distances on abstract path labels -- the step window distance
   (0 inside a window of half-width D, weight 1/2 exactly at D, infinite
   beyond) and its smooth cousin exp(|i-j|/D);
-* geometric distances between Galilean paths sampled on one shared time
+* geometric distances between Galilean paths sampled on the unit time
   grid -- max separation, time-integrated L1/L2 separation, and a
   velocity-sensitive variant, each with optional mass weighting --
   served by rows from GridPathSource to the dense pass.  The lattice
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelTooLarge, SpecViolation
+from .errors import ModelTooLarge
 
 INDEX_VARIANTS = ("step", "exp_index")
 GALILEAN_VARIANTS = (
@@ -55,11 +55,9 @@ MAX_MATRIX_BYTES = 2 << 30
 class DistanceSpec:
     """Named, parameterized distance function on path pairs.
 
-    ``D`` is required for the index variants and refused for the others;
-    ``mass`` overrides the path mass for the mass-weighted geometric
-    variants (defaults to the lattice mass), must be finite and >= 0 so
-    that exp(-d) stays at most 1 (SpecViolation otherwise), and is
-    refused for the others.
+    ``D`` is required for the index variants and refused for the others.
+    The mass-weighted geometric variants read the mass of the paths (the
+    lattice mass); a distance carries none of its own.
     ``literal_log_half`` puts log(1/2) at the step rim |i-j| = D and is
     refused for every other distance; a run setting, not part of the
     config's distance object.
@@ -67,7 +65,6 @@ class DistanceSpec:
 
     name: str
     D: int | None = None
-    mass: float | None = None
     literal_log_half: bool = False
 
     def __post_init__(self):
@@ -81,10 +78,6 @@ class DistanceSpec:
             object.__setattr__(self, "D", int(self.D))
         elif self.D is not None:
             raise ValueError(f"{self.name} distance takes no D")
-        if self.mass is not None and self.name not in MASS_VARIANTS:
-            raise ValueError(f"{self.name} distance takes no mass")
-        if self.mass is not None and not (math.isfinite(self.mass) and self.mass >= 0):
-            raise SpecViolation(f"{self.name} mass must be finite and >= 0, not {self.mass!r}")
 
     @property
     def is_index_based(self) -> bool:
@@ -95,11 +88,12 @@ class DistanceSpec:
         name = data.get("name")
         if name not in INDEX_VARIANTS + GALILEAN_VARIANTS:
             raise ValueError(f"unknown distance name {name!r}")
-        return cls(
-            name=name,
-            D=data.get("D"),
-            mass=data.get("mass"),
-        )
+        if "mass" in data:
+            raise ValueError(
+                f"{name} distance takes no mass; {' and '.join(MASS_VARIANTS)} "
+                "read the lattice mass"
+            )
+        return cls(name=name, D=data.get("D"))
 
 
 def admit_matrix(n: int):
@@ -120,14 +114,22 @@ def index_distance_matrix(spec: DistanceSpec, n: int) -> np.ndarray:
     if spec.name not in INDEX_VARIANTS:
         raise ValueError(f"{spec.name} is not an index distance")
     admit_matrix(n)
-    gaps = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    # built in place from float gaps: one n x n float array, and for step
+    # at most two boolean masks beside it, 1.25 matrices at the peak
+    labels = np.arange(n, dtype=float)
+    d = np.subtract.outer(labels, labels)
+    np.abs(d, out=d)
     if spec.name == "step":
-        at = -LOG2 if spec.literal_log_half else LOG2
-        return np.where(gaps < spec.D, 0.0, np.where(gaps > spec.D, np.inf, at))
+        rim = d == spec.D
+        np.copyto(d, np.inf, where=d > spec.D)
+        np.copyto(d, 0.0, where=d < spec.D)
+        np.copyto(d, -LOG2 if spec.literal_log_half else LOG2, where=rim)
+        return d
+    d /= spec.D
     # past n/D of about 709 exp overflows to inf, whose exp(-inf) is the
     # exact 0 the postulate needs
     with np.errstate(over="ignore"):
-        return np.exp(gaps / spec.D)
+        return np.exp(d, out=d)
 
 
 # narrowest signed integer dtypes tried for integer site differences
@@ -137,26 +139,34 @@ _INT_TILES = (np.int8, np.int16, np.int32, np.int64)
 _MATRIX_ROWS = 512
 
 
-class GridPathSource:
-    """Pairwise geometric distances of scalar paths on one shared grid, by rows.
+def unit_trapezoid(n_times: int) -> np.ndarray:
+    """Trapezoid weights 1/2, 1, ..., 1, 1/2 of the unit time grid 0..n_times-1."""
+    w = np.ones(n_times)
+    w[[0, -1]] = 0.5
+    return w
 
-    ``positions`` is (n_paths, n_times) of 1-d coordinates; rows are
-    resampled paths.  ``neg_rows(lo, hi)`` computes the (hi - lo, n) block
-    of negated distances from paths lo..hi-1 to every path, times
-    ``scale``, the exponent the dense pass takes exp of, so a caller can
-    stream a distance matrix without ever holding n x n.
+
+class GridPathSource:
+    """Pairwise geometric distances of scalar paths on the unit time grid, by rows.
+
+    ``positions`` is (n_paths, n_times) of 1-d coordinates at the times
+    0, 1, ..., n_times - 1 (at least two), as lattice paths are sampled.
+    ``neg_rows(lo, hi)`` computes the (hi - lo, n) block of negated
+    distances from paths lo..hi-1 to every path, times ``scale``, the
+    exponent the dense pass takes exp of, so a caller can stream a
+    distance matrix without ever holding n x n.
 
     The max and L1 reductions run one time step at a time into a block-
     sized accumulator; steps where all paths agree add nothing and are
     skipped.  The max variants difference integer positions (enumerated
     lattice sites) in the narrowest integer dtype that holds every step's
-    spread.  Mass multiplies before ``scale``, as for a scaled matrix.
+    spread.  ``mass`` multiplies the mass-weighted variants before
+    ``scale``, as for a scaled matrix.
     """
 
     def __init__(
         self,
         positions: np.ndarray,
-        times: np.ndarray,
         spec: DistanceSpec,
         mass: float = 1.0,
         scale: float = 1.0,
@@ -164,30 +174,24 @@ class GridPathSource:
         if spec.is_index_based:
             raise ValueError("index distances do not apply to gridded paths")
         self.name = spec.name
-        self.mass = spec.mass if spec.mass is not None else mass
+        self.mass = mass
         self.scale = float(scale)
         X = np.asarray(positions)
         if not (self.name in ("max_sep", "mass_max_sep") and np.issubdtype(X.dtype, np.integer)):
             X = X.astype(float)
-        self.n = X.shape[0]
-        t = np.asarray(times, dtype=float)
-
-        # trapezoid weights for the shared grid
-        w = np.zeros_like(t)
-        dt = np.diff(t)
-        w[:-1] += dt / 2.0
-        w[1:] += dt / 2.0
-        self._duration = t[-1] - t[0]
+        self.n, n_times = X.shape
+        self._duration = float(n_times - 1)
 
         if self.name == "l2":
+            w = unit_trapezoid(n_times)
             self._q = X**2 @ w
             self._Xw = X * w
             self._Xt = np.ascontiguousarray(X.T)
             return
         if self.name == "velocity_l1":
-            base, seg_w = np.diff(X, axis=1) / dt, dt
+            base, seg_w = np.diff(X, axis=1), np.ones(n_times - 1)
         elif self.name in ("l1_time_integral", "l1_time_average", "mass_l1"):
-            base, seg_w = X, w
+            base, seg_w = X, unit_trapezoid(n_times)
         elif self.name in ("max_sep", "mass_max_sep"):
             base, seg_w = X, None
         else:
@@ -248,10 +252,7 @@ class GridPathSource:
 
 
 def grid_distance_matrix(
-    positions: np.ndarray,
-    times: np.ndarray,
-    spec: DistanceSpec,
-    mass: float = 1.0,
+    positions: np.ndarray, spec: DistanceSpec, mass: float = 1.0
 ) -> np.ndarray:
     """Dense (n, n) matrix of GridPathSource distances, stacked by row blocks.
 
@@ -262,7 +263,7 @@ def grid_distance_matrix(
     """
     n = np.shape(positions)[0]
     admit_matrix(n)
-    source = GridPathSource(positions, times, spec, mass)
+    source = GridPathSource(positions, spec, mass)
     out = np.empty((n, n), dtype=float)
     for lo in range(0, n, _MATRIX_ROWS):
         hi = min(lo + _MATRIX_ROWS, n)

@@ -61,12 +61,9 @@ _TILE_ROWS = 64
 # cache; any value gives the same bits
 _BAND_TILE = 1 << 15
 
-# largest working set one dense pass may hold (see dense_tile_bytes):
-# half the 2 GiB matrix limit, as a sweep runs one pass per pool thread
-# (two at once on a 2-core host).
-# The tiles grow linearly in the path count: at the most paths the
-# dense pass admits they take a third of this.  A lattice run on the
-# transfer route is held to it as a whole (lattice.transfer_bytes).
+# largest working set of a lattice run on the transfer route, held to it
+# as a whole: messages, per-path arrays and output text
+# (lattice.transfer_bytes).  A sweep runs one such cell per pool thread.
 MAX_TILE_BYTES = 1 << 30
 
 @dataclass(frozen=True)
@@ -85,7 +82,7 @@ class PathDistribution:
         if np.any(self.probs < 0):
             raise ValueError("negative probability")
         total = float(np.sum(self.probs))
-        if abs(total - 1.0) > _SUM_ATOL:
+        if not abs(total - 1.0) <= _SUM_ATOL:  # a NaN sum fails too
             raise ValueError(f"probabilities sum to {total}, not 1")
 
     @property
@@ -200,28 +197,26 @@ class Prefix(NamedTuple):
     n: int
 
 
-def banded_smeared(
-    components: Sequence[np.ndarray], D: int, half: float = RIM_WEIGHT
-) -> tuple[np.ndarray, np.ndarray]:
+def banded_smeared(components: Sequence[np.ndarray], D: int) -> tuple[np.ndarray, np.ndarray]:
     """Smeared amplitude and volume under the max of step distances.
 
     Each component is an index family with its own amplitudes; a
     composite path picks one index per component and its amplitude is
     the product.  The pair weight exp(-max_c d_c) is 1 when every
-    component gap is < D, ``half`` when every gap is <= D and one equals
-    D, and 0 otherwise, so both sums factorize into per-component window
-    sums S<= (|j-i| <= D) and S< (|j-i| < D):
+    component gap is < D, w = RIM_WEIGHT when every gap is <= D and one
+    equals D, and 0 otherwise, so both sums factorize into per-component
+    window sums S<= (|j-i| <= D) and S< (|j-i| < D):
 
-        smeared = half * (x_c S<=_c) + (1 - half) * (x_c S<_c)
+        smeared = w * (x_c S<=_c) + (1 - w) * (x_c S<_c)
 
     and the same with window counts for the denominator.  Results have
     shape (n_1, ..., n_K).  K=1 is the single ensemble under the step
-    distance.  ``half`` other than 1/2 (the literal log(1/2) step value
-    gives 2) is exact only for K=1: with several components the weight
-    at the rim then depends on how many gaps equal D.
+    distance; step_smeared also takes its literal rim weight 2, which
+    would not be exact for several components: the weight at the rim
+    would then depend on how many gaps equal D.
     """
     first = components[0]
-    return _banded(_prefix(first, D), D, half, 0, first.size, components[1:])
+    return _banded(_prefix(first, D), D, RIM_WEIGHT, 0, first.size, components[1:])
 
 
 def step_smeared(
@@ -351,8 +346,8 @@ def distribution_from_sums(
     """
     unnorm = weighted_probabilities(smeared, denom, weights)
     total = float(np.sum(unnorm))
-    if total <= 0.0:
-        raise AllZeroProbability("all paths have zero probability weight")
+    if not total > 0.0:  # a NaN total fails too
+        raise AllZeroProbability(f"the path probability weights sum to {total}, not above 0")
     C = 1.0 / total
     unnorm *= C
     return PathDistribution(

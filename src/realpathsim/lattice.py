@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import MASS_VARIANTS, DistanceSpec, GridPathSource
+from .distances import MASS_VARIANTS, DistanceSpec, GridPathSource, unit_trapezoid
 from .engine import (
     MAX_TILE_BYTES,
     PathDistribution,
@@ -396,20 +396,19 @@ def resolve_weight(weight: dict | None, sites: np.ndarray) -> np.ndarray | None:
 
 
 def _check_scale(spec: LatticeSpec, distance: DistanceSpec, distance_scale: float):
-    """Raise SpecViolation for a scale or mass that would make exp(-d) exceed 1.
+    """Raise SpecViolation for a scale or mass that would break exp(-d) or A.
 
-    ``distance_scale`` must be finite and >= 0, and so must the lattice
-    mass where a mass-weighted distance reads it (DistanceSpec checks a
-    mass of its own).
+    ``distance_scale`` must be finite and >= 0, so that exp(-d) stays at
+    most 1, and so must the lattice mass where a mass-weighted distance
+    reads it.  Under any distance the mass must be finite: the amplitudes
+    exp(-i m S) of a non-finite mass are NaN.
     """
     if not (math.isfinite(distance_scale) and distance_scale >= 0):
         raise SpecViolation(f"distance_scale must be finite and >= 0, not {distance_scale!r}")
-    if (distance.name in MASS_VARIANTS and distance.mass is None
-            and not (math.isfinite(spec.mass) and spec.mass >= 0)):
-        raise SpecViolation(
-            f"{distance.name} reads the lattice mass, which must be finite and >= 0, "
-            f"not {spec.mass!r}"
-        )
+    weighted = distance.name in MASS_VARIANTS
+    if not (math.isfinite(spec.mass) and (spec.mass >= 0 or not weighted)):
+        need = f"finite and >= 0 under {distance.name}" if weighted else "finite"
+        raise SpecViolation(f"the lattice mass must be {need}, not {spec.mass!r}")
 
 
 def _distinct(rows: np.ndarray, bounds) -> tuple[np.ndarray, np.ndarray]:
@@ -484,11 +483,10 @@ def _distance_terms(spec: LatticeSpec, distance: DistanceSpec, scale: float, bou
     underflows to 0 are dropped.  The other variants have the one radius
     R, under which every tube holds every site, and weight 1.
     """
-    mass = distance.mass if distance.mass is not None else spec.mass
     spread = max(hi - lo for lo, hi in bounds)
     radii, weights = np.array([spread]), np.ones(1)
     if distance.name in MAX_VARIANTS:
-        s = scale * mass if distance.name == "mass_max_sep" else scale
+        s = scale * spec.mass if distance.name == "mass_max_sep" else scale
         radii = np.arange(spread + 1)
         weights = np.exp(-s * radii) * -np.expm1(-s)
         weights[-1] = np.exp(-s * spread)
@@ -497,12 +495,11 @@ def _distance_terms(spec: LatticeSpec, distance: DistanceSpec, scale: float, bou
     if distance.name == "velocity_l1":
         return (radii, None, float(scale)), weights
     # trapezoid weights of the unit time grid, then duration, mass, scale
-    c = np.ones(spec.steps + 1)
-    c[[0, -1]] = 0.5
+    c = unit_trapezoid(spec.steps + 1)
     if distance.name == "l1_time_average":
         c /= spec.steps
     if distance.name == "mass_l1":
-        c *= mass
+        c *= spec.mass
     return (radii, c * scale, None), weights
 
 
@@ -603,8 +600,7 @@ def _smeared(spec, sites, distance, distance_scale, phases, transfer):
     mask = upper_arm_mask(sites).astype(float)
     amps = [lattice_ensemble(spec, sites, phase * mask if phase else None)[0].amplitudes
             for phase in phases]
-    times = np.arange(spec.steps + 1, dtype=float)
-    source = GridPathSource(sites, times, distance, spec.mass, distance_scale)
+    source = GridPathSource(sites, distance, spec.mass, distance_scale)
     return dense_smeared(amps, source)
 
 

@@ -29,9 +29,8 @@ in the causal past of an earlier one -- detected exactly by minimizing
 the segment-pair interval quadratic over the dt <= 0 region of the
 parameter box; non-causal otherwise.
 
-The d2 integrand is kept signed (the max over Q can be negative when a
-P point is timelike to all of Q); ``clamp_nonnegative=True`` zeroes
-negative contributions for comparison runs.
+The d2 integrand is kept signed: the max over Q can be negative when a
+P point is timelike to all of Q.
 """
 
 from __future__ import annotations
@@ -86,9 +85,6 @@ class MinkowskiPath:
     @property
     def end(self) -> np.ndarray:
         return self.events[-1]
-
-    def to_json(self) -> str:
-        return json.dumps({"events": self.events.tolist()})
 
     @classmethod
     def from_json(cls, text: str) -> "MinkowskiPath":
@@ -307,26 +303,6 @@ def classify(path: MinkowskiPath) -> CausalClass:
     return CausalClass.NON_CAUSAL
 
 
-def causal_weight(path: MinkowskiPath) -> float:
-    """Realization weight: 1 for causal paths, else 0.
-
-    Non-causal paths keep contributing amplitude to other paths' smeared
-    sums; anti-causal paths should be dropped from the ensemble entirely
-    before evaluation (see drop_anti_causal).
-    """
-    return 1.0 if classify(path) is CausalClass.CAUSAL else 0.0
-
-
-def drop_anti_causal(paths) -> tuple[list, list[int]]:
-    """Remove anti-causal paths; returns (kept paths, kept 0-based indices)."""
-    kept, idx = [], []
-    for k, p in enumerate(paths):
-        if classify(p) is not CausalClass.ANTI_CAUSAL:
-            kept.append(p)
-            idx.append(k)
-    return kept, idx
-
-
 # -- distances ----------------------------------------------------------------
 
 def _check_shared_endpoints(P: MinkowskiPath, Q: MinkowskiPath):
@@ -401,7 +377,7 @@ class _Branch:
         )
 
 
-def _envelope_branches(a: np.ndarray, e: np.ndarray, Q: MinkowskiPath, clamp: bool):
+def _envelope_branches(a: np.ndarray, e: np.ndarray, Q: MinkowskiPath):
     """Candidate quadratics whose upper envelope is max_q interval(p(u) - q).
 
     For the point p(u) = a + u e against a Q segment (c, c+f), the
@@ -431,8 +407,6 @@ def _envelope_branches(a: np.ndarray, e: np.ndarray, Q: MinkowskiPath, clamp: bo
                 lo, hi = max(0.0, window[0]), min(1.0, window[1])
                 if lo < hi:
                     branches.append(_Branch(A, B, C, lo, hi))
-    if clamp:
-        branches.append(_Branch(0.0, 0.0, 0.0))
     return branches
 
 
@@ -494,17 +468,12 @@ def _integrate_envelope(branches: list[_Branch]) -> float:
     return total
 
 
-def _segment_integral(a: np.ndarray, e: np.ndarray, Q: MinkowskiPath, clamp: bool) -> float:
+def _segment_integral(a: np.ndarray, e: np.ndarray, Q: MinkowskiPath) -> float:
     """integral_0^1 max_q interval(a + u e - q) du, exact."""
-    return _integrate_envelope(_envelope_branches(a, e, Q, clamp))
+    return _integrate_envelope(_envelope_branches(a, e, Q))
 
 
-def d2(
-    P: MinkowskiPath,
-    Q: MinkowskiPath,
-    variant: str = "plain",
-    clamp_nonnegative: bool = False,
-) -> float:
+def d2(P: MinkowskiPath, Q: MinkowskiPath, variant: str = "plain") -> float:
     """Proper-time-weighted maximal separation along P.
 
     plain: P must be causal, Q not anti-causal; sums over all P segments.
@@ -519,9 +488,7 @@ def d2(
         raise ValueError(f"unknown d2 variant {variant!r}")
     _check_shared_endpoints(P, Q)
     if variant == "symmetrized":
-        return 0.5 * (
-            d2(P, Q, "prime", clamp_nonnegative) + d2(Q, P, "prime", clamp_nonnegative)
-        )
+        return 0.5 * (d2(P, Q, "prime") + d2(Q, P, "prime"))
     cls_p = classify(P)
     if cls_p is CausalClass.ANTI_CAUSAL:
         raise AntiCausalArgument("d2 is not defined for anti-causal P")
@@ -539,5 +506,5 @@ def d2(
         dtau = proper_time(vec)
         if dtau == 0.0:
             continue
-        total += dtau * _segment_integral(ev[i], vec, Q, clamp_nonnegative)
+        total += dtau * _segment_integral(ev[i], vec, Q)
     return total

@@ -47,12 +47,3 @@ class PathEnsemble:
     @property
     def n_paths(self) -> int:
         return int(self.amplitudes.size)
-
-    @property
-    def indices(self) -> np.ndarray:
-        """1-based path indices, matching the labelling P_1 .. P_N."""
-        return np.arange(1, self.n_paths + 1)
-
-    def amplitude(self, index: int) -> complex:
-        """Amplitude of path P_index (1-based)."""
-        return complex(self.amplitudes[index - 1])

@@ -60,15 +60,6 @@ class M1Spec:
     def as_m3(self) -> "M3Spec":
         return M3Spec(N=self.N, regions=((self.M, self.K, 0.0),))
 
-    def validate_scale(self):
-        """Opt-in smallness conditions K <= M/2 and K <= N/10.
-
-        Kept out of construction: the canonical desk example (N=24, M=9,
-        K=3) is meant to build even though 10*K > N.
-        """
-        _require(2 * self.K <= self.M, f"K={self.K} not small against M={self.M}")
-        _require(_SCALE_FACTOR * self.K <= self.N, f"K={self.K} not small against N={self.N}")
-
 
 @dataclass(frozen=True)
 class M2Spec:

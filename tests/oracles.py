@@ -486,7 +486,7 @@ def galilean_distance(P: SpacetimePath, Q: SpacetimePath, spec: DistanceSpec) ->
     xp = P.position_at(grid)
     xq = Q.position_at(grid)
     gap = np.linalg.norm(xp - xq, axis=1)
-    m = spec.mass if spec.mass is not None else P.mass
+    m = P.mass
 
     name = spec.name
     if name == "max_sep":

@@ -381,14 +381,13 @@ def test_criterion_6_minkowski_invariance():
 def test_criterion_7_metric_axioms():
     rng = np.random.default_rng(77)
     n = 100
-    ts = np.arange(7, dtype=float)
     xs = np.zeros((n, 7))
     xs[:, 1:-1] = rng.uniform(-4, 4, size=(n, 5))
     triples = rng.integers(0, n, size=(1000, 3))
     sym_ok = True
     tri_ok = True
     for name in ("max_sep", "l1_time_integral", "l2", "velocity_l1"):
-        mat = grid_distance_matrix(xs, ts, DistanceSpec(name))
+        mat = grid_distance_matrix(xs, DistanceSpec(name))
         sym_ok &= bool(np.array_equal(mat, mat.T))
         p, q, r = triples[:, 0], triples[:, 1], triples[:, 2]
         tri_ok &= bool(np.all(mat[p, r] <= mat[p, q] + mat[q, r] + 1e-12))

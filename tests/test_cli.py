@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -254,16 +255,17 @@ def test_bad_lattice_weight_exits_64(tmp_path, weight):
 
 
 def test_mass_on_distance_without_mass_exits_64(tmp_path, capsys):
-    # only the mass-weighted distances read a mass: elsewhere the field is
-    # refused, not ignored
-    cfg = write(tmp_path / "lat.json", {
-        "model": {"model": "lattice", "steps": 4, "extent": 3, "start": 0, "end": 0},
-        "distance": {"name": "max_sep", "mass": 7.0},
-    })
-    out = tmp_path / "lat.csv"
-    assert run_cli(["--config", cfg, "--output", str(out), "run"]) == 64
-    assert not out.exists()
-    assert "takes no mass" in capsys.readouterr().err
+    # the mass-weighted distances read the lattice mass: a distance's own
+    # mass field is refused, not ignored, on every distance
+    for name in ("max_sep", "mass_l1", "mass_max_sep"):
+        cfg = write(tmp_path / "lat.json", {
+            "model": {"model": "lattice", "steps": 4, "extent": 3, "start": 0, "end": 0},
+            "distance": {"name": name, "mass": 7.0},
+        })
+        out = tmp_path / "lat.csv"
+        assert run_cli(["--config", cfg, "--output", str(out), "run"]) == 64, name
+        assert not out.exists()
+        assert "takes no mass" in capsys.readouterr().err
 
 
 def test_lattice_subcommand_writes_paths_file(tmp_path):
@@ -288,6 +290,15 @@ def test_lattice_outputs_match_golden_bytes(tmp_path):
     ]) == 0
     for name in ("lattice_smoke.csv", "lattice_smoke.csv.paths.csv"):
         assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+    # the same run as JSON, beside the same paths file
+    out = tmp_path / "lattice_smoke.json"
+    assert run_cli([
+        "lattice", "--steps", "4", "--extent", "3", "--hop", "2",
+        "--weight", "corridor", "--format", "json", "--output", str(out),
+    ]) == 0
+    assert out.read_bytes() == (DATA / "lattice_smoke.json").read_bytes()
+    paths = (tmp_path / "lattice_smoke.json.paths.csv").read_bytes()
+    assert paths == (DATA / "lattice_smoke.csv.paths.csv").read_bytes()
     sweep = tmp_path / "lattice_sweep.csv"
     cfg = str(DATA / "lattice_sweep.json")
     assert run_cli(["--config", cfg, "--output", str(sweep), "sweep"]) == 0
@@ -442,13 +453,16 @@ def test_blas_cap_without_openblas_does_nothing(tmp_path, monkeypatch):
         ("m3_sweep.json", "sweep", [], "m3_sweep.csv"),
         ("m3_sweep.json", "sweep", ["--literal-log-half"], "m3_sweep_literal.csv"),
         ("m2_theta_sweep.json", "sweep", [], "m2_theta_sweep.csv"),
+        ("m1.json", "run", ["--format", "json"], "m1_run.json"),
+        ("screen.json", "ratios", ["--format", "json"], "screen_ratios.json"),
     ],
 )
 def test_banded_outputs_match_golden_bytes(tmp_path, config, command, flags, golden):
     # the README's M1 and M2 examples, a K=3 screen config, an M2 sweep
     # whose windows reach past N/2, an M2 sweep under exp_index, a
-    # three-region M3 sweep over D from 1 past N (sharing one prefix), and
-    # an M2 theta1 sweep (a model spec, so a prefix, per cell)
+    # three-region M3 sweep over D from 1 past N (sharing one prefix), an
+    # M2 theta1 sweep (a model spec, so a prefix, per cell), and the M1
+    # and screen examples again as JSON
     out = tmp_path / golden
     argv = ["--config", str(DATA / config), "--output", str(out), *flags, command]
     assert run_cli(argv) == 0
@@ -534,7 +548,7 @@ def test_wide_lattice_takes_the_dense_pass(tmp_path):
     assert run_cli([*argv, "--output", str(out)]) == 0
     spec = LatticeSpec(steps=2, extent=200, start=0, end=0, hop=200)
     sites = enumerate_paths(spec)
-    source = GridPathSource(sites, np.arange(3.0), DistanceSpec("max_sep"), spec.mass)
+    source = GridPathSource(sites, DistanceSpec("max_sep"), spec.mass)
     want = path_probabilities(lattice_ensemble(spec, sites)[0], source)
     rows = out.read_text().splitlines()[2:]
     assert [float(r.split(",")[1]) for r in rows] == want.probs.tolist()
@@ -569,7 +583,8 @@ def test_lattice_bad_scale_or_mass_exits_65(tmp_path, capsys, flags):
 @pytest.mark.parametrize("fields", [
     {"distance_scale": -1},
     {"distance_scale": float("nan")},
-    {"distance": {"name": "mass_l1", "mass": -2}},
+    {"model": {**LATTICE_SMOKE_CONFIG["model"], "mass": -2},
+     "distance": {"name": "mass_l1"}},
     {"model": {**LATTICE_SMOKE_CONFIG["model"], "mass": -2},
      "distance": {"name": "mass_max_sep"}},
 ])
@@ -579,6 +594,47 @@ def test_run_bad_scale_or_mass_exits_65(tmp_path, capsys, fields):
     assert run_cli(["--config", cfg, "--output", str(out), "run"]) == 65
     assert not out.exists()
     assert "finite and >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mass", ["nan", "inf"])
+@pytest.mark.parametrize("flags", [
+    ["--steps", "7", "--extent", "6"],                              # transfer route
+    ["--steps", "4", "--extent", "3", "--distance", "l1_time_integral"],
+    ["--steps", "4", "--extent", "3", "--distance", "l2"],          # dense pass
+])
+def test_lattice_non_finite_mass_exits_65_before_enumeration(
+    tmp_path, capsys, monkeypatch, flags, mass
+):
+    # the amplitudes exp(-i m S) would be NaN; no warning is printed
+    from realpathsim import lattice
+
+    def refuse(spec):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(lattice, "enumerate_paths", refuse)
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli(["lattice", "--hop", "2", *flags, "--mass", mass, "--output", str(out)])
+    assert rc == 65
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("SpecViolation:") and "lattice mass must be finite" in err
+
+
+@pytest.mark.parametrize("command, fields", [
+    ("run", {"model": {**LATTICE_SMOKE_CONFIG["model"], "mass": float("nan")}}),
+    ("run", {"model": {**LATTICE_SMOKE_CONFIG["model"], "mass": float("inf")},
+             "distance": {"name": "l2"}}),
+    ("sweep", {"weight": None, "sweep": {"name": "mass", "values": [1, float("nan")]}}),
+    ("sweep", {"weight": None, "sweep": {"name": "mass", "values": [float("-inf")]}}),
+])
+def test_non_finite_lattice_mass_exits_65(tmp_path, capsys, command, fields):
+    cfg = write(tmp_path / "bad.json", {**LATTICE_SMOKE_CONFIG, **fields})
+    out = tmp_path / "out.csv"
+    assert run_cli(["--config", cfg, "--output", str(out), command]) == 65
+    assert not out.exists()
+    assert "lattice mass must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("sweep", [

@@ -6,6 +6,7 @@ triangle violation of the step distance.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from realpathsim.distances import (
     index_distance_matrix,
 )
 from realpathsim.errors import EndpointMismatch, SpecViolation
+from realpathsim.lattice import LatticeSpec, run_lattice_experiment
 
 from oracles import (
     IncompatibleGrids,
@@ -85,12 +87,12 @@ def test_velocity_l1_example():
 
 
 def test_mass_weighting_exact():
+    # the mass-weighted variants read the paths' mass
+    m = 7.5
+    heavy, heavy_bulge = _path([0, 0, 0], mass=m), _path([0, 1, 0], mass=m)
     for plain, weighted in (("max_sep", "mass_max_sep"), ("l1_time_integral", "mass_l1")):
         base = galilean_distance(STRAIGHT, BULGE, DistanceSpec(plain))
-        m = 7.5
-        assert galilean_distance(
-            STRAIGHT, BULGE, DistanceSpec(weighted, mass=m)
-        ) == m * base
+        assert galilean_distance(heavy, heavy_bulge, DistanceSpec(weighted)) == m * base
 
 
 def test_resampling_different_grids():
@@ -113,6 +115,7 @@ def test_endpoint_and_grid_errors():
 
 
 def _random_grid_paths(rng, n_paths, n_times=6):
+    """(positions, times) of paths on the unit time grid, shared endpoints."""
     ts = np.arange(n_times, dtype=float)
     xs = np.zeros((n_paths, n_times))
     xs[:, 1:-1] = rng.uniform(-4, 4, size=(n_paths, n_times - 2))
@@ -121,27 +124,27 @@ def _random_grid_paths(rng, n_paths, n_times=6):
 
 def test_non_negativity_ten_thousand_pairs():
     rng = np.random.default_rng(7)
-    xs, ts = _random_grid_paths(rng, 100)
+    xs, _ = _random_grid_paths(rng, 100)
     for name in GALILEAN_VARIANTS:
-        mat = grid_distance_matrix(xs, ts, DistanceSpec(name), mass=2.0)
+        mat = grid_distance_matrix(xs, DistanceSpec(name), mass=2.0)
         assert mat.shape == (100, 100)      # 10^4 ordered pairs
         assert np.all(mat >= 0.0)
 
 
 def test_symmetry_exact():
     rng = np.random.default_rng(8)
-    xs, ts = _random_grid_paths(rng, 40)
+    xs, _ = _random_grid_paths(rng, 40)
     for name in GALILEAN_VARIANTS:
-        mat = grid_distance_matrix(xs, ts, DistanceSpec(name))
+        mat = grid_distance_matrix(xs, DistanceSpec(name))
         assert np.array_equal(mat, mat.T)
 
 
 def test_triangle_inequality_norm_induced():
     rng = np.random.default_rng(9)
-    xs, ts = _random_grid_paths(rng, 60)
+    xs, _ = _random_grid_paths(rng, 60)
     triples = rng.integers(0, 60, size=(1000, 3))
     for name in ("max_sep", "l1_time_integral", "l2", "velocity_l1"):
-        mat = grid_distance_matrix(xs, ts, DistanceSpec(name))
+        mat = grid_distance_matrix(xs, DistanceSpec(name))
         p, q, r = triples[:, 0], triples[:, 1], triples[:, 2]
         assert np.all(mat[p, r] <= mat[p, q] + mat[q, r] + 1e-12)
 
@@ -159,8 +162,8 @@ def test_grid_matrix_matches_scalar_evaluation():
     xs, ts = _random_grid_paths(rng, 12)
     paths = [_path(row, ts, mass=3.0) for row in xs]
     for name in GALILEAN_VARIANTS:
-        spec = DistanceSpec(name, mass=3.0 if name in MASS_VARIANTS else None)
-        mat = grid_distance_matrix(xs, ts, spec, mass=3.0)
+        spec = DistanceSpec(name)
+        mat = grid_distance_matrix(xs, spec, mass=3.0)
         for a in range(0, 12, 3):
             for b in range(1, 12, 4):
                 assert mat[a, b] == pytest.approx(
@@ -168,10 +171,10 @@ def test_grid_matrix_matches_scalar_evaluation():
                 )
     # pure-python oracles agree on a sample pair
     a, b = 2, 9
-    assert grid_distance_matrix(xs, ts, DistanceSpec("max_sep"))[a, b] == pytest.approx(
+    assert grid_distance_matrix(xs, DistanceSpec("max_sep"))[a, b] == pytest.approx(
         grid_max_separation(xs[a], xs[b])
     )
-    assert grid_distance_matrix(xs, ts, DistanceSpec("l1_time_integral"))[
+    assert grid_distance_matrix(xs, DistanceSpec("l1_time_integral"))[
         a, b
     ] == pytest.approx(trapezoid_l1(xs[a], xs[b], ts))
 
@@ -185,6 +188,31 @@ def test_index_distance_matrix_matches_pointwise():
     espec = DistanceSpec("exp_index", D=2)
     emat = index_distance_matrix(espec, 6)
     assert emat[0, 5] == pytest.approx(exp_index_distance(1, 6, 2))
+
+
+def test_index_distance_matrix_is_built_in_place():
+    # one float matrix, and for step at most two boolean masks beside it
+    # (1.25 matrices), with the bits of the plain formulas; at n = 1500
+    # exp(|i-j|/2) overflows to inf
+    n = 1500
+    gaps = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    for spec in (DistanceSpec("exp_index", D=2), DistanceSpec("exp_index", D=50),
+                 DistanceSpec("step", D=3), DistanceSpec("step", D=3, literal_log_half=True)):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            mat = index_distance_matrix(spec, n)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * mat.nbytes, spec
+        if spec.name == "step":
+            rim = -math.log(2.0) if spec.literal_log_half else math.log(2.0)
+            want = np.where(gaps < 3, 0.0, np.where(gaps > 3, np.inf, rim))
+        else:
+            with np.errstate(over="ignore"):
+                want = np.exp(gaps / spec.D)
+        assert mat.tobytes() == want.tobytes(), spec
 
 
 def test_distance_spec_json():
@@ -201,17 +229,19 @@ def test_spec_refuses_fields_its_distance_never_reads():
     for name, D in (("exp_index", 5), ("max_sep", None)):
         with pytest.raises(ValueError, match="step distance only"):
             DistanceSpec(name, D=D, literal_log_half=True)
-    for name, D in (("max_sep", None), ("l2", None), ("step", 3), ("exp_index", 3)):
+    # a distance carries no mass of its own, the mass-weighted ones included
+    for name in ("max_sep", "l2", "step", "exp_index", *MASS_VARIANTS):
         with pytest.raises(ValueError, match="takes no mass"):
-            DistanceSpec(name, D=D, mass=7.0)
-    for name in MASS_VARIANTS:
-        assert DistanceSpec(name, mass=7.0).mass == 7.0
+            DistanceSpec.from_dict({"name": name, "D": 3, "mass": 7.0})
     assert DistanceSpec("step", D=5, literal_log_half=True).literal_log_half
 
 
 def test_distance_mass_must_be_finite_and_non_negative():
+    # the lattice mass a mass-weighted distance reads, before enumeration
     for name in MASS_VARIANTS:
         for mass in (-2.0, -1e-300, math.nan, math.inf):
+            spec = LatticeSpec(steps=4, extent=3, start=0, end=0, hop=2, mass=mass)
             with pytest.raises(SpecViolation, match="finite and >= 0"):
-                DistanceSpec(name, mass=mass)
-        assert DistanceSpec(name, mass=0.0).mass == 0.0
+                run_lattice_experiment(spec, DistanceSpec(name))
+        spec = LatticeSpec(steps=4, extent=3, start=0, end=0, hop=2, mass=0.0)
+        assert run_lattice_experiment(spec, DistanceSpec(name))[0].n_paths == 83

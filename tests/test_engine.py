@@ -10,10 +10,14 @@ from realpathsim import engine
 from realpathsim.distances import DistanceSpec, index_distance_matrix
 from realpathsim.engine import (
     _BAND_TILE,
+    PathDistribution,
+    _prefix,
     banded_smeared,
     dense_smeared,
+    distribution_from_sums,
     final_state_probabilities,
     path_probabilities,
+    step_smeared,
     unnormalized_probabilities,
     weighted_probabilities,
 )
@@ -150,6 +154,12 @@ def test_banded_matches_sliding_window_at_scale():
     assert np.array_equal(denom, ref_denom)
 
 
+def _step_smeared(amps, D, half):
+    """The K=1 banded sums at rim weight ``half``: 1/2, or the literal rim's 2."""
+    spec = DistanceSpec("step", D=D, literal_log_half=half == 2.0)
+    return step_smeared(_prefix(amps, D), spec)
+
+
 @pytest.mark.parametrize("half", [0.5, 2.0])
 @pytest.mark.parametrize("n", [1, 2, 17])
 def test_banded_window_counts_at_the_edges(n, half):
@@ -157,7 +167,7 @@ def test_banded_window_counts_at_the_edges(n, half):
     rng = np.random.default_rng(n)
     amps = _random_unit(rng, n)
     for D in sorted({d for d in (1, n - 1, n, n + 1, 10**7) if d >= 1}):
-        smeared, denom = banded_smeared([amps], D, half)
+        smeared, denom = _step_smeared(amps, D, half)
         ref_smeared, ref_denom = sliding_window_smeared(amps, D, rim=half)
         assert np.array_equal(denom, ref_denom), D
         assert np.max(np.abs(smeared - ref_smeared)) <= 1e-12 * np.max(np.abs(smeared)), D
@@ -177,7 +187,7 @@ def test_tiled_kernel_has_the_untiled_bits(n):
         if D < 1:
             continue
         for half in (0.5, 2.0):
-            got = banded_smeared([amps], D, half)
+            got = _step_smeared(amps, D, half)
             assert _same_bits(got, untiled_banded_smeared([amps], D, half)), (D, half)
 
 
@@ -316,6 +326,15 @@ def test_final_state_all_zero_raises():
     a = make_indexed_ensemble([1, -1], endpoint_tag="B1")
     with pytest.raises(AllZeroProbability):
         final_state_probabilities([a], np.zeros((2, 2)), weights=np.zeros(2))
+
+
+def test_nan_sums_are_refused():
+    # NaN compares false both ways: neither the sum-to-1 check nor the
+    # above-0 check may pass it
+    with pytest.raises(ValueError, match="sum to nan"):
+        PathDistribution(np.array([np.nan, 0.5]), 1.0, np.zeros(2, complex), np.ones(2))
+    with pytest.raises(AllZeroProbability, match="sum to nan"):
+        distribution_from_sums(np.array([np.nan, 1.0], complex), np.ones(2))
 
 
 def test_unnormalized_route_matches_distribution():

@@ -112,9 +112,7 @@ def test_site_paths_match_grid_distances():
 
     for name in ("max_sep", "l1_time_integral", "l2", "velocity_l1", "mass_l1"):
         dspec = DistanceSpec(name)
-        mat = grid_distance_matrix(
-            sites.astype(float), np.arange(5, dtype=float), dspec, mass=spec.mass
-        )
+        mat = grid_distance_matrix(sites.astype(float), dspec, mass=spec.mass)
         assert mat[0, 7] == pytest.approx(galilean_distance(a, b, dspec), abs=1e-12)
 
 
@@ -189,9 +187,7 @@ def test_normalization_and_phase_invariance_on_lattice():
     ens, sites = lattice_ensemble(spec)
     from realpathsim.paths import PathEnsemble
 
-    dmat = grid_distance_matrix(
-        sites.astype(float), np.arange(6, dtype=float), DistanceSpec("l2")
-    )
+    dmat = grid_distance_matrix(sites.astype(float), DistanceSpec("l2"))
     base = path_probabilities(ens, dmat)
     assert abs(float(np.sum(base.probs)) - 1.0) < 1e-9
     rotated = path_probabilities(
@@ -233,15 +229,14 @@ STREAM_SPEC = LatticeSpec(steps=6, extent=6, start=0, end=0, hop=2, mass=1.7)
 def test_streamed_route_matches_matrix_route():
     sites = enumerate_paths(STREAM_SPEC)
     assert sites.shape[0] == 1751
-    times = np.arange(STREAM_SPEC.steps + 1, dtype=float)
     mask = upper_arm_mask(sites).astype(float)
     amps = [lattice_ensemble(STREAM_SPEC, sites, phase * mask)[0].amplitudes
             for phase in (0.0, np.pi)]
     for name in GALILEAN_VARIANTS:
         dspec = DistanceSpec(name)
-        dmat = grid_distance_matrix(sites, times, dspec, mass=STREAM_SPEC.mass)
+        dmat = grid_distance_matrix(sites, dspec, mass=STREAM_SPEC.mass)
         for scale in (0.0, 0.3, 1.0, 300.0):
-            source = GridPathSource(sites, times, dspec, STREAM_SPEC.mass, scale)
+            source = GridPathSource(sites, dspec, STREAM_SPEC.mass, scale)
             streamed, denom = dense_smeared(amps, source)
             scaled = dmat * scale if scale != 1.0 else dmat
             for vec, got in zip(amps, streamed):
@@ -258,9 +253,8 @@ def test_tiled_route_has_the_block_route_bits(steps):
     mask = upper_arm_mask(sites).astype(float)
     amps = [lattice_ensemble(spec, sites, phase * mask)[0].amplitudes
             for phase in (0.0, np.pi)]
-    times = np.arange(steps + 1, dtype=float)
     for scale in (0.3, 1.0):
-        source = GridPathSource(sites, times, DistanceSpec("max_sep"), spec.mass, scale)
+        source = GridPathSource(sites, DistanceSpec("max_sep"), spec.mass, scale)
         got, denom = dense_smeared(amps, source)
         want, want_denom = block_dense_smeared(amps, source)
         assert all(np.array_equal(g, w) for g, w in zip(got, want)), scale
@@ -286,7 +280,7 @@ def test_one_pass_experiment_matches_separate_runs():
     assert vis == abs(masses[0] - masses[1]) / (masses[0] + masses[1])
     # and, within the 1e-12 of the oracle tests below, from two runs of
     # the matrix route, which sums in another order
-    dmat = 0.3 * grid_distance_matrix(sites, np.arange(6.0), dspec)
+    dmat = 0.3 * grid_distance_matrix(sites, dspec)
     dense = []
     for phase in (0.0, np.pi):
         ens, _ = lattice_ensemble(spec, sites, phase * upper_arm_mask(sites))
@@ -323,17 +317,16 @@ def test_transfer_amplitude_refuses_oversized_lattice(monkeypatch):
 
 
 def test_integer_tiles_hold_every_difference():
-    times = np.arange(3.0)
     for top in (127, 128, 40_000, 2**40):
         sites = np.array([[0, top, 0], [0, 0, 0], [0, -top, 0]])
-        got = grid_distance_matrix(sites, times, DistanceSpec("max_sep"))
+        got = grid_distance_matrix(sites, DistanceSpec("max_sep"))
         assert got[0].tolist() == [0.0, top, 2.0 * top]
     # two steps with a wide hop: 401 paths spreading 400 sites in one step
     spec = LatticeSpec(steps=2, extent=200, start=0, end=0, hop=200)
     sites = enumerate_paths(spec)
     for name in GALILEAN_VARIANTS:
-        ints = grid_distance_matrix(sites, times, DistanceSpec(name), mass=1.7)
-        floats = grid_distance_matrix(sites.astype(float), times, DistanceSpec(name), mass=1.7)
+        ints = grid_distance_matrix(sites, DistanceSpec(name), mass=1.7)
+        floats = grid_distance_matrix(sites.astype(float), DistanceSpec(name), mass=1.7)
         assert np.array_equal(ints, floats), name
 
 
@@ -341,9 +334,8 @@ def test_dense_pass_peak_within_tile_bytes():
     sites = enumerate_paths(STREAM_SPEC)
     n = sites.shape[0]
     amps = [lattice_ensemble(STREAM_SPEC, sites)[0].amplitudes] * 2
-    times = np.arange(STREAM_SPEC.steps + 1, dtype=float)
     for name in GALILEAN_VARIANTS:
-        source = GridPathSource(sites, times, DistanceSpec(name), STREAM_SPEC.mass, 0.3)
+        source = GridPathSource(sites, DistanceSpec(name), STREAM_SPEC.mass, 0.3)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -375,8 +367,7 @@ def _dense_oracle(spec, sites, dspec, scale, blocks=None):
     """
     mask = upper_arm_mask(sites).astype(float)
     amps = [lattice_ensemble(spec, sites, phase * mask)[0].amplitudes for phase in ORACLE_PHASES]
-    times = np.arange(spec.steps + 1, dtype=float)
-    source = GridPathSource(sites, times, dspec, spec.mass, scale)
+    source = GridPathSource(sites, dspec, spec.mass, scale)
     if blocks is None:
         return *dense_smeared(amps, source), slice(None)
     E = np.exp(np.concatenate([source.neg_rows(lo, hi) for lo, hi in blocks]))
@@ -430,9 +421,6 @@ def test_transfer_route_edge_specs(spec):
     for name in FACTORING_VARIANTS:
         for scale in (0.0, 0.3, 300.0):
             _assert_transfer_matches(spec, sites, DistanceSpec(name), scale)
-    # a distance mass of its own overrides the lattice mass
-    dspec = DistanceSpec("mass_l1", mass=2.5)
-    _assert_transfer_matches(spec, sites, dspec, 0.3)
 
 
 def test_experiments_take_the_route_admit_picks(monkeypatch):
@@ -507,3 +495,16 @@ def test_bad_scale_or_mass_is_refused_before_enumeration(monkeypatch):
         for name in ("mass_l1", "mass_max_sep"):
             with pytest.raises(SpecViolation, match="lattice mass"):
                 run_lattice_experiment(heavy, DistanceSpec(name))
+    # a non-finite mass makes NaN amplitudes under every distance, on both
+    # routes; a negative one is a mass like any other off the mass-weighted
+    for mass in (np.nan, np.inf, -np.inf):
+        bad = LatticeSpec(steps=4, extent=3, start=0, end=0, hop=2, mass=mass)
+        for name in GALILEAN_VARIANTS:
+            with pytest.raises(SpecViolation, match="lattice mass must be finite"):
+                run_lattice_experiment(bad, DistanceSpec(name))
+            with pytest.raises(SpecViolation, match="lattice mass must be finite"):
+                two_arm_experiment(bad, DistanceSpec(name))
+    monkeypatch.undo()
+    negative = LatticeSpec(steps=4, extent=3, start=0, end=0, hop=2, mass=-2.0)
+    for name in ("max_sep", "l1_time_integral", "l2", "velocity_l1"):
+        assert run_lattice_experiment(negative, DistanceSpec(name))[0].n_paths == 83

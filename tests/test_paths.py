@@ -25,8 +25,6 @@ def test_make_indexed_ensemble_basic():
     ens = make_indexed_ensemble([1, -1, 1])
     assert ens.n_paths == 3
     assert np.array_equal(ens.amplitudes, np.array([1, -1, 1], dtype=complex))
-    assert list(ens.indices) == [1, 2, 3]
-    assert ens.amplitude(2) == -1
 
 
 def test_make_indexed_ensemble_empty():

@@ -57,14 +57,6 @@ def test_amplitude_sum_is_block_strength():
         assert amplitude_total(build_m1(spec)) == pytest.approx(K + 1)
 
 
-def test_scale_validation_is_opt_in():
-    with pytest.raises(SpecViolation):
-        M1Spec(N=24, M=9, K=5).validate_scale()  # 2K > M
-    with pytest.raises(SpecViolation):
-        CANON.validate_scale()  # 10K > N on the canonical desk example
-    M1Spec(N=200, M=41, K=3).validate_scale()
-
-
 def test_build_m2_zero_phases_two_plateaus():
     spec = M2Spec(N=31, M0=5, K0=2, M1=14, K1=3)
     amps = build_m2(spec).amplitudes
