@@ -34,15 +34,15 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import lattice as lattice_mod
-from .distances import DistanceSpec, index_distance_matrix
+from .distances import DistanceSpec
 from .engine import (
     PathDistribution,
     Prefix,
     _prefix,
-    dense_smeared,
     distribution_from_sums,
+    index_smeared,
+    kernel_windows,
     path_probabilities,
-    step_smeared,
     unnormalized_probabilities,
     weighted_probabilities,
 )
@@ -216,11 +216,33 @@ def _load_config(args) -> dict:
         return json.load(fh)
 
 
+_SWEEPABLE_FIELDS = {
+    "M1": {"N", "M", "K"},
+    "M2": {"N", "M0", "K0", "M1", "K1", "theta0", "theta1"},
+    "M3": {"N"},
+    "lattice": {"steps", "extent", "start", "end", "mass", "hop"},
+    "screen": set(),
+}
+
+
+def _refuse_unknown_keys(model: dict, kind: str):
+    """Raise ValueError naming the keys no reader of a ``kind`` model takes."""
+    # "D" is the toy shorthand for a step distance
+    parts = {"M3": ("regions",), "screen": ("endpoints", "screen_before", "screen_after")}
+    unknown = set(model) - {"model", "D", *_SWEEPABLE_FIELDS[kind], *parts.get(kind, ())}
+    if unknown:
+        keys = ", ".join(map(repr, sorted(unknown)))
+        raise ValueError(f"{kind} model object has unknown key(s) {keys}")
+
+
 def _model_spec(config: dict):
     model = config.get("model")
     if not isinstance(model, dict) or "model" not in model:
         raise ValueError('config needs a "model" object with a "model" kind')
     kind = model["model"]
+    if kind not in _SWEEPABLE_FIELDS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    _refuse_unknown_keys(model, kind)
     if kind in ("M1", "M2", "M3"):
         return parse_model_spec(model)
     if kind == "lattice":
@@ -232,9 +254,7 @@ def _model_spec(config: dict):
             mass=float(model.get("mass", 1.0)),
             hop=int(model.get("hop", 1)),
         )
-    if kind == "screen":
-        return ScreenSpec.from_dict(model)
-    raise ValueError(f"unknown model kind {kind!r}")
+    return ScreenSpec.from_dict(model)
 
 
 def _distance_spec(config: dict, args) -> DistanceSpec:
@@ -309,7 +329,9 @@ def _run_once(config: dict, args) -> tuple[str, str]:
             arm_phase=float(config.get("arm_phase", 0.0)),
         )
     else:
-        dist = path_probabilities(build_model(spec), _distance_spec(config, args))
+        dspec = _distance_spec(config, args)
+        kernel_windows(dspec, spec.N)  # refused before the build
+        dist = path_probabilities(build_model(spec), dspec)
     return _distribution_text(dist, fmt), _summary_line(dist)
 
 
@@ -329,36 +351,24 @@ def _block_range_indices(spec, D: int) -> tuple[int, int]:
     return max(1, first - D), min(spec.N, last + D)
 
 
-def _flipped_region(spec) -> tuple[int, np.ndarray]:
-    """0-based start of the last region and its amplitudes turned by pi.
+def _flipped_prefix(spec, prefix: Prefix, radius: int, lo: int, hi: int) -> Prefix:
+    """What windows of radius <= ``radius`` over rows lo..hi-1 read of ``prefix``, flipped.
 
-    The expression build_m3 evaluates for theta + pi, so the bits are
-    those of a full build of the flipped spec; checked for unit modulus
-    as a build is.
-    """
-    M, K, th = spec.as_m3().regions[-1]
-    region = np.full(K + 1, np.exp(-1j * (th + math.pi)))
-    return M - 1, PathEnsemble(region).amplitudes
-
-
-def _flipped_prefix(spec, prefix: Prefix, D: int, lo: int, hi: int) -> Prefix:
-    """What windows of radius D over rows lo..hi-1 read of ``prefix``, flipped.
-
-    ``prefix`` holds the sums of the spec's own amplitudes; the result
-    holds those of the spec with the last region's phase turned by pi.
-    Sums up to P(M-1), M the region's 1-based start, do not see the flip
-    and are copied.  The later ones are rebuilt from P(M-1) by one cumsum
-    over the flipped region and the alternating run after it (-1, +1,
-    ...), the values build_m3 writes there, so the bits are those of a
-    full flipped build's prefix.  The rows must start no later than the
-    region, as a beam block's rows do.
+    ``prefix`` holds the sums of the spec's own amplitudes, the result those
+    with the last region's phase turned by pi.  Sums up to P(M-1), M the
+    region's 1-based start, are copied; the later ones are rebuilt from
+    P(M-1) by one cumsum over the flipped region, exp(-i (theta + pi)) as
+    build_m3 evaluates it, and the alternating run after it (-1, +1, ...),
+    so the bits are those of a full flipped build's prefix.  The rows must
+    start no later than the region, as a beam block's rows do.
     """
     n = prefix.n
-    D = min(D, n)  # the windows clip their radius to n
-    origin = D - lo  # out[origin + k] = P(k) for k in [lo - D, hi + D]
-    out = prefix.sums[prefix.origin + lo - D : prefix.origin + hi + D + 1].copy()
-    start, region = _flipped_region(spec)
-    run = out[origin + start : origin + min(n, hi + D) + 1]
+    r = min(radius, n)  # the windows clip their radius to n
+    origin = r - lo  # out[origin + k] = P(k) for k in [lo - r, hi + r]
+    out = prefix.sums[prefix.origin + lo - r : prefix.origin + hi + r + 1].copy()
+    M, K, th = spec.as_m3().regions[-1]
+    region = PathEnsemble(np.full(K + 1, np.exp(-1j * (th + math.pi)))).amplitudes
+    run = out[origin + M - 1 : origin + min(n, hi + r) + 1]
     tail = run[1:]
     tail[: region.size] = region
     tail[region.size :: 2] = -1.0
@@ -378,50 +388,29 @@ def _toy_experiment(
 ) -> tuple[float, float, PathDistribution]:
     """(visibility, block mass, distribution) of one toy sweep cell.
 
-    The visibility compares the unnormalized beam-neighborhood masses at
-    the spec's own phases and with the last region's phase flipped by pi;
-    the distribution is the one ``run`` gives at the spec's own phases,
-    and the block mass is its share on the beam neighborhood.
+    The visibility compares the unnormalized masses on the beam block
+    widened by D, at the spec's own phases and with the last region's
+    phase flipped by pi; the distribution is the one ``run`` gives at
+    the spec's own phases, and the block mass is its share on the block.
 
-    Under the step distance, ``prefix`` is the padded prefix sum of the
-    spec's amplitudes (_toy_prefix, padded by at least dspec.D), which
-    the cells of a sweep over D share; None prepares the cell's own.  The
-    spec's phases take one banded pass over all N rows.  The flipped
-    setting only feeds its mass on the beam block, so it is smeared over
-    the block rows alone, from _flipped_prefix; its denominators are the
-    window counts, the same as at the spec's phases, and are reused.
-
-    Other index distances take the dense route: one matrix, and one
-    dense_smeared call over both phase vectors, which multiplies each
-    block of exp(-d) by each vector, so both get the bits of a call of
-    their own.
+    ``prefix`` is the spec's prefix sum padded by at least the widest
+    kernel radius (_toy_prefix), which a sweep's cells share; None
+    prepares the cell's own.  The spec's phases take one banded pass over
+    all N rows, the flipped setting (_flipped_prefix) one over the block
+    rows alone, whose denominators, the same window counts, are reused.
     """
-    if dspec.name == "step":
-        if prefix is None:
-            prefix = _toy_prefix(spec, dspec.D)
-        smeared, denom = step_smeared(prefix, dspec)
-        lo, hi = _block_range_indices(spec, dspec.D)
-        flipped = _flipped_prefix(spec, prefix, dspec.D, lo - 1, hi)
-        flipped_block, _counts = step_smeared(flipped, dspec, lo - 1, hi)
-    else:
-        amps = build_model(spec).amplitudes
-        # refuses a distance without an index window
-        matrix = index_distance_matrix(dspec, spec.N)
-        start, region = _flipped_region(spec)
-        flipped = amps.copy()
-        flipped[start : start + region.size] = region
-        (smeared, flipped_smeared), denom = dense_smeared([amps, flipped], matrix)
-        del matrix, amps, flipped
-        lo, hi = _block_range_indices(spec, dspec.D)
-        flipped_block = flipped_smeared[lo - 1 : hi]
+    windows = kernel_windows(dspec, spec.N)
+    if prefix is None:
+        prefix = _toy_prefix(spec, windows.radii[-1])
+    smeared, denom = index_smeared(prefix, windows)
+    lo, hi = _block_range_indices(spec, dspec.D)
+    flipped = _flipped_prefix(spec, prefix, windows.radii[-1], lo - 1, hi)
+    flipped_block, _counts = index_smeared(flipped, windows, lo - 1, hi)
     block = slice(lo - 1, hi)
     p_minus = float(np.sum(weighted_probabilities(flipped_block, denom[block])))
     p_plus = float(np.sum(weighted_probabilities(smeared[block], denom[block])))
-    vis = (
-        abs(p_plus - p_minus) / (p_plus + p_minus)
-        if (p_plus + p_minus) > 0
-        else 0.0
-    )
+    total = p_plus + p_minus
+    vis = abs(p_plus - p_minus) / total if total > 0 else 0.0
     dist = distribution_from_sums(smeared, denom)
     return vis, float(np.sum(dist.probs[block])), dist
 
@@ -431,11 +420,13 @@ def _sweep_specs(config: dict, args) -> tuple:
     spec = _model_spec(config)
     if isinstance(spec, ScreenSpec):
         raise SpecViolation("sweep does not apply to the screen model")
+    dspec = _distance_spec(config, args)
     if isinstance(spec, lattice_mod.LatticeSpec):
         _require_uniform(config, "does not apply to a lattice sweep, which fixes the corridor weight")
     else:
         _refuse_lattice_fields(config)
-    return spec, _distance_spec(config, args)
+        kernel_windows(dspec, spec.N)  # refused before any build
+    return spec, dspec
 
 
 def _sweep_cell(config: dict, spec, dspec: DistanceSpec, prefix: Prefix | None = None) -> dict:
@@ -451,15 +442,6 @@ def _sweep_cell(config: dict, spec, dspec: DistanceSpec, prefix: Prefix | None =
         return {"visibility": vis, "block_mass": mass, "norm_constant": dist.norm_constant}
     vis, mass, dist = _toy_experiment(spec, dspec, prefix)
     return {"visibility": vis, "block_mass": mass, "norm_constant": dist.norm_constant}
-
-
-_SWEEPABLE_FIELDS = {
-    "M1": {"N", "M", "K"},
-    "M2": {"N", "M0", "K0", "M1", "K1", "theta0", "theta1"},
-    "M3": {"N"},
-    "lattice": {"steps", "extent", "start", "end", "mass", "hop"},
-    "screen": set(),
-}
 
 
 def _apply_sweep_value(config: dict, name: str, value):
@@ -489,13 +471,13 @@ def cmd_sweep(args) -> int:
     cells = [_apply_sweep_value(config, name, v) for v in values]
     specs = [_sweep_specs(c, args) for c in cells]
 
-    # toy cells under the step distance with equal model specs (a sweep
-    # over D, or a repeated value) share one build and one prefix sum,
-    # padded for the widest of them; one group's prefix is alive at a
-    # time, and every other cell prepares its own inside its task
+    # toy cells with equal model specs (a sweep over D, or a repeated
+    # value) share one build and one prefix sum, padded for the widest
+    # kernel radius of them; one group's prefix is alive at a time, and
+    # every other cell prepares its own inside its task
     groups: dict = {}
     for i, (spec, dspec) in enumerate(specs):
-        if not isinstance(spec, lattice_mod.LatticeSpec) and dspec.name == "step":
+        if not isinstance(spec, lattice_mod.LatticeSpec):
             groups.setdefault(spec, []).append(i)
     shared = [g for g in groups.values() if len(g) > 1]
     alone = sorted(set(range(len(cells))).difference(*shared))
@@ -509,7 +491,7 @@ def cmd_sweep(args) -> int:
     if cells:
         with ThreadPoolExecutor(max_workers=min(threads, len(cells))) as pool:
             for indices in shared:
-                pad = max(specs[i][1].D for i in indices)
+                pad = max(kernel_windows(specs[i][1], specs[i][0].N).radii[-1] for i in indices)
                 run(pool, indices, pool.submit(_toy_prefix, specs[indices[0]][0], pad).result())
             run(pool, alone)
 
@@ -581,7 +563,10 @@ def cmd_classify(args) -> int:
 
 def cmd_ratios(args) -> int:
     config = _load_config(args)
-    spec = ScreenSpec.from_dict(config.get("model", config))
+    model = config.get("model", config)
+    if model is not config:
+        _refuse_unknown_keys(model, "screen")
+    spec = ScreenSpec.from_dict(model)
     _refuse_lattice_fields(config)
     _refuse_literal_log_half(args)
     _write_text(args.output, _ratios_text(spec, config.get("format", args.format or "csv")))

@@ -24,7 +24,6 @@ log(1/2) (negative distance, weight 2) for comparison runs only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +43,6 @@ GALILEAN_VARIANTS = (
 
 # the Galilean variants that read a mass
 MASS_VARIANTS = ("mass_max_sep", "mass_l1")
-
-LOG2 = math.log(2.0)
 
 # largest dense float64 distance matrix the package will build
 MAX_MATRIX_BYTES = 2 << 30
@@ -93,6 +90,9 @@ class DistanceSpec:
                 f"{name} distance takes no mass; {' and '.join(MASS_VARIANTS)} "
                 "read the lattice mass"
             )
+        unknown = ", ".join(map(repr, sorted(set(data) - {"name", "D"})))
+        if unknown:  # cls refuses D off an index distance
+            raise ValueError(f"{name} distance object has unknown key(s) {unknown}")
         return cls(name=name, D=data.get("D"))
 
 
@@ -103,33 +103,6 @@ def admit_matrix(n: int):
             f"{n} paths need a {n * n * 8 / 2**30:.2f} GiB distance matrix, "
             f"above {MAX_MATRIX_BYTES / 2**30:.0f} GiB"
         )
-
-
-def index_distance_matrix(spec: DistanceSpec, n: int) -> np.ndarray:
-    """Dense (n, n) matrix of an index distance over labels 1..n.
-
-    Raises ModelTooLarge, before allocating anything of size n x n, when
-    the matrix would exceed MAX_MATRIX_BYTES.
-    """
-    if spec.name not in INDEX_VARIANTS:
-        raise ValueError(f"{spec.name} is not an index distance")
-    admit_matrix(n)
-    # built in place from float gaps: one n x n float array, and for step
-    # at most two boolean masks beside it, 1.25 matrices at the peak
-    labels = np.arange(n, dtype=float)
-    d = np.subtract.outer(labels, labels)
-    np.abs(d, out=d)
-    if spec.name == "step":
-        rim = d == spec.D
-        np.copyto(d, np.inf, where=d > spec.D)
-        np.copyto(d, 0.0, where=d < spec.D)
-        np.copyto(d, -LOG2 if spec.literal_log_half else LOG2, where=rim)
-        return d
-    d /= spec.D
-    # past n/D of about 709 exp overflows to inf, whose exp(-inf) is the
-    # exact 0 the postulate needs
-    with np.errstate(over="ignore"):
-        return np.exp(d, out=d)
 
 
 # narrowest signed integer dtypes tried for integer site differences

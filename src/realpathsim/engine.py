@@ -14,19 +14,22 @@ final-state probabilities.
 
 The smearing sum has two routes:
 
-* ``banded_smeared``, a separable banded kernel for step distances over
-  K index components combined by the max rule.  It needs only closed and
-  open window sums per component (the weight at exactly D is 1/2).  K=1
-  is the single ensemble; K=3 is the particle x screen composite.  One
-  padded prefix sum serves every narrower window (``step_smeared``), so
-  a sweep over the step width takes it once.
-* ``dense_smeared``, a dense route for any other distance.  It streams
-  cache-sized tiles of rows, either from an (N, N) distance matrix or
+* ``index_smeared``, a separable banded kernel for the index distances
+  over K index components combined by the max rule.  An index kernel
+  only falls with the gap, so it is a non-negative sum of step windows
+  (``kernel_windows``): step is the windows D-1 and D, exp_index one
+  window per radius until exp(-d) is 0.0.  The sums are weighted sums
+  of window sums and counts, which factor over the components, from one
+  padded prefix sum per component; one prefix serves every narrower
+  kernel, so a sweep over D takes it once.  K=1 is the single ensemble;
+  K=3 is the particle x screen composite (``banded_smeared``).
+* ``dense_smeared``, a dense route for the geometric distances.  It
+  streams cache-sized tiles of rows, from an (N, N) distance matrix or
   from a ``GridPathSource`` that computes the negated distances of
-  gridded paths tile by tile, exponentiates each tile straight into a
-  reused complex tile and reduces it there, once per amplitude vector,
-  into the smeared sums and the shared denominators, on the calling
-  thread.  Fed from grid paths, it never holds anything of size N x N.
+  gridded paths tile by tile, exponentiates each tile into a reused
+  complex tile and reduces it there, once per amplitude vector, into the
+  smeared sums and the shared denominators, on the calling thread.  Fed
+  from grid paths, it never holds anything of size N x N.
 
 The engine takes resolved inputs only: the step rim convention rides on
 the DistanceSpec, and a weight is a per-path vector or None, resolved by
@@ -43,14 +46,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .distances import DistanceSpec, GridPathSource, index_distance_matrix
-from .errors import AllZeroProbability, EmptyEnsemble
+from .distances import DistanceSpec, GridPathSource
+from .errors import AllZeroProbability, EmptyEnsemble, ModelTooLarge
 from .paths import PathEnsemble
 
 _SUM_ATOL = 1e-9
-
-# smearing weight exp(-log 2) of a pair at exactly the step distance D
-RIM_WEIGHT = 0.5
 
 # rows of exp(-d) one dense pass holds at once; any count gives the same
 # bits (see _tile_edges).  Measured on 8 135 lattice paths (2-core host,
@@ -60,6 +60,12 @@ _TILE_ROWS = 64
 # output entries of banded_smeared computed at once, sized to stay in
 # cache; any value gives the same bits
 _BAND_TILE = 1 << 15
+
+# most window rows (paths x kernel radii) a banded pass admits; time, not
+# memory, bounds it: about 25 s at the 4.7 to 5.2 ns per row and radius
+# exp_index took on 10^6 paths at D = 50 and 16 384 at D = 10^7 (one core
+# of a 2-core host); the n x n matrix admitted at most 16 384 x 16 385
+BANDED_BOUND = 5 * 10**9
 
 # largest working set of a lattice run on the transfer route, held to it
 # as a whole: messages, per-path arrays and output text
@@ -104,16 +110,15 @@ def _resolve_weights(weights, n: int) -> np.ndarray | None:
 def smeared_components(ensemble: PathEnsemble, distance) -> tuple[np.ndarray, np.ndarray]:
     """Per-path smeared amplitude and smearing volume (denominator).
 
-    ``distance`` is a DistanceSpec (step gets the banded route, other
-    index distances become a matrix), a dense (N, N) matrix with np.inf
-    allowed, or a GridPathSource over the N paths.  Anything else raises
-    TypeError.
+    ``distance`` is a DistanceSpec of an index distance, which takes the
+    banded route (kernel_windows refuses the others), a dense (N, N)
+    matrix with np.inf allowed, or a GridPathSource over the N paths.
+    Anything else raises TypeError.
     """
     amps = ensemble.amplitudes
     if isinstance(distance, DistanceSpec):
-        if distance.name == "step":
-            return step_smeared(_prefix(amps, distance.D), distance)
-        distance = index_distance_matrix(distance, amps.size)
+        windows = kernel_windows(distance, amps.size)
+        return index_smeared(_prefix(amps, windows.radii[-1]), windows)
     (smeared,), denom = dense_smeared([amps], distance)
     return smeared, denom
 
@@ -197,87 +202,106 @@ class Prefix(NamedTuple):
     n: int
 
 
+class Windows(NamedTuple):
+    """An index kernel k(g) = sum of weights[m] over radii[m] >= g, radii ascending."""
+
+    radii: Sequence[int]
+    weights: Sequence[float]
+
+
+def kernel_windows(distance: DistanceSpec, n: int) -> Windows:
+    """The step windows of an index distance's kernel over n paths.
+
+    step is the windows D-1 and D with weights 1 - w and w, w the rim
+    weight (1/2, or 2 at the literal rim).  exp_index, whose kernel
+    k(g) = exp(-exp(g/D)) only falls with g, is the radii 0, 1, ..., R
+    with c_r = k(r) - k(r+1), taken through expm1 so that the difference
+    does not cancel, and c_R = k(R).  R = min(ceil(D ln 746), n): past
+    D ln 746 the kernel is 0.0 in float64, and past n - 1 no two paths
+    are apart.  Raises ValueError off the index distances, and
+    ModelTooLarge, before any weight, past BANDED_BOUND window rows.
+    """
+    if not distance.is_index_based:
+        raise ValueError(f"{distance.name} is not an index distance")
+    D = distance.D
+    step = distance.name == "step"
+    radii = (D - 1, D) if step else range(min(math.ceil(D * math.log(746.0)), n) + 1)
+    if n * len(radii) > BANDED_BOUND:
+        raise ModelTooLarge(f"{n} paths under {distance.name} with D={D} take "
+                            f"{n * len(radii):.3g} window rows, above {BANDED_BOUND:.0e}")
+    if step:
+        half = 2.0 if distance.literal_log_half else 0.5  # exp(-log 2) at D
+        return Windows(radii, (1 - half, half))
+    grow = np.exp(np.arange(len(radii), dtype=float) / D)  # exp(r/D), as the matrix had
+    k = np.exp(-grow)
+    # k(r) - k(r+1) = -k(r) expm1(-(exp((r+1)/D) - exp(r/D)))
+    weights = -k * np.expm1(-grow * math.expm1(1.0 / D))
+    weights[-1] = k[-1]
+    return Windows(radii, weights.tolist())
+
+
 def banded_smeared(components: Sequence[np.ndarray], D: int) -> tuple[np.ndarray, np.ndarray]:
     """Smeared amplitude and volume under the max of step distances.
 
     Each component is an index family with its own amplitudes; a
     composite path picks one index per component and its amplitude is
     the product.  The pair weight exp(-max_c d_c) is 1 when every
-    component gap is < D, w = RIM_WEIGHT when every gap is <= D and one
-    equals D, and 0 otherwise, so both sums factorize into per-component
-    window sums S<= (|j-i| <= D) and S< (|j-i| < D):
-
-        smeared = w * (x_c S<=_c) + (1 - w) * (x_c S<_c)
-
-    and the same with window counts for the denominator.  Results have
+    component gap is < D, w = 1/2 when every gap is <= D and one
+    equals D, and 0 otherwise: the windows D and D-1 with weights w and
+    1 - w, factorized over the components.  Results have
     shape (n_1, ..., n_K).  K=1 is the single ensemble under the step
-    distance; step_smeared also takes its literal rim weight 2, which
+    distance; kernel_windows also gives it the literal rim weight 2, which
     would not be exact for several components: the weight at the rim
     would then depend on how many gaps equal D.
     """
     first = components[0]
-    return _banded(_prefix(first, D), D, RIM_WEIGHT, 0, first.size, components[1:])
+    windows = kernel_windows(DistanceSpec("step", D=D), first.size)
+    return index_smeared(_prefix(first, D), windows, rest=components[1:])
 
 
-def step_smeared(
-    prefix: Prefix, distance: DistanceSpec, lo: int = 0, hi: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """banded_smeared's K=1 sums under a step distance, rows lo..hi-1 only.
-
-    ``prefix`` comes from _prefix padded by at least distance.D, so one
-    prefix serves every narrower step distance over the same amplitudes;
-    or it holds at least the entries those rows read (see _windows).
-    Rows outside lo..hi-1 are not computed.
-    """
-    half = 2.0 if distance.literal_log_half else RIM_WEIGHT
-    return _banded(prefix, distance.D, half, lo, prefix.n if hi is None else hi)
-
-
-def _banded(prefix: Prefix, D: int, half: float, lo: int, hi: int, rest=()):
+def index_smeared(prefix: Prefix, windows: Windows, lo=0, hi=None, rest=()):
     """The banded kernel: rows lo..hi-1 of the first component, whole rest.
 
-    The first component is taken _BAND_TILE output entries at a time:
-    its window sums and counts for those rows are differenced, scaled and
-    summed in cache, straight into the outputs; components 2..K keep
-    whole windows.
+    ``prefix`` is _prefix padded by at least windows.radii[-1], or holds
+    the entries rows lo..hi-1 read (see _windows); ``rest`` are the
+    amplitudes of components 2..K, whose windows are whole.  The first
+    component goes _BAND_TILE output entries at a time, each radius's
+    window sums and counts scaled in place (a fresh product each: K=1
+    takes the fresh window slice) and added in cache into the outputs.
     """
-    rest_windows = [_windows(_prefix(amps, D), D, 0, amps.size) for amps in rest]
+    radii, weights = windows
+    hi = prefix.n if hi is None else hi
+    rest_prefixes = [_prefix(amps, radii[-1]) for amps in rest]
+    rest_windows = [[_windows(p, r, 0, p.n) for p in rest_prefixes] for r in radii]
     shape = (hi - lo, *(amps.size for amps in rest))
     smeared = np.empty(shape, dtype=np.result_type(prefix.sums, *rest))
     denom = np.empty(shape, dtype=float)
     rows = max(1, _BAND_TILE // math.prod(shape[1:]))
     for t in range(lo, hi, rows):
         u = min(t + rows, hi)
-        # per kind (S<=, S<, counts<=, counts<), one factor per component
-        s_le, s_lt, n_le, n_lt = zip(_windows(prefix, D, t, u), *rest_windows)
-        _rim_sum(s_le, s_lt, half, smeared[t - lo : u - lo])
-        _rim_sum(n_le, n_lt, half, denom[t - lo : u - lo])
+        tile = slice(t - lo, u - lo)
+        for m, (r, c) in enumerate(zip(radii, weights)):
+            # window sums and counts, one factor per component
+            sums, counts = zip(_windows(prefix, r, t, u), *rest_windows[m])
+            for term, out in ((_outer(sums), smeared[tile]), (_outer(counts), denom[tile])):
+                if m == 0:
+                    np.multiply(term, c, out=out)
+                else:
+                    term *= c
+                    out += term
     return smeared, denom
 
 
 _outer = functools.partial(functools.reduce, np.multiply.outer)  # x_c v_c
 
 
-def _rim_sum(le, lt, half: float, out: np.ndarray):
-    """out = half * (x_c le_c) + (1 - half) * (x_c lt_c).
-
-    Scaled in place: each product is a fresh array (K=1 returns the
-    first component's own fresh window slice, never a shared one), and
-    a *= b has the bits of a * b.
-    """
-    closed, open_ = _outer(le), _outer(lt)
-    closed *= half
-    open_ *= 1 - half
-    np.add(closed, open_, out=out)
-
-
 def _prefix(amps: np.ndarray, pad: int) -> Prefix:
     """Prefix sum of amps padded by ``pad`` entries each side, pad clipped to n.
 
     The left pad holds P(0) = 0 and the right pad copies P(n), so the
-    windows of every radius D <= pad (any radius past n already covers
+    windows of every radius r <= pad (any radius past n already covers
     every index) read it without bounds checks: one prefix serves them
-    all, with the bits a prefix padded by D itself would give.
+    all, with the bits a prefix padded by r itself would give.
     """
     n = amps.size
     pad = min(pad, n)
@@ -287,35 +311,24 @@ def _prefix(amps: np.ndarray, pad: int) -> Prefix:
     return Prefix(sums, pad, n)
 
 
-def _windows(prefix: Prefix, D: int, lo: int, hi: int):
-    """S<=, S<, counts<=, counts< for the rows lo..hi-1 of prefix.n indices.
+def _windows(prefix: Prefix, r: int, lo: int, hi: int):
+    """Sums and counts of the windows |j-i| <= r in [0, n) of rows lo..hi-1.
 
-    S<= sums the window |j-i| <= D and S< the window |j-i| < D, both
-    clipped at the ends.  D is clipped to n first; the rows read P(k)
-    for k in [lo - D, hi + D], which a _prefix padded by pad >= D holds
-    for every row.
+    r is clipped to n = prefix.n first; the rows read P(k) for k in
+    [lo - r, hi + r], which a _prefix padded by pad >= r holds for every
+    row.  A count is 2r+1 less the r - i indices its window loses below 0
+    and the i - (n-1-r) it loses past n-1: whole numbers, so exact.
     """
     sums, o, n = prefix
-    D = min(D, n)
-    s_le = sums[o + lo + D + 1 : o + hi + D + 1] - sums[o + lo - D : o + hi - D]
-    s_lt = sums[o + lo + D : o + hi + D] - sums[o + lo - D + 1 : o + hi - D + 1]
-    return s_le, s_lt, _window_counts(n, D, lo, hi), _window_counts(n, D - 1, lo, hi)
-
-
-def _window_counts(n: int, r: int, lo: int, hi: int) -> np.ndarray:
-    """Number of j in [0, n) with |j-i| <= r, for each i in [lo, hi); r <= n.
-
-    2r+1 away from the ends; only the indices whose window is clipped
-    (i < r or i >= n-r) take the formula.
-    """
+    r = min(r, n)
+    s = sums[o + lo + r + 1 : o + hi + r + 1] - sums[o + lo - r : o + hi - r]
     counts = np.full(hi - lo, 2.0 * r + 1)
-    for a, b in ((lo, min(r, hi)), (max(n - r, r, lo), hi)):
-        if a < b:
-            edge = np.arange(a, b)
-            counts[a - lo : b - lo] = (
-                np.minimum(edge, r) + np.minimum(n - 1 - edge, r) + 1.0
-            )
-    return counts
+    if lo < r:
+        counts[: min(r, hi) - lo] -= np.arange(r - lo, r - min(r, hi), -1.0)
+    if hi > n - r:
+        a = max(n - r, lo)
+        counts[a - lo :] -= np.arange(a - (n - 1 - r), hi - (n - 1 - r), 1.0)
+    return s, counts
 
 
 def weighted_probabilities(

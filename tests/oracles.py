@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from realpathsim.distances import DistanceSpec, GridPathSource
+from realpathsim.distances import DistanceSpec, GridPathSource, admit_matrix
 from realpathsim.engine import (
     PathDistribution,
     banded_smeared,
@@ -254,6 +254,41 @@ def distribution_csv_rows(dist):
         values = (dist.probs[i], dist.smeared[i].real, dist.smeared[i].imag, dist.denom[i])
         lines.append(",".join([str(i + 1)] + [f"{float(x):.17g}" for x in values]))
     return "\n".join(lines) + "\n"
+
+
+LOG2 = math.log(2.0)
+
+
+def index_distance_matrix(spec: DistanceSpec, n: int, rows=None) -> np.ndarray:
+    """Dense (n, n) matrix of an index distance over labels 1..n, or its ``rows``.
+
+    The dense reference the banded route is checked against: every gap
+    taken pair by pair, exp(|i-j|/D) with no cut-off.  ``rows``, 0-based
+    row indices, builds only those rows of the matrix.
+
+    Raises ModelTooLarge, before allocating anything of size n x n, when
+    the whole matrix would exceed MAX_MATRIX_BYTES.
+    """
+    if not spec.is_index_based:
+        raise ValueError(f"{spec.name} is not an index distance")
+    if rows is None:
+        admit_matrix(n)
+    # built in place from float gaps: one n x n float array, and for step
+    # at most two boolean masks beside it, 1.25 matrices at the peak
+    labels = np.arange(n, dtype=float)
+    d = np.subtract.outer(labels if rows is None else labels[rows], labels)
+    np.abs(d, out=d)
+    if spec.name == "step":
+        rim = d == spec.D
+        np.copyto(d, np.inf, where=d > spec.D)
+        np.copyto(d, 0.0, where=d < spec.D)
+        np.copyto(d, -LOG2 if spec.literal_log_half else LOG2, where=rim)
+        return d
+    d /= spec.D
+    # past n/D of about 709 exp overflows to inf, whose exp(-inf) is the
+    # exact 0 the postulate needs
+    with np.errstate(over="ignore"):
+        return np.exp(d, out=d)
 
 
 def step_distance(i, j, D, literal_log_half=False):

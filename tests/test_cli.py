@@ -1,6 +1,7 @@
 """Command-line harness: formats, determinism, exit codes."""
 
 import ctypes
+import importlib.util
 import json
 import os
 import subprocess
@@ -380,8 +381,8 @@ def test_thread_default_is_the_affinity(monkeypatch):
 
 
 def test_exp_index_overflow_prints_nothing(tmp_path):
-    # n/D = 2 048 > 709: exp(|i-j|/D) overflows to inf, whose exp(-inf)
-    # is the exact 0 the postulate needs, so there is nothing to report
+    # n/D = 2 048: from gap 14 on the kernel exp(-exp(|i-j|/D)) underflows
+    # to the exact 0 the postulate needs, so there is nothing to report
     cfg = write(tmp_path / "exp.json", {
         "model": {"model": "M2", "N": 4097, "M0": 2001, "K0": 4, "M1": 2016, "K1": 5},
         "distance": {"name": "exp_index", "D": 2},
@@ -773,3 +774,45 @@ def test_sweep_over_d_on_lattice_exits_64(tmp_path, capsys):
     assert run_cli(["--config", cfg, "--output", str(out), "sweep"]) == 64
     assert not out.exists()
     assert "takes no D" in capsys.readouterr().err
+
+
+LATTICE_MODEL = {"model": "lattice", "steps": 4, "extent": 3, "start": 0, "end": 0, "hop": 2}
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"model": LATTICE_MODEL, "distance": {"name": "max_sep", "scale": 30}}, "'scale'"),
+    ({"model": {**LATTICE_MODEL, "mas": 5}, "distance": {"name": "max_sep"}}, "'mas'"),
+    ({"model": {"model": "M1", "N": 24, "M": 9, "K": 3, "theta": 1.0},
+      "distance": {"name": "step", "D": 3}}, "'theta'"),
+    ({"model": {"model": "M3", "N": 601, "regions": [[201, 4, 0.0]], "M": 3},
+      "distance": {"name": "exp_index", "D": 3}}, "'M'"),
+    ({"model": {"model": "M2", "N": 600, "M0": 201, "K0": 4, "M1": 216, "K1": 4},
+      "distance": {"name": "exp_index", "D": 3, "rim": 0.5}}, "'rim'"),
+])
+def test_unknown_config_keys_exit_64(tmp_path, capsys, config, key):
+    # a key no reader takes would leave the run as if it were absent
+    out = tmp_path / "out.csv"
+    assert run_cli(["--config", write(tmp_path / "c.json", config), "--output", str(out), "run"]) == 64
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "unknown key" in err and key in err
+
+
+def _perfbench_specs():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [s for size in module.SPECS.values() for s in size.values() if "model" in s]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [json.loads(p.read_text()) for p in sorted(DATA.glob("*.json"))
+     if "model" in json.loads(p.read_text())] + _perfbench_specs(),
+)
+def test_known_config_keys_parse(config):
+    # every config the tests and the benchmark run passes the key checks
+    cli._model_spec(config)
+    if "distance" in config:
+        DistanceSpec.from_dict(config["distance"])

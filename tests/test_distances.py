@@ -16,7 +16,6 @@ from realpathsim.distances import (
     MASS_VARIANTS,
     DistanceSpec,
     grid_distance_matrix,
-    index_distance_matrix,
 )
 from realpathsim.errors import EndpointMismatch, SpecViolation
 from realpathsim.lattice import LatticeSpec, run_lattice_experiment
@@ -27,6 +26,7 @@ from oracles import (
     exp_index_distance,
     galilean_distance,
     grid_max_separation,
+    index_distance_matrix,
     step_distance,
     trapezoid_l1,
     weight,

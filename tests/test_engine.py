@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from realpathsim import engine
-from realpathsim.distances import DistanceSpec, index_distance_matrix
+from realpathsim.distances import DistanceSpec
 from realpathsim.engine import (
     _BAND_TILE,
     PathDistribution,
@@ -16,17 +16,20 @@ from realpathsim.engine import (
     dense_smeared,
     distribution_from_sums,
     final_state_probabilities,
+    index_smeared,
+    kernel_windows,
     path_probabilities,
-    step_smeared,
+    smeared_components,
     unnormalized_probabilities,
     weighted_probabilities,
 )
 from realpathsim.errors import AllZeroProbability
-from realpathsim.toymodels import M1Spec, build_m1
+from realpathsim.toymodels import M1Spec, M2Spec, build_m1, build_model
 
 from oracles import (
     block_distance_matrix,
     brute_force_probabilities,
+    index_distance_matrix,
     make_indexed_ensemble,
     sliding_window_smeared,
     step_distance_table,
@@ -121,8 +124,6 @@ def test_banded_equals_dense_exactly():
         ens = make_indexed_ensemble(amps)
         spec = DistanceSpec("step", D=D)
         banded = path_probabilities(ens, spec)
-        from realpathsim.distances import index_distance_matrix
-
         dense = path_probabilities(ens, index_distance_matrix(spec, n))
         assert np.array_equal(banded.probs, dense.probs)
         assert np.array_equal(banded.denom, dense.denom)
@@ -131,8 +132,6 @@ def test_banded_equals_dense_exactly():
 def test_banded_literal_log_half_matches_dense():
     ens = build_m1(M1Spec(N=24, M=9, K=3))
     spec = DistanceSpec("step", D=3, literal_log_half=True)
-    from realpathsim.distances import index_distance_matrix
-
     banded = path_probabilities(ens, spec)
     dense = path_probabilities(ens, index_distance_matrix(spec, 24))
     assert np.allclose(banded.probs, dense.probs, atol=1e-14)
@@ -157,7 +156,7 @@ def test_banded_matches_sliding_window_at_scale():
 def _step_smeared(amps, D, half):
     """The K=1 banded sums at rim weight ``half``: 1/2, or the literal rim's 2."""
     spec = DistanceSpec("step", D=D, literal_log_half=half == 2.0)
-    return step_smeared(_prefix(amps, D), spec)
+    return index_smeared(_prefix(amps, D), kernel_windows(spec, amps.size))
 
 
 @pytest.mark.parametrize("half", [0.5, 2.0])
@@ -262,6 +261,88 @@ def test_brute_force_agreement_exp_index_distance():
     ]
     oracle = brute_force_probabilities(list(ens.amplitudes), table)
     assert np.max(np.abs(dist.probs - np.array(oracle))) < 1e-12
+
+
+# the banded exp_index route against the dense matrix, set before
+# measuring and no looser than the lattice oracle's: sums and
+# denominators within 1e-12 of the row's denominator, probabilities
+# within 1e-12 of the largest
+_DENSE_RTOL = 1e-12
+
+
+def _toy_amplitudes(n):
+    """M1 and M2 amplitudes over n paths, none below 17 paths."""
+    if n < 17:
+        return []
+    M = (n // 2) | 1
+    M0 = (n // 4) | 1
+    M1 = M0 + 3 + 2 * (n // 16)
+    specs = (
+        M1Spec(N=n, M=M, K=3 if (n - M) % 2 else 2),
+        M2Spec(N=n, M0=M0, K0=2, M1=M1, K1=1 if (n - M1) % 2 else 2, theta1=1.1),
+    )
+    return [build_model(s).amplitudes for s in specs]
+
+
+def _dense_reference(kernel, amps):
+    """kernel @ amps and the kernel's row sums, each row summed pairwise.
+
+    dense_smeared's matrix-vector product sums each row in order, which
+    misses the bound on its own: on M1 and M2 at D = n - 1 the
+    alternating amplitudes cancel to smeared sums 1e-3 of the
+    denominator, and its probabilities came out 1.6e-12 of the largest
+    off at n = 4 097, against 4.7e-14 for numpy's pairwise sums (both
+    measured against a long double product).
+    """
+    rows = range(0, len(kernel), 64)
+    smeared = np.concatenate([(kernel[lo : lo + 64] * amps).sum(axis=1) for lo in rows])
+    return smeared, kernel.sum(axis=1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 600, 4097, 16384])
+def test_exp_index_banded_matches_dense(n):
+    rng = np.random.default_rng(n)
+    vectors = [_random_unit(rng, n), *_toy_amplitudes(n)]
+    rows = None
+    if n > 4097:
+        # the whole matrix would take 2 GiB: both ends' rows, where the
+        # windows are clipped, and random rows between
+        rows = np.unique(np.concatenate(
+            [np.arange(256), np.arange(n - 256, n), rng.integers(0, n, 512)]
+        ))
+    for D in sorted({d for d in (1, 2, 5, 50, n - 1, n, 10**7) if d >= 1}):
+        spec = DistanceSpec("exp_index", D=D)
+        kernel = np.exp(-index_distance_matrix(spec, n, rows))
+        # 16 385 windows a row past D = 2 477 at n = 16 384: the toy
+        # vectors take the narrower kernels there, random phases every one
+        for amps in vectors[: 1 if rows is not None and D > 50 else None]:
+            want_smeared, want_denom = _dense_reference(kernel, amps)
+            smeared, denom = smeared_components(make_indexed_ensemble(amps), spec)
+            if rows is not None:
+                smeared, denom = smeared[rows], denom[rows]
+            tol = _DENSE_RTOL * want_denom
+            assert np.all(np.abs(denom - want_denom) <= tol), D
+            assert np.all(np.abs(smeared - want_smeared) <= tol), D
+            probs = np.abs(smeared) ** 2 / denom
+            want_probs = np.abs(want_smeared) ** 2 / want_denom
+            if rows is None:  # normalized, as a run prints them
+                probs /= probs.sum()
+                want_probs /= want_probs.sum()
+            assert np.max(np.abs(probs - want_probs)) <= _DENSE_RTOL * want_probs.max(), D
+
+
+def test_exp_index_windows_sum_to_the_kernel():
+    # k(g) = sum of the weights of the radii >= g, and exactly 0 past the
+    # widest radius, where exp(-exp(g/D)) is 0.0 too
+    for n, D in ((1, 1), (17, 2), (600, 5), (600, 600), (4097, 50), (30, 10**7)):
+        radii, weights = kernel_windows(DistanceSpec("exp_index", D=D), n)
+        assert list(radii) == list(range(len(radii))) and min(weights) >= 0.0
+        gaps = np.arange(min(radii[-1] + 50, n))
+        want = np.exp(-np.exp(gaps / D))
+        got = np.cumsum(weights[::-1])[::-1]
+        got = np.concatenate([got, np.zeros(max(0, gaps.size - got.size))])[: gaps.size]
+        assert np.all(np.abs(got - want) <= 1e-15 + 1e-13 * want), (n, D)
+        assert radii[-1] == n or want[-1] == 0.0, (n, D)
 
 
 def test_normalization_large_banded():

@@ -2,7 +2,7 @@
 
 The cell must give the bits of the two-pass cell it replaces (two full
 builds, two full-length untiled passes, tests/oracles.py) for every
-model kind, every window width and both rim weights, whether it
+model kind, every window width, both rim weights and exp_index, whether it
 prepares its own prefix sum or shares one padded for a wider window.
 """
 
@@ -77,7 +77,8 @@ def test_cell_matches_two_pass_oracle(spec):
 
 
 def test_cell_matches_two_pass_oracle_exp_index():
-    # an unbounded index distance evaluates the flipped phase over all N
+    # the kernel windows reach past the block: the flipped prefix is
+    # rebuilt for the widest radius, up to all N paths at D = 600
     spec = SMALL[1]
     for D in (1, 5, 600):
         dspec = DistanceSpec("exp_index", D=D)
@@ -112,9 +113,13 @@ def _count_builds(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("config, builds", [("m2_sweep.json", 1), ("m2_theta_sweep.json", 4)])
+@pytest.mark.parametrize(
+    "config, builds",
+    [("m2_sweep.json", 1), ("m2_theta_sweep.json", 4), ("m2_exp_index.json", 1)],
+)
 def test_sweep_builds_once_per_model_spec(tmp_path, monkeypatch, config, builds):
-    # a sweep over D shares one build; a theta1 sweep has a spec per cell
+    # a sweep over D shares one build, under exp_index too; a theta1
+    # sweep has a spec per cell
     calls = _count_builds(monkeypatch)
     out = tmp_path / "out.csv"
     assert main(["--config", str(DATA / config), "--output", str(out), "sweep"]) == 0
@@ -136,7 +141,7 @@ def test_repeated_value_shares_a_build(tmp_path, monkeypatch):
     assert lines[1].split(",")[2:] == lines[3].split(",")[2:] == lines[4].split(",")[2:]
 
 
-@pytest.mark.parametrize("config", ["m2_sweep.json", "m2_theta_sweep.json"])
+@pytest.mark.parametrize("config", ["m2_sweep.json", "m2_theta_sweep.json", "m2_exp_index.json"])
 def test_sweep_bytes_do_not_depend_on_threads(tmp_path, monkeypatch, config):
     # more pool threads than cores, switching often, all reading the
     # shared prefix (or preparing their own)
@@ -164,21 +169,43 @@ def test_toy_sweep_rejects_galilean_distance(tmp_path, capsys):
     assert "is not an index distance" in err and "Traceback" not in err
 
 
+_LARGE_EXP_INDEX = (
+    '{"model": {"model": "M1", "N": 1000004, "M": 500001, "K": 3},'
+    ' "distance": {"name": "exp_index", "D": %d},'
+    ' "sweep": {"name": "D", "values": [%d]}}'
+)
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
-def test_large_exp_index_model_exits_65(tmp_path, capsys, monkeypatch, command):
-    # 10^6 paths would need a 7 TiB distance matrix: refused before any
-    # n x n array is asked for
+def test_large_exp_index_model_runs_banded(tmp_path, capsys, monkeypatch, command):
+    # 10^6 paths under exp_index take the banded route, 332 windows at
+    # D = 50, with no n x n array asked for
     class NoOuter:
         def outer(self, *args):
             raise AssertionError("built an n x n index matrix")
 
     monkeypatch.setattr(np, "subtract", NoOuter())
     cfg = tmp_path / "exp.json"
-    cfg.write_text(
-        '{"model": {"model": "M1", "N": 1000004, "M": 500001, "K": 3},'
-        ' "distance": {"name": "exp_index", "D": 50},'
-        ' "sweep": {"name": "D", "values": [50]}}'
-    )
-    assert main(["--config", str(cfg), command]) == 65
+    cfg.write_text(_LARGE_EXP_INDEX % (50, 50))
+    out = tmp_path / "out.csv"
+    assert main(["--config", str(cfg), "--output", str(out), command]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == (1_000_004 + 2 if command == "run" else 2)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_exp_index_past_the_banded_bound_exits_65(tmp_path, capsys, monkeypatch, command):
+    # D = 10^7 over 10^6 paths: 1 000 005 windows per row, refused before
+    # the model is built
+    def no_build(spec):
+        raise AssertionError("built a model past the bound")
+
+    monkeypatch.setattr(cli, "build_model", no_build)
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(_LARGE_EXP_INDEX % (10**7, 10**7))
+    out = tmp_path / "out.csv"
+    assert main(["--config", str(cfg), "--output", str(out), command]) == 65
+    assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("ModelTooLarge:") and "Traceback" not in err
