@@ -39,9 +39,11 @@ from .engine import (
     PathDistribution,
     Prefix,
     _prefix,
-    distribution_from_sums,
+    check_probabilities,
     index_smeared,
+    index_tiles,
     kernel_windows,
+    normalize,
     path_probabilities,
     unnormalized_probabilities,
     weighted_probabilities,
@@ -260,14 +262,18 @@ def _model_spec(config: dict):
 def _distance_spec(config: dict, args) -> DistanceSpec:
     """The config's distance, carrying the run's --literal-log-half setting."""
     dist = config.get("distance")
-    if not isinstance(dist, dict):
-        # toy-model shorthand: a "D" inside the model object means the
-        # step distance of that half-width
-        model = config.get("model")
-        if isinstance(model, dict) and "D" in model:
-            dist = {"name": "step", "D": model["D"]}
-        else:
-            raise ValueError('config needs a "distance" object')
+    # toy-model shorthand: a "D" inside the model object means the step
+    # distance of that half-width
+    model = config.get("model")
+    shorthand = isinstance(model, dict) and "D" in model
+    if isinstance(dist, dict):
+        if shorthand:
+            raise ValueError('the model "D" and the "distance" object both set the '
+                             'distance: give one of them')
+    elif shorthand:
+        dist = {"name": "step", "D": model["D"]}
+    else:
+        raise ValueError('config needs a "distance" object')
     spec = DistanceSpec.from_dict(dist)
     return dataclasses.replace(spec, literal_log_half=args.literal_log_half)
 
@@ -301,6 +307,13 @@ def _refuse_literal_log_half(args):
     """The screen model keeps the rim weight 1/2 of its K=3 composite."""
     if args.literal_log_half:
         raise ValueError("literal_log_half applies to the step distance only, not the screen model")
+
+
+def _refuse_non_csv(config: dict, args, command: str):
+    """``sweep`` and ``compare`` write CSV only: refuse a format asking for more."""
+    fmt = config.get("format", args.format or "csv")
+    if fmt != "csv":
+        raise ValueError(f"{command} writes CSV only, not format {fmt!r}")
 
 
 def _summary_line(dist: PathDistribution) -> str:
@@ -385,34 +398,39 @@ def _toy_prefix(spec, pad: int) -> Prefix:
 
 def _toy_experiment(
     spec, dspec: DistanceSpec, prefix: Prefix | None = None
-) -> tuple[float, float, PathDistribution]:
-    """(visibility, block mass, distribution) of one toy sweep cell.
+) -> tuple[float, float, np.ndarray, float]:
+    """(visibility, block mass, probabilities, norm constant) of one toy sweep cell.
 
     The visibility compares the unnormalized masses on the beam block
     widened by D, at the spec's own phases and with the last region's
-    phase flipped by pi; the distribution is the one ``run`` gives at
-    the spec's own phases, and the block mass is its share on the block.
+    phase flipped by pi; the probabilities and norm constant are those
+    ``run`` gives at the spec's own phases, and the block mass is their
+    share on the block.
 
     ``prefix`` is the spec's prefix sum padded by at least the widest
     kernel radius (_toy_prefix), which a sweep's cells share; None
     prepares the cell's own.  The spec's phases take one banded pass over
-    all N rows, the flipped setting (_flipped_prefix) one over the block
-    rows alone, whose denominators, the same window counts, are reused.
+    all N rows, each tile reduced straight into one N-length vector of
+    unnormalized probabilities; the flipped setting (_flipped_prefix) one
+    over the block rows alone, whose window counts are the denominators
+    of both settings there.
     """
     windows = kernel_windows(dspec, spec.N)
     if prefix is None:
         prefix = _toy_prefix(spec, windows.radii[-1])
-    smeared, denom = index_smeared(prefix, windows)
+    unnorm = np.empty(spec.N)
+    for rows, smeared, denom in index_tiles(prefix, windows):
+        weighted_probabilities(smeared, denom, out=unnorm[rows])
     lo, hi = _block_range_indices(spec, dspec.D)
-    flipped = _flipped_prefix(spec, prefix, windows.radii[-1], lo - 1, hi)
-    flipped_block, _counts = index_smeared(flipped, windows, lo - 1, hi)
     block = slice(lo - 1, hi)
-    p_minus = float(np.sum(weighted_probabilities(flipped_block, denom[block])))
-    p_plus = float(np.sum(weighted_probabilities(smeared[block], denom[block])))
+    flipped = _flipped_prefix(spec, prefix, windows.radii[-1], lo - 1, hi)
+    p_minus = float(np.sum(weighted_probabilities(*index_smeared(flipped, windows, lo - 1, hi))))
+    p_plus = float(np.sum(unnorm[block]))
     total = p_plus + p_minus
     vis = abs(p_plus - p_minus) / total if total > 0 else 0.0
-    dist = distribution_from_sums(smeared, denom)
-    return vis, float(np.sum(dist.probs[block])), dist
+    C = normalize(unnorm)
+    check_probabilities(unnorm)
+    return vis, float(np.sum(unnorm[block])), unnorm, C
 
 
 def _sweep_specs(config: dict, args) -> tuple:
@@ -440,16 +458,20 @@ def _sweep_cell(config: dict, spec, dspec: DistanceSpec, prefix: Prefix | None =
         w = lattice_mod.corridor_weights(sites)
         mass = float(np.sum(dist.probs[w > 0]))
         return {"visibility": vis, "block_mass": mass, "norm_constant": dist.norm_constant}
-    vis, mass, dist = _toy_experiment(spec, dspec, prefix)
-    return {"visibility": vis, "block_mass": mass, "norm_constant": dist.norm_constant}
+    vis, mass, _probs, C = _toy_experiment(spec, dspec, prefix)
+    return {"visibility": vis, "block_mass": mass, "norm_constant": C}
 
 
 def _apply_sweep_value(config: dict, name: str, value):
     out = json.loads(json.dumps(config))  # deep copy
     model = out.get("model", {})
     kind = model.get("model") if isinstance(model, dict) else None
-    if name == "D":
-        out.setdefault("distance", {})["D"] = value
+    if name == "D":  # where the config keeps it: the distance or the model shorthand
+        dist = out.get("distance")
+        if not isinstance(dist, dict) and isinstance(model, dict) and "D" in model:
+            model["D"] = value
+        else:
+            out.setdefault("distance", {})["D"] = value
     elif name == "distance_scale":
         out["distance_scale"] = value
     elif name in _SWEEPABLE_FIELDS.get(kind, set()):
@@ -462,6 +484,7 @@ def _apply_sweep_value(config: dict, name: str, value):
 def cmd_sweep(args) -> int:
     threads = _threads()
     config = _load_config(args)
+    _refuse_non_csv(config, args, "sweep")
     sweep = config.get("sweep")
     if not isinstance(sweep, dict) or "name" not in sweep or "values" not in sweep:
         raise ValueError('sweep config needs {"sweep": {"name":..., "values": [...]}}')
@@ -510,6 +533,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     config = _load_config(args)
+    _refuse_non_csv(config, args, "compare")
     spec = _model_spec(config)
     if not isinstance(spec, (M1Spec, M2Spec)):
         raise SpecViolation("compare applies to M1 and M2 models only")

@@ -21,8 +21,11 @@ The smearing sum has two routes:
   window per radius until exp(-d) is 0.0.  The sums are weighted sums
   of window sums and counts, which factor over the components, from one
   padded prefix sum per component; one prefix serves every narrower
-  kernel, so a sweep over D takes it once.  K=1 is the single ensemble;
-  K=3 is the particle x screen composite (``banded_smeared``).
+  kernel, so a sweep over D takes it once.  ``index_tiles`` yields the
+  sums _BAND_TILE output entries at a time from reused tile buffers,
+  which ``index_smeared`` collects and a sweep cell reduces straight
+  into its probabilities.  K=1 is the single ensemble; K=3 is the
+  particle x screen composite (``banded_smeared``).
 * ``dense_smeared``, a dense route for the geometric distances.  It
   streams cache-sized tiles of rows, from an (N, N) distance matrix or
   from a ``GridPathSource`` that computes the negated distances of
@@ -57,7 +60,7 @@ _SUM_ATOL = 1e-9
 # OpenBLAS at one thread), a pass takes 0.16 to 0.18 s from 16 to 128 rows
 _TILE_ROWS = 64
 
-# output entries of banded_smeared computed at once, sized to stay in
+# output entries of index_tiles computed at once, sized to stay in
 # cache; any value gives the same bits
 _BAND_TILE = 1 << 15
 
@@ -85,15 +88,20 @@ class PathDistribution:
     denom: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.probs < 0):
-            raise ValueError("negative probability")
-        total = float(np.sum(self.probs))
-        if not abs(total - 1.0) <= _SUM_ATOL:  # a NaN sum fails too
-            raise ValueError(f"probabilities sum to {total}, not 1")
+        check_probabilities(self.probs)
 
     @property
     def n_paths(self) -> int:
         return int(self.probs.size)
+
+
+def check_probabilities(probs: np.ndarray):
+    """Raise ValueError unless probs are non-negative and sum to 1 within _SUM_ATOL."""
+    if np.any(probs < 0):
+        raise ValueError("negative probability")
+    total = float(np.sum(probs))
+    if not abs(total - 1.0) <= _SUM_ATOL:  # a NaN sum fails too
+        raise ValueError(f"probabilities sum to {total}, not 1")
 
 
 def _resolve_weights(weights, n: int) -> np.ndarray | None:
@@ -262,34 +270,56 @@ def banded_smeared(components: Sequence[np.ndarray], D: int) -> tuple[np.ndarray
 def index_smeared(prefix: Prefix, windows: Windows, lo=0, hi=None, rest=()):
     """The banded kernel: rows lo..hi-1 of the first component, whole rest.
 
+    The tiles of index_tiles, copied into arrays of shape
+    (hi - lo, n_2, ..., n_K).
+    """
+    hi = prefix.n if hi is None else hi
+    shape = (hi - lo, *(amps.size for amps in rest))
+    smeared = np.empty(shape, dtype=np.result_type(prefix.sums, *rest))
+    denom = np.empty(shape, dtype=float)
+    for rows, tile_smeared, tile_denom in index_tiles(prefix, windows, lo, hi, rest):
+        out = slice(rows.start - lo, rows.stop - lo)
+        smeared[out], denom[out] = tile_smeared, tile_denom
+    return smeared, denom
+
+
+def index_tiles(prefix: Prefix, windows: Windows, lo=0, hi=None, rest=()):
+    """Yield (rows, smeared, denom) of the banded kernel, one tile at a time.
+
     ``prefix`` is _prefix padded by at least windows.radii[-1], or holds
     the entries rows lo..hi-1 read (see _windows); ``rest`` are the
-    amplitudes of components 2..K, whose windows are whole.  The first
-    component goes _BAND_TILE output entries at a time, each radius's
-    window sums and counts scaled in place (a fresh product each: K=1
-    takes the fresh window slice) and added in cache into the outputs.
+    amplitudes of components 2..K, whose windows are whole.  ``rows`` is
+    a slice of the first component's rows, at most _BAND_TILE output
+    entries; each radius's window sums, in a reused buffer, and counts
+    are scaled in place and added in cache into two tile buffers.  Those
+    buffers are reused by the next tile: use or copy a tile before
+    asking for the next.  Every output entry takes the same operations
+    in the same order whatever the tiling, so the bits do not depend on
+    it.
     """
     radii, weights = windows
     hi = prefix.n if hi is None else hi
     rest_prefixes = [_prefix(amps, radii[-1]) for amps in rest]
     rest_windows = [[_windows(p, r, 0, p.n) for p in rest_prefixes] for r in radii]
-    shape = (hi - lo, *(amps.size for amps in rest))
-    smeared = np.empty(shape, dtype=np.result_type(prefix.sums, *rest))
-    denom = np.empty(shape, dtype=float)
-    rows = max(1, _BAND_TILE // math.prod(shape[1:]))
+    inner = tuple(amps.size for amps in rest)
+    rows = max(1, _BAND_TILE // math.prod(inner))
+    size = min(rows, hi - lo)
+    window = np.empty(size, dtype=prefix.sums.dtype)
+    smeared = np.empty((size, *inner), dtype=np.result_type(prefix.sums, *rest))
+    denom = np.empty((size, *inner), dtype=float)
     for t in range(lo, hi, rows):
         u = min(t + rows, hi)
-        tile = slice(t - lo, u - lo)
+        out_smeared, out_denom = smeared[: u - t], denom[: u - t]
         for m, (r, c) in enumerate(zip(radii, weights)):
             # window sums and counts, one factor per component
-            sums, counts = zip(_windows(prefix, r, t, u), *rest_windows[m])
-            for term, out in ((_outer(sums), smeared[tile]), (_outer(counts), denom[tile])):
+            sums, counts = zip(_windows(prefix, r, t, u, window[: u - t]), *rest_windows[m])
+            for term, out in ((_outer(sums), out_smeared), (_outer(counts), out_denom)):
                 if m == 0:
                     np.multiply(term, c, out=out)
                 else:
                     term *= c
                     out += term
-    return smeared, denom
+        yield slice(t, u), out_smeared, out_denom
 
 
 _outer = functools.partial(functools.reduce, np.multiply.outer)  # x_c v_c
@@ -311,17 +341,21 @@ def _prefix(amps: np.ndarray, pad: int) -> Prefix:
     return Prefix(sums, pad, n)
 
 
-def _windows(prefix: Prefix, r: int, lo: int, hi: int):
+def _windows(prefix: Prefix, r: int, lo: int, hi: int, out=None):
     """Sums and counts of the windows |j-i| <= r in [0, n) of rows lo..hi-1.
 
     r is clipped to n = prefix.n first; the rows read P(k) for k in
     [lo - r, hi + r], which a _prefix padded by pad >= r holds for every
-    row.  A count is 2r+1 less the r - i indices its window loses below 0
-    and the i - (n-1-r) it loses past n-1: whole numbers, so exact.
+    row.  The sums go to ``out`` when given.  A count is 2r+1 less the
+    r - i indices its window loses below 0 and the i - (n-1-r) it loses
+    past n-1: whole numbers, so exact.  When no window of the rows is
+    clipped, the counts are the one float 2r+1.
     """
     sums, o, n = prefix
     r = min(r, n)
-    s = sums[o + lo + r + 1 : o + hi + r + 1] - sums[o + lo - r : o + hi - r]
+    s = np.subtract(sums[o + lo + r + 1 : o + hi + r + 1], sums[o + lo - r : o + hi - r], out=out)
+    if r <= lo and hi <= n - r:
+        return s, 2.0 * r + 1
     counts = np.full(hi - lo, 2.0 * r + 1)
     if lo < r:
         counts[: min(r, hi) - lo] -= np.arange(r - lo, r - min(r, hi), -1.0)
@@ -332,40 +366,47 @@ def _windows(prefix: Prefix, r: int, lo: int, hi: int):
 
 
 def weighted_probabilities(
-    smeared: np.ndarray, denom: np.ndarray, weights: np.ndarray | None = None
+    smeared: np.ndarray, denom: np.ndarray, weights: np.ndarray | None = None, out=None
 ) -> np.ndarray:
     """w * |smeared|^2 / denom per path (0 where denom is 0), without C.
 
     ``weights`` is a resolved per-path vector, or None for the plain
-    postulate.
+    postulate.  The result goes to ``out`` when given, else to a fresh
+    array.
     """
-    # in place on one fresh array, with the bits of the expression
+    # in place on one array, with the bits of the expression
     # np.where(denom > 0, np.abs(smeared) ** 2 / denom, 0.0)
-    unnorm = np.abs(smeared)
+    unnorm = np.abs(smeared, out=out)
     unnorm **= 2
     with np.errstate(invalid="ignore", divide="ignore"):
         np.divide(unnorm, denom, out=unnorm)
     unnorm[~(denom > 0)] = 0.0
-    return unnorm if weights is None else weights * unnorm
+    if weights is not None:
+        np.multiply(weights, unnorm, out=unnorm)
+    return unnorm
 
 
-def distribution_from_sums(
-    smeared: np.ndarray, denom: np.ndarray, weights: np.ndarray | None = None
-) -> PathDistribution:
-    """Normalized distribution from smeared sums and denominators.
+def normalize(unnorm: np.ndarray) -> float:
+    """Scale unnorm in place by C = 1 / its sum, and return C.
 
     Raises AllZeroProbability when every weighted smeared amplitude
     vanishes, since the postulate then defines no distribution.
     """
-    unnorm = weighted_probabilities(smeared, denom, weights)
     total = float(np.sum(unnorm))
     if not total > 0.0:  # a NaN total fails too
         raise AllZeroProbability(f"the path probability weights sum to {total}, not above 0")
     C = 1.0 / total
     unnorm *= C
-    return PathDistribution(
-        probs=unnorm, norm_constant=C, smeared=smeared, denom=denom
-    )
+    return C
+
+
+def distribution_from_sums(
+    smeared: np.ndarray, denom: np.ndarray, weights: np.ndarray | None = None
+) -> PathDistribution:
+    """Normalized distribution from smeared sums and denominators (see normalize)."""
+    unnorm = weighted_probabilities(smeared, denom, weights)
+    C = normalize(unnorm)
+    return PathDistribution(probs=unnorm, norm_constant=C, smeared=smeared, denom=denom)
 
 
 def unnormalized_probabilities(

@@ -816,3 +816,38 @@ def test_known_config_keys_parse(config):
     cli._model_spec(config)
     if "distance" in config:
         DistanceSpec.from_dict(config["distance"])
+
+
+def test_sweep_over_shorthand_d_matches_the_distance_object(tmp_path):
+    # the model "D" shorthand is swept where it is kept, as run reads it
+    config = json.loads((DATA / "m2_sweep.json").read_text())
+    shorthand = {"model": {**config["model"], "D": 5}, "sweep": config["sweep"]}
+    out = tmp_path / "shorthand.csv"
+    assert run_cli(["--config", write(tmp_path / "s.json", shorthand), "--output", str(out), "sweep"]) == 0
+    assert out.read_bytes() == (DATA / "m2_sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "compare"])
+def test_model_d_beside_a_distance_object_exits_64(tmp_path, capsys, command):
+    # the distance object would silently win over the model's D
+    config = {"model": {**M1_CONFIG["model"], "D": 50}, "distance": {"name": "step", "D": 5},
+              "sweep": {"name": "D", "values": [2, 5]}}
+    out = tmp_path / "out.csv"
+    assert run_cli(["--config", write(tmp_path / "c.json", config), "--output", str(out), command]) == 64
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert 'the model "D" and the "distance" object both set the distance' in err
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_json_format_on_csv_only_commands_exits_64(tmp_path, capsys, command, where):
+    config = {**M1_CONFIG, "sweep": {"name": "D", "values": [2, 5]}}
+    flags = ["--format", "json"] if where == "flag" else []
+    if where == "config":
+        config["format"] = "json"
+    out = tmp_path / "out.csv"
+    argv = ["--config", write(tmp_path / "c.json", config), "--output", str(out), *flags, command]
+    assert run_cli(argv) == 64
+    assert not out.exists()
+    assert f"{command} writes CSV only" in capsys.readouterr().err

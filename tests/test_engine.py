@@ -12,11 +12,13 @@ from realpathsim.engine import (
     _BAND_TILE,
     PathDistribution,
     _prefix,
+    _windows,
     banded_smeared,
     dense_smeared,
     distribution_from_sums,
     final_state_probabilities,
     index_smeared,
+    index_tiles,
     kernel_windows,
     path_probabilities,
     smeared_components,
@@ -176,6 +178,13 @@ def _same_bits(got, want):
     return all(g.tobytes() == w.tobytes() and g.shape == w.shape for g, w in zip(got, want))
 
 
+def _collected_tiles(*args, **kwargs):
+    # copies: each tile's buffers are reused by the next
+    tiles = [(rows, s.copy(), d.copy()) for rows, s, d in index_tiles(*args, **kwargs)]
+    assert all(a[0].stop == b[0].start for a, b in zip(tiles, tiles[1:]))
+    return (np.concatenate([s for _, s, _ in tiles]), np.concatenate([d for _, _, d in tiles]))
+
+
 @pytest.mark.parametrize(
     "n", [1, _BAND_TILE - 1, _BAND_TILE, _BAND_TILE + 1, 3 * _BAND_TILE + 7]
 )
@@ -191,13 +200,59 @@ def test_tiled_kernel_has_the_untiled_bits(n):
 
 
 def test_tiled_composite_has_the_untiled_bits():
-    # K=3: the first component is tiled by _BAND_TILE // (3 * 4) rows
+    # K=3: the first component is tiled by _BAND_TILE // (3 * 4) rows,
+    # whose index_tiles concatenate to the same bits
     rng = np.random.default_rng(3)
     rows = _BAND_TILE // 12
     comps = [_random_unit(rng, m) for m in (3 * rows + 7, 3, 4)]
     for D in (1, 2, 3, 10**7):
         got = banded_smeared(comps, D)
-        assert _same_bits(got, untiled_banded_smeared(comps, D)), D
+        want = untiled_banded_smeared(comps, D)
+        assert _same_bits(got, want), D
+        windows = kernel_windows(DistanceSpec("step", D=D), comps[0].size)
+        assert _same_bits(_collected_tiles(_prefix(comps[0], D), windows, rest=comps[1:]), want), D
+
+
+def _clipped_counts(n, r, lo, hi):
+    i = np.arange(lo, hi)
+    return (np.minimum(i + r, n - 1) - np.maximum(i - r, 0) + 1).astype(float)
+
+
+@pytest.mark.parametrize(
+    "n, r", [(40, 5), (40, 19), (40, 20), (40, 39), (40, 40), (40, 10**7), (1, 1)]
+)
+def test_window_counts_are_scalar_only_when_unclipped(n, r):
+    # rows at, and one past, the edges lo = r and hi = n - r where the
+    # windows stop being clipped; r >= n clips every row
+    prefix = _prefix(np.ones(n), r)
+    k = min(r, n)
+    edges = {0, k - 1, k, k + 1, n - k - 1, n - k, n - k + 1, n}
+    for lo in sorted(e for e in edges if 0 <= e <= n):
+        for hi in sorted(e for e in edges if lo < e <= n):
+            sums, counts = _windows(prefix, r, lo, hi)
+            want = _clipped_counts(n, r, lo, hi)
+            unclipped = k <= lo and hi <= n - k
+            assert np.ndim(counts) == (0 if unclipped else 1), (lo, hi)
+            assert np.array_equal(np.broadcast_to(counts, want.shape), want), (lo, hi)
+            assert np.array_equal(sums, want), (lo, hi)  # unit amplitudes
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(0, None), (0, 2 * _BAND_TILE + 1), (1, 2 * _BAND_TILE), (777, 2 * _BAND_TILE - 3)]
+)
+def test_index_tiles_concatenate_to_index_smeared(lo, hi):
+    # n = 1 (mod _BAND_TILE): a last tile of one row; rows off the tile
+    # grid; both against the untiled kernel's rows
+    n = 2 * _BAND_TILE + 1
+    amps = _random_unit(np.random.default_rng(lo), n)
+    for D, name in ((50, "step"), (7, "exp_index")):
+        windows = kernel_windows(DistanceSpec(name, D=D), n)
+        prefix = _prefix(amps, windows.radii[-1])
+        got = _collected_tiles(prefix, windows, lo, hi)
+        assert _same_bits(got, index_smeared(prefix, windows, lo, hi)), (D, name)
+        if name == "step":
+            want = untiled_banded_smeared([amps], D)
+            assert _same_bits(got, [w[lo:hi] for w in want]), D
 
 
 @pytest.mark.parametrize("n", [1, 2, 15, 33, 63, 65, 513])
