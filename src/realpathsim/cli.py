@@ -46,6 +46,7 @@ from .engine import (
     normalize,
     path_probabilities,
     unnormalized_probabilities,
+    visibility,
     weighted_probabilities,
 )
 from .errors import (
@@ -54,16 +55,17 @@ from .errors import (
     RealPathError,
     SpecViolation,
 )
+from .lattice import LatticeSpec
 from .minkowski import CausalClass, MinkowskiPath, classify
 from .paths import PathEnsemble
 from .screen import ScreenSpec, evaluate_screen_model
 from .toymodels import (
     M1Spec,
     M2Spec,
+    M3Spec,
     build_model,
     m1_closed_form,
     m2_closed_form,
-    parse_model_spec,
 )
 
 EX_OK = 0
@@ -218,45 +220,83 @@ def _load_config(args) -> dict:
         return json.load(fh)
 
 
-_SWEEPABLE_FIELDS = {
-    "M1": {"N", "M", "K"},
-    "M2": {"N", "M0", "K0", "M1", "K1", "theta0", "theta1"},
-    "M3": {"N"},
-    "lattice": {"steps", "extent", "start", "end", "mass", "hop"},
-    "screen": set(),
+# per config-reading subcommand, the formats it writes and the top-level
+# keys it reads: run and compare read a sweep config's base point, and
+# _lattice_only refuses the lattice-only keys off a lattice model
+_LATTICE_ONLY = ("weight", "distance_scale", "arm_phase")
+_READS = {
+    "run": (("csv", "json"), {"model", "distance", "format", "sweep", *_LATTICE_ONLY}),
+    "sweep": (("csv",), {"model", "distance", "format", "sweep", "weight", "distance_scale"}),
+    "compare": (("csv",), {"model", "distance", "format", "sweep", "case", *_LATTICE_ONLY}),
+    "ratios": (("csv", "json"), {"model", "format", *_LATTICE_ONLY}),
 }
 
+_MODELS = {"M1": M1Spec, "M2": M2Spec, "M3": M3Spec, "lattice": LatticeSpec, "screen": ScreenSpec}
 
-def _refuse_unknown_keys(model: dict, kind: str):
-    """Raise ValueError naming the keys no reader of a ``kind`` model takes."""
-    # "D" is the toy shorthand for a step distance
-    parts = {"M3": ("regions",), "screen": ("endpoints", "screen_before", "screen_after")}
-    unknown = set(model) - {"model", "D", *_SWEEPABLE_FIELDS[kind], *parts.get(kind, ())}
+# the keys of a screen model's "screen_after" object and the fields they set
+_SCREEN_AFTER = {"N": "n_after", "K": "k_after", "anchors": "anchors"}
+
+
+def _check_keys(data: dict, known, what: str):
+    """Raise ValueError naming the keys of ``data`` outside ``known``."""
+    unknown = ", ".join(map(repr, sorted(set(data) - set(known))))
     if unknown:
-        keys = ", ".join(map(repr, sorted(unknown)))
-        raise ValueError(f"{kind} model object has unknown key(s) {keys}")
+        raise ValueError(f"{what} has unknown key(s) {unknown}")
 
 
-def _model_spec(config: dict):
-    model = config.get("model")
+def _cast(kind: str, key: str, value):
+    """``value`` as a spec field of the declared type ``kind``, the annotation's text."""
+    if kind == "M1Spec":
+        return _spec(M1Spec, value, f"{key} object")
+    if kind == "tuple[M3Spec, ...]":
+        return tuple(_spec(M3Spec, v, f"{key} object") for v in value)
+    return {"int": int, "float": float, "tuple": tuple}[kind](value)
+
+
+def _spec(cls, data: dict, what: str | None, extra=(), **given):
+    """A ``cls`` from the keys of ``data`` that name its fields, each cast to its type.
+
+    Any other key, bar ``extra``, is refused naming ``what``, or ignored
+    when it is None (an argparse namespace).  ``given`` sets fields that
+    ``data`` may not.
+    """
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    if what is not None:
+        _check_keys(data, {*types, *extra} - set(given), what)
+    values = {k: v for k, v in data.items() if k in types} | given
+    return cls(**{k: _cast(types[k], k, v) for k, v in values.items()})
+
+
+def _screen_spec(data: dict, what: str = "screen model object", extra=()) -> ScreenSpec:
+    """The spec of a screen model object, whose "screen_after" object sets three fields."""
+    after = data["screen_after"]
+    _check_keys(after, _SCREEN_AFTER, "screen_after object")
+    rest = {k: v for k, v in data.items() if k != "screen_after"}
+    return _spec(ScreenSpec, rest, what, extra, **{f: after[k] for k, f in _SCREEN_AFTER.items()})
+
+
+def _model_spec(model: dict):
+    """The spec of a config's model object, read by the class its "model" kind names."""
     if not isinstance(model, dict) or "model" not in model:
         raise ValueError('config needs a "model" object with a "model" kind')
     kind = model["model"]
-    if kind not in _SWEEPABLE_FIELDS:
-        raise ValueError(f"unknown model kind {kind!r}")
-    _refuse_unknown_keys(model, kind)
-    if kind in ("M1", "M2", "M3"):
-        return parse_model_spec(model)
-    if kind == "lattice":
-        return lattice_mod.LatticeSpec(
-            steps=int(model["steps"]),
-            extent=int(model["extent"]),
-            start=int(model["start"]),
-            end=int(model["end"]),
-            mass=float(model.get("mass", 1.0)),
-            hop=int(model.get("hop", 1)),
-        )
-    return ScreenSpec.from_dict(model)
+    cls = _MODELS.get(kind)
+    if cls is None:
+        raise SpecViolation(f"unknown model kind {kind!r}")
+    if cls is ScreenSpec:
+        return _screen_spec(model, extra=("model",))
+    # "D" is the toy shorthand for a step distance
+    return _spec(cls, model, f"{kind} model object", ("model", "D"))
+
+
+def _format(config: dict, args, command: str) -> str:
+    """The config's "format", else --format, else csv: one that ``command`` writes."""
+    fmt = config.get("format", args.format or "csv")
+    formats = _READS[command][0]
+    if fmt not in formats:
+        raise ValueError(f"{command} writes {' or '.join(map(str.upper, formats))} only, "
+                         f"not format {fmt!r}")
+    return fmt
 
 
 def _distance_spec(config: dict, args) -> DistanceSpec:
@@ -278,29 +318,24 @@ def _distance_spec(config: dict, args) -> DistanceSpec:
     return dataclasses.replace(spec, literal_log_half=args.literal_log_half)
 
 
-def _weight(config: dict) -> dict:
-    """The config's weight object, {} for the plain postulate."""
+def _lattice_only(config: dict, spec, swept: str | None = None) -> dict:
+    """The config's weight, distance_scale and arm_phase, as a lattice run takes them.
+
+    Off a lattice model each, or a sweep over it (``swept``), is refused
+    with SpecViolation, bar a uniform or null weight.
+    """
     weight = config.get("weight") or {}
     if not isinstance(weight, dict):
         raise ValueError('"weight" must be an object {"name": ...}')
-    return weight
-
-
-def _require_uniform(config: dict, reason: str = "applies to lattice models only"):
-    """Raise SpecViolation, saying ``reason``, for a weight that cannot apply."""
-    name = _weight(config).get("name", "uniform")
-    if name != "uniform":
-        raise SpecViolation(f"weight {name!r} {reason}")
-
-
-def _refuse_lattice_fields(config: dict):
-    """Raise SpecViolation for what only a lattice model reads.
-
-    That is a weight other than uniform, or a distance_scale.
-    """
-    _require_uniform(config)
-    if "distance_scale" in config:
-        raise SpecViolation("distance_scale applies to lattice models only")
+    if not isinstance(spec, LatticeSpec):
+        name = weight.get("name", "uniform")
+        if name != "uniform":
+            raise SpecViolation(f"weight {name!r} applies to lattice models only")
+        for key in _LATTICE_ONLY[1:]:
+            if key in config or key == swept:
+                raise SpecViolation(f"{key} applies to lattice models only")
+    return {"weight": weight, "distance_scale": float(config.get("distance_scale", 1.0)),
+            "arm_phase": float(config.get("arm_phase", 0.0))}
 
 
 def _refuse_literal_log_half(args):
@@ -309,49 +344,30 @@ def _refuse_literal_log_half(args):
         raise ValueError("literal_log_half applies to the step distance only, not the screen model")
 
 
-def _refuse_non_csv(config: dict, args, command: str):
-    """``sweep`` and ``compare`` write CSV only: refuse a format asking for more."""
-    fmt = config.get("format", args.format or "csv")
-    if fmt != "csv":
-        raise ValueError(f"{command} writes CSV only, not format {fmt!r}")
-
-
 def _summary_line(dist: PathDistribution) -> str:
     top = np.argsort(dist.probs)[::-1][:5] + 1
-    return (
-        f"N={dist.n_paths} C={_fmt(dist.norm_constant)} "
-        f"top5={list(map(int, top))}"
-    )
-
-
-def _run_once(config: dict, args) -> tuple[str, str]:
-    """(output text, summary line) for one resolved config."""
-    spec = _model_spec(config)
-    fmt = config.get("format", args.format or "csv")
-    if not isinstance(spec, lattice_mod.LatticeSpec):
-        _refuse_lattice_fields(config)
-    if isinstance(spec, ScreenSpec):
-        _refuse_literal_log_half(args)
-        return _ratios_text(spec, fmt), f"endpoints={spec.n_endpoints}"
-    if isinstance(spec, lattice_mod.LatticeSpec):
-        dist, _sites = lattice_mod.run_lattice_experiment(
-            spec,
-            _distance_spec(config, args),
-            weight=_weight(config),
-            distance_scale=float(config.get("distance_scale", 1.0)),
-            arm_phase=float(config.get("arm_phase", 0.0)),
-        )
-    else:
-        dspec = _distance_spec(config, args)
-        kernel_windows(dspec, spec.N)  # refused before the build
-        dist = path_probabilities(build_model(spec), dspec)
-    return _distribution_text(dist, fmt), _summary_line(dist)
+    return f"N={dist.n_paths} C={_fmt(dist.norm_constant)} top5={list(map(int, top))}"
 
 
 def cmd_run(args) -> int:
     _threads()
     config = _load_config(args)
-    text, summary = _run_once(config, args)
+    fmt = _format(config, args, "run")
+    spec = _model_spec(config.get("model"))
+    lattice = _lattice_only(config, spec)
+    if isinstance(spec, ScreenSpec):  # the run ratios makes, of the keys it reads
+        _refuse_literal_log_half(args)
+        _check_keys(config, _READS["ratios"][1], "run config of a screen model")
+        text, summary = _ratios_text(spec, fmt), f"endpoints={spec.n_endpoints}"
+    else:
+        dspec = _distance_spec(config, args)
+        _check_keys(config, _READS["run"][1], "run config")
+        if isinstance(spec, LatticeSpec):
+            dist, _sites = lattice_mod.run_lattice_experiment(spec, dspec, **lattice)
+        else:
+            kernel_windows(dspec, spec.N)  # refused before the build
+            dist = path_probabilities(build_model(spec), dspec)
+        text, summary = _distribution_text(dist, fmt), _summary_line(dist)
     _write_text(args.output, text)
     print(summary)
     return EX_OK
@@ -426,34 +442,50 @@ def _toy_experiment(
     flipped = _flipped_prefix(spec, prefix, windows.radii[-1], lo - 1, hi)
     p_minus = float(np.sum(weighted_probabilities(*index_smeared(flipped, windows, lo - 1, hi))))
     p_plus = float(np.sum(unnorm[block]))
-    total = p_plus + p_minus
-    vis = abs(p_plus - p_minus) / total if total > 0 else 0.0
     C = normalize(unnorm)
     check_probabilities(unnorm)
-    return vis, float(np.sum(unnorm[block])), unnorm, C
+    return visibility(p_plus, p_minus), float(np.sum(unnorm[block])), unnorm, C
 
 
-def _sweep_specs(config: dict, args) -> tuple:
-    """(model spec, distance spec) of one sweep cell, refusing what cannot apply."""
-    spec = _model_spec(config)
+def _sweep_cells(config: dict, args, name: str, values: list) -> list:
+    """(model spec, distance spec, distance scale) of each cell, refusing what cannot apply.
+
+    The config is read once, as the base point; each cell replaces the
+    swept field: D of the distance, the distance_scale of a lattice, or a
+    scalar field of the model spec.
+    """
+    spec = _model_spec(config.get("model"))
     if isinstance(spec, ScreenSpec):
         raise SpecViolation("sweep does not apply to the screen model")
     dspec = _distance_spec(config, args)
-    if isinstance(spec, lattice_mod.LatticeSpec):
-        _require_uniform(config, "does not apply to a lattice sweep, which fixes the corridor weight")
-    else:
-        _refuse_lattice_fields(config)
-        kernel_windows(dspec, spec.N)  # refused before any build
-    return spec, dspec
+    scalars = {f.name: f.type for f in dataclasses.fields(spec) if f.type in ("int", "float")}
+    if name not in {"D", "distance_scale", *scalars}:
+        raise ValueError(f"sweep parameter {name!r} is not a spec field")
+    lattice = _lattice_only(config, spec, name)
+    weight = lattice["weight"].get("name", "uniform")
+    if weight != "uniform":  # a lattice's: any other model refused it
+        raise SpecViolation(f"weight {weight!r} does not apply to a lattice sweep, "
+                            "which fixes the corridor weight")
+    _check_keys(config, _READS["sweep"][1], "sweep config")
+    cells = []
+    for v in values:
+        cell = [spec, dspec, lattice["distance_scale"]]
+        if name == "D":
+            cell[1] = dataclasses.replace(dspec, D=v)
+        elif name == "distance_scale":
+            cell[2] = float(v)
+        else:
+            cell[0] = dataclasses.replace(spec, **{name: _cast(scalars[name], name, v)})
+        if not isinstance(spec, LatticeSpec):
+            kernel_windows(cell[1], cell[0].N)  # refused before any build
+        cells.append(cell)
+    return cells
 
 
-def _sweep_cell(config: dict, spec, dspec: DistanceSpec, prefix: Prefix | None = None) -> dict:
+def _sweep_cell(spec, dspec: DistanceSpec, scale: float, prefix: Prefix | None = None) -> dict:
     """visibility / block mass / norm constant summaries for one cell."""
-    if isinstance(spec, lattice_mod.LatticeSpec):
-        scale = float(config.get("distance_scale", 1.0))
-        vis, dist, sites = lattice_mod.two_arm_experiment(
-            spec, dspec, distance_scale=scale
-        )
+    if isinstance(spec, LatticeSpec):
+        vis, dist, sites = lattice_mod.two_arm_experiment(spec, dspec, distance_scale=scale)
         # block mass: how much unweighted probability sits on corridor paths
         w = lattice_mod.corridor_weights(sites)
         mass = float(np.sum(dist.probs[w > 0]))
@@ -462,60 +494,41 @@ def _sweep_cell(config: dict, spec, dspec: DistanceSpec, prefix: Prefix | None =
     return {"visibility": vis, "block_mass": mass, "norm_constant": C}
 
 
-def _apply_sweep_value(config: dict, name: str, value):
-    out = json.loads(json.dumps(config))  # deep copy
-    model = out.get("model", {})
-    kind = model.get("model") if isinstance(model, dict) else None
-    if name == "D":  # where the config keeps it: the distance or the model shorthand
-        dist = out.get("distance")
-        if not isinstance(dist, dict) and isinstance(model, dict) and "D" in model:
-            model["D"] = value
-        else:
-            out.setdefault("distance", {})["D"] = value
-    elif name == "distance_scale":
-        out["distance_scale"] = value
-    elif name in _SWEEPABLE_FIELDS.get(kind, set()):
-        model[name] = value
-    else:
-        raise ValueError(f"sweep parameter {name!r} is not a spec field")
-    return out
-
-
 def cmd_sweep(args) -> int:
     threads = _threads()
     config = _load_config(args)
-    _refuse_non_csv(config, args, "sweep")
+    _format(config, args, "sweep")
     sweep = config.get("sweep")
     if not isinstance(sweep, dict) or "name" not in sweep or "values" not in sweep:
         raise ValueError('sweep config needs {"sweep": {"name":..., "values": [...]}}')
+    _check_keys(sweep, ("name", "values"), "sweep object")
     name, values = sweep["name"], list(sweep["values"])
     if len(values) > MAX_SWEEP_CELLS:
         raise GridTooLarge(f"{len(values)} cells exceed {MAX_SWEEP_CELLS}")
-    cells = [_apply_sweep_value(config, name, v) for v in values]
-    specs = [_sweep_specs(c, args) for c in cells]
+    cells = _sweep_cells(config, args, name, values)
 
     # toy cells with equal model specs (a sweep over D, or a repeated
     # value) share one build and one prefix sum, padded for the widest
     # kernel radius of them; one group's prefix is alive at a time, and
     # every other cell prepares its own inside its task
     groups: dict = {}
-    for i, (spec, dspec) in enumerate(specs):
-        if not isinstance(spec, lattice_mod.LatticeSpec):
+    for i, (spec, _dspec, _scale) in enumerate(cells):
+        if not isinstance(spec, LatticeSpec):
             groups.setdefault(spec, []).append(i)
     shared = [g for g in groups.values() if len(g) > 1]
     alone = sorted(set(range(len(cells))).difference(*shared))
     results: list = [None] * len(cells)
 
     def run(pool, indices, prefix=None):
-        done = pool.map(lambda i: _sweep_cell(cells[i], *specs[i], prefix), indices)
+        done = pool.map(lambda i: _sweep_cell(*cells[i], prefix), indices)
         for i, r in zip(indices, done):
             results[i] = r
 
     if cells:
         with ThreadPoolExecutor(max_workers=min(threads, len(cells))) as pool:
             for indices in shared:
-                pad = max(kernel_windows(specs[i][1], specs[i][0].N).radii[-1] for i in indices)
-                run(pool, indices, pool.submit(_toy_prefix, specs[indices[0]][0], pad).result())
+                pad = max(kernel_windows(cells[i][1], cells[i][0].N).radii[-1] for i in indices)
+                run(pool, indices, pool.submit(_toy_prefix, cells[indices[0]][0], pad).result())
             run(pool, alone)
 
     lines = ["param,value,visibility,block_mass,norm_constant"]
@@ -533,14 +546,17 @@ def cmd_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     config = _load_config(args)
-    _refuse_non_csv(config, args, "compare")
-    spec = _model_spec(config)
+    _format(config, args, "compare")
+    spec = _model_spec(config.get("model"))
     if not isinstance(spec, (M1Spec, M2Spec)):
         raise SpecViolation("compare applies to M1 and M2 models only")
-    _refuse_lattice_fields(config)
+    _lattice_only(config, spec)
     dspec = _distance_spec(config, args)
     if dspec.name != "step":
         raise SpecViolation("closed forms are stated for the step distance")
+    if "case" in config and isinstance(spec, M1Spec):
+        raise SpecViolation("case applies to M2 models only")
+    _check_keys(config, _READS["compare"][1], "compare config")
     direct, _, _ = unnormalized_probabilities(build_model(spec), dspec)
     case = config.get("case", "i")
     rows = []
@@ -587,13 +603,15 @@ def cmd_classify(args) -> int:
 
 def cmd_ratios(args) -> int:
     config = _load_config(args)
+    fmt = _format(config, args, "ratios")
     model = config.get("model", config)
-    if model is not config:
-        _refuse_unknown_keys(model, "screen")
-    spec = ScreenSpec.from_dict(model)
-    _refuse_lattice_fields(config)
+    bare = model is config  # the screen object, beside the keys ratios reads
+    spec = _screen_spec(model, extra=_READS["ratios"][1] if bare else ("model",))
+    _lattice_only(config, spec)
     _refuse_literal_log_half(args)
-    _write_text(args.output, _ratios_text(spec, config.get("format", args.format or "csv")))
+    if not bare:
+        _check_keys(config, _READS["ratios"][1], "ratios config")
+    _write_text(args.output, _ratios_text(spec, fmt))
     print(f"endpoints={spec.n_endpoints}")
     return EX_OK
 
@@ -602,19 +620,11 @@ def cmd_ratios(args) -> int:
 
 def cmd_lattice(args) -> int:
     _threads()
-    spec = lattice_mod.LatticeSpec(
-        steps=args.steps,
-        extent=args.extent,
-        start=args.start,
-        end=args.end,
-        mass=args.mass,
-        hop=args.hop,
-    )
+    spec = _spec(LatticeSpec, vars(args), None)
     weight = {"name": args.weight, "threshold": args.threshold, "margin": args.margin}
     dist, sites = lattice_mod.run_lattice_experiment(
         spec, DistanceSpec(args.distance, literal_log_half=args.literal_log_half),
-        weight=weight,
-        distance_scale=args.distance_scale,
+        weight=weight, distance_scale=args.distance_scale,
     )
     _write_text(args.output, _distribution_text(dist, args.format or "csv"))
     if args.output and args.output != "-":

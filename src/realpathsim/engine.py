@@ -386,6 +386,11 @@ def weighted_probabilities(
     return unnorm
 
 
+def visibility(p_plus: float, p_minus: float) -> float:
+    """Interference visibility |P+ - P-| / (P+ + P-) of two masses, 0 when both are 0."""
+    return abs(p_plus - p_minus) / (p_plus + p_minus) if p_plus + p_minus else 0.0
+
+
 def normalize(unnorm: np.ndarray) -> float:
     """Scale unnorm in place by C = 1 / its sum, and return C.
 

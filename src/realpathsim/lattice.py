@@ -46,6 +46,7 @@ from .engine import (
     PathDistribution,
     dense_smeared,
     distribution_from_sums,
+    visibility,
     weighted_probabilities,
 )
 from .errors import ModelTooLarge, NoPaths, SpecViolation, TooManyPaths
@@ -640,8 +641,7 @@ def _two_arm_pass(spec, distance, distance_scale):
     smeared, denom = _smeared(spec, sites, distance, distance_scale, (0.0, np.pi), transfer)
     w = corridor_weights(sites)
     p_plus, p_minus = (float(np.sum(weighted_probabilities(s, denom, w))) for s in smeared)
-    vis = 0.0 if p_plus + p_minus == 0.0 else abs(p_plus - p_minus) / (p_plus + p_minus)
-    return vis, sites, smeared[0], denom
+    return visibility(p_plus, p_minus), sites, smeared[0], denom
 
 
 def two_arm_visibility(

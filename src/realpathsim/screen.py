@@ -47,7 +47,7 @@ class ScreenSpec:
     """
 
     D: int
-    endpoints: tuple  # of M3Spec
+    endpoints: tuple[M3Spec, ...]
     screen_before: M1Spec
     n_after: int
     k_after: int
@@ -88,26 +88,6 @@ class ScreenSpec:
                 )
         if not self.anchors[-1] + K + gap < self.n_after:
             raise SpecViolation("last impact anchor too close to the end")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScreenSpec":
-        endpoints = tuple(
-            M3Spec(
-                N=int(e["N"]),
-                regions=tuple((int(M), int(K), float(th)) for M, K, th in e["regions"]),
-            )
-            for e in data["endpoints"]
-        )
-        sb = data["screen_before"]
-        sa = data["screen_after"]
-        return cls(
-            D=int(data["D"]),
-            endpoints=endpoints,
-            screen_before=M1Spec(N=int(sb["N"]), M=int(sb["M"]), K=int(sb["K"])),
-            n_after=int(sa["N"]),
-            k_after=int(sa["K"]),
-            anchors=tuple(int(a) for a in sa["anchors"]),
-        )
 
 
 MAX_COMPOSITE_PATHS = 10**6

@@ -301,31 +301,6 @@ def m2_closed_form(
     return _UNCOVERED
 
 
-def parse_model_spec(data: dict):
-    """Model spec from its JSON dict form, e.g. {"model":"M1","N":24,...}."""
-    kind = data.get("model")
-    if kind == "M1":
-        return M1Spec(N=int(data["N"]), M=int(data["M"]), K=int(data["K"]))
-    if kind == "M2":
-        return M2Spec(
-            N=int(data["N"]),
-            M0=int(data["M0"]),
-            K0=int(data["K0"]),
-            M1=int(data["M1"]),
-            K1=int(data["K1"]),
-            theta0=float(data.get("theta0", 0.0)),
-            theta1=float(data.get("theta1", 0.0)),
-        )
-    if kind == "M3":
-        return M3Spec(
-            N=int(data["N"]),
-            regions=tuple(
-                (int(M), int(K), float(th)) for M, K, th in data["regions"]
-            ),
-        )
-    raise SpecViolation(f"unknown model kind {kind!r}")
-
-
 def build_model(spec) -> PathEnsemble:
     if not isinstance(spec, (M1Spec, M2Spec, M3Spec)):
         raise SpecViolation(f"cannot build ensemble from {type(spec).__name__}")

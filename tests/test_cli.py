@@ -230,6 +230,11 @@ def test_weight_on_unweighted_model_exits_65(tmp_path, capsys, config, command):
       "sweep": {"name": "distance_scale", "values": [0, 1, 100]}}, "sweep"),
     ({**json.loads((DATA / "screen.json").read_text()), "distance_scale": 7.0}, "run"),
     ({**json.loads((DATA / "screen.json").read_text()), "distance_scale": 7.0}, "ratios"),
+    ({**M1_CONFIG, "arm_phase": 3.14}, "run"),
+    ({**M1_CONFIG, "arm_phase": 3.14}, "compare"),
+    ({**json.loads((DATA / "m2_sweep.json").read_text()), "arm_phase": 3.14}, "sweep"),
+    ({**json.loads((DATA / "screen.json").read_text()), "arm_phase": 3.14}, "run"),
+    ({**json.loads((DATA / "screen.json").read_text()), "arm_phase": 3.14}, "ratios"),
 ])
 def test_distance_scale_on_non_lattice_model_exits_65(tmp_path, capsys, config, command):
     # only lattice distances are scaled: elsewhere the field is refused,
@@ -778,6 +783,11 @@ def test_sweep_over_d_on_lattice_exits_64(tmp_path, capsys):
 
 LATTICE_MODEL = {"model": "lattice", "steps": 4, "extent": 3, "start": 0, "end": 0, "hop": 2}
 
+# a one-endpoint screen model, as a bare object
+SCREEN = {"D": 2, "endpoints": [{"N": 11, "regions": [[5, 2, 0.0]]}],
+          "screen_before": {"N": 8, "M": 5, "K": 1},
+          "screen_after": {"N": 23, "K": 2, "anchors": [7]}}
+
 
 @pytest.mark.parametrize("config, key", [
     ({"model": LATTICE_MODEL, "distance": {"name": "max_sep", "scale": 30}}, "'scale'"),
@@ -788,11 +798,22 @@ LATTICE_MODEL = {"model": "lattice", "steps": 4, "extent": 3, "start": 0, "end":
       "distance": {"name": "exp_index", "D": 3}}, "'M'"),
     ({"model": {"model": "M2", "N": 600, "M0": 201, "K0": 4, "M1": 216, "K1": 4},
       "distance": {"name": "exp_index", "D": 3, "rim": 0.5}}, "'rim'"),
+    ({**LATTICE_SMOKE_CONFIG, "distnce_scale": 0.0}, "'distnce_scale'"),
+    ({**M1_CONFIG, "case": "ii"}, "'case'"),
+    ({**SCREEN, "anchor": 7}, "'anchor'"),
+    ({"model": {"model": "screen", **SCREEN,
+                "endpoints": [{"N": 11, "regions": [[5, 2, 0.0]], "K": 4}]}}, "'K'"),
+    ({"model": {"model": "screen", **SCREEN,
+                "screen_before": {"N": 8, "M": 5, "K": 1, "theta": 1.0}}}, "'theta'"),
+    ({"model": {"model": "screen", **SCREEN,
+                "screen_after": {"N": 23, "K": 2, "anchors": [7], "M": 7}}}, "'M'"),
 ])
 def test_unknown_config_keys_exit_64(tmp_path, capsys, config, key):
-    # a key no reader takes would leave the run as if it were absent
+    # a key no reader takes would leave the run as if it were absent; a
+    # config with no model object is a bare screen object, which ratios reads
+    command = "run" if "model" in config else "ratios"
     out = tmp_path / "out.csv"
-    assert run_cli(["--config", write(tmp_path / "c.json", config), "--output", str(out), "run"]) == 64
+    assert run_cli(["--config", write(tmp_path / "c.json", config), "--output", str(out), command]) == 64
     assert not out.exists()
     err = capsys.readouterr().err
     assert "unknown key" in err and key in err
@@ -813,7 +834,7 @@ def _perfbench_specs():
 )
 def test_known_config_keys_parse(config):
     # every config the tests and the benchmark run passes the key checks
-    cli._model_spec(config)
+    cli._model_spec(config["model"])
     if "distance" in config:
         DistanceSpec.from_dict(config["distance"])
 
@@ -839,15 +860,87 @@ def test_model_d_beside_a_distance_object_exits_64(tmp_path, capsys, command):
     assert 'the model "D" and the "distance" object both set the distance' in err
 
 
-@pytest.mark.parametrize("command", ["sweep", "compare"])
-@pytest.mark.parametrize("where", ["flag", "config"])
-def test_json_format_on_csv_only_commands_exits_64(tmp_path, capsys, command, where):
+@pytest.mark.parametrize("command, where, fmt", [
+    *(pytest.param(c, w, "json", id=f"{w}-{c}") for w in ("config", "flag") for c in ("compare", "sweep")),
+    # run and ratios write CSV or JSON, and no other format
+    *(pytest.param(c, "config", "xml", id=f"config-{c}-xml") for c in ("run", "ratios")),
+])
+def test_json_format_on_csv_only_commands_exits_64(tmp_path, capsys, command, where, fmt):
     config = {**M1_CONFIG, "sweep": {"name": "D", "values": [2, 5]}}
-    flags = ["--format", "json"] if where == "flag" else []
+    if command == "ratios":
+        config = json.loads((DATA / "screen.json").read_text())
+    flags = ["--format", fmt] if where == "flag" else []
     if where == "config":
-        config["format"] = "json"
+        config["format"] = fmt
     out = tmp_path / "out.csv"
     argv = ["--config", write(tmp_path / "c.json", config), "--output", str(out), *flags, command]
     assert run_cli(argv) == 64
     assert not out.exists()
-    assert f"{command} writes CSV only" in capsys.readouterr().err
+    formats = "CSV" if fmt == "json" else "CSV or JSON"
+    assert f"{command} writes {formats} only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("sweep", {**M1_CONFIG, "sweep": {"name": "D", "values": [2, 5]}, "case": "i"}, "'case'"),
+    ("sweep", {**M1_CONFIG, "sweep": {"name": "D", "values": [2, 5], "vaules": [1]}}, "'vaules'"),
+    # a lattice sweep sets the arm phase to 0 and pi itself
+    ("sweep", {**json.loads((DATA / "lattice_sweep.json").read_text()), "arm_phase": 1.0},
+     "'arm_phase'"),
+    ("compare", {**M1_CONFIG, "distnce": {"name": "step", "D": 3}}, "'distnce'"),
+    ("ratios", {**json.loads((DATA / "screen.json").read_text()), "distance": M1_CONFIG["distance"]},
+     "'distance'"),
+    ("run", {**json.loads((DATA / "screen.json").read_text()), "distance": M1_CONFIG["distance"]},
+     "'distance'"),
+])
+def test_keys_a_subcommand_never_reads_exit_64(tmp_path, capsys, command, config, key):
+    out = tmp_path / "out.csv"
+    assert run_cli(["--config", write(tmp_path / "c.json", config), "--output", str(out), command]) == 64
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "unknown key" in err and key in err
+
+
+def test_case_on_m1_compare_exits_65(tmp_path, capsys):
+    # the closed forms of M1 have no case: it would be ignored
+    cfg = write(tmp_path / "c.json", {**M1_CONFIG, "case": "ii"})
+    out = tmp_path / "out.csv"
+    assert run_cli(["--config", cfg, "--output", str(out), "compare"]) == 65
+    assert not out.exists()
+    assert "case applies to M2 models only" in capsys.readouterr().err
+
+
+def test_sweep_admits_each_cell_at_its_own_n(tmp_path, monkeypatch, capsys):
+    # the base point is small; the last cell's N puts exp_index past the
+    # banded bound, refused before any model is built
+    def refuse(spec):
+        raise AssertionError("built a model")
+
+    monkeypatch.setattr(cli, "build_model", refuse)
+    config = {"model": {"model": "M1", "N": 24, "M": 9, "K": 3},
+              "distance": {"name": "exp_index", "D": 10**6},
+              "sweep": {"name": "N", "values": [24, 10**6 + 12]}}
+    out = tmp_path / "out.csv"
+    assert run_cli(["--config", write(tmp_path / "c.json", config), "--output", str(out), "sweep"]) == 65
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("ModelTooLarge:")
+
+
+def test_unknown_model_kind_exits_65(tmp_path, capsys):
+    cfg = write(tmp_path / "c.json", {"model": {"model": "M9"}, "distance": {"name": "step", "D": 3}})
+    assert run_cli(["--config", cfg, "run"]) == 65
+    assert "unknown model kind 'M9'" in capsys.readouterr().err
+
+
+def test_lattice_run_reads_arm_phase(tmp_path):
+    # the config's arm_phase sets the upper-arm phase plate of a lattice run
+    from realpathsim.lattice import LatticeSpec, run_lattice_experiment
+
+    cfg = write(tmp_path / "c.json", {**LATTICE_SMOKE_CONFIG, "arm_phase": np.pi})
+    out = tmp_path / "out.csv"
+    assert run_cli(["--config", cfg, "--output", str(out), "run"]) == 0
+    model = {k: v for k, v in LATTICE_SMOKE_CONFIG["model"].items() if k != "model"}
+    dist, _ = run_lattice_experiment(LatticeSpec(**model), DistanceSpec("max_sep"),
+                                     weight={"name": "corridor"}, arm_phase=np.pi)
+    probs = [float(line.split(",")[1]) for line in out.read_text().splitlines()[2:]]
+    assert probs == dist.probs.tolist()
+    assert out.read_bytes() != (DATA / "lattice_smoke.csv").read_bytes()

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from realpathsim.cli import _screen_spec
 from realpathsim.engine import banded_smeared, final_state_probabilities, smeared_components
 from realpathsim.errors import ModelTooLarge, SpecViolation
 from realpathsim.paths import PathEnsemble
@@ -300,7 +301,7 @@ def test_spec_from_dict():
         "screen_before": {"N": 8, "M": 5, "K": 1},
         "screen_after": {"N": 23, "K": 2, "anchors": [7]},
     }
-    spec = ScreenSpec.from_dict(data)
+    spec = _screen_spec(data)
     assert spec.n_after == 23 and spec.anchors == (7,)
 
 

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from realpathsim.cli import _model_spec
 from realpathsim.distances import DistanceSpec
 from realpathsim.engine import path_probabilities, unnormalized_probabilities
 from realpathsim.errors import PreconditionViolation, SpecViolation
@@ -22,7 +23,6 @@ from realpathsim.toymodels import (
     build_m3,
     m1_closed_form,
     m2_closed_form,
-    parse_model_spec,
 )
 
 from oracles import amplitude_total, m2_tolerance
@@ -238,12 +238,12 @@ def test_m3_dominance_near_beam_block():
 
 
 def test_parse_model_spec_round_trip():
-    spec = parse_model_spec({"model": "M1", "N": 24, "M": 9, "K": 3})
+    spec = _model_spec({"model": "M1", "N": 24, "M": 9, "K": 3})
     assert spec == CANON
-    m2 = parse_model_spec(
+    m2 = _model_spec(
         {"model": "M2", "N": 120, "M0": 31, "K0": 3, "M1": 41, "K1": 3,
          "theta0": 0.5, "theta1": 1.5}
     )
     assert isinstance(m2, M2Spec) and m2.theta1 == 1.5
     with pytest.raises(SpecViolation):
-        parse_model_spec({"model": "M9"})
+        _model_spec({"model": "M9"})
