@@ -11,8 +11,9 @@ All numeric output uses 17-significant-digit floats, so identical
 configs produce byte-identical files.  Exit codes follow sysexits:
 64 bad config, 65 spec violation / bad data, 70 no probability
 distribution exists.  REALPATH_THREADS, a positive integer, caps the
-threads that run the cells of a sweep; it defaults to the number of
-CPUs the process may run on (its affinity).  ``run`` and ``lattice``
+threads that run the cells of a sweep (the lattice cells of one spec
+and distance run as one task, on one thread); it defaults to the number
+of CPUs the process may run on (its affinity).  ``run`` and ``lattice``
 check it too, so a bad value fails alike everywhere, but compute on
 the calling thread.  main caps every OpenBLAS loaded into its process
 at one thread, once, so that the sweep's threads are the only ones
@@ -322,7 +323,8 @@ def _lattice_only(config: dict, spec, swept: str | None = None) -> dict:
     """The config's weight, distance_scale and arm_phase, as a lattice run takes them.
 
     Off a lattice model each, or a sweep over it (``swept``), is refused
-    with SpecViolation, bar a uniform or null weight.
+    with SpecViolation, bar a uniform or null weight, and so is a key of
+    that weight object other than its name, with ValueError.
     """
     weight = config.get("weight") or {}
     if not isinstance(weight, dict):
@@ -334,6 +336,7 @@ def _lattice_only(config: dict, spec, swept: str | None = None) -> dict:
         for key in _LATTICE_ONLY[1:]:
             if key in config or key == swept:
                 raise SpecViolation(f"{key} applies to lattice models only")
+        lattice_mod.check_weight(weight)  # a uniform weight's stray keys
     return {"weight": weight, "distance_scale": float(config.get("distance_scale", 1.0)),
             "arm_phase": float(config.get("arm_phase", 0.0))}
 
@@ -466,6 +469,7 @@ def _sweep_cells(config: dict, args, name: str, values: list) -> list:
     if weight != "uniform":  # a lattice's: any other model refused it
         raise SpecViolation(f"weight {weight!r} does not apply to a lattice sweep, "
                             "which fixes the corridor weight")
+    lattice_mod.check_weight(lattice["weight"])
     _check_keys(config, _READS["sweep"][1], "sweep config")
     cells = []
     for v in values:
@@ -482,16 +486,23 @@ def _sweep_cells(config: dict, args, name: str, values: list) -> list:
     return cells
 
 
-def _sweep_cell(spec, dspec: DistanceSpec, scale: float, prefix: Prefix | None = None) -> dict:
-    """visibility / block mass / norm constant summaries for one cell."""
-    if isinstance(spec, LatticeSpec):
-        vis, dist, sites = lattice_mod.two_arm_experiment(spec, dspec, distance_scale=scale)
-        # block mass: how much unweighted probability sits on corridor paths
-        w = lattice_mod.corridor_weights(sites)
-        mass = float(np.sum(dist.probs[w > 0]))
-        return {"visibility": vis, "block_mass": mass, "norm_constant": dist.norm_constant}
+def _toy_cell(spec, dspec: DistanceSpec, prefix: Prefix | None = None) -> dict:
+    """visibility / block mass / norm constant summaries for one toy cell."""
     vis, mass, _probs, C = _toy_experiment(spec, dspec, prefix)
     return {"visibility": vis, "block_mass": mass, "norm_constant": C}
+
+
+def _lattice_cells(spec: LatticeSpec, dspec: DistanceSpec, scales) -> list[dict]:
+    """The summaries of the lattice cells of one spec and distance, one per scale.
+
+    Every scale is checked before the one enumeration, whose plan serves
+    every cell (lattice.two_arm_sweep).
+    """
+    _sites, w, cells = lattice_mod.two_arm_sweep(spec, dspec, scales)
+    corridor = w > 0
+    # block mass: how much unweighted probability sits on corridor paths
+    return [{"visibility": vis, "block_mass": float(np.sum(dist.probs[corridor])),
+             "norm_constant": dist.norm_constant} for vis, dist in cells]
 
 
 def cmd_sweep(args) -> int:
@@ -507,29 +518,41 @@ def cmd_sweep(args) -> int:
         raise GridTooLarge(f"{len(values)} cells exceed {MAX_SWEEP_CELLS}")
     cells = _sweep_cells(config, args, name, values)
 
-    # toy cells with equal model specs (a sweep over D, or a repeated
-    # value) share one build and one prefix sum, padded for the widest
-    # kernel radius of them; one group's prefix is alive at a time, and
-    # every other cell prepares its own inside its task
+    # lattice cells with equal model and distance specs (a sweep over
+    # distance_scale, or a repeated value) form one task, which enumerates
+    # once and builds one plan for all of their scales.  Toy cells with
+    # equal model specs (a sweep over D, or a repeated value) share one
+    # build and one prefix sum, padded for the widest kernel radius of
+    # them; one group's prefix is alive at a time, and every other cell
+    # prepares its own inside its task
+    lattice: dict = {}
     groups: dict = {}
-    for i, (spec, _dspec, _scale) in enumerate(cells):
-        if not isinstance(spec, LatticeSpec):
+    for i, (spec, dspec, _scale) in enumerate(cells):
+        if isinstance(spec, LatticeSpec):
+            lattice.setdefault((spec, dspec), []).append(i)
+        else:
             groups.setdefault(spec, []).append(i)
     shared = [g for g in groups.values() if len(g) > 1]
-    alone = sorted(set(range(len(cells))).difference(*shared))
+    alone = sorted(i for g in groups.values() if len(g) == 1 for i in g)
     results: list = [None] * len(cells)
 
-    def run(pool, indices, prefix=None):
-        done = pool.map(lambda i: _sweep_cell(*cells[i], prefix), indices)
+    def store(indices, done):
         for i, r in zip(indices, done):
             results[i] = r
 
+    def run(pool, indices, prefix=None):
+        store(indices, pool.map(lambda i: _toy_cell(*cells[i][:2], prefix), indices))
+
     if cells:
         with ThreadPoolExecutor(max_workers=min(threads, len(cells))) as pool:
+            tasks = [(indices, pool.submit(_lattice_cells, *key, [cells[i][2] for i in indices]))
+                     for key, indices in lattice.items()]
             for indices in shared:
                 pad = max(kernel_windows(cells[i][1], cells[i][0].N).radii[-1] for i in indices)
                 run(pool, indices, pool.submit(_toy_prefix, cells[indices[0]][0], pad).result())
             run(pool, alone)
+            for indices, task in tasks:
+                store(indices, task.result())
 
     lines = ["param,value,visibility,block_mass,norm_constant"]
     for v, r in zip(values, results):
@@ -621,7 +644,11 @@ def cmd_ratios(args) -> int:
 def cmd_lattice(args) -> int:
     _threads()
     spec = _spec(LatticeSpec, vars(args), None)
-    weight = {"name": args.weight, "threshold": args.threshold, "margin": args.margin}
+    # a flag the chosen weight does not read is refused as its unknown key
+    weight = {"name": args.weight}
+    for key in ("threshold", "margin"):
+        if getattr(args, key) is not None:
+            weight[key] = getattr(args, key)
     dist, sites = lattice_mod.run_lattice_experiment(
         spec, DistanceSpec(args.distance, literal_log_half=args.literal_log_half),
         weight=weight, distance_scale=args.distance_scale,
@@ -692,9 +719,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("uniform", "curvature_cutoff", "corridor"),
     )
     lat.add_argument("--distance-scale", type=float, default=1.0)
-    lat.add_argument("--threshold", type=float, default=1.0,
-                     help="curvature_cutoff threshold")
-    lat.add_argument("--margin", type=int, default=1, help="corridor margin")
+    lat.add_argument("--threshold", type=float,
+                     help="curvature_cutoff threshold (default 1)")
+    lat.add_argument("--margin", type=int, help="corridor margin (default 1)")
     return p
 
 

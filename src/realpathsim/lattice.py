@@ -18,11 +18,17 @@ distance, by one of two routes, both on the calling thread:
   its suffix, the forward-backward split of a hidden Markov model.  It
   pairs no paths; its messages grow with the distinct prefixes and
   suffixes times the square of the lattice width (sites times radii)
-  for the max variants.
+  for the max variants.  ``transfer_plan`` splits it into a scale-free
+  plan and a join per scale: for the max variants a scale only weights
+  the tube radii, so one set of messages serves every scale of a sweep.
 * the engine's dense pass, n^2 exponentials streamed from a
   GridPathSource in tiles: always for ``l2``, which does not factor, and
   for a factoring distance where it costs less than the transfer route,
   as on a wide lattice with few paths (see admit).
+
+A sweep over ``distance_scale`` (two_arm_sweep) checks every scale,
+picks the route and enumerates once, then runs each scale's pass from
+the shared enumeration and plan; a single run is the sweep of one scale.
 
 Weight functions carve experiments out of the ensemble:
 ``curvature_cutoff`` suppresses rapidly-varying paths (second difference
@@ -242,12 +248,13 @@ def _radii(spec: LatticeSpec, distance: DistanceSpec, bounds) -> int:
     return max(hi - lo for lo, hi in bounds) + 1 if distance.name in MAX_VARIANTS else 1
 
 
-def transfer_bytes(spec: LatticeSpec, distance: DistanceSpec) -> int:
+def transfer_bytes(spec: LatticeSpec, distance: DistanceSpec, halves=None) -> int:
     """Peak bytes of a transfer_smeared run, at two phase settings.
 
     The messages run over the distinct prefixes and suffixes of the
-    paths (_halves), each over a site interval and, for the max variants,
-    over as many radii as sites; the join holds O(1) arrays per path.
+    paths (``halves``, _halves(spec) when None), each over a site
+    interval and, for the max variants, over as many radii as sites; the
+    join holds O(1) arrays per path.
     The run around it holds the enumerated sites and O(1) arrays and
     text per path (_RUN_SITE_BYTES, _RUN_PATH_BYTES): the ``lattice``
     command's peak RSS above a 30 MiB idle process came to 0.29 to 0.40
@@ -255,21 +262,22 @@ def transfer_bytes(spec: LatticeSpec, distance: DistanceSpec) -> int:
     max_sep and l1_time_integral at T=8 to 10, X=6, h=2 (38 131 to
     850 739 paths).
     """
-    n, prefixes, suffixes, bounds = _halves(spec)
+    n, prefixes, suffixes, bounds = halves or _halves(spec)
     width = max(hi - lo for lo, hi in bounds) + 1
     messages = (prefixes + suffixes) * _radii(spec, distance, bounds) * width
     run = n * (_RUN_SITE_BYTES * (spec.steps + 1) + _RUN_PATH_BYTES)
     return _MESSAGE_BYTES * messages + _PATH_BYTES * n + run + _FIXED_BYTES
 
 
-def transfer_work(spec: LatticeSpec, distance: DistanceSpec) -> int:
+def transfer_work(spec: LatticeSpec, distance: DistanceSpec, halves) -> int:
     """Multiply-adds of one transfer_smeared message and join pass.
 
     Each side's messages step once per time over its rows' radii, from
     the last time's sites to the next's; the join pairs every path's
     prefix and suffix messages over the radii and middle sites.
+    ``halves`` is _halves(spec).
     """
-    n, prefixes, suffixes, bounds = _halves(spec)
+    n, prefixes, suffixes, bounds = halves
     mid = (spec.steps + 1) // 2
     widths = [hi - lo + 1 for lo, hi in bounds]
     hops = [a * b for a, b in zip(widths, widths[1:])]
@@ -279,22 +287,24 @@ def transfer_work(spec: LatticeSpec, distance: DistanceSpec) -> int:
 
 def _route(spec: LatticeSpec, distance: DistanceSpec) -> tuple[int, bool]:
     """(path count, whether transfer_smeared takes the spec); see admit."""
-    n = path_count(spec)
-    if distance.name in FACTORING_VARIANTS:
-        need = transfer_bytes(spec, distance)
-        fits = need <= MAX_TILE_BYTES
-        if fits and (n > DENSE_PATH_BOUND
-                     or transfer_work(spec, distance) <= _PAIR_WORK * n * n):
-            return n, True
+    if distance.name not in FACTORING_VARIANTS:
+        n = path_count(spec)
         if n > DENSE_PATH_BOUND:
             raise ModelTooLarge(
-                f"the transfer route needs {need / 2**30:.2f} GiB, "
-                f"above {MAX_TILE_BYTES / 2**30:.0f} GiB"
+                f"{n} paths need {float(n) ** 2:.3g} exponentials in the dense pass, "
+                f"above the bound of {DENSE_PATH_BOUND} paths"
             )
-    elif n > DENSE_PATH_BOUND:
+        return n, False
+    halves = _halves(spec)
+    n = halves[0]
+    need = transfer_bytes(spec, distance, halves)
+    if need <= MAX_TILE_BYTES and (n > DENSE_PATH_BOUND
+                                   or transfer_work(spec, distance, halves) <= _PAIR_WORK * n * n):
+        return n, True
+    if n > DENSE_PATH_BOUND:
         raise ModelTooLarge(
-            f"{n} paths need {float(n) ** 2:.3g} exponentials in the dense pass, "
-            f"above the bound of {DENSE_PATH_BOUND} paths"
+            f"the transfer route needs {need / 2**30:.2f} GiB, "
+            f"above {MAX_TILE_BYTES / 2**30:.0f} GiB"
         )
     return n, False
 
@@ -379,21 +389,40 @@ def upper_arm_mask(sites: np.ndarray) -> np.ndarray:
     return sites[:, mid] >= 1
 
 
+# the key beside "name" that each weight function of a weight object reads
+_WEIGHT_KEYS = {"uniform": None, "curvature_cutoff": "threshold", "corridor": "margin"}
+
+
+def check_weight(weight: dict | None):
+    """Raise ValueError for a weight object resolve_weight would not read whole.
+
+    Its name must be one of _WEIGHT_KEYS, and its keys ``name`` and the
+    one key that name reads, if any.
+    """
+    weight = weight or {}
+    name = weight.get("name", "uniform")
+    if name not in _WEIGHT_KEYS:
+        raise ValueError(f"unknown weight function {name!r}")
+    unknown = ", ".join(map(repr, sorted(set(weight) - {"name", _WEIGHT_KEYS[name]})))
+    if unknown:
+        raise ValueError(f"weight {name!r} has unknown key(s) {unknown}")
+
+
 def resolve_weight(weight: dict | None, sites: np.ndarray) -> np.ndarray | None:
     """Per-path weight vector of a weight object, None for the plain postulate.
 
-    ``weight`` is {"name": ..., "threshold": ..., "margin": ...} as in a
-    config, or None (uniform).  An unknown name raises ValueError.
+    ``weight`` is {"name": ..., "threshold": ...} (curvature_cutoff) or
+    {"name": ..., "margin": ...} (corridor) as in a config, or None
+    (uniform).  Any other name or key raises ValueError (check_weight).
     """
+    check_weight(weight)
     weight = weight or {}
     name = weight.get("name", "uniform")
     if name == "uniform":
         return None
     if name == "curvature_cutoff":
         return curvature_cutoff_weights(sites, float(weight.get("threshold", 1.0)))
-    if name == "corridor":
-        return corridor_weights(sites, int(weight.get("margin", 1)))
-    raise ValueError(f"unknown weight function {name!r}")
+    return corridor_weights(sites, int(weight.get("margin", 1)))
 
 
 def _check_scale(spec: LatticeSpec, distance: DistanceSpec, distance_scale: float):
@@ -530,16 +559,34 @@ def transfer_smeared(
     plate and the radius weights act on the forward side, and the
     denominators come from the same messages with unit amplitudes.
     Nothing of size n x n is built; transfer_bytes bounds what is.
+    This is transfer_plan over the one scale; a sweep over the scale
+    builds one plan for all of its cells.
+    """
+    return transfer_plan(spec, sites, distance, [distance_scale])(distance_scale, phases)
+
+
+def transfer_plan(spec: LatticeSpec, sites: np.ndarray, distance: DistanceSpec, scales):
+    """transfer_smeared at each of ``scales``, from one scale-free plan.
+
+    Returns smeared(distance_scale, phases), which gives the bits of
+    transfer_smeared(spec, sites, distance, distance_scale, phases) for
+    any scale of ``scales``.  The plan, built once, holds what no scale
+    changes: the distinct prefixes and suffixes, each path's place in the
+    joined blocks, and, for the max variants, the forward and backward
+    count and amplitude messages over every radius that some scale's
+    weights keep.  Each call picks its scale's radii from those messages,
+    weights them and joins; the radius rows of a message do not depend
+    on which other radii run beside them.  The L1 variants' messages
+    carry the scale in every factor, so each call runs its own.
     """
     if distance.name not in FACTORING_VARIANTS:
         raise ValueError(f"{distance.name} does not factor over time steps")
     mid = sites.shape[1] // 2
     bounds = _site_bounds(spec)
-    (radii, site_c, edge_c), weights = _distance_terms(spec, distance, distance_scale, bounds)
     # suffixes are walked backward from the end, so their middle site comes last
-    back_c = None if site_c is None else site_c[::-1]
-    pre, pre_of = _distinct(sites[:, : mid + 1], bounds[: mid + 1])
-    suf, suf_of = _distinct(sites[:, : mid - 1 : -1], bounds[: mid - 1 : -1])
+    fwd_bounds, bwd_bounds = bounds[: mid + 1], bounds[: mid - 1 : -1]
+    pre, pre_of = _distinct(sites[:, : mid + 1], fwd_bounds)
+    suf, suf_of = _distinct(sites[:, : mid - 1 : -1], bwd_bounds)
     h, m = spec.hop, spec.mass
 
     def amp(delta):
@@ -548,14 +595,13 @@ def transfer_smeared(
     def count(delta):
         return (np.abs(delta) <= h).astype(float)
 
-    def messages(hop, dtype):
-        """Forward and backward messages as (rows, radius x site) matrices."""
-        fwd = _messages(pre, bounds[: mid + 1], hop, dtype, (radii, site_c, edge_c),
-                        last_site=True)
-        fwd *= weights[:, None]
-        bwd = _messages(suf, bounds[: mid - 1 : -1], hop, dtype, (radii, back_c, edge_c),
-                        last_site=False)
-        return fwd.reshape(len(pre), -1), bwd.reshape(len(suf), -1)
+    def messages(hop, dtype, terms):
+        """Forward and backward messages, each (rows, radii, sites)."""
+        radii, site_c, edge_c = terms
+        back_c = None if site_c is None else site_c[::-1]
+        fwd = _messages(pre, fwd_bounds, hop, dtype, terms, last_site=True)
+        bwd = _messages(suf, bwd_bounds, hop, dtype, (radii, back_c, edge_c), last_site=False)
+        return fwd, bwd
 
     lo, hi = bounds[mid]
     middle = np.arange(lo, hi + 1)
@@ -577,32 +623,81 @@ def transfer_smeared(
             np.matmul(left[a:b], right[c:d].T, out=block)
         return flat[place]
 
-    denom = join(*messages(count, float))
-    fwd, bwd = messages(amp, np.complex128)
-    smeared = []
-    for phase in phases:
-        if phase:
-            plate = np.tile(np.where(middle >= 1, np.exp(-1j * phase), 1.0), radii.size)
-            smeared.append(join(fwd * plate, bwd))
+    shared = None
+    if distance.name in MAX_VARIANTS:
+        kept = np.zeros(_radii(spec, distance, bounds), dtype=bool)
+        for scale in scales:
+            kept[_distance_terms(spec, distance, scale, bounds)[0][0]] = True
+        union = np.flatnonzero(kept)
+        # each radius's row in the plan's messages, -1 for one no scale keeps
+        row = np.full(kept.size, -1)
+        row[union] = np.arange(union.size)
+        shared = {dtype: messages(hop, dtype, (union, None, None))
+                  for hop, dtype in ((count, float), (amp, np.complex128))}
+
+    def weighted(hop, dtype, terms, weights):
+        """Forward (radius-weighted) and backward messages as (rows, radius x site) matrices."""
+        if shared is None:
+            fwd, bwd = messages(hop, dtype, terms)
+            fwd *= weights[:, None]
         else:
-            smeared.append(join(fwd, bwd))
-    return smeared, denom
+            pick = row[terms[0]]
+            if pick.min() < 0:
+                raise ValueError("the scale keeps a radius the plan was not built for")
+            if pick.size == union.size:
+                pick = slice(None)
+            fwd, bwd = shared[dtype]
+            fwd, bwd = fwd[:, pick] * weights[:, None], bwd[:, pick]
+        return fwd.reshape(len(pre), -1), bwd.reshape(len(suf), -1)
+
+    def smeared(distance_scale, phases):
+        terms, weights = _distance_terms(spec, distance, distance_scale, bounds)
+        denom = join(*weighted(count, float, terms, weights))
+        fwd, bwd = weighted(amp, np.complex128, terms, weights)
+        out = []
+        for phase in phases:
+            if phase:
+                plate = np.tile(np.where(middle >= 1, np.exp(-1j * phase), 1.0), weights.size)
+                out.append(join(fwd * plate, bwd))
+            else:
+                out.append(join(fwd, bwd))
+        return out, denom
+
+    return smeared
 
 
-def _smeared(spec, sites, distance, distance_scale, phases, transfer):
-    """Smeared sums at each arm phase and the shared denominators, by route.
+def _smearer(spec, sites, distance, scales, transfer):
+    """smeared(distance_scale, phases) of every scale of ``scales``, by route.
 
-    ``transfer`` picks transfer_smeared (see admit); otherwise the dense
+    ``transfer`` picks transfer_plan (see admit); otherwise the dense
     pass multiplies each tile of exp(-d), streamed from a GridPathSource,
-    by every phase setting's amplitudes.
+    by every phase setting's amplitudes.  Either returns the smeared sums
+    at each phase and the shared denominators.
     """
     if transfer:
-        return transfer_smeared(spec, sites, distance, distance_scale, phases)
+        return transfer_plan(spec, sites, distance, scales)
     mask = upper_arm_mask(sites).astype(float)
-    amps = [lattice_ensemble(spec, sites, phase * mask if phase else None)[0].amplitudes
-            for phase in phases]
-    source = GridPathSource(sites, distance, spec.mass, distance_scale)
-    return dense_smeared(amps, source)
+
+    def dense(distance_scale, phases):
+        amps = [lattice_ensemble(spec, sites, phase * mask if phase else None)[0].amplitudes
+                for phase in phases]
+        return dense_smeared(amps, GridPathSource(sites, distance, spec.mass, distance_scale))
+
+    return dense
+
+
+def _passes(spec, distance, scales, phases):
+    """(sites, the smeared sums and denominators at each scale, lazily).
+
+    Every scale is checked, and the route chosen, before the one
+    enumeration; each scale's pass runs when it is reached.
+    """
+    for scale in scales:
+        _check_scale(spec, distance, scale)
+    _, transfer = _route(spec, distance)
+    sites = enumerate_paths(spec)
+    smeared = _smearer(spec, sites, distance, scales, transfer)
+    return sites, (smeared(scale, phases) for scale in scales)
 
 
 def run_lattice_experiment(
@@ -620,28 +715,33 @@ def run_lattice_experiment(
     (upper_arm_mask).
     Returns (distribution, sites).
     """
-    _check_scale(spec, distance, distance_scale)
-    _, transfer = _route(spec, distance)
-    sites = enumerate_paths(spec)
-    w = resolve_weight(weight, sites)
-    (smeared,), denom = _smeared(spec, sites, distance, distance_scale, [arm_phase], transfer)
-    return distribution_from_sums(smeared, denom, w), sites
+    check_weight(weight)
+    sites, passes = _passes(spec, distance, [distance_scale], [arm_phase])
+    (smeared,), denom = next(passes)
+    return distribution_from_sums(smeared, denom, resolve_weight(weight, sites)), sites
 
 
-def _two_arm_pass(spec, distance, distance_scale):
-    """(visibility, sites, phase-0 smeared sums, denominators) in one pass.
+def two_arm_sweep(spec: LatticeSpec, distance: DistanceSpec, scales):
+    """(sites, corridor weights, (visibility, distribution) at each scale, lazily).
 
-    One enumeration and one smearing pass carry both phase plate
-    settings, 0 (constructive) and pi (destructive); the denominators do
-    not depend on the amplitudes, so the two settings share them.
+    One enumeration and one plan (transfer_plan) serve every scale; each
+    scale's pass carries both phase plate settings, 0 (constructive) and
+    pi (destructive), which share the denominators, as these do not
+    depend on the amplitudes.  The visibility is |P+ - P-| / (P+ + P-) of
+    the corridor-weighted masses; the distribution is the unweighted one
+    run_lattice_experiment gives at arm phase 0, which the phase-0 sums
+    and the denominators already are.  Every scale is checked before
+    anything is enumerated.
     """
-    _check_scale(spec, distance, distance_scale)
-    _, transfer = _route(spec, distance)
-    sites = enumerate_paths(spec)
-    smeared, denom = _smeared(spec, sites, distance, distance_scale, (0.0, np.pi), transfer)
+    sites, passes = _passes(spec, distance, scales, (0.0, np.pi))
     w = corridor_weights(sites)
-    p_plus, p_minus = (float(np.sum(weighted_probabilities(s, denom, w))) for s in smeared)
-    return visibility(p_plus, p_minus), sites, smeared[0], denom
+
+    def cells():
+        for smeared, denom in passes:
+            p_plus, p_minus = (float(np.sum(weighted_probabilities(s, denom, w))) for s in smeared)
+            yield visibility(p_plus, p_minus), distribution_from_sums(smeared[0], denom)
+
+    return sites, w, cells()
 
 
 def two_arm_visibility(
@@ -655,7 +755,7 @@ def two_arm_visibility(
     (constructive) and pi (destructive); the normalization constant is
     setting-dependent, so raw masses are the comparable quantity.
     """
-    return _two_arm_pass(spec, distance, distance_scale)[0]
+    return two_arm_experiment(spec, distance, distance_scale)[0]
 
 
 def two_arm_experiment(
@@ -663,11 +763,7 @@ def two_arm_experiment(
     distance: DistanceSpec,
     distance_scale: float = 1.0,
 ) -> tuple[float, PathDistribution, np.ndarray]:
-    """(visibility, distribution, sites) from one enumeration and one pass.
-
-    The visibility is two_arm_visibility's; the distribution is the
-    unweighted one run_lattice_experiment gives at arm phase 0, which the
-    phase-0 smeared sums and the shared denominators already are.
-    """
-    vis, sites, smeared, denom = _two_arm_pass(spec, distance, distance_scale)
-    return vis, distribution_from_sums(smeared, denom), sites
+    """(visibility, distribution, sites) of two_arm_sweep at the one scale."""
+    sites, _, cells = two_arm_sweep(spec, distance, [distance_scale])
+    vis, dist = next(cells)
+    return vis, dist, sites

@@ -248,7 +248,13 @@ def test_distance_scale_on_non_lattice_model_exits_65(tmp_path, capsys, config, 
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("weight", [{"name": "causal_only"}, {"name": "bogus"}, "corridor"])
+@pytest.mark.parametrize("weight", [
+    {"name": "causal_only"}, {"name": "bogus"}, "corridor",
+    # a key the weight does not read, which would be ignored
+    {"name": "corridor", "margn": 3},
+    {"name": "curvature_cutoff", "margin": 2},
+    {"name": "uniform", "threshold": 2.0},
+])
 def test_bad_lattice_weight_exits_64(tmp_path, weight):
     cfg = write(tmp_path / "lat.json", {
         "model": {"model": "lattice", "steps": 4, "extent": 3, "start": 0, "end": 0},
@@ -258,6 +264,23 @@ def test_bad_lattice_weight_exits_64(tmp_path, weight):
     out = tmp_path / "lat.csv"
     assert run_cli(["--config", cfg, "--output", str(out), "run"]) == 64
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--weight", "uniform", "--margin", "3"],
+    ["--threshold", "2"],
+    ["--weight", "corridor", "--threshold", "2"],
+    ["--weight", "curvature_cutoff", "--margin", "1"],
+])
+def test_lattice_flag_its_weight_does_not_read_exits_64(tmp_path, capsys, flags):
+    # --threshold and --margin set the key of one weight each; under any
+    # other weight they would be ignored
+    out = tmp_path / "lat.csv"
+    argv = ["lattice", "--steps", "4", "--extent", "3", "--hop", "2", *flags]
+    assert run_cli([*argv, "--output", str(out)]) == 64
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "unknown key" in err and repr(flags[-2].lstrip("-")) in err
 
 
 def test_mass_on_distance_without_mass_exits_64(tmp_path, capsys):
@@ -305,6 +328,13 @@ def test_lattice_outputs_match_golden_bytes(tmp_path):
     assert out.read_bytes() == (DATA / "lattice_smoke.json").read_bytes()
     paths = (tmp_path / "lattice_smoke.json.paths.csv").read_bytes()
     assert paths == (DATA / "lattice_smoke.csv.paths.csv").read_bytes()
+    # the corridor's default margin, given as a flag
+    out = tmp_path / "margin.csv"
+    assert run_cli([
+        "lattice", "--steps", "4", "--extent", "3", "--hop", "2",
+        "--weight", "corridor", "--margin", "1", "--output", str(out),
+    ]) == 0
+    assert out.read_bytes() == (DATA / "lattice_smoke.csv").read_bytes()
     sweep = tmp_path / "lattice_sweep.csv"
     cfg = str(DATA / "lattice_sweep.json")
     assert run_cli(["--config", cfg, "--output", str(sweep), "sweep"]) == 0
@@ -320,12 +350,12 @@ LATTICE_SMOKE_CONFIG = {
 
 def test_lattice_bytes_do_not_depend_on_threads(tmp_path, monkeypatch):
     # 83 paths, switching threads often: max_sep and l2 on the dense pass,
-    # l1_time_integral on the transfer route; the sweep's cells run on
-    # up to three threads
+    # l1_time_integral on the transfer route; each sweep's cells (83 paths
+    # dense, and 1 751 paths on the transfer route) run as one pool task,
+    # whatever the thread count
     cfg = write(tmp_path / "smoke.json", LATTICE_SMOKE_CONFIG)
     golden = (DATA / "lattice_smoke.csv").read_bytes()
     paths = (DATA / "lattice_smoke.csv.paths.csv").read_bytes()
-    sweep_golden = (DATA / "lattice_sweep.csv").read_bytes()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -341,10 +371,11 @@ def test_lattice_bytes_do_not_depend_on_threads(tmp_path, monkeypatch):
             run = tmp_path / f"run{threads}.csv"
             assert run_cli(["--config", cfg, "--output", str(run), "run"]) == 0
             assert run.read_bytes() == golden, threads
-            sweep = tmp_path / f"sweep{threads}.csv"
-            cfg_sweep = str(DATA / "lattice_sweep.json")
-            assert run_cli(["--config", cfg_sweep, "--output", str(sweep), "sweep"]) == 0
-            assert sweep.read_bytes() == sweep_golden, threads
+            for name in ("lattice_sweep", "lattice_sweep_transfer"):
+                sweep = tmp_path / f"{name}{threads}.csv"
+                cfg_sweep = str(DATA / f"{name}.json")
+                assert run_cli(["--config", cfg_sweep, "--output", str(sweep), "sweep"]) == 0
+                assert sweep.read_bytes() == (DATA / f"{name}.csv").read_bytes(), (name, threads)
             for name in ("l2", "l1_time_integral"):
                 out = tmp_path / f"{name}{threads}.csv"
                 assert run_cli([
@@ -658,6 +689,32 @@ def test_sweep_bad_scale_or_mass_exits_65(tmp_path, capsys, sweep):
     assert "finite and >= 0" in capsys.readouterr().err
 
 
+def test_lattice_sweep_enumerates_once_and_passes_messages_once(tmp_path, monkeypatch):
+    # the 8 cells of a max_sep scale sweep share one enumeration and one
+    # forward and backward pass of count and amplitude messages: 1 and 4
+    # calls, not 8 and 32
+    from realpathsim import lattice
+
+    calls = []
+
+    def counted(name):
+        original = getattr(lattice, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return call
+
+    for name in ("enumerate_paths", "_messages"):
+        monkeypatch.setattr(lattice, name, counted(name))
+    monkeypatch.setenv("REALPATH_THREADS", "2")
+    out = tmp_path / "sweep.csv"
+    cfg = str(DATA / "lattice_sweep_transfer.json")
+    assert run_cli(["--config", cfg, "--output", str(out), "sweep"]) == 0
+    assert out.read_bytes() == (DATA / "lattice_sweep_transfer.csv").read_bytes()
+    assert (calls.count("enumerate_paths"), calls.count("_messages")) == (1, 4)
+
+
 def test_lattice_admission_bound_is_a_path_count(monkeypatch):
     # the bound the 512-row dense block set, 2**30 // (512*16 + 32*32)
     # paths, is kept as a path count
@@ -807,6 +864,8 @@ SCREEN = {"D": 2, "endpoints": [{"N": 11, "regions": [[5, 2, 0.0]]}],
                 "screen_before": {"N": 8, "M": 5, "K": 1, "theta": 1.0}}}, "'theta'"),
     ({"model": {"model": "screen", **SCREEN,
                 "screen_after": {"N": 23, "K": 2, "anchors": [7], "M": 7}}}, "'M'"),
+    ({**LATTICE_SMOKE_CONFIG, "weight": {"name": "corridor", "margn": 3}}, "'margn'"),
+    ({**M1_CONFIG, "weight": {"name": "uniform", "margin": 3}}, "'margin'"),
 ])
 def test_unknown_config_keys_exit_64(tmp_path, capsys, config, key):
     # a key no reader takes would leave the run as if it were absent; a
@@ -891,6 +950,8 @@ def test_json_format_on_csv_only_commands_exits_64(tmp_path, capsys, command, wh
      "'distance'"),
     ("run", {**json.loads((DATA / "screen.json").read_text()), "distance": M1_CONFIG["distance"]},
      "'distance'"),
+    ("sweep", {**json.loads((DATA / "lattice_sweep.json").read_text()),
+               "weight": {"name": "uniform", "margin": 1}}, "'margin'"),
 ])
 def test_keys_a_subcommand_never_reads_exit_64(tmp_path, capsys, command, config, key):
     out = tmp_path / "out.csv"

@@ -1,12 +1,14 @@
 """Lattice path integral: enumeration, transfer matrix, decoherence."""
 
+import json
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from realpathsim import engine
+from realpathsim import cli, engine
 from realpathsim.distances import (
     GALILEAN_VARIANTS,
     DistanceSpec,
@@ -35,11 +37,14 @@ from realpathsim.lattice import (
     transfer_bytes,
     transfer_smeared,
     two_arm_experiment,
+    two_arm_sweep,
     two_arm_visibility,
     upper_arm_mask,
 )
 
 from oracles import block_dense_smeared, dfs_lattice_paths, galilean_distance, site_path
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_single_step_single_path():
@@ -150,6 +155,11 @@ def test_resolve_weight_from_weight_objects():
     for name in ("causal_only", "bogus"):
         with pytest.raises(ValueError, match=name):
             resolve_weight({"name": name}, sites)
+    # a key the name does not read would be ignored
+    for weight in ({"name": "corridor", "margn": 3}, {"name": "corridor", "threshold": 2.0},
+                   {"name": "uniform", "margin": 3}, {"margin": 3}):
+        with pytest.raises(ValueError, match="unknown key"):
+            resolve_weight(weight, sites)
 
 
 def test_corridor_weights_split_arms():
@@ -443,10 +453,11 @@ def test_experiments_take_the_route_admit_picks(monkeypatch):
     with pytest.raises(AssertionError, match="dense pass"):
         run_lattice_experiment(spec, DistanceSpec("l2"))
     monkeypatch.undo()
-    monkeypatch.setattr(lattice, "transfer_smeared", refuse("the transfer route"))
+    monkeypatch.setattr(lattice, "transfer_plan", refuse("the transfer route"))
     for name in FACTORING_VARIANTS:
         run_lattice_experiment(wide, DistanceSpec(name))
         two_arm_experiment(wide, DistanceSpec(name))
+    monkeypatch.undo()
     with pytest.raises(ValueError, match="does not factor"):
         transfer_smeared(spec, enumerate_paths(spec), DistanceSpec("l2"), 1.0, (0.0,))
 
@@ -477,7 +488,7 @@ def test_transfer_pass_peak_within_transfer_bytes():
         assert peak < n * n, name
 
 
-def test_bad_scale_or_mass_is_refused_before_enumeration(monkeypatch):
+def test_bad_scale_or_mass_is_refused_before_enumeration(monkeypatch, tmp_path):
     from realpathsim import lattice
 
     def refuse(spec):
@@ -490,6 +501,16 @@ def test_bad_scale_or_mass_is_refused_before_enumeration(monkeypatch):
             run_lattice_experiment(spec, DistanceSpec("max_sep"), distance_scale=scale)
         with pytest.raises(SpecViolation, match="distance_scale"):
             two_arm_visibility(spec, DistanceSpec("l2"), distance_scale=scale)
+        # a sweep checks all of its scales before its one enumeration
+        with pytest.raises(SpecViolation, match="distance_scale"):
+            two_arm_sweep(spec, DistanceSpec("max_sep"), [0.0, 1.0, scale, 10.0])
+    config = json.loads((DATA / "lattice_sweep_transfer.json").read_text())
+    config["sweep"]["values"] = [0, 0.3, -1, 10]
+    path = tmp_path / "bad_sweep.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "bad_sweep.csv"
+    assert cli.main(["--config", str(path), "--output", str(out), "sweep"]) == 65
+    assert not out.exists()
     for mass in (-2.0, np.nan):
         heavy = LatticeSpec(steps=4, extent=3, start=0, end=0, hop=2, mass=mass)
         for name in ("mass_l1", "mass_max_sep"):
@@ -508,3 +529,23 @@ def test_bad_scale_or_mass_is_refused_before_enumeration(monkeypatch):
     negative = LatticeSpec(steps=4, extent=3, start=0, end=0, hop=2, mass=-2.0)
     for name in ("max_sep", "l1_time_integral", "l2", "velocity_l1"):
         assert run_lattice_experiment(negative, DistanceSpec(name))[0].n_paths == 83
+
+
+@pytest.mark.parametrize("spec", [
+    LatticeSpec(steps=6, extent=6, start=0, end=0, hop=2),  # the transfer route
+    LatticeSpec(steps=4, extent=3, start=0, end=0, hop=2),  # max_sep and l2 dense
+])
+def test_sweep_cells_have_the_bits_of_single_scale_runs(spec):
+    # one enumeration and one plan per sweep: each cell, whichever other
+    # scales share its plan, gives what a run at its scale alone gives
+    scales = [0.0, 0.3, 1.0, 10.0, 300.0]
+    for name in (*FACTORING_VARIANTS, "l2"):
+        dspec = DistanceSpec(name)
+        sites, w, cells = two_arm_sweep(spec, dspec, scales)
+        assert np.array_equal(w, corridor_weights(sites))
+        for scale, (vis, dist) in zip(scales, cells):
+            want_vis, want, want_sites = two_arm_experiment(spec, dspec, scale)
+            assert np.array_equal(sites, want_sites)
+            assert vis == want_vis, (name, scale)
+            for field in ("probs", "smeared", "denom"):
+                assert np.array_equal(getattr(dist, field), getattr(want, field)), (name, scale)
