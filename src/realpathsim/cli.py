@@ -11,9 +11,8 @@ All numeric output uses 17-significant-digit floats, so identical
 configs produce byte-identical files.  Exit codes follow sysexits:
 64 bad config, 65 spec violation / bad data, 70 no probability
 distribution exists.  REALPATH_THREADS, a positive integer, caps the
-threads that run the cells of a sweep (the lattice cells of one spec
-and distance run as one task, on one thread); it defaults to the number
-of CPUs the process may run on (its affinity).  ``run`` and ``lattice``
+threads that run the cells of a sweep; it defaults to the number of
+CPUs the process may run on (its affinity).  ``run`` and ``lattice``
 check it too, so a bad value fails alike everywhere, but compute on
 the calling thread.  main caps every OpenBLAS loaded into its process
 at one thread, once, so that the sweep's threads are the only ones
@@ -41,6 +40,7 @@ from .engine import (
     Prefix,
     _prefix,
     check_probabilities,
+    distribution_from_sums,
     index_smeared,
     index_tiles,
     kernel_windows,
@@ -323,20 +323,25 @@ def _lattice_only(config: dict, spec, swept: str | None = None) -> dict:
     """The config's weight, distance_scale and arm_phase, as a lattice run takes them.
 
     Off a lattice model each, or a sweep over it (``swept``), is refused
-    with SpecViolation, bar a uniform or null weight, and so is a key of
-    that weight object other than its name, with ValueError.
+    with SpecViolation, bar a uniform or null weight; so is any weight
+    but uniform in a lattice sweep (``swept`` set), whose visibility
+    fixes the corridor weight.  A weight object that lattice.check_weight
+    refuses, an unknown name or key, raises ValueError.
     """
     weight = config.get("weight") or {}
     if not isinstance(weight, dict):
         raise ValueError('"weight" must be an object {"name": ...}')
+    name = weight.get("name", "uniform")
     if not isinstance(spec, LatticeSpec):
-        name = weight.get("name", "uniform")
         if name != "uniform":
             raise SpecViolation(f"weight {name!r} applies to lattice models only")
         for key in _LATTICE_ONLY[1:]:
             if key in config or key == swept:
                 raise SpecViolation(f"{key} applies to lattice models only")
-        lattice_mod.check_weight(weight)  # a uniform weight's stray keys
+    elif swept is not None and name != "uniform":
+        raise SpecViolation(f"weight {name!r} does not apply to a lattice sweep, "
+                            "which fixes the corridor weight")
+    lattice_mod.check_weight(weight)
     return {"weight": weight, "distance_scale": float(config.get("distance_scale", 1.0)),
             "arm_phase": float(config.get("arm_phase", 0.0))}
 
@@ -465,11 +470,6 @@ def _sweep_cells(config: dict, args, name: str, values: list) -> list:
     if name not in {"D", "distance_scale", *scalars}:
         raise ValueError(f"sweep parameter {name!r} is not a spec field")
     lattice = _lattice_only(config, spec, name)
-    weight = lattice["weight"].get("name", "uniform")
-    if weight != "uniform":  # a lattice's: any other model refused it
-        raise SpecViolation(f"weight {weight!r} does not apply to a lattice sweep, "
-                            "which fixes the corridor weight")
-    lattice_mod.check_weight(lattice["weight"])
     _check_keys(config, _READS["sweep"][1], "sweep config")
     cells = []
     for v in values:
@@ -492,17 +492,18 @@ def _toy_cell(spec, dspec: DistanceSpec, prefix: Prefix | None = None) -> dict:
     return {"visibility": vis, "block_mass": mass, "norm_constant": C}
 
 
-def _lattice_cells(spec: LatticeSpec, dspec: DistanceSpec, scales) -> list[dict]:
-    """The summaries of the lattice cells of one spec and distance, one per scale.
+def _lattice_cell(plan, scale: float) -> dict:
+    """visibility / block mass / norm constant summaries of one lattice cell.
 
-    Every scale is checked before the one enumeration, whose plan serves
-    every cell (lattice.two_arm_sweep).
+    ``plan`` is lattice.two_arm_sweep over scales that include ``scale``,
+    which a sweep's cells of one spec and distance share.
     """
-    _sites, w, cells = lattice_mod.two_arm_sweep(spec, dspec, scales)
-    corridor = w > 0
+    _sites, w, cell = plan
+    vis, sums, denom = cell(scale)
+    dist = distribution_from_sums(sums, denom)
     # block mass: how much unweighted probability sits on corridor paths
-    return [{"visibility": vis, "block_mass": float(np.sum(dist.probs[corridor])),
-             "norm_constant": dist.norm_constant} for vis, dist in cells]
+    return {"visibility": vis, "block_mass": float(np.sum(dist.probs[w > 0])),
+            "norm_constant": dist.norm_constant}
 
 
 def cmd_sweep(args) -> int:
@@ -518,41 +519,52 @@ def cmd_sweep(args) -> int:
         raise GridTooLarge(f"{len(values)} cells exceed {MAX_SWEEP_CELLS}")
     cells = _sweep_cells(config, args, name, values)
 
-    # lattice cells with equal model and distance specs (a sweep over
-    # distance_scale, or a repeated value) form one task, which enumerates
-    # once and builds one plan for all of their scales.  Toy cells with
-    # equal model specs (a sweep over D, or a repeated value) share one
-    # build and one prefix sum, padded for the widest kernel radius of
-    # them; one group's prefix is alive at a time, and every other cell
-    # prepares its own inside its task
-    lattice: dict = {}
+    # cells that can share their preparation form one group: lattice
+    # cells with equal model and distance specs (a sweep over
+    # distance_scale, or a repeated value) share one enumeration and one
+    # plan for all of their scales, and toy cells with equal model specs
+    # (a sweep over D, or a repeated value) one build and one prefix sum,
+    # padded for the widest kernel radius of them.  A group prepares on
+    # one pool thread, then its cells run on every thread; one group's
+    # preparation is alive at a time, and every other cell prepares its
+    # own inside its task
+    if cells and isinstance(cells[0][0], LatticeSpec):
+        def key(i):
+            return tuple(cells[i][:2])
+
+        def prepare(indices):
+            spec, dspec, _ = cells[indices[0]]
+            return lattice_mod.two_arm_sweep(spec, dspec, [cells[i][2] for i in indices])
+
+        def cell(i, plan=None):
+            return _lattice_cell(plan or prepare([i]), cells[i][2])
+    else:
+        def key(i):
+            return cells[i][0]
+
+        def prepare(indices):
+            pad = max(kernel_windows(cells[i][1], cells[i][0].N).radii[-1] for i in indices)
+            return _toy_prefix(cells[indices[0]][0], pad)
+
+        def cell(i, prefix=None):
+            return _toy_cell(*cells[i][:2], prefix)
+
     groups: dict = {}
-    for i, (spec, dspec, _scale) in enumerate(cells):
-        if isinstance(spec, LatticeSpec):
-            lattice.setdefault((spec, dspec), []).append(i)
-        else:
-            groups.setdefault(spec, []).append(i)
+    for i in range(len(cells)):
+        groups.setdefault(key(i), []).append(i)
     shared = [g for g in groups.values() if len(g) > 1]
     alone = sorted(i for g in groups.values() if len(g) == 1 for i in g)
     results: list = [None] * len(cells)
 
-    def store(indices, done):
-        for i, r in zip(indices, done):
+    def run(pool, indices, prepared=None):
+        for i, r in zip(indices, pool.map(lambda i: cell(i, prepared), indices)):
             results[i] = r
-
-    def run(pool, indices, prefix=None):
-        store(indices, pool.map(lambda i: _toy_cell(*cells[i][:2], prefix), indices))
 
     if cells:
         with ThreadPoolExecutor(max_workers=min(threads, len(cells))) as pool:
-            tasks = [(indices, pool.submit(_lattice_cells, *key, [cells[i][2] for i in indices]))
-                     for key, indices in lattice.items()]
             for indices in shared:
-                pad = max(kernel_windows(cells[i][1], cells[i][0].N).radii[-1] for i in indices)
-                run(pool, indices, pool.submit(_toy_prefix, cells[indices[0]][0], pad).result())
+                run(pool, indices, pool.submit(prepare, indices).result())
             run(pool, alone)
-            for indices, task in tasks:
-                store(indices, task.result())
 
     lines = ["param,value,visibility,block_mass,norm_constant"]
     for v, r in zip(values, results):

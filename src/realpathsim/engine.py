@@ -73,7 +73,8 @@ BANDED_BOUND = 5 * 10**9
 # largest working set of a lattice run on the transfer route, held to it
 # as a whole: messages, per-path arrays and output text
 # (lattice.transfer_bytes).  A sweep runs one such run per pool thread: a
-# lattice group's cells share one plan and come one at a time.
+# lattice group's cells share one plan, and hold what a run does beyond
+# it once per thread (see lattice._MESSAGE_BYTES).
 MAX_TILE_BYTES = 1 << 30
 
 @dataclass(frozen=True)

@@ -28,7 +28,8 @@ distance, by one of two routes, both on the calling thread:
 
 A sweep over ``distance_scale`` (two_arm_sweep) checks every scale,
 picks the route and enumerates once, then runs each scale's pass from
-the shared enumeration and plan; a single run is the sweep of one scale.
+the shared enumeration and plan, which the passes only read, so they may
+run on several threads; a single run is the sweep of one scale.
 
 Weight functions carve experiments out of the ensemble:
 ``curvature_cutoff`` suppresses rapidly-varying paths (second difference
@@ -94,13 +95,19 @@ FACTORING_VARIANTS = (
     *MAX_VARIANTS, "l1_time_integral", "l1_time_average", "mass_l1", "velocity_l1",
 )
 
-# bytes transfer_smeared holds per message entry (a complex and a real
-# message on each side, with the product and factor temporaries of one
-# step) and per path (the joined blocks, the int64 codes and indices
-# that place each path in its block, and the outputs of two phase
-# settings), and a fixed allowance for the small arrays; tracemalloc
-# puts transfer_smeared's peak at 0.45 to 0.98 of these three terms over
-# the six variants from 83 to 179 755 paths (see transfer_bytes)
+# bytes transfer_smeared holds per message entry (for the max variants a
+# plan's real and complex messages on both sides, 24, with a call's
+# radius-weighted, picked and phase-plated copies of them, at most 32
+# more; for the L1 variants one dtype's messages with the product and
+# factor temporaries of one step) and per path (the joined blocks, the
+# int64 codes and indices that place each path in its block, and the
+# outputs of two phase settings), and a fixed allowance for the small
+# arrays.  tracemalloc puts the peak of transfer_smeared, and of a plan
+# for eight scales (0 to 300) called at each, at 0.55 to 0.85 of these
+# three terms for the max variants and 0.21 to 0.84 for the L1 variants,
+# on ten specs from 83 to 179 755 paths (see transfer_bytes).  Cells of a
+# sweep that share one plan on several threads hold 24 + 32 per thread,
+# within the threads times 64 that as many runs of their own would.
 _MESSAGE_BYTES = 64
 _PATH_BYTES = 104
 _FIXED_BYTES = 1 << 16
@@ -686,18 +693,19 @@ def _smearer(spec, sites, distance, scales, transfer):
     return dense
 
 
-def _passes(spec, distance, scales, phases):
-    """(sites, the smeared sums and denominators at each scale, lazily).
+def _passes(spec, distance, scales):
+    """(sites, smeared(distance_scale, phases) of every scale of ``scales``).
 
     Every scale is checked, and the route chosen, before the one
-    enumeration; each scale's pass runs when it is reached.
+    enumeration; each scale's pass runs when smeared is called, which
+    reads the shared sites and plan only, so calls may run on several
+    threads at once.
     """
     for scale in scales:
         _check_scale(spec, distance, scale)
     _, transfer = _route(spec, distance)
     sites = enumerate_paths(spec)
-    smeared = _smearer(spec, sites, distance, scales, transfer)
-    return sites, (smeared(scale, phases) for scale in scales)
+    return sites, _smearer(spec, sites, distance, scales, transfer)
 
 
 def run_lattice_experiment(
@@ -716,32 +724,34 @@ def run_lattice_experiment(
     Returns (distribution, sites).
     """
     check_weight(weight)
-    sites, passes = _passes(spec, distance, [distance_scale], [arm_phase])
-    (smeared,), denom = next(passes)
-    return distribution_from_sums(smeared, denom, resolve_weight(weight, sites)), sites
+    sites, smeared = _passes(spec, distance, [distance_scale])
+    (sums,), denom = smeared(distance_scale, [arm_phase])
+    return distribution_from_sums(sums, denom, resolve_weight(weight, sites)), sites
 
 
 def two_arm_sweep(spec: LatticeSpec, distance: DistanceSpec, scales):
-    """(sites, corridor weights, (visibility, distribution) at each scale, lazily).
+    """(sites, corridor weights, cell) of the two-arm setup over ``scales``.
 
-    One enumeration and one plan (transfer_plan) serve every scale; each
-    scale's pass carries both phase plate settings, 0 (constructive) and
-    pi (destructive), which share the denominators, as these do not
-    depend on the amplitudes.  The visibility is |P+ - P-| / (P+ + P-) of
-    the corridor-weighted masses; the distribution is the unweighted one
-    run_lattice_experiment gives at arm phase 0, which the phase-0 sums
-    and the denominators already are.  Every scale is checked before
-    anything is enumerated.
+    cell(distance_scale), for any scale of ``scales``, returns the
+    visibility |P+ - P-| / (P+ + P-) of the corridor-weighted masses at
+    phase plate 0 (constructive) and pi (destructive), and the phase-0
+    smeared sums and denominators, from which distribution_from_sums
+    gives the unweighted distribution run_lattice_experiment gives at
+    arm phase 0.  Both settings run in one pass and share the
+    denominators, as these do not depend on the amplitudes.  Every
+    scale is checked before the one enumeration, whose plan
+    (transfer_plan) serves every scale; cells only read it, so a sweep
+    may run them on several threads at once.
     """
-    sites, passes = _passes(spec, distance, scales, (0.0, np.pi))
+    sites, smeared = _passes(spec, distance, scales)
     w = corridor_weights(sites)
 
-    def cells():
-        for smeared, denom in passes:
-            p_plus, p_minus = (float(np.sum(weighted_probabilities(s, denom, w))) for s in smeared)
-            yield visibility(p_plus, p_minus), distribution_from_sums(smeared[0], denom)
+    def cell(distance_scale):
+        sums, denom = smeared(distance_scale, (0.0, np.pi))
+        p_plus, p_minus = (float(np.sum(weighted_probabilities(s, denom, w))) for s in sums)
+        return visibility(p_plus, p_minus), sums[0], denom
 
-    return sites, w, cells()
+    return sites, w, cell
 
 
 def two_arm_visibility(
@@ -755,7 +765,7 @@ def two_arm_visibility(
     (constructive) and pi (destructive); the normalization constant is
     setting-dependent, so raw masses are the comparable quantity.
     """
-    return two_arm_experiment(spec, distance, distance_scale)[0]
+    return two_arm_sweep(spec, distance, [distance_scale])[2](distance_scale)[0]
 
 
 def two_arm_experiment(
@@ -764,6 +774,6 @@ def two_arm_experiment(
     distance_scale: float = 1.0,
 ) -> tuple[float, PathDistribution, np.ndarray]:
     """(visibility, distribution, sites) of two_arm_sweep at the one scale."""
-    sites, _, cells = two_arm_sweep(spec, distance, [distance_scale])
-    vis, dist = next(cells)
-    return vis, dist, sites
+    sites, _, cell = two_arm_sweep(spec, distance, [distance_scale])
+    vis, sums, denom = cell(distance_scale)
+    return vis, distribution_from_sums(sums, denom), sites

@@ -351,8 +351,8 @@ LATTICE_SMOKE_CONFIG = {
 def test_lattice_bytes_do_not_depend_on_threads(tmp_path, monkeypatch):
     # 83 paths, switching threads often: max_sep and l2 on the dense pass,
     # l1_time_integral on the transfer route; each sweep's cells (83 paths
-    # dense, and 1 751 paths on the transfer route) run as one pool task,
-    # whatever the thread count
+    # dense, and 1 751 paths on the transfer route) share one plan and run
+    # on every pool thread
     cfg = write(tmp_path / "smoke.json", LATTICE_SMOKE_CONFIG)
     golden = (DATA / "lattice_smoke.csv").read_bytes()
     paths = (DATA / "lattice_smoke.csv.paths.csv").read_bytes()

@@ -35,6 +35,7 @@ from realpathsim.lattice import (
     run_lattice_experiment,
     transfer_amplitude,
     transfer_bytes,
+    transfer_plan,
     transfer_smeared,
     two_arm_experiment,
     two_arm_sweep,
@@ -474,18 +475,29 @@ def test_transfer_route_runs_steps_10():
 def test_transfer_pass_peak_within_transfer_bytes():
     sites = enumerate_paths(STREAM_SPEC)
     n = sites.shape[0]
+    # a sweep's plan holds the messages of every scale's radii while each
+    # scale picks (and, for a strict subset, copies) its own
+    scales = [0.0, 0.3, 1.0, 100.0, 300.0]
+
+    def sweep(dspec):
+        smeared = transfer_plan(STREAM_SPEC, sites, dspec, scales)
+        for scale in scales:
+            smeared(scale, (0.0, np.pi))
+
     for name in FACTORING_VARIANTS:
         dspec = DistanceSpec(name)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            transfer_smeared(STREAM_SPEC, sites, dspec, 0.3, (0.0, np.pi))
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        # the outputs, 40 bytes per path, are a floor; nothing n x n appears
-        assert 40 * n < peak <= transfer_bytes(STREAM_SPEC, dspec), name
-        assert peak < n * n, name
+        for run in (lambda: transfer_smeared(STREAM_SPEC, sites, dspec, 0.3, (0.0, np.pi)),
+                    lambda: sweep(dspec)):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                run()
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            # the outputs, 40 bytes per path, are a floor; nothing n x n appears
+            assert 40 * n < peak <= transfer_bytes(STREAM_SPEC, dspec), name
+            assert peak < n * n, name
 
 
 def test_bad_scale_or_mass_is_refused_before_enumeration(monkeypatch, tmp_path):
@@ -541,11 +553,13 @@ def test_sweep_cells_have_the_bits_of_single_scale_runs(spec):
     scales = [0.0, 0.3, 1.0, 10.0, 300.0]
     for name in (*FACTORING_VARIANTS, "l2"):
         dspec = DistanceSpec(name)
-        sites, w, cells = two_arm_sweep(spec, dspec, scales)
+        sites, w, cell = two_arm_sweep(spec, dspec, scales)
         assert np.array_equal(w, corridor_weights(sites))
-        for scale, (vis, dist) in zip(scales, cells):
+        for scale in scales:
+            vis, sums, denom = cell(scale)
+            dist = distribution_from_sums(sums, denom)
             want_vis, want, want_sites = two_arm_experiment(spec, dspec, scale)
             assert np.array_equal(sites, want_sites)
-            assert vis == want_vis, (name, scale)
+            assert vis == want_vis == two_arm_visibility(spec, dspec, scale), (name, scale)
             for field in ("probs", "smeared", "denom"):
                 assert np.array_equal(getattr(dist, field), getattr(want, field)), (name, scale)
