@@ -12,11 +12,11 @@ configs produce byte-identical files.  Exit codes follow sysexits:
 64 bad config, 65 spec violation / bad data, 70 no probability
 distribution exists.  REALPATH_THREADS, a positive integer, caps the
 threads that run the cells of a sweep; it defaults to the number of
-CPUs the process may run on (its affinity).  ``run`` and ``lattice``
-check it too, so a bad value fails alike everywhere, but compute on
-the calling thread.  main caps every OpenBLAS loaded into its process
-at one thread, once, so that the sweep's threads are the only ones
-computing.
+CPUs the process may run on (its affinity).  main checks it once,
+before any subcommand, so a bad value exits 64 under every one,
+although only sweep reads it: the others compute on the calling
+thread.  main caps every OpenBLAS loaded into its process at one
+thread, once, so that the sweep's threads are the only ones computing.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .engine import (
     Prefix,
     _prefix,
     check_probabilities,
-    distribution_from_sums,
     index_smeared,
     index_tiles,
     kernel_windows,
@@ -55,6 +54,7 @@ from .errors import (
     GridTooLarge,
     RealPathError,
     SpecViolation,
+    integer,
 )
 from .lattice import LatticeSpec
 from .minkowski import CausalClass, MinkowskiPath, classify
@@ -251,7 +251,9 @@ def _cast(kind: str, key: str, value):
         return _spec(M1Spec, value, f"{key} object")
     if kind == "tuple[M3Spec, ...]":
         return tuple(_spec(M3Spec, v, f"{key} object") for v in value)
-    return {"int": int, "float": float, "tuple": tuple}[kind](value)
+    if kind == "int":
+        return integer(value, key)
+    return {"float": float, "tuple": tuple}[kind](value)
 
 
 def _spec(cls, data: dict, what: str | None, extra=(), **given):
@@ -358,7 +360,6 @@ def _summary_line(dist: PathDistribution) -> str:
 
 
 def cmd_run(args) -> int:
-    _threads()
     config = _load_config(args)
     fmt = _format(config, args, "run")
     spec = _model_spec(config.get("model"))
@@ -415,13 +416,8 @@ def _flipped_prefix(spec, prefix: Prefix, radius: int, lo: int, hi: int) -> Pref
     return Prefix(out, origin, n)
 
 
-def _toy_prefix(spec, pad: int) -> Prefix:
-    """The spec's amplitudes built once and prefix-summed, padded by pad."""
-    return _prefix(build_model(spec).amplitudes, pad)
-
-
 def _toy_experiment(
-    spec, dspec: DistanceSpec, prefix: Prefix | None = None
+    spec, dspec: DistanceSpec, prefix: Prefix
 ) -> tuple[float, float, np.ndarray, float]:
     """(visibility, block mass, probabilities, norm constant) of one toy sweep cell.
 
@@ -431,17 +427,15 @@ def _toy_experiment(
     ``run`` gives at the spec's own phases, and the block mass is their
     share on the block.
 
-    ``prefix`` is the spec's prefix sum padded by at least the widest
-    kernel radius (_toy_prefix), which a sweep's cells share; None
-    prepares the cell's own.  The spec's phases take one banded pass over
+    ``prefix`` is the spec's amplitudes prefix-summed and padded by at
+    least ``dspec``'s widest kernel radius, which a sweep's cells of one
+    spec share.  The spec's phases take one banded pass over
     all N rows, each tile reduced straight into one N-length vector of
     unnormalized probabilities; the flipped setting (_flipped_prefix) one
     over the block rows alone, whose window counts are the denominators
     of both settings there.
     """
     windows = kernel_windows(dspec, spec.N)
-    if prefix is None:
-        prefix = _toy_prefix(spec, windows.radii[-1])
     unnorm = np.empty(spec.N)
     for rows, smeared, denom in index_tiles(prefix, windows):
         weighted_probabilities(smeared, denom, out=unnorm[rows])
@@ -486,28 +480,32 @@ def _sweep_cells(config: dict, args, name: str, values: list) -> list:
     return cells
 
 
-def _toy_cell(spec, dspec: DistanceSpec, prefix: Prefix | None = None) -> dict:
-    """visibility / block mass / norm constant summaries for one toy cell."""
-    vis, mass, _probs, C = _toy_experiment(spec, dspec, prefix)
-    return {"visibility": vis, "block_mass": mass, "norm_constant": C}
+def _prepare_group(cells: list, indices: list):
+    """cell(i) -> (visibility, block mass, norm constant) of the cells ``indices``.
 
-
-def _lattice_cell(plan, scale: float) -> dict:
-    """visibility / block mass / norm constant summaries of one lattice cell.
-
-    ``plan`` is lattice.two_arm_sweep over scales that include ``scale``,
-    which a sweep's cells of one spec and distance share.
+    The cells share one model spec, and so one preparation: a lattice
+    spec one enumeration and plan over the cells' distance scales
+    (lattice.two_arm_sweep), a toy spec one build and prefix sum padded
+    for the widest kernel radius of the cells' distances.
     """
-    _sites, w, cell = plan
-    vis, sums, denom = cell(scale)
-    dist = distribution_from_sums(sums, denom)
-    # block mass: how much unweighted probability sits on corridor paths
-    return {"visibility": vis, "block_mass": float(np.sum(dist.probs[w > 0])),
-            "norm_constant": dist.norm_constant}
+    spec, dspec, _ = cells[indices[0]]
+    if isinstance(spec, LatticeSpec):
+        two_arm = lattice_mod.two_arm_sweep(spec, dspec, [cells[i][2] for i in indices])
+
+        def cell(i):
+            vis, mass, dist = two_arm(cells[i][2])
+            return vis, mass, dist.norm_constant
+    else:
+        pad = max(kernel_windows(cells[i][1], spec.N).radii[-1] for i in indices)
+        prefix = _prefix(build_model(spec).amplitudes, pad)
+
+        def cell(i):
+            vis, mass, _probs, C = _toy_experiment(spec, cells[i][1], prefix)
+            return vis, mass, C
+    return cell
 
 
 def cmd_sweep(args) -> int:
-    threads = _threads()
     config = _load_config(args)
     _format(config, args, "sweep")
     sweep = config.get("sweep")
@@ -519,59 +517,35 @@ def cmd_sweep(args) -> int:
         raise GridTooLarge(f"{len(values)} cells exceed {MAX_SWEEP_CELLS}")
     cells = _sweep_cells(config, args, name, values)
 
-    # cells that can share their preparation form one group: lattice
-    # cells with equal model and distance specs (a sweep over
-    # distance_scale, or a repeated value) share one enumeration and one
-    # plan for all of their scales, and toy cells with equal model specs
-    # (a sweep over D, or a repeated value) one build and one prefix sum,
-    # padded for the widest kernel radius of them.  A group prepares on
-    # one pool thread, then its cells run on every thread; one group's
+    # cells with equal model specs form one group, which prepares once
+    # (_prepare_group): a lattice sweep over distance_scale, a toy sweep
+    # over D, or a repeated value.  A lattice sweep cannot vary its
+    # distance, so its groups also share it.  A group prepares on one
+    # pool thread, then its cells run on every thread; one group's
     # preparation is alive at a time, and every other cell prepares its
     # own inside its task
-    if cells and isinstance(cells[0][0], LatticeSpec):
-        def key(i):
-            return tuple(cells[i][:2])
-
-        def prepare(indices):
-            spec, dspec, _ = cells[indices[0]]
-            return lattice_mod.two_arm_sweep(spec, dspec, [cells[i][2] for i in indices])
-
-        def cell(i, plan=None):
-            return _lattice_cell(plan or prepare([i]), cells[i][2])
-    else:
-        def key(i):
-            return cells[i][0]
-
-        def prepare(indices):
-            pad = max(kernel_windows(cells[i][1], cells[i][0].N).radii[-1] for i in indices)
-            return _toy_prefix(cells[indices[0]][0], pad)
-
-        def cell(i, prefix=None):
-            return _toy_cell(*cells[i][:2], prefix)
-
     groups: dict = {}
-    for i in range(len(cells)):
-        groups.setdefault(key(i), []).append(i)
+    for i, (spec, _, _) in enumerate(cells):
+        groups.setdefault(spec, []).append(i)
     shared = [g for g in groups.values() if len(g) > 1]
     alone = sorted(i for g in groups.values() if len(g) == 1 for i in g)
     results: list = [None] * len(cells)
 
-    def run(pool, indices, prepared=None):
-        for i, r in zip(indices, pool.map(lambda i: cell(i, prepared), indices)):
+    def run(pool, indices, cell=None):
+        def task(i):
+            return (cell or _prepare_group(cells, [i]))(i)
+        for i, r in zip(indices, pool.map(task, indices)):
             results[i] = r
 
     if cells:
-        with ThreadPoolExecutor(max_workers=min(threads, len(cells))) as pool:
+        with ThreadPoolExecutor(max_workers=min(args.threads, len(cells))) as pool:
             for indices in shared:
-                run(pool, indices, pool.submit(prepare, indices).result())
+                run(pool, indices, pool.submit(_prepare_group, cells, indices).result())
             run(pool, alone)
 
     lines = ["param,value,visibility,block_mass,norm_constant"]
     for v, r in zip(values, results):
-        lines.append(
-            f"{name},{_fmt(v)},{_fmt(r['visibility'])},"
-            f"{_fmt(r['block_mass'])},{_fmt(r['norm_constant'])}"
-        )
+        lines.append(",".join([name, *map(_fmt, (v, *r))]))
     _write_text(args.output, "\n".join(lines) + "\n")
     print(f"sweep {name}: {len(values)} cells")
     return EX_OK
@@ -654,7 +628,6 @@ def cmd_ratios(args) -> int:
 # -- lattice -------------------------------------------------------------------
 
 def cmd_lattice(args) -> int:
-    _threads()
     spec = _spec(LatticeSpec, vars(args), None)
     # a flag the chosen weight does not read is refused as its unknown key
     weight = {"name": args.weight}
@@ -742,6 +715,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _cap_blas_threads()
     try:
+        args.threads = _threads()
         return args.func(args)
     except (json.JSONDecodeError, FileNotFoundError, KeyError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

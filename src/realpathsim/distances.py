@@ -10,7 +10,7 @@ Two families:
   velocity-sensitive variant, each with optional mass weighting --
   served by rows from GridPathSource to the dense pass.  The lattice
   smears the max and L1 families step by step over time instead
-  (lattice.transfer_smeared) where that costs less than pairing paths.
+  (lattice.transfer_plan) where that costs less than pairing paths.
 
 All distances return extended non-negative reals (np.inf allowed).  The
 step distance is deliberately NOT a metric: it violates the triangle
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelTooLarge
+from .errors import ModelTooLarge, integer
 
 INDEX_VARIANTS = ("step", "exp_index")
 GALILEAN_VARIANTS = (
@@ -70,7 +70,7 @@ class DistanceSpec:
         if self.literal_log_half and self.name != "step":
             raise ValueError(f"literal_log_half applies to the step distance only, not {self.name}")
         if self.name in INDEX_VARIANTS:
-            if self.D is None or int(self.D) < 1:
+            if self.D is None or integer(self.D, "D") < 1:
                 raise ValueError(f"{self.name} distance needs a positive integer D")
             object.__setattr__(self, "D", int(self.D))
         elif self.D is not None:

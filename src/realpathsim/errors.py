@@ -2,7 +2,19 @@
 
 Every error raised by the library derives from RealPathError so callers
 (and the CLI) can distinguish model/spec problems from programming bugs.
+A value of the wrong type, as ``integer`` refuses, raises ValueError.
 """
+
+
+def integer(value, what: str) -> int:
+    """``value`` as an int; a bool or a number with a fraction raises ValueError.
+
+    int() alone would run 24.9 as 24 and true as 1; an integral float
+    such as 1e6 passes.
+    """
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return int(value)
 
 
 class RealPathError(Exception):

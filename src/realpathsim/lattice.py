@@ -11,16 +11,16 @@ enumeration, which is the correctness oracle for both.
 Enumerated ensembles feed the probability postulate with any geometric
 distance, by one of two routes, both on the calling thread:
 
-* ``transfer_smeared`` for the distances built step by step over time
+* ``transfer_plan`` for the distances built step by step over time
   (FACTORING_VARIANTS: the max-separation and L1 families).  exp(-d)
   then factors over the time steps, so the smeared sum of every path is
   a forward message over its prefix joined with a backward message over
   its suffix, the forward-backward split of a hidden Markov model.  It
   pairs no paths; its messages grow with the distinct prefixes and
   suffixes times the square of the lattice width (sites times radii)
-  for the max variants.  ``transfer_plan`` splits it into a scale-free
-  plan and a join per scale: for the max variants a scale only weights
-  the tube radii, so one set of messages serves every scale of a sweep.
+  for the max variants.  It builds a scale-free plan once and joins per
+  scale: for the max variants a scale only weights the tube radii, so
+  one set of messages serves every scale of a sweep.
 * the engine's dense pass, n^2 exponentials streamed from a
   GridPathSource in tiles: always for ``l2``, which does not factor, and
   for a factoring distance where it costs less than the transfer route,
@@ -56,7 +56,7 @@ from .engine import (
     visibility,
     weighted_probabilities,
 )
-from .errors import ModelTooLarge, NoPaths, SpecViolation, TooManyPaths
+from .errors import ModelTooLarge, NoPaths, SpecViolation, TooManyPaths, integer
 from .paths import PathEnsemble
 
 ENUMERATION_BOUND = 10**7
@@ -89,22 +89,22 @@ _PAIR_WORK = 2
 
 # the Galilean distances that are a max or a sum over time steps of a
 # term of one time (or, for velocity_l1, of one step) of the two paths,
-# which transfer_smeared can take (see admit); l2 is not
+# which transfer_plan can take (see admit); l2 is not
 MAX_VARIANTS = ("max_sep", "mass_max_sep")
 FACTORING_VARIANTS = (
     *MAX_VARIANTS, "l1_time_integral", "l1_time_average", "mass_l1", "velocity_l1",
 )
 
-# bytes transfer_smeared holds per message entry (for the max variants a
+# bytes the transfer route holds per message entry (for the max variants a
 # plan's real and complex messages on both sides, 24, with a call's
 # radius-weighted, picked and phase-plated copies of them, at most 32
 # more; for the L1 variants one dtype's messages with the product and
 # factor temporaries of one step) and per path (the joined blocks, the
 # int64 codes and indices that place each path in its block, and the
 # outputs of two phase settings), and a fixed allowance for the small
-# arrays.  tracemalloc puts the peak of transfer_smeared, and of a plan
-# for eight scales (0 to 300) called at each, at 0.55 to 0.85 of these
-# three terms for the max variants and 0.21 to 0.84 for the L1 variants,
+# arrays.  tracemalloc puts the peak of a one-scale plan called once, and
+# of a plan for eight scales (0 to 300) called at each, at 0.55 to 0.85 of
+# these three terms for the max variants and 0.21 to 0.84 for the L1 variants,
 # on ten specs from 83 to 179 755 paths (see transfer_bytes).  Cells of a
 # sweep that share one plan on several threads hold 24 + 32 per thread,
 # within the threads times 64 that as many runs of their own would.
@@ -251,12 +251,12 @@ def _halves(spec: LatticeSpec):
 
 
 def _radii(spec: LatticeSpec, distance: DistanceSpec, bounds) -> int:
-    """Most tube radii transfer_smeared carries: one per gap for the max variants."""
+    """Most tube radii transfer_plan carries: one per gap for the max variants."""
     return max(hi - lo for lo, hi in bounds) + 1 if distance.name in MAX_VARIANTS else 1
 
 
 def transfer_bytes(spec: LatticeSpec, distance: DistanceSpec, halves=None) -> int:
-    """Peak bytes of a transfer_smeared run, at two phase settings.
+    """Peak bytes of a transfer-route run, at two phase settings.
 
     The messages run over the distinct prefixes and suffixes of the
     paths (``halves``, _halves(spec) when None), each over a site
@@ -277,7 +277,7 @@ def transfer_bytes(spec: LatticeSpec, distance: DistanceSpec, halves=None) -> in
 
 
 def transfer_work(spec: LatticeSpec, distance: DistanceSpec, halves) -> int:
-    """Multiply-adds of one transfer_smeared message and join pass.
+    """Multiply-adds of one transfer-route message and join pass.
 
     Each side's messages step once per time over its rows' radii, from
     the last time's sites to the next's; the join pairs every path's
@@ -292,8 +292,16 @@ def transfer_work(spec: LatticeSpec, distance: DistanceSpec, halves) -> int:
     return _radii(spec, distance, bounds) * steps
 
 
-def _route(spec: LatticeSpec, distance: DistanceSpec) -> tuple[int, bool]:
-    """(path count, whether transfer_smeared takes the spec); see admit."""
+def admit(spec: LatticeSpec, distance: DistanceSpec) -> tuple[int, bool]:
+    """(path count, whether transfer_plan takes the spec), checked against its route's bound.
+
+    A factoring distance takes transfer_plan when transfer_bytes is
+    within engine.MAX_TILE_BYTES and either the dense pass is out of
+    reach (past DENSE_PATH_BOUND paths) or the transfer route costs less
+    (transfer_work within _PAIR_WORK n^2); otherwise it takes the dense
+    pass, as ``l2`` always does, refused past DENSE_PATH_BOUND paths.
+    Either refusal raises ModelTooLarge before anything is enumerated.
+    """
     if distance.name not in FACTORING_VARIANTS:
         n = path_count(spec)
         if n > DENSE_PATH_BOUND:
@@ -314,19 +322,6 @@ def _route(spec: LatticeSpec, distance: DistanceSpec) -> tuple[int, bool]:
             f"above {MAX_TILE_BYTES / 2**30:.0f} GiB"
         )
     return n, False
-
-
-def admit(spec: LatticeSpec, distance: DistanceSpec) -> int:
-    """Path count of ``spec``, checked against the bound of its route.
-
-    A factoring distance takes transfer_smeared when transfer_bytes is
-    within engine.MAX_TILE_BYTES and either the dense pass is out of
-    reach (past DENSE_PATH_BOUND paths) or the transfer route costs less
-    (transfer_work within _PAIR_WORK n^2); otherwise it takes the dense
-    pass, as ``l2`` always does, refused past DENSE_PATH_BOUND paths.
-    Either refusal raises ModelTooLarge before anything is enumerated.
-    """
-    return _route(spec, distance)[0]
 
 
 def transfer_amplitude(spec: LatticeSpec) -> complex:
@@ -429,7 +424,7 @@ def resolve_weight(weight: dict | None, sites: np.ndarray) -> np.ndarray | None:
         return None
     if name == "curvature_cutoff":
         return curvature_cutoff_weights(sites, float(weight.get("threshold", 1.0)))
-    return corridor_weights(sites, int(weight.get("margin", 1)))
+    return corridor_weights(sites, integer(weight.get("margin", 1), "the corridor margin"))
 
 
 def _check_scale(spec: LatticeSpec, distance: DistanceSpec, distance_scale: float):
@@ -540,21 +535,16 @@ def _distance_terms(spec: LatticeSpec, distance: DistanceSpec, scale: float, bou
     return (radii, c * scale, None), weights
 
 
-def transfer_smeared(
-    spec: LatticeSpec,
-    sites: np.ndarray,
-    distance: DistanceSpec,
-    distance_scale: float,
-    phases,
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Smeared sums at each upper-arm phase and their shared denominators.
+def transfer_plan(spec: LatticeSpec, sites: np.ndarray, distance: DistanceSpec, scales):
+    """smeared(distance_scale, phases): smeared sums at each phase and their denominators.
 
     ``sites`` is enumerate_paths(spec); ``distance`` one of
-    FACTORING_VARIANTS, times ``distance_scale``; ``phases`` the phase
-    plate settings, each turning the amplitude of every path with middle
-    site >= 1 (upper_arm_mask) by exp(-i phase).  For each path P the
-    smeared sum is sum_Q A(Q) exp(-d(P, Q)) over the whole ensemble and
-    the denominator sum_Q exp(-d(P, Q)), as the dense pass gives them.
+    FACTORING_VARIANTS, times ``distance_scale``, which must be one of
+    ``scales``; ``phases`` the phase plate settings, each turning the
+    amplitude of every path with middle site >= 1 (upper_arm_mask) by
+    exp(-i phase).  For each path P the smeared sum is sum_Q A(Q)
+    exp(-d(P, Q)) over the whole ensemble and the denominator
+    sum_Q exp(-d(P, Q)), as the dense pass gives them.
 
     exp(-d) factors over time (per radius, for the max variants), and so
     does A, so each sum splits at the middle time into a forward message
@@ -566,25 +556,16 @@ def transfer_smeared(
     plate and the radius weights act on the forward side, and the
     denominators come from the same messages with unit amplitudes.
     Nothing of size n x n is built; transfer_bytes bounds what is.
-    This is transfer_plan over the one scale; a sweep over the scale
-    builds one plan for all of its cells.
-    """
-    return transfer_plan(spec, sites, distance, [distance_scale])(distance_scale, phases)
 
-
-def transfer_plan(spec: LatticeSpec, sites: np.ndarray, distance: DistanceSpec, scales):
-    """transfer_smeared at each of ``scales``, from one scale-free plan.
-
-    Returns smeared(distance_scale, phases), which gives the bits of
-    transfer_smeared(spec, sites, distance, distance_scale, phases) for
-    any scale of ``scales``.  The plan, built once, holds what no scale
-    changes: the distinct prefixes and suffixes, each path's place in the
-    joined blocks, and, for the max variants, the forward and backward
-    count and amplitude messages over every radius that some scale's
-    weights keep.  Each call picks its scale's radii from those messages,
-    weights them and joins; the radius rows of a message do not depend
-    on which other radii run beside them.  The L1 variants' messages
-    carry the scale in every factor, so each call runs its own.
+    The plan, built once, holds what no scale changes: the distinct
+    prefixes and suffixes, each path's place in the joined blocks, and,
+    for the max variants, the forward and backward count and amplitude
+    messages over every radius that some scale's weights keep.  Each
+    call picks its scale's radii from those messages, weights them and
+    joins; the radius rows of a message do not depend on which other
+    radii run beside them, so a scale gets the bits of a plan built for
+    it alone.  The L1 variants' messages carry the scale in every
+    factor, so each call runs its own.
     """
     if distance.name not in FACTORING_VARIANTS:
         raise ValueError(f"{distance.name} does not factor over time steps")
@@ -673,16 +654,23 @@ def transfer_plan(spec: LatticeSpec, sites: np.ndarray, distance: DistanceSpec, 
     return smeared
 
 
-def _smearer(spec, sites, distance, scales, transfer):
-    """smeared(distance_scale, phases) of every scale of ``scales``, by route.
+def _passes(spec, distance, scales):
+    """(sites, smeared(distance_scale, phases)) for every scale of ``scales``.
 
-    ``transfer`` picks transfer_plan (see admit); otherwise the dense
-    pass multiplies each tile of exp(-d), streamed from a GridPathSource,
-    by every phase setting's amplitudes.  Either returns the smeared sums
-    at each phase and the shared denominators.
+    Every scale is checked, and the route chosen (admit), before the one
+    enumeration.  smeared returns the smeared sums at each phase and the
+    shared denominators: transfer_plan's, or the dense pass's, which
+    multiplies each tile of exp(-d), streamed from a GridPathSource, by
+    every phase setting's amplitudes.  Each scale's pass runs when
+    smeared is called, which reads the shared sites and plan only, so
+    calls may run on several threads at once.
     """
+    for scale in scales:
+        _check_scale(spec, distance, scale)
+    _, transfer = admit(spec, distance)
+    sites = enumerate_paths(spec)
     if transfer:
-        return transfer_plan(spec, sites, distance, scales)
+        return sites, transfer_plan(spec, sites, distance, scales)
     mask = upper_arm_mask(sites).astype(float)
 
     def dense(distance_scale, phases):
@@ -690,22 +678,7 @@ def _smearer(spec, sites, distance, scales, transfer):
                 for phase in phases]
         return dense_smeared(amps, GridPathSource(sites, distance, spec.mass, distance_scale))
 
-    return dense
-
-
-def _passes(spec, distance, scales):
-    """(sites, smeared(distance_scale, phases) of every scale of ``scales``).
-
-    Every scale is checked, and the route chosen, before the one
-    enumeration; each scale's pass runs when smeared is called, which
-    reads the shared sites and plan only, so calls may run on several
-    threads at once.
-    """
-    for scale in scales:
-        _check_scale(spec, distance, scale)
-    _, transfer = _route(spec, distance)
-    sites = enumerate_paths(spec)
-    return sites, _smearer(spec, sites, distance, scales, transfer)
+    return sites, dense
 
 
 def run_lattice_experiment(
@@ -729,29 +702,34 @@ def run_lattice_experiment(
     return distribution_from_sums(sums, denom, resolve_weight(weight, sites)), sites
 
 
-def two_arm_sweep(spec: LatticeSpec, distance: DistanceSpec, scales):
-    """(sites, corridor weights, cell) of the two-arm setup over ``scales``.
+def _two_arm_visibility(w: np.ndarray, sums, denom) -> float:
+    """|P+ - P-| / (P+ + P-) of the ``w``-weighted masses of the two phase settings' sums."""
+    p_plus, p_minus = (float(np.sum(weighted_probabilities(s, denom, w))) for s in sums)
+    return visibility(p_plus, p_minus)
 
-    cell(distance_scale), for any scale of ``scales``, returns the
-    visibility |P+ - P-| / (P+ + P-) of the corridor-weighted masses at
-    phase plate 0 (constructive) and pi (destructive), and the phase-0
-    smeared sums and denominators, from which distribution_from_sums
-    gives the unweighted distribution run_lattice_experiment gives at
-    arm phase 0.  Both settings run in one pass and share the
-    denominators, as these do not depend on the amplitudes.  Every
-    scale is checked before the one enumeration, whose plan
-    (transfer_plan) serves every scale; cells only read it, so a sweep
-    may run them on several threads at once.
+
+def two_arm_sweep(spec: LatticeSpec, distance: DistanceSpec, scales):
+    """cell(distance_scale) of the two-arm setup, for any scale of ``scales``.
+
+    cell returns (visibility, block mass, distribution).  The visibility
+    is |P+ - P-| / (P+ + P-) of the corridor-weighted masses at phase
+    plate 0 (constructive) and pi (destructive); the distribution is the
+    unweighted one run_lattice_experiment gives at arm phase 0, and the
+    block mass its share on corridor paths.  Both settings run in one
+    pass and share the denominators, as these do not depend on the
+    amplitudes.  Every scale is checked before the one enumeration,
+    whose plan (transfer_plan) serves every scale; cells only read it,
+    so a sweep may run them on several threads at once.
     """
     sites, smeared = _passes(spec, distance, scales)
     w = corridor_weights(sites)
 
     def cell(distance_scale):
         sums, denom = smeared(distance_scale, (0.0, np.pi))
-        p_plus, p_minus = (float(np.sum(weighted_probabilities(s, denom, w))) for s in sums)
-        return visibility(p_plus, p_minus), sums[0], denom
+        dist = distribution_from_sums(sums[0], denom)
+        return _two_arm_visibility(w, sums, denom), float(np.sum(dist.probs[w > 0])), dist
 
-    return sites, w, cell
+    return cell
 
 
 def two_arm_visibility(
@@ -765,15 +743,5 @@ def two_arm_visibility(
     (constructive) and pi (destructive); the normalization constant is
     setting-dependent, so raw masses are the comparable quantity.
     """
-    return two_arm_sweep(spec, distance, [distance_scale])[2](distance_scale)[0]
-
-
-def two_arm_experiment(
-    spec: LatticeSpec,
-    distance: DistanceSpec,
-    distance_scale: float = 1.0,
-) -> tuple[float, PathDistribution, np.ndarray]:
-    """(visibility, distribution, sites) of two_arm_sweep at the one scale."""
-    sites, _, cell = two_arm_sweep(spec, distance, [distance_scale])
-    vis, sums, denom = cell(distance_scale)
-    return vis, distribution_from_sums(sums, denom), sites
+    sites, smeared = _passes(spec, distance, [distance_scale])
+    return _two_arm_visibility(corridor_weights(sites), *smeared(distance_scale, (0.0, np.pi)))

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import banded_smeared, weighted_probabilities
-from .errors import ModelTooLarge, SpecViolation
+from .errors import ModelTooLarge, SpecViolation, integer
 from .toymodels import M1Spec, M3Spec, build_m1, build_m3
 
 
@@ -55,7 +55,7 @@ class ScreenSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "endpoints", tuple(self.endpoints))
-        object.__setattr__(self, "anchors", tuple(int(a) for a in self.anchors))
+        object.__setattr__(self, "anchors", tuple(integer(a, "an anchor") for a in self.anchors))
         if len(self.endpoints) < 1:
             raise SpecViolation("need at least one endpoint")
         if len(self.anchors) != len(self.endpoints):

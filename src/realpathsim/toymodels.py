@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionViolation, SpecViolation
+from .errors import PreconditionViolation, SpecViolation, integer
 from .paths import PathEnsemble
 
 _SCALE_FACTOR = 10  # strict reading of "much less than": 10*x <= y
@@ -106,7 +106,8 @@ class M3Spec:
     regions: tuple
 
     def __post_init__(self):
-        regions = tuple((int(M), int(K), float(th)) for M, K, th in self.regions)
+        regions = tuple((integer(M, "a region start"), integer(K, "a region width"), float(th))
+                        for M, K, th in self.regions)
         object.__setattr__(self, "regions", regions)
         _require(len(regions) >= 1, "need at least one region")
         M0 = regions[0][0]

@@ -350,9 +350,10 @@ LATTICE_SMOKE_CONFIG = {
 
 def test_lattice_bytes_do_not_depend_on_threads(tmp_path, monkeypatch):
     # 83 paths, switching threads often: max_sep and l2 on the dense pass,
-    # l1_time_integral on the transfer route; each sweep's cells (83 paths
-    # dense, and 1 751 paths on the transfer route) share one plan and run
-    # on every pool thread
+    # l1_time_integral on the transfer route; each scale sweep's cells (83
+    # paths dense, and 1 751 paths on the transfer route) share one plan
+    # and run on every pool thread, and the mass sweep's repeated value
+    # makes one shared group beside two single cells
     cfg = write(tmp_path / "smoke.json", LATTICE_SMOKE_CONFIG)
     golden = (DATA / "lattice_smoke.csv").read_bytes()
     paths = (DATA / "lattice_smoke.csv.paths.csv").read_bytes()
@@ -371,7 +372,7 @@ def test_lattice_bytes_do_not_depend_on_threads(tmp_path, monkeypatch):
             run = tmp_path / f"run{threads}.csv"
             assert run_cli(["--config", cfg, "--output", str(run), "run"]) == 0
             assert run.read_bytes() == golden, threads
-            for name in ("lattice_sweep", "lattice_sweep_transfer"):
+            for name in ("lattice_sweep", "lattice_sweep_transfer", "lattice_mass_sweep"):
                 sweep = tmp_path / f"{name}{threads}.csv"
                 cfg_sweep = str(DATA / f"{name}.json")
                 assert run_cli(["--config", cfg_sweep, "--output", str(sweep), "sweep"]) == 0
@@ -388,20 +389,74 @@ def test_lattice_bytes_do_not_depend_on_threads(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("value", ["-1", "0", "two", "1.5", ""])
-@pytest.mark.parametrize("command", ["sweep", "lattice", "run"])
+@pytest.mark.parametrize("command", ["sweep", "lattice", "run", "compare", "ratios", "classify"])
 def test_bad_thread_count_exits_64(tmp_path, capsys, monkeypatch, value, command):
+    # main checks REALPATH_THREADS before any subcommand, also those that
+    # run on the calling thread only
     monkeypatch.setenv("REALPATH_THREADS", value)
     out = tmp_path / "out.csv"
-    if command == "lattice":
-        argv = ["lattice", "--steps", "4", "--extent", "3", "--hop", "2"]
-    elif command == "run":
-        argv = ["--config", write(tmp_path / "smoke.json", LATTICE_SMOKE_CONFIG), "run"]
-    else:
-        argv = ["--config", str(DATA / "lattice_sweep.json"), "sweep"]
+    argv = {
+        "lattice": ["lattice", "--steps", "4", "--extent", "3", "--hop", "2"],
+        "run": ["--config", write(tmp_path / "smoke.json", LATTICE_SMOKE_CONFIG), "run"],
+        "sweep": ["--config", str(DATA / "lattice_sweep.json"), "sweep"],
+        "compare": ["--config", str(DATA / "m1.json"), "compare"],
+        "ratios": ["--config", str(DATA / "screen.json"), "ratios"],
+        "classify": ["classify", write(tmp_path / "c.json", {"events": [[0, 0], [0, 1]]})],
+    }[command]
     assert run_cli([*argv, "--output", str(out)]) == 64
     assert not out.exists()
     err = capsys.readouterr().err
     assert "REALPATH_THREADS must be a positive integer" in err and "Traceback" not in err
+
+
+def _replaced(config: dict, keys: tuple, value) -> dict:
+    """A copy of ``config`` with the entry at the path ``keys`` set to ``value``."""
+    config = json.loads(json.dumps(config))
+    inner = config
+    for key in keys[:-1]:
+        inner = inner[key]
+    inner[keys[-1]] = value
+    return config
+
+
+SCREEN_CONFIG = json.loads((DATA / "screen.json").read_text())
+M3_CONFIG = json.loads((DATA / "m3_sweep.json").read_text())
+
+
+@pytest.mark.parametrize("config, keys, value, command", [
+    (M1_CONFIG, ("model", "N"), 24.9, "run"),
+    (M1_CONFIG, ("model", "M"), True, "run"),
+    (M1_CONFIG, ("distance", "D"), 3.7, "run"),
+    (M1_CONFIG, ("distance", "D"), True, "compare"),
+    (LATTICE_SMOKE_CONFIG, ("model", "steps"), 4.6, "run"),
+    (LATTICE_SMOKE_CONFIG, ("model", "hop"), True, "run"),
+    (LATTICE_SMOKE_CONFIG, ("weight", "margin"), 1.5, "run"),
+    ({**M1_CONFIG, "sweep": {"name": "D", "values": [2]}}, ("sweep", "values", 0), 2.5, "sweep"),
+    ({**M1_CONFIG, "sweep": {"name": "N", "values": [24]}}, ("sweep", "values", 0), 24.5, "sweep"),
+    (M3_CONFIG, ("model", "regions", 0, 0), 201.5, "run"),
+    (M3_CONFIG, ("model", "regions", 1, 1), 4.5, "run"),
+    (SCREEN_CONFIG, ("model", "D"), 2.5, "ratios"),
+    (SCREEN_CONFIG, ("model", "screen_after", "N"), 23.5, "ratios"),
+    (SCREEN_CONFIG, ("model", "screen_after", "anchors", 0), 7.5, "ratios"),
+    (SCREEN_CONFIG, ("model", "endpoints", 1, "regions", 0, 1), 4.5, "ratios"),
+])
+def test_non_integral_integer_field_exits_64(tmp_path, capsys, config, keys, value, command):
+    # int() would run each as a truncated integer and exit 0
+    cfg = write(tmp_path / "config.json", _replaced(config, keys, value))
+    out = tmp_path / "out.csv"
+    assert run_cli(["--config", cfg, "--output", str(out), command]) == 64
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "must be an integer" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("keys, value", [(("model", "N"), 24.0), (("model", "K"), 3e0),
+                                         (("distance", "D"), 3.0)])
+def test_integral_float_runs_as_its_integer(tmp_path, keys, value):
+    cfg = write(tmp_path / "config.json", _replaced(M1_CONFIG, keys, value))
+    out = tmp_path / "out.csv"
+    assert run_cli(["--config", cfg, "--output", str(out), "run"]) == 0
+    assert out.read_bytes() == (DATA / "m1_run.csv").read_bytes()
 
 
 def test_thread_default_is_the_affinity(monkeypatch):
@@ -530,8 +585,8 @@ def test_lattice_streamed_spec_passes_admission():
     from realpathsim.engine import MAX_TILE_BYTES, dense_tile_bytes
     from realpathsim.lattice import LatticeSpec, admit
 
-    n = admit(LatticeSpec(steps=8, extent=6, start=0, end=0, hop=2), DistanceSpec("l2"))
-    assert n == 38131
+    n, transfer = admit(LatticeSpec(steps=8, extent=6, start=0, end=0, hop=2), DistanceSpec("l2"))
+    assert (n, transfer) == (38131, False)
     assert n * n * 8 > 10 * 2**30 and dense_tile_bytes(n) < MAX_TILE_BYTES
 
 
@@ -544,7 +599,7 @@ def test_factoring_distances_admit_t9_and_t10():
 
     for steps, n in ((9, 179_755), (10, 850_739)):
         spec = LatticeSpec(steps=steps, extent=6, start=0, end=0, hop=2)
-        assert admit(spec, DistanceSpec("max_sep")) == n > DENSE_PATH_BOUND
+        assert admit(spec, DistanceSpec("max_sep")) == (n, True) and n > DENSE_PATH_BOUND
         assert transfer_bytes(spec, DistanceSpec("max_sep")) < MAX_TILE_BYTES
         with pytest.raises(ModelTooLarge):
             admit(spec, DistanceSpec("l2"))
@@ -723,7 +778,7 @@ def test_lattice_admission_bound_is_a_path_count(monkeypatch):
 
     spec = lattice.LatticeSpec(steps=4, extent=3, start=0, end=0)
     monkeypatch.setattr(lattice, "path_count", lambda spec: 116_508)
-    assert lattice.admit(spec, DistanceSpec("l2")) == 116_508
+    assert lattice.admit(spec, DistanceSpec("l2")) == (116_508, False)
     monkeypatch.setattr(lattice, "path_count", lambda spec: 116_509)
     with pytest.raises(ModelTooLarge):
         lattice.admit(spec, DistanceSpec("l2"))

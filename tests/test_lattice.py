@@ -36,8 +36,6 @@ from realpathsim.lattice import (
     transfer_amplitude,
     transfer_bytes,
     transfer_plan,
-    transfer_smeared,
-    two_arm_experiment,
     two_arm_sweep,
     two_arm_visibility,
     upper_arm_mask,
@@ -275,18 +273,19 @@ def test_tiled_route_has_the_block_route_bits(steps):
 def test_one_pass_experiment_matches_separate_runs():
     spec = LatticeSpec(steps=5, extent=4, start=0, end=0, hop=2)
     dspec = DistanceSpec("max_sep")
-    vis, dist, sites = two_arm_experiment(spec, dspec, distance_scale=0.3)
-    alone, alone_sites = run_lattice_experiment(spec, dspec, distance_scale=0.3)
-    assert np.array_equal(sites, alone_sites)
+    vis, mass, dist = two_arm_sweep(spec, dspec, [0.3])(0.3)
+    alone, sites = run_lattice_experiment(spec, dspec, distance_scale=0.3)
+    assert np.array_equal(sites, enumerate_paths(spec))
     assert np.array_equal(dist.probs, alone.probs)
     assert dist.norm_constant == alone.norm_constant
+    assert mass == float(np.sum(alone.probs[corridor_weights(sites) > 0]))
     assert vis == two_arm_visibility(spec, dspec, distance_scale=0.3)
     # the same visibility from two runs of the route the spec takes
     # (transfer), one per phase setting
     w = corridor_weights(sites)
     masses = []
     for phase in (0.0, np.pi):
-        (smeared,), denom = transfer_smeared(spec, sites, dspec, 0.3, (phase,))
+        (smeared,), denom = transfer_plan(spec, sites, dspec, [0.3])(0.3, (phase,))
         masses.append(float(np.sum(weighted_probabilities(smeared, denom, w))))
     assert vis == abs(masses[0] - masses[1]) / (masses[0] + masses[1])
     # and, within the 1e-12 of the oracle tests below, from two runs of
@@ -387,7 +386,7 @@ def _dense_oracle(spec, sites, dspec, scale, blocks=None):
 
 
 def _assert_transfer_matches(spec, sites, dspec, scale, blocks=None):
-    got, denom = transfer_smeared(spec, sites, dspec, scale, ORACLE_PHASES)
+    got, denom = transfer_plan(spec, sites, dspec, [scale])(scale, ORACLE_PHASES)
     want, want_denom, rows = _dense_oracle(spec, sites, dspec, scale, blocks)
     assert np.all(np.abs(denom[rows] - want_denom) <= 1e-12 * want_denom), (dspec, scale)
     for phase, g, v in zip(ORACLE_PHASES, got, want):
@@ -450,17 +449,17 @@ def test_experiments_take_the_route_admit_picks(monkeypatch):
     monkeypatch.setattr(lattice, "dense_smeared", refuse("the dense pass"))
     for name in FACTORING_VARIANTS:
         run_lattice_experiment(spec, DistanceSpec(name), arm_phase=1.1)
-        two_arm_experiment(spec, DistanceSpec(name))
+        two_arm_sweep(spec, DistanceSpec(name), [1.0])(1.0)
     with pytest.raises(AssertionError, match="dense pass"):
         run_lattice_experiment(spec, DistanceSpec("l2"))
     monkeypatch.undo()
     monkeypatch.setattr(lattice, "transfer_plan", refuse("the transfer route"))
     for name in FACTORING_VARIANTS:
         run_lattice_experiment(wide, DistanceSpec(name))
-        two_arm_experiment(wide, DistanceSpec(name))
+        two_arm_sweep(wide, DistanceSpec(name), [1.0])(1.0)
     monkeypatch.undo()
     with pytest.raises(ValueError, match="does not factor"):
-        transfer_smeared(spec, enumerate_paths(spec), DistanceSpec("l2"), 1.0, (0.0,))
+        transfer_plan(spec, enumerate_paths(spec), DistanceSpec("l2"), [1.0])
 
 
 def test_transfer_route_runs_steps_10():
@@ -486,7 +485,7 @@ def test_transfer_pass_peak_within_transfer_bytes():
 
     for name in FACTORING_VARIANTS:
         dspec = DistanceSpec(name)
-        for run in (lambda: transfer_smeared(STREAM_SPEC, sites, dspec, 0.3, (0.0, np.pi)),
+        for run in (lambda: transfer_plan(STREAM_SPEC, sites, dspec, [0.3])(0.3, (0.0, np.pi)),
                     lambda: sweep(dspec)):
             tracemalloc.start()
             try:
@@ -536,7 +535,7 @@ def test_bad_scale_or_mass_is_refused_before_enumeration(monkeypatch, tmp_path):
             with pytest.raises(SpecViolation, match="lattice mass must be finite"):
                 run_lattice_experiment(bad, DistanceSpec(name))
             with pytest.raises(SpecViolation, match="lattice mass must be finite"):
-                two_arm_experiment(bad, DistanceSpec(name))
+                two_arm_sweep(bad, DistanceSpec(name), [1.0])
     monkeypatch.undo()
     negative = LatticeSpec(steps=4, extent=3, start=0, end=0, hop=2, mass=-2.0)
     for name in ("max_sep", "l1_time_integral", "l2", "velocity_l1"):
@@ -549,17 +548,19 @@ def test_bad_scale_or_mass_is_refused_before_enumeration(monkeypatch, tmp_path):
 ])
 def test_sweep_cells_have_the_bits_of_single_scale_runs(spec):
     # one enumeration and one plan per sweep: each cell, whichever other
-    # scales share its plan, gives what a run at its scale alone gives
+    # scales share its plan, gives what a sweep of its scale alone gives,
+    # and what a run at its scale gives at arm phase 0
     scales = [0.0, 0.3, 1.0, 10.0, 300.0]
     for name in (*FACTORING_VARIANTS, "l2"):
         dspec = DistanceSpec(name)
-        sites, w, cell = two_arm_sweep(spec, dspec, scales)
-        assert np.array_equal(w, corridor_weights(sites))
+        cell = two_arm_sweep(spec, dspec, scales)
         for scale in scales:
-            vis, sums, denom = cell(scale)
-            dist = distribution_from_sums(sums, denom)
-            want_vis, want, want_sites = two_arm_experiment(spec, dspec, scale)
-            assert np.array_equal(sites, want_sites)
+            vis, mass, dist = cell(scale)
+            want_vis, want_mass, want = two_arm_sweep(spec, dspec, [scale])(scale)
+            run, sites = run_lattice_experiment(spec, dspec, distance_scale=scale)
+            run_mass = float(np.sum(run.probs[corridor_weights(sites) > 0]))
             assert vis == want_vis == two_arm_visibility(spec, dspec, scale), (name, scale)
+            assert mass == want_mass == run_mass, (name, scale)
             for field in ("probs", "smeared", "denom"):
                 assert np.array_equal(getattr(dist, field), getattr(want, field)), (name, scale)
+                assert np.array_equal(getattr(dist, field), getattr(run, field)), (name, scale)

@@ -17,7 +17,6 @@ from realpathsim.cli import (
     _block_range_indices,
     _flipped_prefix,
     _toy_experiment,
-    _toy_prefix,
     main,
 )
 from realpathsim.distances import DistanceSpec
@@ -52,6 +51,16 @@ def _last_end(spec):
     return spec.block_range[1]
 
 
+def _shared_prefix(spec, pad):
+    """The spec's amplitudes prefix-summed and padded by ``pad``, as a sweep group prepares them."""
+    return _prefix(build_model(spec).amplitudes, pad)
+
+
+def _own_prefix(spec, dspec):
+    """The prefix a cell alone prepares, padded by its own widest kernel radius."""
+    return _shared_prefix(spec, kernel_windows(dspec, spec.N).radii[-1])
+
+
 def _widths(spec):
     # 1 and 2 stop short of N; from the third on the flipped window
     # min(N, hi + D) covers all N paths
@@ -65,11 +74,12 @@ def test_cell_matches_two_pass_oracle(spec):
     # padded for the widest window, as a sweep over D does.  The cell
     # keeps no full-length sums: on the large specs those of the shared
     # prefix's banded pass are checked against the oracle's instead
-    shared = _toy_prefix(spec, max(_widths(spec))) if spec in LARGE else None
+    shared = _shared_prefix(spec, max(_widths(spec))) if spec in LARGE else None
     for D in _widths(spec):
         for literal in (False, True):
             dspec = DistanceSpec("step", D=D, literal_log_half=literal)
-            vis, mass, probs, C = _toy_experiment(spec, dspec, shared)
+            prefix = _own_prefix(spec, dspec) if shared is None else shared
+            vis, mass, probs, C = _toy_experiment(spec, dspec, prefix)
             ref_vis, ref_mass, ref = two_pass_toy_experiment(spec, dspec)
             case = (D, literal)
             assert vis == ref_vis, case
@@ -88,7 +98,7 @@ def test_cell_matches_two_pass_oracle_exp_index():
     spec = SMALL[1]
     for D in (1, 5, 600):
         dspec = DistanceSpec("exp_index", D=D)
-        vis, mass, probs, C = _toy_experiment(spec, dspec)
+        vis, mass, probs, C = _toy_experiment(spec, dspec, _own_prefix(spec, dspec))
         ref_vis, ref_mass, ref = two_pass_toy_experiment(spec, dspec)
         assert (vis, mass, C) == (ref_vis, ref_mass, ref.norm_constant)
         assert probs.tobytes() == ref.probs.tobytes()
@@ -98,12 +108,13 @@ def test_cell_refuses_an_all_zero_distribution(monkeypatch):
     # every weight 0: the cell raises as distribution_from_sums does
     monkeypatch.setattr(cli, "normalize", lambda unnorm: normalize(unnorm * 0.0))
     with pytest.raises(AllZeroProbability):
-        _toy_experiment(SMALL[0], DistanceSpec("step", D=3))
+        dspec = DistanceSpec("step", D=3)
+        _toy_experiment(SMALL[0], dspec, _own_prefix(SMALL[0], dspec))
 
 
 @pytest.mark.parametrize("spec", SMALL + LARGE[1:2], ids=lambda s: f"{type(s).__name__}-{s.N}")
 def test_flipped_prefix_is_a_flipped_build(spec):
-    prefix = _toy_prefix(spec, max(_widths(spec)))
+    prefix = _shared_prefix(spec, max(_widths(spec)))
     full = _prefix(build_model(flip_last_theta(spec)).amplitudes, spec.N)
     for D in _widths(spec):
         lo, hi = _block_range_indices(spec, D)
