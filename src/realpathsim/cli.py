@@ -34,7 +34,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import lattice as lattice_mod
-from .distances import DistanceSpec
+from .distances import MASS_VARIANTS, DistanceSpec
 from .engine import (
     PathDistribution,
     Prefix,
@@ -55,6 +55,7 @@ from .errors import (
     RealPathError,
     SpecViolation,
     integer,
+    real,
 )
 from .lattice import LatticeSpec
 from .minkowski import CausalClass, MinkowskiPath, classify
@@ -237,6 +238,14 @@ _MODELS = {"M1": M1Spec, "M2": M2Spec, "M3": M3Spec, "lattice": LatticeSpec, "sc
 # the keys of a screen model's "screen_after" object and the fields they set
 _SCREEN_AFTER = {"N": "n_after", "K": "k_after", "anchors": "anchors"}
 
+# each weight a config's weight object names: the lattice weight function,
+# the one key beside "name" it reads and that key's cast
+_WEIGHTS = {
+    "uniform": (None, None, None),
+    "curvature_cutoff": (lattice_mod.curvature_cutoff_weights, "threshold", real),
+    "corridor": (lattice_mod.corridor_weights, "margin", integer),
+}
+
 
 def _check_keys(data: dict, known, what: str):
     """Raise ValueError naming the keys of ``data`` outside ``known``."""
@@ -246,14 +255,19 @@ def _check_keys(data: dict, known, what: str):
 
 
 def _cast(kind: str, key: str, value):
-    """``value`` as a spec field of the declared type ``kind``, the annotation's text."""
+    """``value`` as a spec field of the declared type ``kind``, the annotation's text.
+
+    A field of another type (a distance's name, D and rim setting) is
+    passed as it is, for its class to check.
+    """
     if kind == "M1Spec":
         return _spec(M1Spec, value, f"{key} object")
     if kind == "tuple[M3Spec, ...]":
         return tuple(_spec(M3Spec, v, f"{key} object") for v in value)
-    if kind == "int":
-        return integer(value, key)
-    return {"float": float, "tuple": tuple}[kind](value)
+    if kind == "tuple":
+        return tuple(value)
+    cast = {"int": integer, "float": real}.get(kind)
+    return value if cast is None else cast(value, key)
 
 
 def _spec(cls, data: dict, what: str | None, extra=(), **given):
@@ -302,7 +316,7 @@ def _format(config: dict, args, command: str) -> str:
     return fmt
 
 
-def _distance_spec(config: dict, args) -> DistanceSpec:
+def _distance_spec(config: dict, literal_log_half: bool = False) -> DistanceSpec:
     """The config's distance, carrying the run's --literal-log-half setting."""
     dist = config.get("distance")
     # toy-model shorthand: a "D" inside the model object means the step
@@ -317,8 +331,28 @@ def _distance_spec(config: dict, args) -> DistanceSpec:
         dist = {"name": "step", "D": model["D"]}
     else:
         raise ValueError('config needs a "distance" object')
-    spec = DistanceSpec.from_dict(dist)
-    return dataclasses.replace(spec, literal_log_half=args.literal_log_half)
+    name = dist.get("name")
+    if "mass" in dist:
+        raise ValueError(f"{name} distance takes no mass; {' and '.join(MASS_VARIANTS)} "
+                         "read the lattice mass")
+    return _spec(DistanceSpec, dist, f"{name} distance object", literal_log_half=literal_log_half)
+
+
+def _weight(weight: dict):
+    """The weight function a weight object names, None for uniform.
+
+    A lattice weight function takes the sites, and the object's one key
+    beside "name", when given, is bound to it; any other name or key
+    raises ValueError.
+    """
+    name = weight.get("name", "uniform")
+    if name not in _WEIGHTS:
+        raise ValueError(f"unknown weight function {name!r}")
+    func, key, cast = _WEIGHTS[name]
+    _check_keys(weight, {"name", key}, f"weight {name!r}")
+    if key in weight:
+        return functools.partial(func, **{key: cast(weight[key], f"the {name} {key}")})
+    return func
 
 
 def _lattice_only(config: dict, spec, swept: str | None = None) -> dict:
@@ -327,8 +361,9 @@ def _lattice_only(config: dict, spec, swept: str | None = None) -> dict:
     Off a lattice model each, or a sweep over it (``swept``), is refused
     with SpecViolation, bar a uniform or null weight; so is any weight
     but uniform in a lattice sweep (``swept`` set), whose visibility
-    fixes the corridor weight.  A weight object that lattice.check_weight
-    refuses, an unknown name or key, raises ValueError.
+    fixes the corridor weight.  A weight object that _weight refuses, an
+    unknown name or key, and a number that is not a JSON number raise
+    ValueError.
     """
     weight = config.get("weight") or {}
     if not isinstance(weight, dict):
@@ -343,9 +378,9 @@ def _lattice_only(config: dict, spec, swept: str | None = None) -> dict:
     elif swept is not None and name != "uniform":
         raise SpecViolation(f"weight {name!r} does not apply to a lattice sweep, "
                             "which fixes the corridor weight")
-    lattice_mod.check_weight(weight)
-    return {"weight": weight, "distance_scale": float(config.get("distance_scale", 1.0)),
-            "arm_phase": float(config.get("arm_phase", 0.0))}
+    return {"weight": _weight(weight),
+            "distance_scale": real(config.get("distance_scale", 1.0), "distance_scale"),
+            "arm_phase": real(config.get("arm_phase", 0.0), "arm_phase")}
 
 
 def _refuse_literal_log_half(args):
@@ -369,7 +404,7 @@ def cmd_run(args) -> int:
         _check_keys(config, _READS["ratios"][1], "run config of a screen model")
         text, summary = _ratios_text(spec, fmt), f"endpoints={spec.n_endpoints}"
     else:
-        dspec = _distance_spec(config, args)
+        dspec = _distance_spec(config, args.literal_log_half)
         _check_keys(config, _READS["run"][1], "run config")
         if isinstance(spec, LatticeSpec):
             dist, _sites = lattice_mod.run_lattice_experiment(spec, dspec, **lattice)
@@ -459,7 +494,7 @@ def _sweep_cells(config: dict, args, name: str, values: list) -> list:
     spec = _model_spec(config.get("model"))
     if isinstance(spec, ScreenSpec):
         raise SpecViolation("sweep does not apply to the screen model")
-    dspec = _distance_spec(config, args)
+    dspec = _distance_spec(config, args.literal_log_half)
     scalars = {f.name: f.type for f in dataclasses.fields(spec) if f.type in ("int", "float")}
     if name not in {"D", "distance_scale", *scalars}:
         raise ValueError(f"sweep parameter {name!r} is not a spec field")
@@ -471,7 +506,7 @@ def _sweep_cells(config: dict, args, name: str, values: list) -> list:
         if name == "D":
             cell[1] = dataclasses.replace(dspec, D=v)
         elif name == "distance_scale":
-            cell[2] = float(v)
+            cell[2] = real(v, "a distance_scale sweep value")
         else:
             cell[0] = dataclasses.replace(spec, **{name: _cast(scalars[name], name, v)})
         if not isinstance(spec, LatticeSpec):
@@ -560,12 +595,13 @@ def cmd_compare(args) -> int:
     if not isinstance(spec, (M1Spec, M2Spec)):
         raise SpecViolation("compare applies to M1 and M2 models only")
     _lattice_only(config, spec)
-    dspec = _distance_spec(config, args)
+    dspec = _distance_spec(config, args.literal_log_half)
     if dspec.name != "step":
         raise SpecViolation("closed forms are stated for the step distance")
     if "case" in config and isinstance(spec, M1Spec):
         raise SpecViolation("case applies to M2 models only")
     _check_keys(config, _READS["compare"][1], "compare config")
+    kernel_windows(dspec, spec.N)  # refused before the build
     direct, _, _ = unnormalized_probabilities(build_model(spec), dspec)
     case = config.get("case", "i")
     rows = []
@@ -630,13 +666,11 @@ def cmd_ratios(args) -> int:
 def cmd_lattice(args) -> int:
     spec = _spec(LatticeSpec, vars(args), None)
     # a flag the chosen weight does not read is refused as its unknown key
-    weight = {"name": args.weight}
-    for key in ("threshold", "margin"):
-        if getattr(args, key) is not None:
-            weight[key] = getattr(args, key)
+    weight = {"name": args.weight} | {k: getattr(args, k) for k in ("threshold", "margin")
+                                      if getattr(args, k) is not None}
     dist, sites = lattice_mod.run_lattice_experiment(
         spec, DistanceSpec(args.distance, literal_log_half=args.literal_log_half),
-        weight=weight, distance_scale=args.distance_scale,
+        weight=_weight(weight), distance_scale=args.distance_scale,
     )
     _write_text(args.output, _distribution_text(dist, args.format or "csv"))
     if args.output and args.output != "-":

@@ -80,21 +80,6 @@ class DistanceSpec:
     def is_index_based(self) -> bool:
         return self.name in INDEX_VARIANTS
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "DistanceSpec":
-        name = data.get("name")
-        if name not in INDEX_VARIANTS + GALILEAN_VARIANTS:
-            raise ValueError(f"unknown distance name {name!r}")
-        if "mass" in data:
-            raise ValueError(
-                f"{name} distance takes no mass; {' and '.join(MASS_VARIANTS)} "
-                "read the lattice mass"
-            )
-        unknown = ", ".join(map(repr, sorted(set(data) - {"name", "D"})))
-        if unknown:  # cls refuses D off an index distance
-            raise ValueError(f"{name} distance object has unknown key(s) {unknown}")
-        return cls(name=name, D=data.get("D"))
-
 
 def admit_matrix(n: int):
     """Raise ModelTooLarge when an (n, n) float matrix passes MAX_MATRIX_BYTES."""

@@ -2,19 +2,27 @@
 
 Every error raised by the library derives from RealPathError so callers
 (and the CLI) can distinguish model/spec problems from programming bugs.
-A value of the wrong type, as ``integer`` refuses, raises ValueError.
+A value of the wrong type, as ``integer`` and ``real`` refuse, raises
+ValueError.
 """
 
 
 def integer(value, what: str) -> int:
-    """``value`` as an int; a bool or a number with a fraction raises ValueError.
+    """``value`` as an int; a bool, a string or a number with a fraction raises ValueError.
 
-    int() alone would run 24.9 as 24 and true as 1; an integral float
-    such as 1e6 passes.
+    int() alone would run 24.9 as 24, true as 1 and "24" as 24; an
+    integral float such as 1e6 passes.
     """
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{what} must be an integer, not {value!r}")
     return int(value)
+
+
+def real(value, what: str) -> float:
+    """``value`` as a float; a bool or a string, which float() would take, raises ValueError."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"{what} must be a number, not {value!r}")
+    return float(value)
 
 
 class RealPathError(Exception):

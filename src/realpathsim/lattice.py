@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,7 @@ from .engine import (
     visibility,
     weighted_probabilities,
 )
-from .errors import ModelTooLarge, NoPaths, SpecViolation, TooManyPaths, integer
+from .errors import ModelTooLarge, NoPaths, SpecViolation, TooManyPaths
 from .paths import PathEnsemble
 
 ENUMERATION_BOUND = 10**7
@@ -391,42 +392,6 @@ def upper_arm_mask(sites: np.ndarray) -> np.ndarray:
     return sites[:, mid] >= 1
 
 
-# the key beside "name" that each weight function of a weight object reads
-_WEIGHT_KEYS = {"uniform": None, "curvature_cutoff": "threshold", "corridor": "margin"}
-
-
-def check_weight(weight: dict | None):
-    """Raise ValueError for a weight object resolve_weight would not read whole.
-
-    Its name must be one of _WEIGHT_KEYS, and its keys ``name`` and the
-    one key that name reads, if any.
-    """
-    weight = weight or {}
-    name = weight.get("name", "uniform")
-    if name not in _WEIGHT_KEYS:
-        raise ValueError(f"unknown weight function {name!r}")
-    unknown = ", ".join(map(repr, sorted(set(weight) - {"name", _WEIGHT_KEYS[name]})))
-    if unknown:
-        raise ValueError(f"weight {name!r} has unknown key(s) {unknown}")
-
-
-def resolve_weight(weight: dict | None, sites: np.ndarray) -> np.ndarray | None:
-    """Per-path weight vector of a weight object, None for the plain postulate.
-
-    ``weight`` is {"name": ..., "threshold": ...} (curvature_cutoff) or
-    {"name": ..., "margin": ...} (corridor) as in a config, or None
-    (uniform).  Any other name or key raises ValueError (check_weight).
-    """
-    check_weight(weight)
-    weight = weight or {}
-    name = weight.get("name", "uniform")
-    if name == "uniform":
-        return None
-    if name == "curvature_cutoff":
-        return curvature_cutoff_weights(sites, float(weight.get("threshold", 1.0)))
-    return corridor_weights(sites, integer(weight.get("margin", 1), "the corridor margin"))
-
-
 def _check_scale(spec: LatticeSpec, distance: DistanceSpec, distance_scale: float):
     """Raise SpecViolation for a scale or mass that would break exp(-d) or A.
 
@@ -684,22 +649,23 @@ def _passes(spec, distance, scales):
 def run_lattice_experiment(
     spec: LatticeSpec,
     distance: DistanceSpec,
-    weight: dict | None = None,
+    weight: Callable[[np.ndarray], np.ndarray] | None = None,
     distance_scale: float = 1.0,
     arm_phase: float = 0.0,
 ) -> tuple[PathDistribution, np.ndarray]:
     """Path probabilities over the enumerated ensemble.
 
-    ``weight`` is a weight object for resolve_weight; ``distance_scale``
-    multiplies every pairwise distance (0 is the quantum limit);
-    ``arm_phase`` is the setting of the upper-arm phase plate
-    (upper_arm_mask).
+    ``weight`` maps the sites to per-path weights, as curvature_cutoff_weights
+    and corridor_weights do, or is None for the plain postulate;
+    ``distance_scale`` multiplies every pairwise distance (0 is the
+    quantum limit); ``arm_phase`` is the setting of the upper-arm phase
+    plate (upper_arm_mask).
     Returns (distribution, sites).
     """
-    check_weight(weight)
     sites, smeared = _passes(spec, distance, [distance_scale])
     (sums,), denom = smeared(distance_scale, [arm_phase])
-    return distribution_from_sums(sums, denom, resolve_weight(weight, sites)), sites
+    weights = None if weight is None else weight(sites)
+    return distribution_from_sums(sums, denom, weights), sites
 
 
 def _two_arm_visibility(w: np.ndarray, sums, denom) -> float:

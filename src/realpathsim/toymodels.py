@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionViolation, SpecViolation, integer
+from .errors import PreconditionViolation, SpecViolation, integer, real
 from .paths import PathEnsemble
 
 _SCALE_FACTOR = 10  # strict reading of "much less than": 10*x <= y
@@ -48,14 +48,7 @@ class M1Spec:
     K: int
 
     def __post_init__(self):
-        _require(self.M % 2 == 1, f"M={self.M} must be odd")
-        _require(
-            (self.N - self.M - self.K) % 2 == 0,
-            f"N-M-K={self.N - self.M - self.K} must be even",
-        )
-        _require(1 < self.M, f"need 1 < M, got M={self.M}")
-        _require(self.K >= 1, f"need M < M+K, got K={self.K}")
-        _require(self.M + self.K < self.N, "need M+K < N")
+        self.as_m3()  # M3Spec states the rules
 
     def as_m3(self) -> "M3Spec":
         return M3Spec(N=self.N, regions=((self.M, self.K, 0.0),))
@@ -74,19 +67,7 @@ class M2Spec:
     theta1: float = 0.0
 
     def __post_init__(self):
-        _require(self.M0 % 2 == 1, f"M0={self.M0} must be odd")
-        _require(
-            (self.M1 - self.M0 - self.K0) % 2 == 1,
-            f"M1-M0-K0={self.M1 - self.M0 - self.K0} must be odd",
-        )
-        _require(
-            (self.N - self.M1 - self.K1) % 2 == 0,
-            f"N-M1-K1={self.N - self.M1 - self.K1} must be even",
-        )
-        _require(1 < self.M0, "need 1 < M0")
-        _require(self.K0 >= 1 and self.K1 >= 1, "regions need K >= 1")
-        _require(self.M0 + self.K0 < self.M1, "regions must be ordered and disjoint")
-        _require(self.M1 + self.K1 < self.N, "need M1+K1 < N")
+        self.as_m3()  # M3Spec states the rules
 
     def as_m3(self) -> "M3Spec":
         return M3Spec(
@@ -106,30 +87,24 @@ class M3Spec:
     regions: tuple
 
     def __post_init__(self):
-        regions = tuple((integer(M, "a region start"), integer(K, "a region width"), float(th))
-                        for M, K, th in self.regions)
+        regions = tuple((integer(M, "a region start"), integer(K, "a region width"),
+                         real(th, "a region phase")) for M, K, th in self.regions)
         object.__setattr__(self, "regions", regions)
         _require(len(regions) >= 1, "need at least one region")
         M0 = regions[0][0]
-        _require(M0 % 2 == 1, f"M0={M0} must be odd")
-        _require(1 < M0, "need 1 < M0")
+        _require(M0 % 2 == 1, f"the first region's start M={M0} must be odd")
+        _require(1 < M0, f"the first region's start M={M0} must exceed 1")
         prev_end = None
         for k, (M, K, _TH) in enumerate(regions):
-            _require(K >= 1, f"region {k} needs K >= 1")
+            _require(K >= 1, f"region {k} needs K >= 1, got K={K}")
             if prev_end is not None:
-                _require(M > prev_end, f"region {k} overlaps region {k-1}")
+                _require(M > prev_end, f"region {k} at M={M} overlaps region {k-1}")
                 # M_k - M_{k-1} - K_{k-1} odd, i.e. an even-length
                 # alternating run between consecutive regions
-                _require(
-                    (M - prev_end) % 2 == 1,
-                    f"M{k}-M{k-1}-K{k-1} must be odd",
-                )
+                _require((M - prev_end) % 2 == 1, f"M{k}-M{k-1}-K{k-1}={M - prev_end} must be odd")
             prev_end = M + K
-        _require(prev_end < self.N, "last region must end before N")
-        _require(
-            (self.N - prev_end) % 2 == 0,
-            f"N-M-K tail = {self.N - prev_end} must be even",
-        )
+        _require(prev_end < self.N, f"the last region ends at {prev_end}, not before N={self.N}")
+        _require((self.N - prev_end) % 2 == 0, f"N-M-K tail = {self.N - prev_end} must be even")
 
     def as_m3(self) -> "M3Spec":
         return self

@@ -439,15 +439,56 @@ M3_CONFIG = json.loads((DATA / "m3_sweep.json").read_text())
     (SCREEN_CONFIG, ("model", "screen_after", "N"), 23.5, "ratios"),
     (SCREEN_CONFIG, ("model", "screen_after", "anchors", 0), 7.5, "ratios"),
     (SCREEN_CONFIG, ("model", "endpoints", 1, "regions", 0, 1), 4.5, "ratios"),
+    (M1_CONFIG, ("model", "N"), "24", "run"),
+    (M1_CONFIG, ("distance", "D"), "3", "compare"),
+    (LATTICE_SMOKE_CONFIG, ("model", "steps"), "4", "run"),
+    (LATTICE_SMOKE_CONFIG, ("weight", "margin"), "1", "run"),
+    ({**M1_CONFIG, "sweep": {"name": "D", "values": [2]}}, ("sweep", "values", 0), "2", "sweep"),
+    (M3_CONFIG, ("model", "regions", 0, 0), "201", "run"),
+    (SCREEN_CONFIG, ("model", "screen_after", "anchors", 0), "7", "ratios"),
 ])
 def test_non_integral_integer_field_exits_64(tmp_path, capsys, config, keys, value, command):
-    # int() would run each as a truncated integer and exit 0
+    # int() would run each as a truncated integer, or a string as the
+    # integer it spells, and exit 0
     cfg = write(tmp_path / "config.json", _replaced(config, keys, value))
     out = tmp_path / "out.csv"
     assert run_cli(["--config", cfg, "--output", str(out), command]) == 64
     assert not out.exists()
     err = capsys.readouterr().err
     assert "must be an integer" in err and "Traceback" not in err
+
+
+M2_CONFIG = json.loads((DATA / "m2_sweep.json").read_text())
+LATTICE_SWEEP_CONFIG = json.loads((DATA / "lattice_sweep.json").read_text())
+LATTICE_MASS_SWEEP_CONFIG = json.loads((DATA / "lattice_mass_sweep.json").read_text())
+
+
+@pytest.mark.parametrize("config, keys, value, command", [
+    (LATTICE_SMOKE_CONFIG, ("model", "mass"), True, "run"),
+    (LATTICE_SMOKE_CONFIG, ("model", "mass"), "1", "run"),
+    (M2_CONFIG, ("model", "theta1"), "3.14", "run"),
+    (M2_CONFIG, ("model", "theta0"), False, "compare"),
+    (LATTICE_SMOKE_CONFIG, ("distance_scale",), "1", "run"),
+    (LATTICE_SMOKE_CONFIG, ("distance_scale",), True, "run"),
+    (LATTICE_SMOKE_CONFIG, ("arm_phase",), False, "run"),
+    (LATTICE_SMOKE_CONFIG, ("weight",), {"name": "curvature_cutoff", "threshold": True}, "run"),
+    (LATTICE_SMOKE_CONFIG, ("weight",), {"name": "curvature_cutoff", "threshold": "1"}, "run"),
+    (M3_CONFIG, ("model", "regions", 1, 2), "1.1", "run"),
+    (M3_CONFIG, ("model", "regions", 2, 2), True, "sweep"),
+    (LATTICE_SWEEP_CONFIG, ("sweep", "values", 1), "0.3", "sweep"),
+    (LATTICE_SWEEP_CONFIG, ("sweep", "values", 0), False, "sweep"),
+    (LATTICE_MASS_SWEEP_CONFIG, ("sweep", "values", 1), True, "sweep"),
+    (LATTICE_MASS_SWEEP_CONFIG, ("sweep", "values", 0), "0.5", "sweep"),
+])
+def test_non_numeric_float_field_exits_64(tmp_path, capsys, config, keys, value, command):
+    # float() would run a bool as 0.0 or 1.0, and a string as the number
+    # it spells, and exit 0
+    cfg = write(tmp_path / "config.json", _replaced(config, keys, value))
+    out = tmp_path / "out.csv"
+    assert run_cli(["--config", cfg, "--output", str(out), command]) == 64
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "must be a number" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("keys, value", [(("model", "N"), 24.0), (("model", "K"), 3e0),
@@ -950,7 +991,7 @@ def test_known_config_keys_parse(config):
     # every config the tests and the benchmark run passes the key checks
     cli._model_spec(config["model"])
     if "distance" in config:
-        DistanceSpec.from_dict(config["distance"])
+        cli._distance_spec(config)
 
 
 def test_sweep_over_shorthand_d_matches_the_distance_object(tmp_path):
@@ -1049,14 +1090,14 @@ def test_unknown_model_kind_exits_65(tmp_path, capsys):
 
 def test_lattice_run_reads_arm_phase(tmp_path):
     # the config's arm_phase sets the upper-arm phase plate of a lattice run
-    from realpathsim.lattice import LatticeSpec, run_lattice_experiment
+    from realpathsim.lattice import LatticeSpec, corridor_weights, run_lattice_experiment
 
     cfg = write(tmp_path / "c.json", {**LATTICE_SMOKE_CONFIG, "arm_phase": np.pi})
     out = tmp_path / "out.csv"
     assert run_cli(["--config", cfg, "--output", str(out), "run"]) == 0
     model = {k: v for k, v in LATTICE_SMOKE_CONFIG["model"].items() if k != "model"}
     dist, _ = run_lattice_experiment(LatticeSpec(**model), DistanceSpec("max_sep"),
-                                     weight={"name": "corridor"}, arm_phase=np.pi)
+                                     weight=corridor_weights, arm_phase=np.pi)
     probs = [float(line.split(",")[1]) for line in out.read_text().splitlines()[2:]]
     assert probs == dist.probs.tolist()
     assert out.read_bytes() != (DATA / "lattice_smoke.csv").read_bytes()

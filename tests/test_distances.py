@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from realpathsim.cli import _distance_spec
 from realpathsim.distances import (
     GALILEAN_VARIANTS,
     MASS_VARIANTS,
@@ -217,7 +218,7 @@ def test_index_distance_matrix_is_built_in_place():
 
 def test_distance_spec_json():
     with pytest.raises(ValueError):
-        DistanceSpec.from_dict({"name": "mystery"})
+        _distance_spec({"distance": {"name": "mystery"}})
     with pytest.raises(ValueError):
         DistanceSpec("step")  # D required
 
@@ -232,7 +233,7 @@ def test_spec_refuses_fields_its_distance_never_reads():
     # a distance carries no mass of its own, the mass-weighted ones included
     for name in ("max_sep", "l2", "step", "exp_index", *MASS_VARIANTS):
         with pytest.raises(ValueError, match="takes no mass"):
-            DistanceSpec.from_dict({"name": name, "D": 3, "mass": 7.0})
+            _distance_spec({"distance": {"name": name, "D": 3, "mass": 7.0}})
     assert DistanceSpec("step", D=5, literal_log_half=True).literal_log_half
 
 

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -28,10 +29,10 @@ from realpathsim.lattice import (
     FACTORING_VARIANTS,
     LatticeSpec,
     corridor_weights,
+    curvature_cutoff_weights,
     enumerate_paths,
     lattice_ensemble,
     path_count,
-    resolve_weight,
     run_lattice_experiment,
     transfer_amplitude,
     transfer_bytes,
@@ -135,7 +136,7 @@ def test_curvature_cutoff_zeroes_kinked_paths():
     dist, sites = run_lattice_experiment(
         spec,
         DistanceSpec("max_sep"),
-        weight={"name": "curvature_cutoff", "threshold": 1.0},
+        weight=partial(curvature_cutoff_weights, threshold=1.0),
     )
     kinked = np.abs(np.diff(sites, n=2, axis=1)).max(axis=1) > 1.0
     assert kinked.any()
@@ -145,20 +146,20 @@ def test_curvature_cutoff_zeroes_kinked_paths():
 
 def test_resolve_weight_from_weight_objects():
     sites = enumerate_paths(LatticeSpec(steps=4, extent=4, start=0, end=0, hop=2))
-    assert resolve_weight(None, sites) is None
-    assert resolve_weight({"name": "uniform"}, sites) is None
+    assert cli._weight({}) is None
+    assert cli._weight({"name": "uniform"}) is None
     assert np.array_equal(
-        resolve_weight({"name": "corridor", "margin": 2}, sites), corridor_weights(sites, 2)
+        cli._weight({"name": "corridor", "margin": 2})(sites), corridor_weights(sites, 2)
     )
     # causal_only is a Minkowski prescription, not a lattice weight
     for name in ("causal_only", "bogus"):
         with pytest.raises(ValueError, match=name):
-            resolve_weight({"name": name}, sites)
+            cli._weight({"name": name})
     # a key the name does not read would be ignored
     for weight in ({"name": "corridor", "margn": 3}, {"name": "corridor", "threshold": 2.0},
                    {"name": "uniform", "margin": 3}, {"margin": 3}):
         with pytest.raises(ValueError, match="unknown key"):
-            resolve_weight(weight, sites)
+            cli._weight(weight)
 
 
 def test_corridor_weights_split_arms():
@@ -466,7 +467,7 @@ def test_transfer_route_runs_steps_10():
     # 850,739 paths, past the dense bound, on every factoring variant
     spec = LatticeSpec(steps=10, extent=6, start=0, end=0, hop=2)
     for name in FACTORING_VARIANTS:
-        dist, sites = run_lattice_experiment(spec, DistanceSpec(name), weight={"name": "corridor"})
+        dist, sites = run_lattice_experiment(spec, DistanceSpec(name), weight=corridor_weights)
         assert sites.shape[0] == dist.n_paths == 850_739
         assert np.all(dist.denom >= 1.0)  # Q = P alone contributes 1
 

@@ -238,3 +238,21 @@ def test_exp_index_past_the_banded_bound_exits_65(tmp_path, capsys, monkeypatch,
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("ModelTooLarge:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "compare"])
+def test_step_past_the_banded_bound_exits_65(tmp_path, capsys, monkeypatch, command):
+    # 10^15 paths under the step distance: 2e15 window rows, refused
+    # before the model is built by every subcommand that builds one
+    def no_build(spec):
+        raise AssertionError("built a model past the bound")
+
+    monkeypatch.setattr(cli, "build_model", no_build)
+    cfg = tmp_path / "step.json"
+    cfg.write_text('{"model": {"model": "M1", "N": 1000000000000000, "M": 9, "K": 3},'
+                   ' "distance": {"name": "step", "D": 3}, "sweep": {"name": "D", "values": [3]}}')
+    out = tmp_path / "out.csv"
+    assert main(["--config", str(cfg), "--output", str(out), command]) == 65
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("ModelTooLarge:") and "Traceback" not in err
