@@ -37,17 +37,9 @@ from . import lattice as lattice_mod
 from .distances import MASS_VARIANTS, DistanceSpec
 from .engine import (
     PathDistribution,
-    Prefix,
-    _prefix,
-    check_probabilities,
-    index_smeared,
-    index_tiles,
     kernel_windows,
-    normalize,
     path_probabilities,
     unnormalized_probabilities,
-    visibility,
-    weighted_probabilities,
 )
 from .errors import (
     AllZeroProbability,
@@ -59,12 +51,12 @@ from .errors import (
 )
 from .lattice import LatticeSpec
 from .minkowski import CausalClass, MinkowskiPath, classify
-from .paths import PathEnsemble
 from .screen import ScreenSpec, evaluate_screen_model
 from .toymodels import (
     M1Spec,
     M2Spec,
     M3Spec,
+    beam_sweep,
     build_model,
     m1_closed_form,
     m2_closed_form,
@@ -238,11 +230,20 @@ _MODELS = {"M1": M1Spec, "M2": M2Spec, "M3": M3Spec, "lattice": LatticeSpec, "sc
 # the keys of a screen model's "screen_after" object and the fields they set
 _SCREEN_AFTER = {"N": "n_after", "K": "k_after", "anchors": "anchors"}
 
+
+def _threshold(value, what: str) -> float:
+    """A curvature cutoff: any real number, +inf for none, but not NaN, which cuts every path."""
+    threshold = real(value, what)
+    if math.isnan(threshold):
+        raise SpecViolation(f"{what} must not be NaN")
+    return threshold
+
+
 # each weight a config's weight object names: the lattice weight function,
 # the one key beside "name" it reads and that key's cast
 _WEIGHTS = {
     "uniform": (None, None, None),
-    "curvature_cutoff": (lattice_mod.curvature_cutoff_weights, "threshold", real),
+    "curvature_cutoff": (lattice_mod.curvature_cutoff_weights, "threshold", _threshold),
     "corridor": (lattice_mod.corridor_weights, "margin", integer),
 }
 
@@ -419,71 +420,6 @@ def cmd_run(args) -> int:
 
 # -- sweep ---------------------------------------------------------------------
 
-def _block_range_indices(spec, D: int) -> tuple[int, int]:
-    first, last = spec.as_m3().block_range
-    return max(1, first - D), min(spec.N, last + D)
-
-
-def _flipped_prefix(spec, prefix: Prefix, radius: int, lo: int, hi: int) -> Prefix:
-    """What windows of radius <= ``radius`` over rows lo..hi-1 read of ``prefix``, flipped.
-
-    ``prefix`` holds the sums of the spec's own amplitudes, the result those
-    with the last region's phase turned by pi.  Sums up to P(M-1), M the
-    region's 1-based start, are copied; the later ones are rebuilt from
-    P(M-1) by one cumsum over the flipped region, exp(-i (theta + pi)) as
-    build_m3 evaluates it, and the alternating run after it (-1, +1, ...),
-    so the bits are those of a full flipped build's prefix.  The rows must
-    start no later than the region, as a beam block's rows do.
-    """
-    n = prefix.n
-    r = min(radius, n)  # the windows clip their radius to n
-    origin = r - lo  # out[origin + k] = P(k) for k in [lo - r, hi + r]
-    out = prefix.sums[prefix.origin + lo - r : prefix.origin + hi + r + 1].copy()
-    M, K, th = spec.as_m3().regions[-1]
-    region = PathEnsemble(np.full(K + 1, np.exp(-1j * (th + math.pi)))).amplitudes
-    run = out[origin + M - 1 : origin + min(n, hi + r) + 1]
-    tail = run[1:]
-    tail[: region.size] = region
-    tail[region.size :: 2] = -1.0
-    tail[region.size + 1 :: 2] = 1.0
-    np.cumsum(run, out=run)
-    out[origin + n + 1 :] = run[-1]  # the right pad copies P(n)
-    return Prefix(out, origin, n)
-
-
-def _toy_experiment(
-    spec, dspec: DistanceSpec, prefix: Prefix
-) -> tuple[float, float, np.ndarray, float]:
-    """(visibility, block mass, probabilities, norm constant) of one toy sweep cell.
-
-    The visibility compares the unnormalized masses on the beam block
-    widened by D, at the spec's own phases and with the last region's
-    phase flipped by pi; the probabilities and norm constant are those
-    ``run`` gives at the spec's own phases, and the block mass is their
-    share on the block.
-
-    ``prefix`` is the spec's amplitudes prefix-summed and padded by at
-    least ``dspec``'s widest kernel radius, which a sweep's cells of one
-    spec share.  The spec's phases take one banded pass over
-    all N rows, each tile reduced straight into one N-length vector of
-    unnormalized probabilities; the flipped setting (_flipped_prefix) one
-    over the block rows alone, whose window counts are the denominators
-    of both settings there.
-    """
-    windows = kernel_windows(dspec, spec.N)
-    unnorm = np.empty(spec.N)
-    for rows, smeared, denom in index_tiles(prefix, windows):
-        weighted_probabilities(smeared, denom, out=unnorm[rows])
-    lo, hi = _block_range_indices(spec, dspec.D)
-    block = slice(lo - 1, hi)
-    flipped = _flipped_prefix(spec, prefix, windows.radii[-1], lo - 1, hi)
-    p_minus = float(np.sum(weighted_probabilities(*index_smeared(flipped, windows, lo - 1, hi))))
-    p_plus = float(np.sum(unnorm[block]))
-    C = normalize(unnorm)
-    check_probabilities(unnorm)
-    return visibility(p_plus, p_minus), float(np.sum(unnorm[block])), unnorm, C
-
-
 def _sweep_cells(config: dict, args, name: str, values: list) -> list:
     """(model spec, distance spec, distance scale) of each cell, refusing what cannot apply.
 
@@ -520,8 +456,8 @@ def _prepare_group(cells: list, indices: list):
 
     The cells share one model spec, and so one preparation: a lattice
     spec one enumeration and plan over the cells' distance scales
-    (lattice.two_arm_sweep), a toy spec one build and prefix sum padded
-    for the widest kernel radius of the cells' distances.
+    (lattice.two_arm_sweep), a toy spec one build and prefix sum over the
+    cells' distances (toymodels.beam_sweep).
     """
     spec, dspec, _ = cells[indices[0]]
     if isinstance(spec, LatticeSpec):
@@ -531,11 +467,10 @@ def _prepare_group(cells: list, indices: list):
             vis, mass, dist = two_arm(cells[i][2])
             return vis, mass, dist.norm_constant
     else:
-        pad = max(kernel_windows(cells[i][1], spec.N).radii[-1] for i in indices)
-        prefix = _prefix(build_model(spec).amplitudes, pad)
+        beam = beam_sweep(spec, [cells[i][1] for i in indices])
 
         def cell(i):
-            vis, mass, _probs, C = _toy_experiment(spec, cells[i][1], prefix)
+            vis, mass, _probs, C = beam(cells[i][1])
             return vis, mass, C
     return cell
 

@@ -128,7 +128,7 @@ def smeared_components(ensemble: PathEnsemble, distance) -> tuple[np.ndarray, np
     amps = ensemble.amplitudes
     if isinstance(distance, DistanceSpec):
         windows = kernel_windows(distance, amps.size)
-        return index_smeared(_prefix(amps, windows.radii[-1]), windows)
+        return index_smeared(prefix_sum(amps, windows.radii[-1]), windows)
     (smeared,), denom = dense_smeared([amps], distance)
     return smeared, denom
 
@@ -202,9 +202,9 @@ class Prefix(NamedTuple):
     """Prefix sums P(k), the sum of amps[:k], of n amplitudes.
 
     sums[origin + k] holds P(k) with k clamped to [0, n], so a window sum
-    is the difference of two entries.  _prefix holds every k in
-    [-pad, n + pad]; a slice of it, as a sweep cell's flipped setting
-    takes, holds a shorter range and a smaller or negative origin.
+    is the difference of two entries.  prefix_sum holds every k in
+    [-pad, n + pad]; patched_prefix a shorter range, with a smaller or
+    negative origin.
     """
 
     sums: np.ndarray
@@ -266,7 +266,7 @@ def banded_smeared(components: Sequence[np.ndarray], D: int) -> tuple[np.ndarray
     """
     first = components[0]
     windows = kernel_windows(DistanceSpec("step", D=D), first.size)
-    return index_smeared(_prefix(first, D), windows, rest=components[1:])
+    return index_smeared(prefix_sum(first, D), windows, rest=components[1:])
 
 
 def index_smeared(prefix: Prefix, windows: Windows, lo=0, hi=None, rest=()):
@@ -288,8 +288,8 @@ def index_smeared(prefix: Prefix, windows: Windows, lo=0, hi=None, rest=()):
 def index_tiles(prefix: Prefix, windows: Windows, lo=0, hi=None, rest=()):
     """Yield (rows, smeared, denom) of the banded kernel, one tile at a time.
 
-    ``prefix`` is _prefix padded by at least windows.radii[-1], or holds
-    the entries rows lo..hi-1 read (see _windows); ``rest`` are the
+    ``prefix`` is prefix_sum padded by at least windows.radii[-1], or holds
+    the entries rows lo..hi-1 read (patched_prefix); ``rest`` are the
     amplitudes of components 2..K, whose windows are whole.  ``rows`` is
     a slice of the first component's rows, at most _BAND_TILE output
     entries; each radius's window sums, in a reused buffer, and counts
@@ -301,7 +301,7 @@ def index_tiles(prefix: Prefix, windows: Windows, lo=0, hi=None, rest=()):
     """
     radii, weights = windows
     hi = prefix.n if hi is None else hi
-    rest_prefixes = [_prefix(amps, radii[-1]) for amps in rest]
+    rest_prefixes = [prefix_sum(amps, radii[-1]) for amps in rest]
     rest_windows = [[_windows(p, r, 0, p.n) for p in rest_prefixes] for r in radii]
     inner = tuple(amps.size for amps in rest)
     rows = max(1, _BAND_TILE // math.prod(inner))
@@ -327,7 +327,7 @@ def index_tiles(prefix: Prefix, windows: Windows, lo=0, hi=None, rest=()):
 _outer = functools.partial(functools.reduce, np.multiply.outer)  # x_c v_c
 
 
-def _prefix(amps: np.ndarray, pad: int) -> Prefix:
+def prefix_sum(amps: np.ndarray, pad: int) -> Prefix:
     """Prefix sum of amps padded by ``pad`` entries each side, pad clipped to n.
 
     The left pad holds P(0) = 0 and the right pad copies P(n), so the
@@ -343,11 +343,32 @@ def _prefix(amps: np.ndarray, pad: int) -> Prefix:
     return Prefix(sums, pad, n)
 
 
+def patched_prefix(prefix: Prefix, start: int, amps: np.ndarray, lo: int, hi: int,
+                   radius: int) -> Prefix:
+    """What windows of radius <= ``radius`` over rows lo..hi-1 read of ``prefix``, patched.
+
+    The result holds P(k) for k in [lo - r, hi + r], r = min(radius, n),
+    of the amplitudes with those from index ``start`` >= lo - r on
+    replaced by ``amps``, which must reach index min(n, hi + r) - 1.
+    Entries up to P(start) are copied and the later ones rebuilt from it
+    by one cumsum over ``amps``, so the bits are those of prefix_sum over
+    the patched amplitudes.
+    """
+    n, r = prefix.n, min(radius, prefix.n)  # the windows clip their radius to n
+    origin = r - lo  # out[origin + k] = P(k)
+    out = prefix.sums[prefix.origin + lo - r : prefix.origin + hi + r + 1].copy()
+    run = out[origin + start : origin + min(n, hi + r) + 1]
+    run[1:] = amps[: run.size - 1]
+    np.cumsum(run, out=run)
+    out[origin + n + 1 :] = run[-1]  # the right pad copies P(n)
+    return Prefix(out, origin, n)
+
+
 def _windows(prefix: Prefix, r: int, lo: int, hi: int, out=None):
     """Sums and counts of the windows |j-i| <= r in [0, n) of rows lo..hi-1.
 
     r is clipped to n = prefix.n first; the rows read P(k) for k in
-    [lo - r, hi + r], which a _prefix padded by pad >= r holds for every
+    [lo - r, hi + r], which a prefix_sum padded by pad >= r holds for every
     row.  The sums go to ``out`` when given.  A count is 2r+1 less the
     r - i indices its window loses below 0 and the i - (n-1-r) it loses
     past n-1: whole numbers, so exact.  When no window of the rows is

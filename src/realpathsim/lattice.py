@@ -301,8 +301,12 @@ def admit(spec: LatticeSpec, distance: DistanceSpec) -> tuple[int, bool]:
     reach (past DENSE_PATH_BOUND paths) or the transfer route costs less
     (transfer_work within _PAIR_WORK n^2); otherwise it takes the dense
     pass, as ``l2`` always does, refused past DENSE_PATH_BOUND paths.
-    Either refusal raises ModelTooLarge before anything is enumerated.
+    Either refusal raises ModelTooLarge before anything is enumerated;
+    an index distance, which orders no lattice paths, raises ValueError
+    before anything is counted.
     """
+    if distance.is_index_based:
+        raise ValueError(f"{distance.name} is an index distance, which lattice paths do not take")
     if distance.name not in FACTORING_VARIANTS:
         n = path_count(spec)
         if n > DENSE_PATH_BOUND:
@@ -659,9 +663,11 @@ def run_lattice_experiment(
     and corridor_weights do, or is None for the plain postulate;
     ``distance_scale`` multiplies every pairwise distance (0 is the
     quantum limit); ``arm_phase`` is the setting of the upper-arm phase
-    plate (upper_arm_mask).
+    plate (upper_arm_mask), which must be finite.
     Returns (distribution, sites).
     """
+    if not math.isfinite(arm_phase):
+        raise SpecViolation(f"arm_phase must be finite, not {arm_phase!r}")
     sites, smeared = _passes(spec, distance, [distance_scale])
     (sums,), denom = smeared(distance_scale, [arm_phase])
     weights = None if weight is None else weight(sites)

@@ -68,6 +68,8 @@ class MinkowskiPath:
         ev = np.asarray(self.events, dtype=float)
         if ev.ndim != 2 or ev.shape[0] < 2 or ev.shape[1] < 2:
             raise ValueError("need an (n >= 2, dim >= 2) event array")
+        if not np.isfinite(ev).all():  # json.loads reads NaN and Infinity
+            raise ValueError("every event coordinate must be finite")
         object.__setattr__(self, "events", ev)
 
     @property

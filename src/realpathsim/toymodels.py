@@ -28,6 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import (
+    check_probabilities,
+    index_smeared,
+    index_tiles,
+    kernel_windows,
+    normalize,
+    patched_prefix,
+    prefix_sum,
+    visibility,
+    weighted_probabilities,
+)
 from .errors import PreconditionViolation, SpecViolation, integer, real
 from .paths import PathEnsemble
 
@@ -281,3 +292,46 @@ def build_model(spec) -> PathEnsemble:
     if not isinstance(spec, (M1Spec, M2Spec, M3Spec)):
         raise SpecViolation(f"cannot build ensemble from {type(spec).__name__}")
     return build_m3(spec.as_m3())
+
+
+def beam_sweep(spec, dspecs):
+    """cell(dspec) of the toy sweep, for any index distance of ``dspecs``.
+
+    cell returns (visibility, block mass, probabilities, norm constant)
+    on the beam block widened by D: the visibility of the unnormalized
+    masses at the spec's own phases and with the last region's turned by
+    pi, and the share there of the probabilities ``run`` gives.  Every
+    distance is admitted (kernel_windows) before the one build, whose
+    prefix sum, padded for the widest radius, serves every cell: one
+    banded pass over all N rows at the own phases, one over the block
+    rows from the prefix patched with the flipped amplitudes, sliced from
+    the build as far as any block's windows read.  Cells only read what
+    they share, so they may run on several threads at once.
+    """
+    m3 = spec.as_m3()
+    first, last = m3.block_range
+    M, K, th = m3.regions[-1]
+    windows = {dspec: kernel_windows(dspec, m3.N) for dspec in dspecs}
+
+    def block(dspec):  # 0-based rows lo..hi-1
+        return max(1, first - dspec.D) - 1, min(m3.N, last + dspec.D)
+
+    amps = build_model(spec).amplitudes
+    prefix = prefix_sum(amps, max(w.radii[-1] for w in windows.values()))
+    reach = max(min(m3.N, block(d)[1] + w.radii[-1]) for d, w in windows.items())
+    flipped = amps[M - 1 : reach].copy()
+    flipped[: K + 1] = np.exp(-1j * (th + np.pi))
+
+    def cell(dspec):
+        unnorm = np.empty(m3.N)
+        for rows, smeared, denom in index_tiles(prefix, windows[dspec]):
+            weighted_probabilities(smeared, denom, out=unnorm[rows])
+        lo, hi = block(dspec)
+        patched = patched_prefix(prefix, M - 1, flipped, lo, hi, windows[dspec].radii[-1])
+        flip = index_smeared(patched, windows[dspec], lo, hi)
+        p_minus, p_plus = float(np.sum(weighted_probabilities(*flip))), float(np.sum(unnorm[lo:hi]))
+        C = normalize(unnorm)
+        check_probabilities(unnorm)
+        return visibility(p_plus, p_minus), float(np.sum(unnorm[lo:hi])), unnorm, C
+
+    return cell

@@ -785,6 +785,96 @@ def test_sweep_bad_scale_or_mass_exits_65(tmp_path, capsys, sweep):
     assert "finite and >= 0" in capsys.readouterr().err
 
 
+def _refuse_enumeration(monkeypatch):
+    from realpathsim import lattice
+
+    def refuse(*args):
+        raise AssertionError("counted or enumerated paths")
+
+    for name in ("enumerate_paths", "path_count", "_halves"):
+        monkeypatch.setattr(lattice, name, refuse)
+
+
+@pytest.mark.parametrize("command, steps, distance", [
+    ("run", 4, {"name": "step", "D": 3}),
+    ("run", 10, {"name": "step", "D": 3}),   # 850 739 paths: was refused for the dense pass
+    ("sweep", 10, {"name": "exp_index", "D": 3}),
+])
+def test_lattice_index_distance_exits_64_before_counting(
+    tmp_path, capsys, monkeypatch, command, steps, distance
+):
+    _refuse_enumeration(monkeypatch)
+    cfg = write(tmp_path / "index.json", {
+        "model": {"model": "lattice", "steps": steps, "extent": 6, "start": 0, "end": 0,
+                  "hop": 2},
+        "distance": distance,
+        "sweep": {"name": "distance_scale", "values": [0.5, 1]},
+    })
+    out = tmp_path / "out.csv"
+    assert run_cli(["--config", cfg, "--output", str(out), command]) == 64
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"{distance['name']} is an index distance" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("steps, distance, arm_phase", [
+    (7, "max_sep", float("nan")),    # transfer route
+    (4, "max_sep", float("nan")),    # dense pass
+    (7, "max_sep", float("inf")),
+    (4, "l2", float("-inf")),
+])
+def test_non_finite_arm_phase_exits_65_before_enumeration(
+    tmp_path, capsys, monkeypatch, steps, distance, arm_phase
+):
+    _refuse_enumeration(monkeypatch)
+    cfg = write(tmp_path / "phase.json", {
+        "model": {"model": "lattice", "steps": steps, "extent": 6, "start": 0, "end": 0,
+                  "hop": 2},
+        "distance": {"name": distance}, "arm_phase": arm_phase,
+    })
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["--config", cfg, "--output", str(out), "run"]) == 65
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("SpecViolation:") and "arm_phase must be finite" in err
+
+
+def test_nan_curvature_threshold_exits_65_before_enumeration(tmp_path, capsys, monkeypatch):
+    # NaN compares false with every curvature and would cut every path;
+    # +inf cuts none and a negative threshold still cuts every path
+    argv = ["lattice", "--steps", "4", "--extent", "3", "--hop", "2",
+            "--weight", "curvature_cutoff", "--threshold"]
+    cfg = write(tmp_path / "nan.json", {**LATTICE_SMOKE_CONFIG,
+                                        "weight": {"name": "curvature_cutoff",
+                                                   "threshold": float("nan")}})
+    out = tmp_path / "out.csv"
+    with monkeypatch.context() as patched:
+        _refuse_enumeration(patched)
+        assert run_cli([*argv, "nan", "--output", str(out)]) == 65
+        assert run_cli(["--config", cfg, "--output", str(out), "run"]) == 65
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("SpecViolation: the curvature_cutoff threshold must not be NaN") == 2
+    assert run_cli([*argv, "inf", "--output", str(out)]) == 0
+    assert run_cli([*argv, "-1", "--output", str(out)]) == 70
+
+
+@pytest.mark.parametrize("events", [
+    "[[0, 0], [NaN, 1], [0, 2]]",
+    "[[0, 0], [Infinity, 1], [0, 2]]",
+    "[[0, 0], [0, NaN], [0, 2]]",
+])
+def test_classify_refuses_a_non_finite_event(tmp_path, capsys, events):
+    # json.loads reads NaN and Infinity, which no causal class describes
+    path = tmp_path / "path.json"
+    path.write_text('{"events": %s}' % events)
+    assert run_cli(["classify", str(path)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be finite" in captured.err
+
+
 def test_lattice_sweep_enumerates_once_and_passes_messages_once(tmp_path, monkeypatch):
     # the 8 cells of a max_sep scale sweep share one enumeration and one
     # forward and backward pass of count and amplitude messages: 1 and 4

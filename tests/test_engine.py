@@ -11,7 +11,6 @@ from realpathsim.distances import DistanceSpec
 from realpathsim.engine import (
     _BAND_TILE,
     PathDistribution,
-    _prefix,
     _windows,
     banded_smeared,
     dense_smeared,
@@ -21,6 +20,7 @@ from realpathsim.engine import (
     index_tiles,
     kernel_windows,
     path_probabilities,
+    prefix_sum,
     smeared_components,
     unnormalized_probabilities,
     weighted_probabilities,
@@ -158,7 +158,7 @@ def test_banded_matches_sliding_window_at_scale():
 def _step_smeared(amps, D, half):
     """The K=1 banded sums at rim weight ``half``: 1/2, or the literal rim's 2."""
     spec = DistanceSpec("step", D=D, literal_log_half=half == 2.0)
-    return index_smeared(_prefix(amps, D), kernel_windows(spec, amps.size))
+    return index_smeared(prefix_sum(amps, D), kernel_windows(spec, amps.size))
 
 
 @pytest.mark.parametrize("half", [0.5, 2.0])
@@ -210,7 +210,7 @@ def test_tiled_composite_has_the_untiled_bits():
         want = untiled_banded_smeared(comps, D)
         assert _same_bits(got, want), D
         windows = kernel_windows(DistanceSpec("step", D=D), comps[0].size)
-        assert _same_bits(_collected_tiles(_prefix(comps[0], D), windows, rest=comps[1:]), want), D
+        assert _same_bits(_collected_tiles(prefix_sum(comps[0], D), windows, rest=comps[1:]), want), D
 
 
 def _clipped_counts(n, r, lo, hi):
@@ -224,7 +224,7 @@ def _clipped_counts(n, r, lo, hi):
 def test_window_counts_are_scalar_only_when_unclipped(n, r):
     # rows at, and one past, the edges lo = r and hi = n - r where the
     # windows stop being clipped; r >= n clips every row
-    prefix = _prefix(np.ones(n), r)
+    prefix = prefix_sum(np.ones(n), r)
     k = min(r, n)
     edges = {0, k - 1, k, k + 1, n - k - 1, n - k, n - k + 1, n}
     for lo in sorted(e for e in edges if 0 <= e <= n):
@@ -247,7 +247,7 @@ def test_index_tiles_concatenate_to_index_smeared(lo, hi):
     amps = _random_unit(np.random.default_rng(lo), n)
     for D, name in ((50, "step"), (7, "exp_index")):
         windows = kernel_windows(DistanceSpec(name, D=D), n)
-        prefix = _prefix(amps, windows.radii[-1])
+        prefix = prefix_sum(amps, windows.radii[-1])
         got = _collected_tiles(prefix, windows, lo, hi)
         assert _same_bits(got, index_smeared(prefix, windows, lo, hi)), (D, name)
         if name == "step":

@@ -12,17 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from realpathsim import cli
-from realpathsim.cli import (
-    _block_range_indices,
-    _flipped_prefix,
-    _toy_experiment,
-    main,
-)
+from realpathsim import cli, toymodels
+from realpathsim.cli import main
 from realpathsim.distances import DistanceSpec
-from realpathsim.engine import _prefix, index_smeared, kernel_windows, normalize
+from realpathsim.engine import index_smeared, kernel_windows, normalize, patched_prefix, prefix_sum
 from realpathsim.errors import AllZeroProbability
-from realpathsim.toymodels import M1Spec, M2Spec, M3Spec, build_model
+from realpathsim.toymodels import M1Spec, M2Spec, M3Spec, beam_sweep, build_model
 
 from oracles import flip_last_theta, two_pass_toy_experiment
 
@@ -53,12 +48,18 @@ def _last_end(spec):
 
 def _shared_prefix(spec, pad):
     """The spec's amplitudes prefix-summed and padded by ``pad``, as a sweep group prepares them."""
-    return _prefix(build_model(spec).amplitudes, pad)
+    return prefix_sum(build_model(spec).amplitudes, pad)
 
 
-def _own_prefix(spec, dspec):
-    """The prefix a cell alone prepares, padded by its own widest kernel radius."""
-    return _shared_prefix(spec, kernel_windows(dspec, spec.N).radii[-1])
+def _own_cell(spec, dspec):
+    """The cell of a sweep group of one distance, which prepares its own prefix."""
+    return beam_sweep(spec, [dspec])(dspec)
+
+
+def _block_rows(spec, D):
+    """0-based rows lo..hi-1 of the beam block widened by D."""
+    first, last = spec.as_m3().block_range
+    return max(1, first - D) - 1, min(spec.N, last + D)
 
 
 def _widths(spec):
@@ -74,12 +75,14 @@ def test_cell_matches_two_pass_oracle(spec):
     # padded for the widest window, as a sweep over D does.  The cell
     # keeps no full-length sums: on the large specs those of the shared
     # prefix's banded pass are checked against the oracle's instead
+    dspecs = [DistanceSpec("step", D=D, literal_log_half=literal)
+              for D in _widths(spec) for literal in (False, True)]
     shared = _shared_prefix(spec, max(_widths(spec))) if spec in LARGE else None
+    group = beam_sweep(spec, dspecs) if spec in LARGE else None
     for D in _widths(spec):
         for literal in (False, True):
             dspec = DistanceSpec("step", D=D, literal_log_half=literal)
-            prefix = _own_prefix(spec, dspec) if shared is None else shared
-            vis, mass, probs, C = _toy_experiment(spec, dspec, prefix)
+            vis, mass, probs, C = _own_cell(spec, dspec) if group is None else group(dspec)
             ref_vis, ref_mass, ref = two_pass_toy_experiment(spec, dspec)
             case = (D, literal)
             assert vis == ref_vis, case
@@ -98,7 +101,7 @@ def test_cell_matches_two_pass_oracle_exp_index():
     spec = SMALL[1]
     for D in (1, 5, 600):
         dspec = DistanceSpec("exp_index", D=D)
-        vis, mass, probs, C = _toy_experiment(spec, dspec, _own_prefix(spec, dspec))
+        vis, mass, probs, C = _own_cell(spec, dspec)
         ref_vis, ref_mass, ref = two_pass_toy_experiment(spec, dspec)
         assert (vis, mass, C) == (ref_vis, ref_mass, ref.norm_constant)
         assert probs.tobytes() == ref.probs.tobytes()
@@ -106,23 +109,26 @@ def test_cell_matches_two_pass_oracle_exp_index():
 
 def test_cell_refuses_an_all_zero_distribution(monkeypatch):
     # every weight 0: the cell raises as distribution_from_sums does
-    monkeypatch.setattr(cli, "normalize", lambda unnorm: normalize(unnorm * 0.0))
+    monkeypatch.setattr(toymodels, "normalize", lambda unnorm: normalize(unnorm * 0.0))
     with pytest.raises(AllZeroProbability):
-        dspec = DistanceSpec("step", D=3)
-        _toy_experiment(SMALL[0], dspec, _own_prefix(SMALL[0], dspec))
+        _own_cell(SMALL[0], DistanceSpec("step", D=3))
 
 
 @pytest.mark.parametrize("spec", SMALL + LARGE[1:2], ids=lambda s: f"{type(s).__name__}-{s.N}")
 def test_flipped_prefix_is_a_flipped_build(spec):
+    # the amplitudes from the last region on, of a flipped build, patched
+    # into the entries the block rows' windows read
     prefix = _shared_prefix(spec, max(_widths(spec)))
-    full = _prefix(build_model(flip_last_theta(spec)).amplitudes, spec.N)
+    flipped = build_model(flip_last_theta(spec)).amplitudes
+    full = prefix_sum(flipped, spec.N)
+    start = spec.as_m3().regions[-1][0] - 1
     for D in _widths(spec):
-        lo, hi = _block_range_indices(spec, D)
-        got = _flipped_prefix(spec, prefix, D, lo - 1, hi)
+        lo, hi = _block_rows(spec, D)
+        got = patched_prefix(prefix, start, flipped[start:], lo, hi, D)
         r = min(D, spec.N)
-        # the entries the block rows' windows read, P(lo-1-r) .. P(hi+r)
-        want = full.sums[full.origin + lo - 1 - r : full.origin + hi + r + 1]
-        assert got.origin == r - (lo - 1), D
+        # the entries the block rows' windows read, P(lo-r) .. P(hi+r)
+        want = full.sums[full.origin + lo - r : full.origin + hi + r + 1]
+        assert got.origin == r - lo, D
         assert got.sums.tobytes() == want.tobytes(), D
 
 
@@ -133,7 +139,7 @@ def _count_builds(monkeypatch):
         calls.append(spec)
         return build_model(spec)
 
-    monkeypatch.setattr(cli, "build_model", counted)
+    monkeypatch.setattr(toymodels, "build_model", counted)
     return calls
 
 
@@ -231,6 +237,7 @@ def test_exp_index_past_the_banded_bound_exits_65(tmp_path, capsys, monkeypatch,
         raise AssertionError("built a model past the bound")
 
     monkeypatch.setattr(cli, "build_model", no_build)
+    monkeypatch.setattr(toymodels, "build_model", no_build)
     cfg = tmp_path / "exp.json"
     cfg.write_text(_LARGE_EXP_INDEX % (10**7, 10**7))
     out = tmp_path / "out.csv"
@@ -248,6 +255,7 @@ def test_step_past_the_banded_bound_exits_65(tmp_path, capsys, monkeypatch, comm
         raise AssertionError("built a model past the bound")
 
     monkeypatch.setattr(cli, "build_model", no_build)
+    monkeypatch.setattr(toymodels, "build_model", no_build)
     cfg = tmp_path / "step.json"
     cfg.write_text('{"model": {"model": "M1", "N": 1000000000000000, "M": 9, "K": 3},'
                    ' "distance": {"name": "step", "D": 3}, "sweep": {"name": "D", "values": [3]}}')
