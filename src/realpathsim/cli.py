@@ -285,12 +285,13 @@ def _spec(cls, data: dict, what: str | None, extra=(), **given):
     return cls(**{k: _cast(types[k], k, v) for k, v in values.items()})
 
 
-def _screen_spec(data: dict, what: str = "screen model object", extra=()) -> ScreenSpec:
+def _screen_spec(data: dict, extra) -> ScreenSpec:
     """The spec of a screen model object, whose "screen_after" object sets three fields."""
     after = data["screen_after"]
     _check_keys(after, _SCREEN_AFTER, "screen_after object")
     rest = {k: v for k, v in data.items() if k != "screen_after"}
-    return _spec(ScreenSpec, rest, what, extra, **{f: after[k] for k, f in _SCREEN_AFTER.items()})
+    return _spec(ScreenSpec, rest, "screen model object", extra,
+                 **{f: after[k] for k, f in _SCREEN_AFTER.items()})
 
 
 def _model_spec(model: dict):
@@ -317,7 +318,7 @@ def _format(config: dict, args, command: str) -> str:
     return fmt
 
 
-def _distance_spec(config: dict, literal_log_half: bool = False) -> DistanceSpec:
+def _distance_spec(config: dict, literal_log_half: bool) -> DistanceSpec:
     """The config's distance, carrying the run's --literal-log-half setting."""
     dist = config.get("distance")
     # toy-model shorthand: a "D" inside the model object means the step
@@ -425,7 +426,10 @@ def _sweep_cells(config: dict, args, name: str, values: list) -> list:
 
     The config is read once, as the base point; each cell replaces the
     swept field: D of the distance, the distance_scale of a lattice, or a
-    scalar field of the model spec.
+    scalar field of the model spec.  Every cell is admitted before any
+    is built or enumerated: a toy cell by its kernel windows, a lattice
+    cell by its scale, its mass and its route's bound, admitted once per
+    distinct (spec, distance) over the scales of its cells.
     """
     spec = _model_spec(config.get("model"))
     if isinstance(spec, ScreenSpec):
@@ -437,6 +441,7 @@ def _sweep_cells(config: dict, args, name: str, values: list) -> list:
     lattice = _lattice_only(config, spec, name)
     _check_keys(config, _READS["sweep"][1], "sweep config")
     cells = []
+    lattice_scales: dict = {}
     for v in values:
         cell = [spec, dspec, lattice["distance_scale"]]
         if name == "D":
@@ -445,9 +450,13 @@ def _sweep_cells(config: dict, args, name: str, values: list) -> list:
             cell[2] = real(v, "a distance_scale sweep value")
         else:
             cell[0] = dataclasses.replace(spec, **{name: _cast(scalars[name], name, v)})
-        if not isinstance(spec, LatticeSpec):
+        if isinstance(spec, LatticeSpec):
+            lattice_scales.setdefault((cell[0], cell[1]), []).append(cell[2])
+        else:
             kernel_windows(cell[1], cell[0].N)  # refused before any build
         cells.append(cell)
+    for key, scales in lattice_scales.items():
+        lattice_mod.admit_scales(*key, scales)  # before any enumeration
     return cells
 
 

@@ -36,8 +36,9 @@ The smearing sum has two routes:
 
 The engine takes resolved inputs only: the step rim convention rides on
 the DistanceSpec, and a weight is a per-path vector or None, resolved by
-the model module that defines it.  Distances given as Python callables
-are not accepted: build the matrix.
+the model module that defines it; it enters only through
+distribution_from_sums and weighted_probabilities.  Distances given as
+Python callables are not accepted: build the matrix.
 """
 
 from __future__ import annotations
@@ -70,13 +71,6 @@ _BAND_TILE = 1 << 15
 # of a 2-core host); the n x n matrix admitted at most 16 384 x 16 385
 BANDED_BOUND = 5 * 10**9
 
-# largest working set of a lattice run on the transfer route, held to it
-# as a whole: messages, per-path arrays and output text
-# (lattice.transfer_bytes).  A sweep runs one such run per pool thread: a
-# lattice group's cells share one plan, and hold what a run does beyond
-# it once per thread (see lattice._MESSAGE_BYTES).
-MAX_TILE_BYTES = 1 << 30
-
 @dataclass(frozen=True)
 class PathDistribution:
     """Normalized per-path probabilities plus the diagnostics behind them.
@@ -104,17 +98,6 @@ def check_probabilities(probs: np.ndarray):
     total = float(np.sum(probs))
     if not abs(total - 1.0) <= _SUM_ATOL:  # a NaN sum fails too
         raise ValueError(f"probabilities sum to {total}, not 1")
-
-
-def _resolve_weights(weights, n: int) -> np.ndarray | None:
-    if weights is None:
-        return None
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (n,):
-        raise ValueError(f"weights must have shape ({n},), got {w.shape}")
-    if np.any(w < 0):
-        raise ValueError("weights must be non-negative")
-    return w
 
 
 def smeared_components(ensemble: PathEnsemble, distance) -> tuple[np.ndarray, np.ndarray]:
@@ -145,19 +128,6 @@ def _tile_edges(n: int, rows: int) -> list[int]:
     if len(edges) > 2 and edges[-1] - edges[-2] == 1:
         del edges[-2]
     return edges
-
-
-def dense_tile_bytes(n: int) -> int:
-    """Peak bytes one dense_smeared pass over n paths holds beyond its inputs.
-
-    The complex exp(-d) tiles, 16 bytes per entry, plus the distance
-    temporaries of one tile and the O(n) outputs, bounded by 32 bytes per
-    tile entry.  tracemalloc puts the temporaries at 19 to 27 bytes per
-    entry over the seven Galilean variants on 1 751 and 8 135 lattice
-    paths.
-    """
-    rows = max(np.diff(_tile_edges(n, _TILE_ROWS)), default=0)
-    return int(rows) * n * (16 + 32)
 
 
 def dense_smeared(
@@ -438,23 +408,20 @@ def distribution_from_sums(
 
 
 def unnormalized_probabilities(
-    ensemble: PathEnsemble, distance, weights=None
+    ensemble: PathEnsemble, distance
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(unnormalized probs, smeared, denom) without the constant C."""
     smeared, denom = smeared_components(ensemble, distance)
-    w = _resolve_weights(weights, ensemble.n_paths)
-    return weighted_probabilities(smeared, denom, w), smeared, denom
+    return weighted_probabilities(smeared, denom), smeared, denom
 
 
-def path_probabilities(ensemble: PathEnsemble, distance, weights=None) -> PathDistribution:
+def path_probabilities(ensemble: PathEnsemble, distance) -> PathDistribution:
     """Conditioned per-path distribution for one ensemble (endpoints fixed)."""
-    smeared, denom = smeared_components(ensemble, distance)
-    w = _resolve_weights(weights, ensemble.n_paths)
-    return distribution_from_sums(smeared, denom, w)
+    return distribution_from_sums(*smeared_components(ensemble, distance))
 
 
 def final_state_probabilities(
-    ensembles: Sequence[PathEnsemble], distance, weights=None
+    ensembles: Sequence[PathEnsemble], distance
 ) -> tuple[dict[str, float], PathDistribution]:
     """Unconditioned endpoint probabilities Prob(B_j | A).
 
@@ -468,7 +435,7 @@ def final_state_probabilities(
     if not ensembles:
         raise EmptyEnsemble("no endpoint groups")
     union = PathEnsemble(np.concatenate([e.amplitudes for e in ensembles]))
-    dist = path_probabilities(union, distance, weights)
+    dist = path_probabilities(union, distance)
     by_endpoint: dict[str, float] = {}
     offset = 0
     for e in ensembles:

@@ -50,7 +50,6 @@ import numpy as np
 
 from .distances import MASS_VARIANTS, DistanceSpec, GridPathSource, unit_trapezoid
 from .engine import (
-    MAX_TILE_BYTES,
     PathDistribution,
     dense_smeared,
     distribution_from_sums,
@@ -75,6 +74,13 @@ TRANSFER_BOUND = 10**8
 # l2; the factoring distances go past it on the transfer route, bounded
 # by transfer_bytes.
 DENSE_PATH_BOUND = 116_508
+
+# largest working set of a lattice run on the transfer route, held to it
+# as a whole: messages, per-path arrays and output text (transfer_bytes).
+# A sweep runs one such run per pool thread: a lattice group's cells
+# share one plan, and hold what a run does beyond it once per thread (see
+# _MESSAGE_BYTES).
+MAX_TILE_BYTES = 1 << 30
 
 # multiply-adds of the transfer route (transfer_work) worth one pair of
 # the dense pass, its exponential and its distance reduction; a
@@ -198,15 +204,13 @@ def path_actions(sites: np.ndarray, mass: float) -> np.ndarray:
 
 
 def lattice_ensemble(
-    spec: LatticeSpec, sites: np.ndarray | None = None, extra_phase: np.ndarray | None = None
-) -> tuple[PathEnsemble, np.ndarray]:
-    """(ensemble, sites) with amplitudes exp(-i S) (optionally shifted)."""
-    if sites is None:
-        sites = enumerate_paths(spec)
+    spec: LatticeSpec, sites: np.ndarray, extra_phase: np.ndarray | None = None
+) -> PathEnsemble:
+    """The ensemble of the enumerated ``sites``, amplitudes exp(-i S) (optionally shifted)."""
     phases = path_actions(sites, spec.mass)
     if extra_phase is not None:
         phases = phases + extra_phase
-    return PathEnsemble(np.exp(-1j * phases)), sites
+    return PathEnsemble(np.exp(-1j * phases))
 
 
 def _partial_counts(spec: LatticeSpec, steps: int) -> np.ndarray:
@@ -297,7 +301,7 @@ def admit(spec: LatticeSpec, distance: DistanceSpec) -> tuple[int, bool]:
     """(path count, whether transfer_plan takes the spec), checked against its route's bound.
 
     A factoring distance takes transfer_plan when transfer_bytes is
-    within engine.MAX_TILE_BYTES and either the dense pass is out of
+    within MAX_TILE_BYTES and either the dense pass is out of
     reach (past DENSE_PATH_BOUND paths) or the transfer route costs less
     (transfer_work within _PAIR_WORK n^2); otherwise it takes the dense
     pass, as ``l2`` always does, refused past DENSE_PATH_BOUND paths.
@@ -623,27 +627,36 @@ def transfer_plan(spec: LatticeSpec, sites: np.ndarray, distance: DistanceSpec, 
     return smeared
 
 
-def _passes(spec, distance, scales):
-    """(sites, smeared(distance_scale, phases)) for every scale of ``scales``.
+def admit_scales(spec: LatticeSpec, distance: DistanceSpec, scales) -> bool:
+    """Whether transfer_plan takes the spec (admit), every scale of ``scales`` checked first.
 
-    Every scale is checked, and the route chosen (admit), before the one
-    enumeration.  smeared returns the smeared sums at each phase and the
-    shared denominators: transfer_plan's, or the dense pass's, which
-    multiplies each tile of exp(-d), streamed from a GridPathSource, by
-    every phase setting's amplitudes.  Each scale's pass runs when
-    smeared is called, which reads the shared sites and plan only, so
-    calls may run on several threads at once.
+    Raises what _check_scale and admit raise, before anything is
+    enumerated, so a sweep can refuse any of its cells before it runs one.
     """
     for scale in scales:
         _check_scale(spec, distance, scale)
-    _, transfer = admit(spec, distance)
+    return admit(spec, distance)[1]
+
+
+def _passes(spec, distance, scales):
+    """(sites, smeared(distance_scale, phases)) for every scale of ``scales``.
+
+    Every scale is checked, and the route chosen (admit_scales), before
+    the one enumeration.  smeared returns the smeared sums at each phase
+    and the shared denominators: transfer_plan's, or the dense pass's,
+    which multiplies each tile of exp(-d), streamed from a GridPathSource,
+    by every phase setting's amplitudes.  Each scale's pass runs when
+    smeared is called, which reads the shared sites and plan only, so
+    calls may run on several threads at once.
+    """
+    transfer = admit_scales(spec, distance, scales)
     sites = enumerate_paths(spec)
     if transfer:
         return sites, transfer_plan(spec, sites, distance, scales)
     mask = upper_arm_mask(sites).astype(float)
 
     def dense(distance_scale, phases):
-        amps = [lattice_ensemble(spec, sites, phase * mask if phase else None)[0].amplitudes
+        amps = [lattice_ensemble(spec, sites, phase * mask if phase else None).amplitudes
                 for phase in phases]
         return dense_smeared(amps, GridPathSource(sites, distance, spec.mass, distance_scale))
 

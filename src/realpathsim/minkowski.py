@@ -231,14 +231,14 @@ class _PairQuadratic:
             return (s, t)
         return None
 
-    def extremum_on_box(self, maximize: bool) -> float:
+    def max_on_box(self) -> float:
         box = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
         cands = list(box) + self._edge_candidates(box)
         inner = self._interior_candidate()
         if inner is not None:
             cands.append(inner)
         vals = [self.value(s, t) for s, t in cands]
-        return max(vals) if maximize else min(vals)
+        return max(vals)
 
     def min_on_past_region(self) -> tuple[float, float]:
         """(min interval, dt at that minimizer) over the dt <= 0 region.
@@ -349,7 +349,7 @@ def d1(P: MinkowskiPath, Q: MinkowskiPath) -> float:
         if classify(path) is CausalClass.ANTI_CAUSAL:
             raise AntiCausalArgument("d1 is not defined for anti-causal paths")
     _warn_outside_slab(P, Q)
-    best = max(q.extremum_on_box(maximize=True) for q in _pair_quadratics(P, Q))
+    best = max(q.max_on_box() for q in _pair_quadratics(P, Q))
     scale = 1.0 + max(
         float(np.max(np.sum(P.events**2, axis=1))),
         float(np.max(np.sum(Q.events**2, axis=1))),

@@ -27,7 +27,7 @@ tests check it against the dense engine on the materialized ensemble.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,17 +104,10 @@ def _components(spec: ScreenSpec, j: int) -> list[np.ndarray]:
 
 @dataclass
 class ScreenResult:
-    """Per-endpoint unnormalized masses, probabilities and quantum values."""
+    """Per-endpoint unnormalized masses and quantum values."""
 
     totals: dict
     quantum: dict
-    probabilities: dict = field(init=False)
-
-    def __post_init__(self):
-        z = sum(self.totals.values())
-        self.probabilities = {
-            j: (t / z if z > 0 else 0.0) for j, t in self.totals.items()
-        }
 
     def ratio_rows(self) -> list[dict]:
         """All ordered endpoint pairs with direct and quantum ratios.

@@ -24,6 +24,7 @@ direct evaluation is ground truth there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,6 @@ from .engine import (
 )
 from .errors import PreconditionViolation, SpecViolation, integer, real
 from .paths import PathEnsemble
-
-_SCALE_FACTOR = 10  # strict reading of "much less than": 10*x <= y
 
 
 def _require(cond: bool, message: str):
@@ -106,8 +105,10 @@ class M3Spec:
         _require(M0 % 2 == 1, f"the first region's start M={M0} must be odd")
         _require(1 < M0, f"the first region's start M={M0} must exceed 1")
         prev_end = None
-        for k, (M, K, _TH) in enumerate(regions):
+        for k, (M, K, th) in enumerate(regions):
             _require(K >= 1, f"region {k} needs K >= 1, got K={K}")
+            # exp(-i theta) of a non-finite phase is NaN
+            _require(math.isfinite(th), f"region {k}'s phase must be finite, not {th!r}")
             if prev_end is not None:
                 _require(M > prev_end, f"region {k} at M={M} overlaps region {k-1}")
                 # M_k - M_{k-1} - K_{k-1} odd, i.e. an even-length
@@ -175,59 +176,54 @@ class ClosedFormValue:
 
     status: str
     value: float | None = None
-    zone: str | None = None
 
 
 _UNCOVERED = ClosedFormValue("uncovered")
 
 
-def m1_closed_form(i: int, spec: M1Spec, D: int, strict: bool = False) -> ClosedFormValue:
+def m1_closed_form(i: int, spec: M1Spec, D: int) -> ClosedFormValue:
     """Piecewise regime prediction for M1 with the step distance.
 
     Exact (not asymptotic) wherever a strict range applies, which needs
-    M > 2D+1 and N-M-K > 2D+1.  ``strict=True`` additionally insists on
-    D being small against N (10D <= N), the physically interesting
-    regime; the formulas do not need it.
+    M > 2D+1 and N-M-K > 2D+1.
     """
     N, M, K = spec.N, spec.M, spec.K
     if not (M > 2 * D + 1):
         raise PreconditionViolation(f"need M > 2D+1, got M={M}, D={D}")
     if not (N - M - K > 2 * D + 1):
         raise PreconditionViolation(f"need N-M-K > 2D+1, got {N - M - K}, D={D}")
-    if strict and not (_SCALE_FACTOR * D <= N):
-        raise PreconditionViolation(f"strict mode: need 10D <= N, got D={D}, N={N}")
     if not (1 <= i <= N):
         raise PreconditionViolation(f"index {i} outside 1..{N}")
 
     inv2D = 1.0 / (2.0 * D)
     # boundary artefacts from the clipped window at either end
     if 1 <= i <= D:
-        return ClosedFormValue("boundary", 0.25 / (i + D - 0.5), "boundary_left")
+        return ClosedFormValue("boundary", 0.25 / (i + D - 0.5))
     if N + 1 - D <= i <= N:
-        return ClosedFormValue("boundary", 0.25 / ((N + 1 - i) + D - 0.5), "boundary_right")
+        return ClosedFormValue("boundary", 0.25 / ((N + 1 - i) + D - 0.5))
 
     if 2 * D > K:
         if D + 1 < i < M - D or M + K + D < i < N - (D + 1):
-            return ClosedFormValue("covered", 0.0, "zero")
+            return ClosedFormValue("covered", 0.0)
         if M + K - D < i < M + D:
-            return ClosedFormValue("covered", inv2D * K**2, "plateau")
+            return ClosedFormValue("covered", inv2D * K**2)
         if M < i + D < M + K:
-            return ClosedFormValue("covered", inv2D * (i + D - M) ** 2, "ramp_up")
+            return ClosedFormValue("covered", inv2D * (i + D - M) ** 2)
         if M < i - D < M + K:
-            return ClosedFormValue("covered", inv2D * (M + K - i + D) ** 2, "ramp_down")
+            return ClosedFormValue("covered", inv2D * (M + K - i + D) ** 2)
     else:
         if D + 1 <= i < M - D or M + K + D < i <= N - (D + 1):
-            return ClosedFormValue("covered", 0.0, "zero")
+            return ClosedFormValue("covered", 0.0)
         if M + D < i < M + K - D:
-            return ClosedFormValue("covered", 2.0 * D, "plateau")
+            return ClosedFormValue("covered", 2.0 * D)
         if i - D < M < i + D:
-            return ClosedFormValue("covered", inv2D * (i + D - M) ** 2, "ramp_up")
+            return ClosedFormValue("covered", inv2D * (i + D - M) ** 2)
         if i - D < M + K < i + D:
-            return ClosedFormValue("covered", inv2D * (M + K - i + D) ** 2, "ramp_down")
+            return ClosedFormValue("covered", inv2D * (M + K - i + D) ** 2)
     return _UNCOVERED
 
 
-def m2_case_premises(spec: M2Spec, D: int, case: str, strict: bool = False):
+def m2_case_premises(spec: M2Spec, D: int, case: str):
     """Raise PreconditionViolation unless the stated M2 case applies."""
     N, M0, K0, M1, K1 = spec.N, spec.M0, spec.K0, spec.M1, spec.K1
     if case not in ("i", "ii"):
@@ -241,25 +237,14 @@ def m2_case_premises(spec: M2Spec, D: int, case: str, strict: bool = False):
             raise PreconditionViolation(
                 "case (i) needs the window to span both beams: 2D > M1+K1-M0"
             )
-        if strict and not (
-            _SCALE_FACTOR * max(K0, K1) <= D
-            and _SCALE_FACTOR * (M1 + K1 - M0) <= D
-        ):
-            raise PreconditionViolation(
-                "strict mode: case (i) needs D >> K0, K1 and D >> M1+K1-M0"
-            )
     else:
         if not (2 * D + 1 < M1 - M0 - K0):
             raise PreconditionViolation(
                 "case (ii) needs d-distant beams: 2D+1 < M1-M0-K0"
             )
-        if strict and not (_SCALE_FACTOR * max(K0, K1) <= D):
-            raise PreconditionViolation("strict mode: case (ii) needs D >> K0, K1")
 
 
-def m2_closed_form(
-    i: int, spec: M2Spec, D: int, case: str, strict: bool = False
-) -> ClosedFormValue:
+def m2_closed_form(i: int, spec: M2Spec, D: int, case: str) -> ClosedFormValue:
     """Two-beam regime prediction (unnormalized, tolerance ~1 in amplitude).
 
     Case (i), beams d-close: one interference plateau
@@ -267,7 +252,7 @@ def m2_closed_form(
     both beams.  Case (ii), beams d-distant: an interference-free plateau
     (K_b+1)^2 / 2D around each beam b.
     """
-    m2_case_premises(spec, D, case, strict)
+    m2_case_premises(spec, D, case)
     N, M0, K0, M1, K1 = spec.N, spec.M0, spec.K0, spec.M1, spec.K1
     if not (1 <= i <= N):
         raise PreconditionViolation(f"index {i} outside 1..{N}")
@@ -279,12 +264,12 @@ def m2_closed_form(
             both = (K0 + 1) * np.exp(-1j * spec.theta0) + (K1 + 1) * np.exp(
                 -1j * spec.theta1
             )
-            return ClosedFormValue("covered", inv2D * abs(both) ** 2, "interference")
+            return ClosedFormValue("covered", inv2D * abs(both) ** 2)
         return _UNCOVERED
     if i - D < M0 and i + D > M0 + K0:
-        return ClosedFormValue("covered", inv2D * (K0 + 1) ** 2, "beam0")
+        return ClosedFormValue("covered", inv2D * (K0 + 1) ** 2)
     if i - D < M1 and i + D > M1 + K1:
-        return ClosedFormValue("covered", inv2D * (K1 + 1) ** 2, "beam1")
+        return ClosedFormValue("covered", inv2D * (K1 + 1) ** 2)
     return _UNCOVERED
 
 

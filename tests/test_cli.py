@@ -621,22 +621,28 @@ def test_lattice_over_tile_budget_exits_65_before_enumeration(capsys, monkeypatc
 
 
 def test_lattice_streamed_spec_passes_admission():
-    # 38,131 paths: a 10.8 GiB distance matrix, but only about 0.3 GiB
-    # per dense block, so the streamed route admits it
-    from realpathsim.engine import MAX_TILE_BYTES, dense_tile_bytes
-    from realpathsim.lattice import LatticeSpec, admit
+    # 38,131 paths: a 10.8 GiB distance matrix, but only about 0.1 GiB
+    # per dense tile (complex exp(-d) and the distance temporaries, at
+    # most 48 bytes an entry), so the streamed route admits it
+    from realpathsim.engine import _TILE_ROWS
+    from realpathsim.lattice import MAX_TILE_BYTES, LatticeSpec, admit
 
     n, transfer = admit(LatticeSpec(steps=8, extent=6, start=0, end=0, hop=2), DistanceSpec("l2"))
     assert (n, transfer) == (38131, False)
-    assert n * n * 8 > 10 * 2**30 and dense_tile_bytes(n) < MAX_TILE_BYTES
+    assert n * n * 8 > 10 * 2**30 and _TILE_ROWS * n * 48 < MAX_TILE_BYTES
 
 
 def test_factoring_distances_admit_t9_and_t10():
     # 179,755 and 850,739 paths: past the dense bound, but the transfer
     # route holds O(1) arrays per path and small messages
-    from realpathsim.engine import MAX_TILE_BYTES
     from realpathsim.errors import ModelTooLarge
-    from realpathsim.lattice import DENSE_PATH_BOUND, LatticeSpec, admit, transfer_bytes
+    from realpathsim.lattice import (
+        DENSE_PATH_BOUND,
+        MAX_TILE_BYTES,
+        LatticeSpec,
+        admit,
+        transfer_bytes,
+    )
 
     for steps, n in ((9, 179_755), (10, 850_739)):
         spec = LatticeSpec(steps=steps, extent=6, start=0, end=0, hop=2)
@@ -651,13 +657,12 @@ def test_transfer_over_budget_exits_65_before_enumeration(capsys, monkeypatch):
     # and the transfer route's run, counted by transfer_bytes, comes to
     # just over MAX_TILE_BYTES; refused before enumeration
     from realpathsim import lattice
-    from realpathsim.engine import MAX_TILE_BYTES
 
     argv = ["--steps", "9", "--extent", "7", "--start", "1", "--end", "7", "--hop", "3"]
     spec = lattice.LatticeSpec(steps=9, extent=7, start=1, end=7, hop=3)
     need = lattice.transfer_bytes(spec, DistanceSpec("max_sep"))
     assert lattice.path_count(spec) == 891_831
-    assert MAX_TILE_BYTES < need < 1.02 * MAX_TILE_BYTES
+    assert lattice.MAX_TILE_BYTES < need < 1.02 * lattice.MAX_TILE_BYTES
 
     def refuse(spec):
         raise AssertionError("enumerated an over-budget spec")
@@ -682,7 +687,7 @@ def test_wide_lattice_takes_the_dense_pass(tmp_path):
     spec = LatticeSpec(steps=2, extent=200, start=0, end=0, hop=200)
     sites = enumerate_paths(spec)
     source = GridPathSource(sites, DistanceSpec("max_sep"), spec.mass)
-    want = path_probabilities(lattice_ensemble(spec, sites)[0], source)
+    want = path_probabilities(lattice_ensemble(spec, sites), source)
     rows = out.read_text().splitlines()[2:]
     assert [float(r.split(",")[1]) for r in rows] == want.probs.tolist()
 
@@ -783,6 +788,77 @@ def test_sweep_bad_scale_or_mass_exits_65(tmp_path, capsys, sweep):
     assert run_cli(["--config", cfg, "--output", str(out), "sweep"]) == 65
     assert not out.exists()
     assert "finite and >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("distance, sweep, error", [
+    ("l2", {"name": "steps", "values": [3, 9]}, "ModelTooLarge:"),  # T=9: past the dense bound
+    ("max_sep", {"name": "mass", "values": [1, float("nan")]}, "SpecViolation:"),
+    ("mass_max_sep", {"name": "mass", "values": [1, -4]}, "SpecViolation:"),
+])
+def test_lattice_sweep_refuses_a_bad_cell_before_any_enumeration(
+    tmp_path, capsys, monkeypatch, distance, sweep, error
+):
+    # every lattice cell is admitted before any group runs, as every toy
+    # cell is, so the good cells before the bad one enumerate nothing
+    from realpathsim import lattice
+
+    calls = []
+    enumerate_paths = lattice.enumerate_paths
+
+    def counted(spec):
+        calls.append(spec)
+        return enumerate_paths(spec)
+
+    monkeypatch.setattr(lattice, "enumerate_paths", counted)
+    monkeypatch.setenv("REALPATH_THREADS", "1")
+    cfg = write(tmp_path / "bad.json", {
+        "model": {"model": "lattice", "steps": 3, "extent": 6, "start": 0, "end": 0, "hop": 2},
+        "distance": {"name": distance},
+        "sweep": sweep,
+    })
+    out = tmp_path / "out.csv"
+    assert run_cli(["--config", cfg, "--output", str(out), "sweep"]) == 65
+    assert calls == [] and not out.exists()
+    assert capsys.readouterr().err.startswith(error)
+
+
+M3_INF_PHASE = {"model": {"model": "M3", "N": 24, "regions": [[9, 3, float("inf")]]},
+                "distance": {"name": "step", "D": 3}}
+
+
+@pytest.mark.parametrize("command, config", [
+    ("run", M3_INF_PHASE),
+    ("run", {**M2_CONFIG, "model": {**M2_CONFIG["model"], "theta1": float("nan")}}),
+    ("sweep", {**M2_CONFIG, "sweep": {"name": "theta1", "values": [0, float("inf")]}}),
+    ("ratios", {"model": {**SCREEN_CONFIG["model"], "endpoints": [
+        {"N": 11, "regions": [[5, 2, 0.0]]}, {"N": 11, "regions": [[5, 4, float("-inf")]]}]}}),
+])
+def test_non_finite_region_phase_exits_65_before_any_build(
+    tmp_path, capsys, monkeypatch, command, config
+):
+    # exp(-i theta) of a non-finite phase is NaN: the spec is refused, with
+    # no warning, before any amplitude is built
+    from realpathsim import screen, toymodels
+
+    calls = []
+    build_m3 = toymodels.build_m3
+
+    def counted(spec):
+        calls.append(spec)
+        return build_m3(spec)
+
+    for module in (toymodels, screen):
+        monkeypatch.setattr(module, "build_m3", counted)
+    monkeypatch.setenv("REALPATH_THREADS", "1")
+    cfg = write(tmp_path / "bad.json", config)
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_cli(["--config", cfg, "--output", str(out), command])
+    assert rc == 65
+    assert calls == [] and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("SpecViolation:") and "phase must be finite" in err
 
 
 def _refuse_enumeration(monkeypatch):
@@ -1081,7 +1157,7 @@ def test_known_config_keys_parse(config):
     # every config the tests and the benchmark run passes the key checks
     cli._model_spec(config["model"])
     if "distance" in config:
-        cli._distance_spec(config)
+        cli._distance_spec(config, False)
 
 
 def test_sweep_over_shorthand_d_matches_the_distance_object(tmp_path):

@@ -218,7 +218,7 @@ def test_index_distance_matrix_is_built_in_place():
 
 def test_distance_spec_json():
     with pytest.raises(ValueError):
-        _distance_spec({"distance": {"name": "mystery"}})
+        _distance_spec({"distance": {"name": "mystery"}}, False)
     with pytest.raises(ValueError):
         DistanceSpec("step")  # D required
 
@@ -233,7 +233,7 @@ def test_spec_refuses_fields_its_distance_never_reads():
     # a distance carries no mass of its own, the mass-weighted ones included
     for name in ("max_sep", "l2", "step", "exp_index", *MASS_VARIANTS):
         with pytest.raises(ValueError, match="takes no mass"):
-            _distance_spec({"distance": {"name": name, "D": 3, "mass": 7.0}})
+            _distance_spec({"distance": {"name": name, "D": 3, "mass": 7.0}}, False)
     assert DistanceSpec("step", D=5, literal_log_half=True).literal_log_half
 
 

@@ -101,14 +101,17 @@ def test_uniform_weight_is_bit_for_bit_plain():
     ens = make_indexed_ensemble(_random_unit(rng, n))
     dmat = _random_dmat(rng, n)
     plain = path_probabilities(ens, dmat)
-    weighted = path_probabilities(ens, dmat, weights=np.ones(n))
+    weighted = distribution_from_sums(*smeared_components(ens, dmat), np.ones(n))
     assert np.array_equal(plain.probs, weighted.probs)
 
 
 def test_all_zero_probability_raises():
-    ens = make_indexed_ensemble([1, -1])
+    # amplitudes that cancel everywhere, or weights that are all zero
     with pytest.raises(AllZeroProbability):
-        path_probabilities(ens, np.zeros((2, 2)), weights=np.zeros(2))
+        path_probabilities(make_indexed_ensemble([1, -1]), np.zeros((2, 2)))
+    sums = smeared_components(make_indexed_ensemble([1, 1]), np.zeros((2, 2)))
+    with pytest.raises(AllZeroProbability):
+        distribution_from_sums(*sums, np.zeros(2))
 
 
 def test_denominator_at_least_one_for_zero_diagonal():
@@ -461,7 +464,7 @@ def test_two_endpoints_global_zero_distance_is_size_weighted():
 def test_final_state_all_zero_raises():
     a = make_indexed_ensemble([1, -1], endpoint_tag="B1")
     with pytest.raises(AllZeroProbability):
-        final_state_probabilities([a], np.zeros((2, 2)), weights=np.zeros(2))
+        final_state_probabilities([a], np.zeros((2, 2)))
 
 
 def test_nan_sums_are_refused():

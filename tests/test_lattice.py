@@ -18,10 +18,9 @@ from realpathsim.distances import (
 )
 from realpathsim.engine import (
     dense_smeared,
-    dense_tile_bytes,
     distribution_from_sums,
     path_probabilities,
-    unnormalized_probabilities,
+    smeared_components,
     weighted_probabilities,
 )
 from realpathsim.errors import ModelTooLarge, NoPaths, SpecViolation, TooManyPaths
@@ -53,7 +52,7 @@ def test_single_step_single_path():
     assert sites.shape == (1, 2)
     assert list(sites[0]) == [0, 2]
     # amplitude exp(-i m (b-a)^2 / 2)
-    ens, _ = lattice_ensemble(spec, sites)
+    ens = lattice_ensemble(spec, sites)
     assert ens.amplitudes[0] == pytest.approx(np.exp(-1j * 1.0 * 4 / 2))
     assert transfer_amplitude(spec) == pytest.approx(ens.amplitudes[0])
 
@@ -78,7 +77,7 @@ def test_transfer_matches_enumeration():
         LatticeSpec(steps=5, extent=3, start=-1, end=2, hop=2, mass=0.7),
         LatticeSpec(steps=6, extent=2, start=0, end=0, hop=1, mass=2.3),
     ):
-        ens, _ = lattice_ensemble(spec)
+        ens = lattice_ensemble(spec, enumerate_paths(spec))
         total = complex(np.sum(ens.amplitudes))
         assert abs(total - transfer_amplitude(spec)) < 1e-10
 
@@ -194,7 +193,8 @@ def test_mass_weighted_visibility_non_increasing():
 
 def test_normalization_and_phase_invariance_on_lattice():
     spec = LatticeSpec(steps=5, extent=3, start=0, end=1, hop=1, mass=0.8)
-    ens, sites = lattice_ensemble(spec)
+    sites = enumerate_paths(spec)
+    ens = lattice_ensemble(spec, sites)
     from realpathsim.paths import PathEnsemble
 
     dmat = grid_distance_matrix(sites.astype(float), DistanceSpec("l2"))
@@ -240,7 +240,7 @@ def test_streamed_route_matches_matrix_route():
     sites = enumerate_paths(STREAM_SPEC)
     assert sites.shape[0] == 1751
     mask = upper_arm_mask(sites).astype(float)
-    amps = [lattice_ensemble(STREAM_SPEC, sites, phase * mask)[0].amplitudes
+    amps = [lattice_ensemble(STREAM_SPEC, sites, phase * mask).amplitudes
             for phase in (0.0, np.pi)]
     for name in GALILEAN_VARIANTS:
         dspec = DistanceSpec(name)
@@ -261,7 +261,7 @@ def test_tiled_route_has_the_block_route_bits(steps):
     spec = LatticeSpec(steps=steps, extent=6, start=0, end=0, hop=2)
     sites = enumerate_paths(spec)
     mask = upper_arm_mask(sites).astype(float)
-    amps = [lattice_ensemble(spec, sites, phase * mask)[0].amplitudes
+    amps = [lattice_ensemble(spec, sites, phase * mask).amplitudes
             for phase in (0.0, np.pi)]
     for scale in (0.3, 1.0):
         source = GridPathSource(sites, DistanceSpec("max_sep"), spec.mass, scale)
@@ -294,8 +294,8 @@ def test_one_pass_experiment_matches_separate_runs():
     dmat = 0.3 * grid_distance_matrix(sites, dspec)
     dense = []
     for phase in (0.0, np.pi):
-        ens, _ = lattice_ensemble(spec, sites, phase * upper_arm_mask(sites))
-        dense.append(float(np.sum(unnormalized_probabilities(ens, dmat, weights=w)[0])))
+        ens = lattice_ensemble(spec, sites, phase * upper_arm_mask(sites))
+        dense.append(float(np.sum(weighted_probabilities(*smeared_components(ens, dmat), w))))
     assert masses == pytest.approx(dense, rel=1e-12, abs=0)
     assert vis == pytest.approx(abs(dense[0] - dense[1]) / (dense[0] + dense[1]),
                                 rel=0, abs=1e-12)
@@ -344,7 +344,7 @@ def test_integer_tiles_hold_every_difference():
 def test_dense_pass_peak_within_tile_bytes():
     sites = enumerate_paths(STREAM_SPEC)
     n = sites.shape[0]
-    amps = [lattice_ensemble(STREAM_SPEC, sites)[0].amplitudes] * 2
+    amps = [lattice_ensemble(STREAM_SPEC, sites).amplitudes] * 2
     for name in GALILEAN_VARIANTS:
         source = GridPathSource(sites, DistanceSpec(name), STREAM_SPEC.mass, 0.3)
         tracemalloc.start()
@@ -354,8 +354,11 @@ def test_dense_pass_peak_within_tile_bytes():
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        # the complex tile is most of it; nothing of size n x n appears
-        bounds = engine._TILE_ROWS * n * 16 < peak <= dense_tile_bytes(n) < n * n * 8
+        # the complex tile is most of it, and the distance temporaries of
+        # one tile take at most 32 bytes an entry; nothing of size n x n
+        # appears
+        rows = max(np.diff(engine._tile_edges(n, engine._TILE_ROWS)))
+        bounds = engine._TILE_ROWS * n * 16 < peak <= rows * n * (16 + 32) < n * n * 8
         assert bounds, name
 
 
@@ -377,7 +380,7 @@ def _dense_oracle(spec, sites, dspec, scale, blocks=None):
     ``blocks``, each an exp(-d) block times every amplitude vector.
     """
     mask = upper_arm_mask(sites).astype(float)
-    amps = [lattice_ensemble(spec, sites, phase * mask)[0].amplitudes for phase in ORACLE_PHASES]
+    amps = [lattice_ensemble(spec, sites, phase * mask).amplitudes for phase in ORACLE_PHASES]
     source = GridPathSource(sites, dspec, spec.mass, scale)
     if blocks is None:
         return *dense_smeared(amps, source), slice(None)

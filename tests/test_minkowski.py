@@ -126,7 +126,7 @@ def test_causal_only_prescription_through_engine():
     """
     import warnings as _w
 
-    from realpathsim.engine import path_probabilities
+    from realpathsim.engine import distribution_from_sums, smeared_components
     from oracles import make_indexed_ensemble
 
     paths = [STRAIGHT, BULGE, _wiggle(), SPACELIKE, BACKWARD]
@@ -144,7 +144,7 @@ def test_causal_only_prescription_through_engine():
                     dmat[i, j] = d1(kept[i], kept[j])
     weights = np.array([float(classify(p) is CausalClass.CAUSAL) for p in kept])
     assert list(weights) == [1.0, 1.0, 1.0, 0.0]
-    dist = path_probabilities(ensemble, dmat, weights=weights)
+    dist = distribution_from_sums(*smeared_components(ensemble, dmat), weights)
     assert dist.probs[3] == 0.0                 # not realisable
     assert abs(dist.smeared[0]) != abs(         # but it contributed amplitude
         complex(np.sum(ensemble.amplitudes[:3] * np.exp(-dmat[0, :3])))

@@ -110,8 +110,6 @@ def test_m1_closed_form_preconditions():
         m1_closed_form(5, CANON, 4)  # M=9 not > 2D+1
     with pytest.raises(PreconditionViolation):
         m1_closed_form(0, CANON, 3)
-    with pytest.raises(PreconditionViolation):
-        m1_closed_form(5, CANON, 3, strict=True)  # 10D > N
 
 
 def _direct_unnormalized(ensemble, D, literal=False):
