@@ -150,46 +150,29 @@ def _write_text(path: str | None, text: str):
 def _csv_lines(row: str, *columns) -> str:
     """The %-format ``row`` applied to each row of the stacked columns.
 
-    Formats _CSV_ROWS rows per call; "%.17g" % x prints exactly _fmt(x).
+    Stacks and formats _CSV_ROWS rows per call; "%.17g" % x prints
+    exactly _fmt(x), and "%r" % x what json.dumps writes for a finite x.
     """
-    table = np.column_stack(columns)
     parts = []
-    for lo in range(0, len(table), _CSV_ROWS):
-        block = table[lo : lo + _CSV_ROWS]
+    for lo in range(0, len(columns[0]), _CSV_ROWS):
+        block = np.column_stack([c[lo : lo + _CSV_ROWS] for c in columns])
         parts.append((row * len(block)) % tuple(block.ravel().tolist()))
     return "".join(parts)
 
 
-def _distribution_csv(dist: PathDistribution) -> str:
-    return (
-        f"# norm_constant = {_fmt(dist.norm_constant)}\n"
-        "index,prob,smeared_re,smeared_im,denom\n"
-    ) + _csv_lines(
-        "%d,%.17g,%.17g,%.17g,%.17g\n",
-        np.arange(1, dist.n_paths + 1),
-        dist.probs,
-        dist.smeared.real,
-        dist.smeared.imag,
-        dist.denom,
-    )
-
-
-def _distribution_json(dist: PathDistribution) -> str:
-    rows = [
-        {
-            "index": i + 1,
-            "prob": float(dist.probs[i]),
-            "smeared_re": float(dist.smeared[i].real),
-            "smeared_im": float(dist.smeared[i].imag),
-            "denom": float(dist.denom[i]),
-        }
-        for i in range(dist.n_paths)
-    ]
-    return json.dumps({"norm_constant": float(dist.norm_constant), "paths": rows}) + "\n"
-
-
 def _distribution_text(dist: PathDistribution, fmt: str) -> str:
-    return _distribution_json(dist) if fmt == "json" else _distribution_csv(dist)
+    """The distribution as CSV, or as JSON as json.dumps writes it (its floats are finite)."""
+    columns = (np.arange(1, dist.n_paths + 1), dist.probs, dist.smeared.real,
+               dist.smeared.imag, dist.denom)
+    if fmt == "csv":
+        return (f"# norm_constant = {_fmt(dist.norm_constant)}\n"
+                "index,prob,smeared_re,smeared_im,denom\n"
+                + _csv_lines("%d,%.17g,%.17g,%.17g,%.17g\n", *columns))
+    row = '{"index": %d, "prob": %r, "smeared_re": %r, "smeared_im": %r, "denom": %r}'
+    # a separator after every row but the last, so that no slice copies the text
+    rows = _csv_lines(row + ", ", *(c[:-1] for c in columns))
+    last = _csv_lines(row, *(c[-1:] for c in columns))
+    return f'{{"norm_constant": {json.dumps(dist.norm_constant)}, "paths": [{rows}{last}]}}\n'
 
 
 def _ratios_text(spec: ScreenSpec, fmt: str) -> str:
@@ -198,13 +181,10 @@ def _ratios_text(spec: ScreenSpec, fmt: str) -> str:
 
 
 def _ratio_csv(rows) -> str:
-    lines = ["j,k,direct_ratio,quantum_ratio,rel_err"]
-    for r in rows:
-        lines.append(
-            f"{r['j']},{r['k']},{_fmt(r['direct_ratio'])},"
-            f"{_fmt(r['quantum_ratio'])},{_fmt(r['rel_err'])}"
-        )
-    return "\n".join(lines) + "\n"
+    keys = ("j", "k", "direct_ratio", "quantum_ratio", "rel_err")
+    return "j,k,direct_ratio,quantum_ratio,rel_err\n" + _csv_lines(
+        "%d,%d,%.17g,%.17g,%.17g\n", *([r[key] for r in rows] for key in keys)
+    )
 
 
 def _load_config(args) -> dict:
@@ -522,10 +502,9 @@ def cmd_sweep(args) -> int:
                 run(pool, indices, pool.submit(_prepare_group, cells, indices).result())
             run(pool, alone)
 
-    lines = ["param,value,visibility,block_mass,norm_constant"]
-    for v, r in zip(values, results):
-        lines.append(",".join([name, *map(_fmt, (v, *r))]))
-    _write_text(args.output, "\n".join(lines) + "\n")
+    table = _csv_lines(f"{name},%.17g,%.17g,%.17g,%.17g\n",
+                       list(map(float, values)), np.reshape(results, (len(values), 3)))
+    _write_text(args.output, "param,value,visibility,block_mass,norm_constant\n" + table)
     print(f"sweep {name}: {len(values)} cells")
     return EX_OK
 
@@ -547,26 +526,24 @@ def cmd_compare(args) -> int:
     _check_keys(config, _READS["compare"][1], "compare config")
     kernel_windows(dspec, spec.N)  # refused before the build
     direct, _, _ = unnormalized_probabilities(build_model(spec), dspec)
-    case = config.get("case", "i")
-    rows = []
-    max_abs = 0.0
-    uncovered = 0
-    for i in range(1, spec.N + 1):
-        if isinstance(spec, M1Spec):
-            cf = m1_closed_form(i, spec, dspec.D)
+    if isinstance(spec, M1Spec):
+        status, closed = m1_closed_form(spec, dspec.D)
+    else:
+        status, closed = m2_closed_form(spec, dspec.D, config.get("case", "i"))
+    index = np.arange(1, spec.N + 1)
+    err = np.abs(direct - closed)
+    uncovered = int(np.count_nonzero(status == "uncovered"))
+    # one block per run of rows of equal status
+    cuts = [0, *(np.flatnonzero(status[1:] != status[:-1]) + 1), spec.N]
+    parts = ["index,direct,closed_form,abs_err,status\n"]
+    for lo, hi in zip(cuts, cuts[1:]):
+        columns = (index[lo:hi], direct[lo:hi], closed[lo:hi], err[lo:hi])
+        if status[lo] == "uncovered":
+            parts.append(_csv_lines("%d,%.17g,,,uncovered\n", *columns[:2]))
         else:
-            cf = m2_closed_form(i, spec, dspec.D, case)
-        if cf.status == "uncovered":
-            uncovered += 1
-            rows.append(f"{i},{_fmt(direct[i-1])},,,uncovered")
-        else:
-            err = abs(direct[i - 1] - cf.value)
-            max_abs = max(max_abs, err)
-            rows.append(
-                f"{i},{_fmt(direct[i-1])},{_fmt(cf.value)},{_fmt(err)},{cf.status}"
-            )
-    header = "index,direct,closed_form,abs_err,status"
-    _write_text(args.output, header + "\n" + "\n".join(rows) + "\n")
+            parts.append(_csv_lines(f"%d,%.17g,%.17g,%.17g,{status[lo]}\n", *columns))
+    _write_text(args.output, "".join(parts))
+    max_abs = np.max(err[status != "uncovered"], initial=0.0)
     print(
         f"compared {spec.N - uncovered} indices, {uncovered} uncovered, "
         f"max_abs_err={_fmt(max_abs)}"

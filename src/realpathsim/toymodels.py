@@ -8,9 +8,9 @@ the previous region end, even tail) make every alternating run start
 with -1 after a region and end with -1 before one, which is what drives
 the pairwise cancellations.
 
-The closed-form functions return the unnormalized per-path probability
-(the probability without the overall constant C) predicted for the step
-distance with half-width D:
+The closed-form functions return, as arrays over i = 1..N, each index's
+status and the unnormalized probability (the probability without the
+overall constant C) predicted for the step distance with half-width D:
 
 * zero zones, a plateau, quadratic ramps, and 1/4 (i + D - 1/2)^-1
   boundary artefacts for M1 -- these are exact wherever their strict
@@ -166,61 +166,57 @@ def build_m2(spec: M2Spec) -> PathEnsemble:
     return build_m3(spec.as_m3())
 
 
-@dataclass(frozen=True)
-class ClosedFormValue:
-    """Predicted unnormalized probability at one index, or a gap marker.
+def _zones(zones) -> tuple[np.ndarray, np.ndarray]:
+    """(status, value) over the indices of the masks of (mask, status, value) zones.
 
-    status is one of "covered", "boundary", "uncovered"; value is None
-    exactly when status == "uncovered".
+    The first zone whose mask holds at an index sets it, as the first
+    matching branch of a piecewise formula would; an index no zone holds
+    is "uncovered", with value NaN.  status is an object array of those
+    names: 8 bytes a row, where a fixed-width string array takes 36.
     """
-
-    status: str
-    value: float | None = None
-
-
-_UNCOVERED = ClosedFormValue("uncovered")
+    masks, statuses, values = zip(*zones)
+    names = np.array([*statuses, "uncovered"], dtype=object)
+    status = names[np.select(masks, range(len(masks)), default=len(masks))]
+    return status, np.select(masks, values, default=np.nan)
 
 
-def m1_closed_form(i: int, spec: M1Spec, D: int) -> ClosedFormValue:
+def m1_closed_form(spec: M1Spec, D: int) -> tuple[np.ndarray, np.ndarray]:
     """Piecewise regime prediction for M1 with the step distance.
 
+    Returns (status, value) over i = 1..N: status is "covered",
+    "boundary" or "uncovered", and value is NaN exactly where uncovered.
     Exact (not asymptotic) wherever a strict range applies, which needs
-    M > 2D+1 and N-M-K > 2D+1.
+    M > 2D+1 and N-M-K > 2D+1.  Each value is integer arithmetic in i,
+    then one float operation.
     """
     N, M, K = spec.N, spec.M, spec.K
     if not (M > 2 * D + 1):
         raise PreconditionViolation(f"need M > 2D+1, got M={M}, D={D}")
     if not (N - M - K > 2 * D + 1):
         raise PreconditionViolation(f"need N-M-K > 2D+1, got {N - M - K}, D={D}")
-    if not (1 <= i <= N):
-        raise PreconditionViolation(f"index {i} outside 1..{N}")
 
+    i = np.arange(1, N + 1)
     inv2D = 1.0 / (2.0 * D)
     # boundary artefacts from the clipped window at either end
-    if 1 <= i <= D:
-        return ClosedFormValue("boundary", 0.25 / (i + D - 0.5))
-    if N + 1 - D <= i <= N:
-        return ClosedFormValue("boundary", 0.25 / ((N + 1 - i) + D - 0.5))
-
+    zones = [
+        (i <= D, "boundary", 0.25 / (i + D - 0.5)),
+        (N + 1 - D <= i, "boundary", 0.25 / ((N + 1 - i) + D - 0.5)),
+    ]
     if 2 * D > K:
-        if D + 1 < i < M - D or M + K + D < i < N - (D + 1):
-            return ClosedFormValue("covered", 0.0)
-        if M + K - D < i < M + D:
-            return ClosedFormValue("covered", inv2D * K**2)
-        if M < i + D < M + K:
-            return ClosedFormValue("covered", inv2D * (i + D - M) ** 2)
-        if M < i - D < M + K:
-            return ClosedFormValue("covered", inv2D * (M + K - i + D) ** 2)
+        zones += [
+            ((D + 1 < i) & (i < M - D) | (M + K + D < i) & (i < N - (D + 1)), "covered", 0.0),
+            ((M + K - D < i) & (i < M + D), "covered", inv2D * K**2),
+            ((M < i + D) & (i + D < M + K), "covered", inv2D * (i + D - M) ** 2),
+            ((M < i - D) & (i - D < M + K), "covered", inv2D * (M + K - i + D) ** 2),
+        ]
     else:
-        if D + 1 <= i < M - D or M + K + D < i <= N - (D + 1):
-            return ClosedFormValue("covered", 0.0)
-        if M + D < i < M + K - D:
-            return ClosedFormValue("covered", 2.0 * D)
-        if i - D < M < i + D:
-            return ClosedFormValue("covered", inv2D * (i + D - M) ** 2)
-        if i - D < M + K < i + D:
-            return ClosedFormValue("covered", inv2D * (M + K - i + D) ** 2)
-    return _UNCOVERED
+        zones += [
+            ((D + 1 <= i) & (i < M - D) | (M + K + D < i) & (i <= N - (D + 1)), "covered", 0.0),
+            ((M + D < i) & (i < M + K - D), "covered", 2.0 * D),
+            ((i - D < M) & (M < i + D), "covered", inv2D * (i + D - M) ** 2),
+            ((i - D < M + K) & (M + K < i + D), "covered", inv2D * (M + K - i + D) ** 2),
+        ]
+    return _zones(zones)
 
 
 def m2_case_premises(spec: M2Spec, D: int, case: str):
@@ -244,33 +240,30 @@ def m2_case_premises(spec: M2Spec, D: int, case: str):
             )
 
 
-def m2_closed_form(i: int, spec: M2Spec, D: int, case: str) -> ClosedFormValue:
+def m2_closed_form(spec: M2Spec, D: int, case: str) -> tuple[np.ndarray, np.ndarray]:
     """Two-beam regime prediction (unnormalized, tolerance ~1 in amplitude).
 
-    Case (i), beams d-close: one interference plateau
-    |(K0+1)e^{-i th0} + (K1+1)e^{-i th1}|^2 / 2D where the window spans
-    both beams.  Case (ii), beams d-distant: an interference-free plateau
-    (K_b+1)^2 / 2D around each beam b.
+    Returns (status, value) over i = 1..N as m1_closed_form does, with
+    no "boundary" rows.  Case (i), beams d-close: one interference
+    plateau |(K0+1)e^{-i th0} + (K1+1)e^{-i th1}|^2 / 2D where the window
+    spans both beams.  Case (ii), beams d-distant: an interference-free
+    plateau (K_b+1)^2 / 2D around each beam b.
     """
     m2_case_premises(spec, D, case)
     N, M0, K0, M1, K1 = spec.N, spec.M0, spec.K0, spec.M1, spec.K1
-    if not (1 <= i <= N):
-        raise PreconditionViolation(f"index {i} outside 1..{N}")
-    if i - D < 1 or i + D > N:
-        return _UNCOVERED  # clipped windows are boundary artefacts
+    i = np.arange(1, N + 1)
     inv2D = 1.0 / (2.0 * D)
+    # clipped windows are boundary artefacts
+    zones = [((i - D < 1) | (i + D > N), "uncovered", np.nan)]
     if case == "i":
-        if i - D < M0 and i + D > M1 + K1:
-            both = (K0 + 1) * np.exp(-1j * spec.theta0) + (K1 + 1) * np.exp(
-                -1j * spec.theta1
-            )
-            return ClosedFormValue("covered", inv2D * abs(both) ** 2)
-        return _UNCOVERED
-    if i - D < M0 and i + D > M0 + K0:
-        return ClosedFormValue("covered", inv2D * (K0 + 1) ** 2)
-    if i - D < M1 and i + D > M1 + K1:
-        return ClosedFormValue("covered", inv2D * (K1 + 1) ** 2)
-    return _UNCOVERED
+        both = (K0 + 1) * np.exp(-1j * spec.theta0) + (K1 + 1) * np.exp(-1j * spec.theta1)
+        zones.append(((i - D < M0) & (i + D > M1 + K1), "covered", inv2D * abs(both) ** 2))
+    else:
+        zones += [
+            ((i - D < M0) & (i + D > M0 + K0), "covered", inv2D * (K0 + 1) ** 2),
+            ((i - D < M1) & (i + D > M1 + K1), "covered", inv2D * (K1 + 1) ** 2),
+        ]
+    return _zones(zones)
 
 
 def build_model(spec) -> PathEnsemble:

@@ -19,9 +19,14 @@ the pair-by-pair definition GridPathSource's streamed rows are checked
 against.  So does the composite-path layer: CompositePath, compose and
 the product/sequence composition rules define the max-of-steps distance
 the banded K=3 kernel evaluates for the screen model.
+
+The per-index closed forms m1_closed_form and m2_closed_form (one
+ClosedFormValue per index) are the reference the package's array forms
+must match in status and in every bit of every value.
 """
 
 import functools
+import json
 import math
 from dataclasses import dataclass
 from itertools import permutations
@@ -41,12 +46,13 @@ from realpathsim.errors import (
     EndpointMismatch,
     ModelTooLarge,
     NoPaths,
+    PreconditionViolation,
     RealPathError,
 )
 from realpathsim.lattice import LatticeSpec
 from realpathsim.paths import PathEnsemble, _require_unit_modulus
 from realpathsim.screen import _components
-from realpathsim.toymodels import M1Spec, M2Spec, M3Spec, build_model
+from realpathsim.toymodels import M1Spec, M2Spec, M3Spec, build_model, m2_case_premises
 
 
 def brute_force_unnormalized(amplitudes, dmat, weights=None):
@@ -255,6 +261,30 @@ def distribution_csv_rows(dist):
         lines.append(",".join([str(i + 1)] + [f"{float(x):.17g}" for x in values]))
     return "\n".join(lines) + "\n"
 
+
+
+def distribution_json_dumps(dist):
+    """The distribution JSON built as one dict per row and written by json.dumps."""
+    rows = [
+        {
+            "index": i + 1,
+            "prob": float(dist.probs[i]),
+            "smeared_re": float(dist.smeared[i].real),
+            "smeared_im": float(dist.smeared[i].imag),
+            "denom": float(dist.denom[i]),
+        }
+        for i in range(dist.n_paths)
+    ]
+    return json.dumps({"norm_constant": float(dist.norm_constant), "paths": rows}) + "\n"
+
+
+def ratio_csv_rows(rows):
+    """The screen-model ratio CSV formatted one value at a time."""
+    lines = ["j,k,direct_ratio,quantum_ratio,rel_err"]
+    for r in rows:
+        values = (r["direct_ratio"], r["quantum_ratio"], r["rel_err"])
+        lines.append(",".join([str(r["j"]), str(r["k"])] + [f"{float(x):.17g}" for x in values]))
+    return "\n".join(lines) + "\n"
 
 LOG2 = math.log(2.0)
 
@@ -471,6 +501,113 @@ def site_path(spec: LatticeSpec, sites_row: np.ndarray) -> SpacetimePath:
     """One enumerated row as a SpacetimePath (unit time grid)."""
     t = np.arange(sites_row.size, dtype=float)
     return SpacetimePath(np.column_stack([sites_row.astype(float), t]), mass=spec.mass)
+
+
+@dataclass(frozen=True)
+class ClosedFormValue:
+    """Predicted unnormalized probability at one index, or a gap marker.
+
+    status is one of "covered", "boundary", "uncovered"; value is None
+    exactly when status == "uncovered".
+    """
+
+    status: str
+    value: float | None = None
+
+
+_UNCOVERED = ClosedFormValue("uncovered")
+
+
+def m1_closed_form(i: int, spec: M1Spec, D: int) -> ClosedFormValue:
+    """Piecewise regime prediction for M1 with the step distance.
+
+    Exact (not asymptotic) wherever a strict range applies, which needs
+    M > 2D+1 and N-M-K > 2D+1.
+    """
+    N, M, K = spec.N, spec.M, spec.K
+    if not (M > 2 * D + 1):
+        raise PreconditionViolation(f"need M > 2D+1, got M={M}, D={D}")
+    if not (N - M - K > 2 * D + 1):
+        raise PreconditionViolation(f"need N-M-K > 2D+1, got {N - M - K}, D={D}")
+    if not (1 <= i <= N):
+        raise PreconditionViolation(f"index {i} outside 1..{N}")
+
+    inv2D = 1.0 / (2.0 * D)
+    # boundary artefacts from the clipped window at either end
+    if 1 <= i <= D:
+        return ClosedFormValue("boundary", 0.25 / (i + D - 0.5))
+    if N + 1 - D <= i <= N:
+        return ClosedFormValue("boundary", 0.25 / ((N + 1 - i) + D - 0.5))
+
+    if 2 * D > K:
+        if D + 1 < i < M - D or M + K + D < i < N - (D + 1):
+            return ClosedFormValue("covered", 0.0)
+        if M + K - D < i < M + D:
+            return ClosedFormValue("covered", inv2D * K**2)
+        if M < i + D < M + K:
+            return ClosedFormValue("covered", inv2D * (i + D - M) ** 2)
+        if M < i - D < M + K:
+            return ClosedFormValue("covered", inv2D * (M + K - i + D) ** 2)
+    else:
+        if D + 1 <= i < M - D or M + K + D < i <= N - (D + 1):
+            return ClosedFormValue("covered", 0.0)
+        if M + D < i < M + K - D:
+            return ClosedFormValue("covered", 2.0 * D)
+        if i - D < M < i + D:
+            return ClosedFormValue("covered", inv2D * (i + D - M) ** 2)
+        if i - D < M + K < i + D:
+            return ClosedFormValue("covered", inv2D * (M + K - i + D) ** 2)
+    return _UNCOVERED
+
+
+def m2_case_premises(spec: M2Spec, D: int, case: str):
+    """Raise PreconditionViolation unless the stated M2 case applies."""
+    N, M0, K0, M1, K1 = spec.N, spec.M0, spec.K0, spec.M1, spec.K1
+    if case not in ("i", "ii"):
+        raise PreconditionViolation(f"case must be 'i' or 'ii', got {case!r}")
+    if not (M0 > 2 * D + 1):
+        raise PreconditionViolation(f"need M0 > 2D+1, got M0={M0}, D={D}")
+    if not (N - M1 - K1 > 2 * D + 1):
+        raise PreconditionViolation(f"need N-M1-K1 > 2D+1, got {N - M1 - K1}, D={D}")
+    if case == "i":
+        if not (2 * D > M1 + K1 - M0):
+            raise PreconditionViolation(
+                "case (i) needs the window to span both beams: 2D > M1+K1-M0"
+            )
+    else:
+        if not (2 * D + 1 < M1 - M0 - K0):
+            raise PreconditionViolation(
+                "case (ii) needs d-distant beams: 2D+1 < M1-M0-K0"
+            )
+
+
+def m2_closed_form(i: int, spec: M2Spec, D: int, case: str) -> ClosedFormValue:
+    """Two-beam regime prediction (unnormalized, tolerance ~1 in amplitude).
+
+    Case (i), beams d-close: one interference plateau
+    |(K0+1)e^{-i th0} + (K1+1)e^{-i th1}|^2 / 2D where the window spans
+    both beams.  Case (ii), beams d-distant: an interference-free plateau
+    (K_b+1)^2 / 2D around each beam b.
+    """
+    m2_case_premises(spec, D, case)
+    N, M0, K0, M1, K1 = spec.N, spec.M0, spec.K0, spec.M1, spec.K1
+    if not (1 <= i <= N):
+        raise PreconditionViolation(f"index {i} outside 1..{N}")
+    if i - D < 1 or i + D > N:
+        return _UNCOVERED  # clipped windows are boundary artefacts
+    inv2D = 1.0 / (2.0 * D)
+    if case == "i":
+        if i - D < M0 and i + D > M1 + K1:
+            both = (K0 + 1) * np.exp(-1j * spec.theta0) + (K1 + 1) * np.exp(
+                -1j * spec.theta1
+            )
+            return ClosedFormValue("covered", inv2D * abs(both) ** 2)
+        return _UNCOVERED
+    if i - D < M0 and i + D > M0 + K0:
+        return ClosedFormValue("covered", inv2D * (K0 + 1) ** 2)
+    if i - D < M1 and i + D > M1 + K1:
+        return ClosedFormValue("covered", inv2D * (K1 + 1) ** 2)
+    return _UNCOVERED
 
 
 def m2_tolerance(spec: M2Spec) -> float:

@@ -68,7 +68,7 @@ def test_run_deterministic_byte_identical(tmp_path):
 
 def test_distribution_csv_matches_row_loop():
     # blocks of _CSV_ROWS rows, and values whose text is easy to get wrong
-    from realpathsim.cli import _CSV_ROWS, _distribution_csv
+    from realpathsim.cli import _CSV_ROWS, _distribution_text
     from realpathsim.engine import PathDistribution
 
     from oracles import distribution_csv_rows
@@ -85,7 +85,66 @@ def test_distribution_csv_matches_row_loop():
     denom = rng.uniform(0, 1e6, n)
     denom[: len(odd)] = odd
     dist = PathDistribution(probs=probs, norm_constant=1 / 3, smeared=smeared, denom=denom)
-    assert _distribution_csv(dist) == distribution_csv_rows(dist)
+    assert _distribution_text(dist, "csv") == distribution_csv_rows(dist)
+
+
+# float values whose text is easy to get wrong, each finite as every
+# written distribution's are
+EDGE_VALUES = [0.0, -0.0, 5e-324, 2.5e-308, 1e308, 0.1, 1 / 3]
+
+
+def _unchecked_distribution(column):
+    """A PathDistribution with ``column`` in every float column.
+
+    The column need not sum to 1, so the probabilities' check is
+    skipped: the writers read the fields only.
+    """
+    from realpathsim.engine import PathDistribution
+
+    dist = object.__new__(PathDistribution)
+    fields = {"probs": column, "norm_constant": column[-1],
+              "smeared": column + 1j * column[::-1], "denom": column[::-1]}
+    for name, value in fields.items():
+        object.__setattr__(dist, name, value)
+    return dist
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES)
+def test_distribution_writers_match_row_oracles_one_row(value):
+    from realpathsim.cli import _distribution_text
+
+    from oracles import distribution_csv_rows, distribution_json_dumps
+
+    dist = _unchecked_distribution(np.array([value]))
+    assert _distribution_text(dist, "json") == distribution_json_dumps(dist)
+    assert _distribution_text(dist, "csv") == distribution_csv_rows(dist)
+
+
+def test_distribution_writers_match_row_oracles_past_one_block():
+    # a second block of one row, every edge value in every column
+    from realpathsim.cli import _CSV_ROWS, _distribution_text
+
+    from oracles import distribution_csv_rows, distribution_json_dumps
+
+    dist = _unchecked_distribution(np.resize(EDGE_VALUES, _CSV_ROWS + 1))
+    assert _distribution_text(dist, "json") == distribution_json_dumps(dist)
+    assert _distribution_text(dist, "csv") == distribution_csv_rows(dist)
+
+
+def test_ratio_csv_matches_row_oracle_on_degenerate_rows():
+    # endpoint 1 has no direct mass and endpoint 2 no quantum value: the
+    # rows over them carry an inf ratio and a NaN rel_err
+    from realpathsim.cli import _ratio_csv
+    from realpathsim.screen import ScreenResult
+
+    from oracles import ratio_csv_rows
+
+    rows = ScreenResult(totals={0: 2.0, 1: 0.0, 2: 1 / 3},
+                        quantum={0: 1.0, 1: 4.0, 2: 0.0}).ratio_rows()
+    assert any(r["degenerate"] and np.isinf(r["direct_ratio"]) for r in rows)
+    assert any(np.isnan(r["rel_err"]) for r in rows)
+    assert any(not np.isnan(r["rel_err"]) for r in rows)
+    assert _ratio_csv(rows) == ratio_csv_rows(rows)
 
 
 def test_output_floats_round_trip(tmp_path):
@@ -588,14 +647,17 @@ def test_blas_cap_without_openblas_does_nothing(tmp_path, monkeypatch):
         ("m2_theta_sweep.json", "sweep", [], "m2_theta_sweep.csv"),
         ("m1.json", "run", ["--format", "json"], "m1_run.json"),
         ("screen.json", "ratios", ["--format", "json"], "screen_ratios.json"),
+        ("m2_compare_i.json", "compare", [], "m2_compare_i.csv"),
+        ("m2_compare_ii.json", "compare", [], "m2_compare_ii.csv"),
     ],
 )
 def test_banded_outputs_match_golden_bytes(tmp_path, config, command, flags, golden):
     # the README's M1 and M2 examples, a K=3 screen config, an M2 sweep
     # whose windows reach past N/2, an M2 sweep under exp_index, a
     # three-region M3 sweep over D from 1 past N (sharing one prefix), an
-    # M2 theta1 sweep (a model spec, so a prefix, per cell), and the M1
-    # and screen examples again as JSON
+    # M2 theta1 sweep (a model spec, so a prefix, per cell), the M1 and
+    # screen examples again as JSON, and M2 compares in case (i) (theta1 =
+    # 2.1) and case (ii)
     out = tmp_path / golden
     argv = ["--config", str(DATA / config), "--output", str(out), *flags, command]
     assert run_cli(argv) == 0

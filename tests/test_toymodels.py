@@ -25,6 +25,7 @@ from realpathsim.toymodels import (
     m2_closed_form,
 )
 
+import oracles
 from oracles import amplitude_total, m2_tolerance
 
 CANON = M1Spec(N=24, M=9, K=3)
@@ -98,18 +99,20 @@ def test_m3_parity_violations():
 
 
 def test_m1_closed_form_examples():
-    assert m1_closed_form(5, CANON, 3).value == 0.0
-    assert m1_closed_form(10, CANON, 3).value == pytest.approx(9.0 / 6.0)
-    assert m1_closed_form(7, CANON, 3).value == pytest.approx(1.0 / 6.0)
-    assert m1_closed_form(1, CANON, 3).status == "boundary"
-    assert m1_closed_form(1, CANON, 3).value == pytest.approx(0.25 / 3.5)
+    status, value = m1_closed_form(CANON, 3)
+    assert status.shape == value.shape == (CANON.N,)
+    assert value[5 - 1] == 0.0
+    assert value[10 - 1] == pytest.approx(9.0 / 6.0)
+    assert value[7 - 1] == pytest.approx(1.0 / 6.0)
+    assert status[1 - 1] == "boundary"
+    assert value[1 - 1] == pytest.approx(0.25 / 3.5)
 
 
 def test_m1_closed_form_preconditions():
     with pytest.raises(PreconditionViolation):
-        m1_closed_form(5, CANON, 4)  # M=9 not > 2D+1
+        m1_closed_form(CANON, 4)  # M=9 not > 2D+1
     with pytest.raises(PreconditionViolation):
-        m1_closed_form(0, CANON, 3)
+        m1_closed_form(M1Spec(N=18, M=9, K=3), 3)  # N-M-K=6 not > 2D+1
 
 
 def _direct_unnormalized(ensemble, D, literal=False):
@@ -139,51 +142,48 @@ def _m1_grid():
 def test_m1_oracle_agreement_covered_indices():
     for spec, D in _m1_grid():
         direct = _direct_unnormalized(build_m1(spec), D)
-        for i in range(1, spec.N + 1):
-            cf = m1_closed_form(i, spec, D)
-            if cf.status == "uncovered":
-                continue
-            assert direct[i - 1] == pytest.approx(cf.value, abs=1e-13), (
-                spec, D, i, cf)
+        status, value = m1_closed_form(spec, D)
+        covered = status != "uncovered"
+        assert direct[covered] == pytest.approx(value[covered], abs=1e-13), (spec, D)
 
 
 def test_m1_uncovered_gaps_exist_and_are_benign():
     spec, D = CANON, 3
     direct = _direct_unnormalized(build_m1(spec), D)
-    statuses = [m1_closed_form(i, spec, D).status for i in range(1, spec.N + 1)]
-    assert statuses.count("uncovered") > 0
+    status, value = m1_closed_form(spec, D)
+    assert np.count_nonzero(status == "uncovered") > 0
+    assert np.array_equal(np.isnan(value), status == "uncovered")
     # the strict-range boundary at i = M+K-D carries the plateau value
     # even though the formulas omit it; direct evaluation is ground truth
     i = spec.M + spec.K - D
-    assert statuses[i - 1] == "uncovered"
+    assert status[i - 1] == "uncovered"
     assert direct[i - 1] == pytest.approx(spec.K**2 / (2 * D))
 
 
 def test_m2_closed_form_examples():
     # destructive equal beams cancel
     spec = M2Spec(N=120, M0=31, K0=3, M1=41, K1=3, theta0=0.0, theta1=math.pi)
-    cf = m2_closed_form(44, spec, 14, "i")
-    assert cf.status == "covered"
-    assert cf.value == pytest.approx(0.0, abs=1e-12)
+    status, value = m2_closed_form(spec, 14, "i")
+    assert status[44 - 1] == "covered"
+    assert value[44 - 1] == pytest.approx(0.0, abs=1e-12)
+    assert "boundary" not in status
     # constructive equal beams: 4 (K+1)^2 / 2D
     spec2 = M2Spec(N=120, M0=31, K0=3, M1=41, K1=3)
-    cf2 = m2_closed_form(44, spec2, 14, "i")
-    assert cf2.value == pytest.approx(4 * 16 / 28)
+    assert m2_closed_form(spec2, 14, "i")[1][44 - 1] == pytest.approx(4 * 16 / 28)
     # no-interference plateau ratio (K0+1)^2 : (K1+1)^2 = 1 : 4
     spec3 = M2Spec(N=261, M0=41, K0=4, M1=102, K1=9)
-    a = m2_closed_form(41, spec3, 15, "ii").value
-    b = m2_closed_form(103, spec3, 15, "ii").value
-    assert a / b == pytest.approx(0.25)
+    _, value3 = m2_closed_form(spec3, 15, "ii")
+    assert value3[41 - 1] / value3[103 - 1] == pytest.approx(0.25)
 
 
 def test_m2_case_premises_enforced():
     spec = M2Spec(N=120, M0=31, K0=3, M1=41, K1=3)
     with pytest.raises(PreconditionViolation):
-        m2_closed_form(45, spec, 3, "i")  # window cannot span both beams
+        m2_closed_form(spec, 3, "i")  # window cannot span both beams
     with pytest.raises(PreconditionViolation):
-        m2_closed_form(45, spec, 14, "ii")  # beams are d-close, not distant
+        m2_closed_form(spec, 14, "ii")  # beams are d-close, not distant
     with pytest.raises(PreconditionViolation):
-        m2_closed_form(45, spec, 14, "iii")
+        m2_closed_form(spec, 14, "iii")
 
 
 def test_m2_oracle_agreement_within_tolerance():
@@ -193,30 +193,60 @@ def test_m2_oracle_agreement_within_tolerance():
         spec = M2Spec(N=160, M0=41, K0=4, M1=52, K1=4, theta0=0.0, theta1=th)
         D = 19
         direct = _direct_unnormalized(build_m2(spec), D)
-        tol = m2_tolerance(spec)
         floor = (min(spec.K0, spec.K1) + 1) ** 2 / (2 * D)
-        for i in range(1, spec.N + 1):
-            cf = m2_closed_form(i, spec, D, "i")
-            if cf.status != "covered":
-                continue
-            rel = abs(direct[i - 1] - cf.value) / max(cf.value, floor)
-            assert rel <= tol, (th, i, direct[i - 1], cf.value)
+        status, value = m2_closed_form(spec, D, "i")
+        covered = status == "covered"
+        rel = np.abs(direct[covered] - value[covered]) / np.maximum(value[covered], floor)
+        assert np.all(rel <= m2_tolerance(spec)), th
 
 
 def test_m2_case_ii_agreement():
     spec = M2Spec(N=261, M0=41, K0=4, M1=102, K1=9)
     D = 15
     direct = _direct_unnormalized(build_m2(spec), D)
-    tol = m2_tolerance(spec)
-    covered = 0
-    for i in range(1, spec.N + 1):
-        cf = m2_closed_form(i, spec, D, "ii")
-        if cf.status != "covered":
-            continue
-        covered += 1
-        rel = abs(direct[i - 1] - cf.value) / cf.value
-        assert rel <= tol
-    assert covered > 10
+    status, value = m2_closed_form(spec, D, "ii")
+    covered = status == "covered"
+    rel = np.abs(direct[covered] - value[covered]) / value[covered]
+    assert np.all(rel <= m2_tolerance(spec))
+    assert np.count_nonzero(covered) > 10
+
+
+def _closed_form_cases():
+    thetas = (0.0, math.pi / 2, math.pi)
+    cases = [("M1", spec, D, None) for spec, D in _m1_grid()]
+    # the size compare runs at, in the 2D > K branch
+    cases.append(("M1", M1Spec(N=200_004, M=100_001, K=3), 50, None))
+    cases += [("M2", M2Spec(N=160, M0=41, K0=4, M1=52, K1=4, theta1=th), 19, "i")
+              for th in thetas]
+    cases += [("M2", M2Spec(N=261, M0=41, K0=4, M1=102, K1=9, theta1=th), 15, "ii")
+              for th in thetas]
+    return cases
+
+
+@pytest.mark.parametrize("model, spec, D, case", _closed_form_cases())
+def test_closed_forms_match_scalar_oracle_bit_for_bit(model, spec, D, case):
+    # the scalar oracle's status at every index, and its value in every
+    # bit, NaN where it reports no value
+    if model == "M1":
+        status, value = m1_closed_form(spec, D)
+        cfs = [oracles.m1_closed_form(i, spec, D) for i in range(1, spec.N + 1)]
+    else:
+        status, value = m2_closed_form(spec, D, case)
+        cfs = [oracles.m2_closed_form(i, spec, D, case) for i in range(1, spec.N + 1)]
+    assert status.tolist() == [cf.status for cf in cfs]
+    expected = np.array([np.nan if cf.value is None else cf.value for cf in cfs])
+    assert value.dtype == np.float64
+    assert np.array_equal(value.view(np.uint64), expected.view(np.uint64))
+
+
+def test_closed_form_cases_cover_both_m1_branches_and_every_status():
+    cases = _closed_form_cases()
+    m1 = [(spec, D) for model, spec, D, _ in cases if model == "M1"]
+    assert {2 * D > spec.K for spec, D in m1} == {True, False}
+    for spec, D in m1:
+        status, _ = m1_closed_form(spec, D)
+        assert set(status.tolist()) == {"covered", "boundary", "uncovered"}, (spec, D)
+    assert {case for model, _, _, case in cases if model == "M2"} == {"i", "ii"}
 
 
 def test_m3_dominance_near_beam_block():
