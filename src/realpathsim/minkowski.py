@@ -38,6 +38,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
@@ -102,15 +103,7 @@ def interval(u, v=None) -> float:
 
 def _eta(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Bilinear Minkowski form, broadcasting over leading axes."""
-    return np.sum(u[..., :-1] * v[..., :-1], axis=-1) - u[..., -1] * v[..., -1]
-
-
-def _segment_causal(vec: np.ndarray) -> bool:
-    return _eta(vec, vec) <= _ATOL and vec[-1] >= -_ATOL
-
-
-def _segment_anti_causal(vec: np.ndarray) -> bool:
-    return _eta(vec, vec) <= _ATOL and vec[-1] < -_ATOL
+    return (u[..., :-1] * v[..., :-1]).sum(axis=-1) - u[..., -1] * v[..., -1]
 
 
 def proper_time(vec: np.ndarray) -> float:
@@ -153,14 +146,79 @@ def boost_path(path: MinkowskiPath, rapidity: float, direction=None) -> Minkowsk
     return MinkowskiPath(path.events @ B.T)
 
 
+# -- segment-pair quadratics --------------------------------------------------
+
+# interval(q(t) - p(s)) = C + 2 t Bf - 2 s Be + t^2 Af + s^2 Ae - 2 s t G for
+# p(s) = a + s e on a P segment and q(t) = c + t f on a Q segment, w0 = c - a,
+# with Ae = eta(e, e), Af = eta(f, f), G = eta(e, f), Be = eta(w0, e),
+# Bf = eta(w0, f), C = eta(w0, w0); et, ft and wt are the time components of
+# e, f and w0.  The functions below read the fields elementwise: every pair's
+# arrays, one pair's floats, or fields given a trailing axis of points.
+_Quadratics = namedtuple("_Quadratics", "Ae Af G Be Bf C et ft wt")
+
+
+def _quadratics(p_events: np.ndarray, q_events: np.ndarray) -> _Quadratics:
+    """The quadratic of every segment pair, indexed [P segment, Q segment]."""
+    w0 = q_events[None, :-1] - p_events[:-1, None]
+    e = np.diff(p_events, axis=0)[:, None].repeat(w0.shape[1], axis=1)
+    f = np.diff(q_events, axis=0)[None].repeat(w0.shape[0], axis=0)
+    # Ae, Af, G, Be, Bf and C in one pass
+    u, v = np.array([e, f, e, w0, w0, w0]), np.array([e, f, f, e, f, w0])
+    return _Quadratics(*_eta(u, v), e[..., -1], f[..., -1], w0[..., -1])
+
+
+def _value(q: _Quadratics, s, t):
+    return (
+        q.C
+        + 2.0 * t * q.Bf
+        - 2.0 * s * q.Be
+        + t * t * q.Af
+        + s * s * q.Ae
+        - 2.0 * s * t * q.G
+    )
+
+
+def _edge_point(q: _Quadratics, s0, t0, s1, t1):
+    """(s, t, found) of the quadratic's stationary point on the edge from
+    (s0, t0) to (s1, t1), found when it is strictly inside."""
+    ds, dt = s1 - s0, t1 - t0
+    # F(alpha) along the edge: quadratic with second derivative 2*aa
+    aa = q.Ae * ds * ds + q.Af * dt * dt - 2.0 * q.G * ds * dt
+    bb = (
+        -2.0 * q.Be * ds
+        + 2.0 * q.Bf * dt
+        + 2.0 * q.Ae * s0 * ds
+        + 2.0 * q.Af * t0 * dt
+        - 2.0 * q.G * (s0 * dt + t0 * ds)
+    )
+    # a flat edge divides by about 1, not by 0, and is not found
+    alpha = -bb / (2.0 * aa + (abs(aa) <= _ATOL))
+    found = (abs(aa) > _ATOL) & (0.0 < alpha) & (alpha < 1.0)
+    return s0 + alpha * ds, t0 + alpha * dt, found
+
+
+def _interior_point(q: _Quadratics):
+    """(s, t, found) of the critical point, found inside the open box."""
+    det = q.Ae * q.Af - q.G * q.G
+    # a singular quadratic divides by about 1, not by 0, and is not found
+    s = (q.Be * q.Af - q.Bf * q.G) / (det + (abs(det) < _ATOL))
+    t = (q.Be * q.G - q.Bf * q.Ae) / (det + (abs(det) < _ATOL))
+    found = (abs(det) >= _ATOL) & (0.0 < s) & (s < 1.0) & (0.0 < t) & (t < 1.0)
+    return s, t, found
+
+
+# the corners of the box [0, 1]^2 counter-clockwise, the first again at the end
+_BOX_S = np.array([0.0, 1.0, 1.0, 0.0, 0.0])
+_BOX_T = np.array([0.0, 0.0, 1.0, 1.0, 0.0])
+
+
 # -- classification -----------------------------------------------------------
 
 def _clip_box_by_halfplane(a: float, b: float, c: float) -> list[tuple[float, float]]:
     """Vertices of {(s,t) in [0,1]^2 : a*s + b*t + c <= 0}, CCW order."""
-    poly = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    box = list(zip(_BOX_S.tolist(), _BOX_T.tolist()))
     out: list[tuple[float, float]] = []
-    for k in range(len(poly)):
-        p, q = poly[k], poly[(k + 1) % len(poly)]
+    for p, q in zip(box, box[1:]):
         fp = a * p[0] + b * p[1] + c
         fq = a * q[0] + b * q[1] + c
         if fp <= 0:
@@ -171,110 +229,26 @@ def _clip_box_by_halfplane(a: float, b: float, c: float) -> list[tuple[float, fl
     return out
 
 
-class _PairQuadratic:
-    """interval(q(t) - p(s)) for p on segment (a, a+e), q on (c, c+f)."""
+def _min_on_past_region(q: _Quadratics) -> tuple[float, float]:
+    """(min interval, dt at that minimizer) over the dt <= 0 region.
 
-    def __init__(self, a, e, c, f):
-        self.w0 = c - a
-        self.e = e
-        self.f = f
-        self.Ae = float(_eta(e, e))
-        self.Af = float(_eta(f, f))
-        self.G = float(_eta(e, f))
-        self.Be = float(_eta(self.w0, e))
-        self.Bf = float(_eta(self.w0, f))
-        self.C = float(_eta(self.w0, self.w0))
-
-    def value(self, s: float, t: float) -> float:
-        return (
-            self.C
-            + 2.0 * t * self.Bf
-            - 2.0 * s * self.Be
-            + t * t * self.Af
-            + s * s * self.Ae
-            - 2.0 * s * t * self.G
-        )
-
-    def dt_value(self, s: float, t: float) -> float:
-        """Time component of q(t) - p(s)."""
-        return float(self.w0[-1] + t * self.f[-1] - s * self.e[-1])
-
-    def _edge_candidates(self, vertices) -> list[tuple[float, float]]:
-        """Interior stationary points of the quadratic on polygon edges."""
-        pts: list[tuple[float, float]] = []
-        m = len(vertices)
-        for k in range(m):
-            (s0, t0), (s1, t1) = vertices[k], vertices[(k + 1) % m]
-            ds, dt = s1 - s0, t1 - t0
-            # F(alpha) along the edge: quadratic with second derivative 2*aa
-            aa = self.Ae * ds * ds + self.Af * dt * dt - 2.0 * self.G * ds * dt
-            bb = (
-                -2.0 * self.Be * ds
-                + 2.0 * self.Bf * dt
-                + 2.0 * self.Ae * s0 * ds
-                + 2.0 * self.Af * t0 * dt
-                - 2.0 * self.G * (s0 * dt + t0 * ds)
-            )
-            if abs(aa) > _ATOL:
-                alpha = -bb / (2.0 * aa)
-                if 0.0 < alpha < 1.0:
-                    pts.append((s0 + alpha * ds, t0 + alpha * dt))
-        return pts
-
-    def _interior_candidate(self) -> tuple[float, float] | None:
-        det = self.Ae * self.Af - self.G * self.G
-        if abs(det) < _ATOL:
-            return None
-        s = (self.Be * self.Af - self.Bf * self.G) / det
-        t = (self.Be * self.G - self.Bf * self.Ae) / det
-        if 0.0 < s < 1.0 and 0.0 < t < 1.0:
-            return (s, t)
-        return None
-
-    def max_on_box(self) -> float:
-        box = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-        cands = list(box) + self._edge_candidates(box)
-        inner = self._interior_candidate()
-        if inner is not None:
-            cands.append(inner)
-        vals = [self.value(s, t) for s, t in cands]
-        return max(vals)
-
-    def min_on_past_region(self) -> tuple[float, float]:
-        """(min interval, dt at that minimizer) over the dt <= 0 region.
-
-        Region: box cut by dt_value(s, t) <= 0, which is affine in (s, t).
-        Returns (inf, inf) when the region is empty.
-        """
-        a = -self.e[-1]
-        b = self.f[-1]
-        c = self.w0[-1]
-        poly = _clip_box_by_halfplane(a, b, c)
-        if len(poly) < 1:
-            return math.inf, math.inf
-        cands = list(poly) + self._edge_candidates(poly)
-        inner = self._interior_candidate()
-        if inner is not None:
-            s, t = inner
-            if a * s + b * t + c <= 0.0:
-                cands.append(inner)
-        best, best_dt = math.inf, math.inf
-        for s, t in cands:
-            v = self.value(s, t)
-            if v < best - _ATOL or (
-                v < best + _ATOL and self.dt_value(s, t) < best_dt
-            ):
-                best, best_dt = v, self.dt_value(s, t)
-        return best, best_dt
-
-
-def _pair_quadratics(P: MinkowskiPath, Q: MinkowskiPath):
-    ep, eq = P.events, Q.events
-    for i in range(P.n_segments):
-        for j in range(Q.n_segments):
-            yield _PairQuadratic(
-                ep[i], ep[i + 1] - ep[i], eq[j], eq[j + 1] - eq[j]
-            )
+    ``q`` holds one pair's floats; the region must not be empty.  A
+    candidate within _ATOL of the least value so far replaces it when its
+    dt is smaller, so the order stays: vertices, edge points, interior.
+    """
+    a, b, c = -q.et, q.ft, q.wt
+    poly = _clip_box_by_halfplane(a, b, c)
+    edges = [_edge_point(q, *v0, *v1) for v0, v1 in zip(poly, poly[1:] + poly[:1])]
+    cands = poly + [(s, t) for s, t, found in edges if found]
+    s, t, found = _interior_point(q)
+    if found and a * s + b * t + c <= 0.0:
+        cands.append((s, t))
+    best, best_dt = math.inf, math.inf
+    for s, t in cands:
+        v, dt = _value(q, s, t), q.wt + t * q.ft - s * q.et
+        if v < best - _ATOL or (v < best + _ATOL and dt < best_dt):
+            best, best_dt = v, dt
+    return best, best_dt
 
 
 def classify(path: MinkowskiPath) -> CausalClass:
@@ -285,23 +259,20 @@ def classify(path: MinkowskiPath) -> CausalClass:
     a timelike-past point pair between them).
     """
     segs = path.segments
-    if all(_segment_causal(v) for v in segs):
+    in_cone = _eta(segs, segs) <= _ATOL
+    if (in_cone & (segs[:, -1] >= -_ATOL)).all():
         return CausalClass.CAUSAL
     # any segment heading into the past cone settles it
-    if any(_segment_anti_causal(v) for v in segs):
+    if (in_cone & (segs[:, -1] < -_ATOL)).any():
         return CausalClass.ANTI_CAUSAL
-    ev = path.events
-    n = path.n_segments
-    for i in range(n):
-        for j in range(i + 1, n):
-            quad = _PairQuadratic(
-                ev[i], ev[i + 1] - ev[i], ev[j], ev[j + 1] - ev[j]
-            )
-            fmin, dt_at = quad.min_on_past_region()
-            if fmin < -_ATOL:
-                return CausalClass.ANTI_CAUSAL
-            if fmin <= _ATOL and dt_at < -_ATOL:
-                return CausalClass.ANTI_CAUSAL
+    q = _quadratics(path.events, path.events)
+    # the past region of pair (i, j) is empty when every box corner has dt > 0
+    a, b, c = -q.et[..., None], q.ft[..., None], q.wt[..., None]
+    reach = np.triu(np.any(a * _BOX_S + b * _BOX_T + c <= 0.0, axis=-1), 1)
+    for fields in np.array(q)[:, reach].T.tolist():
+        fmin, dt_at = _min_on_past_region(_Quadratics(*fields))
+        if fmin < -_ATOL or (fmin <= _ATOL and dt_at < -_ATOL):
+            return CausalClass.ANTI_CAUSAL
     return CausalClass.NON_CAUSAL
 
 
@@ -349,7 +320,12 @@ def d1(P: MinkowskiPath, Q: MinkowskiPath) -> float:
         if classify(path) is CausalClass.ANTI_CAUSAL:
             raise AntiCausalArgument("d1 is not defined for anti-causal paths")
     _warn_outside_slab(P, Q)
-    best = max(q.max_on_box() for q in _pair_quadratics(P, Q))
+    # every pair's box against a trailing axis of candidate points
+    q = _Quadratics(*(x[..., None] for x in _quadratics(P.events, Q.events)))
+    corners = _BOX_S[:-1], _BOX_T[:-1]
+    best = float(np.max(_value(q, *corners)))
+    for s, t, found in (_edge_point(q, *corners, _BOX_S[1:], _BOX_T[1:]), _interior_point(q)):
+        best = max(best, float(np.max(_value(q, s, t), where=found, initial=-math.inf)))
     scale = 1.0 + max(
         float(np.max(np.sum(P.events**2, axis=1))),
         float(np.max(np.sum(Q.events**2, axis=1))),
@@ -359,120 +335,90 @@ def d1(P: MinkowskiPath, Q: MinkowskiPath) -> float:
     return max(best, 0.0)
 
 
-class _Branch:
-    """One candidate quadratic A u^2 + B u + C, valid on [lo, hi]."""
+def _envelope_branches(P: MinkowskiPath, Q: MinkowskiPath):
+    """Quadratics in u whose upper envelope is max_q interval(p(u) - q).
 
-    __slots__ = ("A", "B", "C", "lo", "hi")
-
-    def __init__(self, A, B, C, lo=0.0, hi=1.0):
-        self.A, self.B, self.C = float(A), float(B), float(C)
-        self.lo, self.hi = float(lo), float(hi)
-
-    def value(self, u: float) -> float:
-        return (self.A * u + self.B) * u + self.C
-
-    def integral(self, u0: float, u1: float) -> float:
-        return (
-            self.A * (u1**3 - u0**3) / 3.0
-            + self.B * (u1**2 - u0**2) / 2.0
-            + self.C * (u1 - u0)
-        )
-
-
-def _envelope_branches(a: np.ndarray, e: np.ndarray, Q: MinkowskiPath):
-    """Candidate quadratics whose upper envelope is max_q interval(p(u) - q).
-
-    For the point p(u) = a + u e against a Q segment (c, c+f), the
-    interval is quadratic in (u, t); its max over t in [0,1] is one of
-    the endpoint quadratics (always valid) or the interior stationary
-    value (a quadratic in u, valid where 0 < t*(u) < 1, only when the
-    t-direction is concave, i.e. f is timelike).
+    For the point p(u) = a + u e on P segment i against Q segment j,
+    (c, c+f), the interval is quadratic in (u, t); its max over t in
+    [0,1] is one of the endpoint quadratics (k = 0 at q = c, k = 1 at
+    q = c + f, valid on [0, 1]) or the interior stationary value (k = 2,
+    valid where 0 < t*(u) < 1, only when the t-direction is concave,
+    i.e. f is timelike).  Returns (A, B, C, lo, hi) of the branches
+    A u^2 + B u + C valid on [lo, hi], as [:, i, j, k], and [i, j, k]
+    true where a branch exists.
     """
-    branches: list[_Branch] = []
-    Aee = float(_eta(e, e))
-    eq = Q.events
-    for j in range(Q.n_segments):
-        c, f = eq[j], eq[j + 1] - eq[j]
-        for endpoint in (c, c + f):
-            U = a - endpoint
-            branches.append(_Branch(Aee, 2.0 * float(_eta(U, e)), float(_eta(U, U))))
-        Aff = float(_eta(f, f))
-        if Aff < -_ATOL:
-            U = a - c
-            BUf = float(_eta(U, f))
-            G = float(_eta(e, f))
-            A = Aee - G * G / Aff
-            B = 2.0 * float(_eta(U, e)) - 2.0 * BUf * G / Aff
-            C = float(_eta(U, U)) - BUf * BUf / Aff
-            window = _t_star_window(BUf, G, Aff)
-            if window is not None:
-                lo, hi = max(0.0, window[0]), min(1.0, window[1])
-                if lo < hi:
-                    branches.append(_Branch(A, B, C, lo, hi))
-    return branches
+    q = _quadratics(P.events, Q.events)
+    # U = a - c = -w0 makes eta(U, e) = -Be, eta(U, f) = -Bf, eta(U, U) = C
+    Ue, Uf = -q.Be, -q.Bf
+    U1 = P.events[:-1, None] - (Q.events[:-1] + np.diff(Q.events, axis=0))
+    e = np.diff(P.events, axis=0)[:, None]
+    flat = abs(q.G) <= _ATOL
+    with np.errstate(all="ignore"):
+        A = q.Ae - q.G * q.G / q.Af
+        B = 2.0 * Ue - 2.0 * Uf * q.G / q.Af
+        C = q.C - Uf * Uf / q.Af
+        # t*(u) = (Uf + u G)/Af is in (0,1) where Af < Uf + u G < 0: between
+        # the u where Uf + u G is Af and where it is 0, in the order of G's sign
+        lo, hi = np.sort([(q.Af - Uf) / q.G, -Uf / q.G], axis=0)
+    lo = np.where(flat, 0.0, np.maximum(0.0, lo))
+    hi = np.where(flat, 1.0, np.minimum(1.0, hi))
+    stationary = (q.Af < -_ATOL) & (lo < hi) & (~flat | ((q.Af < Uf) & (Uf < 0.0)))
+    zero, one = np.zeros_like(A), np.ones_like(A)
+    branches = [
+        [q.Ae, q.Ae, A],
+        [2.0 * Ue, 2.0 * _eta(U1, e), B],
+        [q.C, _eta(U1, U1), C],
+        [zero, zero, lo],
+        [one, one, hi],
+    ]
+    # k last, so that a segment's branches run in the order j, then k
+    exists = np.stack([one > 0, one > 0, stationary], axis=-1)
+    return np.array(branches).transpose(0, 2, 3, 1), exists
 
 
-def _t_star_window(BUf: float, G: float, Aff: float):
-    """u-interval where the stationary t*(u) = (BUf + u G)/Aff is in (0,1).
-
-    With Aff < 0 that is equivalent to Aff < BUf + u G < 0.
-    """
-    if abs(G) <= _ATOL:
-        return (-math.inf, math.inf) if (Aff < BUf < 0.0) else None
-    a0 = (Aff - BUf) / G
-    a1 = -BUf / G
-    return (a0, a1) if G > 0 else (a1, a0)
-
-
-def _integrate_envelope(branches: list[_Branch]) -> float:
+def _integrate_envelope(A, B, C, lo, hi) -> float:
     """Exact integral over [0,1] of the upper envelope of the branches.
 
     Every pairwise crossing and every validity endpoint is a breakpoint,
-    so within each sub-interval one branch dominates and integrates in
-    closed form; the result is exact up to roundoff and needs no
-    sampling refinement.
+    so within each piece one branch (the first, where they tie) is
+    active and integrates in closed form; the pieces add up in order.
     """
-    cuts = {0.0, 1.0}
-    for b in branches:
-        if 0.0 < b.lo < 1.0:
-            cuts.add(b.lo)
-        if 0.0 < b.hi < 1.0:
-            cuts.add(b.hi)
-    n = len(branches)
-    for i in range(n):
-        bi = branches[i]
-        for j in range(i + 1, n):
-            bj = branches[j]
-            da, db, dc = bi.A - bj.A, bi.B - bj.B, bi.C - bj.C
-            if abs(da) > _ATOL:
-                disc = db * db - 4.0 * da * dc
-                if disc > 0.0:
-                    r = math.sqrt(disc)
-                    for root in ((-db - r) / (2 * da), (-db + r) / (2 * da)):
-                        if 0.0 < root < 1.0:
-                            cuts.add(root)
-            elif abs(db) > _ATOL:
-                root = -dc / db
-                if 0.0 < root < 1.0:
-                    cuts.add(root)
-    grid = sorted(cuts)
+    # every ordered pair: swapping a pair negates da, db, dc exactly,
+    # which gives the same roots
+    da, db, dc = A[:, None] - A, B[:, None] - B, C[:, None] - C
+    disc = db * db - 4.0 * da * dc
+    flat = abs(da) <= _ATOL
+    two, one = ~flat & (disc > 0.0), flat & (abs(db) > _ATOL)
+    r = np.sqrt(disc[two])
+    roots = [(-db[two] - r) / (2 * da[two]), (-db[two] + r) / (2 * da[two]), -dc[one] / db[one]]
+    cuts = np.concatenate([lo, hi, *roots])
+    grid = np.unique(np.concatenate([[0.0, 1.0], cuts[(0.0 < cuts) & (cuts < 1.0)]]))
+    um = (0.5 * (grid[:-1] + grid[1:]))[:, None]
+    valid = (lo <= um) & (um <= hi)
+    active = np.argmax(np.where(valid, (A * um + B) * um + C, -math.inf), axis=1)
+    # Python's float power, whose last bit numpy's power does not always match
+    u, u2, u3 = np.array([(x, x**2, x**3) for x in grid.tolist()]).T
+    pieces = (
+        A[active] * (u3[1:] - u3[:-1]) / 3.0
+        + B[active] * (u2[1:] - u2[:-1]) / 2.0
+        + C[active] * (u[1:] - u[:-1])
+    )
+    return float(np.cumsum(pieces)[-1])
+
+
+def _d2_sum(P: MinkowskiPath, Q: MinkowskiPath) -> float:
+    """Sum over P segments of proper time times the envelope integral.
+
+    P is not anti-causal, so each of its segments is future-causal or
+    spacelike, and a spacelike one has no proper time: the sum over every
+    segment is the sum over the causal ones, as prime takes it.
+    """
+    branches, exists = _envelope_branches(P, Q)
     total = 0.0
-    for u0, u1 in zip(grid, grid[1:]):
-        um = 0.5 * (u0 + u1)
-        active = None
-        best = -math.inf
-        for b in branches:
-            if b.lo <= um <= b.hi:
-                v = b.value(um)
-                if v > best:
-                    best, active = v, b
-        total += active.integral(u0, u1)
+    for i, dtau in enumerate(map(proper_time, P.segments)):
+        if dtau != 0.0:
+            total += dtau * _integrate_envelope(*branches[:, i, exists[i]])
     return total
-
-
-def _segment_integral(a: np.ndarray, e: np.ndarray, Q: MinkowskiPath) -> float:
-    """integral_0^1 max_q interval(a + u e - q) du, exact."""
-    return _integrate_envelope(_envelope_branches(a, e, Q))
 
 
 def d2(P: MinkowskiPath, Q: MinkowskiPath, variant: str = "plain") -> float:
@@ -489,8 +435,6 @@ def d2(P: MinkowskiPath, Q: MinkowskiPath, variant: str = "plain") -> float:
     if variant not in ("plain", "prime", "symmetrized"):
         raise ValueError(f"unknown d2 variant {variant!r}")
     _check_shared_endpoints(P, Q)
-    if variant == "symmetrized":
-        return 0.5 * (d2(P, Q, "prime") + d2(Q, P, "prime"))
     cls_p = classify(P)
     if cls_p is CausalClass.ANTI_CAUSAL:
         raise AntiCausalArgument("d2 is not defined for anti-causal P")
@@ -499,14 +443,6 @@ def d2(P: MinkowskiPath, Q: MinkowskiPath, variant: str = "plain") -> float:
     if classify(Q) is CausalClass.ANTI_CAUSAL:
         raise AntiCausalArgument("d2 is not defined for anti-causal Q")
     _warn_outside_slab(P, Q)
-    total = 0.0
-    ev = P.events
-    for i in range(P.n_segments):
-        vec = ev[i + 1] - ev[i]
-        if variant == "prime" and not _segment_causal(vec):
-            continue
-        dtau = proper_time(vec)
-        if dtau == 0.0:
-            continue
-        total += dtau * _segment_integral(ev[i], vec, Q)
-    return total
+    if variant == "symmetrized":
+        return 0.5 * (_d2_sum(P, Q) + _d2_sum(Q, P))
+    return _d2_sum(P, Q)

@@ -253,8 +253,8 @@ def m2_closed_form(spec: M2Spec, D: int, case: str) -> tuple[np.ndarray, np.ndar
     N, M0, K0, M1, K1 = spec.N, spec.M0, spec.K0, spec.M1, spec.K1
     i = np.arange(1, N + 1)
     inv2D = 1.0 / (2.0 * D)
-    # clipped windows are boundary artefacts
-    zones = [((i - D < 1) | (i + D > N), "uncovered", np.nan)]
+    # the premises keep every covered zone clear of the clipped windows
+    zones = []
     if case == "i":
         both = (K0 + 1) * np.exp(-1j * spec.theta0) + (K1 + 1) * np.exp(-1j * spec.theta1)
         zones.append(((i - D < M0) & (i + D > M1 + K1), "covered", inv2D * abs(both) ** 2))

@@ -22,7 +22,11 @@ the banded K=3 kernel evaluates for the screen model.
 
 The per-index closed forms m1_closed_form and m2_closed_form (one
 ClosedFormValue per index) are the reference the package's array forms
-must match in status and in every bit of every value.
+must match in status and in every bit of every value.  So is the scalar
+Minkowski layer, one quadratic object per segment pair and one branch
+object per envelope candidate on small numpy vectors: scalar_classify,
+scalar_d1 and scalar_d2, which the package's array forms must match bit
+for bit.
 """
 
 import functools
@@ -50,6 +54,7 @@ from realpathsim.errors import (
     RealPathError,
 )
 from realpathsim.lattice import LatticeSpec
+from realpathsim.minkowski import CausalClass, MinkowskiPath, proper_time
 from realpathsim.paths import PathEnsemble, _require_unit_modulus
 from realpathsim.screen import _components
 from realpathsim.toymodels import M1Spec, M2Spec, M3Spec, build_model, m2_case_premises
@@ -896,3 +901,313 @@ def materialize_composite_ensemble(spec, cross_distance=math.inf, max_paths=200_
     d_p[labels[:, 0][:, None] != labels[:, 0][None, :]] = cross_distance
     dmat = np.maximum(d_p, np.maximum(d_s, d_a))
     return PathEnsemble(np.concatenate(amps)), labels, dmat
+
+
+# -- the scalar Minkowski layer: one quadratic object per segment pair ---------
+#
+# classify, d1 and d2 one segment pair (and one envelope branch) at a time.
+
+_ATOL = 1e-12
+
+
+def _eta(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Bilinear Minkowski form, broadcasting over leading axes."""
+    return np.sum(u[..., :-1] * v[..., :-1], axis=-1) - u[..., -1] * v[..., -1]
+
+
+def _segment_causal(vec: np.ndarray) -> bool:
+    return _eta(vec, vec) <= _ATOL and vec[-1] >= -_ATOL
+
+
+def _segment_anti_causal(vec: np.ndarray) -> bool:
+    return _eta(vec, vec) <= _ATOL and vec[-1] < -_ATOL
+
+
+def _clip_box_by_halfplane(a: float, b: float, c: float) -> list[tuple[float, float]]:
+    """Vertices of {(s,t) in [0,1]^2 : a*s + b*t + c <= 0}, CCW order."""
+    poly = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    out: list[tuple[float, float]] = []
+    for k in range(len(poly)):
+        p, q = poly[k], poly[(k + 1) % len(poly)]
+        fp = a * p[0] + b * p[1] + c
+        fq = a * q[0] + b * q[1] + c
+        if fp <= 0:
+            out.append(p)
+        if (fp < 0 < fq) or (fq < 0 < fp):
+            lam = fp / (fp - fq)
+            out.append((p[0] + lam * (q[0] - p[0]), p[1] + lam * (q[1] - p[1])))
+    return out
+
+
+class _PairQuadratic:
+    """interval(q(t) - p(s)) for p on segment (a, a+e), q on (c, c+f)."""
+
+    def __init__(self, a, e, c, f):
+        self.w0 = c - a
+        self.e = e
+        self.f = f
+        self.Ae = float(_eta(e, e))
+        self.Af = float(_eta(f, f))
+        self.G = float(_eta(e, f))
+        self.Be = float(_eta(self.w0, e))
+        self.Bf = float(_eta(self.w0, f))
+        self.C = float(_eta(self.w0, self.w0))
+
+    def value(self, s: float, t: float) -> float:
+        return (
+            self.C
+            + 2.0 * t * self.Bf
+            - 2.0 * s * self.Be
+            + t * t * self.Af
+            + s * s * self.Ae
+            - 2.0 * s * t * self.G
+        )
+
+    def dt_value(self, s: float, t: float) -> float:
+        """Time component of q(t) - p(s)."""
+        return float(self.w0[-1] + t * self.f[-1] - s * self.e[-1])
+
+    def _edge_candidates(self, vertices) -> list[tuple[float, float]]:
+        """Interior stationary points of the quadratic on polygon edges."""
+        pts: list[tuple[float, float]] = []
+        m = len(vertices)
+        for k in range(m):
+            (s0, t0), (s1, t1) = vertices[k], vertices[(k + 1) % m]
+            ds, dt = s1 - s0, t1 - t0
+            # F(alpha) along the edge: quadratic with second derivative 2*aa
+            aa = self.Ae * ds * ds + self.Af * dt * dt - 2.0 * self.G * ds * dt
+            bb = (
+                -2.0 * self.Be * ds
+                + 2.0 * self.Bf * dt
+                + 2.0 * self.Ae * s0 * ds
+                + 2.0 * self.Af * t0 * dt
+                - 2.0 * self.G * (s0 * dt + t0 * ds)
+            )
+            if abs(aa) > _ATOL:
+                alpha = -bb / (2.0 * aa)
+                if 0.0 < alpha < 1.0:
+                    pts.append((s0 + alpha * ds, t0 + alpha * dt))
+        return pts
+
+    def _interior_candidate(self) -> tuple[float, float] | None:
+        det = self.Ae * self.Af - self.G * self.G
+        if abs(det) < _ATOL:
+            return None
+        s = (self.Be * self.Af - self.Bf * self.G) / det
+        t = (self.Be * self.G - self.Bf * self.Ae) / det
+        if 0.0 < s < 1.0 and 0.0 < t < 1.0:
+            return (s, t)
+        return None
+
+    def max_on_box(self) -> float:
+        box = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+        cands = list(box) + self._edge_candidates(box)
+        inner = self._interior_candidate()
+        if inner is not None:
+            cands.append(inner)
+        vals = [self.value(s, t) for s, t in cands]
+        return max(vals)
+
+    def min_on_past_region(self) -> tuple[float, float]:
+        """(min interval, dt at that minimizer) over the dt <= 0 region.
+
+        Region: box cut by dt_value(s, t) <= 0, which is affine in (s, t).
+        Returns (inf, inf) when the region is empty.
+        """
+        a = -self.e[-1]
+        b = self.f[-1]
+        c = self.w0[-1]
+        poly = _clip_box_by_halfplane(a, b, c)
+        if len(poly) < 1:
+            return math.inf, math.inf
+        cands = list(poly) + self._edge_candidates(poly)
+        inner = self._interior_candidate()
+        if inner is not None:
+            s, t = inner
+            if a * s + b * t + c <= 0.0:
+                cands.append(inner)
+        best, best_dt = math.inf, math.inf
+        for s, t in cands:
+            v = self.value(s, t)
+            if v < best - _ATOL or (
+                v < best + _ATOL and self.dt_value(s, t) < best_dt
+            ):
+                best, best_dt = v, self.dt_value(s, t)
+        return best, best_dt
+
+
+def _pair_quadratics(P: MinkowskiPath, Q: MinkowskiPath):
+    ep, eq = P.events, Q.events
+    for i in range(P.n_segments):
+        for j in range(Q.n_segments):
+            yield _PairQuadratic(
+                ep[i], ep[i + 1] - ep[i], eq[j], eq[j + 1] - eq[j]
+            )
+
+
+def scalar_classify(path: MinkowskiPath) -> CausalClass:
+    """causal / non_causal / anti_causal, one segment pair at a time."""
+    segs = path.segments
+    if all(_segment_causal(v) for v in segs):
+        return CausalClass.CAUSAL
+    # any segment heading into the past cone settles it
+    if any(_segment_anti_causal(v) for v in segs):
+        return CausalClass.ANTI_CAUSAL
+    ev = path.events
+    n = path.n_segments
+    for i in range(n):
+        for j in range(i + 1, n):
+            quad = _PairQuadratic(
+                ev[i], ev[i + 1] - ev[i], ev[j], ev[j + 1] - ev[j]
+            )
+            fmin, dt_at = quad.min_on_past_region()
+            if fmin < -_ATOL:
+                return CausalClass.ANTI_CAUSAL
+            if fmin <= _ATOL and dt_at < -_ATOL:
+                return CausalClass.ANTI_CAUSAL
+    return CausalClass.NON_CAUSAL
+
+
+def scalar_d1(P: MinkowskiPath, Q: MinkowskiPath) -> float:
+    """d1's value (no argument checks), one segment pair at a time."""
+    best = max(q.max_on_box() for q in _pair_quadratics(P, Q))
+    scale = 1.0 + max(
+        float(np.max(np.sum(P.events**2, axis=1))),
+        float(np.max(np.sum(Q.events**2, axis=1))),
+    )
+    if 0.0 < best < 1e-13 * scale:
+        return 0.0
+    return max(best, 0.0)
+
+
+class _Branch:
+    """One candidate quadratic A u^2 + B u + C, valid on [lo, hi]."""
+
+    __slots__ = ("A", "B", "C", "lo", "hi")
+
+    def __init__(self, A, B, C, lo=0.0, hi=1.0):
+        self.A, self.B, self.C = float(A), float(B), float(C)
+        self.lo, self.hi = float(lo), float(hi)
+
+    def value(self, u: float) -> float:
+        return (self.A * u + self.B) * u + self.C
+
+    def integral(self, u0: float, u1: float) -> float:
+        return (
+            self.A * (u1**3 - u0**3) / 3.0
+            + self.B * (u1**2 - u0**2) / 2.0
+            + self.C * (u1 - u0)
+        )
+
+
+def _envelope_branches(a: np.ndarray, e: np.ndarray, Q: MinkowskiPath):
+    """Candidate quadratics whose upper envelope is max_q interval(p(u) - q).
+
+    For the point p(u) = a + u e against a Q segment (c, c+f), the
+    interval is quadratic in (u, t); its max over t in [0,1] is one of
+    the endpoint quadratics (always valid) or the interior stationary
+    value (a quadratic in u, valid where 0 < t*(u) < 1, only when the
+    t-direction is concave, i.e. f is timelike).
+    """
+    branches: list[_Branch] = []
+    Aee = float(_eta(e, e))
+    eq = Q.events
+    for j in range(Q.n_segments):
+        c, f = eq[j], eq[j + 1] - eq[j]
+        for endpoint in (c, c + f):
+            U = a - endpoint
+            branches.append(_Branch(Aee, 2.0 * float(_eta(U, e)), float(_eta(U, U))))
+        Aff = float(_eta(f, f))
+        if Aff < -_ATOL:
+            U = a - c
+            BUf = float(_eta(U, f))
+            G = float(_eta(e, f))
+            A = Aee - G * G / Aff
+            B = 2.0 * float(_eta(U, e)) - 2.0 * BUf * G / Aff
+            C = float(_eta(U, U)) - BUf * BUf / Aff
+            window = _t_star_window(BUf, G, Aff)
+            if window is not None:
+                lo, hi = max(0.0, window[0]), min(1.0, window[1])
+                if lo < hi:
+                    branches.append(_Branch(A, B, C, lo, hi))
+    return branches
+
+
+def _t_star_window(BUf: float, G: float, Aff: float):
+    """u-interval where the stationary t*(u) = (BUf + u G)/Aff is in (0,1).
+
+    With Aff < 0 that is equivalent to Aff < BUf + u G < 0.
+    """
+    if abs(G) <= _ATOL:
+        return (-math.inf, math.inf) if (Aff < BUf < 0.0) else None
+    a0 = (Aff - BUf) / G
+    a1 = -BUf / G
+    return (a0, a1) if G > 0 else (a1, a0)
+
+
+def _integrate_envelope(branches: list[_Branch]) -> float:
+    """Exact integral over [0,1] of the upper envelope of the branches.
+
+    Every pairwise crossing and every validity endpoint is a breakpoint,
+    so within each sub-interval one branch dominates and integrates in
+    closed form; the result is exact up to roundoff and needs no
+    sampling refinement.
+    """
+    cuts = {0.0, 1.0}
+    for b in branches:
+        if 0.0 < b.lo < 1.0:
+            cuts.add(b.lo)
+        if 0.0 < b.hi < 1.0:
+            cuts.add(b.hi)
+    n = len(branches)
+    for i in range(n):
+        bi = branches[i]
+        for j in range(i + 1, n):
+            bj = branches[j]
+            da, db, dc = bi.A - bj.A, bi.B - bj.B, bi.C - bj.C
+            if abs(da) > _ATOL:
+                disc = db * db - 4.0 * da * dc
+                if disc > 0.0:
+                    r = math.sqrt(disc)
+                    for root in ((-db - r) / (2 * da), (-db + r) / (2 * da)):
+                        if 0.0 < root < 1.0:
+                            cuts.add(root)
+            elif abs(db) > _ATOL:
+                root = -dc / db
+                if 0.0 < root < 1.0:
+                    cuts.add(root)
+    grid = sorted(cuts)
+    total = 0.0
+    for u0, u1 in zip(grid, grid[1:]):
+        um = 0.5 * (u0 + u1)
+        active = None
+        best = -math.inf
+        for b in branches:
+            if b.lo <= um <= b.hi:
+                v = b.value(um)
+                if v > best:
+                    best, active = v, b
+        total += active.integral(u0, u1)
+    return total
+
+
+def scalar_segment_integral(a: np.ndarray, e: np.ndarray, Q: MinkowskiPath) -> float:
+    """integral_0^1 max_q interval(a + u e - q) du, exact."""
+    return _integrate_envelope(_envelope_branches(a, e, Q))
+
+
+def scalar_d2(P: MinkowskiPath, Q: MinkowskiPath, variant: str = "plain") -> float:
+    """d2's value (no argument checks), one P segment and branch at a time."""
+    if variant == "symmetrized":
+        return 0.5 * (scalar_d2(P, Q, "prime") + scalar_d2(Q, P, "prime"))
+    total = 0.0
+    ev = P.events
+    for i in range(P.n_segments):
+        vec = ev[i + 1] - ev[i]
+        if variant == "prime" and not _segment_causal(vec):
+            continue
+        dtau = proper_time(vec)
+        if dtau == 0.0:
+            continue
+        total += dtau * scalar_segment_integral(ev[i], vec, Q)
+    return total

@@ -15,6 +15,9 @@ from realpathsim.errors import (
 from realpathsim.minkowski import (
     CausalClass,
     MinkowskiPath,
+    _envelope_branches,
+    _integrate_envelope,
+    _quadratics,
     boost_path,
     classify,
     d1,
@@ -23,7 +26,13 @@ from realpathsim.minkowski import (
     lorentz_boost,
 )
 
-from oracles import dense_interval_max
+from oracles import (
+    dense_interval_max,
+    scalar_classify,
+    scalar_d1,
+    scalar_d2,
+    scalar_segment_integral,
+)
 
 STRAIGHT = MinkowskiPath([[0, 0], [0, 2]])
 BULGE = MinkowskiPath([[0, 0], [1, 1], [0, 2]])          # everywhere null
@@ -248,9 +257,109 @@ def test_slab_containment_warns_not_rejects():
     assert classify(outside) is CausalClass.NON_CAUSAL
     with pytest.warns(UserWarning, match="slab"):
         d1(STRAIGHT, outside)
+    # one warning, naming the path as the caller does, at the caller's line
+    calls = [
+        lambda: d1(STRAIGHT, outside),
+        lambda: d2(STRAIGHT, outside),
+        lambda: d2(STRAIGHT, outside, "prime"),
+        lambda: d2(STRAIGHT, outside, "symmetrized"),
+    ]
+    for call in calls:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert len(caught) == 1
+        assert str(caught[0].message).startswith("path Q leaves the slab")
+        assert caught[0].filename == __file__
 
 
 def test_path_json_round_trip():
     text = json.dumps({"events": BULGE.events.tolist()})
     back = MinkowskiPath.from_json(text)
     assert np.array_equal(back.events, BULGE.events)
+
+
+# -- the array forms against the scalar reference ------------------------------
+
+# paths from (0, 0) to (0, 2), but the anti-causal one, whose segment pairs
+# reach the degenerate cases of the closed forms
+FIXTURES = {
+    "null legs": [[0, 0], [0.5, 0.5], [0.5, 1.5], [0, 2]],
+    "repeated event": [[0, 0], [0, 1], [0, 1], [0, 2]],
+    "parallel segments": [[0, 0], [0.1, 0.5], [0.2, 1], [0, 2]],
+    "Aff near 0": [[0, 0], [1, 1 + 1e-13], [0, 2]],
+    "G = 0 window": [[0, 0], [1, 0.5], [0, 2]],
+    "G near 0 window": [[0, 0], [1, 0.5 + 2e-13], [0, 2]],
+    "timelike partner": [[0, 0], [0.5, 1], [0, 2]],
+    "hidden anti-causal": [[0, 0], [4, 0.5], [1, -0.3], [5, 5]],
+}
+
+
+def _bits(x: float) -> str:
+    return float(x).hex()
+
+
+def _reference_pairs():
+    # draws as criterion 6 makes them, 2-D and 4-D, with 1 to 20 interior vertices
+    rng = np.random.default_rng(36)
+    pairs = []
+    for dim in (2, 4):
+        for n_mid in (1, 2, 3, 5, 8, 13, 20):
+            P = _random_causal(rng, n_mid=min(n_mid, 6), dim=dim)
+            pairs.append((P, _random_path_between(rng, P.start, P.end, n_mid=n_mid)))
+    fixtures = [MinkowskiPath(ev) for ev in FIXTURES.values()] + [STRAIGHT, BULGE, SPACELIKE]
+    usable = [F for F in fixtures if scalar_classify(F) is not CausalClass.ANTI_CAUSAL]
+    pairs += [(F, G) for F in usable for G in usable]
+    return pairs
+
+
+def test_fixtures_reach_every_degenerate_case():
+    assert classify(MinkowskiPath(FIXTURES["hidden anti-causal"])) is CausalClass.ANTI_CAUSAL
+    pairs = _reference_pairs()
+    q = [_quadratics(P.events, Q.events) for P, Q in pairs]
+    Ae, Af, G = (np.concatenate([x[k].ravel() for x in q]) for k in range(3))
+    timelike_f = Af < -1e-12
+    assert np.any(Ae == 0.0)                                # null legs, a repeated event
+    assert np.any((Af != 0.0) & (abs(Af) <= 1e-12))         # a nearly null Q leg
+    assert np.any((Ae < 0.0) & (Ae * Af - G * G == 0.0))    # parallel timelike segments
+    assert np.any(timelike_f & (G == 0.0))                  # the G = 0 window
+    assert np.any(timelike_f & (G != 0.0) & (abs(G) <= 1e-12))
+
+
+def test_classify_matches_scalar_reference():
+    paths = [MinkowskiPath(ev) for ev in FIXTURES.values()]
+    for P, Q in _reference_pairs():
+        paths += [P, Q]
+    rng = np.random.default_rng(37)
+    for dim in (2, 4):
+        for n in range(3, 15):
+            # times that may run backwards: all three classes
+            times = np.cumsum(rng.uniform(-0.3, 1.0, n))
+            paths.append(MinkowskiPath(np.column_stack([rng.uniform(-1, 1, (n, dim - 1)), times])))
+    labels = [classify(path) for path in paths]
+    assert labels == [scalar_classify(path) for path in paths]
+    assert set(labels) == set(CausalClass)
+
+
+def test_d1_and_d2_match_scalar_reference_bit_for_bit():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for P, Q in _reference_pairs():
+            for A, B in ((P, Q), (Q, P)):
+                assert _bits(d1(A, B)) == _bits(scalar_d1(A, B))
+                variants = ["prime", "symmetrized"]
+                if classify(A) is CausalClass.CAUSAL:
+                    variants.append("plain")
+                for variant in variants:
+                    assert _bits(d2(A, B, variant)) == _bits(scalar_d2(A, B, variant))
+
+
+def test_segment_integrals_match_scalar_reference_bit_for_bit():
+    # every P segment, spacelike ones too, whose branches d2 never reads:
+    # they reach the G = 0 window against a timelike Q segment
+    for P, Q in _reference_pairs():
+        branches, exists = _envelope_branches(P, Q)
+        ev = P.events
+        for i in range(P.n_segments):
+            got = _integrate_envelope(*branches[:, i, exists[i]])
+            assert _bits(got) == _bits(scalar_segment_integral(ev[i], ev[i + 1] - ev[i], Q))
