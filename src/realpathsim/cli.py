@@ -401,15 +401,17 @@ def cmd_run(args) -> int:
 
 # -- sweep ---------------------------------------------------------------------
 
-def _sweep_cells(config: dict, args, name: str, values: list) -> list:
-    """(model spec, distance spec, distance scale) of each cell, refusing what cannot apply.
+def _sweep_cells(config: dict, args, name: str, values: list) -> tuple[list, dict]:
+    """(model spec, distance spec, distance scale) of each cell, and the lattice routes.
 
     The config is read once, as the base point; each cell replaces the
     swept field: D of the distance, the distance_scale of a lattice, or a
     scalar field of the model spec.  Every cell is admitted before any
     is built or enumerated: a toy cell by its kernel windows, a lattice
     cell by its scale, its mass and its route's bound, admitted once per
-    distinct (spec, distance) over the scales of its cells.
+    distinct (spec, distance) over the scales of its cells.  The routes
+    map each such (spec, distance) to the route its admission chose
+    (lattice.admit_scales), which its group then takes.
     """
     spec = _model_spec(config.get("model"))
     if isinstance(spec, ScreenSpec):
@@ -435,22 +437,24 @@ def _sweep_cells(config: dict, args, name: str, values: list) -> list:
         else:
             kernel_windows(cell[1], cell[0].N)  # refused before any build
         cells.append(cell)
-    for key, scales in lattice_scales.items():
-        lattice_mod.admit_scales(*key, scales)  # before any enumeration
-    return cells
+    routes = {key: lattice_mod.admit_scales(*key, scales)  # before any enumeration
+              for key, scales in lattice_scales.items()}
+    return cells, routes
 
 
-def _prepare_group(cells: list, indices: list):
+def _prepare_group(cells: list, routes: dict, indices: list):
     """cell(i) -> (visibility, block mass, norm constant) of the cells ``indices``.
 
     The cells share one model spec, and so one preparation: a lattice
     spec one enumeration and plan over the cells' distance scales
-    (lattice.two_arm_sweep), a toy spec one build and prefix sum over the
-    cells' distances (toymodels.beam_sweep).
+    (lattice.two_arm_sweep, on the route ``routes`` holds for it), a toy
+    spec one build and prefix sum over the cells' distances
+    (toymodels.beam_sweep).
     """
     spec, dspec, _ = cells[indices[0]]
     if isinstance(spec, LatticeSpec):
-        two_arm = lattice_mod.two_arm_sweep(spec, dspec, [cells[i][2] for i in indices])
+        two_arm = lattice_mod.two_arm_sweep(spec, dspec, [cells[i][2] for i in indices],
+                                            routes[spec, dspec])
 
         def cell(i):
             vis, mass, dist = two_arm(cells[i][2])
@@ -474,7 +478,7 @@ def cmd_sweep(args) -> int:
     name, values = sweep["name"], list(sweep["values"])
     if len(values) > MAX_SWEEP_CELLS:
         raise GridTooLarge(f"{len(values)} cells exceed {MAX_SWEEP_CELLS}")
-    cells = _sweep_cells(config, args, name, values)
+    cells, routes = _sweep_cells(config, args, name, values)
 
     # cells with equal model specs form one group, which prepares once
     # (_prepare_group): a lattice sweep over distance_scale, a toy sweep
@@ -492,14 +496,14 @@ def cmd_sweep(args) -> int:
 
     def run(pool, indices, cell=None):
         def task(i):
-            return (cell or _prepare_group(cells, [i]))(i)
+            return (cell or _prepare_group(cells, routes, [i]))(i)
         for i, r in zip(indices, pool.map(task, indices)):
             results[i] = r
 
     if cells:
         with ThreadPoolExecutor(max_workers=min(args.threads, len(cells))) as pool:
             for indices in shared:
-                run(pool, indices, pool.submit(_prepare_group, cells, indices).result())
+                run(pool, indices, pool.submit(_prepare_group, cells, routes, indices).result())
             run(pool, alone)
 
     table = _csv_lines(f"{name},%.17g,%.17g,%.17g,%.17g\n",

@@ -25,7 +25,9 @@ The smearing sum has two routes:
   sums _BAND_TILE output entries at a time from reused tile buffers,
   which ``index_smeared`` collects and a sweep cell reduces straight
   into its probabilities.  K=1 is the single ensemble; K=3 is the
-  particle x screen composite (``banded_smeared``).
+  particle x screen composite (``banded_smeared``).  The kernel works in
+  the amplitudes' dtype: real amplitudes (a zero-phase toy model) keep
+  the prefix, tiles and sums in float64, with the bits complex128 gives.
 * ``dense_smeared``, a dense route for the geometric distances.  It
   streams cache-sized tiles of rows, from an (N, N) distance matrix or
   from a ``GridPathSource`` that computes the negated distances of
@@ -322,11 +324,13 @@ def patched_prefix(prefix: Prefix, start: int, amps: np.ndarray, lo: int, hi: in
     replaced by ``amps``, which must reach index min(n, hi + r) - 1.
     Entries up to P(start) are copied and the later ones rebuilt from it
     by one cumsum over ``amps``, so the bits are those of prefix_sum over
-    the patched amplitudes.
+    the patched amplitudes; a real prefix patched with complex ``amps``
+    is copied as complex.
     """
     n, r = prefix.n, min(radius, prefix.n)  # the windows clip their radius to n
     origin = r - lo  # out[origin + k] = P(k)
-    out = prefix.sums[prefix.origin + lo - r : prefix.origin + hi + r + 1].copy()
+    window = prefix.sums[prefix.origin + lo - r : prefix.origin + hi + r + 1]
+    out = window.astype(np.result_type(prefix.sums, amps))
     run = out[origin + start : origin + min(n, hi + r) + 1]
     run[1:] = amps[: run.size - 1]
     np.cumsum(run, out=run)

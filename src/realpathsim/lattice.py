@@ -638,18 +638,21 @@ def admit_scales(spec: LatticeSpec, distance: DistanceSpec, scales) -> bool:
     return admit(spec, distance)[1]
 
 
-def _passes(spec, distance, scales):
+def _passes(spec, distance, scales, transfer=None):
     """(sites, smeared(distance_scale, phases)) for every scale of ``scales``.
 
     Every scale is checked, and the route chosen (admit_scales), before
-    the one enumeration.  smeared returns the smeared sums at each phase
-    and the shared denominators: transfer_plan's, or the dense pass's,
-    which multiplies each tile of exp(-d), streamed from a GridPathSource,
-    by every phase setting's amplitudes.  Each scale's pass runs when
+    the one enumeration; ``transfer`` is the route admit_scales already
+    chose for these scales, or None to admit here.  smeared returns the
+    smeared sums at each phase and the shared denominators:
+    transfer_plan's, or the dense pass's, which multiplies each tile of
+    exp(-d), streamed from a GridPathSource, by every phase setting's
+    amplitudes.  Each scale's pass runs when
     smeared is called, which reads the shared sites and plan only, so
     calls may run on several threads at once.
     """
-    transfer = admit_scales(spec, distance, scales)
+    if transfer is None:
+        transfer = admit_scales(spec, distance, scales)
     sites = enumerate_paths(spec)
     if transfer:
         return sites, transfer_plan(spec, sites, distance, scales)
@@ -693,7 +696,7 @@ def _two_arm_visibility(w: np.ndarray, sums, denom) -> float:
     return visibility(p_plus, p_minus)
 
 
-def two_arm_sweep(spec: LatticeSpec, distance: DistanceSpec, scales):
+def two_arm_sweep(spec: LatticeSpec, distance: DistanceSpec, scales, transfer=None):
     """cell(distance_scale) of the two-arm setup, for any scale of ``scales``.
 
     cell returns (visibility, block mass, distribution).  The visibility
@@ -704,9 +707,11 @@ def two_arm_sweep(spec: LatticeSpec, distance: DistanceSpec, scales):
     pass and share the denominators, as these do not depend on the
     amplitudes.  Every scale is checked before the one enumeration,
     whose plan (transfer_plan) serves every scale; cells only read it,
-    so a sweep may run them on several threads at once.
+    so a sweep may run them on several threads at once.  A caller that
+    has admitted the scales passes the route admit_scales returned as
+    ``transfer``, and the spec is not admitted again.
     """
-    sites, smeared = _passes(spec, distance, scales)
+    sites, smeared = _passes(spec, distance, scales, transfer)
     w = corridor_weights(sites)
 
     def cell(distance_scale):

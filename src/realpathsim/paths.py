@@ -1,8 +1,9 @@
 """The path ensemble every model in the package builds.
 
 ``PathEnsemble`` is a finite indexed family of paths carrying unit-modulus
-complex amplitudes.  Indices run 1..N in the order given, the convention
-used throughout for toy ensembles.
+amplitudes: float64 when every amplitude is real, complex128 otherwise.
+Indices run 1..N in the order given, the convention used throughout for
+toy ensembles.
 
 Units are natural (hbar = c = 1); the amplitude convention is
 A(P) = exp(-i S(P)).
@@ -32,13 +33,18 @@ def _require_unit_modulus(amps: np.ndarray, atol: float):
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """Finite set of paths with unit-modulus amplitudes, indexed 1..N."""
+    """Finite set of paths with unit-modulus amplitudes, indexed 1..N.
+
+    Real input is kept as float64, so a real ensemble never takes complex
+    arithmetic; anything else is cast to complex128.
+    """
 
     amplitudes: np.ndarray
     endpoint_tag: str = "B"
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        amps = np.asarray(self.amplitudes)
+        amps = amps.astype(np.float64 if np.isrealobj(amps) else np.complex128, copy=False)
         if amps.ndim != 1 or amps.size == 0:
             raise EmptyEnsemble("ensemble needs a non-empty 1-d amplitude list")
         _require_unit_modulus(amps, UNIT_MODULUS_ATOL)

@@ -146,13 +146,15 @@ def build_m3(spec: M3Spec) -> PathEnsemble:
     The run before the first region starts at +1 (the (-1)^(i-1) rule);
     every run after a region starts at -1 (the (-1)^(i-M-K) rule).  The
     parity conditions make each run end at -1 before a region and at +1
-    at index N.
+    at index N.  The amplitudes are float64 when every phase is 0 (-0.0
+    too), complex128 otherwise: exp(-i pi) is not real in floating point.
     """
-    amps = np.empty(spec.N, dtype=np.complex128)
+    real = not any(th for _M, _K, th in spec.regions)
+    amps = np.empty(spec.N, dtype=np.float64 if real else np.complex128)
     pos = 1  # next index to fill, 1-based
     for M, K, th in spec.regions:
         _alternating(amps[pos - 1 : M - 1], 1.0 if pos == 1 else -1.0)
-        amps[M - 1 : M + K] = np.exp(-1j * th)
+        amps[M - 1 : M + K] = 1.0 if real else np.exp(-1j * th)
         pos = M + K + 1
     _alternating(amps[pos - 1 :], -1.0)
     return PathEnsemble(amps)
@@ -297,7 +299,7 @@ def beam_sweep(spec, dspecs):
     amps = build_model(spec).amplitudes
     prefix = prefix_sum(amps, max(w.radii[-1] for w in windows.values()))
     reach = max(min(m3.N, block(d)[1] + w.radii[-1]) for d, w in windows.items())
-    flipped = amps[M - 1 : reach].copy()
+    flipped = amps[M - 1 : reach].astype(np.complex128)  # exp(-i(th + pi)) is not real
     flipped[: K + 1] = np.exp(-1j * (th + np.pi))
 
     def cell(dspec):

@@ -1039,6 +1039,36 @@ def test_lattice_sweep_enumerates_once_and_passes_messages_once(tmp_path, monkey
     assert (calls.count("enumerate_paths"), calls.count("_messages")) == (1, 4)
 
 
+@pytest.mark.parametrize("argv, golden, admits", [
+    # one group of 8 scales; three distinct masses, one group repeated
+    (["--config", str(DATA / "lattice_sweep_transfer.json"), "--output", "{out}", "sweep"],
+     "lattice_sweep_transfer.csv", 1),
+    (["--config", str(DATA / "lattice_mass_sweep.json"), "--output", "{out}", "sweep"],
+     "lattice_mass_sweep.csv", 3),
+    # run_lattice_experiment admits on its own
+    (["lattice", "--steps", "4", "--extent", "3", "--hop", "2", "--weight", "corridor",
+      "--output", "{out}"], "lattice_smoke.csv", 1),
+])
+def test_lattice_admits_each_group_once(tmp_path, monkeypatch, argv, golden, admits):
+    # a sweep admits each distinct (spec, distance) once, before any
+    # enumeration, and its group takes the route that admission chose
+    from realpathsim import lattice
+
+    calls = []
+    admit = lattice.admit
+
+    def counted(spec, distance):
+        calls.append(spec)
+        return admit(spec, distance)
+
+    monkeypatch.setattr(lattice, "admit", counted)
+    monkeypatch.setenv("REALPATH_THREADS", "2")
+    out = tmp_path / "out.csv"
+    assert run_cli([a.format(out=out) for a in argv]) == 0
+    assert out.read_bytes() == (DATA / golden).read_bytes()
+    assert len(calls) == admits
+
+
 def test_lattice_admission_bound_is_a_path_count(monkeypatch):
     # the bound the 512-row dense block set, 2**30 // (512*16 + 32*32)
     # paths, is kept as a path count

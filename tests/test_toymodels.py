@@ -3,6 +3,10 @@
 The closed forms are exact for M1 (every strictly covered index equals
 the direct evaluation bit for bit after common normalization) and exact
 up to an alternating-tail residue of at most 1 in amplitude for M2.
+
+A zero-phase model is built as float64 and runs the banded kernel in
+real arithmetic; its oracle is the same amplitudes cast to complex128,
+whose sums must have the real route's bits and an imaginary part of +0.
 """
 
 import math
@@ -10,17 +14,22 @@ import math
 import numpy as np
 import pytest
 
+from realpathsim import toymodels
 from realpathsim.cli import _model_spec
 from realpathsim.distances import DistanceSpec
-from realpathsim.engine import path_probabilities, unnormalized_probabilities
+from realpathsim.engine import banded_smeared, path_probabilities, unnormalized_probabilities
 from realpathsim.errors import PreconditionViolation, SpecViolation
+from realpathsim.paths import PathEnsemble
+from realpathsim.screen import ScreenSpec, _components
 from realpathsim.toymodels import (
     M1Spec,
     M2Spec,
     M3Spec,
+    beam_sweep,
     build_m1,
     build_m2,
     build_m3,
+    build_model,
     m1_closed_form,
     m2_closed_form,
 )
@@ -275,3 +284,137 @@ def test_parse_model_spec_round_trip():
     assert isinstance(m2, M2Spec) and m2.theta1 == 1.5
     with pytest.raises(SpecViolation):
         _model_spec({"model": "M9"})
+
+
+# -- the real route: zero-phase models in float64 --------------------------------
+
+ZERO_PHASE = [
+    M1Spec(N=204, M=101, K=3),
+    M2Spec(N=600, M0=201, K0=4, M1=216, K1=4),
+    M3Spec(N=601, regions=((201, 4, 0.0), (216, 4, -0.0), (301, 6, 0.0))),
+]
+# the spec of the benchmark's m2_sweep, and its D values
+BENCH_M2 = M2Spec(N=1_000_000, M0=499_999, K0=4, M1=500_216, K1=4)
+BENCH_D = [2, 5, 10, 20, 40, 80, 160, 320, 640, 1280, 2560, 5120]
+
+
+def _spec_id(spec):
+    return f"{type(spec).__name__}-{spec.N}"
+
+
+def _dspec_id(dspec):
+    return f"{dspec.name}-{dspec.D}" + ("-literal" if dspec.literal_log_half else "")
+
+
+def _bits(x):
+    """The int64 bit patterns of float values, so that -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
+
+
+def _same_bits(a, b) -> bool:
+    return np.array_equal(_bits(a), _bits(b))
+
+
+def _all_plus_zero(x) -> bool:
+    return not np.any(_bits(x))
+
+
+def _as_complex(ensemble: PathEnsemble) -> PathEnsemble:
+    return PathEnsemble(ensemble.amplitudes.astype(np.complex128))
+
+
+@pytest.mark.parametrize("spec", ZERO_PHASE + [BENCH_M2], ids=_spec_id)
+@pytest.mark.parametrize("dspec", [
+    DistanceSpec("step", D=3),
+    DistanceSpec("step", D=20, literal_log_half=True),
+    DistanceSpec("step", D=10**7),
+    DistanceSpec("exp_index", D=5),
+], ids=_dspec_id)
+def test_real_route_has_the_bits_of_the_complex_route(spec, dspec):
+    ensemble = build_model(spec)
+    assert ensemble.amplitudes.dtype == np.float64
+    unnorm, smeared, denom = unnormalized_probabilities(ensemble, dspec)
+    ref_unnorm, ref_smeared, ref_denom = unnormalized_probabilities(_as_complex(ensemble), dspec)
+    assert smeared.dtype == np.float64 and ref_smeared.dtype == np.complex128
+    assert _same_bits(unnorm, ref_unnorm)
+    assert _same_bits(smeared, ref_smeared.real)
+    assert _same_bits(denom, ref_denom)
+    assert _all_plus_zero(ref_smeared.imag)
+
+
+@pytest.mark.parametrize("phases", [(0.0, 0.0), (0.0, 0.7)])
+def test_screen_real_components_have_the_bits_of_complex_ones(phases):
+    # zero phases make every component real; a phase on the second
+    # endpoint leaves its particle component complex beside real screens
+    spec = ScreenSpec(
+        D=12,
+        endpoints=tuple(M3Spec(N=56, regions=((27, 3, th),)) for th in phases),
+        screen_before=M1Spec(N=61, M=27, K=8),
+        n_after=95, k_after=8, anchors=(27, 61),
+    )
+    for j, th in enumerate(phases):
+        components = _components(spec, j)
+        assert [c.dtype for c in components] == [np.complex128 if th else np.float64] + [np.float64] * 2
+        smeared, denom = banded_smeared(components, spec.D)
+        ref_smeared, ref_denom = banded_smeared([c.astype(np.complex128) for c in components], spec.D)
+        assert _same_bits(smeared.real, ref_smeared.real)
+        assert _same_bits(denom, ref_denom)
+        if not th:
+            assert smeared.dtype == np.float64
+            assert _all_plus_zero(ref_smeared.imag)
+        else:
+            assert _same_bits(smeared.imag, ref_smeared.imag)
+
+
+@pytest.mark.parametrize("spec, dspecs", [
+    *(pytest.param(s, [DistanceSpec("step", D=D, literal_log_half=literal)
+                       for D in (1, 2, 20, 10**7) for literal in (False, True)]
+                   + [DistanceSpec("exp_index", D=D) for D in (1, 5, 600)], id=_spec_id(s))
+      for s in ZERO_PHASE),
+    pytest.param(BENCH_M2, [DistanceSpec("step", D=D) for D in BENCH_D]
+                 + [DistanceSpec("step", D=50, literal_log_half=True),
+                    DistanceSpec("exp_index", D=5)], id=_spec_id(BENCH_M2)),
+])
+def test_real_sweep_cells_have_the_bits_of_complex_cells(monkeypatch, spec, dspecs):
+    # the complex side is the same sweep group with its build cast to
+    # complex128; the flipped block is complex128 on both sides
+    cell = beam_sweep(spec, dspecs)
+    monkeypatch.setattr(toymodels, "build_model", lambda s: _as_complex(build_model(s)))
+    ref_cell = beam_sweep(spec, dspecs)
+    for dspec in dspecs:
+        vis, mass, probs, C = cell(dspec)
+        ref_vis, ref_mass, ref_probs, ref_C = ref_cell(dspec)
+        assert (vis, mass, C) == (ref_vis, ref_mass, ref_C), _dspec_id(dspec)
+        assert _same_bits(probs, ref_probs), _dspec_id(dspec)
+
+
+@pytest.mark.parametrize("spec", [
+    CANON,
+    M2Spec(N=31, M0=5, K0=2, M1=14, K1=3),
+    M2Spec(N=31, M0=5, K0=2, M1=14, K1=3, theta0=-0.0),
+    M3Spec(N=31, regions=((5, 2, -0.0), (14, 3, -0.0))),
+], ids=_spec_id)
+def test_zero_phase_models_build_float64(spec):
+    assert build_model(spec).amplitudes.dtype == np.float64
+
+
+@pytest.mark.parametrize("phases", [(0.0, math.pi), (1e-300, 0.0), (-0.0, -2.1)])
+def test_a_nonzero_phase_builds_complex128(phases):
+    # exp(-i pi) has an imaginary part of -1.2e-16: pi is not real either
+    spec = M2Spec(N=31, M0=5, K0=2, M1=14, K1=3, theta0=phases[0], theta1=phases[1])
+    amps = build_m2(spec).amplitudes
+    assert amps.dtype == np.complex128
+    assert np.array_equal(amps[4:7], np.full(3, np.exp(-1j * phases[0])))
+    assert np.array_equal(amps[13:17], np.full(4, np.exp(-1j * phases[1])))
+
+
+@pytest.mark.parametrize("amps, dtype", [
+    ([1, -1], np.float64),
+    (np.array([1.0, -1.0], dtype=np.float32), np.float64),
+    ([1 + 0j, -1], np.complex128),
+    (np.array([1j, -1], dtype=np.complex64), np.complex128),
+])
+def test_ensemble_keeps_real_amplitudes_real(amps, dtype):
+    ensemble = PathEnsemble(amps)
+    assert ensemble.amplitudes.dtype == dtype
+    assert np.array_equal(ensemble.amplitudes, np.asarray(amps))
