@@ -31,6 +31,7 @@ import numpy as np
 
 from .engine import (
     check_probabilities,
+    computed_rows,
     index_smeared,
     index_tiles,
     kernel_windows,
@@ -282,11 +283,13 @@ def beam_sweep(spec, dspecs):
     masses at the spec's own phases and with the last region's turned by
     pi, and the share there of the probabilities ``run`` gives.  Every
     distance is admitted (kernel_windows) before the one build, whose
-    prefix sum, padded for the widest radius, serves every cell: one
-    banded pass over all N rows at the own phases, one over the block
-    rows from the prefix patched with the flipped amplitudes, sliced from
-    the build as far as any block's windows read.  Cells only read what
-    they share, so they may run on several threads at once.
+    prefix sum, padded for the widest radius, and its computed_rows serve
+    every cell: at the own phases, a banded pass over the rows near a
+    beam or an edge, each 2-periodic stretch between them copied from the
+    two rows before it; then one over the block rows from the prefix
+    patched with the flipped amplitudes, sliced from the build as far as
+    any block's windows read.  Cells only read what they share, so they
+    may run on several threads at once.
     """
     m3 = spec.as_m3()
     first, last = m3.block_range
@@ -302,10 +305,16 @@ def beam_sweep(spec, dspecs):
     flipped = amps[M - 1 : reach].astype(np.complex128)  # exp(-i(th + pi)) is not real
     flipped[: K + 1] = np.exp(-1j * (th + np.pi))
 
+    rows = computed_rows(prefix)
+
     def cell(dspec):
         unnorm = np.empty(m3.N)
-        for rows, smeared, denom in index_tiles(prefix, windows[dspec]):
-            weighted_probabilities(smeared, denom, out=unnorm[rows])
+        ranges = rows(windows[dspec].radii[-1])
+        for lo, hi in ranges:
+            for tile, smeared, denom in index_tiles(prefix, windows[dspec], lo, hi):
+                weighted_probabilities(smeared, denom, out=unnorm[tile])
+        for (_, a), (b, _) in zip(ranges, ranges[1:]):  # 2-periodic stretches
+            unnorm[a:b:2], unnorm[a + 1 : b : 2] = unnorm[a - 2], unnorm[a - 1]
         lo, hi = block(dspec)
         patched = patched_prefix(prefix, M - 1, flipped, lo, hi, windows[dspec].radii[-1])
         flip = index_smeared(patched, windows[dspec], lo, hi)

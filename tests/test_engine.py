@@ -11,8 +11,10 @@ from realpathsim.distances import DistanceSpec
 from realpathsim.engine import (
     _BAND_TILE,
     PathDistribution,
+    Prefix,
     _windows,
     banded_smeared,
+    computed_rows,
     dense_smeared,
     distribution_from_sums,
     final_state_probabilities,
@@ -256,6 +258,53 @@ def test_index_tiles_concatenate_to_index_smeared(lo, hi):
         if name == "step":
             want = untiled_banded_smeared([amps], D)
             assert _same_bits(got, [w[lo:hi] for w in want]), D
+
+
+def test_computed_rows_count_a_signed_zero_as_a_break():
+    # P(k) = +0.0 but one -0.0, which == would call equal: P(20) differs
+    # from P(18) and P(22) from P(20).  At R = 3 each break k asks for
+    # rows k-2 .. k+5, beside the clipped rows [0, 5) and [35, 40)
+    n = 40
+    for negative_zero in (-0.0, complex(0.0, -0.0)):
+        prefix = prefix_sum(np.zeros(n, dtype=type(negative_zero)), 5)
+        assert computed_rows(prefix)(3) == [(0, 5), (35, 40)]
+        prefix.sums[prefix.origin + 20] = negative_zero
+        assert computed_rows(prefix)(3) == [(0, 5), (16, 26), (35, 40)]
+
+
+def test_computed_rows_without_breaks_are_the_clipped_rows():
+    # a 2-periodic prefix: [0, R+2) and [n-R-2, n), one range once they meet
+    n = 40
+    for sums in (np.resize([1.0, 0.0], n + 11), np.resize([1j, 0.5], n + 11)):
+        rows = computed_rows(Prefix(sums, 5, n))
+        assert rows(1) == [(0, 3), (37, 40)]
+        assert rows(3) == [(0, 5), (35, 40)]
+        assert rows(18) == rows(10**7) == [(0, 40)]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("name, D, literal", [
+    ("step", 1, False), ("step", 4, True), ("step", 40, False), ("exp_index", 2, False),
+])
+def test_rows_between_computed_ranges_repeat_the_row_two_before(dtype, name, D, literal):
+    # alternating amplitudes with three beams, phased when complex: every
+    # row outside the ranges has the bits of the row two before it in a
+    # full banded pass
+    n = 3000
+    amps = np.resize(np.array([1.0, -1.0], dtype=dtype), n)
+    rng = np.random.default_rng(D)
+    for start in (400, 1203, 2500):
+        amps[start : start + 5] = _random_unit(rng, 5) if dtype is complex else 1.0
+    windows = kernel_windows(DistanceSpec(name, D=D, literal_log_half=literal), n)
+    prefix = prefix_sum(amps, windows.radii[-1])
+    smeared, denom = index_smeared(prefix, windows)
+    copied = np.ones(n, dtype=bool)
+    for lo, hi in computed_rows(prefix)(windows.radii[-1]):
+        copied[lo:hi] = False
+    rows = np.flatnonzero(copied)
+    assert rows.size > n // 2
+    assert smeared[rows].tobytes() == smeared[rows - 2].tobytes()
+    assert denom[rows].tobytes() == denom[rows - 2].tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 15, 33, 63, 65, 513])

@@ -15,7 +15,15 @@ import pytest
 from realpathsim import cli, toymodels
 from realpathsim.cli import main
 from realpathsim.distances import DistanceSpec
-from realpathsim.engine import index_smeared, kernel_windows, normalize, patched_prefix, prefix_sum
+from realpathsim.engine import (
+    computed_rows,
+    index_smeared,
+    index_tiles,
+    kernel_windows,
+    normalize,
+    patched_prefix,
+    prefix_sum,
+)
 from realpathsim.errors import AllZeroProbability
 from realpathsim.toymodels import M1Spec, M2Spec, M3Spec, beam_sweep, build_model
 
@@ -107,6 +115,77 @@ def test_cell_matches_two_pass_oracle_exp_index():
         assert probs.tobytes() == ref.probs.tobytes()
 
 
+def _phased_regions(count):
+    """An M3 of ``count`` regions, each of nonzero phase, apart by 61 to 1 601 paths."""
+    regions, M = [], 301
+    for k in range(count):
+        K = (1, 2, 4, 7)[k % 4]
+        regions.append((M, K, 0.3 + 0.1 * k))
+        M += K + (121, 377, 999, 61, 1601)[k % 5]  # odd gaps: even alternating runs
+    M, K, _ = regions[-1]
+    return M3Spec(N=M + K + 2000, regions=tuple(regions))
+
+
+# specs whose rows are mostly a 2-periodic stretch, which the desk-scale
+# specs above lack: 60 phased regions, each leaving a complex transient
+# in the prefix, and a real M2 whose stretches the literal rim makes
+# nonzero (the usual rim weighs them to 0)
+PHASED = _phased_regions(60)
+REAL_M2 = M2Spec(N=100_002, M0=40_001, K0=4, M1=40_216, K1=4)
+
+
+@pytest.mark.parametrize("spec", [PHASED, REAL_M2], ids=["M3-phased", "M2-real"])
+@pytest.mark.parametrize("literal", [False, True], ids=["half", "literal"])
+def test_periodic_stretches_match_two_pass_oracle(spec, literal):
+    # one group whose widest D closes every gap between ranges, beside
+    # cells that prepare their own prefix; D from 1 past N
+    Ds = (1, 2, 40, 700, 2000, spec.N - 1, spec.N, 10**7)
+    dspecs = [DistanceSpec("step", D=D, literal_log_half=literal) for D in Ds]
+    rows = computed_rows(_shared_prefix(spec, 1))(1)
+    assert sum(hi - lo for lo, hi in rows) < spec.N // 20  # mostly copied at D = 1
+    group = beam_sweep(spec, dspecs)
+    for dspec in dspecs:
+        ref_vis, ref_mass, ref = two_pass_toy_experiment(spec, dspec)
+        for vis, mass, probs, C in (group(dspec), _own_cell(spec, dspec)):
+            assert (vis, mass, C) == (ref_vis, ref_mass, ref.norm_constant), dspec.D
+            assert probs.tobytes() == ref.probs.tobytes(), dspec.D
+    if literal and spec is REAL_M2:
+        probs = group(dspecs[0])[2]
+        assert probs[1000] == probs[1002] > 0 and probs[1001] == probs[1003] > 0
+
+
+@pytest.mark.parametrize("D", [3, 300])
+def test_periodic_stretches_match_two_pass_oracle_exp_index(D):
+    # D = 300 reaches 1 985 radii, which close the narrower gaps
+    dspec = DistanceSpec("exp_index", D=D)
+    vis, mass, probs, C = _own_cell(PHASED, dspec)
+    ref_vis, ref_mass, ref = two_pass_toy_experiment(PHASED, dspec)
+    assert (vis, mass, C) == (ref_vis, ref_mass, ref.norm_constant)
+    assert probs.tobytes() == ref.probs.tobytes()
+
+
+def test_cell_computes_only_the_rows_near_a_beam_or_an_edge(monkeypatch):
+    # the benchmark's m2_sweep spec: every other row of the 10^6 is
+    # copied from the row two before it
+    handed = []
+
+    def counted(prefix, windows, lo=0, hi=None, rest=()):
+        handed.append((prefix.n if hi is None else hi) - lo)
+        return index_tiles(prefix, windows, lo, hi, rest)
+
+    monkeypatch.setattr(toymodels, "index_tiles", counted)
+    dspecs = [DistanceSpec("step", D=D) for D in (2, 5, 10, 20, 40, 80, 160, 320, 640,
+                                                  1280, 2560, 5120)]
+    cell = beam_sweep(M2Spec(N=1_000_000, M0=499_999, K0=4, M1=500_216, K1=4), dspecs)
+    rows = {}
+    for dspec in dspecs:
+        handed.clear()
+        cell(dspec)
+        rows[dspec.D] = sum(handed)
+    assert rows[2] <= 27
+    assert max(rows.values()) == rows[5120] <= 20_706
+
+
 def test_cell_refuses_an_all_zero_distribution(monkeypatch):
     # every weight 0: the cell raises as distribution_from_sums does
     monkeypatch.setattr(toymodels, "normalize", lambda unnorm: normalize(unnorm * 0.0))
@@ -171,7 +250,9 @@ def test_repeated_value_shares_a_build(tmp_path, monkeypatch):
     assert lines[1].split(",")[2:] == lines[3].split(",")[2:] == lines[4].split(",")[2:]
 
 
-@pytest.mark.parametrize("config", ["m2_sweep.json", "m2_theta_sweep.json", "m2_exp_index.json"])
+@pytest.mark.parametrize(
+    "config", ["m2_sweep.json", "m2_theta_sweep.json", "m2_exp_index.json", "m3_sweep_long.json"]
+)
 def test_sweep_bytes_do_not_depend_on_threads(tmp_path, monkeypatch, config):
     # more pool threads than cores, switching often, all reading the
     # shared prefix (or preparing their own)
