@@ -644,23 +644,23 @@ def test_blas_cap_without_openblas_does_nothing(tmp_path, monkeypatch):
         ("m2_exp_index.json", "sweep", [], "m2_exp_index.csv"),
         ("m3_sweep.json", "sweep", [], "m3_sweep.csv"),
         ("m3_sweep.json", "sweep", ["--literal-log-half"], "m3_sweep_literal.csv"),
-        ("m3_sweep_long.json", "sweep", [], "m3_sweep_long.csv"),
-        ("m3_sweep_long.json", "sweep", ["--literal-log-half"], "m3_sweep_long_literal.csv"),
         ("m2_theta_sweep.json", "sweep", [], "m2_theta_sweep.csv"),
         ("m1.json", "run", ["--format", "json"], "m1_run.json"),
         ("screen.json", "ratios", ["--format", "json"], "screen_ratios.json"),
         ("m2_compare_i.json", "compare", [], "m2_compare_i.csv"),
         ("m2_compare_ii.json", "compare", [], "m2_compare_ii.csv"),
+        ("m3_sweep_long.json", "sweep", [], "m3_sweep_long.csv"),
+        ("m3_sweep_long.json", "sweep", ["--literal-log-half"], "m3_sweep_long_literal.csv"),
     ],
 )
 def test_banded_outputs_match_golden_bytes(tmp_path, config, command, flags, golden):
     # the README's M1 and M2 examples, a K=3 screen config, an M2 sweep
     # whose windows reach past N/2, an M2 sweep under exp_index, a
-    # three-region M3 sweep over D from 1 past N (sharing one prefix), the
-    # same over 60 regions and 214 214 paths, mostly 2-periodic rows, an
+    # three-region M3 sweep over D from 1 past N (sharing one prefix), an
     # M2 theta1 sweep (a model spec, so a prefix, per cell), the M1 and
-    # screen examples again as JSON, and M2 compares in case (i) (theta1 =
-    # 2.1) and case (ii)
+    # screen examples again as JSON, M2 compares in case (i) (theta1 =
+    # 2.1) and case (ii), and the M3 sweep again over 60 regions and
+    # 214 214 paths, mostly 2-periodic rows
     out = tmp_path / golden
     argv = ["--config", str(DATA / config), "--output", str(out), *flags, command]
     assert run_cli(argv) == 0
