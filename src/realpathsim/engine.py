@@ -24,12 +24,15 @@ The smearing sum has two routes:
   kernel, so a sweep over D takes it once.  ``index_tiles`` yields the
   sums _BAND_TILE output entries at a time from reused tile buffers,
   which ``index_smeared`` collects and a sweep cell reduces straight
-  into its probabilities.  Between beams a prefix is 2-periodic, and a
-  row whose windows read only such entries has the bits of the row two
-  before it: ``computed_rows`` finds the breaks of that period once per
-  prefix and gives the rows a radius must compute, so a sweep cell copies
-  the rest.  K=1 is the single ensemble; K=3 is the
-  particle x screen composite (``banded_smeared``).  The kernel works in
+  into the probabilities of the rows it computes.  Between beams a
+  prefix is 2-periodic, and a row whose windows read only such entries
+  has the bits of the row two before it: ``computed_rows`` finds the
+  breaks of that period once per prefix and gives the rows a radius
+  must compute.  A sweep cell holds those rows alone, as
+  ``CompactRows``, whose sum walks numpy's pairwise order over all n
+  rows with np.sum's bits, and which materializes any slice.  K=1 is
+  the single ensemble; K=3 is the particle x screen composite
+  (``banded_smeared``).  The kernel works in
   the amplitudes' dtype: real amplitudes (a zero-phase toy model) keep
   the prefix, tiles and sums in float64, with the bits complex128 gives.
 * ``dense_smeared``, a dense route for the geometric distances.  It
@@ -49,6 +52,7 @@ Python callables are not accepted: build the matrix.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -70,6 +74,10 @@ _TILE_ROWS = 64
 # output entries of index_tiles computed at once, sized to stay in
 # cache; any value gives the same bits
 _BAND_TILE = 1 << 15
+
+# numpy's pairwise float64 sum adds a run of at most this many entries
+# with 8 accumulators and splits a longer one (CompactRows.sum)
+_PAIRWISE_BLOCK = 128
 
 # most window rows (paths x kernel radii) a banded pass admits; time, not
 # memory, bounds it: about 25 s at the 4.7 to 5.2 ns per row and radius
@@ -97,11 +105,16 @@ class PathDistribution:
         return int(self.probs.size)
 
 
-def check_probabilities(probs: np.ndarray):
-    """Raise ValueError unless probs are non-negative and sum to 1 within _SUM_ATOL."""
-    if np.any(probs < 0):
+def check_probabilities(probs):
+    """Raise ValueError unless probs are non-negative and sum to 1 within _SUM_ATOL.
+
+    ``probs`` is an array or CompactRows, whose rows outside its ranges
+    repeat rows inside them.
+    """
+    arrays = probs.values if isinstance(probs, CompactRows) else [probs]
+    if any(np.any(values < 0) for values in arrays):
         raise ValueError("negative probability")
-    total = float(np.sum(probs))
+    total = float(probs.sum())  # an array's sum() is np.sum
     if not abs(total - 1.0) <= _SUM_ATOL:  # a NaN sum fails too
         raise ValueError(f"probabilities sum to {total}, not 1")
 
@@ -372,6 +385,80 @@ def computed_rows(prefix: Prefix):
     return rows
 
 
+class CompactRows:
+    """n rows held as computed ranges and the 2-periodic stretches between them.
+
+    ``ranges`` are ascending disjoint (start, values) pairs, the first
+    starting at row 0: values holds rows start..start+len(values)-1.
+    Every row outside the ranges equals the row two before it, as
+    computed_rows gives them, so the stretch after a range repeats its
+    last two values; a range a stretch follows holds at least two.
+    """
+
+    def __init__(self, n: int, ranges):
+        self.n = n
+        self.values = [values for _, values in ranges]
+        # range k is rows [edges[2k], edges[2k+1]), the stretch after it
+        # [edges[2k+1], edges[2k+2])
+        self.edges = [edge for start, values in ranges for edge in (start, start + values.size)] + [n]
+        stretches = zip(self.edges[1::2], self.edges[2::2], self.values)
+        if self.edges[0] != 0 or any(b > a and values.size < 2 for a, b, values in stretches):
+            raise ValueError("ranges must start at row 0, and hold two rows before a stretch")
+
+    def take(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi-1 as a new array."""
+        out = np.empty(hi - lo, dtype=self.values[0].dtype)
+        edges = self.edges
+        j = bisect.bisect_right(edges, lo) - 1
+        while j + 1 < len(edges) and edges[j] < hi:
+            k, stretch = divmod(j, 2)
+            a, b = max(lo, edges[j]), min(hi, edges[j + 1])
+            if a < b and stretch:
+                pair = self.values[k][-2:]
+                p = (a - edges[j]) % 2  # row a repeats pair[p]
+                out[a - lo : b - lo : 2], out[a - lo + 1 : b - lo : 2] = pair[p], pair[1 - p]
+            elif a < b:
+                out[a - lo : b - lo] = self.values[k][a - edges[j] : b - edges[j]]
+            j += 1
+        return out
+
+    def sum(self) -> float:
+        """np.sum of the n rows, with its bits, from the ranges alone.
+
+        np.sum adds float64 by numpy's pairwise sum: a tree whose leaves
+        are runs of at most _PAIRWISE_BLOCK entries and which splits a
+        longer run at half its length rounded down to a multiple of 8.  A
+        subtree inside one range is np.add.reduce of its slice.  One
+        inside a stretch depends only on the stretch, the parity of its
+        first row and its length, and is taken once.  One across an edge
+        is split further, down to a leaf from take.  np.add.reduce adds
+        each subtree to 0.0, as np.sum adds the whole tree: that only
+        turns a -0.0 sum into +0.0, on which no sum of nonzero terms
+        depends.
+        """
+        edges, memo = self.edges, {}
+
+        def tree(lo, n):
+            j = bisect.bisect_right(edges, lo) - 1
+            inside = lo + n <= edges[j + 1]
+            if inside and j % 2 == 0:
+                start = edges[j]
+                return float(np.add.reduce(self.values[j // 2][lo - start : lo - start + n]))
+            key = (j, (lo - edges[j]) % 2, n) if inside else None
+            if key in memo:
+                return memo[key]
+            if n <= _PAIRWISE_BLOCK:
+                total = float(np.add.reduce(self.take(lo, lo + n)))
+            else:
+                half = n // 2 - n // 2 % 8
+                total = tree(lo, half) + tree(lo + half, n - half)
+            if inside:
+                memo[key] = total
+            return total
+
+        return tree(0, self.n)
+
+
 def _windows(prefix: Prefix, r: int, lo: int, hi: int, out=None):
     """Sums and counts of the windows |j-i| <= r in [0, n) of rows lo..hi-1.
 
@@ -422,16 +509,21 @@ def visibility(p_plus: float, p_minus: float) -> float:
     return abs(p_plus - p_minus) / (p_plus + p_minus) if p_plus + p_minus else 0.0
 
 
-def normalize(unnorm: np.ndarray) -> float:
-    """Scale unnorm in place by C = 1 / its sum, and return C.
+def norm_constant(total: float) -> float:
+    """C = 1 / total, the total of the unnormalized probabilities.
 
-    Raises AllZeroProbability when every weighted smeared amplitude
-    vanishes, since the postulate then defines no distribution.
+    Raises AllZeroProbability unless total > 0 (a NaN total fails too):
+    when every weighted smeared amplitude vanishes, the postulate defines
+    no distribution.
     """
-    total = float(np.sum(unnorm))
-    if not total > 0.0:  # a NaN total fails too
+    if not total > 0.0:
         raise AllZeroProbability(f"the path probability weights sum to {total}, not above 0")
-    C = 1.0 / total
+    return 1.0 / total
+
+
+def normalize(unnorm: np.ndarray) -> float:
+    """Scale unnorm in place by C = norm_constant of its sum, and return C."""
+    C = norm_constant(float(np.sum(unnorm)))
     unnorm *= C
     return C
 

@@ -19,16 +19,24 @@ from .errors import EmptyEnsemble, NonUnitAmplitude
 
 UNIT_MODULUS_ATOL = 1e-12
 
+# amplitudes checked at once, through one reused buffer sized to stay in cache
+_UNIT_BLOCK = 1 << 15
+
 
 def _require_unit_modulus(amps: np.ndarray, atol: float):
-    """Raise NonUnitAmplitude at the first A with ||A| - 1| > atol or NaN."""
-    dev = np.abs(amps)
-    dev -= 1.0
-    np.abs(dev, out=dev)
-    ok = dev <= atol
-    if not ok.all():
-        i = int(np.argmin(ok))
-        raise NonUnitAmplitude(i + 1, complex(amps[i]))
+    """Raise NonUnitAmplitude at the first A with ||A| - 1| > atol or NaN.
+
+    Checked _UNIT_BLOCK amplitudes at a time, through one reused buffer.
+    """
+    buf = np.empty(min(amps.size, _UNIT_BLOCK))
+    for lo in range(0, amps.size, _UNIT_BLOCK):
+        block = amps[lo : lo + _UNIT_BLOCK]
+        dev = np.abs(block, out=buf[: block.size])
+        dev -= 1.0
+        np.abs(dev, out=dev)
+        if not dev.max() <= atol:  # a NaN fails too
+            i = lo + int(np.argmin(dev <= atol))
+            raise NonUnitAmplitude(i + 1, complex(amps[i]))
 
 
 @dataclass(frozen=True)

@@ -30,12 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
+    CompactRows,
     check_probabilities,
     computed_rows,
     index_smeared,
     index_tiles,
     kernel_windows,
-    normalize,
+    norm_constant,
     patched_prefix,
     prefix_sum,
     visibility,
@@ -281,15 +282,16 @@ def beam_sweep(spec, dspecs):
     cell returns (visibility, block mass, probabilities, norm constant)
     on the beam block widened by D: the visibility of the unnormalized
     masses at the spec's own phases and with the last region's turned by
-    pi, and the share there of the probabilities ``run`` gives.  Every
-    distance is admitted (kernel_windows) before the one build, whose
-    prefix sum, padded for the widest radius, and its computed_rows serve
-    every cell: at the own phases, a banded pass over the rows near a
-    beam or an edge, each 2-periodic stretch between them copied from the
-    two rows before it; then one over the block rows from the prefix
-    patched with the flipped amplitudes, sliced from the build as far as
-    any block's windows read.  Cells only read what they share, so they
-    may run on several threads at once.
+    pi, and the share there of the probabilities ``run`` gives, which it
+    returns as CompactRows.  Every distance is admitted (kernel_windows)
+    before the one build, whose prefix sum, padded for the widest radius,
+    and its computed_rows serve every cell: at the own phases, a banded
+    pass over the rows near a beam or an edge, into one buffer per range,
+    with the 2-periodic stretches between them left to CompactRows, whose
+    sums have np.sum's bits over all N rows; then one over the block rows
+    from the prefix patched with the flipped amplitudes, sliced from the
+    build as far as any block's windows read.  Cells only read what they
+    share, so they may run on several threads at once.
     """
     m3 = spec.as_m3()
     first, last = m3.block_range
@@ -308,19 +310,23 @@ def beam_sweep(spec, dspecs):
     rows = computed_rows(prefix)
 
     def cell(dspec):
-        unnorm = np.empty(m3.N)
-        ranges = rows(windows[dspec].radii[-1])
-        for lo, hi in ranges:
+        ranges = []
+        for lo, hi in rows(windows[dspec].radii[-1]):
+            values = np.empty(hi - lo)
             for tile, smeared, denom in index_tiles(prefix, windows[dspec], lo, hi):
-                weighted_probabilities(smeared, denom, out=unnorm[tile])
-        for (_, a), (b, _) in zip(ranges, ranges[1:]):  # 2-periodic stretches
-            unnorm[a:b:2], unnorm[a + 1 : b : 2] = unnorm[a - 2], unnorm[a - 1]
+                weighted_probabilities(smeared, denom, out=values[tile.start - lo : tile.stop - lo])
+            ranges.append((lo, values))
+        unnorm = CompactRows(m3.N, ranges)
         lo, hi = block(dspec)
         patched = patched_prefix(prefix, M - 1, flipped, lo, hi, windows[dspec].radii[-1])
         flip = index_smeared(patched, windows[dspec], lo, hi)
-        p_minus, p_plus = float(np.sum(weighted_probabilities(*flip))), float(np.sum(unnorm[lo:hi]))
-        C = normalize(unnorm)
+        block_rows = unnorm.take(lo, hi)
+        p_minus, p_plus = float(np.sum(weighted_probabilities(*flip))), float(np.sum(block_rows))
+        C = norm_constant(unnorm.sum())
+        for values in unnorm.values:  # the stretches repeat these, so scale too
+            values *= C
         check_probabilities(unnorm)
-        return visibility(p_plus, p_minus), float(np.sum(unnorm[lo:hi])), unnorm, C
+        block_rows *= C
+        return visibility(p_plus, p_minus), float(np.sum(block_rows)), unnorm, C
 
     return cell

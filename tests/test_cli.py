@@ -651,6 +651,7 @@ def test_blas_cap_without_openblas_does_nothing(tmp_path, monkeypatch):
         ("m2_compare_ii.json", "compare", [], "m2_compare_ii.csv"),
         ("m3_sweep_long.json", "sweep", [], "m3_sweep_long.csv"),
         ("m3_sweep_long.json", "sweep", ["--literal-log-half"], "m3_sweep_long_literal.csv"),
+        ("m2_sweep_1e7.json", "sweep", [], "m2_sweep_1e7.csv"),
     ],
 )
 def test_banded_outputs_match_golden_bytes(tmp_path, config, command, flags, golden):
@@ -659,8 +660,9 @@ def test_banded_outputs_match_golden_bytes(tmp_path, config, command, flags, gol
     # three-region M3 sweep over D from 1 past N (sharing one prefix), an
     # M2 theta1 sweep (a model spec, so a prefix, per cell), the M1 and
     # screen examples again as JSON, M2 compares in case (i) (theta1 =
-    # 2.1) and case (ii), and the M3 sweep again over 60 regions and
-    # 214 214 paths, mostly 2-periodic rows
+    # 2.1) and case (ii), the M3 sweep again over 60 regions and
+    # 214 214 paths, mostly 2-periodic rows, and the benchmark's M2 sweep
+    # over D at N=10^7
     out = tmp_path / golden
     argv = ["--config", str(DATA / config), "--output", str(out), *flags, command]
     assert run_cli(argv) == 0

@@ -307,6 +307,99 @@ def test_rows_between_computed_ranges_repeat_the_row_two_before(dtype, name, D, 
     assert denom[rows].tobytes() == denom[rows - 2].tobytes()
 
 
+def _spread_values(rng, size, spread, signed):
+    """Rows of +0.0, -0.0, subnormals and normals across 2**-spread .. 2**spread."""
+    values = rng.standard_normal(size) * 2.0 ** rng.integers(-spread, spread + 1, size)
+    if not signed:
+        np.abs(values, out=values)
+    kind = rng.integers(0, 6, size)
+    values[kind == 1] = 0.0
+    values[kind == 2] = -0.0
+    subnormal = kind == 3
+    values[subnormal] = rng.integers(-(2**52) if signed else 0, 2**52, subnormal.sum()) * 5e-324
+    return values
+
+
+def _float_bits(x):
+    return np.float64(x).tobytes()
+
+
+def _strided_expansion(n, ranges):
+    """Every row of CompactRows(n, ranges), each stretch filled two rows at a time."""
+    full = np.empty(n)
+    for (lo, values), nxt in zip(ranges, [start for start, _ in ranges[1:]] + [n]):
+        hi = lo + values.size
+        full[lo:hi] = values
+        full[hi:nxt:2], full[hi + 1 : nxt : 2] = full[hi - 2 : hi] if nxt > hi else (0.0, 0.0)
+    return full
+
+
+@st.composite
+def _compact_layouts(draw):
+    """(n, ranges) of up to 8 ranges, stretches of 0 to 9 rows or long, values from a seed."""
+    n = draw(st.one_of(st.integers(1, 2 * 10**5), st.just(1_000_004)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    spread = draw(st.sampled_from([0, 8, 60, 1000]))
+    signed = draw(st.booleans())
+    touch_n = draw(st.booleans())  # the last range ends at row n
+    ranges, row, count = [], 0, draw(st.integers(1, 8))
+    for k in range(count):
+        size = min(draw(st.integers(1, 300)), n - row)
+        gap = 0 if size < 2 else draw(st.one_of(st.integers(0, 9), st.integers(0, n)))
+        last = k == count - 1 or row + size + gap >= n
+        if last and (touch_n or size < 2):
+            size = n - row
+        ranges.append((row, _spread_values(rng, size, spread, signed)))
+        if last:  # a stretch, maybe empty, runs on to row n unless the range reaches it
+            return n, ranges
+        row += size + gap
+
+
+@settings(max_examples=80, deadline=None)
+@given(_compact_layouts())
+def test_compact_sum_follows_numpys_pairwise_order(layout):
+    # CompactRows.sum walks numpy's pairwise float64 sum by itself: if a
+    # numpy release changes that order, this fails before a golden drifts
+    n, ranges = layout
+    rows = engine.CompactRows(n, ranges)
+    full = _strided_expansion(n, ranges)
+    assert rows.take(0, n).tobytes() == full.tobytes()
+    assert _float_bits(rows.sum()) == _float_bits(np.sum(full))
+    for lo, hi in ((0, min(n, 129)), (n // 3, min(n, n // 3 + 7)), (max(0, n - 300), n)):
+        assert rows.take(lo, hi).tobytes() == full[lo:hi].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 127, 128, 129, 136, 255, 256, 257, 1000, 4099])
+def test_compact_sum_over_short_stretches_at_both_parities(n):
+    # every stretch length 0 to 9 after a range of either parity of length,
+    # between a range at row 0 and one at row n or a stretch to row n;
+    # and all rows -0.0, which np.sum gives as +0.0
+    rng = np.random.default_rng(n)
+    for first in (2, 3):
+        for gap in range(10):
+            for touch_n in (False, True):
+                ranges, row = [], 0
+                while row + first + gap < n:
+                    ranges.append((row, _spread_values(rng, first, 60, True)))
+                    row += first + gap
+                ranges.append((row, _spread_values(rng, n - row if touch_n or not ranges else
+                                                   min(first, n - row), 60, True)))
+                rows = engine.CompactRows(n, ranges)
+                full = _strided_expansion(n, ranges)
+                assert rows.take(0, n).tobytes() == full.tobytes(), (first, gap)
+                assert _float_bits(rows.sum()) == _float_bits(np.sum(full)), (first, gap, touch_n)
+                zeros = [(start, np.full(values.size, -0.0)) for start, values in ranges]
+                full = _strided_expansion(n, zeros)
+                assert _float_bits(engine.CompactRows(n, zeros).sum()) == _float_bits(np.sum(full))
+
+
+def test_compact_rows_refuse_a_stretch_without_two_rows_before():
+    with pytest.raises(ValueError):
+        engine.CompactRows(10, [(0, np.ones(1)), (5, np.ones(5))])
+    with pytest.raises(ValueError):
+        engine.CompactRows(10, [(1, np.ones(9))])
+
+
 @pytest.mark.parametrize("n", [1, 2, 15, 33, 63, 65, 513])
 def test_dense_bits_do_not_depend_on_tile_rows(monkeypatch, n):
     # tiles of 2, 3, 7, 10, 16, 21, 32 or 64 rows leave a lone last row at

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from realpathsim import paths
 from realpathsim.errors import EmptyEnsemble, NonUnitAmplitude
 from realpathsim.paths import PathEnsemble
 
@@ -48,6 +49,25 @@ def test_non_finite_amplitude_reports_first_index(bad):
     with pytest.raises(NonUnitAmplitude) as exc:
         make_indexed_ensemble([complex(re, im) for re, im in pairs])
     assert exc.value.index == 3
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("blocks, offset", [(1, 0), (1, 1), (3, 4)],
+                         ids=["at-edge", "past-edge", "last-partial-block"])
+@pytest.mark.parametrize("bad", [1.5, math.nan])
+def test_first_bad_amplitude_past_a_block_edge(dtype, blocks, offset, bad):
+    # the check runs a block at a time: the first bad amplitude at a block
+    # edge, one past it, or in the short last block reports its own
+    # 1-based index, before a NaN later on
+    block = paths._UNIT_BLOCK
+    amps = np.where(np.arange(3 * block + 5) % 2, -1.0, 1.0).astype(dtype)
+    i = blocks * block + offset
+    amps[i] = bad
+    amps[i + 2 :: block] = math.nan
+    with pytest.raises(NonUnitAmplitude) as exc:
+        PathEnsemble(amps)
+    assert exc.value.index == i + 1
+    assert exc.value.value == bad or math.isnan(exc.value.value.real)
 
 
 def test_round_trip_exact_for_unit_inputs():

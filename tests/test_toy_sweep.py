@@ -7,6 +7,7 @@ prepares its own prefix sum or shares one padded for a wider window.
 """
 
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from realpathsim import cli, toymodels
 from realpathsim.cli import main
 from realpathsim.distances import DistanceSpec
 from realpathsim.engine import (
+    check_probabilities,
     computed_rows,
     index_smeared,
     index_tiles,
@@ -23,6 +25,7 @@ from realpathsim.engine import (
     normalize,
     patched_prefix,
     prefix_sum,
+    weighted_probabilities,
 )
 from realpathsim.errors import AllZeroProbability
 from realpathsim.toymodels import M1Spec, M2Spec, M3Spec, beam_sweep, build_model
@@ -64,6 +67,11 @@ def _own_cell(spec, dspec):
     return beam_sweep(spec, [dspec])(dspec)
 
 
+def _expand(probs):
+    """Every row of a cell's CompactRows, as an array."""
+    return probs.take(0, probs.n)
+
+
 def _block_rows(spec, D):
     """0-based rows lo..hi-1 of the beam block widened by D."""
     first, last = spec.as_m3().block_range
@@ -96,7 +104,7 @@ def test_cell_matches_two_pass_oracle(spec):
             assert vis == ref_vis, case
             assert mass == ref_mass, case
             assert C == ref.norm_constant, case
-            assert probs.tobytes() == ref.probs.tobytes(), case
+            assert _expand(probs).tobytes() == ref.probs.tobytes(), case
             if shared is not None:
                 smeared, denom = index_smeared(shared, kernel_windows(dspec, spec.N))
                 assert smeared.tobytes() == ref.smeared.tobytes(), case
@@ -112,7 +120,7 @@ def test_cell_matches_two_pass_oracle_exp_index():
         vis, mass, probs, C = _own_cell(spec, dspec)
         ref_vis, ref_mass, ref = two_pass_toy_experiment(spec, dspec)
         assert (vis, mass, C) == (ref_vis, ref_mass, ref.norm_constant)
-        assert probs.tobytes() == ref.probs.tobytes()
+        assert _expand(probs).tobytes() == ref.probs.tobytes()
 
 
 def _phased_regions(count):
@@ -148,9 +156,9 @@ def test_periodic_stretches_match_two_pass_oracle(spec, literal):
         ref_vis, ref_mass, ref = two_pass_toy_experiment(spec, dspec)
         for vis, mass, probs, C in (group(dspec), _own_cell(spec, dspec)):
             assert (vis, mass, C) == (ref_vis, ref_mass, ref.norm_constant), dspec.D
-            assert probs.tobytes() == ref.probs.tobytes(), dspec.D
+            assert _expand(probs).tobytes() == ref.probs.tobytes(), dspec.D
     if literal and spec is REAL_M2:
-        probs = group(dspecs[0])[2]
+        probs = _expand(group(dspecs[0])[2])
         assert probs[1000] == probs[1002] > 0 and probs[1001] == probs[1003] > 0
 
 
@@ -161,12 +169,12 @@ def test_periodic_stretches_match_two_pass_oracle_exp_index(D):
     vis, mass, probs, C = _own_cell(PHASED, dspec)
     ref_vis, ref_mass, ref = two_pass_toy_experiment(PHASED, dspec)
     assert (vis, mass, C) == (ref_vis, ref_mass, ref.norm_constant)
-    assert probs.tobytes() == ref.probs.tobytes()
+    assert _expand(probs).tobytes() == ref.probs.tobytes()
 
 
 def test_cell_computes_only_the_rows_near_a_beam_or_an_edge(monkeypatch):
-    # the benchmark's m2_sweep spec: every other row of the 10^6 is
-    # copied from the row two before it
+    # the benchmark's m2_sweep spec: every other row of the 10^6 repeats
+    # the row two before it
     handed = []
 
     def counted(prefix, windows, lo=0, hi=None, rest=()):
@@ -186,11 +194,88 @@ def test_cell_computes_only_the_rows_near_a_beam_or_an_edge(monkeypatch):
     assert max(rows.values()) == rows[5120] <= 20_706
 
 
+def test_cell_holds_no_full_length_array():
+    # the benchmark's m2_sweep spec: an array of the 10^6 probabilities
+    # alone would take 7.6 MiB
+    dspecs = [DistanceSpec("step", D=D) for D in (2, 5, 10, 20, 40, 80, 160, 320, 640,
+                                                  1280, 2560, 5120)]
+    cell = beam_sweep(M2Spec(N=1_000_000, M0=499_999, K0=4, M1=500_216, K1=4), dspecs)
+    peaks = {}
+    for dspec in dspecs:
+        tracemalloc.start()
+        try:
+            cell(dspec)
+            peaks[dspec.D] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) < 4 * 2**20, peaks
+
+
+def _poisoned_rows(monkeypatch, value=None, row=0):
+    """Patch the cell's weighted_probabilities: every row times 0.0, or one row set to ``value``.
+
+    ``row`` counts the rows of the cell's own-phase pass, in the order
+    it computes them (row 0 is the first of the range at row 0).
+    """
+    seen = [0]
+
+    def poisoned(smeared, denom, weights=None, out=None):
+        unnorm = weighted_probabilities(smeared, denom, weights, out)
+        if value is None:
+            unnorm *= 0.0
+        elif out is not None and seen[0] <= row < seen[0] + unnorm.size:
+            unnorm[row - seen[0]] = value
+        seen[0] += unnorm.size if out is not None else 0
+        return unnorm
+
+    monkeypatch.setattr(toymodels, "weighted_probabilities", poisoned)
+
+
+def _refusal(probs):
+    """The message check_probabilities gives ``probs``."""
+    with pytest.raises(ValueError) as refused:
+        check_probabilities(probs)
+    return str(refused.value)
+
+
 def test_cell_refuses_an_all_zero_distribution(monkeypatch):
-    # every weight 0: the cell raises as distribution_from_sums does
-    monkeypatch.setattr(toymodels, "normalize", lambda unnorm: normalize(unnorm * 0.0))
-    with pytest.raises(AllZeroProbability):
+    # every weight 0: the cell raises as distribution_from_sums does,
+    # from its sum over the computed ranges and their stretches
+    _poisoned_rows(monkeypatch)
+    with pytest.raises(AllZeroProbability, match="sum to 0.0, not above 0"):
         _own_cell(SMALL[0], DistanceSpec("step", D=3))
+
+
+@pytest.mark.parametrize("spec", [SMALL[0], REAL_M2], ids=lambda s: f"{type(s).__name__}-{s.N}")
+def test_cell_refuses_a_nan_total(monkeypatch, spec):
+    # a NaN row makes the unnormalized total NaN: refused as normalize refuses it
+    _poisoned_rows(monkeypatch, np.nan, row=5)
+    with pytest.raises(AllZeroProbability, match="sum to nan, not above 0") as refused:
+        _own_cell(spec, DistanceSpec("step", D=3))
+    with pytest.raises(AllZeroProbability) as direct:
+        normalize(np.array([1.0, np.nan]))
+    assert str(refused.value) == str(direct.value)
+
+
+def test_cell_refuses_a_negative_row(monkeypatch):
+    # a negative row in a computed range, on a spec whose stretches
+    # repeat positive rows (the literal rim)
+    _poisoned_rows(monkeypatch, -1e-3, row=5)
+    with pytest.raises(ValueError) as refused:
+        _own_cell(REAL_M2, DistanceSpec("step", D=3, literal_log_half=True))
+    assert type(refused.value) is ValueError
+    assert str(refused.value) == _refusal(np.array([0.5, -1e-3, 0.5])) == "negative probability"
+
+
+def test_cell_refuses_a_normalized_nan_sum(monkeypatch):
+    # an infinite row passes the unnormalized total, gives C = 0 and a
+    # NaN row times 0: the normalized sum is NaN, refused as
+    # check_probabilities refuses it (inf * 0 warns, as in normalize)
+    _poisoned_rows(monkeypatch, np.inf, row=5)
+    with pytest.raises(ValueError) as refused, np.errstate(invalid="ignore"):
+        _own_cell(SMALL[0], DistanceSpec("step", D=3))
+    assert type(refused.value) is ValueError
+    assert str(refused.value) == _refusal(np.array([0.0, np.nan])) == "probabilities sum to nan, not 1"
 
 
 @pytest.mark.parametrize("spec", SMALL + LARGE[1:2], ids=lambda s: f"{type(s).__name__}-{s.N}")

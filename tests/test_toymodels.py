@@ -385,7 +385,7 @@ def test_real_sweep_cells_have_the_bits_of_complex_cells(monkeypatch, spec, dspe
         vis, mass, probs, C = cell(dspec)
         ref_vis, ref_mass, ref_probs, ref_C = ref_cell(dspec)
         assert (vis, mass, C) == (ref_vis, ref_mass, ref_C), _dspec_id(dspec)
-        assert _same_bits(probs, ref_probs), _dspec_id(dspec)
+        assert _same_bits(probs.take(0, spec.N), ref_probs.take(0, spec.N)), _dspec_id(dspec)
 
 
 @pytest.mark.parametrize("spec", [
