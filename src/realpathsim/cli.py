@@ -10,13 +10,10 @@ paths file).
 All numeric output uses 17-significant-digit floats, so identical
 configs produce byte-identical files.  Exit codes follow sysexits:
 64 bad config, 65 spec violation / bad data, 70 no probability
-distribution exists.  REALPATH_THREADS, a positive integer, caps the
-threads that run the cells of a sweep; it defaults to the number of
-CPUs the process may run on (its affinity).  main checks it once,
-before any subcommand, so a bad value exits 64 under every one,
-although only sweep reads it: the others compute on the calling
-thread.  main caps every OpenBLAS loaded into its process at one
-thread, once, so that the sweep's threads are the only ones computing.
+distribution exists.  Every subcommand computes on the calling thread,
+a sweep too: its cells run one after another.  main caps every OpenBLAS
+loaded into its process at one thread, once, so that OpenBLAS's own
+pool does not spin beside that one thread (see _cap_blas_threads).
 """
 
 from __future__ import annotations
@@ -29,6 +26,9 @@ import json
 import math
 import os
 import sys
+
+# nothing here runs a pool; perfbench/tracer.py reads and swaps this name
+# to trace one, and fails without it
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -93,13 +93,14 @@ def _openblas_paths(maps: str = "/proc/self/maps") -> list[str]:
 def _cap_blas_threads():
     """Set every loaded OpenBLAS to one thread; the first call only.
 
-    A sweep runs its cells on threads of its own.  Each matrix product
-    of a cell (a dense tile times the amplitudes, a lattice transfer
-    step) would otherwise also hand off to OpenBLAS's pool, whose
-    helpers spin-wait between calls and burn a core for little work:
-    a sweep of 8 distance scales over 1 751 lattice paths on two threads
-    took 0.085 s of CPU without the cap and 0.045 s with it (2-core
-    host).  Without a loaded OpenBLAS nothing happens.
+    Each matrix product of a run (a dense tile times the amplitudes, a
+    lattice transfer step) would otherwise hand off to OpenBLAS's pool,
+    whose helpers spin-wait between calls and burn a core for the little
+    work they get, although the run itself computes on one thread:
+    without the cap, lattice_run's cpu_s went 0.051 -> 0.092 s and its
+    solve_s 0.052 -> 0.066 s (6 alternating pairs), and lattice_sweep's
+    cpu_s 0.020 -> 0.029 s (2-core host).  Without a loaded OpenBLAS
+    nothing happens.
     """
     for path in _openblas_paths():
         try:
@@ -113,26 +114,6 @@ def _cap_blas_threads():
                 setter.restype = None
                 setter(1)
                 break
-
-
-def _threads() -> int:
-    """REALPATH_THREADS as a positive integer.
-
-    Unset, it is the number of CPUs this process may run on, where the
-    platform reports its affinity, and the CPU count elsewhere.
-    """
-    raw = os.environ.get("REALPATH_THREADS")
-    if raw is None:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"REALPATH_THREADS must be a positive integer, not {raw!r}")
-    return threads
 
 
 def _fmt(x) -> str:
@@ -483,28 +464,18 @@ def cmd_sweep(args) -> int:
     # cells with equal model specs form one group, which prepares once
     # (_prepare_group): a lattice sweep over distance_scale, a toy sweep
     # over D, or a repeated value.  A lattice sweep cannot vary its
-    # distance, so its groups also share it.  A group prepares on one
-    # pool thread, then its cells run on every thread; one group's
-    # preparation is alive at a time, and every other cell prepares its
-    # own inside its task
+    # distance, so its groups also share it.  The groups run one after
+    # another, and a group's preparation is released before the next
+    # one's is built
     groups: dict = {}
     for i, (spec, _, _) in enumerate(cells):
         groups.setdefault(spec, []).append(i)
-    shared = [g for g in groups.values() if len(g) > 1]
-    alone = sorted(i for g in groups.values() if len(g) == 1 for i in g)
     results: list = [None] * len(cells)
-
-    def run(pool, indices, cell=None):
-        def task(i):
-            return (cell or _prepare_group(cells, routes, [i]))(i)
-        for i, r in zip(indices, pool.map(task, indices)):
-            results[i] = r
-
-    if cells:
-        with ThreadPoolExecutor(max_workers=min(args.threads, len(cells))) as pool:
-            for indices in shared:
-                run(pool, indices, pool.submit(_prepare_group, cells, routes, indices).result())
-            run(pool, alone)
+    for indices in groups.values():
+        cell = _prepare_group(cells, routes, indices)
+        for i in indices:
+            results[i] = cell(i)
+        del cell
 
     table = _csv_lines(f"{name},%.17g,%.17g,%.17g,%.17g\n",
                        list(map(float, values)), np.reshape(results, (len(values), 3)))
@@ -674,7 +645,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _cap_blas_threads()
     try:
-        args.threads = _threads()
         return args.func(args)
     except (json.JSONDecodeError, FileNotFoundError, KeyError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -28,8 +28,8 @@ distance, by one of two routes, both on the calling thread:
 
 A sweep over ``distance_scale`` (two_arm_sweep) checks every scale,
 picks the route and enumerates once, then runs each scale's pass from
-the shared enumeration and plan, which the passes only read, so they may
-run on several threads; a single run is the sweep of one scale.
+the shared enumeration and plan, which the passes only read; a single
+run is the sweep of one scale.
 
 Weight functions carve experiments out of the ensemble:
 ``curvature_cutoff`` suppresses rapidly-varying paths (second difference
@@ -77,9 +77,6 @@ DENSE_PATH_BOUND = 116_508
 
 # largest working set of a lattice run on the transfer route, held to it
 # as a whole: messages, per-path arrays and output text (transfer_bytes).
-# A sweep runs one such run per pool thread: a lattice group's cells
-# share one plan, and hold what a run does beyond it once per thread (see
-# _MESSAGE_BYTES).
 MAX_TILE_BYTES = 1 << 30
 
 # multiply-adds of the transfer route (transfer_work) worth one pair of
@@ -112,9 +109,7 @@ FACTORING_VARIANTS = (
 # arrays.  tracemalloc puts the peak of a one-scale plan called once, and
 # of a plan for eight scales (0 to 300) called at each, at 0.55 to 0.85 of
 # these three terms for the max variants and 0.21 to 0.84 for the L1 variants,
-# on ten specs from 83 to 179 755 paths (see transfer_bytes).  Cells of a
-# sweep that share one plan on several threads hold 24 + 32 per thread,
-# within the threads times 64 that as many runs of their own would.
+# on ten specs from 83 to 179 755 paths (see transfer_bytes).
 _MESSAGE_BYTES = 64
 _PATH_BYTES = 104
 _FIXED_BYTES = 1 << 16
@@ -647,9 +642,8 @@ def _passes(spec, distance, scales, transfer=None):
     smeared sums at each phase and the shared denominators:
     transfer_plan's, or the dense pass's, which multiplies each tile of
     exp(-d), streamed from a GridPathSource, by every phase setting's
-    amplitudes.  Each scale's pass runs when
-    smeared is called, which reads the shared sites and plan only, so
-    calls may run on several threads at once.
+    amplitudes.  Each scale's pass runs when smeared is called, which
+    reads the shared sites and plan only.
     """
     if transfer is None:
         transfer = admit_scales(spec, distance, scales)
@@ -706,10 +700,9 @@ def two_arm_sweep(spec: LatticeSpec, distance: DistanceSpec, scales, transfer=No
     block mass its share on corridor paths.  Both settings run in one
     pass and share the denominators, as these do not depend on the
     amplitudes.  Every scale is checked before the one enumeration,
-    whose plan (transfer_plan) serves every scale; cells only read it,
-    so a sweep may run them on several threads at once.  A caller that
-    has admitted the scales passes the route admit_scales returned as
-    ``transfer``, and the spec is not admitted again.
+    whose plan (transfer_plan) serves every scale; cells only read it.
+    A caller that has admitted the scales passes the route admit_scales
+    returned as ``transfer``, and the spec is not admitted again.
     """
     sites, smeared = _passes(spec, distance, scales, transfer)
     w = corridor_weights(sites)

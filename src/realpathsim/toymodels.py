@@ -291,7 +291,7 @@ def beam_sweep(spec, dspecs):
     sums have np.sum's bits over all N rows; then one over the block rows
     from the prefix patched with the flipped amplitudes, sliced from the
     build as far as any block's windows read.  Cells only read what they
-    share, so they may run on several threads at once.
+    share.
     """
     m3 = spec.as_m3()
     first, last = m3.block_range

@@ -1,10 +1,10 @@
 """The names the benchmark reaches into the package by resolve.
 
 perfbench/tracer.py wraps each (module, function) of its TRACED table by
-name, and perfbench/oracles.py and perfbench/worker.py import from the
-package.  The files are parsed, not imported or run, so a name the
-package lost fails here, in the tier-1 suite, before the benchmark's
-self-check would meet it.
+name and swaps cli.ThreadPoolExecutor, and perfbench/oracles.py and
+perfbench/worker.py import from the package.  The files are parsed, not
+imported or run, so a name the package lost fails here, in the tier-1
+suite, before the benchmark's self-check would meet it.
 """
 
 import ast
@@ -53,3 +53,11 @@ def test_benchmark_import_resolves(module, name):
     if not hasattr(package, name):
         # `from realpathsim import cli` names a submodule
         importlib.import_module(f"{module}.{name}")
+
+
+def test_traced_executor_resolves():
+    # tracer.install also reads and swaps cli.ThreadPoolExecutor, to trace
+    # a sweep pool; the CLI runs none, but keeps the name for it
+    assert "cli.ThreadPoolExecutor" in (BENCH / "tracer.py").read_text()
+    cli = importlib.import_module("realpathsim.cli")
+    assert isinstance(getattr(cli, "ThreadPoolExecutor", None), type)

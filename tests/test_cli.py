@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -394,10 +395,29 @@ def test_lattice_outputs_match_golden_bytes(tmp_path):
         "--weight", "corridor", "--margin", "1", "--output", str(out),
     ]) == 0
     assert out.read_bytes() == (DATA / "lattice_smoke.csv").read_bytes()
-    sweep = tmp_path / "lattice_sweep.csv"
-    cfg = str(DATA / "lattice_sweep.json")
-    assert run_cli(["--config", cfg, "--output", str(sweep), "sweep"]) == 0
-    assert sweep.read_bytes() == (DATA / "lattice_sweep.csv").read_bytes()
+    # the same run from a config
+    run = tmp_path / "run.csv"
+    cfg = write(tmp_path / "smoke.json", LATTICE_SMOKE_CONFIG)
+    assert run_cli(["--config", cfg, "--output", str(run), "run"]) == 0
+    assert run.read_bytes() == (DATA / "lattice_smoke.csv").read_bytes()
+    # each scale sweep's cells (83 paths dense, and 1 751 paths on the
+    # transfer route) share one plan, and the mass sweep's repeated value
+    # makes one shared group beside two single cells
+    for name in ("lattice_sweep", "lattice_sweep_transfer", "lattice_mass_sweep"):
+        sweep = tmp_path / f"{name}.csv"
+        assert run_cli(["--config", str(DATA / f"{name}.json"), "--output", str(sweep),
+                        "sweep"]) == 0
+        assert sweep.read_bytes() == (DATA / f"{name}.csv").read_bytes(), name
+    # identical configs, identical bytes: l2 on the dense pass,
+    # l1_time_integral on the transfer route
+    for name in ("l2", "l1_time_integral"):
+        outs = [tmp_path / f"{name}{k}.csv" for k in (1, 2)]
+        for out in outs:
+            assert run_cli([
+                "lattice", "--steps", "4", "--extent", "3", "--hop", "2",
+                "--weight", "corridor", "--distance", name, "--output", str(out),
+            ]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes(), name
 
 
 LATTICE_SMOKE_CONFIG = {
@@ -405,67 +425,6 @@ LATTICE_SMOKE_CONFIG = {
     "distance": {"name": "max_sep"},
     "weight": {"name": "corridor"},
 }
-
-
-def test_lattice_bytes_do_not_depend_on_threads(tmp_path, monkeypatch):
-    # 83 paths, switching threads often: max_sep and l2 on the dense pass,
-    # l1_time_integral on the transfer route; each scale sweep's cells (83
-    # paths dense, and 1 751 paths on the transfer route) share one plan
-    # and run on every pool thread, and the mass sweep's repeated value
-    # makes one shared group beside two single cells
-    cfg = write(tmp_path / "smoke.json", LATTICE_SMOKE_CONFIG)
-    golden = (DATA / "lattice_smoke.csv").read_bytes()
-    paths = (DATA / "lattice_smoke.csv.paths.csv").read_bytes()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for threads in ("1", "2", "3"):
-            monkeypatch.setenv("REALPATH_THREADS", threads)
-            out = tmp_path / f"lat{threads}.csv"
-            assert run_cli([
-                "lattice", "--steps", "4", "--extent", "3", "--hop", "2",
-                "--weight", "corridor", "--output", str(out),
-            ]) == 0
-            assert out.read_bytes() == golden, threads
-            assert (tmp_path / f"lat{threads}.csv.paths.csv").read_bytes() == paths, threads
-            run = tmp_path / f"run{threads}.csv"
-            assert run_cli(["--config", cfg, "--output", str(run), "run"]) == 0
-            assert run.read_bytes() == golden, threads
-            for name in ("lattice_sweep", "lattice_sweep_transfer", "lattice_mass_sweep"):
-                sweep = tmp_path / f"{name}{threads}.csv"
-                cfg_sweep = str(DATA / f"{name}.json")
-                assert run_cli(["--config", cfg_sweep, "--output", str(sweep), "sweep"]) == 0
-                assert sweep.read_bytes() == (DATA / f"{name}.csv").read_bytes(), (name, threads)
-            for name in ("l2", "l1_time_integral"):
-                out = tmp_path / f"{name}{threads}.csv"
-                assert run_cli([
-                    "lattice", "--steps", "4", "--extent", "3", "--hop", "2",
-                    "--weight", "corridor", "--distance", name, "--output", str(out),
-                ]) == 0
-                assert out.read_bytes() == (tmp_path / f"{name}1.csv").read_bytes(), threads
-    finally:
-        sys.setswitchinterval(interval)
-
-
-@pytest.mark.parametrize("value", ["-1", "0", "two", "1.5", ""])
-@pytest.mark.parametrize("command", ["sweep", "lattice", "run", "compare", "ratios", "classify"])
-def test_bad_thread_count_exits_64(tmp_path, capsys, monkeypatch, value, command):
-    # main checks REALPATH_THREADS before any subcommand, also those that
-    # run on the calling thread only
-    monkeypatch.setenv("REALPATH_THREADS", value)
-    out = tmp_path / "out.csv"
-    argv = {
-        "lattice": ["lattice", "--steps", "4", "--extent", "3", "--hop", "2"],
-        "run": ["--config", write(tmp_path / "smoke.json", LATTICE_SMOKE_CONFIG), "run"],
-        "sweep": ["--config", str(DATA / "lattice_sweep.json"), "sweep"],
-        "compare": ["--config", str(DATA / "m1.json"), "compare"],
-        "ratios": ["--config", str(DATA / "screen.json"), "ratios"],
-        "classify": ["classify", write(tmp_path / "c.json", {"events": [[0, 0], [0, 1]]})],
-    }[command]
-    assert run_cli([*argv, "--output", str(out)]) == 64
-    assert not out.exists()
-    err = capsys.readouterr().err
-    assert "REALPATH_THREADS must be a positive integer" in err and "Traceback" not in err
 
 
 def _replaced(config: dict, keys: tuple, value) -> dict:
@@ -557,18 +516,6 @@ def test_integral_float_runs_as_its_integer(tmp_path, keys, value):
     out = tmp_path / "out.csv"
     assert run_cli(["--config", cfg, "--output", str(out), "run"]) == 0
     assert out.read_bytes() == (DATA / "m1_run.csv").read_bytes()
-
-
-def test_thread_default_is_the_affinity(monkeypatch):
-    monkeypatch.delenv("REALPATH_THREADS", raising=False)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert cli._threads() == 1
-    # without an affinity call, the CPU count, and 1 when that is unknown
-    monkeypatch.delattr(os, "sched_getaffinity")
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert cli._threads() == 3
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert cli._threads() == 1
 
 
 def test_exp_index_overflow_prints_nothing(tmp_path):
@@ -877,7 +824,6 @@ def test_lattice_sweep_refuses_a_bad_cell_before_any_enumeration(
         return enumerate_paths(spec)
 
     monkeypatch.setattr(lattice, "enumerate_paths", counted)
-    monkeypatch.setenv("REALPATH_THREADS", "1")
     cfg = write(tmp_path / "bad.json", {
         "model": {"model": "lattice", "steps": 3, "extent": 6, "start": 0, "end": 0, "hop": 2},
         "distance": {"name": distance},
@@ -916,7 +862,6 @@ def test_non_finite_region_phase_exits_65_before_any_build(
 
     for module in (toymodels, screen):
         monkeypatch.setattr(module, "build_m3", counted)
-    monkeypatch.setenv("REALPATH_THREADS", "1")
     cfg = write(tmp_path / "bad.json", config)
     out = tmp_path / "out.csv"
     with warnings.catch_warnings():
@@ -1036,7 +981,6 @@ def test_lattice_sweep_enumerates_once_and_passes_messages_once(tmp_path, monkey
 
     for name in ("enumerate_paths", "_messages"):
         monkeypatch.setattr(lattice, name, counted(name))
-    monkeypatch.setenv("REALPATH_THREADS", "2")
     out = tmp_path / "sweep.csv"
     cfg = str(DATA / "lattice_sweep_transfer.json")
     assert run_cli(["--config", cfg, "--output", str(out), "sweep"]) == 0
@@ -1067,11 +1011,36 @@ def test_lattice_admits_each_group_once(tmp_path, monkeypatch, argv, golden, adm
         return admit(spec, distance)
 
     monkeypatch.setattr(lattice, "admit", counted)
-    monkeypatch.setenv("REALPATH_THREADS", "2")
     out = tmp_path / "out.csv"
     assert run_cli([a.format(out=out) for a in argv]) == 0
     assert out.read_bytes() == (DATA / golden).read_bytes()
     assert len(calls) == admits
+
+
+@pytest.mark.parametrize("config, groups", [
+    ("m2_sweep.json", 1),             # one toy build over 12 values of D
+    ("m2_theta_sweep.json", 4),       # a toy build per theta1 value
+    ("lattice_mass_sweep.json", 3),   # mass 1 twice, beside 0.5 and 2
+])
+def test_sweep_holds_one_group_preparation_at_a_time(tmp_path, monkeypatch, config, groups):
+    # every group prepares once, and only after the previous group's
+    # preparation (its cell, and what that holds) has been released
+    live, at_prepare = [], []
+    prepare = cli._prepare_group
+
+    def counted(*args):
+        at_prepare.append(len(live))
+        cell = prepare(*args)
+        live.append(cell.__name__)
+        weakref.finalize(cell, live.pop)
+        return cell
+
+    monkeypatch.setattr(cli, "_prepare_group", counted)
+    out = tmp_path / "out.csv"
+    assert run_cli(["--config", str(DATA / config), "--output", str(out), "sweep"]) == 0
+    assert out.read_bytes() == (DATA / config.replace(".json", ".csv")).read_bytes()
+    assert at_prepare == [0] * groups
+    assert live == []
 
 
 def test_lattice_admission_bound_is_a_path_count(monkeypatch):

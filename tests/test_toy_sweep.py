@@ -6,7 +6,6 @@ model kind, every window width, both rim weights and exp_index, whether it
 prepares its own prefix sum or shares one padded for a wider window.
 """
 
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -333,25 +332,6 @@ def test_repeated_value_shares_a_build(tmp_path, monkeypatch):
     assert len(calls) == 2  # theta1 = 0.5 once, 1.0 once
     lines = out.read_text().splitlines()
     assert lines[1].split(",")[2:] == lines[3].split(",")[2:] == lines[4].split(",")[2:]
-
-
-@pytest.mark.parametrize(
-    "config", ["m2_sweep.json", "m2_theta_sweep.json", "m2_exp_index.json", "m3_sweep_long.json"]
-)
-def test_sweep_bytes_do_not_depend_on_threads(tmp_path, monkeypatch, config):
-    # more pool threads than cores, switching often, all reading the
-    # shared prefix (or preparing their own)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for threads in ("1", "2", "3"):
-            monkeypatch.setenv("REALPATH_THREADS", threads)
-            out = tmp_path / f"{threads}.csv"
-            assert main(["--config", str(DATA / config), "--output", str(out), "sweep"]) == 0
-            golden = (DATA / config.replace(".json", ".csv")).read_bytes()
-            assert out.read_bytes() == golden, threads
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def test_toy_sweep_rejects_galilean_distance(tmp_path, capsys):
