@@ -395,29 +395,10 @@ def test_lattice_outputs_match_golden_bytes(tmp_path):
         "--weight", "corridor", "--margin", "1", "--output", str(out),
     ]) == 0
     assert out.read_bytes() == (DATA / "lattice_smoke.csv").read_bytes()
-    # the same run from a config
-    run = tmp_path / "run.csv"
-    cfg = write(tmp_path / "smoke.json", LATTICE_SMOKE_CONFIG)
-    assert run_cli(["--config", cfg, "--output", str(run), "run"]) == 0
-    assert run.read_bytes() == (DATA / "lattice_smoke.csv").read_bytes()
-    # each scale sweep's cells (83 paths dense, and 1 751 paths on the
-    # transfer route) share one plan, and the mass sweep's repeated value
-    # makes one shared group beside two single cells
-    for name in ("lattice_sweep", "lattice_sweep_transfer", "lattice_mass_sweep"):
-        sweep = tmp_path / f"{name}.csv"
-        assert run_cli(["--config", str(DATA / f"{name}.json"), "--output", str(sweep),
-                        "sweep"]) == 0
-        assert sweep.read_bytes() == (DATA / f"{name}.csv").read_bytes(), name
-    # identical configs, identical bytes: l2 on the dense pass,
-    # l1_time_integral on the transfer route
-    for name in ("l2", "l1_time_integral"):
-        outs = [tmp_path / f"{name}{k}.csv" for k in (1, 2)]
-        for out in outs:
-            assert run_cli([
-                "lattice", "--steps", "4", "--extent", "3", "--hop", "2",
-                "--weight", "corridor", "--distance", name, "--output", str(out),
-            ]) == 0
-        assert outs[0].read_bytes() == outs[1].read_bytes(), name
+    sweep = tmp_path / "lattice_sweep.csv"
+    cfg = str(DATA / "lattice_sweep.json")
+    assert run_cli(["--config", cfg, "--output", str(sweep), "sweep"]) == 0
+    assert sweep.read_bytes() == (DATA / "lattice_sweep.csv").read_bytes()
 
 
 LATTICE_SMOKE_CONFIG = {
@@ -425,6 +406,42 @@ LATTICE_SMOKE_CONFIG = {
     "distance": {"name": "max_sep"},
     "weight": {"name": "corridor"},
 }
+
+
+def test_lattice_bytes_do_not_depend_on_threads(tmp_path, monkeypatch):
+    # every run is on the calling thread, and REALPATH_THREADS, which
+    # sized a sweep pool in earlier versions, is ignored whatever its
+    # value: max_sep and l2 on the dense pass, l1_time_integral on the
+    # transfer route; each scale sweep's cells (83 paths dense, and 1 751
+    # paths on the transfer route) share one plan, and the mass sweep's
+    # repeated value makes one shared group beside two single cells
+    cfg = write(tmp_path / "smoke.json", LATTICE_SMOKE_CONFIG)
+    golden = (DATA / "lattice_smoke.csv").read_bytes()
+    paths = (DATA / "lattice_smoke.csv.paths.csv").read_bytes()
+    for threads in ("1", "2", "3", "two"):
+        monkeypatch.setenv("REALPATH_THREADS", threads)
+        out = tmp_path / f"lat{threads}.csv"
+        assert run_cli([
+            "lattice", "--steps", "4", "--extent", "3", "--hop", "2",
+            "--weight", "corridor", "--output", str(out),
+        ]) == 0
+        assert out.read_bytes() == golden, threads
+        assert (tmp_path / f"lat{threads}.csv.paths.csv").read_bytes() == paths, threads
+        run = tmp_path / f"run{threads}.csv"
+        assert run_cli(["--config", cfg, "--output", str(run), "run"]) == 0
+        assert run.read_bytes() == golden, threads
+        for name in ("lattice_sweep", "lattice_sweep_transfer", "lattice_mass_sweep"):
+            sweep = tmp_path / f"{name}{threads}.csv"
+            cfg_sweep = str(DATA / f"{name}.json")
+            assert run_cli(["--config", cfg_sweep, "--output", str(sweep), "sweep"]) == 0
+            assert sweep.read_bytes() == (DATA / f"{name}.csv").read_bytes(), (name, threads)
+        for name in ("l2", "l1_time_integral"):
+            out = tmp_path / f"{name}{threads}.csv"
+            assert run_cli([
+                "lattice", "--steps", "4", "--extent", "3", "--hop", "2",
+                "--weight", "corridor", "--distance", name, "--output", str(out),
+            ]) == 0
+            assert out.read_bytes() == (tmp_path / f"{name}1.csv").read_bytes(), threads
 
 
 def _replaced(config: dict, keys: tuple, value) -> dict:

@@ -334,6 +334,20 @@ def test_repeated_value_shares_a_build(tmp_path, monkeypatch):
     assert lines[1].split(",")[2:] == lines[3].split(",")[2:] == lines[4].split(",")[2:]
 
 
+@pytest.mark.parametrize(
+    "config", ["m2_sweep.json", "m2_theta_sweep.json", "m2_exp_index.json", "m3_sweep_long.json"]
+)
+def test_sweep_bytes_do_not_depend_on_threads(tmp_path, monkeypatch, config):
+    # cells run on the calling thread, and REALPATH_THREADS, which sized
+    # a sweep pool in earlier versions, is ignored whatever its value
+    golden = (DATA / config.replace(".json", ".csv")).read_bytes()
+    for threads in ("1", "2", "3", "two"):
+        monkeypatch.setenv("REALPATH_THREADS", threads)
+        out = tmp_path / f"{threads}.csv"
+        assert main(["--config", str(DATA / config), "--output", str(out), "sweep"]) == 0
+        assert out.read_bytes() == golden, threads
+
+
 def test_toy_sweep_rejects_galilean_distance(tmp_path, capsys):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(
