@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 
 # nothing here runs a pool; perfbench/tracer.py reads and swaps this name
 # to trace one, and fails without it
@@ -120,52 +121,58 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_text(path: str | None, text: str):
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+def _write(path: str | None, blocks):
+    """Write the text ``blocks`` as they come, into ``path`` itself or to stdout if None or "-".
+
+    Returns the stream for the run's summary line: stderr when the data went to stdout.
+    """
+    if path in (None, "-"):
+        sys.stdout.writelines(blocks)
+        return sys.stderr
+    with open(path, "w", newline="") as fh:
+        fh.writelines(blocks)
+    return sys.stdout
 
 
-def _csv_lines(row: str, *columns) -> str:
-    """The %-format ``row`` applied to each row of the stacked columns.
+def _csv_lines(row: str, *columns):
+    """The %-format ``row`` applied to each row of the stacked columns, one block at a time.
 
-    Stacks and formats _CSV_ROWS rows per call; "%.17g" % x prints
+    Stacks and formats _CSV_ROWS rows per block; "%.17g" % x prints
     exactly _fmt(x), and "%r" % x what json.dumps writes for a finite x.
     """
-    parts = []
     for lo in range(0, len(columns[0]), _CSV_ROWS):
         block = np.column_stack([c[lo : lo + _CSV_ROWS] for c in columns])
-        parts.append((row * len(block)) % tuple(block.ravel().tolist()))
-    return "".join(parts)
+        yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
-def _distribution_text(dist: PathDistribution, fmt: str) -> str:
+def _distribution_text(dist: PathDistribution, fmt: str):
     """The distribution as CSV, or as JSON as json.dumps writes it (its floats are finite)."""
     columns = (np.arange(1, dist.n_paths + 1), dist.probs, dist.smeared.real,
                dist.smeared.imag, dist.denom)
     if fmt == "csv":
-        return (f"# norm_constant = {_fmt(dist.norm_constant)}\n"
-                "index,prob,smeared_re,smeared_im,denom\n"
-                + _csv_lines("%d,%.17g,%.17g,%.17g,%.17g\n", *columns))
+        yield (f"# norm_constant = {_fmt(dist.norm_constant)}\n"
+               "index,prob,smeared_re,smeared_im,denom\n")
+        yield from _csv_lines("%d,%.17g,%.17g,%.17g,%.17g\n", *columns)
+        return
     row = '{"index": %d, "prob": %r, "smeared_re": %r, "smeared_im": %r, "denom": %r}'
-    # a separator after every row but the last, so that no slice copies the text
-    rows = _csv_lines(row + ", ", *(c[:-1] for c in columns))
-    last = _csv_lines(row, *(c[-1:] for c in columns))
-    return f'{{"norm_constant": {json.dumps(dist.norm_constant)}, "paths": [{rows}{last}]}}\n'
+    yield f'{{"norm_constant": {json.dumps(dist.norm_constant)}, "paths": ['
+    # a separator after every row but the last
+    yield from _csv_lines(row + ", ", *(c[:-1] for c in columns))
+    yield from _csv_lines(row, *(c[-1:] for c in columns))
+    yield "]}\n"
 
 
-def _ratios_text(spec: ScreenSpec, fmt: str) -> str:
-    rows = evaluate_screen_model(spec).ratio_rows()
-    return json.dumps({"ratios": rows}) + "\n" if fmt == "json" else _ratio_csv(rows)
+def _ratios_text(spec: ScreenSpec, fmt: str):
+    rows = evaluate_screen_model(spec).ratio_rows()  # eager: a refusal comes before the file opens
+    if fmt == "json":
+        return chain(json.JSONEncoder().iterencode({"ratios": rows}), ["\n"])
+    return _ratio_csv(rows)
 
 
-def _ratio_csv(rows) -> str:
+def _ratio_csv(rows):
     keys = ("j", "k", "direct_ratio", "quantum_ratio", "rel_err")
-    return "j,k,direct_ratio,quantum_ratio,rel_err\n" + _csv_lines(
-        "%d,%d,%.17g,%.17g,%.17g\n", *([r[key] for r in rows] for key in keys)
-    )
+    yield "j,k,direct_ratio,quantum_ratio,rel_err\n"
+    yield from _csv_lines("%d,%d,%.17g,%.17g,%.17g\n", *([r[key] for r in rows] for key in keys))
 
 
 def _load_config(args) -> dict:
@@ -375,8 +382,7 @@ def cmd_run(args) -> int:
             kernel_windows(dspec, spec.N)  # refused before the build
             dist = path_probabilities(build_model(spec), dspec)
         text, summary = _distribution_text(dist, fmt), _summary_line(dist)
-    _write_text(args.output, text)
-    print(summary)
+    print(summary, file=_write(args.output, text))
     return EX_OK
 
 
@@ -479,8 +485,8 @@ def cmd_sweep(args) -> int:
 
     table = _csv_lines(f"{name},%.17g,%.17g,%.17g,%.17g\n",
                        list(map(float, values)), np.reshape(results, (len(values), 3)))
-    _write_text(args.output, "param,value,visibility,block_mass,norm_constant\n" + table)
-    print(f"sweep {name}: {len(values)} cells")
+    out = _write(args.output, chain(["param,value,visibility,block_mass,norm_constant\n"], table))
+    print(f"sweep {name}: {len(values)} cells", file=out)
     return EX_OK
 
 
@@ -510,19 +516,17 @@ def cmd_compare(args) -> int:
     uncovered = int(np.count_nonzero(status == "uncovered"))
     # one block per run of rows of equal status
     cuts = [0, *(np.flatnonzero(status[1:] != status[:-1]) + 1), spec.N]
-    parts = ["index,direct,closed_form,abs_err,status\n"]
+    parts = [["index,direct,closed_form,abs_err,status\n"]]
     for lo, hi in zip(cuts, cuts[1:]):
         columns = (index[lo:hi], direct[lo:hi], closed[lo:hi], err[lo:hi])
         if status[lo] == "uncovered":
             parts.append(_csv_lines("%d,%.17g,,,uncovered\n", *columns[:2]))
         else:
             parts.append(_csv_lines(f"%d,%.17g,%.17g,%.17g,{status[lo]}\n", *columns))
-    _write_text(args.output, "".join(parts))
+    out = _write(args.output, chain.from_iterable(parts))
     max_abs = np.max(err[status != "uncovered"], initial=0.0)
-    print(
-        f"compared {spec.N - uncovered} indices, {uncovered} uncovered, "
-        f"max_abs_err={_fmt(max_abs)}"
-    )
+    print(f"compared {spec.N - uncovered} indices, {uncovered} uncovered, "
+          f"max_abs_err={_fmt(max_abs)}", file=out)
     return EX_OK
 
 
@@ -552,8 +556,7 @@ def cmd_ratios(args) -> int:
     _refuse_literal_log_half(args)
     if not bare:
         _check_keys(config, _READS["ratios"][1], "ratios config")
-    _write_text(args.output, _ratios_text(spec, fmt))
-    print(f"endpoints={spec.n_endpoints}")
+    print(f"endpoints={spec.n_endpoints}", file=_write(args.output, _ratios_text(spec, fmt)))
     return EX_OK
 
 
@@ -568,16 +571,13 @@ def cmd_lattice(args) -> int:
         spec, DistanceSpec(args.distance, literal_log_half=args.literal_log_half),
         weight=_weight(weight), distance_scale=args.distance_scale,
     )
-    _write_text(args.output, _distribution_text(dist, args.format or "csv"))
-    if args.output and args.output != "-":
-        header = "index," + ",".join(f"x{t}" for t in range(spec.steps + 1))
-        rows = _csv_lines(
-            ",".join(["%d"] * (spec.steps + 2)) + "\n",
-            np.arange(1, len(sites) + 1),
-            sites,
-        )
-        _write_text(args.output + ".paths.csv", header + "\n" + rows)
-    print(_summary_line(dist))
+    out = _write(args.output, _distribution_text(dist, args.format or "csv"))
+    if out is sys.stdout:  # the data went to a file: the paths file goes beside it
+        header = "index," + ",".join(f"x{t}" for t in range(spec.steps + 1)) + "\n"
+        rows = _csv_lines(",".join(["%d"] * (spec.steps + 2)) + "\n",
+                          np.arange(1, len(sites) + 1), sites)
+        _write(args.output + ".paths.csv", chain([header], rows))
+    print(_summary_line(dist), file=out)
     return EX_OK
 
 

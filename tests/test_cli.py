@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -86,7 +87,7 @@ def test_distribution_csv_matches_row_loop():
     denom = rng.uniform(0, 1e6, n)
     denom[: len(odd)] = odd
     dist = PathDistribution(probs=probs, norm_constant=1 / 3, smeared=smeared, denom=denom)
-    assert _distribution_text(dist, "csv") == distribution_csv_rows(dist)
+    assert "".join(_distribution_text(dist, "csv")) == distribution_csv_rows(dist)
 
 
 # float values whose text is easy to get wrong, each finite as every
@@ -117,8 +118,8 @@ def test_distribution_writers_match_row_oracles_one_row(value):
     from oracles import distribution_csv_rows, distribution_json_dumps
 
     dist = _unchecked_distribution(np.array([value]))
-    assert _distribution_text(dist, "json") == distribution_json_dumps(dist)
-    assert _distribution_text(dist, "csv") == distribution_csv_rows(dist)
+    assert "".join(_distribution_text(dist, "json")) == distribution_json_dumps(dist)
+    assert "".join(_distribution_text(dist, "csv")) == distribution_csv_rows(dist)
 
 
 def test_distribution_writers_match_row_oracles_past_one_block():
@@ -128,8 +129,8 @@ def test_distribution_writers_match_row_oracles_past_one_block():
     from oracles import distribution_csv_rows, distribution_json_dumps
 
     dist = _unchecked_distribution(np.resize(EDGE_VALUES, _CSV_ROWS + 1))
-    assert _distribution_text(dist, "json") == distribution_json_dumps(dist)
-    assert _distribution_text(dist, "csv") == distribution_csv_rows(dist)
+    assert "".join(_distribution_text(dist, "json")) == distribution_json_dumps(dist)
+    assert "".join(_distribution_text(dist, "csv")) == distribution_csv_rows(dist)
 
 
 def test_ratio_csv_matches_row_oracle_on_degenerate_rows():
@@ -145,7 +146,18 @@ def test_ratio_csv_matches_row_oracle_on_degenerate_rows():
     assert any(r["degenerate"] and np.isinf(r["direct_ratio"]) for r in rows)
     assert any(np.isnan(r["rel_err"]) for r in rows)
     assert any(not np.isnan(r["rel_err"]) for r in rows)
-    assert _ratio_csv(rows) == ratio_csv_rows(rows)
+    assert "".join(_ratio_csv(rows)) == ratio_csv_rows(rows)
+
+
+def test_ratio_json_is_json_dumps_on_degenerate_rows(monkeypatch):
+    # the JSON encoder's stream writes inf and NaN ratios as json.dumps does
+    from realpathsim.screen import ScreenResult
+
+    result = ScreenResult(totals={0: 2.0, 1: 0.0, 2: 1 / 3}, quantum={0: 1.0, 1: 4.0, 2: 0.0})
+    monkeypatch.setattr(cli, "evaluate_screen_model", lambda spec: result)
+    text = "".join(cli._ratios_text(None, "json"))
+    assert text == json.dumps({"ratios": result.ratio_rows()}) + "\n"
+    assert "Infinity" in text and "NaN" in text
 
 
 def test_output_floats_round_trip(tmp_path):
@@ -1350,3 +1362,71 @@ def test_lattice_run_reads_arm_phase(tmp_path):
     probs = [float(line.split(",")[1]) for line in out.read_text().splitlines()[2:]]
     assert probs == dist.probs.tolist()
     assert out.read_bytes() != (DATA / "lattice_smoke.csv").read_bytes()
+
+
+# -- the output stream ----------------------------------------------------------
+
+def _cli_process(*argv):
+    """Exit code, stdout bytes and stderr text of the CLI run on ``argv`` in a process of its own."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-m", "realpathsim.cli", *argv],
+                          capture_output=True, env=env)
+    return done.returncode, done.stdout, done.stderr.decode()
+
+
+@pytest.mark.parametrize("fmt, golden", [("csv", "m1_run.csv"), ("json", "m1_run.json")])
+def test_run_to_stdout_writes_the_data_alone(tmp_path, fmt, golden):
+    # the summary line goes to stderr, so that stdout holds the golden's
+    # bytes and nothing after them; with an output file it stays on stdout
+    argv = ("--config", str(DATA / "m1.json"), "--format", fmt, "run")
+    code, out, err = _cli_process(*argv)
+    assert code == 0 and out == (DATA / golden).read_bytes()
+    code, summary, nothing = _cli_process(*argv, "--output", str(tmp_path / golden))
+    assert code == 0 and nothing == ""
+    assert summary.decode() == err and err.startswith("N=24 C=")
+    if fmt == "json":
+        assert len(json.loads(out)["paths"]) == 24
+
+
+@pytest.mark.parametrize("argv", [
+    ["--config", str(DATA / "m1.json"), "compare"],
+    ["--config", str(DATA / "screen.json"), "ratios"],
+    ["--config", str(DATA / "screen.json"), "--format", "json", "run"],
+    ["--config", str(DATA / "m2_sweep.json"), "sweep"],
+    ["lattice", "--steps", "4", "--extent", "3", "--hop", "2", "--weight", "corridor"],
+])
+def test_data_on_stdout_moves_the_summary_to_stderr(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run_cli([*argv, "--output", str(out)]) == 0
+    summary = capsys.readouterr().out
+    assert run_cli([*argv, "--output", "-"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == out.read_text()
+    assert captured.err == summary != ""
+
+
+def test_json_run_holds_one_block_not_the_whole_output(tmp_path):
+    # the model, its distribution and one block of text at a time: less
+    # than the file the run writes
+    cfg = write(tmp_path / "m1.json", {"model": {"model": "M1", "N": 400_004, "M": 200_001, "K": 3},
+                                       "distance": {"name": "step", "D": 3}})
+    out = tmp_path / "out.json"
+    tracemalloc.start()
+    try:
+        assert run_cli(["--config", cfg, "--format", "json", "--output", str(out), "run"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size
+
+
+@pytest.mark.parametrize("command", ["run", "ratios"])
+def test_screen_refused_in_its_evaluation_leaves_no_file(tmp_path, capsys, command):
+    # evaluate_screen_model refuses anchors closer than K''+2D+1 before
+    # the output file is opened
+    config = json.loads((DATA / "screen.json").read_text())
+    config["model"]["screen_after"]["anchors"] = [7, 7]
+    out = tmp_path / "out.csv"
+    assert run_cli(["--config", write(tmp_path / "c.json", config), "--output", str(out), command]) == 65
+    assert "closer than K''+2D+1" in capsys.readouterr().err
+    assert not out.exists()

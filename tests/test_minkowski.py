@@ -292,6 +292,9 @@ FIXTURES = {
     "G near 0 window": [[0, 0], [1, 0.5 + 2e-13], [0, 2]],
     "timelike partner": [[0, 0], [0.5, 1], [0, 2]],
     "hidden anti-causal": [[0, 0], [4, 0.5], [1, -0.3], [5, 5]],
+    # 3+1D: the spacelike second leg touches the first vertex's past light
+    # cone, a null contact into the past that only the tie rule decides
+    "past cone contact": [[0, 0, 0, 0], [1, -5, 0, -1], [1, 5, 0, -1], [20, 0, 0, 30]],
 }
 
 
@@ -314,7 +317,8 @@ def _reference_pairs():
 
 
 def test_fixtures_reach_every_degenerate_case():
-    assert classify(MinkowskiPath(FIXTURES["hidden anti-causal"])) is CausalClass.ANTI_CAUSAL
+    for name in ("hidden anti-causal", "past cone contact"):
+        assert classify(MinkowskiPath(FIXTURES[name])) is CausalClass.ANTI_CAUSAL
     pairs = _reference_pairs()
     q = [_quadratics(P.events, Q.events) for P, Q in pairs]
     Ae, Af, G = (np.concatenate([x[k].ravel() for x in q]) for k in range(3))
