@@ -435,8 +435,8 @@ def _prepare_group(cells: list, routes: dict, indices: list):
     The cells share one model spec, and so one preparation: a lattice
     spec one enumeration and plan over the cells' distance scales
     (lattice.two_arm_sweep, on the route ``routes`` holds for it), a toy
-    spec one build and prefix sum over the cells' distances
-    (toymodels.beam_sweep).
+    spec one build of its run grammar and compact prefix over the cells'
+    distances (toymodels.beam_sweep).
     """
     spec, dspec, _ = cells[indices[0]]
     if isinstance(spec, LatticeSpec):
@@ -654,6 +654,9 @@ def main(argv=None) -> int:
         return EX_SOFTWARE
     except RealPathError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return EX_DATAERR
+    except MemoryError as exc:  # a model past the memory this host can give it
+        print(f"ModelTooLarge: out of memory ({exc})", file=sys.stderr)
         return EX_DATAERR
 
 

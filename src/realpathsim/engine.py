@@ -26,13 +26,16 @@ The smearing sum has two routes:
   which ``index_smeared`` collects and a sweep cell reduces straight
   into the probabilities of the rows it computes.  Between beams a
   prefix is 2-periodic, and a row whose windows read only such entries
-  has the bits of the row two before it: ``computed_rows`` finds the
-  breaks of that period once per prefix and gives the rows a radius
-  must compute.  A sweep cell holds those rows alone, as
-  ``CompactRows``, whose sum walks numpy's pairwise order over all n
-  rows with np.sum's bits, and which materializes any slice.  K=1 is
-  the single ensemble; K=3 is the particle x screen composite
-  (``banded_smeared``).  The kernel works in
+  has the bits of the row two before it.  ``CompactPrefix`` holds such a
+  prefix as explicit windows around the spans that break the period and
+  the 2-periodic stretches between them, with prefix_sum's bits and
+  without its n entries; it finds the breaks inside those windows and
+  materializes any rows' windows as a Prefix, and ``computed_rows``
+  gives from its breaks the rows a radius must compute.  A sweep cell
+  holds those rows alone, as ``CompactRows``, whose sum walks numpy's
+  pairwise order over all n rows with np.sum's bits, and which
+  materializes any slice.  K=1 is the single ensemble; K=3 is the
+  particle x screen composite (``banded_smeared``).  The kernel works in
   the amplitudes' dtype: real amplitudes (a zero-phase toy model) keep
   the prefix, tiles and sums in float64, with the bits complex128 gives.
 * ``dense_smeared``, a dense route for the geometric distances.  It
@@ -84,6 +87,10 @@ _PAIRWISE_BLOCK = 128
 # exp_index took on 10^6 paths at D = 50 and 16 384 at D = 10^7 (one core
 # of a 2-core host); the n x n matrix admitted at most 16 384 x 16 385
 BANDED_BOUND = 5 * 10**9
+
+# prefix entries a CompactPrefix window first takes past its span, doubled
+# until it settles; any value gives the same bits
+_SETTLE_CHUNK = 64
 
 @dataclass(frozen=True)
 class PathDistribution:
@@ -192,8 +199,8 @@ class Prefix(NamedTuple):
 
     sums[origin + k] holds P(k) with k clamped to [0, n], so a window sum
     is the difference of two entries.  prefix_sum holds every k in
-    [-pad, n + pad]; patched_prefix a shorter range, with a smaller or
-    negative origin.
+    [-pad, n + pad]; patched_prefix and CompactPrefix.window a shorter
+    range, with a smaller or negative origin.
     """
 
     sums: np.ndarray
@@ -357,22 +364,20 @@ def patched_prefix(prefix: Prefix, start: int, amps: np.ndarray, lo: int, hi: in
     return Prefix(out, origin, n)
 
 
-def computed_rows(prefix: Prefix):
+def computed_rows(prefix: CompactPrefix):
     """rows(radius): the row ranges a banded pass of widest ``radius`` must compute.
 
-    The breaks are the k where P(k+2) differs from P(k) in its bits
-    (an int64 view, so -0.0 differs from +0.0 and a NaN equals only its
-    own bits), found once.  Row i reads P(i+r+1) and P(i-r) for every
-    r <= R = min(radius, n); with no break in [i-R-2, i+R-1] and its
-    windows and row i-2's unclipped, it takes the operations of row i-2
-    on the same bits, for any index kernel and dtype.  rows(radius)
-    lists the disjoint ascending (lo, hi) that cover the rows some break
-    reaches and the clipped [0, R+2) and [n-R-2, n); every row between two
-    ranges equals the row two before it.
+    The breaks are the k where P(k+2) differs from P(k) in its bits, as
+    the compact prefix found them inside its explicit windows.  Row i
+    reads P(i+r+1) and P(i-r) for every r <= R = min(radius, n); with no
+    break in [i-R-2, i+R-1] and its windows and row i-2's unclipped, it
+    takes the operations of row i-2 on the same bits, for any index
+    kernel and dtype.  rows(radius) lists the disjoint ascending (lo, hi)
+    that cover the rows some break reaches and the clipped [0, R+2) and
+    [n-R-2, n); every row between two ranges equals the row two before
+    it.
     """
-    bits = prefix.sums.view(np.int64).reshape(prefix.sums.size, -1)
-    breaks = np.flatnonzero((bits[2:] != bits[:-2]).any(axis=1)) - prefix.origin
-    n = prefix.n
+    breaks, n = prefix.breaks, prefix.n
 
     def rows(radius):
         R = min(radius, n)
@@ -405,9 +410,9 @@ class CompactRows:
         if self.edges[0] != 0 or any(b > a and values.size < 2 for a, b, values in stretches):
             raise ValueError("ranges must start at row 0, and hold two rows before a stretch")
 
-    def take(self, lo: int, hi: int) -> np.ndarray:
-        """Rows lo..hi-1 as a new array."""
-        out = np.empty(hi - lo, dtype=self.values[0].dtype)
+    def take(self, lo: int, hi: int, out=None) -> np.ndarray:
+        """Rows lo..hi-1, into ``out`` when given, else as a new array."""
+        out = np.empty(hi - lo, dtype=self.values[0].dtype) if out is None else out
         edges = self.edges
         j = bisect.bisect_right(edges, lo) - 1
         while j + 1 < len(edges) and edges[j] < hi:
@@ -457,6 +462,90 @@ class CompactRows:
             return total
 
         return tree(0, self.n)
+
+
+class CompactPrefix:
+    """The prefix sums P(0..n) of n amplitudes that repeat with period 2 between a few spans.
+
+    ``amplitudes(a, b)`` gives amplitudes a..b-1 (0-based), all of one
+    dtype; ``spans`` are ascending disjoint (a, b) of them, and between
+    two spans, before the first and after the last, amplitude j equals
+    amplitude j-2.  np.cumsum adds in sequence, so once P(e) equals
+    P(e-2) in its bits past a span, every later entry repeats the one
+    two before it up to the next span: P(e+1) = fl(P(e) + a) =
+    fl(P(e-2) + a) = P(e-1).  The entries are held as explicit windows,
+    one from just before each span to where it settles so (spans whose
+    windows would meet share one), and the 2-periodic stretches between
+    them, as CompactRows of n+1 entries.  Each window is np.cumsum from
+    the exact entry before it (the first from P(0) = 0, as prefix_sum
+    takes it), extended _SETTLE_CHUNK entries past its span and doubled
+    until it settles or reaches n, so the bits are prefix_sum's however
+    long settling takes.  ``breaks`` are the k where P(k+2) differs from
+    P(k) in an int64 view (-0.0 differs from +0.0, a NaN equals only its
+    own bits), all inside the windows.  ``window`` materializes what
+    some rows' windows read.
+    """
+
+    def __init__(self, n: int, amplitudes, spans):
+        self.n = n
+        ranges, breaks = [], []
+        spans = iter(spans)
+        span = next(spans, None)
+        start, done = 0, 0  # the window starts at P(start), past the span ending at done
+        sums = np.zeros(1, dtype=np.result_type(amplitudes(0, 0), 0.0))
+        step = _SETTLE_CHUNK
+        while True:
+            last = start + sums.size - 1  # sums holds P(start..last)
+            # the next window would start just before the next span; this
+            # one settles before it, or takes that span in
+            nxt = n + 1 if span is None else span[0] - 1
+            bits = sums.view(np.int64).reshape(sums.size, -1)
+            same = (bits[2:] == bits[:-2]).all(axis=1)  # P(start+t+2) == P(start+t)
+            lo, hi = done + 2 - start, min(last, nxt - 1) - start
+            settled = np.flatnonzero(same[lo - 2 : hi - 1]) + lo if lo <= hi else ()
+            if len(settled):
+                end = start + int(settled[0])
+            elif span is not None and last >= nxt - 1:
+                done, span = span[1], next(spans, None)
+                continue
+            elif last == n:
+                end = n
+            else:
+                stop = min(n, max(last, done) + step)
+                step *= 2
+                run = amplitudes(last, stop)
+                if last == 0:  # np.cumsum's own first entry, P(1) = a[0]
+                    run = np.cumsum(run, dtype=sums.dtype)
+                else:
+                    run = np.cumsum(np.concatenate([sums[-1:], run]))[1:]
+                sums = np.concatenate([sums, run])
+                continue
+            sums = sums[: end - start + 1]
+            ranges.append((start, sums))
+            breaks.append(np.flatnonzero(~same[: end - start - 1]) + start)
+            if span is None:
+                break
+            # P(nxt) repeats P(end) or P(end-1), by parity
+            start, done, step = nxt, span[1], _SETTLE_CHUNK
+            sums = sums[[-1 - (nxt - end) % 2]]
+            span = next(spans, None)
+        self.entries = CompactRows(n + 1, ranges)
+        self.breaks = np.concatenate(breaks)
+
+    def window(self, lo: int, hi: int, radius: int) -> Prefix:
+        """P(k) for k in [lo - r, hi + r], r = min(radius, n), with a local origin.
+
+        What windows of radius <= ``radius`` over rows lo..hi-1 read,
+        with prefix_sum's bits and its pads: P(0) = 0 left of 0 and
+        copies of P(n) right of n.
+        """
+        n, r = self.n, min(radius, self.n)
+        origin = r - lo  # out[origin + k] = P(k)
+        out = np.zeros(hi - lo + 2 * r + 1, dtype=self.entries.values[0].dtype)
+        a, b = max(lo - r, 0), min(hi + r, n)
+        self.entries.take(a, b + 1, out=out[origin + a : origin + b + 1])
+        out[origin + b + 1 :] = out[origin + b]  # the right pad copies P(n)
+        return Prefix(out, origin, n)
 
 
 def _windows(prefix: Prefix, r: int, lo: int, hi: int, out=None):

@@ -24,12 +24,14 @@ direct evaluation is ground truth there.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import (
+    CompactPrefix,
     CompactRows,
     check_probabilities,
     computed_rows,
@@ -38,12 +40,11 @@ from .engine import (
     kernel_windows,
     norm_constant,
     patched_prefix,
-    prefix_sum,
     visibility,
     weighted_probabilities,
 )
-from .errors import PreconditionViolation, SpecViolation, integer, real
-from .paths import PathEnsemble
+from .errors import NonUnitAmplitude, PreconditionViolation, SpecViolation, integer, real
+from .paths import UNIT_MODULUS_ATOL, PathEnsemble
 
 
 def _require(cond: bool, message: str):
@@ -142,24 +143,70 @@ def _alternating(out: np.ndarray, start_sign: float):
     out[1::2] = -start_sign
 
 
-def build_m3(spec: M3Spec) -> PathEnsemble:
-    """Amplitudes per the multi-region pattern; regions get exp(-i theta).
+class RunGrammar:
+    """The amplitudes of an M3 spec as its alternating runs and regions.
 
     The run before the first region starts at +1 (the (-1)^(i-1) rule);
     every run after a region starts at -1 (the (-1)^(i-M-K) rule).  The
     parity conditions make each run end at -1 before a region and at +1
-    at index N.  The amplitudes are float64 when every phase is 0 (-0.0
-    too), complex128 otherwise: exp(-i pi) is not real in floating point.
+    at index N.  Region k holds ``values[k]``; every amplitude is of
+    ``dtype``.  ``amplitudes(a, b)`` places any slice, so nothing needs
+    the N amplitudes at once: build_m3 takes them all, a CompactPrefix
+    the few around each region (``spans``).
     """
-    real = not any(th for _M, _K, th in spec.regions)
-    amps = np.empty(spec.N, dtype=np.float64 if real else np.complex128)
-    pos = 1  # next index to fill, 1-based
-    for M, K, th in spec.regions:
-        _alternating(amps[pos - 1 : M - 1], 1.0 if pos == 1 else -1.0)
-        amps[M - 1 : M + K] = 1.0 if real else np.exp(-1j * th)
-        pos = M + K + 1
-    _alternating(amps[pos - 1 :], -1.0)
-    return PathEnsemble(amps)
+
+    def __init__(self, spec: M3Spec, values, dtype):
+        self.spec, self.values, self.dtype = spec, tuple(values), dtype
+        self.ends = [M + K for M, K, _th in spec.regions]  # each region's last index
+
+    @property
+    def spans(self) -> list[tuple[int, int]]:
+        """The regions as 0-based [M-1, M+K): within a run the amplitudes repeat with period 2."""
+        return [(M - 1, M + K) for M, K, _th in self.spec.regions]
+
+    def amplitudes(self, a: int, b: int) -> np.ndarray:
+        """The amplitudes of indices a+1..b (0-based a..b-1), as a new array."""
+        regions, ends = self.spec.regions, self.ends
+        out = np.empty(b - a, dtype=self.dtype)
+        k = bisect.bisect_left(ends, a + 1)  # index a+1 is in run k or region k
+        pos = a + 1  # next index to fill, 1-based
+        while pos <= b:
+            run_start = ends[k - 1] + 1 if k else 1
+            run_end = regions[k][0] - 1 if k < len(regions) else self.spec.N
+            if pos <= run_end:
+                sign = 1.0 if k == 0 else -1.0  # at run_start
+                hi = min(run_end, b)
+                _alternating(out[pos - 1 - a : hi - a], sign if (pos - run_start) % 2 == 0 else -sign)
+                pos = hi + 1
+            if pos <= b and k < len(regions):
+                hi = min(ends[k], b)
+                out[pos - 1 - a : hi - a] = self.values[k]
+                pos = hi + 1
+            k += 1
+        return out
+
+
+def build_grammar(spec) -> RunGrammar:
+    """The run grammar of a toy spec, each region's amplitude checked for unit modulus.
+
+    Regions get exp(-i theta), float64 when every phase is 0 (-0.0
+    too), complex128 otherwise: exp(-i pi) is not real in floating
+    point.  A value off the unit circle raises NonUnitAmplitude at its
+    region's first index, as PathEnsemble would over the N amplitudes;
+    the runs' +1 and -1 are exact.
+    """
+    m3 = spec.as_m3()
+    real = not any(th for _M, _K, th in m3.regions)
+    values = [1.0 if real else np.exp(-1j * th) for _M, _K, th in m3.regions]
+    for (M, _K, _th), value in zip(m3.regions, values):
+        if not abs(abs(value) - 1.0) <= UNIT_MODULUS_ATOL:  # a NaN fails too
+            raise NonUnitAmplitude(M, complex(value))
+    return RunGrammar(m3, values, np.float64 if real else np.complex128)
+
+
+def build_m3(spec: M3Spec) -> PathEnsemble:
+    """The N amplitudes of the run grammar; regions get exp(-i theta)."""
+    return PathEnsemble(build_grammar(spec).amplitudes(0, spec.N))
 
 
 def build_m1(spec: M1Spec) -> PathEnsemble:
@@ -284,14 +331,16 @@ def beam_sweep(spec, dspecs):
     masses at the spec's own phases and with the last region's turned by
     pi, and the share there of the probabilities ``run`` gives, which it
     returns as CompactRows.  Every distance is admitted (kernel_windows)
-    before the one build, whose prefix sum, padded for the widest radius,
-    and its computed_rows serve every cell: at the own phases, a banded
-    pass over the rows near a beam or an edge, into one buffer per range,
-    with the 2-periodic stretches between them left to CompactRows, whose
-    sums have np.sum's bits over all N rows; then one over the block rows
-    from the prefix patched with the flipped amplitudes, sliced from the
-    build as far as any block's windows read.  Cells only read what they
-    share.
+    before the one build of the run grammar, whose CompactPrefix (the
+    explicit windows around each region and the 2-periodic stretches
+    between them, never N entries) and its computed_rows serve every
+    cell: at the own phases, a banded pass over the rows near a beam or
+    an edge, each range reading the prefix window it needs, into one
+    buffer per range, with the stretches between ranges left to
+    CompactRows, whose sums have np.sum's bits over all N rows; then one
+    over the block rows from that window patched with the flipped
+    amplitudes, placed by the grammar from the last region as far as any
+    block's windows read.  Cells only read what they share.
     """
     m3 = spec.as_m3()
     first, last = m3.block_range
@@ -301,24 +350,25 @@ def beam_sweep(spec, dspecs):
     def block(dspec):  # 0-based rows lo..hi-1
         return max(1, first - dspec.D) - 1, min(m3.N, last + dspec.D)
 
-    amps = build_model(spec).amplitudes
-    prefix = prefix_sum(amps, max(w.radii[-1] for w in windows.values()))
+    grammar = build_grammar(spec)
+    prefix = CompactPrefix(m3.N, grammar.amplitudes, grammar.spans)
     reach = max(min(m3.N, block(d)[1] + w.radii[-1]) for d, w in windows.items())
-    flipped = amps[M - 1 : reach].astype(np.complex128)  # exp(-i(th + pi)) is not real
-    flipped[: K + 1] = np.exp(-1j * (th + np.pi))
+    flipped = RunGrammar(m3, (*grammar.values[:-1], np.exp(-1j * (th + np.pi))),
+                         np.complex128).amplitudes(M - 1, reach)  # exp(-i(th + pi)) is not real
 
     rows = computed_rows(prefix)
 
     def cell(dspec):
+        R = windows[dspec].radii[-1]
         ranges = []
-        for lo, hi in rows(windows[dspec].radii[-1]):
+        for lo, hi in rows(R):
             values = np.empty(hi - lo)
-            for tile, smeared, denom in index_tiles(prefix, windows[dspec], lo, hi):
+            for tile, smeared, denom in index_tiles(prefix.window(lo, hi, R), windows[dspec], lo, hi):
                 weighted_probabilities(smeared, denom, out=values[tile.start - lo : tile.stop - lo])
             ranges.append((lo, values))
         unnorm = CompactRows(m3.N, ranges)
         lo, hi = block(dspec)
-        patched = patched_prefix(prefix, M - 1, flipped, lo, hi, windows[dspec].radii[-1])
+        patched = patched_prefix(prefix.window(lo, hi, R), M - 1, flipped, lo, hi, R)
         flip = index_smeared(patched, windows[dspec], lo, hi)
         block_rows = unnorm.take(lo, hi)
         p_minus, p_plus = float(np.sum(weighted_probabilities(*flip))), float(np.sum(block_rows))

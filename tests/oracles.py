@@ -41,7 +41,9 @@ import numpy as np
 from realpathsim.distances import DistanceSpec, GridPathSource, admit_matrix
 from realpathsim.engine import (
     PathDistribution,
+    Prefix,
     banded_smeared,
+    prefix_sum,
     smeared_components,
     weighted_probabilities,
 )
@@ -216,6 +218,32 @@ def flip_last_theta(spec):
     M, K, th = regions[-1]
     regions[-1] = (M, K, th + math.pi)
     return M3Spec(N=spec.N, regions=tuple(regions))
+
+
+def full_prefix(spec, pad) -> Prefix:
+    """prefix_sum over the spec's N built amplitudes, padded by ``pad``."""
+    return prefix_sum(build_model(spec).amplitudes, pad)
+
+
+def scanned_rows(prefix: Prefix):
+    """engine.computed_rows from a scan of every entry of a full padded prefix.
+
+    The breaks are the k where P(k+2) differs from P(k) in an int64 view,
+    pads included; rows(radius) covers the rows within R+2 of a break and
+    the clipped [0, R+2) and [n-R-2, n), R = min(radius, n).
+    """
+    bits = prefix.sums.view(np.int64).reshape(prefix.sums.size, -1)
+    breaks = np.flatnonzero((bits[2:] != bits[:-2]).any(axis=1)) - prefix.origin
+    n = prefix.n
+
+    def rows(radius):
+        R = min(radius, n)
+        lo = np.clip(np.r_[0, breaks - R + 1, n - R - 2], 0, max(n - R - 2, 0))
+        hi = np.clip(np.r_[R + 2, breaks + R + 3, n], min(R + 2, n), n)
+        starts = np.flatnonzero(np.r_[True, lo[1:] > hi[:-1]])
+        return list(zip(lo[starts].tolist(), hi[np.r_[starts[1:] - 1, -1]].tolist()))
+
+    return rows
 
 
 def two_pass_toy_experiment(spec, dspec):

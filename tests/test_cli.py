@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from realpathsim import cli
+from realpathsim import cli, toymodels
 from realpathsim.cli import main
 from realpathsim.distances import DistanceSpec
 
@@ -628,6 +628,7 @@ def test_blas_cap_without_openblas_does_nothing(tmp_path, monkeypatch):
         ("m3_sweep_long.json", "sweep", [], "m3_sweep_long.csv"),
         ("m3_sweep_long.json", "sweep", ["--literal-log-half"], "m3_sweep_long_literal.csv"),
         ("m2_sweep_1e7.json", "sweep", [], "m2_sweep_1e7.csv"),
+        ("m2_position_sweep.json", "sweep", [], "m2_position_sweep.csv"),
     ],
 )
 def test_banded_outputs_match_golden_bytes(tmp_path, config, command, flags, golden):
@@ -637,8 +638,9 @@ def test_banded_outputs_match_golden_bytes(tmp_path, config, command, flags, gol
     # M2 theta1 sweep (a model spec, so a prefix, per cell), the M1 and
     # screen examples again as JSON, M2 compares in case (i) (theta1 =
     # 2.1) and case (ii), the M3 sweep again over 60 regions and
-    # 214 214 paths, mostly 2-periodic rows, and the benchmark's M2 sweep
-    # over D at N=10^7
+    # 214 214 paths, mostly 2-periodic rows, the benchmark's M2 sweep
+    # over D at N=10^7, and its spec swept over the second beam's
+    # position M1 at D = 100, from adjacent to 10^5 paths apart
     out = tmp_path / golden
     argv = ["--config", str(DATA / config), "--output", str(out), *flags, command]
     assert run_cli(argv) == 0
@@ -880,17 +882,19 @@ def test_non_finite_region_phase_exits_65_before_any_build(
 ):
     # exp(-i theta) of a non-finite phase is NaN: the spec is refused, with
     # no warning, before any amplitude is built
-    from realpathsim import screen, toymodels
+    from realpathsim import screen
 
     calls = []
-    build_m3 = toymodels.build_m3
 
-    def counted(spec):
-        calls.append(spec)
-        return build_m3(spec)
+    def counted(build):
+        def call(spec):
+            calls.append(spec)
+            return build(spec)
+        return call
 
-    for module in (toymodels, screen):
-        monkeypatch.setattr(module, "build_m3", counted)
+    # build_grammar: the run grammar a toy sweep builds, and build_m3 too
+    monkeypatch.setattr(toymodels, "build_grammar", counted(toymodels.build_grammar))
+    monkeypatch.setattr(screen, "build_m3", counted(toymodels.build_m3))
     cfg = write(tmp_path / "bad.json", config)
     out = tmp_path / "out.csv"
     with warnings.catch_warnings():
@@ -1334,6 +1338,7 @@ def test_sweep_admits_each_cell_at_its_own_n(tmp_path, monkeypatch, capsys):
         raise AssertionError("built a model")
 
     monkeypatch.setattr(cli, "build_model", refuse)
+    monkeypatch.setattr(toymodels, "build_grammar", refuse)
     config = {"model": {"model": "M1", "N": 24, "M": 9, "K": 3},
               "distance": {"name": "exp_index", "D": 10**6},
               "sweep": {"name": "N", "values": [24, 10**6 + 12]}}
@@ -1341,6 +1346,23 @@ def test_sweep_admits_each_cell_at_its_own_n(tmp_path, monkeypatch, capsys):
     assert run_cli(["--config", write(tmp_path / "c.json", config), "--output", str(out), "sweep"]) == 65
     assert not out.exists()
     assert capsys.readouterr().err.startswith("ModelTooLarge:")
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_out_of_memory_exits_65(tmp_path, capsys, monkeypatch, command):
+    # a model the banded bound admits but this host cannot hold (M1 at
+    # N = 10^9 needs 8 GB for its amplitudes) is refused as too large,
+    # before the output file opens, without a traceback
+    def out_of_memory(spec):
+        raise MemoryError("Unable to allocate 7.45 GiB for an array with shape (1000000000,)")
+
+    monkeypatch.setattr(cli, "build_model", out_of_memory)
+    config = {"model": {"model": "M1", "N": 10**9, "M": 9, "K": 3}, "distance": {"name": "step", "D": 3}}
+    out = tmp_path / "out.csv"
+    assert run_cli(["--config", write(tmp_path / "c.json", config), "--output", str(out), command]) == 65
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == "ModelTooLarge: out of memory (Unable to allocate 7.45 GiB for an array with shape (1000000000,))\n"
 
 
 def test_unknown_model_kind_exits_65(tmp_path, capsys):

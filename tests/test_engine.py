@@ -10,8 +10,8 @@ from realpathsim import engine
 from realpathsim.distances import DistanceSpec
 from realpathsim.engine import (
     _BAND_TILE,
+    CompactPrefix,
     PathDistribution,
-    Prefix,
     _windows,
     banded_smeared,
     computed_rows,
@@ -35,6 +35,7 @@ from oracles import (
     brute_force_probabilities,
     index_distance_matrix,
     make_indexed_ensemble,
+    scanned_rows,
     sliding_window_smeared,
     step_distance_table,
     untiled_banded_smeared,
@@ -260,26 +261,64 @@ def test_index_tiles_concatenate_to_index_smeared(lo, hi):
             assert _same_bits(got, [w[lo:hi] for w in want]), D
 
 
+def _compact(amps, spans):
+    return CompactPrefix(amps.size, lambda a, b: amps[a:b], spans)
+
+
 def test_computed_rows_count_a_signed_zero_as_a_break():
-    # P(k) = +0.0 but one -0.0, which == would call equal: P(20) differs
-    # from P(18) and P(22) from P(20).  At R = 3 each break k asks for
-    # rows k-2 .. k+5, beside the clipped rows [0, 5) and [35, 40)
+    # P(k) = +0.0, but -0.0 from P(1) (np.cumsum's own first entry, not
+    # 0.0 + -0.0) to P(20), which == would call equal: P(2) differs from
+    # P(0), and P(21) and P(22) from P(19) and P(20).  At R = 3 each break
+    # k asks for rows k-2 .. k+5, beside the clipped rows [0, 5) and
+    # [35, 40); the breaks do not depend on the spans given
     n = 40
     for negative_zero in (-0.0, complex(0.0, -0.0)):
-        prefix = prefix_sum(np.zeros(n, dtype=type(negative_zero)), 5)
-        assert computed_rows(prefix)(3) == [(0, 5), (35, 40)]
-        prefix.sums[prefix.origin + 20] = negative_zero
-        assert computed_rows(prefix)(3) == [(0, 5), (16, 26), (35, 40)]
+        amps = np.zeros(n, dtype=type(negative_zero))
+        assert computed_rows(_compact(amps, []))(3) == [(0, 5), (35, 40)]
+        amps[:20] = negative_zero
+        for spans in ([(19, 21)], [(0, n)]):
+            prefix = _compact(amps, spans)
+            assert prefix.breaks.tolist() == [0, 19, 20]
+            assert computed_rows(prefix)(3) == [(0, 6), (17, 26), (35, 40)]
+            assert computed_rows(prefix)(3) == scanned_rows(prefix_sum(amps, 5))(3)
 
 
 def test_computed_rows_without_breaks_are_the_clipped_rows():
     # a 2-periodic prefix: [0, R+2) and [n-R-2, n), one range once they meet
     n = 40
-    for sums in (np.resize([1.0, 0.0], n + 11), np.resize([1j, 0.5], n + 11)):
-        rows = computed_rows(Prefix(sums, 5, n))
+    for amps in (np.resize([1.0, -1.0], n), np.resize([1j, -1j], n)):
+        rows = computed_rows(_compact(amps, []))
         assert rows(1) == [(0, 3), (37, 40)]
         assert rows(3) == [(0, 5), (35, 40)]
         assert rows(18) == rows(10**7) == [(0, 40)]
+
+
+def test_compact_prefix_settles_only_past_its_span():
+    # the span's last amplitude, 3, cancels the next one: P(12) = P(10),
+    # but amplitude 12 does not repeat amplitude 10, and from there the
+    # stretch (-3, 1) drifts, so nothing settles
+    n = 40
+    amps = np.resize([1.0, -3.0], n)
+    amps[:10], amps[10] = 0.0, 3.0
+    prefix, full = _compact(amps, [(10, 11)]), prefix_sum(amps, n)
+    assert prefix.window(0, n, n).sums.tobytes() == full.sums.tobytes()
+    assert computed_rows(prefix)(2) == scanned_rows(full)(2)
+
+
+@pytest.mark.parametrize("pair", [(1.0, -0.5), (0.1, -0.3)])
+def test_compact_prefix_that_never_settles_is_explicit(pair):
+    # 2-periodic amplitudes whose pairs do not cancel: P(k+2) never equals
+    # P(k), so every window runs on (doubling past _SETTLE_CHUNK) into the
+    # next span and to n, and the compact prefix holds every entry
+    n = 3001
+    amps = np.resize(np.array(pair), n)
+    amps[1500:1503] = 1.0
+    prefix = _compact(amps, [(1500, 1503)])
+    full = prefix_sum(amps, n)
+    assert len(prefix.entries.values) == 1
+    assert prefix.window(0, n, n).sums.tobytes() == full.sums.tobytes()
+    for R in (1, 40, n):
+        assert computed_rows(prefix)(R) == scanned_rows(full)(R)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -296,10 +335,10 @@ def test_rows_between_computed_ranges_repeat_the_row_two_before(dtype, name, D, 
     for start in (400, 1203, 2500):
         amps[start : start + 5] = _random_unit(rng, 5) if dtype is complex else 1.0
     windows = kernel_windows(DistanceSpec(name, D=D, literal_log_half=literal), n)
-    prefix = prefix_sum(amps, windows.radii[-1])
-    smeared, denom = index_smeared(prefix, windows)
+    smeared, denom = index_smeared(prefix_sum(amps, windows.radii[-1]), windows)
     copied = np.ones(n, dtype=bool)
-    for lo, hi in computed_rows(prefix)(windows.radii[-1]):
+    spans = [(start, start + 5) for start in (400, 1203, 2500)]
+    for lo, hi in computed_rows(_compact(amps, spans))(windows.radii[-1]):
         copied[lo:hi] = False
     rows = np.flatnonzero(copied)
     assert rows.size > n // 2

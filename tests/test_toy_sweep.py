@@ -3,19 +3,25 @@
 The cell must give the bits of the two-pass cell it replaces (two full
 builds, two full-length untiled passes, tests/oracles.py) for every
 model kind, every window width, both rim weights and exp_index, whether it
-prepares its own prefix sum or shares one padded for a wider window.
+prepares its own prefix or shares one for a wider window.  The group's
+compact prefix must give the bits of the full-length prefix and the rows
+of its full-length break scan (oracles.full_prefix, oracles.scanned_rows).
 """
 
+import json
+import math
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from realpathsim import cli, toymodels
 from realpathsim.cli import main
 from realpathsim.distances import DistanceSpec
 from realpathsim.engine import (
+    CompactPrefix,
     check_probabilities,
     computed_rows,
     index_smeared,
@@ -27,9 +33,9 @@ from realpathsim.engine import (
     weighted_probabilities,
 )
 from realpathsim.errors import AllZeroProbability
-from realpathsim.toymodels import M1Spec, M2Spec, M3Spec, beam_sweep, build_model
+from realpathsim.toymodels import M1Spec, M2Spec, M3Spec, beam_sweep, build_grammar, build_model
 
-from oracles import flip_last_theta, two_pass_toy_experiment
+from oracles import flip_last_theta, full_prefix, scanned_rows, two_pass_toy_experiment
 
 DATA = Path(__file__).parent / "data"
 
@@ -56,9 +62,10 @@ def _last_end(spec):
     return spec.block_range[1]
 
 
-def _shared_prefix(spec, pad):
-    """The spec's amplitudes prefix-summed and padded by ``pad``, as a sweep group prepares them."""
-    return prefix_sum(build_model(spec).amplitudes, pad)
+def _compact_prefix(spec):
+    """The spec's compact prefix, as a sweep group prepares it."""
+    grammar = build_grammar(spec)
+    return CompactPrefix(spec.N, grammar.amplitudes, grammar.spans)
 
 
 def _own_cell(spec, dspec):
@@ -92,7 +99,7 @@ def test_cell_matches_two_pass_oracle(spec):
     # prefix's banded pass are checked against the oracle's instead
     dspecs = [DistanceSpec("step", D=D, literal_log_half=literal)
               for D in _widths(spec) for literal in (False, True)]
-    shared = _shared_prefix(spec, max(_widths(spec))) if spec in LARGE else None
+    shared = full_prefix(spec, max(_widths(spec))) if spec in LARGE else None
     group = beam_sweep(spec, dspecs) if spec in LARGE else None
     for D in _widths(spec):
         for literal in (False, True):
@@ -148,7 +155,7 @@ def test_periodic_stretches_match_two_pass_oracle(spec, literal):
     # cells that prepare their own prefix; D from 1 past N
     Ds = (1, 2, 40, 700, 2000, spec.N - 1, spec.N, 10**7)
     dspecs = [DistanceSpec("step", D=D, literal_log_half=literal) for D in Ds]
-    rows = computed_rows(_shared_prefix(spec, 1))(1)
+    rows = computed_rows(_compact_prefix(spec))(1)
     assert sum(hi - lo for lo, hi in rows) < spec.N // 20  # mostly copied at D = 1
     group = beam_sweep(spec, dspecs)
     for dspec in dspecs:
@@ -280,19 +287,22 @@ def test_cell_refuses_a_normalized_nan_sum(monkeypatch):
 @pytest.mark.parametrize("spec", SMALL + LARGE[1:2], ids=lambda s: f"{type(s).__name__}-{s.N}")
 def test_flipped_prefix_is_a_flipped_build(spec):
     # the amplitudes from the last region on, of a flipped build, patched
-    # into the entries the block rows' windows read
-    prefix = _shared_prefix(spec, max(_widths(spec)))
+    # into the entries the block rows' windows read, of the full prefix
+    # and of the compact prefix's window over them alike
+    prefix = full_prefix(spec, max(_widths(spec)))
+    compact = _compact_prefix(spec)
     flipped = build_model(flip_last_theta(spec)).amplitudes
     full = prefix_sum(flipped, spec.N)
     start = spec.as_m3().regions[-1][0] - 1
     for D in _widths(spec):
         lo, hi = _block_rows(spec, D)
-        got = patched_prefix(prefix, start, flipped[start:], lo, hi, D)
         r = min(D, spec.N)
         # the entries the block rows' windows read, P(lo-r) .. P(hi+r)
         want = full.sums[full.origin + lo - r : full.origin + hi + r + 1]
-        assert got.origin == r - lo, D
-        assert got.sums.tobytes() == want.tobytes(), D
+        for source in (prefix, compact.window(lo, hi, D)):
+            got = patched_prefix(source, start, flipped[start:], lo, hi, D)
+            assert got.origin == r - lo, D
+            assert got.sums.tobytes() == want.tobytes(), D
 
 
 def _count_builds(monkeypatch):
@@ -300,9 +310,9 @@ def _count_builds(monkeypatch):
 
     def counted(spec):
         calls.append(spec)
-        return build_model(spec)
+        return build_grammar(spec)
 
-    monkeypatch.setattr(toymodels, "build_model", counted)
+    monkeypatch.setattr(toymodels, "build_grammar", counted)
     return calls
 
 
@@ -397,7 +407,7 @@ def test_exp_index_past_the_banded_bound_exits_65(tmp_path, capsys, monkeypatch,
         raise AssertionError("built a model past the bound")
 
     monkeypatch.setattr(cli, "build_model", no_build)
-    monkeypatch.setattr(toymodels, "build_model", no_build)
+    monkeypatch.setattr(toymodels, "build_grammar", no_build)
     cfg = tmp_path / "exp.json"
     cfg.write_text(_LARGE_EXP_INDEX % (10**7, 10**7))
     out = tmp_path / "out.csv"
@@ -415,7 +425,7 @@ def test_step_past_the_banded_bound_exits_65(tmp_path, capsys, monkeypatch, comm
         raise AssertionError("built a model past the bound")
 
     monkeypatch.setattr(cli, "build_model", no_build)
-    monkeypatch.setattr(toymodels, "build_model", no_build)
+    monkeypatch.setattr(toymodels, "build_grammar", no_build)
     cfg = tmp_path / "step.json"
     cfg.write_text('{"model": {"model": "M1", "N": 1000000000000000, "M": 9, "K": 3},'
                    ' "distance": {"name": "step", "D": 3}, "sweep": {"name": "D", "values": [3]}}')
@@ -424,3 +434,71 @@ def test_step_past_the_banded_bound_exits_65(tmp_path, capsys, monkeypatch, comm
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("ModelTooLarge:") and "Traceback" not in err
+
+
+# region phases of both dtypes: the signed zeros, pi (not real in
+# floating point), a phase whose exp(-i theta) is 1 - 1e-300 i, and
+# large ones
+_PHASES = [0.0, -0.0, math.pi, -math.pi, 1e-300, 2.1, 1e16, 1e300]
+
+
+@st.composite
+def _m3_specs(draw):
+    """An M3 of 1 to 30 regions, as close as adjacent or up to 121 paths apart."""
+    phases = st.sampled_from([0.0, -0.0] if draw(st.booleans()) else _PHASES)
+    regions, M = [], 2 * draw(st.integers(1, 40)) + 1  # odd, above 1
+    for _ in range(draw(st.integers(1, 30))):
+        K = draw(st.integers(1, 9))
+        regions.append((M, K, draw(phases)))
+        M += K + 2 * draw(st.integers(0, 60)) + 1  # odd gaps from each region's end
+    M, K, _ = regions[-1]
+    return M3Spec(N=M + K + 2 * draw(st.integers(1, 60)), regions=tuple(regions))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_m3_specs(), st.data())
+def test_compact_prefix_matches_the_full_length_scan(spec, data):
+    # every window the compact prefix materializes, pads included, has
+    # the bits of the full-length prefix, and its breaks give the rows
+    # the full-length int64 scan gives, for radii from 1 to past N
+    n = spec.N
+    compact, full = _compact_prefix(spec), full_prefix(spec, n)
+    assert compact.window(0, n, n).sums.tobytes() == full.sums.tobytes()
+    rows, want_rows = computed_rows(compact), scanned_rows(full)
+    for _ in range(4):
+        R = data.draw(st.integers(1, n + 50), label="R")
+        lo = data.draw(st.integers(0, n - 1), label="lo")
+        hi = data.draw(st.integers(lo + 1, n), label="hi")
+        r = min(R, n)
+        got = compact.window(lo, hi, R)
+        assert (got.origin, got.n) == (r - lo, n)
+        assert got.sums.tobytes() == full.sums[full.origin + lo - r : full.origin + hi + r + 1].tobytes()
+        assert rows(R) == want_rows(R)
+
+
+_BENCH_D = [2, 5, 10, 20, 40, 80, 160, 320, 640, 1280, 2560, 5120]
+
+
+@pytest.mark.parametrize("N", [10**6, 10**7, 10**9])
+def test_far_apart_sweep_holds_no_n_length_array(tmp_path, N):
+    # the benchmark's 12 D values on its M2 spec, moved to the middle of N
+    # paths: the whole cli.main call peaks under 8 MiB of tracemalloc,
+    # where the amplitudes alone would take 8 GB at N = 10^9.  The
+    # visibilities read only the rows near the beams, so they have the
+    # bits of the N = 10^7 golden at every N
+    h = N // 2
+    config = {"model": {"model": "M2", "N": N, "M0": h - 1, "K0": 4, "M1": h + 216, "K1": 4},
+              "distance": {"name": "step", "D": 2},
+              "sweep": {"name": "D", "values": _BENCH_D}}
+    cfg, out = tmp_path / "far.json", tmp_path / "far.csv"
+    cfg.write_text(json.dumps(config))
+    tracemalloc.start()
+    try:
+        assert main(["--config", str(cfg), "--output", str(out), "sweep"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    golden = (DATA / "m2_sweep_1e7.csv").read_text().splitlines()
+    lines = out.read_text().splitlines()
+    assert [line.split(",")[2] for line in lines] == [line.split(",")[2] for line in golden]

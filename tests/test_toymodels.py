@@ -18,14 +18,16 @@ from realpathsim import toymodels
 from realpathsim.cli import _model_spec
 from realpathsim.distances import DistanceSpec
 from realpathsim.engine import banded_smeared, path_probabilities, unnormalized_probabilities
-from realpathsim.errors import PreconditionViolation, SpecViolation
+from realpathsim.errors import NonUnitAmplitude, PreconditionViolation, SpecViolation
 from realpathsim.paths import PathEnsemble
 from realpathsim.screen import ScreenSpec, _components
 from realpathsim.toymodels import (
     M1Spec,
     M2Spec,
     M3Spec,
+    RunGrammar,
     beam_sweep,
+    build_grammar,
     build_m1,
     build_m2,
     build_m3,
@@ -376,16 +378,53 @@ def test_screen_real_components_have_the_bits_of_complex_ones(phases):
                     DistanceSpec("exp_index", D=5)], id=_spec_id(BENCH_M2)),
 ])
 def test_real_sweep_cells_have_the_bits_of_complex_cells(monkeypatch, spec, dspecs):
-    # the complex side is the same sweep group with its build cast to
-    # complex128; the flipped block is complex128 on both sides
+    # the complex side is the same sweep group with its run grammar cast
+    # to complex128, which its compact prefix then takes; the flipped
+    # block is complex128 on both sides
     cell = beam_sweep(spec, dspecs)
-    monkeypatch.setattr(toymodels, "build_model", lambda s: _as_complex(build_model(s)))
+    cast = []
+
+    def as_complex(s):
+        grammar = build_grammar(s)
+        assert grammar.dtype == np.float64
+        cast.append(RunGrammar(grammar.spec, [complex(v) for v in grammar.values], np.complex128))
+        return cast[-1]
+
+    monkeypatch.setattr(toymodels, "build_grammar", as_complex)
     ref_cell = beam_sweep(spec, dspecs)
+    assert len(cast) == 1
+    assert cast[0].amplitudes(0, spec.N).tobytes() == _as_complex(build_model(spec)).amplitudes.tobytes()
     for dspec in dspecs:
         vis, mass, probs, C = cell(dspec)
         ref_vis, ref_mass, ref_probs, ref_C = ref_cell(dspec)
         assert (vis, mass, C) == (ref_vis, ref_mass, ref_C), _dspec_id(dspec)
         assert _same_bits(probs.take(0, spec.N), ref_probs.take(0, spec.N)), _dspec_id(dspec)
+
+
+@pytest.mark.parametrize("spec", [
+    CANON,
+    M2Spec(N=31, M0=5, K0=2, M1=14, K1=3, theta1=2.1),
+    M3Spec(N=31, regions=((3, 1, 0.5), (5, 2, -0.0), (14, 3, math.pi))),
+], ids=_spec_id)
+def test_grammar_slices_are_slices_of_the_build(spec):
+    # every slice [a, b) the run grammar places, empty ones and those
+    # starting or ending inside a region included, has the build's bits
+    grammar, amps = build_grammar(spec), build_model(spec).amplitudes
+    for a in range(spec.N + 1):
+        for b in range(a, spec.N + 1):
+            assert grammar.amplitudes(a, b).tobytes() == amps[a:b].tobytes(), (a, b)
+
+
+@pytest.mark.parametrize("theta1", [0.0, 2.1])
+def test_grammar_checks_each_region_amplitude(monkeypatch, theta1):
+    # no finite phase leaves the unit circle, so the tolerance is made
+    # negative: the check refuses the first region's value and names its
+    # first index, as PathEnsemble's check names the first bad index
+    spec = M2Spec(N=31, M0=5, K0=2, M1=14, K1=3, theta1=theta1)
+    monkeypatch.setattr(toymodels, "UNIT_MODULUS_ATOL", -1.0)
+    with pytest.raises(NonUnitAmplitude) as refused:
+        build_grammar(spec)
+    assert refused.value.index == 5
 
 
 @pytest.mark.parametrize("spec", [
