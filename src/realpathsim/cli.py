@@ -257,8 +257,8 @@ def _screen_spec(data: dict, extra) -> ScreenSpec:
     """The spec of a screen model object, whose "screen_after" object sets three fields."""
     after = data["screen_after"]
     _check_keys(after, _SCREEN_AFTER, "screen_after object")
-    rest = {k: v for k, v in data.items() if k != "screen_after"}
-    return _spec(ScreenSpec, rest, "screen model object", extra,
+    fields = {k: v for k, v in data.items() if k != "screen_after"}
+    return _spec(ScreenSpec, fields, "screen model object", extra,
                  **{f: after[k] for k, f in _SCREEN_AFTER.items()})
 
 
@@ -360,7 +360,8 @@ def _refuse_literal_log_half(args):
 
 
 def _summary_line(dist: PathDistribution) -> str:
-    top = np.argsort(dist.probs)[::-1][:5] + 1
+    """N, C and the five most probable paths' indices, the higher index first among ties."""
+    top = np.argsort(dist.probs, kind="stable")[::-1][:5] + 1
     return f"N={dist.n_paths} C={_fmt(dist.norm_constant)} top5={list(map(int, top))}"
 
 

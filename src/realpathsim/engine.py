@@ -14,30 +14,22 @@ final-state probabilities.
 
 The smearing sum has two routes:
 
-* ``index_smeared``, a separable banded kernel for the index distances
-  over K index components combined by the max rule.  An index kernel
-  only falls with the gap, so it is a non-negative sum of step windows
-  (``kernel_windows``): step is the windows D-1 and D, exp_index one
-  window per radius until exp(-d) is 0.0.  The sums are weighted sums
-  of window sums and counts, which factor over the components, from one
-  padded prefix sum per component; one prefix serves every narrower
-  kernel, so a sweep over D takes it once.  ``index_tiles`` yields the
-  sums _BAND_TILE output entries at a time from reused tile buffers,
-  which ``index_smeared`` collects and a sweep cell reduces straight
-  into the probabilities of the rows it computes.  Between beams a
-  prefix is 2-periodic, and a row whose windows read only such entries
-  has the bits of the row two before it.  ``CompactPrefix`` holds such a
-  prefix as explicit windows around the spans that break the period and
-  the 2-periodic stretches between them, with prefix_sum's bits and
-  without its n entries; it finds the breaks inside those windows and
-  materializes any rows' windows as a Prefix, and ``computed_rows``
-  gives from its breaks the rows a radius must compute.  A sweep cell
-  holds those rows alone, as ``CompactRows``, whose sum walks numpy's
-  pairwise order over all n rows with np.sum's bits, and which
-  materializes any slice.  K=1 is the single ensemble; K=3 is the
-  particle x screen composite (``banded_smeared``).  The kernel works in
-  the amplitudes' dtype: real amplitudes (a zero-phase toy model) keep
-  the prefix, tiles and sums in float64, with the bits complex128 gives.
+* ``index_smeared``, a banded kernel for the index distances.  An index
+  kernel only falls with the gap, so it is a non-negative sum of step
+  windows (``kernel_windows``): step is the windows D-1 and D, exp_index
+  one window per radius until exp(-d) is 0.0.  The sums are weighted
+  sums of window sums and counts from one padded prefix sum, which
+  serves every narrower kernel; ``index_tiles`` yields them a tile of
+  rows at a time.  Between beams a prefix is 2-periodic, and a row whose
+  windows read only such entries has the bits of the row two before it:
+  ``CompactPrefix`` holds such a prefix without its n entries,
+  ``computed_rows`` gives the rows a radius must compute, ``CompactRows``
+  holds a sweep cell's rows with np.sum's bits over all n, and
+  ``distinct_rows`` gives a family's distinct rows and their repeats,
+  which the screen model multiplies over its three families.  The
+  kernel works in the amplitudes' dtype: real amplitudes (a zero-phase
+  toy model) keep the prefix, tiles and sums in float64, with the bits
+  complex128 gives.
 * ``dense_smeared``, a dense route for the geometric distances.  It
   streams cache-sized tiles of rows, from an (N, N) distance matrix or
   from a ``GridPathSource`` that computes the negated distances of
@@ -56,7 +48,6 @@ Python callables are not accepted: build the matrix.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -74,8 +65,8 @@ _SUM_ATOL = 1e-9
 # OpenBLAS at one thread), a pass takes 0.16 to 0.18 s from 16 to 128 rows
 _TILE_ROWS = 64
 
-# output entries of index_tiles computed at once, sized to stay in
-# cache; any value gives the same bits
+# rows of index_tiles computed at once, sized to stay in cache; any
+# value gives the same bits
 _BAND_TILE = 1 << 15
 
 # numpy's pairwise float64 sum adds a run of at most this many entries
@@ -246,83 +237,48 @@ def kernel_windows(distance: DistanceSpec, n: int) -> Windows:
     return Windows(radii, weights.tolist())
 
 
-def banded_smeared(components: Sequence[np.ndarray], D: int) -> tuple[np.ndarray, np.ndarray]:
-    """Smeared amplitude and volume under the max of step distances.
-
-    Each component is an index family with its own amplitudes; a
-    composite path picks one index per component and its amplitude is
-    the product.  The pair weight exp(-max_c d_c) is 1 when every
-    component gap is < D, w = 1/2 when every gap is <= D and one
-    equals D, and 0 otherwise: the windows D and D-1 with weights w and
-    1 - w, factorized over the components.  Results have
-    shape (n_1, ..., n_K).  K=1 is the single ensemble under the step
-    distance; kernel_windows also gives it the literal rim weight 2, which
-    would not be exact for several components: the weight at the rim
-    would then depend on how many gaps equal D.
-    """
-    first = components[0]
-    windows = kernel_windows(DistanceSpec("step", D=D), first.size)
-    return index_smeared(prefix_sum(first, D), windows, rest=components[1:])
-
-
-def index_smeared(prefix: Prefix, windows: Windows, lo=0, hi=None, rest=()):
-    """The banded kernel: rows lo..hi-1 of the first component, whole rest.
-
-    The tiles of index_tiles, copied into arrays of shape
-    (hi - lo, n_2, ..., n_K).
-    """
+def index_smeared(prefix: Prefix, windows: Windows, lo=0, hi=None):
+    """The banded kernel over rows lo..hi-1: the tiles of index_tiles, copied into arrays."""
     hi = prefix.n if hi is None else hi
-    shape = (hi - lo, *(amps.size for amps in rest))
-    smeared = np.empty(shape, dtype=np.result_type(prefix.sums, *rest))
-    denom = np.empty(shape, dtype=float)
-    for rows, tile_smeared, tile_denom in index_tiles(prefix, windows, lo, hi, rest):
+    smeared = np.empty(hi - lo, dtype=prefix.sums.dtype)
+    denom = np.empty(hi - lo, dtype=float)
+    for rows, tile_smeared, tile_denom in index_tiles(prefix, windows, lo, hi):
         out = slice(rows.start - lo, rows.stop - lo)
         smeared[out], denom[out] = tile_smeared, tile_denom
     return smeared, denom
 
 
-def index_tiles(prefix: Prefix, windows: Windows, lo=0, hi=None, rest=()):
+def index_tiles(prefix: Prefix, windows: Windows, lo=0, hi=None):
     """Yield (rows, smeared, denom) of the banded kernel, one tile at a time.
 
     ``prefix`` is prefix_sum padded by at least windows.radii[-1], or holds
-    the entries rows lo..hi-1 read (patched_prefix); ``rest`` are the
-    amplitudes of components 2..K, whose windows are whole.  ``rows`` is
-    a slice of the first component's rows, at most _BAND_TILE output
-    entries; each radius's window sums, in a reused buffer, and counts
-    are scaled in place and added in cache into two tile buffers.  Those
-    buffers are reused by the next tile: use or copy a tile before
-    asking for the next.  Every output entry takes the same operations
-    in the same order whatever the tiling, so the bits do not depend on
-    it.
+    the entries rows lo..hi-1 read (patched_prefix, CompactPrefix.window).
+    ``rows`` is a slice of at most _BAND_TILE rows; each radius's window
+    sums, in a reused buffer, and counts are scaled in place and added in
+    cache into two tile buffers.  Those buffers are reused by the next
+    tile: use or copy a tile before asking for the next.  Every row takes
+    the same operations in the same order whatever the tiling, so the bits
+    do not depend on it.
     """
     radii, weights = windows
     hi = prefix.n if hi is None else hi
-    rest_prefixes = [prefix_sum(amps, radii[-1]) for amps in rest]
-    rest_windows = [[_windows(p, r, 0, p.n) for p in rest_prefixes] for r in radii]
-    inner = tuple(amps.size for amps in rest)
-    rows = max(1, _BAND_TILE // math.prod(inner))
     # whole tiles, however few rows are asked: buffers of one size keep a
     # sweep cell's many short ranges from fragmenting the heap (m2_sweep
     # peak RSS 62.5 MiB, against 67.5 sized to the rows; 2-core host)
-    window = np.empty(rows, dtype=prefix.sums.dtype)
-    smeared = np.empty((rows, *inner), dtype=np.result_type(prefix.sums, *rest))
-    denom = np.empty((rows, *inner), dtype=float)
-    for t in range(lo, hi, rows):
-        u = min(t + rows, hi)
+    window = np.empty(_BAND_TILE, dtype=prefix.sums.dtype)
+    smeared = np.empty(_BAND_TILE, dtype=prefix.sums.dtype)
+    denom = np.empty(_BAND_TILE, dtype=float)
+    for t in range(lo, hi, _BAND_TILE):
+        u = min(t + _BAND_TILE, hi)
         out_smeared, out_denom = smeared[: u - t], denom[: u - t]
         for m, (r, c) in enumerate(zip(radii, weights)):
-            # window sums and counts, one factor per component
-            sums, counts = zip(_windows(prefix, r, t, u, window[: u - t]), *rest_windows[m])
-            for term, out in ((_outer(sums), out_smeared), (_outer(counts), out_denom)):
+            for term, out in zip(_windows(prefix, r, t, u, window[: u - t]), (out_smeared, out_denom)):
                 if m == 0:
                     np.multiply(term, c, out=out)
                 else:
                     term *= c
                     out += term
         yield slice(t, u), out_smeared, out_denom
-
-
-_outer = functools.partial(functools.reduce, np.multiply.outer)  # x_c v_c
 
 
 def prefix_sum(amps: np.ndarray, pad: int) -> Prefix:
@@ -546,6 +502,32 @@ class CompactPrefix:
         self.entries.take(a, b + 1, out=out[origin + a : origin + b + 1])
         out[origin + b + 1 :] = out[origin + b]  # the right pad copies P(n)
         return Prefix(out, origin, n)
+
+
+def distinct_rows(prefix: CompactPrefix, windows: Windows):
+    """The distinct rows of a banded pass over a compact prefix, and how many of the n each is.
+
+    A row is its window sum and count at each radius: computed_rows gives
+    the rows to compute, and a stretch repeats the last two before it by
+    parity.  Grouped by bits (-0.0 differs from +0.0), it returns the
+    (U, radii) sums and counts, and the int64 repeats.
+    """
+    n, R = prefix.n, windows.radii[-1]
+    ranges = computed_rows(prefix)(R)
+    sums, counts, repeats = [], [], []
+    for (lo, hi), (nxt, _) in zip(ranges, [*ranges[1:], (n, n)]):
+        window = prefix.window(lo, hi, R)
+        s, c = zip(*(_windows(window, r, lo, hi) for r in windows.radii))
+        sums.append(np.stack(s, axis=1))
+        counts.append(np.stack([np.broadcast_to(k, hi - lo) for k in c], axis=1))
+        repeats.append(np.ones(hi - lo, dtype=np.int64))
+        if nxt > hi:  # the stretch [hi, nxt) starts by repeating row hi - 2
+            repeats[-1][-2:] += ((nxt - hi + 1) // 2, (nxt - hi) // 2)
+    sums, counts = np.concatenate(sums), np.concatenate(counts)
+    bits = np.concatenate([sums.view(np.int64), counts.view(np.int64)], axis=1)
+    _, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+    total = np.bincount(inverse.ravel(), np.concatenate(repeats))  # exact: below 2^53
+    return sums[first], counts[first], total.astype(np.int64)
 
 
 def _windows(prefix: Prefix, r: int, lo: int, hi: int, out=None):

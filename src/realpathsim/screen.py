@@ -16,12 +16,13 @@ depends on the impact endpoint.  The block width K'' is one constant
 for all endpoints; letting it vary would let post-impact screen
 dynamics retroactively shift detection probabilities.
 
-The composite distance is the max of component step distances, so the
-smeared amplitude and volume of every composite path come from the
-engine's separable banded kernel (``engine.banded_smeared``) over the
-three components.  This evaluates the whole composite ensemble in
-O(total paths) without materializing any composite path objects; the
-tests check it against the dense engine on the materialized ensemble.
+The composite distance is the max of component step distances, the
+windows D-1 and D with weights w_r = 1/2.  A composite row's smeared
+amplitude, sum_r w_r prod_c S_c^r(i_c), and volume, sum_r w_r prod_c
+N_c^r(i_c), depend only on each family's window sums S and counts N.
+So an endpoint's mass is the sum of n1 n2 n3 |s|^2 / c over the triples
+of each family's distinct rows (``engine.distinct_rows``), each of n_c
+rows, whatever the number of composite paths.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import banded_smeared, weighted_probabilities
+from .distances import DistanceSpec
+from .engine import CompactPrefix, distinct_rows, kernel_windows, weighted_probabilities
 from .errors import ModelTooLarge, SpecViolation, integer
-from .toymodels import M1Spec, M3Spec, build_m1, build_m3
+from .toymodels import M1Spec, M3Spec, build_grammar
 
 
 @dataclass(frozen=True)
@@ -83,23 +85,36 @@ class ScreenSpec:
             raise SpecViolation("need 2D+1 < first impact anchor")
         for a, b in zip(self.anchors, self.anchors[1:]):
             if not b > a + K + gap:
-                raise SpecViolation(
-                    f"impact anchors {a}, {b} closer than K''+2D+1"
-                )
+                raise SpecViolation(f"impact anchors {a}, {b} closer than K''+2D+1")
         if not self.anchors[-1] + K + gap < self.n_after:
             raise SpecViolation("last impact anchor too close to the end")
 
 
-MAX_COMPOSITE_PATHS = 10**6
+# distinct row triples a model admits, no more than its paths: about the
+# 25 s of BANDED_BOUND at 22 to 31 ns a triple (one core of a 2-core host)
+MAX_DISTINCT_TRIPLES = 10**9
 
 
-def _components(spec: ScreenSpec, j: int) -> list[np.ndarray]:
-    """Particle, pre-impact screen and post-absorption amplitudes of endpoint j."""
-    return [
-        build_m3(spec.endpoints[j]).amplitudes,
-        build_m1(spec.screen_before).amplitudes,
-        build_m1(M1Spec(N=spec.n_after, M=spec.anchors[j], K=spec.k_after)).amplitudes,
-    ]
+def _triples(a, b, c):  # a_i b_j c_k as an (i, j, k) array, multiplied in that order
+    return np.multiply.outer(np.multiply.outer(a, b), c)
+
+
+def _mass(families, weights) -> float:
+    """Sum of n1 n2 n3 |s|^2 / c over the distinct row triples of three distinct_rows.
+
+    s and c are the window sums and counts weighted by radius and
+    multiplied over the families, as the composite's rows take them.
+    """
+    (s1, c1, n1), (s2, c2, n2), (s3, c3, n3) = families
+    block = max(1, (1 << 15) // (n2.size * n3.size))  # about 2^15 triples at once, in cache
+    masses = []
+    for t in range(0, n1.size, block):
+        u = slice(t, t + block)
+        s = sum(w * _triples(s1[u, m], s2[:, m], s3[:, m]) for m, w in enumerate(weights))
+        c = sum(w * _triples(c1[u, m], c2[:, m], c3[:, m]) for m, w in enumerate(weights))
+        n = _triples(*(x.astype(float) for x in (n1[u], n2, n3)))
+        masses.append(float(np.sum(n * weighted_probabilities(s, c))))
+    return math.fsum(masses)
 
 
 @dataclass
@@ -147,17 +162,18 @@ class ScreenResult:
 
 
 def evaluate_screen_model(spec: ScreenSpec) -> ScreenResult:
-    """Endpoint detection masses from the factorized composite evaluation."""
-    if spec.total_paths() > MAX_COMPOSITE_PATHS:
-        raise ModelTooLarge(
-            f"{spec.total_paths()} composite paths exceed {MAX_COMPOSITE_PATHS}"
-        )
+    """Endpoint detection masses, each family admitted before any is built."""
     spec.validate_separations()
-
-    totals: dict = {}
-    quantum: dict = {}
-    for j, pspec in enumerate(spec.endpoints):
-        smeared, denom = banded_smeared(_components(spec, j), spec.D)
-        totals[j] = float(np.sum(weighted_probabilities(smeared, denom)))
-        quantum[j] = abs(pspec.beam_sum) ** 2
-    return ScreenResult(totals=totals, quantum=quantum)
+    endpoints = [(p, spec.screen_before, M1Spec(N=spec.n_after, M=a, K=spec.k_after))
+                 for p, a in zip(spec.endpoints, spec.anchors)]
+    windows = {f: kernel_windows(DistanceSpec("step", D=spec.D), f.N) for fs in endpoints for f in fs}
+    rows = {}
+    for f, w in windows.items():
+        grammar = build_grammar(f)
+        rows[f] = distinct_rows(CompactPrefix(f.N, grammar.amplitudes, grammar.spans), w)
+    triples = sum(math.prod(rows[f][2].size for f in fs) for fs in endpoints)
+    if triples > MAX_DISTINCT_TRIPLES:  # before any triple is formed
+        raise ModelTooLarge(f"{triples} distinct row triples exceed {MAX_DISTINCT_TRIPLES:.0e}")
+    weights = windows[spec.screen_before].weights
+    return ScreenResult(totals={j: _mass([rows[f] for f in fs], weights) for j, fs in enumerate(endpoints)},
+                        quantum={j: abs(p.beam_sum) ** 2 for j, p in enumerate(spec.endpoints)})

@@ -18,7 +18,12 @@ action and its amplitude, make_indexed_ensemble, and galilean_distance,
 the pair-by-pair definition GridPathSource's streamed rows are checked
 against.  So does the composite-path layer: CompositePath, compose and
 the product/sequence composition rules define the max-of-steps distance
-the banded K=3 kernel evaluates for the screen model.
+the screen model evaluates from its families' distinct rows.  Those rows
+are held to full_family_rows (the full-length prefix's windows grouped by
+np.unique), and the masses to exact_screen_masses: for zero phases it
+places the +-1 amplitudes by the sign rules alone, takes window sums from
+int64 prefix sums and sums Fractions over the distinct row triples, so
+nothing in it rounds, however many paths a family holds.
 
 The per-index closed forms m1_closed_form and m2_closed_form (one
 ClosedFormValue per index) are the reference the package's array forms
@@ -33,6 +38,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
 
@@ -42,7 +48,7 @@ from realpathsim.distances import DistanceSpec, GridPathSource, admit_matrix
 from realpathsim.engine import (
     PathDistribution,
     Prefix,
-    banded_smeared,
+    _windows,
     prefix_sum,
     smeared_components,
     weighted_probabilities,
@@ -58,7 +64,6 @@ from realpathsim.errors import (
 from realpathsim.lattice import LatticeSpec
 from realpathsim.minkowski import CausalClass, MinkowskiPath, proper_time
 from realpathsim.paths import PathEnsemble, _require_unit_modulus
-from realpathsim.screen import _components
 from realpathsim.toymodels import M1Spec, M2Spec, M3Spec, build_model, m2_case_premises
 
 
@@ -893,13 +898,102 @@ def block_distance_matrix(sizes, within, across=math.inf):
     return out
 
 
+def screen_components(spec, j) -> list[np.ndarray]:
+    """Particle, pre-impact screen and post-absorption amplitudes of screen endpoint j."""
+    return [
+        build_model(spec.endpoints[j]).amplitudes,
+        build_model(spec.screen_before).amplitudes,
+        build_model(M1Spec(N=spec.n_after, M=spec.anchors[j], K=spec.k_after)).amplitudes,
+    ]
+
+
 def composite_unnormalized(spec, j):
     """Unnormalized probability of every composite path of screen endpoint j.
 
-    Shape (N_j, N', N''), from the banded K=3 kernel at the spec's D.
+    Shape (N_j, N', N''), from the untiled banded K=3 kernel at the spec's D.
     """
-    smeared, denom = banded_smeared(_components(spec, j), spec.D)
+    smeared, denom = untiled_banded_smeared(screen_components(spec, j), spec.D)
     return weighted_probabilities(smeared, denom)
+
+
+def full_family_rows(amps, D):
+    """(sums, counts, repeats) of a family's distinct rows under the step distance, the long way.
+
+    prefix_sum over all n amplitudes, its windows at D-1 and D on every
+    row, then np.unique of the rows' bits with counts.
+    """
+    n = amps.size
+    sums, counts = zip(*(_windows(prefix_sum(amps, D), r, 0, n) for r in (D - 1, D)))
+    sums = np.stack(sums, axis=1)
+    counts = np.stack([np.broadcast_to(c, n) for c in counts], axis=1)
+    bits = np.concatenate([sums.view(np.int64), counts.view(np.int64)], axis=1)
+    _, first, repeats = np.unique(bits, axis=0, return_index=True, return_counts=True)
+    return sums[first], counts[first], repeats
+
+
+def _zero_phase_signs(spec) -> np.ndarray:
+    """The amplitudes of a zero-phase M1/M3 spec as int64, placed by the sign rules alone.
+
+    (-1)^(i-1) up to the first region, +1 in each region (M..M+K), and
+    (-1)^(i-M-K) in the run after region (M, K), over i = 1..N.
+    """
+    m3 = spec.as_m3()
+    i = np.arange(1, m3.N + 1)
+    signs = np.where((i - 1) % 2 == 0, 1, -1)
+    for M, K, theta in m3.regions:
+        if theta != 0:
+            raise ValueError("the exact oracle takes zero phases only")
+        signs[M - 1 :] = np.where((i[M - 1 :] - M - K) % 2 == 0, 1, -1)
+        signs[M - 1 : M + K] = 1
+    return signs
+
+
+def _exact_family_rows(spec, D):
+    """Distinct (S^{D-1}, S^D, N^{D-1}, N^D) of a zero-phase family, with counts, as ints.
+
+    Window sums are differences of an int64 prefix sum over the clipped
+    window [max(0, i - r), min(n - 1, i + r)], so every one is exact.
+    """
+    signs = _zero_phase_signs(spec)
+    n = signs.size
+    prefix = np.concatenate([[0], np.cumsum(signs)])
+    i = np.arange(n)
+    columns = []
+    for r in (D - 1, D):
+        lo, hi = np.maximum(i - r, 0), np.minimum(i + r, n - 1) + 1
+        columns.append((prefix[hi] - prefix[lo], hi - lo))
+    (s_lt, n_lt), (s_le, n_le) = columns
+    keys = np.stack([s_lt, s_le, n_lt, n_le])
+    keys = keys[:, np.lexsort(keys[::-1])]  # equal rows adjacent
+    starts = np.flatnonzero(np.r_[True, (keys[:, 1:] != keys[:, :-1]).any(axis=0)])
+    return list(zip(keys[:, starts].T.tolist(), np.diff(np.r_[starts, n]).tolist()))
+
+
+def exact_screen_masses(spec) -> list:
+    """Each endpoint's mass of a zero-phase screen model, as an exact Fraction.
+
+    At the rim weight 1/2 a composite row's smeared sum is (A + B) / 2 and
+    its volume (C + E) / 2, with A and B the products of the families'
+    window sums at D-1 and D and C and E those of their counts, so its
+    probability is (A + B)^2 / (2 (C + E)).  The mass sums that over the
+    distinct triples of family rows, times the rows each stands for, in
+    integers over each distinct denominator.
+    """
+    D = spec.D
+    screen = _exact_family_rows(spec.screen_before, D)
+    masses = []
+    for p, a in zip(spec.endpoints, spec.anchors):
+        particle = _exact_family_rows(p, D)
+        after = _exact_family_rows(M1Spec(N=spec.n_after, M=a, K=spec.k_after), D)
+        by_denominator: dict = {}
+        for (s1, t1, c1, e1), n1 in particle:
+            for (s2, t2, c2, e2), n2 in screen:
+                for (s3, t3, c3, e3), n3 in after:
+                    den = 2 * (c1 * c2 * c3 + e1 * e2 * e3)
+                    num = n1 * n2 * n3 * (s1 * s2 * s3 + t1 * t2 * t3) ** 2
+                    by_denominator[den] = by_denominator.get(den, 0) + num
+        masses.append(sum((Fraction(num, den) for den, num in by_denominator.items()), Fraction(0)))
+    return masses
 
 
 def materialize_composite_ensemble(spec, cross_distance=math.inf, max_paths=200_000):
@@ -917,7 +1011,7 @@ def materialize_composite_ensemble(spec, cross_distance=math.inf, max_paths=200_
         raise ModelTooLarge(f"{total} paths too many to materialize")
     amps, labels = [], []
     for j, pspec in enumerate(spec.endpoints):
-        amps_p, amps_s, amps_a = _components(spec, j)
+        amps_p, amps_s, amps_a = screen_components(spec, j)
         amps.append(np.multiply.outer(np.multiply.outer(amps_p, amps_s), amps_a).ravel())
         idx = np.indices((pspec.N, amps_s.size, amps_a.size)).reshape(3, -1)
         labels.append(np.vstack([np.full(idx.shape[1], j), idx]).T)

@@ -51,6 +51,20 @@ def test_run_m1_csv(tmp_path, capsys):
     assert "N=24" in summary and "top5=" in summary
 
 
+@pytest.mark.parametrize("n", [7, 24, 1000])
+def test_summary_top5_takes_the_higher_index_first_among_ties(n):
+    # numpy's default sort may dispatch to an unstable kernel, whose order
+    # among ties differs across platforms; the rule is one order: by
+    # probability, then by index, both descending
+    from realpathsim.engine import PathDistribution
+
+    probs = np.random.default_rng(n).integers(0, 3, n).astype(float)
+    probs /= probs.sum()
+    dist = PathDistribution(probs=probs, norm_constant=1.0, smeared=probs, denom=probs)
+    want = sorted(range(n), key=lambda i: (probs[i], i), reverse=True)[:5]
+    assert cli._summary_line(dist).endswith(f"top5={[i + 1 for i in want]}")
+
+
 def test_run_json_format(tmp_path):
     cfg = write(tmp_path / "m1.json", {**M1_CONFIG, "format": "json"})
     out = tmp_path / "out.json"
@@ -892,9 +906,9 @@ def test_non_finite_region_phase_exits_65_before_any_build(
             return build(spec)
         return call
 
-    # build_grammar: the run grammar a toy sweep builds, and build_m3 too
+    # build_grammar: the run grammar a toy sweep and a screen family build
     monkeypatch.setattr(toymodels, "build_grammar", counted(toymodels.build_grammar))
-    monkeypatch.setattr(screen, "build_m3", counted(toymodels.build_m3))
+    monkeypatch.setattr(screen, "build_grammar", counted(toymodels.build_grammar))
     cfg = write(tmp_path / "bad.json", config)
     out = tmp_path / "out.csv"
     with warnings.catch_warnings():

@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from realpathsim import engine
+from realpathsim import engine, screen
 from realpathsim.distances import DistanceSpec
 from realpathsim.engine import (
     _BAND_TILE,
     CompactPrefix,
     PathDistribution,
     _windows,
-    banded_smeared,
     computed_rows,
     dense_smeared,
+    distinct_rows,
     distribution_from_sums,
     final_state_probabilities,
     index_smeared,
@@ -33,6 +33,7 @@ from realpathsim.toymodels import M1Spec, M2Spec, build_m1, build_model
 from oracles import (
     block_distance_matrix,
     brute_force_probabilities,
+    full_family_rows,
     index_distance_matrix,
     make_indexed_ensemble,
     scanned_rows,
@@ -151,20 +152,20 @@ def test_callable_distance_rejected():
         path_probabilities(ens, lambda i, j: float(abs(i - j)))
 
 
-def test_banded_matches_sliding_window_at_scale():
-    # the size the banded route runs at, random phases so nothing cancels
-    rng = np.random.default_rng(15)
-    amps = _random_unit(rng, 10**6)
-    smeared, denom = banded_smeared([amps], 50)
-    ref_smeared, ref_denom = sliding_window_smeared(amps, 50)
-    assert np.max(np.abs(smeared - ref_smeared)) <= 1e-12 * np.max(np.abs(smeared))
-    assert np.array_equal(denom, ref_denom)
-
-
 def _step_smeared(amps, D, half):
     """The K=1 banded sums at rim weight ``half``: 1/2, or the literal rim's 2."""
     spec = DistanceSpec("step", D=D, literal_log_half=half == 2.0)
     return index_smeared(prefix_sum(amps, D), kernel_windows(spec, amps.size))
+
+
+def test_banded_matches_sliding_window_at_scale():
+    # the size the banded route runs at, random phases so nothing cancels
+    rng = np.random.default_rng(15)
+    amps = _random_unit(rng, 10**6)
+    smeared, denom = _step_smeared(amps, 50, 0.5)
+    ref_smeared, ref_denom = sliding_window_smeared(amps, 50)
+    assert np.max(np.abs(smeared - ref_smeared)) <= 1e-12 * np.max(np.abs(smeared))
+    assert np.array_equal(denom, ref_denom)
 
 
 @pytest.mark.parametrize("half", [0.5, 2.0])
@@ -206,17 +207,23 @@ def test_tiled_kernel_has_the_untiled_bits(n):
 
 
 def test_tiled_composite_has_the_untiled_bits():
-    # K=3: the first component is tiled by _BAND_TILE // (3 * 4) rows,
-    # whose index_tiles concatenate to the same bits
+    # the screen's three families, each on its own: tiled from a row off
+    # the tile grid, and as distinct rows from a compact prefix that holds
+    # every entry; then the composite mass from those rows against the
+    # sum of the untiled K=3 kernel (within 1e-13, stated before measuring)
     rng = np.random.default_rng(3)
-    rows = _BAND_TILE // 12
-    comps = [_random_unit(rng, m) for m in (3 * rows + 7, 3, 4)]
+    comps = [_random_unit(rng, m) for m in (3 * (_BAND_TILE // 12) + 7, 3, 4)]
     for D in (1, 2, 3, 10**7):
-        got = banded_smeared(comps, D)
-        want = untiled_banded_smeared(comps, D)
-        assert _same_bits(got, want), D
-        windows = kernel_windows(DistanceSpec("step", D=D), comps[0].size)
-        assert _same_bits(_collected_tiles(prefix_sum(comps[0], D), windows, rest=comps[1:]), want), D
+        windows = kernel_windows(DistanceSpec("step", D=D), 1)
+        families = []
+        for amps in comps:
+            lo = amps.size // 3
+            got = _collected_tiles(prefix_sum(amps, D), windows, lo, amps.size)
+            assert _same_bits(got, [w[lo:] for w in untiled_banded_smeared([amps], D)]), D
+            families.append(distinct_rows(_compact(amps, [(0, amps.size)]), windows))
+            assert _same_bits(families[-1], full_family_rows(amps, D)), D
+        want = float(np.sum(weighted_probabilities(*untiled_banded_smeared(comps, D))))
+        assert abs(screen._mass(families, windows.weights) - want) <= 1e-13 * want, D
 
 
 def _clipped_counts(n, r, lo, hi):

@@ -1,30 +1,44 @@
 """Screen model: composite ensembles, detection ratios, unitarity guard.
 
-The factorized evaluation is checked against the dense engine on a
-materialized small composite ensemble, so the fast route never drifts
-from the postulate it implements.
+The evaluation from each family's distinct rows is checked against the
+dense engine on a materialized small composite ensemble, so the fast
+route never drifts from the postulate it implements, and against an
+exact oracle at 10^6 paths per family, where nothing is materialized.
 """
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from realpathsim import screen
 from realpathsim.cli import _screen_spec
-from realpathsim.engine import banded_smeared, final_state_probabilities, smeared_components
+from realpathsim.distances import DistanceSpec
+from realpathsim.engine import (
+    CompactPrefix,
+    distinct_rows,
+    final_state_probabilities,
+    kernel_windows,
+    smeared_components,
+    weighted_probabilities,
+)
 from realpathsim.errors import ModelTooLarge, SpecViolation
 from realpathsim.paths import PathEnsemble
-from realpathsim.screen import ScreenSpec, _components, evaluate_screen_model
-from realpathsim.toymodels import M1Spec, M3Spec
+from realpathsim.screen import ScreenSpec, evaluate_screen_model
+from realpathsim.toymodels import M1Spec, M3Spec, build_grammar
 
 from oracles import (
     CompositePath,
     CompositionRule,
     composite_distance,
     composite_unnormalized,
+    exact_screen_masses,
     materialize_composite_ensemble,
+    screen_components,
     step_distance,
+    untiled_banded_smeared,
 )
 
 
@@ -67,20 +81,42 @@ def test_fast_route_matches_dense_engine():
         assert by_endpoint[str(j)] == pytest.approx(fast[j], abs=1e-12)
 
 
+def _family_masses(spec):
+    """Each endpoint's mass from its families' distinct rows, without the separation chain."""
+    def rows(family):
+        grammar = build_grammar(family)
+        windows = kernel_windows(DistanceSpec("step", D=spec.D), family.N)
+        return distinct_rows(CompactPrefix(family.N, grammar.amplitudes, grammar.spans), windows)
+
+    weights = kernel_windows(DistanceSpec("step", D=spec.D), 1).weights
+    return [screen._mass([rows(p), rows(spec.screen_before),
+                          rows(M1Spec(N=spec.n_after, M=a, K=spec.k_after))], weights)
+            for p, a in zip(spec.endpoints, spec.anchors)]
+
+
 @pytest.mark.parametrize("D", [1, 2, 30])
 def test_banded_composite_matches_materialized_sums(D):
     # K=3 window counts, clipped in every component at D=30, against the
-    # dense engine on the materialized composite with the max rule
+    # dense engine on the materialized composite with the max rule: per
+    # composite path from the untiled kernel, and per endpoint from the
+    # families' distinct rows (within 1e-13 of the mass, stated before
+    # measuring)
     spec = small_spec(theta1=0.7, D=D)
     ensemble, labels, dmat = materialize_composite_ensemble(spec)
     ref_smeared, ref_denom = smeared_components(ensemble, dmat)
+    ref_unnorm = weighted_probabilities(ref_smeared, ref_denom)
+    masses = _family_masses(spec)
     for j in range(spec.n_endpoints):
-        smeared, denom = banded_smeared(_components(spec, j), D)
+        smeared, denom = untiled_banded_smeared(screen_components(spec, j), D)
         rows = labels[:, 0] == j
         at = tuple(labels[rows, 1:].T)
         assert np.array_equal(denom[at], ref_denom[rows])
         scale = np.max(np.abs(ref_smeared[rows]))
         assert np.max(np.abs(smeared[at] - ref_smeared[rows])) <= 1e-12 * scale
+        want = float(np.sum(ref_unnorm[rows]))
+        assert abs(masses[j] - want) <= 1e-13 * want
+    if D < 30:  # no separation chain holds at D=30
+        assert [evaluate_screen_model(spec).totals[j] for j in range(2)] == masses
 
 
 @pytest.mark.parametrize("D", [1, 2, 3])
@@ -281,17 +317,50 @@ def test_spec_validation():
         evaluate_screen_model(spec)
 
 
-def test_model_too_large():
+def test_model_too_large(monkeypatch):
+    # three families of 1 211 to 1 219 distinct rows at D=1200: 1.8e9
+    # triples, refused before any triple is formed
+    def formed(*args):
+        raise AssertionError("formed the triples")
+
+    monkeypatch.setattr(screen, "_mass", formed)
     spec = ScreenSpec(
-        D=4,
-        endpoints=(M3Spec(N=2001, regions=((11, 2, 0.0),)),),
-        screen_before=M1Spec(N=101, M=11, K=2),
-        n_after=33, k_after=2, anchors=(11,),
+        D=1200,
+        endpoints=(M3Spec(N=4800, regions=((2401, 9, 0.0),)),),
+        screen_before=M1Spec(N=4800, M=2401, K=9),
+        n_after=4814, k_after=9, anchors=(2403,),
     )
-    with pytest.raises(ModelTooLarge):
+    with pytest.raises(ModelTooLarge, match="distinct row triples"):
         evaluate_screen_model(spec)
     with pytest.raises(ModelTooLarge):
         materialize_composite_ensemble(small_spec(), max_paths=100)
+
+
+# 2e18 composite paths: three families of 10^6 paths per endpoint
+MACRO = ScreenSpec(
+    D=20,
+    endpoints=(
+        M3Spec(N=10**6, regions=((499_999, 9, 0.0),)),
+        M3Spec(N=10**6, regions=((499_999, 4, 0.0), (500_102, 4, 0.0))),
+    ),
+    screen_before=M1Spec(N=10**6, M=499_999, K=9),
+    n_after=10**6, k_after=9, anchors=(333_333, 666_667),
+)
+
+
+@pytest.mark.parametrize("spec", [
+    MACRO,
+    dataclasses.replace(MACRO, D=3),
+    # 6.7e6 composite paths, refused by the former path-count bound
+    ScreenSpec(D=4, endpoints=(M3Spec(N=2001, regions=((11, 2, 0.0),)),),
+               screen_before=M1Spec(N=101, M=11, K=2), n_after=33, k_after=2, anchors=(11,)),
+], ids=["D20", "D3", "former_bound"])
+def test_masses_match_the_exact_oracle_at_macroscopic_scale(spec):
+    # zero phases: every window sum an integer and every mass a Fraction;
+    # tolerance 1e-12 relative, stated before measuring
+    totals = evaluate_screen_model(spec).totals
+    for j, exact in enumerate(exact_screen_masses(spec)):
+        assert abs(Fraction(totals[j]) - exact) <= Fraction(1, 10**12) * exact, j
 
 
 def test_spec_from_dict():

@@ -24,6 +24,7 @@ from realpathsim.engine import (
     CompactPrefix,
     check_probabilities,
     computed_rows,
+    distinct_rows,
     index_smeared,
     index_tiles,
     kernel_windows,
@@ -35,7 +36,13 @@ from realpathsim.engine import (
 from realpathsim.errors import AllZeroProbability
 from realpathsim.toymodels import M1Spec, M2Spec, M3Spec, beam_sweep, build_grammar, build_model
 
-from oracles import flip_last_theta, full_prefix, scanned_rows, two_pass_toy_experiment
+from oracles import (
+    flip_last_theta,
+    full_family_rows,
+    full_prefix,
+    scanned_rows,
+    two_pass_toy_experiment,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -183,9 +190,9 @@ def test_cell_computes_only_the_rows_near_a_beam_or_an_edge(monkeypatch):
     # the row two before it
     handed = []
 
-    def counted(prefix, windows, lo=0, hi=None, rest=()):
+    def counted(prefix, windows, lo=0, hi=None):
         handed.append((prefix.n if hi is None else hi) - lo)
-        return index_tiles(prefix, windows, lo, hi, rest)
+        return index_tiles(prefix, windows, lo, hi)
 
     monkeypatch.setattr(toymodels, "index_tiles", counted)
     dspecs = [DistanceSpec("step", D=D) for D in (2, 5, 10, 20, 40, 80, 160, 320, 640,
@@ -438,8 +445,8 @@ def test_step_past_the_banded_bound_exits_65(tmp_path, capsys, monkeypatch, comm
 
 # region phases of both dtypes: the signed zeros, pi (not real in
 # floating point), a phase whose exp(-i theta) is 1 - 1e-300 i, and
-# large ones
-_PHASES = [0.0, -0.0, math.pi, -math.pi, 1e-300, 2.1, 1e16, 1e300]
+# ordinary and large ones
+_PHASES = [0.0, -0.0, math.pi, -math.pi, 1e-300, 0.7, 2.1, 1e16, 1e300]
 
 
 @st.composite
@@ -474,6 +481,21 @@ def test_compact_prefix_matches_the_full_length_scan(spec, data):
         assert (got.origin, got.n) == (r - lo, n)
         assert got.sums.tobytes() == full.sums[full.origin + lo - r : full.origin + hi + r + 1].tobytes()
         assert rows(R) == want_rows(R)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_m3_specs(), st.data())
+def test_family_rows_match_the_full_length_rows(spec, data):
+    # a screen family's distinct rows and how many rows each stands for,
+    # from the compact prefix's computed rows and stretches, against the
+    # full-length prefix's windows grouped by np.unique, for D from 1 to
+    # past N
+    D = data.draw(st.integers(1, spec.N + 50), label="D")
+    got = distinct_rows(_compact_prefix(spec), kernel_windows(DistanceSpec("step", D=D), spec.N))
+    want = full_family_rows(build_model(spec).amplitudes, D)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    assert got[2].sum() == spec.N
 
 
 _BENCH_D = [2, 5, 10, 20, 40, 80, 160, 320, 640, 1280, 2560, 5120]

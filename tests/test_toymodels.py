@@ -14,13 +14,19 @@ import math
 import numpy as np
 import pytest
 
-from realpathsim import toymodels
+from realpathsim import screen, toymodels
 from realpathsim.cli import _model_spec
 from realpathsim.distances import DistanceSpec
-from realpathsim.engine import banded_smeared, path_probabilities, unnormalized_probabilities
+from realpathsim.engine import (
+    CompactPrefix,
+    distinct_rows,
+    kernel_windows,
+    path_probabilities,
+    unnormalized_probabilities,
+)
 from realpathsim.errors import NonUnitAmplitude, PreconditionViolation, SpecViolation
 from realpathsim.paths import PathEnsemble
-from realpathsim.screen import ScreenSpec, _components
+from realpathsim.screen import ScreenSpec
 from realpathsim.toymodels import (
     M1Spec,
     M2Spec,
@@ -346,26 +352,37 @@ def test_real_route_has_the_bits_of_the_complex_route(spec, dspec):
 
 @pytest.mark.parametrize("phases", [(0.0, 0.0), (0.0, 0.7)])
 def test_screen_real_components_have_the_bits_of_complex_ones(phases):
-    # zero phases make every component real; a phase on the second
-    # endpoint leaves its particle component complex beside real screens
+    # zero phases make every family real; a phase on the second endpoint
+    # leaves its particle family complex beside real screens.  Each family's
+    # rows, and each endpoint's mass, have the bits of the families built
+    # in complex128
     spec = ScreenSpec(
         D=12,
         endpoints=tuple(M3Spec(N=56, regions=((27, 3, th),)) for th in phases),
         screen_before=M1Spec(N=61, M=27, K=8),
         n_after=95, k_after=8, anchors=(27, 61),
     )
+    windows = kernel_windows(DistanceSpec("step", D=spec.D), 1)
+
+    def rows(grammar):
+        return distinct_rows(CompactPrefix(grammar.spec.N, grammar.amplitudes, grammar.spans), windows)
+
+    totals = screen.evaluate_screen_model(spec).totals
     for j, th in enumerate(phases):
-        components = _components(spec, j)
-        assert [c.dtype for c in components] == [np.complex128 if th else np.float64] + [np.float64] * 2
-        smeared, denom = banded_smeared(components, spec.D)
-        ref_smeared, ref_denom = banded_smeared([c.astype(np.complex128) for c in components], spec.D)
-        assert _same_bits(smeared.real, ref_smeared.real)
-        assert _same_bits(denom, ref_denom)
-        if not th:
-            assert smeared.dtype == np.float64
-            assert _all_plus_zero(ref_smeared.imag)
-        else:
-            assert _same_bits(smeared.imag, ref_smeared.imag)
+        families = [build_grammar(f) for f in (spec.endpoints[j], spec.screen_before,
+                                               M1Spec(N=spec.n_after, M=spec.anchors[j], K=spec.k_after))]
+        assert [g.dtype for g in families] == [np.complex128 if th else np.float64] + [np.float64] * 2
+        real = [rows(g) for g in families]
+        ref = [rows(RunGrammar(g.spec, [complex(v) for v in g.values], np.complex128)) for g in families]
+        for (sums, counts, repeats), (ref_sums, ref_counts, ref_repeats) in zip(real, ref):
+            assert _same_bits(sums.real, ref_sums.real)
+            assert _same_bits(counts, ref_counts) and _same_bits(repeats, ref_repeats)
+            if sums.dtype == np.float64:
+                assert _all_plus_zero(ref_sums.imag)
+            else:
+                assert _same_bits(sums.imag, ref_sums.imag)
+        mass = screen._mass(real, windows.weights)
+        assert _same_bits(mass, screen._mass(ref, windows.weights)) and mass == totals[j]
 
 
 @pytest.mark.parametrize("spec, dspecs", [
