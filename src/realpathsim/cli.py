@@ -599,7 +599,12 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool = False):
                              "(weight 2); step distance only")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and kept for the process.
+
+    parse_args leaves it as it was, so every main call parses alike.
+    """
     p = argparse.ArgumentParser(
         prog="realpathsim",
         description="Path-probability simulator for discrete path ensembles.",

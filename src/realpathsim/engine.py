@@ -190,8 +190,8 @@ class Prefix(NamedTuple):
 
     sums[origin + k] holds P(k) with k clamped to [0, n], so a window sum
     is the difference of two entries.  prefix_sum holds every k in
-    [-pad, n + pad]; patched_prefix and CompactPrefix.window a shorter
-    range, with a smaller or negative origin.
+    [-pad, n + pad]; CompactPrefix.window a shorter range, with a smaller
+    or negative origin.
     """
 
     sums: np.ndarray
@@ -252,7 +252,7 @@ def index_tiles(prefix: Prefix, windows: Windows, lo=0, hi=None):
     """Yield (rows, smeared, denom) of the banded kernel, one tile at a time.
 
     ``prefix`` is prefix_sum padded by at least windows.radii[-1], or holds
-    the entries rows lo..hi-1 read (patched_prefix, CompactPrefix.window).
+    the entries rows lo..hi-1 read (CompactPrefix.window).
     ``rows`` is a slice of at most _BAND_TILE rows; each radius's window
     sums, in a reused buffer, and counts are scaled in place and added in
     cache into two tile buffers.  Those buffers are reused by the next
@@ -295,29 +295,6 @@ def prefix_sum(amps: np.ndarray, pad: int) -> Prefix:
     np.cumsum(amps, out=sums[pad + 1 : pad + 1 + n])
     sums[pad + 1 + n :] = sums[pad + n]
     return Prefix(sums, pad, n)
-
-
-def patched_prefix(prefix: Prefix, start: int, amps: np.ndarray, lo: int, hi: int,
-                   radius: int) -> Prefix:
-    """What windows of radius <= ``radius`` over rows lo..hi-1 read of ``prefix``, patched.
-
-    The result holds P(k) for k in [lo - r, hi + r], r = min(radius, n),
-    of the amplitudes with those from index ``start`` >= lo - r on
-    replaced by ``amps``, which must reach index min(n, hi + r) - 1.
-    Entries up to P(start) are copied and the later ones rebuilt from it
-    by one cumsum over ``amps``, so the bits are those of prefix_sum over
-    the patched amplitudes; a real prefix patched with complex ``amps``
-    is copied as complex.
-    """
-    n, r = prefix.n, min(radius, prefix.n)  # the windows clip their radius to n
-    origin = r - lo  # out[origin + k] = P(k)
-    window = prefix.sums[prefix.origin + lo - r : prefix.origin + hi + r + 1]
-    out = window.astype(np.result_type(prefix.sums, amps))
-    run = out[origin + start : origin + min(n, hi + r) + 1]
-    run[1:] = amps[: run.size - 1]
-    np.cumsum(run, out=run)
-    out[origin + n + 1 :] = run[-1]  # the right pad copies P(n)
-    return Prefix(out, origin, n)
 
 
 def computed_rows(prefix: CompactPrefix):

@@ -39,7 +39,6 @@ from .engine import (
     index_tiles,
     kernel_windows,
     norm_constant,
-    patched_prefix,
     visibility,
     weighted_probabilities,
 )
@@ -338,13 +337,11 @@ def beam_sweep(spec, dspecs):
     an edge, each range reading the prefix window it needs, into one
     buffer per range, with the stretches between ranges left to
     CompactRows, whose sums have np.sum's bits over all N rows; then one
-    over the block rows from that window patched with the flipped
-    amplitudes, placed by the grammar from the last region as far as any
-    block's windows read.  Cells only read what they share.
+    over the block rows from the flipped grammar's own CompactPrefix,
+    also built once.  Cells only read what they share.
     """
     m3 = spec.as_m3()
     first, last = m3.block_range
-    M, K, th = m3.regions[-1]
     windows = {dspec: kernel_windows(dspec, m3.N) for dspec in dspecs}
 
     def block(dspec):  # 0-based rows lo..hi-1
@@ -352,9 +349,10 @@ def beam_sweep(spec, dspecs):
 
     grammar = build_grammar(spec)
     prefix = CompactPrefix(m3.N, grammar.amplitudes, grammar.spans)
-    reach = max(min(m3.N, block(d)[1] + w.radii[-1]) for d, w in windows.items())
-    flipped = RunGrammar(m3, (*grammar.values[:-1], np.exp(-1j * (th + np.pi))),
-                         np.complex128).amplitudes(M - 1, reach)  # exp(-i(th + pi)) is not real
+    th = m3.regions[-1][2]
+    flip = RunGrammar(m3, (*grammar.values[:-1], np.exp(-1j * (th + np.pi))),
+                      np.complex128)  # exp(-i(th + pi)) is not real
+    flipped = CompactPrefix(m3.N, flip.amplitudes, flip.spans)
 
     rows = computed_rows(prefix)
 
@@ -368,10 +366,9 @@ def beam_sweep(spec, dspecs):
             ranges.append((lo, values))
         unnorm = CompactRows(m3.N, ranges)
         lo, hi = block(dspec)
-        patched = patched_prefix(prefix.window(lo, hi, R), M - 1, flipped, lo, hi, R)
-        flip = index_smeared(patched, windows[dspec], lo, hi)
+        minus = index_smeared(flipped.window(lo, hi, R), windows[dspec], lo, hi)
         block_rows = unnorm.take(lo, hi)
-        p_minus, p_plus = float(np.sum(weighted_probabilities(*flip))), float(np.sum(block_rows))
+        p_minus, p_plus = float(np.sum(weighted_probabilities(*minus))), float(np.sum(block_rows))
         C = norm_constant(unnorm.sum())
         for values in unnorm.values:  # the stretches repeat these, so scale too
             values *= C

@@ -24,6 +24,9 @@ np.unique), and the masses to exact_screen_masses: for zero phases it
 places the +-1 amplitudes by the sign rules alone, takes window sums from
 int64 prefix sums and sums Fractions over the distinct row triples, so
 nothing in it rounds, however many paths a family holds.
+exact_toy_sweep_cell does the same for a zero-phase toy sweep cell at any
+N: window sums as the partial run at each end plus a count per region,
+over the O(regions * D) rows whose windows are not inside one run.
 
 The per-index closed forms m1_closed_form and m2_closed_form (one
 ClosedFormValue per index) are the reference the package's array forms
@@ -288,6 +291,104 @@ def two_pass_toy_experiment(spec, dspec):
     C = 1.0 / float(np.sum(unnorm))
     dist = PathDistribution(probs=unnorm * C, norm_constant=C, smeared=smeared, denom=denom)
     return vis, float(np.sum(dist.probs[block])), dist
+
+
+def _zero_phase_segments(spec, flip_last=False) -> list:
+    """The runs and regions of a zero-phase toy spec over i = 1..N, in order.
+
+    A run is (start, end, rule, False), its amplitudes (-1)^(i - rule):
+    rule 1 up to the first region, M + K after region (M, K).  A region
+    is (M, M + K, value, True): +1, or -1 for the last one when
+    ``flip_last``.
+    """
+    m3 = spec.as_m3()
+    segments, start, rule = [], 1, 1
+    for k, (M, K, theta) in enumerate(m3.regions):
+        if theta != 0:
+            raise ValueError("the exact oracle takes zero phases only")
+        value = -1 if flip_last and k == len(m3.regions) - 1 else 1
+        segments += [(start, M - 1, rule, False), (M, M + K, value, True)]
+        start, rule = M + K + 1, M + K
+    return segments + [(start, m3.N, rule, False)]
+
+
+def _exact_window_sums(segments, a, b) -> list:
+    """Sums of the amplitudes of indices a..b (1-based, inclusive), as ints.
+
+    Each segment adds its overlap with the window: a region its count
+    times its value, a run the sign at the overlap's first index when
+    the overlap is odd and 0 when it is even (so a whole run, of even
+    length, adds 0): the partial run at each end plus a count per region.
+    """
+    sums = []
+    for lo, hi in zip(a, b):
+        total = 0
+        for start, end, rule, region in segments:
+            x = max(lo, start)
+            count = max(min(hi, end) - x + 1, 0)
+            if region:
+                total += rule * count
+            elif count % 2:
+                total += 1 if (x - rule) % 2 == 0 else -1
+        sums.append(total)
+    return sums
+
+
+def _exact_mass(segments, N, D, rim, rows, repeats) -> Fraction:
+    """The sum of repeats * |s|^2 / c over the 1-based rows under the step distance.
+
+    The kernel is 1 out to D-1 and the rim weight p/q at D, so with S^r
+    and N^r the sum and count of the window |j - i| <= r clipped to
+    [1, N], s = ((q-p) S^{D-1} + p S^D) / q and c = ((q-p) N^{D-1} + p N^D) / q,
+    and |s|^2 / c is an integer over q times an integer.  The numerators
+    are summed per denominator, then over their least common multiple.
+    """
+    p, q = rim.as_integer_ratio()
+    s, c = [0] * len(rows), [0] * len(rows)
+    for r, weight in ((D - 1, q - p), (D, p)):
+        a, b = [max(i - r, 1) for i in rows], [min(i + r, N) for i in rows]
+        s = [t + weight * u for t, u in zip(s, _exact_window_sums(segments, a, b))]
+        c = [t + weight * (hi - lo + 1) for t, lo, hi in zip(c, a, b)]
+    by_denominator: dict = {}
+    for n, t, u in zip(repeats, s, c):
+        by_denominator[q * u] = by_denominator.get(q * u, 0) + n * t * t
+    common = math.lcm(*by_denominator)
+    return Fraction(sum(num * (common // den) for den, num in by_denominator.items()), common)
+
+
+def exact_toy_sweep_cell(spec, dspec):
+    """(visibility, block mass, C) of a zero-phase toy sweep cell, as exact Fractions, at any N.
+
+    The step distance over the +-1 amplitudes placed by the parity rules
+    (_zero_phase_segments), the flipped setting's last region at -1.
+    Each row's |s|^2 / c comes from integer window sums and counts
+    (_exact_mass).  A row whose radius-D window lies unclipped inside
+    one run sees an odd alternating stretch at both radii, so every such
+    row takes one value; one row of each such range stands for all of
+    it, and the sums run over O(regions * D) rows, never N.
+    """
+    m3 = spec.as_m3()
+    N, D = m3.N, dspec.D
+    rim = 2.0 if dspec.literal_log_half else 0.5
+    first, last = m3.block_range
+    b0, b1 = max(1, first - D), min(N, last + D)
+    own = _zero_phase_segments(spec)
+    inner = [(start + D, end - D) for start, end, _, region in own
+             if not region and end - start >= 2 * D]
+    edges = [1, *(e for lo, hi in inner for e in (lo, hi + 1)), N + 1]
+    explicit = [i for a, b in zip(edges[::2], edges[1::2]) for i in range(a, b)]
+
+    def mass(segments, block):
+        rows = [i for i in explicit if b0 <= i <= b1] if block else explicit
+        repeats = [max(min(hi, b1) - max(lo, b0) + 1, 0) if block else hi - lo + 1
+                   for lo, hi in inner]
+        return _exact_mass(segments, N, D, rim, rows + [lo for lo, _ in inner],
+                           [1] * len(rows) + repeats)
+
+    total, plus = mass(own, False), mass(own, True)
+    minus = mass(_zero_phase_segments(spec, flip_last=True), True)
+    vis = abs(plus - minus) / (plus + minus) if plus + minus else Fraction(0)
+    return vis, plus / total, 1 / total
 
 
 def distribution_csv_rows(dist):

@@ -1,5 +1,6 @@
 """Command-line harness: formats, determinism, exit codes."""
 
+import argparse
 import ctypes
 import importlib.util
 import json
@@ -185,6 +186,37 @@ def test_output_floats_round_trip(tmp_path):
     for line in out.read_text().splitlines()[2:]:
         idx, prob = line.split(",")[:2]
         assert float(prob) == dist.probs[int(idx) - 1]  # 17 sig digits round-trip
+
+
+def _help_and_usage_errors(capsys):
+    """(exit code, stdout, stderr) of main on --help and on usage errors."""
+    texts = []
+    for argv in (["--help"], ["sweep", "--help"], ["lattice", "--help"], ["bogus"],
+                 ["lattice", "--steps", "x", "--extent", "3"], ["--format", "xml", "run"]):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        texts.append((exited.value.code, *capsys.readouterr()))
+    return texts
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    # a main call after the first constructs no ArgumentParser, and
+    # --help and the usage errors print what a freshly built parser prints
+    first = _help_and_usage_errors(capsys)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert _help_and_usage_errors(capsys) == first
+    assert run_cli(["run"]) == 64
+    assert built == []
+    monkeypatch.undo()
+    assert first[0] == (0, cli.build_parser.__wrapped__().format_help(), "")
+    assert [code for code, _, _ in first] == [0, 0, 0, 2, 2, 2]
 
 
 def test_bad_json_exits_64(tmp_path):

@@ -5,12 +5,17 @@ builds, two full-length untiled passes, tests/oracles.py) for every
 model kind, every window width, both rim weights and exp_index, whether it
 prepares its own prefix or shares one for a wider window.  The group's
 compact prefix must give the bits of the full-length prefix and the rows
-of its full-length break scan (oracles.full_prefix, oracles.scanned_rows).
+of its full-length break scan (oracles.full_prefix, oracles.scanned_rows),
+and the flipped setting's compact prefix those of a flipped build's full
+prefix.  At N = 10^9, where no full-length oracle fits, a zero-phase
+cell's visibility, block mass and C must lie within 1e-12 relative of
+exact Fractions from integer window sums (oracles.exact_toy_sweep_cell).
 """
 
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +34,6 @@ from realpathsim.engine import (
     index_tiles,
     kernel_windows,
     normalize,
-    patched_prefix,
     prefix_sum,
     weighted_probabilities,
 )
@@ -37,6 +41,7 @@ from realpathsim.errors import AllZeroProbability
 from realpathsim.toymodels import M1Spec, M2Spec, M3Spec, beam_sweep, build_grammar, build_model
 
 from oracles import (
+    exact_toy_sweep_cell,
     flip_last_theta,
     full_family_rows,
     full_prefix,
@@ -125,8 +130,8 @@ def test_cell_matches_two_pass_oracle(spec):
 
 
 def test_cell_matches_two_pass_oracle_exp_index():
-    # the kernel windows reach past the block: the flipped prefix is
-    # rebuilt for the widest radius, up to all N paths at D = 600
+    # the kernel windows reach past the block: the flipped prefix window
+    # takes the widest radius, up to all N paths at D = 600
     spec = SMALL[1]
     for D in (1, 5, 600):
         dspec = DistanceSpec("exp_index", D=D)
@@ -292,24 +297,29 @@ def test_cell_refuses_a_normalized_nan_sum(monkeypatch):
 
 
 @pytest.mark.parametrize("spec", SMALL + LARGE[1:2], ids=lambda s: f"{type(s).__name__}-{s.N}")
-def test_flipped_prefix_is_a_flipped_build(spec):
-    # the amplitudes from the last region on, of a flipped build, patched
-    # into the entries the block rows' windows read, of the full prefix
-    # and of the compact prefix's window over them alike
-    prefix = full_prefix(spec, max(_widths(spec)))
-    compact = _compact_prefix(spec)
-    flipped = build_model(flip_last_theta(spec)).amplitudes
-    full = prefix_sum(flipped, spec.N)
-    start = spec.as_m3().regions[-1][0] - 1
+def test_flipped_prefix_is_a_flipped_build(monkeypatch, spec):
+    # the compact prefix a sweep group builds for the flipped setting, the
+    # second it builds: every window the block rows' windows read, pads
+    # included, has the bits of the full prefix of a flipped build
+    built = []
+
+    def recorded(*args):
+        built.append(CompactPrefix(*args))
+        return built[-1]
+
+    monkeypatch.setattr(toymodels, "CompactPrefix", recorded)
+    beam_sweep(spec, [DistanceSpec("step", D=D) for D in _widths(spec)])
+    assert len(built) == 2
+    flipped = built[1]
+    full = prefix_sum(build_model(flip_last_theta(spec)).amplitudes, spec.N)
     for D in _widths(spec):
         lo, hi = _block_rows(spec, D)
         r = min(D, spec.N)
         # the entries the block rows' windows read, P(lo-r) .. P(hi+r)
         want = full.sums[full.origin + lo - r : full.origin + hi + r + 1]
-        for source in (prefix, compact.window(lo, hi, D)):
-            got = patched_prefix(source, start, flipped[start:], lo, hi, D)
-            assert got.origin == r - lo, D
-            assert got.sums.tobytes() == want.tobytes(), D
+        got = flipped.window(lo, hi, D)
+        assert got.origin == r - lo, D
+        assert got.sums.tobytes() == want.tobytes(), D
 
 
 def _count_builds(monkeypatch):
@@ -524,3 +534,27 @@ def test_far_apart_sweep_holds_no_n_length_array(tmp_path, N):
     golden = (DATA / "m2_sweep_1e7.csv").read_text().splitlines()
     lines = out.read_text().splitlines()
     assert [line.split(",")[2] for line in lines] == [line.split(",")[2] for line in golden]
+
+
+# the tolerance was fixed before the first comparison: the cell's float
+# sums over up to 10^9 rows against exact Fractions
+_EXACT_RTOL = Fraction(1e-12)
+
+
+@pytest.mark.parametrize("N", [600, 10**5, 10**9])
+def test_sweep_columns_match_the_exact_oracle(N):
+    # the benchmark's M2 spec, zero phases, moved to the middle of N
+    # paths, at both rim weights: the visibility, block mass and C within
+    # _EXACT_RTOL of exact Fractions from integer window sums.  At the
+    # literal rim the 2-periodic stretches weigh 9/(2D+3) a row, so C
+    # reads every stretch.  At the small N, where the two-pass oracle
+    # also holds such cells to its bits, this checks the exact oracle
+    h = N // 2
+    spec = M2Spec(N=N, M0=h - 1, K0=4, M1=h + 216, K1=4)
+    dspecs = [DistanceSpec("step", D=D, literal_log_half=literal)
+              for D in _BENCH_D if 2 * D < N for literal in (False, True)]
+    cell = beam_sweep(spec, dspecs)
+    for dspec in dspecs:
+        vis, mass, _, C = cell(dspec)
+        for got, want in zip((vis, mass, C), exact_toy_sweep_cell(spec, dspec)):
+            assert abs(Fraction(got) - want) <= _EXACT_RTOL * abs(want), (dspec, got, float(want))
