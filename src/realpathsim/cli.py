@@ -179,7 +179,10 @@ def _load_config(args) -> dict:
     if not args.config:
         raise ValueError("--config FILE is required for this subcommand")
     with open(args.config) as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"the config must be a JSON object, not {type(config).__name__}")
+    return config
 
 
 # per config-reading subcommand, the formats it writes and the top-level
@@ -437,22 +440,23 @@ def _prepare_group(cells: list, routes: dict, indices: list):
     spec one enumeration and plan over the cells' distance scales
     (lattice.two_arm_sweep, on the route ``routes`` holds for it), a toy
     spec one build of its run grammar and compact prefix over the cells'
-    distances (toymodels.beam_sweep).
+    distances (toymodels.beam_sweep).  Both sweeps' cells take the field
+    the cells vary, a lattice cell's distance scale or a toy cell's
+    distance, and give one shape: (visibility, block mass, rows, norm
+    constant).
     """
     spec, dspec, _ = cells[indices[0]]
-    if isinstance(spec, LatticeSpec):
-        two_arm = lattice_mod.two_arm_sweep(spec, dspec, [cells[i][2] for i in indices],
-                                            routes[spec, dspec])
-
-        def cell(i):
-            vis, mass, dist = two_arm(cells[i][2])
-            return vis, mass, dist.norm_constant
+    key = 2 if isinstance(spec, LatticeSpec) else 1  # the field the cells vary
+    varied = [cells[i][key] for i in indices]
+    if key == 2:
+        sweep = lattice_mod.two_arm_sweep(spec, dspec, varied, routes[spec, dspec])
     else:
-        beam = beam_sweep(spec, [cells[i][1] for i in indices])
+        sweep = beam_sweep(spec, varied)
 
-        def cell(i):
-            vis, mass, _probs, C = beam(cells[i][1])
-            return vis, mass, C
+    def cell(i):
+        vis, mass, _rows, C = sweep(cells[i][key])
+        return vis, mass, C
+
     return cell
 
 
@@ -652,7 +656,8 @@ def main(argv=None) -> int:
     _cap_blas_threads()
     try:
         return args.func(args)
-    except (json.JSONDecodeError, FileNotFoundError, KeyError, ValueError, TypeError) as exc:
+    # OSError: a config, path file or output that is missing or a directory
+    except (json.JSONDecodeError, OSError, KeyError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EX_USAGE
     except AllZeroProbability as exc:

@@ -205,7 +205,8 @@ class GridPathSource:
         if self.name in MASS_VARIANTS:
             d *= self.mass
         if self.scale != 1.0:
-            d *= self.scale
+            with np.errstate(over="ignore"):  # -inf past the float range: exp gives 0
+                d *= self.scale
         return d
 
 

@@ -22,8 +22,8 @@ The smearing sum has two routes:
   serves every narrower kernel; ``index_tiles`` yields them a tile of
   rows at a time.  Between beams a prefix is 2-periodic, and a row whose
   windows read only such entries has the bits of the row two before it:
-  ``CompactPrefix`` holds such a prefix without its n entries,
-  ``computed_rows`` gives the rows a radius must compute, ``CompactRows``
+  ``CompactPrefix`` holds such a prefix without its n entries, and its
+  ``rows`` method gives the rows a radius must compute; ``CompactRows``
   holds a sweep cell's rows with np.sum's bits over all n, and
   ``distinct_rows`` gives a family's distinct rows and their repeats,
   which the screen model multiplies over its three families.  The
@@ -297,40 +297,14 @@ def prefix_sum(amps: np.ndarray, pad: int) -> Prefix:
     return Prefix(sums, pad, n)
 
 
-def computed_rows(prefix: CompactPrefix):
-    """rows(radius): the row ranges a banded pass of widest ``radius`` must compute.
-
-    The breaks are the k where P(k+2) differs from P(k) in its bits, as
-    the compact prefix found them inside its explicit windows.  Row i
-    reads P(i+r+1) and P(i-r) for every r <= R = min(radius, n); with no
-    break in [i-R-2, i+R-1] and its windows and row i-2's unclipped, it
-    takes the operations of row i-2 on the same bits, for any index
-    kernel and dtype.  rows(radius) lists the disjoint ascending (lo, hi)
-    that cover the rows some break reaches and the clipped [0, R+2) and
-    [n-R-2, n); every row between two ranges equals the row two before
-    it.
-    """
-    breaks, n = prefix.breaks, prefix.n
-
-    def rows(radius):
-        R = min(radius, n)
-        # clipped into the edge ranges, so that lo and hi both ascend
-        lo = np.clip(np.r_[0, breaks - R + 1, n - R - 2], 0, max(n - R - 2, 0))
-        hi = np.clip(np.r_[R + 2, breaks + R + 3, n], min(R + 2, n), n)
-        starts = np.flatnonzero(np.r_[True, lo[1:] > hi[:-1]])
-        return list(zip(lo[starts].tolist(), hi[np.r_[starts[1:] - 1, -1]].tolist()))
-
-    return rows
-
-
 class CompactRows:
     """n rows held as computed ranges and the 2-periodic stretches between them.
 
     ``ranges`` are ascending disjoint (start, values) pairs, the first
     starting at row 0: values holds rows start..start+len(values)-1.
     Every row outside the ranges equals the row two before it, as
-    computed_rows gives them, so the stretch after a range repeats its
-    last two values; a range a stretch follows holds at least two.
+    CompactPrefix.rows gives them, so the stretch after a range repeats
+    its last two values; a range a stretch follows holds at least two.
     """
 
     def __init__(self, n: int, ranges):
@@ -480,17 +454,35 @@ class CompactPrefix:
         out[origin + b + 1 :] = out[origin + b]  # the right pad copies P(n)
         return Prefix(out, origin, n)
 
+    def rows(self, radius: int) -> list[tuple[int, int]]:
+        """The row ranges a banded pass of widest ``radius`` must compute.
+
+        Row i reads P(i+r+1) and P(i-r) for every r <= R = min(radius,
+        n); with no break in [i-R-2, i+R-1] and its windows and row
+        i-2's unclipped, it takes the operations of row i-2 on the same
+        bits, for any index kernel and dtype.  The result lists the
+        disjoint ascending (lo, hi) that cover the rows some break
+        reaches and the clipped [0, R+2) and [n-R-2, n); every row
+        between two ranges equals the row two before it.
+        """
+        n, R = self.n, min(radius, self.n)
+        # clipped into the edge ranges, so that lo and hi both ascend
+        lo = np.clip(np.r_[0, self.breaks - R + 1, n - R - 2], 0, max(n - R - 2, 0))
+        hi = np.clip(np.r_[R + 2, self.breaks + R + 3, n], min(R + 2, n), n)
+        starts = np.flatnonzero(np.r_[True, lo[1:] > hi[:-1]])
+        return list(zip(lo[starts].tolist(), hi[np.r_[starts[1:] - 1, -1]].tolist()))
+
 
 def distinct_rows(prefix: CompactPrefix, windows: Windows):
     """The distinct rows of a banded pass over a compact prefix, and how many of the n each is.
 
-    A row is its window sum and count at each radius: computed_rows gives
-    the rows to compute, and a stretch repeats the last two before it by
-    parity.  Grouped by bits (-0.0 differs from +0.0), it returns the
+    A row is its window sum and count at each radius: CompactPrefix.rows
+    gives the rows to compute, and a stretch repeats the last two before
+    it by parity.  Grouped by bits (-0.0 differs from +0.0), it returns the
     (U, radii) sums and counts, and the int64 repeats.
     """
     n, R = prefix.n, windows.radii[-1]
-    ranges = computed_rows(prefix)(R)
+    ranges = prefix.rows(R)
     sums, counts, repeats = [], [], []
     for (lo, hi), (nxt, _) in zip(ranges, [*ranges[1:], (n, n)]):
         window = prefix.window(lo, hi, R)
@@ -569,19 +561,13 @@ def norm_constant(total: float) -> float:
     return 1.0 / total
 
 
-def normalize(unnorm: np.ndarray) -> float:
-    """Scale unnorm in place by C = norm_constant of its sum, and return C."""
-    C = norm_constant(float(np.sum(unnorm)))
-    unnorm *= C
-    return C
-
-
 def distribution_from_sums(
     smeared: np.ndarray, denom: np.ndarray, weights: np.ndarray | None = None
 ) -> PathDistribution:
-    """Normalized distribution from smeared sums and denominators (see normalize)."""
+    """Normalized distribution: weighted_probabilities times C = norm_constant of their total."""
     unnorm = weighted_probabilities(smeared, denom, weights)
-    C = normalize(unnorm)
+    C = norm_constant(float(np.sum(unnorm)))
+    unnorm *= C
     return PathDistribution(probs=unnorm, norm_constant=C, smeared=smeared, denom=denom)
 
 

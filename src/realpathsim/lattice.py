@@ -121,6 +121,8 @@ _FIXED_BYTES = 1 << 16
 _RUN_SITE_BYTES = 16
 _RUN_PATH_BYTES = 720
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
 
 @dataclass(frozen=True)
 class LatticeSpec:
@@ -193,16 +195,14 @@ def enumerate_paths(spec: LatticeSpec) -> np.ndarray:
     return paths
 
 
-def path_actions(sites: np.ndarray, mass: float) -> np.ndarray:
-    """Discrete free action per path row, dt = 1."""
-    return 0.5 * mass * np.sum(np.diff(sites, axis=1) ** 2, axis=1)
-
-
 def lattice_ensemble(
     spec: LatticeSpec, sites: np.ndarray, extra_phase: np.ndarray | None = None
 ) -> PathEnsemble:
-    """The ensemble of the enumerated ``sites``, amplitudes exp(-i S) (optionally shifted)."""
-    phases = path_actions(sites, spec.mass)
+    """The ensemble of the enumerated ``sites``, amplitudes exp(-i S) (optionally shifted).
+
+    S is the discrete free action of each path row, dt = 1.
+    """
+    phases = 0.5 * spec.mass * np.sum(np.diff(sites, axis=1) ** 2, axis=1)
     if extra_phase is not None:
         phases = phases + extra_phase
     return PathEnsemble(np.exp(-1j * phases))
@@ -460,17 +460,23 @@ def _messages(rows, bounds, hop, dtype, terms, last_site: bool) -> np.ndarray:
             values, which = np.unique(rows[:, k] - rows[:, k - 1], return_inverse=True)
             for j, v in enumerate(values):
                 pick = which.ravel() == j
-                out[pick] = msg[pick] @ (kernel * np.exp(-edge_c * np.abs(delta - v)))
+                out[pick] = msg[pick] @ (kernel * _decay(edge_c, np.abs(delta - v)))
             msg = out
         lo, hi = bounds[k]
         if k < L or last_site:
             gap = np.abs(sites - rows[:, k, None])
             view = msg.reshape(m, radii.size, -1)
             if site_c is not None:
-                view *= np.exp(-site_c[k] * gap)[:, None, :]
+                view *= _decay(site_c[k], gap)[:, None, :]
             elif radii[0] < sites.size - 1:  # else every tube holds every site
                 view *= gap[:, None, :] <= radii[:, None]
     return msg.reshape(m, radii.size, -1)
+
+
+def _decay(c, gap):
+    """exp(-c gap) for c and gap >= 0: a product past the float range takes its limit, 0."""
+    with np.errstate(over="ignore"):
+        return np.exp(-c * gap)
 
 
 def _distance_terms(spec: LatticeSpec, distance: DistanceSpec, scale: float, bounds):
@@ -481,14 +487,17 @@ def _distance_terms(spec: LatticeSpec, distance: DistanceSpec, scale: float, bou
     c_R = e^{-s R}, s = scale (times mass for mass_max_sep) >= 0, so every
     c_r >= 0; R is the widest interval of sites, and radii whose weight
     underflows to 0 are dropped.  The other variants have the one radius
-    R, under which every tube holds every site, and weight 1.
+    R, under which every tube holds every site, and weight 1.  A
+    coefficient that overflows is held at the largest float, so that its
+    product with a gap of 0 is 0, not NaN: any coefficient past 746
+    already makes exp(-c gap) 1 at a gap of 0 and 0 at any other.
     """
     spread = max(hi - lo for lo, hi in bounds)
     radii, weights = np.array([spread]), np.ones(1)
     if distance.name in MAX_VARIANTS:
-        s = scale * spec.mass if distance.name == "mass_max_sep" else scale
+        s = min(scale * spec.mass if distance.name == "mass_max_sep" else scale, _FLOAT_MAX)
         radii = np.arange(spread + 1)
-        weights = np.exp(-s * radii) * -np.expm1(-s)
+        weights = _decay(s, radii) * -np.expm1(-s)
         weights[-1] = np.exp(-s * spread)
         keep = weights > 0
         return (radii[keep], None, None), weights[keep]
@@ -500,7 +509,8 @@ def _distance_terms(spec: LatticeSpec, distance: DistanceSpec, scale: float, bou
         c /= spec.steps
     if distance.name == "mass_l1":
         c *= spec.mass
-    return (radii, c * scale, None), weights
+    with np.errstate(over="ignore"):
+        return (radii, np.minimum(c * scale, _FLOAT_MAX), None), weights
 
 
 def transfer_plan(spec: LatticeSpec, sites: np.ndarray, distance: DistanceSpec, scales):
@@ -684,33 +694,32 @@ def run_lattice_experiment(
     return distribution_from_sums(sums, denom, weights), sites
 
 
-def _two_arm_visibility(w: np.ndarray, sums, denom) -> float:
-    """|P+ - P-| / (P+ + P-) of the ``w``-weighted masses of the two phase settings' sums."""
-    p_plus, p_minus = (float(np.sum(weighted_probabilities(s, denom, w))) for s in sums)
-    return visibility(p_plus, p_minus)
-
-
 def two_arm_sweep(spec: LatticeSpec, distance: DistanceSpec, scales, transfer=None):
     """cell(distance_scale) of the two-arm setup, for any scale of ``scales``.
 
-    cell returns (visibility, block mass, distribution).  The visibility
-    is |P+ - P-| / (P+ + P-) of the corridor-weighted masses at phase
-    plate 0 (constructive) and pi (destructive); the distribution is the
-    unweighted one run_lattice_experiment gives at arm phase 0, and the
-    block mass its share on corridor paths.  Both settings run in one
-    pass and share the denominators, as these do not depend on the
-    amplitudes.  Every scale is checked before the one enumeration,
-    whose plan (transfer_plan) serves every scale; cells only read it.
-    A caller that has admitted the scales passes the route admit_scales
-    returned as ``transfer``, and the spec is not admitted again.
+    cell returns (visibility, block mass, distribution, norm constant),
+    the cell shape toymodels.beam_sweep shares.  The visibility is
+    |P+ - P-| / (P+ + P-) of the corridor-weighted unnormalized masses at
+    phase plate 0 (constructive) and pi (destructive), the comparable
+    quantity as C depends on the setting; the distribution is the
+    unweighted one run_lattice_experiment gives at arm phase 0, the
+    block mass its share on corridor paths, and the norm constant its
+    C.  Both settings run in one pass and share the denominators, as
+    these do not depend on the amplitudes.  Every scale is checked
+    before the one enumeration, whose plan (transfer_plan) serves every
+    scale; cells only read it.  A caller that has admitted the scales
+    passes the route admit_scales returned as ``transfer``, and the spec
+    is not admitted again.
     """
     sites, smeared = _passes(spec, distance, scales, transfer)
     w = corridor_weights(sites)
 
     def cell(distance_scale):
         sums, denom = smeared(distance_scale, (0.0, np.pi))
+        p_plus, p_minus = (float(np.sum(weighted_probabilities(s, denom, w))) for s in sums)
         dist = distribution_from_sums(sums[0], denom)
-        return _two_arm_visibility(w, sums, denom), float(np.sum(dist.probs[w > 0])), dist
+        return (visibility(p_plus, p_minus), float(np.sum(dist.probs[w > 0])), dist,
+                dist.norm_constant)
 
     return cell
 
@@ -720,11 +729,5 @@ def two_arm_visibility(
     distance: DistanceSpec,
     distance_scale: float = 1.0,
 ) -> float:
-    """Interference visibility |P+ - P-| / (P+ + P-) of the two-arm setup.
-
-    P+/- are the unnormalized realizable-path masses at phase plate 0
-    (constructive) and pi (destructive); the normalization constant is
-    setting-dependent, so raw masses are the comparable quantity.
-    """
-    sites, smeared = _passes(spec, distance, [distance_scale])
-    return _two_arm_visibility(corridor_weights(sites), *smeared(distance_scale, (0.0, np.pi)))
+    """The visibility of two_arm_sweep's cell at the one scale ``distance_scale``."""
+    return two_arm_sweep(spec, distance, [distance_scale])(distance_scale)[0]

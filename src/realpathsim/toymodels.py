@@ -34,7 +34,6 @@ from .engine import (
     CompactPrefix,
     CompactRows,
     check_probabilities,
-    computed_rows,
     index_smeared,
     index_tiles,
     kernel_windows,
@@ -136,12 +135,6 @@ class M3Spec:
         return self.regions[0][0], self.regions[-1][0] + self.regions[-1][1]
 
 
-def _alternating(out: np.ndarray, start_sign: float):
-    """Fill ``out`` with start_sign, -start_sign, start_sign, ..."""
-    out[::2] = start_sign
-    out[1::2] = -start_sign
-
-
 class RunGrammar:
     """The amplitudes of an M3 spec as its alternating runs and regions.
 
@@ -174,8 +167,10 @@ class RunGrammar:
             run_end = regions[k][0] - 1 if k < len(regions) else self.spec.N
             if pos <= run_end:
                 sign = 1.0 if k == 0 else -1.0  # at run_start
+                sign = sign if (pos - run_start) % 2 == 0 else -sign  # at pos
                 hi = min(run_end, b)
-                _alternating(out[pos - 1 - a : hi - a], sign if (pos - run_start) % 2 == 0 else -sign)
+                out[pos - 1 - a : hi - a : 2] = sign
+                out[pos - a : hi - a : 2] = -sign
                 pos = hi + 1
             if pos <= b and k < len(regions):
                 hi = min(ends[k], b)
@@ -325,20 +320,21 @@ def build_model(spec) -> PathEnsemble:
 def beam_sweep(spec, dspecs):
     """cell(dspec) of the toy sweep, for any index distance of ``dspecs``.
 
-    cell returns (visibility, block mass, probabilities, norm constant)
-    on the beam block widened by D: the visibility of the unnormalized
-    masses at the spec's own phases and with the last region's turned by
-    pi, and the share there of the probabilities ``run`` gives, which it
-    returns as CompactRows.  Every distance is admitted (kernel_windows)
-    before the one build of the run grammar, whose CompactPrefix (the
-    explicit windows around each region and the 2-periodic stretches
-    between them, never N entries) and its computed_rows serve every
-    cell: at the own phases, a banded pass over the rows near a beam or
-    an edge, each range reading the prefix window it needs, into one
-    buffer per range, with the stretches between ranges left to
-    CompactRows, whose sums have np.sum's bits over all N rows; then one
-    over the block rows from the flipped grammar's own CompactPrefix,
-    also built once.  Cells only read what they share.
+    cell returns (visibility, block mass, probabilities, norm constant),
+    the cell shape lattice.two_arm_sweep shares, on the beam block
+    widened by D: the visibility of the unnormalized masses at the
+    spec's own phases and with the last region's turned by pi, and the
+    share there of the probabilities ``run`` gives, which it returns as
+    CompactRows.  Every distance is admitted (kernel_windows) before the
+    one build of the run grammar, whose CompactPrefix (the explicit
+    windows around each region and the 2-periodic stretches between
+    them, never N entries) and its rows(R) serve every cell: at the own
+    phases, a banded pass over the rows near a beam or an edge, each
+    range reading the prefix window it needs, into one buffer per range,
+    with the stretches between ranges left to CompactRows, whose sums
+    have np.sum's bits over all N rows; then one over the block rows
+    from the flipped grammar's own CompactPrefix, also built once.
+    Cells only read what they share.
     """
     m3 = spec.as_m3()
     first, last = m3.block_range
@@ -354,12 +350,10 @@ def beam_sweep(spec, dspecs):
                       np.complex128)  # exp(-i(th + pi)) is not real
     flipped = CompactPrefix(m3.N, flip.amplitudes, flip.spans)
 
-    rows = computed_rows(prefix)
-
     def cell(dspec):
         R = windows[dspec].radii[-1]
         ranges = []
-        for lo, hi in rows(R):
+        for lo, hi in prefix.rows(R):
             values = np.empty(hi - lo)
             for tile, smeared, denom in index_tiles(prefix.window(lo, hi, R), windows[dspec], lo, hi):
                 weighted_probabilities(smeared, denom, out=values[tile.start - lo : tile.stop - lo])

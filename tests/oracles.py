@@ -24,9 +24,10 @@ np.unique), and the masses to exact_screen_masses: for zero phases it
 places the +-1 amplitudes by the sign rules alone, takes window sums from
 int64 prefix sums and sums Fractions over the distinct row triples, so
 nothing in it rounds, however many paths a family holds.
-exact_toy_sweep_cell does the same for a zero-phase toy sweep cell at any
-N: window sums as the partial run at each end plus a count per region,
-over the O(regions * D) rows whose windows are not inside one run.
+exact_toy_sweep_cell does the same for a toy sweep cell of any phases at
+any N: window sums as the partial run at each end plus a count per region
+times its value, summed by math.fsum, over the O(regions * D) rows whose
+windows neither lie inside one run nor cover all N.
 
 The per-index closed forms m1_closed_form and m2_closed_form (one
 ClosedFormValue per index) are the reference the package's array forms
@@ -37,6 +38,7 @@ scalar_d1 and scalar_d2, which the package's array forms must match bit
 for bit.
 """
 
+import bisect
 import functools
 import json
 import math
@@ -234,7 +236,7 @@ def full_prefix(spec, pad) -> Prefix:
 
 
 def scanned_rows(prefix: Prefix):
-    """engine.computed_rows from a scan of every entry of a full padded prefix.
+    """CompactPrefix.rows from a scan of every entry of a full padded prefix.
 
     The breaks are the k where P(k+2) differs from P(k) in an int64 view,
     pads included; rows(radius) covers the rows within R+2 of a break and
@@ -293,100 +295,139 @@ def two_pass_toy_experiment(spec, dspec):
     return vis, float(np.sum(dist.probs[block])), dist
 
 
-def _zero_phase_segments(spec, flip_last=False) -> list:
-    """The runs and regions of a zero-phase toy spec over i = 1..N, in order.
+def _toy_segments(spec, flip_last=False) -> tuple[list, list]:
+    """(segments, values): the runs and regions of a toy spec over i = 1..N, in order.
 
-    A run is (start, end, rule, False), its amplitudes (-1)^(i - rule):
-    rule 1 up to the first region, M + K after region (M, K).  A region
-    is (M, M + K, value, True): +1, or -1 for the last one when
-    ``flip_last``.
+    A run is (start, end, rule, None), its amplitudes (-1)^(i - rule):
+    rule 1 up to the first region, M + K after region (M, K).  Region k
+    is (M, M + K, None, k), each of its amplitudes values[k] =
+    exp(-i theta_k) as a Python complex; with ``flip_last`` the last
+    region's is exp(-i (theta + pi)), the float beam_sweep's flipped
+    setting holds (theta + pi rounds, so at theta = 1e16 this is no turn
+    by pi).  At theta = 0 it is -1: the package's value differs from
+    that only by the rounding of pi, an imaginary part of 1.2e-16 that
+    adds at most about 1e-32 times a row's count squared to its |s|^2,
+    but that would give two far-apart zero-phase beams an exact
+    visibility of about 1e-33 where the package gives 0.
     """
     m3 = spec.as_m3()
-    segments, start, rule = [], 1, 1
-    for k, (M, K, theta) in enumerate(m3.regions):
-        if theta != 0:
-            raise ValueError("the exact oracle takes zero phases only")
-        value = -1 if flip_last and k == len(m3.regions) - 1 else 1
-        segments += [(start, M - 1, rule, False), (M, M + K, value, True)]
+    segments, values, start, rule = [], [], 1, 1
+    for M, K, theta in m3.regions:
+        values.append(complex(np.exp(-1j * theta)))
+        segments += [(start, M - 1, rule, None), (M, M + K, None, len(values) - 1)]
         start, rule = M + K + 1, M + K
-    return segments + [(start, m3.N, rule, False)]
+    if flip_last:
+        theta = m3.regions[-1][2]
+        values[-1] = complex(np.exp(-1j * (theta + np.pi))) if theta else -1.0
+    return segments + [(start, m3.N, rule, None)], values
 
 
-def _exact_window_sums(segments, a, b) -> list:
-    """Sums of the amplitudes of indices a..b (1-based, inclusive), as ints.
+def _window_terms(segments, a, b):
+    """(whole, counts, regions) of the windows a..b (1-based, inclusive arrays): exact.
 
-    Each segment adds its overlap with the window: a region its count
-    times its value, a run the sign at the overlap's first index when
-    the overlap is odd and 0 when it is even (so a whole run, of even
-    length, adds 0): the partial run at each end plus a count per region.
+    A window's amplitude sum is whole + sum_j counts[:, j] values[regions[j]]
+    over the region segments among ``segments``: whole is the partial run
+    at each end, the sign at the overlap's first index when the overlap
+    is odd and 0 when it is even (so a whole run, of even length, adds
+    0), and counts[:, j] the indices of region regions[j] inside the
+    window.
     """
-    sums = []
-    for lo, hi in zip(a, b):
-        total = 0
-        for start, end, rule, region in segments:
-            x = max(lo, start)
-            count = max(min(hi, end) - x + 1, 0)
-            if region:
-                total += rule * count
-            elif count % 2:
-                total += 1 if (x - rule) % 2 == 0 else -1
-        sums.append(total)
-    return sums
+    whole, counts, regions = np.zeros(a.size, dtype=np.int64), [], []
+    for start, end, rule, k in segments:
+        x = np.maximum(a, start)
+        count = np.maximum(np.minimum(b, end) - x + 1, 0)
+        if k is None:
+            whole += np.where(count % 2 == 1, np.where((x - rule) % 2 == 0, 1, -1), 0)
+        else:
+            counts.append(count)
+            regions.append(k)
+    return whole, np.array(counts, dtype=np.int64).reshape(len(regions), a.size).T, regions
 
 
-def _exact_mass(segments, N, D, rim, rows, repeats) -> Fraction:
+# rows _exact_mass takes at once, each block reading only the segments its
+# windows reach; any count gives the same Fraction
+_EXACT_ROWS = 256
+
+
+def _exact_mass(segments, values, N, D, rim, rows, repeats) -> Fraction:
     """The sum of repeats * |s|^2 / c over the 1-based rows under the step distance.
 
     The kernel is 1 out to D-1 and the rim weight p/q at D, so with S^r
     and N^r the sum and count of the window |j - i| <= r clipped to
-    [1, N], s = ((q-p) S^{D-1} + p S^D) / q and c = ((q-p) N^{D-1} + p N^D) / q,
-    and |s|^2 / c is an integer over q times an integer.  The numerators
-    are summed per denominator, then over their least common multiple.
+    [1, N], s = ((q-p) S^{D-1} + p S^D) / q and c = ((q-p) N^{D-1} + p N^D) / q.
+    q s is an integer plus an integer count times each region value
+    (_window_terms); math.fsum adds its real and imaginary parts, each
+    product rounded once, so a part with integer terms (every part of
+    a zero-phase row) is exact.  |q s|^2 / (q * q c) is then exact: the
+    numerators are summed per denominator, then over their least common
+    multiple.  The rows go in ascending blocks of _EXACT_ROWS, each over
+    the segments its windows reach, so that many regions cost no more
+    than a few.
     """
     p, q = rim.as_integer_ratio()
-    s, c = [0] * len(rows), [0] * len(rows)
-    for r, weight in ((D - 1, q - p), (D, p)):
-        a, b = [max(i - r, 1) for i in rows], [min(i + r, N) for i in rows]
-        s = [t + weight * u for t, u in zip(s, _exact_window_sums(segments, a, b))]
-        c = [t + weight * (hi - lo + 1) for t, lo, hi in zip(c, a, b)]
+    order = np.argsort(rows)
+    rows, repeats = np.asarray(rows, dtype=np.int64)[order], [repeats[i] for i in order]
+    starts, ends = [seg[0] for seg in segments], [seg[1] for seg in segments]
     by_denominator: dict = {}
-    for n, t, u in zip(repeats, s, c):
-        by_denominator[q * u] = by_denominator.get(q * u, 0) + n * t * t
+    for lo in range(0, rows.size, _EXACT_ROWS):
+        block = rows[lo : lo + _EXACT_ROWS]
+        reach = segments[bisect.bisect_left(ends, block[0] - D)
+                         : bisect.bisect_right(starts, block[-1] + D)]
+        whole, counts, c = 0, 0, 0
+        for r, weight in ((D - 1, q - p), (D, p)):
+            a, b = np.maximum(block - r, 1), np.minimum(block + r, N)
+            w, n, regions = _window_terms(reach, a, b)
+            whole, counts, c = whole + weight * w, counts + weight * n, c + weight * (b - a + 1)
+        v = np.array([values[k] for k in regions], dtype=complex)
+        re = [math.fsum(t) for t in np.column_stack([whole, counts * v.real]).tolist()]
+        im = [math.fsum(t) for t in (counts * v.imag).tolist()]
+        for n, x, y, u in zip(repeats[lo : lo + _EXACT_ROWS], re, im, c.tolist()):
+            (x, d), (y, e) = x.as_integer_ratio(), y.as_integer_ratio()
+            f = max(d, e)  # both powers of two
+            den = q * u * f * f
+            by_denominator[den] = by_denominator.get(den, 0) + n * ((x * (f // d)) ** 2
+                                                                   + (y * (f // e)) ** 2)
     common = math.lcm(*by_denominator)
     return Fraction(sum(num * (common // den) for den, num in by_denominator.items()), common)
 
 
 def exact_toy_sweep_cell(spec, dspec):
-    """(visibility, block mass, C) of a zero-phase toy sweep cell, as exact Fractions, at any N.
+    """(visibility, block mass, C) of a toy sweep cell under the step distance, as Fractions, at any N.
 
-    The step distance over the +-1 amplitudes placed by the parity rules
-    (_zero_phase_segments), the flipped setting's last region at -1.
-    Each row's |s|^2 / c comes from integer window sums and counts
-    (_exact_mass).  A row whose radius-D window lies unclipped inside
-    one run sees an odd alternating stretch at both radii, so every such
-    row takes one value; one row of each such range stands for all of
-    it, and the sums run over O(regions * D) rows, never N.
+    The amplitudes are placed by the parity rules and the region values
+    (_toy_segments), the flipped setting's last region at exp(-i (theta
+    + pi)).  Each row's |s|^2 / c comes from integer window sums and
+    region counts (_exact_mass), exact but for the rounding of each
+    count times a phased value and of the fsum of those.  Two kinds of
+    row ranges take one value each, and one row stands for each: a row
+    whose radius-D window lies unclipped inside one run sees an odd
+    alternating stretch at both radii, and a row whose windows at both
+    radii are clipped at both ends sees all N amplitudes.  The sums run
+    over the other rows: O(regions * D) of them, and fewer than N.
+    Nothing here reads a prefix sum or the package's run grammar.
     """
     m3 = spec.as_m3()
     N, D = m3.N, dspec.D
     rim = 2.0 if dspec.literal_log_half else 0.5
     first, last = m3.block_range
     b0, b1 = max(1, first - D), min(N, last + D)
-    own = _zero_phase_segments(spec)
-    inner = [(start + D, end - D) for start, end, _, region in own
-             if not region and end - start >= 2 * D]
-    edges = [1, *(e for lo, hi in inner for e in (lo, hi + 1)), N + 1]
+    own, values = _toy_segments(spec)
+    uniform = [(start + D, end - D) for start, end, _, k in own
+               if k is None and end - start >= 2 * D]
+    if N - D + 1 <= D:  # windows clipped at both ends, as long as D - 1 >= max(i - 1, N - i)
+        uniform = [(max(N - D + 1, 1), min(D, N))]
+    edges = [1, *(e for lo, hi in uniform for e in (lo, hi + 1)), N + 1]
     explicit = [i for a, b in zip(edges[::2], edges[1::2]) for i in range(a, b)]
 
-    def mass(segments, block):
+    def mass(segments, values, block):
         rows = [i for i in explicit if b0 <= i <= b1] if block else explicit
         repeats = [max(min(hi, b1) - max(lo, b0) + 1, 0) if block else hi - lo + 1
-                   for lo, hi in inner]
-        return _exact_mass(segments, N, D, rim, rows + [lo for lo, _ in inner],
+                   for lo, hi in uniform]
+        return _exact_mass(segments, values, N, D, rim, rows + [lo for lo, _ in uniform],
                            [1] * len(rows) + repeats)
 
-    total, plus = mass(own, False), mass(own, True)
-    minus = mass(_zero_phase_segments(spec, flip_last=True), True)
+    total, plus = mass(own, values, False), mass(own, values, True)
+    minus = mass(*_toy_segments(spec, flip_last=True), True)
     vis = abs(plus - minus) / (plus + minus) if plus + minus else Fraction(0)
     return vis, plus / total, 1 / total
 

@@ -229,6 +229,38 @@ def test_missing_config_exits_64():
     assert run_cli(["run"]) == 64
 
 
+_CONFIG_COMMANDS = ("run", "sweep", "compare", "ratios")
+
+
+@pytest.mark.parametrize("config, argv", [
+    *(pytest.param(text, ["--config", "CFG", "--output", "OUT", command],
+                   id=f"{command}-{kind}-config")
+      for text, kind in (("[1, 2, 3]", "list"), ('"x"', "string"), ("null", "null"))
+      for command in _CONFIG_COMMANDS),
+    *(pytest.param(None, ["--config", "DIR", "--output", "OUT", command],
+                   id=f"{command}-directory-config") for command in _CONFIG_COMMANDS),
+    pytest.param(json.dumps(M1_CONFIG), ["--config", "CFG", "--output", "DIR", "run"],
+                 id="run-directory-output"),
+    pytest.param(None, ["--output", "DIR", "lattice", "--steps", "4", "--extent", "3",
+                        "--hop", "2"], id="lattice-directory-output"),
+    pytest.param(None, ["classify", "DIR"], id="classify-directory"),
+])
+def test_non_object_config_or_directory_path_exits_64(tmp_path, capsys, config, argv):
+    # a config whose top level is not an object, and a config, output or
+    # path file that is a directory, are refused as a missing file is:
+    # exit 64, no traceback, and nothing written
+    cfg, folder = tmp_path / "config.json", tmp_path / "folder"
+    folder.mkdir()
+    if config is not None:
+        cfg.write_text(config)
+    before = sorted(tmp_path.iterdir())
+    paths = {"CFG": str(cfg), "DIR": str(folder), "OUT": str(tmp_path / "out.csv")}
+    assert run_cli([paths.get(arg, arg) for arg in argv]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == before and not any(folder.iterdir())
+
+
 def test_spec_violation_exits_65_naming_rule(tmp_path, capsys):
     cfg = write(
         tmp_path / "bad.json",

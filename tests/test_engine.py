@@ -13,7 +13,6 @@ from realpathsim.engine import (
     CompactPrefix,
     PathDistribution,
     _windows,
-    computed_rows,
     dense_smeared,
     distinct_rows,
     distribution_from_sums,
@@ -281,20 +280,20 @@ def test_computed_rows_count_a_signed_zero_as_a_break():
     n = 40
     for negative_zero in (-0.0, complex(0.0, -0.0)):
         amps = np.zeros(n, dtype=type(negative_zero))
-        assert computed_rows(_compact(amps, []))(3) == [(0, 5), (35, 40)]
+        assert _compact(amps, []).rows(3) == [(0, 5), (35, 40)]
         amps[:20] = negative_zero
         for spans in ([(19, 21)], [(0, n)]):
             prefix = _compact(amps, spans)
             assert prefix.breaks.tolist() == [0, 19, 20]
-            assert computed_rows(prefix)(3) == [(0, 6), (17, 26), (35, 40)]
-            assert computed_rows(prefix)(3) == scanned_rows(prefix_sum(amps, 5))(3)
+            assert prefix.rows(3) == [(0, 6), (17, 26), (35, 40)]
+            assert prefix.rows(3) == scanned_rows(prefix_sum(amps, 5))(3)
 
 
 def test_computed_rows_without_breaks_are_the_clipped_rows():
     # a 2-periodic prefix: [0, R+2) and [n-R-2, n), one range once they meet
     n = 40
     for amps in (np.resize([1.0, -1.0], n), np.resize([1j, -1j], n)):
-        rows = computed_rows(_compact(amps, []))
+        rows = _compact(amps, []).rows
         assert rows(1) == [(0, 3), (37, 40)]
         assert rows(3) == [(0, 5), (35, 40)]
         assert rows(18) == rows(10**7) == [(0, 40)]
@@ -309,7 +308,7 @@ def test_compact_prefix_settles_only_past_its_span():
     amps[:10], amps[10] = 0.0, 3.0
     prefix, full = _compact(amps, [(10, 11)]), prefix_sum(amps, n)
     assert prefix.window(0, n, n).sums.tobytes() == full.sums.tobytes()
-    assert computed_rows(prefix)(2) == scanned_rows(full)(2)
+    assert prefix.rows(2) == scanned_rows(full)(2)
 
 
 @pytest.mark.parametrize("pair", [(1.0, -0.5), (0.1, -0.3)])
@@ -325,7 +324,7 @@ def test_compact_prefix_that_never_settles_is_explicit(pair):
     assert len(prefix.entries.values) == 1
     assert prefix.window(0, n, n).sums.tobytes() == full.sums.tobytes()
     for R in (1, 40, n):
-        assert computed_rows(prefix)(R) == scanned_rows(full)(R)
+        assert prefix.rows(R) == scanned_rows(full)(R)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -345,7 +344,7 @@ def test_rows_between_computed_ranges_repeat_the_row_two_before(dtype, name, D, 
     smeared, denom = index_smeared(prefix_sum(amps, windows.radii[-1]), windows)
     copied = np.ones(n, dtype=bool)
     spans = [(start, start + 5) for start in (400, 1203, 2500)]
-    for lo, hi in computed_rows(_compact(amps, spans))(windows.radii[-1]):
+    for lo, hi in _compact(amps, spans).rows(windows.radii[-1]):
         copied[lo:hi] = False
     rows = np.flatnonzero(copied)
     assert rows.size > n // 2

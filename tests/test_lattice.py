@@ -1,6 +1,7 @@
 """Lattice path integral: enumeration, transfer matrix, decoherence."""
 
 import json
+import warnings
 import tracemalloc
 from functools import partial
 from pathlib import Path
@@ -27,6 +28,7 @@ from realpathsim.errors import ModelTooLarge, NoPaths, SpecViolation, TooManyPat
 from realpathsim.lattice import (
     FACTORING_VARIANTS,
     LatticeSpec,
+    admit,
     corridor_weights,
     curvature_cutoff_weights,
     enumerate_paths,
@@ -274,7 +276,7 @@ def test_tiled_route_has_the_block_route_bits(steps):
 def test_one_pass_experiment_matches_separate_runs():
     spec = LatticeSpec(steps=5, extent=4, start=0, end=0, hop=2)
     dspec = DistanceSpec("max_sep")
-    vis, mass, dist = two_arm_sweep(spec, dspec, [0.3])(0.3)
+    vis, mass, dist, _C = two_arm_sweep(spec, dspec, [0.3])(0.3)
     alone, sites = run_lattice_experiment(spec, dspec, distance_scale=0.3)
     assert np.array_equal(sites, enumerate_paths(spec))
     assert np.array_equal(dist.probs, alone.probs)
@@ -559,12 +561,37 @@ def test_sweep_cells_have_the_bits_of_single_scale_runs(spec):
         dspec = DistanceSpec(name)
         cell = two_arm_sweep(spec, dspec, scales)
         for scale in scales:
-            vis, mass, dist = cell(scale)
-            want_vis, want_mass, want = two_arm_sweep(spec, dspec, [scale])(scale)
+            vis, mass, dist, C = cell(scale)
+            want_vis, want_mass, want, _C = two_arm_sweep(spec, dspec, [scale])(scale)
             run, sites = run_lattice_experiment(spec, dspec, distance_scale=scale)
             run_mass = float(np.sum(run.probs[corridor_weights(sites) > 0]))
             assert vis == want_vis == two_arm_visibility(spec, dspec, scale), (name, scale)
             assert mass == want_mass == run_mass, (name, scale)
+            assert C == dist.norm_constant, (name, scale)
             for field in ("probs", "smeared", "denom"):
                 assert np.array_equal(getattr(dist, field), getattr(want, field)), (name, scale)
                 assert np.array_equal(getattr(dist, field), getattr(run, field)), (name, scale)
+
+
+@pytest.mark.parametrize("name, steps, extent, hop, transfer", [
+    *(pytest.param(name, 6, 6, 2, True, id=f"transfer-{name}") for name in FACTORING_VARIANTS),
+    *(pytest.param(name, 3, 2, 1, False, id=f"dense-{name}") for name in GALILEAN_VARIANTS),
+])
+def test_overflowing_scale_writes_its_limit(tmp_path, capsys, name, steps, extent, hop, transfer):
+    # at scale s -> inf, exp(-s d) is 1 at d = 0 and 0 at any other d,
+    # which a scale of 1e300 already gives; 1e308 times a gap or the mass
+    # 2 passes the float range, and must give the same bytes, with no
+    # overflow or invalid-value warning on the way
+    spec = LatticeSpec(steps=steps, extent=extent, start=0, end=0, mass=2.0, hop=hop)
+    dspec = DistanceSpec(name)
+    assert admit(spec, dspec)[1] is transfer
+    args = ["lattice", "--steps", str(steps), "--extent", str(extent), "--hop", str(hop),
+            "--mass", "2", "--distance", name, "--weight", "corridor", "--distance-scale"]
+    written = []
+    for scale in ("1e300", "1e308"):
+        out = tmp_path / f"{scale}.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([*args, scale, "--output", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[1] == written[0]

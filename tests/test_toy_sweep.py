@@ -7,9 +7,10 @@ prepares its own prefix or shares one for a wider window.  The group's
 compact prefix must give the bits of the full-length prefix and the rows
 of its full-length break scan (oracles.full_prefix, oracles.scanned_rows),
 and the flipped setting's compact prefix those of a flipped build's full
-prefix.  At N = 10^9, where no full-length oracle fits, a zero-phase
-cell's visibility, block mass and C must lie within 1e-12 relative of
-exact Fractions from integer window sums (oracles.exact_toy_sweep_cell).
+prefix.  At N = 10^9, where no full-length oracle fits, a cell's block
+mass and C must lie within 1e-12 relative, and its visibility within
+1e-12, of Fractions from integer window sums and region counts
+(oracles.exact_toy_sweep_cell), exact for zero phases.
 """
 
 import json
@@ -28,12 +29,11 @@ from realpathsim.distances import DistanceSpec
 from realpathsim.engine import (
     CompactPrefix,
     check_probabilities,
-    computed_rows,
     distinct_rows,
     index_smeared,
     index_tiles,
     kernel_windows,
-    normalize,
+    norm_constant,
     prefix_sum,
     weighted_probabilities,
 )
@@ -167,7 +167,7 @@ def test_periodic_stretches_match_two_pass_oracle(spec, literal):
     # cells that prepare their own prefix; D from 1 past N
     Ds = (1, 2, 40, 700, 2000, spec.N - 1, spec.N, 10**7)
     dspecs = [DistanceSpec("step", D=D, literal_log_half=literal) for D in Ds]
-    rows = computed_rows(_compact_prefix(spec))(1)
+    rows = _compact_prefix(spec).rows(1)
     assert sum(hi - lo for lo, hi in rows) < spec.N // 20  # mostly copied at D = 1
     group = beam_sweep(spec, dspecs)
     for dspec in dspecs:
@@ -266,12 +266,13 @@ def test_cell_refuses_an_all_zero_distribution(monkeypatch):
 
 @pytest.mark.parametrize("spec", [SMALL[0], REAL_M2], ids=lambda s: f"{type(s).__name__}-{s.N}")
 def test_cell_refuses_a_nan_total(monkeypatch, spec):
-    # a NaN row makes the unnormalized total NaN: refused as normalize refuses it
+    # a NaN row makes the unnormalized total NaN: refused as
+    # distribution_from_sums refuses it
     _poisoned_rows(monkeypatch, np.nan, row=5)
     with pytest.raises(AllZeroProbability, match="sum to nan, not above 0") as refused:
         _own_cell(spec, DistanceSpec("step", D=3))
     with pytest.raises(AllZeroProbability) as direct:
-        normalize(np.array([1.0, np.nan]))
+        norm_constant(float(np.sum(np.array([1.0, np.nan]))))
     assert str(refused.value) == str(direct.value)
 
 
@@ -288,7 +289,8 @@ def test_cell_refuses_a_negative_row(monkeypatch):
 def test_cell_refuses_a_normalized_nan_sum(monkeypatch):
     # an infinite row passes the unnormalized total, gives C = 0 and a
     # NaN row times 0: the normalized sum is NaN, refused as
-    # check_probabilities refuses it (inf * 0 warns, as in normalize)
+    # check_probabilities refuses it (inf * 0 warns, as in
+    # distribution_from_sums)
     _poisoned_rows(monkeypatch, np.inf, row=5)
     with pytest.raises(ValueError) as refused, np.errstate(invalid="ignore"):
         _own_cell(SMALL[0], DistanceSpec("step", D=3))
@@ -481,7 +483,7 @@ def test_compact_prefix_matches_the_full_length_scan(spec, data):
     n = spec.N
     compact, full = _compact_prefix(spec), full_prefix(spec, n)
     assert compact.window(0, n, n).sums.tobytes() == full.sums.tobytes()
-    rows, want_rows = computed_rows(compact), scanned_rows(full)
+    rows, want_rows = compact.rows, scanned_rows(full)
     for _ in range(4):
         R = data.draw(st.integers(1, n + 50), label="R")
         lo = data.draw(st.integers(0, n - 1), label="lo")
@@ -558,3 +560,53 @@ def test_sweep_columns_match_the_exact_oracle(N):
         vis, mass, _, C = cell(dspec)
         for got, want in zip((vis, mass, C), exact_toy_sweep_cell(spec, dspec)):
             assert abs(Fraction(got) - want) <= _EXACT_RTOL * abs(want), (dspec, got, float(want))
+
+
+# the visibility's tolerance is absolute, fixed with _EXACT_RTOL before
+# the first comparison: far-apart beams give a visibility near 0, of
+# which no relative error is meaningful
+_EXACT_VIS_ATOL = Fraction(1e-12)
+
+
+@st.composite
+def _phased_cells(draw):
+    """An M3 of 1 to 30 regions and a step distance of either rim.
+
+    The phases are signed zeros in half the specs, else _PHASES and any
+    in [-10, 10].  Mostly N up to about 4 100, with D from 1 to past N;
+    now and then the regions at the start or in the middle of N = 10^9
+    paths, with D up to 300.
+    """
+    if draw(st.booleans()):
+        phases = st.sampled_from([0.0, -0.0])
+    else:
+        phases = st.one_of(st.sampled_from(_PHASES), st.floats(-10.0, 10.0))
+    regions, M = [], 2 * draw(st.integers(1, 40)) + 1  # odd, above 1
+    for _ in range(draw(st.integers(1, 30))):
+        K = draw(st.integers(1, 9))
+        regions.append((M, K, draw(phases)))
+        M += K + 2 * draw(st.integers(0, 60)) + 1  # odd gaps from each region's end
+    end = regions[-1][0] + regions[-1][1]
+    if draw(st.integers(0, 9)) == 9:
+        shift = draw(st.sampled_from([0, 500_000_000]))  # even, so the parity rules hold
+        regions = [(M + shift, K, th) for M, K, th in regions]
+        N, D = 10**9 - (10**9 - end - shift) % 2, draw(st.integers(1, 300))
+    else:
+        N = end + 2 * draw(st.integers(1, 60))
+        D = draw(st.integers(1, N + 50))
+    dspec = DistanceSpec("step", D=D, literal_log_half=draw(st.booleans()))
+    return M3Spec(N=N, regions=tuple(regions)), dspec
+
+
+@settings(max_examples=60, deadline=None)
+@given(_phased_cells())
+def test_phased_sweep_cells_match_the_exact_oracle(cell):
+    # visibility, block mass and C of one cell against the exact oracle's
+    # integer window sums and region counts: the mass and C within
+    # _EXACT_RTOL relative, the visibility within _EXACT_VIS_ATOL
+    spec, dspec = cell
+    vis, mass, _, C = beam_sweep(spec, [dspec])(dspec)
+    want_vis, want_mass, want_C = exact_toy_sweep_cell(spec, dspec)
+    assert abs(Fraction(vis) - want_vis) <= _EXACT_VIS_ATOL, (vis, float(want_vis))
+    for got, want in ((mass, want_mass), (C, want_C)):
+        assert abs(Fraction(got) - want) <= _EXACT_RTOL * abs(want), (got, float(want))
