@@ -162,6 +162,54 @@ def _distribution_text(dist: PathDistribution, fmt: str):
     yield "]}\n"
 
 
+def _text_table(fmt: str, rows: np.ndarray) -> np.ndarray:
+    """fmt % row for each row of ``rows``, as the rows of a uint8 table padded with NUL bytes."""
+    text = np.frombuffer((((fmt + "\0") * len(rows)) % tuple(rows.ravel().tolist())).encode(),
+                         dtype=np.uint8)
+    ends = np.flatnonzero(text == 0)
+    lengths = np.diff(ends, prepend=-1) - 1
+    table = np.zeros((len(rows), lengths.max(initial=0)), dtype=np.uint8)
+    table[np.arange(table.shape[1]) < lengths[:, None]] = text[text != 0]
+    return table
+
+
+def _index_table(lo: int, hi: int) -> np.ndarray:
+    """"%d," for each of lo..hi-1 (all >= 1), as a uint8 table of digits after NUL pads."""
+    width = len(str(hi - 1))
+    table = np.empty((hi - lo, width + 1), dtype=np.uint8)
+    table[:, -1] = ord(",")
+    q = np.arange(lo, hi)
+    for col in range(width - 1, -1, -1):
+        table[:, col] = q % 10 + ord("0")
+        q //= 10
+    # the indices are ascending: those below 10^k, the first rows, have
+    # no digit in the column k places left of the units
+    for k in range(1, width):
+        table[: max(10**k - lo, 0), width - 1 - k] = 0
+    return table
+
+
+def _paths_text(spec: LatticeSpec):
+    """The lattice paths file: a header, then "index,x0,...,xT" of each path in depth-first order.
+
+    Each distinct prefix and suffix of the paths (lattice.path_halves) is
+    %d-formatted once into a table; a block of _CSV_ROWS rows is one
+    concatenation of the index digits and its paths' prefix and suffix
+    rows of those tables, with the pad bytes dropped: the bytes of
+    _csv_lines's "%d" rows.
+    """
+    yield "index," + ",".join(f"x{t}" for t in range(spec.steps + 1)) + "\n"
+    halves = lattice_mod.path_halves(spec)
+    prefixes = _text_table(",".join(["%d"] * halves.prefixes.shape[1]), halves.prefixes)
+    suffixes = _text_table(",%d" * (halves.suffixes.shape[1] - 1) + "\n", halves.suffixes[:, 1:])
+    pre, suf = halves.pairs()
+    for lo in range(0, pre.size, _CSV_ROWS):
+        hi = min(lo + _CSV_ROWS, pre.size)
+        block = np.concatenate([_index_table(lo + 1, hi + 1), prefixes[pre[lo:hi]],
+                                suffixes[suf[lo:hi]]], axis=1)
+        yield block[block != 0].tobytes().decode("ascii")
+
+
 def _ratios_text(spec: ScreenSpec, fmt: str):
     rows = evaluate_screen_model(spec).ratio_rows()  # eager: a refusal comes before the file opens
     if fmt == "json":
@@ -572,16 +620,13 @@ def cmd_lattice(args) -> int:
     # a flag the chosen weight does not read is refused as its unknown key
     weight = {"name": args.weight} | {k: getattr(args, k) for k in ("threshold", "margin")
                                       if getattr(args, k) is not None}
-    dist, sites = lattice_mod.run_lattice_experiment(
+    dist, _ = lattice_mod.run_lattice_experiment(
         spec, DistanceSpec(args.distance, literal_log_half=args.literal_log_half),
         weight=_weight(weight), distance_scale=args.distance_scale,
     )
     out = _write(args.output, _distribution_text(dist, args.format or "csv"))
     if out is sys.stdout:  # the data went to a file: the paths file goes beside it
-        header = "index," + ",".join(f"x{t}" for t in range(spec.steps + 1)) + "\n"
-        rows = _csv_lines(",".join(["%d"] * (spec.steps + 2)) + "\n",
-                          np.arange(1, len(sites) + 1), sites)
-        _write(args.output + ".paths.csv", chain([header], rows))
+        _write(args.output + ".paths.csv", _paths_text(spec))
     print(_summary_line(dist), file=out)
     return EX_OK
 

@@ -47,6 +47,8 @@ MASS_VARIANTS = ("mass_max_sep", "mass_l1")
 # largest dense float64 distance matrix the package will build
 MAX_MATRIX_BYTES = 2 << 30
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
 
 @dataclass(frozen=True)
 class DistanceSpec:
@@ -203,7 +205,12 @@ class GridPathSource:
         if self.name == "l1_time_average":
             d /= self._duration
         if self.name in MASS_VARIANTS:
-            d *= self.mass
+            # a product past the float range is held at its largest float,
+            # as lattice._distance_terms holds the scale, so that a scale
+            # of 0 still takes it to -0.0, not NaN
+            with np.errstate(over="ignore"):
+                d *= self.mass
+            np.maximum(d, -_FLOAT_MAX, out=d)
         if self.scale != 1.0:
             with np.errstate(over="ignore"):  # -inf past the float range: exp gives 0
                 d *= self.scale

@@ -4,7 +4,10 @@ Sites are integers -X..X, time steps are unit (dt = 1), and a path moves
 at most ``hop`` sites per step.  Every admissible site sequence from the
 start site (t=0) to the end site (t=T) is enumerated, in depth-first
 (lexicographic) order, with amplitude exp(-i S) for the discrete free
-action S = sum m (dx)^2 / 2.
+action S = sum m (dx)^2 / 2.  The paths are assembled from their
+distinct halves, split at the middle time (path_halves): the prefixes
+walked forward from the start and the suffixes backward from the end,
+each walk growing only the distinct chains of every step.
 A transfer-matrix pass computes the total amplitude independently of the
 enumeration, which is the correctness oracle for both.
 
@@ -16,9 +19,9 @@ distance, by one of two routes, both on the calling thread:
   then factors over the time steps, so the smeared sum of every path is
   a forward message over its prefix joined with a backward message over
   its suffix, the forward-backward split of a hidden Markov model.  It
-  pairs no paths; its messages grow with the distinct prefixes and
-  suffixes times the square of the lattice width (sites times radii)
-  for the max variants.  It builds a scale-free plan once and joins per
+  pairs no paths; its messages run over the two walks, so they grow
+  with the distinct prefixes and suffixes times the square of the
+  lattice width (sites times radii) for the max variants.  It builds a scale-free plan once and joins per
   scale: for the max variants a scale only weights the tube radii, so
   one set of messages serves every scale of a sweep.
 * the engine's dense pass, n^2 exponentials streamed from a
@@ -100,22 +103,24 @@ FACTORING_VARIANTS = (
 )
 
 # bytes the transfer route holds per message entry (for the max variants a
-# plan's real and complex messages on both sides, 24, with a call's
-# radius-weighted, picked and phase-plated copies of them, at most 32
-# more; for the L1 variants one dtype's messages with the product and
-# factor temporaries of one step) and per path (the joined blocks, the
-# int64 codes and indices that place each path in its block, and the
-# outputs of two phase settings), and a fixed allowance for the small
-# arrays.  tracemalloc puts the peak of a one-scale plan called once, and
-# of a plan for eight scales (0 to 300) called at each, at 0.55 to 0.85 of
-# these three terms for the max variants and 0.21 to 0.84 for the L1 variants,
-# on ten specs from 83 to 179 755 paths (see transfer_bytes).
+# plan's real and complex messages on both sides, 24, with a call's picked
+# backward copy and one middle site's block of radius-weighted and
+# phase-plated forward rows; for the L1 variants one dtype's messages with
+# the product, gather and factor temporaries of one step) and per path (the
+# joined blocks, the index that places each path in its block and its
+# temporaries, and the outputs of two phase settings), and a fixed
+# allowance for the small arrays.  tracemalloc puts the peak of a one-scale
+# plan called once, and of a plan for eight scales (0 to 300) called at
+# each, at 0.37 to 0.54 of these three terms for the max variants and 0.20
+# to 0.57 for the L1 variants, on ten specs from 83 to 179 755 paths (see
+# transfer_bytes).
 _MESSAGE_BYTES = 64
 _PATH_BYTES = 104
 _FIXED_BYTES = 1 << 16
 
 # bytes a run holds per path beyond the transfer route's: per site of
-# the enumerated paths (they and a copy while they grow) and per path
+# the enumerated paths (they and a gathered half while they are
+# assembled) and per path
 # (weights, the distribution, and the text the CLI writes of each row,
 # as CSV or JSON).  See transfer_bytes for the measurements.
 _RUN_SITE_BYTES = 16
@@ -171,28 +176,111 @@ def _site_steps(spec: LatticeSpec):
         lo, hi = new_lo, new_hi
 
 
-def enumerate_paths(spec: LatticeSpec) -> np.ndarray:
-    """All site sequences as an (n_paths, T+1) int array, DFS order.
+def _walk(first: int, bounds, hop: int) -> list:
+    """The distinct chains from the site ``first`` through the intervals ``bounds[1:]``.
 
-    Grown one step at a time: every prefix takes every hop offset, in
-    increasing order, that lands in the step's interval of sites
-    (_site_steps), so only completable prefixes survive.  Prefixes stay
-    in row-major order, which is the lexicographic, that is depth-first,
-    order of the paths.
+    One (sites, parents) pair per step: each chain's last site and the
+    index of the chain one step shorter that it extends.  The chains of a
+    step come ordered by last site, then by parent, that is by their
+    sites read from the last back to the first; so the parents within hop
+    of a site are one run of the last step's chains, found by binary
+    search.  Each interval of _site_steps lies within hop of the last
+    and within reach of the other end, so every chain completes.
     """
-    h = spec.hop
-    paths = np.full((1, 1), spec.start, dtype=int)
-    for lo, hi, new_lo, new_hi in _site_steps(spec):
-        # only offsets that reach [new_lo, new_hi] from some site in
-        # [lo, hi]; a hop wider than the lattice has far fewer than 2h+1
-        offsets = np.arange(max(-h, new_lo - hi), min(h, new_hi - lo) + 1)
-        nxt = paths[:, -1:] + offsets
-        keep = (nxt >= new_lo) & (nxt <= new_hi)
-        rows, cols = np.nonzero(keep)
-        paths = np.column_stack([paths[rows], nxt[rows, cols]])
-    if paths.shape[0] == 0:
+    last = np.array([first])
+    levels = []
+    for lo, hi in bounds[1:]:
+        x = np.arange(lo, hi + 1)
+        begin = np.searchsorted(last, x - hop)
+        runs = np.searchsorted(last, x + hop, side="right") - begin
+        ends = np.cumsum(runs)
+        last = np.repeat(x, runs)
+        levels.append((last, np.arange(ends[-1]) + np.repeat(begin - ends + runs, runs)))
+    return levels
+
+
+def _chains(first: int, levels) -> np.ndarray:
+    """The chains of _walk's ``levels`` as rows of sites, (chains, steps + 1)."""
+    rows = np.empty((levels[-1][0].size if levels else 1, len(levels) + 1), dtype=int)
+    at = np.arange(rows.shape[0])
+    for k in range(len(levels), 0, -1):
+        sites, parents = levels[k - 1]
+        rows[:, k] = sites[at]
+        at = parents[at]
+    rows[:, 0] = first
+    return rows
+
+
+@dataclass(frozen=True)
+class PathHalves:
+    """The paths of a spec as their distinct halves, split at the time mid = (T+1)//2.
+
+    ``prefixes`` (p, mid+1) and ``suffixes`` (s, T-mid+1) are the site
+    sequences up to and from the middle time, grown by ``walks``: the
+    _walk levels of the prefixes forward from the start and of the
+    suffixes backward from the end.  Both come ordered by middle site,
+    then by their other sites from the middle outward.  Prefix i goes on
+    with the ``runs[i]`` suffixes from suffix ``first[i]``, those that
+    start at its middle site.  In depth-first order the paths are the
+    prefixes ``order``, each followed by its suffixes in their order.
+    """
+
+    prefixes: np.ndarray
+    suffixes: np.ndarray
+    walks: tuple
+    first: np.ndarray
+    runs: np.ndarray
+    order: np.ndarray
+
+    def spread(self, start: np.ndarray) -> np.ndarray:
+        """start[i] + j for the j-th path through prefix i, over the paths in depth-first order."""
+        runs = self.runs[self.order]
+        ends = np.cumsum(runs)
+        return np.arange(ends[-1]) + np.repeat(start[self.order] - ends + runs, runs)
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(prefix, suffix) index of each path, in depth-first order."""
+        return np.repeat(self.order, self.runs[self.order]), self.spread(self.first)
+
+
+def path_halves(spec: LatticeSpec) -> PathHalves:
+    """The distinct prefixes and suffixes of the paths, walked without the paths.
+
+    Each half grows one step at a time through the intervals of
+    _site_steps (_walk), so its cost grows with the prefixes and suffixes,
+    not with the paths.
+    """
+    bounds = _site_bounds(spec)
+    if any(lo > hi for lo, hi in bounds):
         raise NoPaths("no admissible path (extent too tight)")
-    return paths
+    mid = (spec.steps + 1) // 2
+    walks = (_walk(spec.start, bounds[: mid + 1], spec.hop),
+             _walk(spec.end, bounds[: mid - 1 : -1], spec.hop))
+    prefixes = _chains(spec.start, walks[0])
+    suffixes = _chains(spec.end, walks[1])[:, ::-1]
+    lo, hi = bounds[mid]
+    at = np.searchsorted(suffixes[:, 0], np.arange(lo, hi + 2))
+    k = prefixes[:, -1] - lo
+    # lexsort's last key sorts first: the sites from the start on
+    return PathHalves(prefixes, suffixes, walks, at[k], np.diff(at)[k],
+                      np.lexsort(prefixes.T[::-1]))
+
+
+def enumerate_paths(spec: LatticeSpec) -> np.ndarray:
+    """All site sequences as an (n_paths, T+1) int array, in depth-first order.
+
+    Assembled from the distinct halves (path_halves): each prefix, in
+    lexicographic order, is followed by the suffixes that start at its
+    middle site, in theirs.  Rows are thus in lexicographic, that is
+    depth-first, order.  Raises NoPaths when no path fits the extent.
+    """
+    halves = path_halves(spec)
+    pre, suf = halves.pairs()
+    sites = np.empty((pre.size, spec.steps + 1), dtype=int)
+    cut = halves.prefixes.shape[1]
+    sites[:, :cut] = halves.prefixes[pre]
+    sites[:, cut:] = halves.suffixes[suf, 1:]
+    return sites
 
 
 def lattice_ensemble(
@@ -401,7 +489,8 @@ def _check_scale(spec: LatticeSpec, distance: DistanceSpec, distance_scale: floa
     ``distance_scale`` must be finite and >= 0, so that exp(-d) stays at
     most 1, and so must the lattice mass where a mass-weighted distance
     reads it.  Under any distance the mass must be finite: the amplitudes
-    exp(-i m S) of a non-finite mass are NaN.
+    exp(-i m S) of a non-finite mass are NaN, and so are those of a mass
+    whose largest action passes the float range.
     """
     if not (math.isfinite(distance_scale) and distance_scale >= 0):
         raise SpecViolation(f"distance_scale must be finite and >= 0, not {distance_scale!r}")
@@ -409,68 +498,61 @@ def _check_scale(spec: LatticeSpec, distance: DistanceSpec, distance_scale: floa
     if not (math.isfinite(spec.mass) and (spec.mass >= 0 or not weighted)):
         need = f"finite and >= 0 under {distance.name}" if weighted else "finite"
         raise SpecViolation(f"the lattice mass must be {need}, not {spec.mass!r}")
+    # no step of a path moves more than min(h, 2X) sites, so this bounds
+    # the action of every path and of every step
+    if not math.isfinite(0.5 * spec.mass * spec.steps * min(spec.hop, 2 * spec.extent) ** 2):
+        raise SpecViolation(
+            f"the lattice mass {spec.mass!r} takes the action 0.5 m T min(h, 2X)^2 "
+            f"past the float range"
+        )
 
 
-def _distinct(rows: np.ndarray, bounds) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct rows, index of each row's distinct row) of site sequences.
+def _messages(levels, bounds, hop, dtype, terms, last_site: bool) -> np.ndarray:
+    """Messages of each chain of a walk over the sites of its last time, (m, radii, sites).
 
-    Each row is coded as one integer, its sites' offsets in their
-    ``bounds`` intervals as mixed-radix digits with the last column most
-    significant, so the distinct rows come sorted by their last site.
-    Under ENUMERATION_BOUND the code fits int64: over the mid + 1 times
-    of a half, the widths multiply to at most mid! (2h+1)^mid, below
-    8! * 10^7.
-    """
-    code = np.zeros(rows.shape[0], dtype=np.int64)
-    stride = 1
-    for k, (lo, hi) in enumerate(bounds):
-        code += (rows[:, k] - lo) * stride
-        stride *= hi - lo + 1
-    _, first, which = np.unique(code, return_index=True, return_inverse=True)
-    return rows[first], which.ravel()
+    ``levels`` are the _walk levels of m chains P from the one site of
+    ``bounds[0]``.  Entry [i, r, x] sums, over every chain Q through the
+    ``bounds`` intervals from that site to x, the product of
+    hop(q_k - q_k-1) over Q's steps and of the distance factors between Q
+    and chain i: the tube |q_k - p_k| <= radius r (max variants),
+    exp(-c_k |q_k - p_k|) per site (L1 variants), or exp(-c |dq - dp|)
+    per step (velocity_l1).  The first site's factor is 1 (P and Q share
+    it); the last time's is applied only if ``last_site``, so that a site
+    shared by two halves is counted once.
 
-
-def _messages(rows, bounds, hop, dtype, terms, last_site: bool) -> np.ndarray:
-    """Messages of each row over the sites of its last column, (m, radii, sites).
-
-    ``rows`` (m, L+1) are site sequences P sharing their first site.
-    Entry [i, r, x] sums, over every chain Q through the ``bounds``
-    intervals from that first site to x, the product of hop(q_k - q_k-1)
-    over Q's steps and of the distance factors between Q and row i:
-    the tube |q_k - p_k| <= radius r (max variants), exp(-c_k |q_k - p_k|)
-    per site (L1 variants), or exp(-c |dq - dp|) per step (velocity_l1).
-    The first column's factor is 1 (P and Q share the site); the last
-    column's is applied only if ``last_site``, so that a site shared by
-    two halves is counted once.
+    Each step multiplies the distinct parents' messages by the hop kernel
+    once, gathers the products to the children, and only then applies
+    the factor of each child's own site; velocity_l1 takes one product
+    per step value, over the parents of the children that step by it.
     """
     radii, site_c, edge_c = terms
-    m, L = rows.shape[0], rows.shape[1] - 1
     lo, hi = bounds[0]
-    msg = np.zeros((m * radii.size, hi - lo + 1), dtype=dtype)
-    msg[:, rows[0, 0] - lo] = 1.0
-    for k in range(1, L + 1):
-        sites = np.arange(bounds[k][0], bounds[k][1] + 1)
-        delta = sites - np.arange(lo, hi + 1)[:, None]
+    msg = np.zeros((radii.size, hi - lo + 1), dtype=dtype)
+    msg[:, 0] = 1.0
+    last = np.array([lo])
+    for k, (sites, parents) in enumerate(levels, 1):
+        x = np.arange(bounds[k][0], bounds[k][1] + 1)
+        delta = x - np.arange(lo, hi + 1)[:, None]
         kernel = hop(delta)
         if edge_c is None:
-            msg = msg @ kernel
+            msg = (msg @ kernel).reshape(-1, radii.size, x.size)[parents]
         else:
             # one radius; the factor depends on P's step, one kernel per value
-            out = np.empty((m, sites.size), dtype=dtype)
-            values, which = np.unique(rows[:, k] - rows[:, k - 1], return_inverse=True)
+            prev, msg = msg, np.empty((parents.size, 1, x.size), dtype=dtype)
+            values, which = np.unique(sites - last[parents], return_inverse=True)
             for j, v in enumerate(values):
-                pick = which.ravel() == j
-                out[pick] = msg[pick] @ (kernel * _decay(edge_c, np.abs(delta - v)))
-            msg = out
+                pick = which == j
+                msg[pick, 0] = prev[parents[pick]] @ (kernel * _decay(edge_c, np.abs(delta - v)))
         lo, hi = bounds[k]
-        if k < L or last_site:
-            gap = np.abs(sites - rows[:, k, None])
-            view = msg.reshape(m, radii.size, -1)
+        if k < len(levels) or last_site:
+            gap = np.abs(x - sites[:, None])
             if site_c is not None:
-                view *= _decay(site_c[k], gap)[:, None, :]
-            elif radii[0] < sites.size - 1:  # else every tube holds every site
-                view *= gap[:, None, :] <= radii[:, None]
-    return msg.reshape(m, radii.size, -1)
+                msg *= _decay(site_c[k], gap)[:, None, :]
+            elif radii[0] < x.size - 1:  # else every tube holds every site
+                msg *= gap[:, None, :] <= radii[:, None]
+        msg = msg.reshape(-1, x.size)
+        last = sites
+    return msg.reshape(-1, radii.size, hi - lo + 1)
 
 
 def _decay(c, gap):
@@ -513,81 +595,112 @@ def _distance_terms(spec: LatticeSpec, distance: DistanceSpec, scale: float, bou
         return (radii, np.minimum(c * scale, _FLOAT_MAX), None), weights
 
 
-def transfer_plan(spec: LatticeSpec, sites: np.ndarray, distance: DistanceSpec, scales):
+def _hops(spec: LatticeSpec):
+    """((count, float), (amp, complex128)): the unit and exp(-i m dx^2 / 2) hop kernels.
+
+    Each maps site differences to their kernel entries, 0 past the hop;
+    the phase is taken of the differences within the hop only, so a mass
+    that _check_scale admits keeps it finite.
+    """
+    h, m = spec.hop, spec.mass
+
+    def count(delta):
+        return (np.abs(delta) <= h).astype(float)
+
+    def amp(delta):
+        near = np.abs(delta) <= h
+        return np.where(near, np.exp(-0.5j * m * np.where(near, delta, 0).astype(float) ** 2), 0)
+
+    return (count, float), (amp, np.complex128)
+
+
+def transfer_plan(spec: LatticeSpec, distance: DistanceSpec, scales):
     """smeared(distance_scale, phases): smeared sums at each phase and their denominators.
 
-    ``sites`` is enumerate_paths(spec); ``distance`` one of
-    FACTORING_VARIANTS, times ``distance_scale``, which must be one of
-    ``scales``; ``phases`` the phase plate settings, each turning the
-    amplitude of every path with middle site >= 1 (upper_arm_mask) by
-    exp(-i phase).  For each path P the smeared sum is sum_Q A(Q)
-    exp(-d(P, Q)) over the whole ensemble and the denominator
+    The sums run over the paths of enumerate_paths(spec), in its order;
+    ``distance`` is one of FACTORING_VARIANTS, times ``distance_scale``,
+    which must be one of ``scales``; ``phases`` the phase plate settings,
+    each turning the amplitude of every path with middle site >= 1
+    (upper_arm_mask) by exp(-i phase).  For each path P the smeared sum is
+    sum_Q A(Q) exp(-d(P, Q)) over the whole ensemble and the denominator
     sum_Q exp(-d(P, Q)), as the dense pass gives them.
 
     exp(-d) factors over time (per radius, for the max variants), and so
     does A, so each sum splits at the middle time into a forward message
     over P's prefix and a backward message over its suffix (_messages),
-    both over Q's middle site.  The messages run once per distinct
-    prefix and suffix; the paths through one middle site are every
-    pairing of its prefixes with its suffixes, so one product of their
-    message matrices gives the sums of exactly those paths.  The phase
-    plate and the radius weights act on the forward side, and the
-    denominators come from the same messages with unit amplitudes.
-    Nothing of size n x n is built; transfer_bytes bounds what is.
+    both over Q's middle site.  The messages run over the walks of
+    path_halves, once per distinct prefix and suffix and, before the
+    middle, once per distinct shorter chain; nothing here runs over the
+    paths one by one but the placing of each path's sum.  The paths
+    through one middle site are every pairing of its prefixes with its
+    suffixes, so one product of their message matrices gives the sums of
+    exactly those paths.  The phase plate and the radius weights act on
+    the forward side, and the denominators come from the same messages
+    with unit amplitudes.  Nothing of size n x n is built;
+    transfer_bytes bounds what is.
 
-    The plan, built once, holds what no scale changes: the distinct
-    prefixes and suffixes, each path's place in the joined blocks, and,
-    for the max variants, the forward and backward count and amplitude
-    messages over every radius that some scale's weights keep.  Each
-    call picks its scale's radii from those messages, weights them and
-    joins; the radius rows of a message do not depend on which other
-    radii run beside them, so a scale gets the bits of a plan built for
-    it alone.  The L1 variants' messages carry the scale in every
-    factor, so each call runs its own.
+    The plan, built once, holds what no scale changes: the walks, each
+    path's place in the joined blocks, and, for the max variants, the
+    forward and backward count and amplitude messages over every radius
+    that some scale's weights keep.  Each call picks its scale's radii
+    from those messages, and weights and joins them one middle site's
+    block of prefixes at a time; the radius rows of a
+    message do not depend on which other radii run beside them, so a
+    scale gets the bits of a plan built for it alone.  The L1 variants'
+    messages carry the scale in every factor, so each call runs its own.
     """
     if distance.name not in FACTORING_VARIANTS:
         raise ValueError(f"{distance.name} does not factor over time steps")
-    mid = sites.shape[1] // 2
+    halves = path_halves(spec)
+    mid = halves.prefixes.shape[1] - 1
     bounds = _site_bounds(spec)
     # suffixes are walked backward from the end, so their middle site comes last
     fwd_bounds, bwd_bounds = bounds[: mid + 1], bounds[: mid - 1 : -1]
-    pre, pre_of = _distinct(sites[:, : mid + 1], fwd_bounds)
-    suf, suf_of = _distinct(sites[:, : mid - 1 : -1], bwd_bounds)
-    h, m = spec.hop, spec.mass
-
-    def amp(delta):
-        return np.where(np.abs(delta) <= h, np.exp(-0.5j * m * delta.astype(float) ** 2), 0)
-
-    def count(delta):
-        return (np.abs(delta) <= h).astype(float)
+    fwd_walk, bwd_walk = halves.walks
+    counting, amplitude = _hops(spec)
 
     def messages(hop, dtype, terms):
         """Forward and backward messages, each (rows, radii, sites)."""
         radii, site_c, edge_c = terms
         back_c = None if site_c is None else site_c[::-1]
-        fwd = _messages(pre, fwd_bounds, hop, dtype, terms, last_site=True)
-        bwd = _messages(suf, bwd_bounds, hop, dtype, (radii, back_c, edge_c), last_site=False)
+        fwd = _messages(fwd_walk, fwd_bounds, hop, dtype, terms, last_site=True)
+        bwd = _messages(bwd_walk, bwd_bounds, hop, dtype, (radii, back_c, edge_c),
+                        last_site=False)
         return fwd, bwd
 
     lo, hi = bounds[mid]
     middle = np.arange(lo, hi + 1)
     # block k of the joined sums pairs the prefixes pre_at[k]:pre_at[k+1]
-    # with the suffixes suf_at[k]:suf_at[k+1], those through middle site k
-    pre_at = np.searchsorted(pre[:, -1], np.arange(lo, hi + 2))
-    suf_at = np.searchsorted(suf[:, -1], np.arange(lo, hi + 2))
-    n_suf = np.diff(suf_at)
-    start = np.concatenate([[0], np.cumsum(np.diff(pre_at) * n_suf)])
-    k = sites[:, mid] - lo
-    place = start[k] + (pre_of - pre_at[k]) * n_suf[k] + (suf_of - suf_at[k])
-    del k, pre_of, suf_of
+    # with the suffixes suf_at[k]:suf_at[k+1], those through middle site k;
+    # as the prefixes come by middle site, prefix i's sums start at the
+    # runs of the prefixes before it.  Each block is (a, b, c, d, sums
+    # from, sums to), as Python ints for the slices of each call
+    pre_at = np.searchsorted(halves.prefixes[:, -1], np.arange(lo, hi + 2))
+    suf_at = np.searchsorted(halves.suffixes[:, 0], np.arange(lo, hi + 2))
+    start = np.concatenate([[0], np.cumsum(halves.runs)])
+    blocks = np.column_stack([pre_at[:-1], pre_at[1:], suf_at[:-1], suf_at[1:],
+                              start[pre_at[:-1]], start[pre_at[1:]]]).tolist()
+    place = halves.spread(start[:-1])
+    n_pre, n_suf = halves.prefixes.shape[0], halves.suffixes.shape[0]
+    del halves  # the plan keeps the walks only
 
-    def join(left, right):
-        flat = np.empty(start[-1], dtype=np.result_type(left, right))
-        for k in range(middle.size):
-            a, b, c, d = pre_at[k], pre_at[k + 1], suf_at[k], suf_at[k + 1]
-            block = flat[start[k] : start[k + 1]].reshape(b - a, d - c)
-            np.matmul(left[a:b], right[c:d].T, out=block)
-        return flat[place]
+    def join(left, right, plates):
+        """Each path's product of its prefix's forward row and its suffix's row of ``right``.
+
+        left(a, b) gives the forward rows of the prefixes a..b-1, so that
+        no more than one middle site's block of them is made at a time;
+        there is one result per entry of ``plates``, which multiplies
+        those rows unless it is None.
+        """
+        flats = [np.empty(place.size, dtype=right.dtype) for _ in plates]
+        for a, b, c, d, first, last in blocks:
+            rows, cols = left(a, b), right[c:d].T
+            for flat, plate in zip(flats, plates):
+                block = flat[first:last].reshape(b - a, d - c)
+                np.matmul(rows if plate is None else rows * plate, cols, out=block)
+        for i, flat in enumerate(flats):
+            flats[i] = flat[place]
+        return flats
 
     shared = None
     if distance.name in MAX_VARIANTS:
@@ -599,35 +712,34 @@ def transfer_plan(spec: LatticeSpec, sites: np.ndarray, distance: DistanceSpec, 
         row = np.full(kept.size, -1)
         row[union] = np.arange(union.size)
         shared = {dtype: messages(hop, dtype, (union, None, None))
-                  for hop, dtype in ((count, float), (amp, np.complex128))}
+                  for hop, dtype in (counting, amplitude)}
 
     def weighted(hop, dtype, terms, weights):
-        """Forward (radius-weighted) and backward messages as (rows, radius x site) matrices."""
+        """(left, backward): the radius-weighted forward rows for join, and the backward messages.
+
+        Both are (rows, radius x site) matrices; a plan's shared messages
+        are weighted one block of rows at a time, as join asks for them.
+        """
         if shared is None:
             fwd, bwd = messages(hop, dtype, terms)
             fwd *= weights[:, None]
-        else:
-            pick = row[terms[0]]
-            if pick.min() < 0:
-                raise ValueError("the scale keeps a radius the plan was not built for")
-            if pick.size == union.size:
-                pick = slice(None)
-            fwd, bwd = shared[dtype]
-            fwd, bwd = fwd[:, pick] * weights[:, None], bwd[:, pick]
-        return fwd.reshape(len(pre), -1), bwd.reshape(len(suf), -1)
+            fwd = fwd.reshape(n_pre, -1)
+            return (lambda a, b: fwd[a:b]), bwd.reshape(n_suf, -1)
+        pick = row[terms[0]]
+        if pick.min() < 0:
+            raise ValueError("the scale keeps a radius the plan was not built for")
+        if pick.size == union.size:
+            pick = slice(None)
+        fwd, bwd = shared[dtype]
+        return ((lambda a, b: (fwd[a:b, pick] * weights[:, None]).reshape(b - a, -1)),
+                bwd[:, pick].reshape(n_suf, -1))
 
     def smeared(distance_scale, phases):
         terms, weights = _distance_terms(spec, distance, distance_scale, bounds)
-        denom = join(*weighted(count, float, terms, weights))
-        fwd, bwd = weighted(amp, np.complex128, terms, weights)
-        out = []
-        for phase in phases:
-            if phase:
-                plate = np.tile(np.where(middle >= 1, np.exp(-1j * phase), 1.0), weights.size)
-                out.append(join(fwd * plate, bwd))
-            else:
-                out.append(join(fwd, bwd))
-        return out, denom
+        (denom,) = join(*weighted(*counting, terms, weights), [None])
+        plates = [np.tile(np.where(middle >= 1, np.exp(-1j * phase), 1.0), weights.size)
+                  if phase else None for phase in phases]
+        return join(*weighted(*amplitude, terms, weights), plates), denom
 
     return smeared
 
@@ -659,7 +771,7 @@ def _passes(spec, distance, scales, transfer=None):
         transfer = admit_scales(spec, distance, scales)
     sites = enumerate_paths(spec)
     if transfer:
-        return sites, transfer_plan(spec, sites, distance, scales)
+        return sites, transfer_plan(spec, distance, scales)
     mask = upper_arm_mask(sites).astype(float)
 
     def dense(distance_scale, phases):

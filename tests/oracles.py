@@ -8,7 +8,9 @@ two-pass toy sweep cell keep the plain forms the package's tiled kernel
 and one-build cell must reproduce bit for bit; the 512-row block dense
 pass keeps the form whose bits the tiled dense route must reproduce; the
 recursive lattice walk gives the depth-first order the vectorized
-enumeration must keep.  The screen model's
+enumeration must keep, and row_messages computes the transfer route's
+messages over every row at every step, the bits the messages over the
+walks' distinct chains must keep.  The screen model's
 materializer and block_distance_matrix build numpy arrays for the dense
 engine to read; the materializer's distance tables come from
 step_distance_table, not from the package's distance code.
@@ -213,6 +215,50 @@ def dfs_lattice_paths(spec):
     if not out:
         raise NoPaths("no admissible path (extent too tight)")
     return np.asarray(out, dtype=int)
+
+
+def _row_decay(c, gap):
+    with np.errstate(over="ignore"):
+        return np.exp(-c * gap)
+
+
+def row_messages(rows, bounds, hop, dtype, terms, last_site):
+    """The transfer route's messages, one row of work per row of ``rows`` at every step.
+
+    ``rows`` (m, L+1) are site sequences sharing their first site, and
+    the result is (m, radii, sites): what lattice._messages gives for the
+    walk that grows exactly these rows.  Each step multiplies all m rows'
+    messages by the hop kernel (velocity_l1: the rows of each step value
+    by that value's kernel), then applies each row's tube or site factor
+    at its own site, skipping the last column's unless ``last_site``.
+    """
+    radii, site_c, edge_c = terms
+    m, L = rows.shape[0], rows.shape[1] - 1
+    lo, hi = bounds[0]
+    msg = np.zeros((m * radii.size, hi - lo + 1), dtype=dtype)
+    msg[:, rows[0, 0] - lo] = 1.0
+    for k in range(1, L + 1):
+        sites = np.arange(bounds[k][0], bounds[k][1] + 1)
+        delta = sites - np.arange(lo, hi + 1)[:, None]
+        kernel = hop(delta)
+        if edge_c is None:
+            msg = msg @ kernel
+        else:
+            out = np.empty((m, sites.size), dtype=dtype)
+            values, which = np.unique(rows[:, k] - rows[:, k - 1], return_inverse=True)
+            for j, v in enumerate(values):
+                pick = which.ravel() == j
+                out[pick] = msg[pick] @ (kernel * _row_decay(edge_c, np.abs(delta - v)))
+            msg = out
+        lo, hi = bounds[k]
+        if k < L or last_site:
+            gap = np.abs(sites - rows[:, k, None])
+            view = msg.reshape(m, radii.size, -1)
+            if site_c is not None:
+                view *= _row_decay(site_c[k], gap)[:, None, :]
+            elif radii[0] < sites.size - 1:
+                view *= gap[:, None, :] <= radii[:, None]
+    return msg.reshape(m, radii.size, -1)
 
 
 def flip_last_theta(spec):

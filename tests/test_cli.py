@@ -990,7 +990,7 @@ def _refuse_enumeration(monkeypatch):
     def refuse(*args):
         raise AssertionError("counted or enumerated paths")
 
-    for name in ("enumerate_paths", "path_count", "_halves"):
+    for name in ("enumerate_paths", "path_halves", "path_count", "_halves"):
         monkeypatch.setattr(lattice, name, refuse)
 
 
@@ -1072,6 +1072,79 @@ def test_classify_refuses_a_non_finite_event(tmp_path, capsys, events):
     assert run_cli(["classify", str(path)]) == 64
     captured = capsys.readouterr()
     assert captured.out == "" and "must be finite" in captured.err
+
+
+@pytest.mark.parametrize("argv, transfer", [
+    (["--steps", "4", "--extent", "3", "--hop", "2"], False),
+    (["--steps", "7", "--extent", "6", "--hop", "2"], True),
+])
+def test_huge_lattice_mass_exits_65_before_enumeration(tmp_path, capsys, monkeypatch, argv,
+                                                       transfer):
+    # 0.5 m T min(h, 2X)^2 past the float range: one refusal on either route
+    from realpathsim.lattice import LatticeSpec, admit
+
+    steps, extent, hop = (int(v) for v in argv[1::2])
+    spec = LatticeSpec(steps=steps, extent=extent, start=0, end=0, hop=hop)
+    assert admit(spec, DistanceSpec("max_sep"))[1] is transfer
+    _refuse_enumeration(monkeypatch)
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["lattice", *argv, "--mass", "1e308", "--output", str(out)]) == 65
+    assert list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("SpecViolation: the lattice mass 1e+308 takes the action")
+
+
+def test_huge_mass_under_mass_l1_runs_without_a_warning(tmp_path):
+    # 0.5 m T min(h, 2X)^2 = 1.5e308 is finite, but mass times a distance
+    # is not: held at the largest float, exp(-m d) is 0 there
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in ("1", "0"):
+            assert run_cli(["lattice", "--steps", "3", "--extent", "2", "--hop", "1",
+                            "--mass", "1e308", "--distance", "mass_l1",
+                            "--distance-scale", scale, "--output", str(out)]) == 0
+            assert "nan" not in out.read_text()
+
+
+def test_large_admitted_mass_runs_on_the_transfer_route_without_a_warning(tmp_path):
+    # 0.5 m T h^2 = 1.4e308 is admitted, though 0.5 m (2X)^2 = 7.2e308, the
+    # phase of a difference across the lattice, is not finite: the hop
+    # kernel takes the phase of the differences within the hop only
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["lattice", "--steps", "7", "--extent", "6", "--hop", "2",
+                        "--mass", "1e307", "--output", str(out)]) == 0
+    assert "nan" not in out.read_text()
+
+
+@pytest.mark.parametrize("spec, rows", [
+    (dict(steps=1, extent=3, start=-2, end=1, hop=3), 1),
+    (dict(steps=2, extent=3, start=0, end=0, hop=1), 2),
+    (dict(steps=4, extent=12, start=-10, end=-9, hop=3), 7),   # sites -12..-4, "-10"
+    (dict(steps=5, extent=11, start=10, end=-1, hop=3), 10),   # sites -2..11
+    (dict(steps=6, extent=6, start=0, end=0, hop=2), 7),       # 1 751: index widths 1 to 4
+    (dict(steps=6, extent=6, start=0, end=0, hop=2), 100),     # blocks end at 100, 1000
+    (dict(steps=8, extent=6, start=-1, end=2, hop=2), 997),    # 29 329 rows: widths to 5
+    (dict(steps=7, extent=6, start=0, end=0, hop=2), None),    # the default blocks
+])
+def test_paths_file_has_the_bytes_of_the_row_formatter(monkeypatch, spec, rows):
+    from realpathsim.lattice import LatticeSpec, enumerate_paths
+
+    if rows is not None:
+        monkeypatch.setattr(cli, "_CSV_ROWS", rows)
+    spec = LatticeSpec(**spec)
+    sites = enumerate_paths(spec)
+    header = "index," + ",".join(f"x{t}" for t in range(spec.steps + 1)) + "\n"
+    want = header + "".join(cli._csv_lines(",".join(["%d"] * (spec.steps + 2)) + "\n",
+                                           np.arange(1, len(sites) + 1), sites))
+    blocks = list(cli._paths_text(spec))
+    assert "".join(blocks) == want
+    assert len(blocks) == 1 + -(-len(sites) // cli._CSV_ROWS)
 
 
 def test_lattice_sweep_enumerates_once_and_passes_messages_once(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ triangle violation of the step distance.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,10 +17,11 @@ from realpathsim.distances import (
     GALILEAN_VARIANTS,
     MASS_VARIANTS,
     DistanceSpec,
+    GridPathSource,
     grid_distance_matrix,
 )
 from realpathsim.errors import EndpointMismatch, SpecViolation
-from realpathsim.lattice import LatticeSpec, run_lattice_experiment
+from realpathsim.lattice import LatticeSpec, enumerate_paths, run_lattice_experiment
 
 from oracles import (
     IncompatibleGrids,
@@ -246,3 +248,23 @@ def test_distance_mass_must_be_finite_and_non_negative():
                 run_lattice_experiment(spec, DistanceSpec(name))
         spec = LatticeSpec(steps=4, extent=3, start=0, end=0, hop=2, mass=0.0)
         assert run_lattice_experiment(spec, DistanceSpec(name))[0].n_paths == 83
+
+
+@pytest.mark.parametrize("name", MASS_VARIANTS)
+def test_mass_times_distance_is_held_at_the_largest_float(name):
+    # mass 1e308 times a distance above 1.8 passes the float range: the
+    # row holds -max there, and a scale of 0 still takes every entry to 0
+    sites = enumerate_paths(LatticeSpec(steps=3, extent=2, start=0, end=0, hop=1))
+    n = len(sites)
+    top = np.finfo(float).max
+    plain = GridPathSource(sites, DistanceSpec(name), 1.0).neg_rows(0, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = GridPathSource(sites, DistanceSpec(name), 1e308).neg_rows(0, n)
+        zero = GridPathSource(sites, DistanceSpec(name), 1e308, 0.0).neg_rows(0, n)
+    with np.errstate(over="ignore"):
+        product = plain * 1e308
+    past = ~np.isfinite(product)
+    assert past.any() and np.all(huge[past] == -top)
+    assert np.array_equal(huge[~past], product[~past])
+    assert np.all(zero == 0.0)

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from realpathsim import cli, engine
 from realpathsim.distances import (
@@ -27,13 +28,20 @@ from realpathsim.engine import (
 from realpathsim.errors import ModelTooLarge, NoPaths, SpecViolation, TooManyPaths
 from realpathsim.lattice import (
     FACTORING_VARIANTS,
+    MAX_VARIANTS,
     LatticeSpec,
+    _distance_terms,
+    _halves,
+    _hops,
+    _messages,
+    _site_bounds,
     admit,
     corridor_weights,
     curvature_cutoff_weights,
     enumerate_paths,
     lattice_ensemble,
     path_count,
+    path_halves,
     run_lattice_experiment,
     transfer_amplitude,
     transfer_bytes,
@@ -43,7 +51,13 @@ from realpathsim.lattice import (
     upper_arm_mask,
 )
 
-from oracles import block_dense_smeared, dfs_lattice_paths, galilean_distance, site_path
+from oracles import (
+    block_dense_smeared,
+    dfs_lattice_paths,
+    galilean_distance,
+    row_messages,
+    site_path,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -224,6 +238,74 @@ def test_enumeration_matches_depth_first_walk():
             enumerate_(unreachable)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_walk_matches_depth_first_walk_on_drawn_specs(data):
+    # any start and end, hops up to wider than the lattice, and ends the
+    # extent or the hop cannot reach, which LatticeSpec would refuse
+    steps = data.draw(st.integers(1, 8), label="steps")
+    extent = data.draw(st.integers(0, 4), label="extent")
+    hop = data.draw(st.integers(1, 2 * extent + 3), label="hop")
+    start = data.draw(st.integers(-extent, extent), label="start")
+    end = data.draw(st.integers(-extent - 1, extent + 1), label="end")
+    spec = SimpleNamespace(steps=steps, extent=extent, start=start, end=end, hop=hop)
+    assume(path_count(spec) <= 5000)
+    try:
+        want = dfs_lattice_paths(spec)
+    except NoPaths:
+        with pytest.raises(NoPaths):
+            enumerate_paths(spec)
+        return
+    assert np.array_equal(enumerate_paths(spec), want)
+    halves = path_halves(spec)
+    mid = (steps + 1) // 2
+    counts = (int(halves.runs.sum()), halves.prefixes.shape[0], halves.suffixes.shape[0])
+    assert counts == (want.shape[0], len(np.unique(want[:, : mid + 1], axis=0)),
+                      len(np.unique(want[:, mid:], axis=0)))
+    try:
+        full = LatticeSpec(steps=steps, extent=extent, start=start, end=end, hop=hop)
+    except TooManyPaths:  # the worst case (2h+1)^(T-1) of a hop wider than the lattice
+        return
+    assert counts == _halves(full)[:3]
+
+
+def _message_sides(spec):
+    """(walk levels, rows, bounds, last_site, backward) of the forward and backward messages."""
+    halves = path_halves(spec)
+    bounds = _site_bounds(spec)
+    mid = halves.prefixes.shape[1] - 1
+    return bounds, [(halves.walks[0], halves.prefixes, bounds[: mid + 1], True, False),
+                    (halves.walks[1], halves.suffixes[:, ::-1], bounds[: mid - 1 : -1], False, True)]
+
+
+@pytest.mark.parametrize("spec", [
+    LatticeSpec(steps=5, extent=6, start=0, end=0, hop=2, mass=1.7),
+    LatticeSpec(steps=6, extent=6, start=-1, end=2, hop=2, mass=0.7),
+    LatticeSpec(steps=7, extent=6, start=0, end=0, hop=2),
+    LatticeSpec(steps=8, extent=6, start=0, end=0, hop=2),
+])
+def test_messages_over_the_walks_have_the_row_by_row_bits(spec):
+    # every factoring variant, count and amplitude hops, both directions,
+    # at each scale's terms and, for the max variants, at every radius a plan
+    # for several scales can hold
+    bounds, sides = _message_sides(spec)
+    for name in FACTORING_VARIANTS:
+        term_sets = [_distance_terms(spec, DistanceSpec(name), scale, bounds)[0]
+                     for scale in (0.0, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0)]
+        if name in MAX_VARIANTS:
+            spread = max(hi - lo for lo, hi in bounds)
+            term_sets.append((np.arange(spread + 1), None, None))
+        for radii, site_c, edge_c in term_sets:
+            for hop, dtype in _hops(spec):
+                for levels, rows, side_bounds, last_site, backward in sides:
+                    c = site_c[::-1] if backward and site_c is not None else site_c
+                    terms = (radii, c, edge_c)
+                    got = _messages(levels, side_bounds, hop, dtype, terms, last_site)
+                    want = row_messages(rows, side_bounds, hop, dtype, terms, last_site)
+                    assert got.dtype == want.dtype and got.shape == want.shape, (name, backward)
+                    assert got.tobytes() == want.tobytes(), (name, radii.size, dtype, backward)
+
+
 def test_path_count_matches_enumeration_and_transfer():
     for T, X, h, a, b in [(1, 5, 3, -2, 1), (2, 10, 4, 0, 0), (3, 2, 3, -2, 2),
                           (4, 1, 1, 0, 0), (5, 3, 1, 0, 1), (6, 6, 2, 0, 0)]:
@@ -288,7 +370,7 @@ def test_one_pass_experiment_matches_separate_runs():
     w = corridor_weights(sites)
     masses = []
     for phase in (0.0, np.pi):
-        (smeared,), denom = transfer_plan(spec, sites, dspec, [0.3])(0.3, (phase,))
+        (smeared,), denom = transfer_plan(spec, dspec, [0.3])(0.3, (phase,))
         masses.append(float(np.sum(weighted_probabilities(smeared, denom, w))))
     assert vis == abs(masses[0] - masses[1]) / (masses[0] + masses[1])
     # and, within the 1e-12 of the oracle tests below, from two runs of
@@ -392,7 +474,7 @@ def _dense_oracle(spec, sites, dspec, scale, blocks=None):
 
 
 def _assert_transfer_matches(spec, sites, dspec, scale, blocks=None):
-    got, denom = transfer_plan(spec, sites, dspec, [scale])(scale, ORACLE_PHASES)
+    got, denom = transfer_plan(spec, dspec, [scale])(scale, ORACLE_PHASES)
     want, want_denom, rows = _dense_oracle(spec, sites, dspec, scale, blocks)
     assert np.all(np.abs(denom[rows] - want_denom) <= 1e-12 * want_denom), (dspec, scale)
     for phase, g, v in zip(ORACLE_PHASES, got, want):
@@ -465,7 +547,7 @@ def test_experiments_take_the_route_admit_picks(monkeypatch):
         two_arm_sweep(wide, DistanceSpec(name), [1.0])(1.0)
     monkeypatch.undo()
     with pytest.raises(ValueError, match="does not factor"):
-        transfer_plan(spec, enumerate_paths(spec), DistanceSpec("l2"), [1.0])
+        transfer_plan(spec, DistanceSpec("l2"), [1.0])
 
 
 def test_transfer_route_runs_steps_10():
@@ -485,13 +567,13 @@ def test_transfer_pass_peak_within_transfer_bytes():
     scales = [0.0, 0.3, 1.0, 100.0, 300.0]
 
     def sweep(dspec):
-        smeared = transfer_plan(STREAM_SPEC, sites, dspec, scales)
+        smeared = transfer_plan(STREAM_SPEC, dspec, scales)
         for scale in scales:
             smeared(scale, (0.0, np.pi))
 
     for name in FACTORING_VARIANTS:
         dspec = DistanceSpec(name)
-        for run in (lambda: transfer_plan(STREAM_SPEC, sites, dspec, [0.3])(0.3, (0.0, np.pi)),
+        for run in (lambda: transfer_plan(STREAM_SPEC, dspec, [0.3])(0.3, (0.0, np.pi)),
                     lambda: sweep(dspec)):
             tracemalloc.start()
             try:
