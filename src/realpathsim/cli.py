@@ -10,10 +10,13 @@ paths file).
 All numeric output uses 17-significant-digit floats, so identical
 configs produce byte-identical files.  Exit codes follow sysexits:
 64 bad config, 65 spec violation / bad data, 70 no probability
-distribution exists.  Every subcommand computes on the calling thread,
-a sweep too: its cells run one after another.  main caps every OpenBLAS
-loaded into its process at one thread, once, so that OpenBLAS's own
-pool does not spin beside that one thread (see _cap_blas_threads).
+distribution exists.  A command line argparse refuses (a missing,
+unknown or malformed flag) keeps argparse's exit 2 and usage message,
+which scripts may test for.  Every subcommand computes on the calling
+thread, a sweep too: its cells run one after another.  main caps every
+OpenBLAS loaded into its process at one thread, once, so that
+OpenBLAS's own pool does not spin beside that one thread (see
+_cap_blas_threads).
 """
 
 from __future__ import annotations
@@ -135,14 +138,20 @@ def _write(path: str | None, blocks):
 
 
 def _csv_lines(row: str, *columns):
-    """The %-format ``row`` applied to each row of the stacked columns, one block at a time.
+    """The %-format ``row`` applied to each row of the columns, one block at a time.
 
-    Stacks and formats _CSV_ROWS rows per block; "%.17g" % x prints
-    exactly _fmt(x), and "%r" % x what json.dumps writes for a finite x.
+    Formats _CSV_ROWS rows per block from each column's tolist(), a 2-D
+    column's one list per column of its own, so that an int column
+    gives %d ints, not floats; "%.17g" % x prints exactly _fmt(x), and
+    "%r" % x what json.dumps writes for a finite x.
     """
     for lo in range(0, len(columns[0]), _CSV_ROWS):
-        block = np.column_stack([c[lo : lo + _CSV_ROWS] for c in columns])
-        yield (row * len(block)) % tuple(block.ravel().tolist())
+        hi = min(lo + _CSV_ROWS, len(columns[0]))
+        lists = [v for c in columns for v in np.reshape(c[lo:hi], (hi - lo, -1)).T.tolist()]
+        flat = [None] * ((hi - lo) * len(lists))
+        for j, values in enumerate(lists):  # row by row, as the format reads them
+            flat[j :: len(lists)] = values
+        yield (row * (hi - lo)) % tuple(flat)
 
 
 def _distribution_text(dist: PathDistribution, fmt: str):
@@ -695,9 +704,37 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# the flags build_parser reads as floats
+_FLOAT_FLAGS = ("--mass", "--distance-scale", "--threshold")
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with each of _FLOAT_FLAGS joined to a negative float after it, as its = form.
+
+    argparse reads a token that starts with "-" as a value only when it
+    reads as a number without an exponent, so "--mass -2e-3" would lose
+    its value where "--mass=-2e-3" and "--mass -0.002" parse.  A flag
+    is also taken by a prefix, as argparse takes it ("--distance-sc").
+    Any other token is left as it is, for argparse to parse or refuse.
+    """
+    out: list[str] = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        if len(flag) > 2 and any(f.startswith(flag) for f in _FLOAT_FLAGS) and arg.startswith("-"):
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + arg
+                continue
+        out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     _cap_blas_threads()
     try:
         return args.func(args)

@@ -24,9 +24,9 @@ The smearing sum has two routes:
   windows read only such entries has the bits of the row two before it:
   ``CompactPrefix`` holds such a prefix without its n entries, and its
   ``rows`` method gives the rows a radius must compute; ``CompactRows``
-  holds a sweep cell's rows with np.sum's bits over all n, and
-  ``distinct_rows`` gives a family's distinct rows and their repeats,
-  which the screen model multiplies over its three families.  The
+  holds a sweep cell's rows and their total with np.sum's bits over
+  all n, and ``distinct_rows`` gives a family's distinct rows and their
+  repeats, which the screen model multiplies over its three families.  The
   kernel works in the amplitudes' dtype: real amplitudes (a zero-phase
   toy model) keep the prefix, tiles and sums in float64, with the bits
   complex128 gives.
@@ -106,13 +106,16 @@ class PathDistribution:
 def check_probabilities(probs):
     """Raise ValueError unless probs are non-negative and sum to 1 within _SUM_ATOL.
 
-    ``probs`` is an array or CompactRows, whose rows outside its ranges
-    repeat rows inside them.
+    ``probs`` is an array, totalled by np.sum, or CompactRows, whose rows
+    outside its ranges repeat rows inside them, totalled by
+    CompactRows.total: each value times how often it repeats, not
+    np.sum's bits, which only C (CompactRows.sum) needs.  The order of
+    summation moves the total by far less than _SUM_ATOL.
     """
-    arrays = probs.values if isinstance(probs, CompactRows) else [probs]
-    if any(np.any(values < 0) for values in arrays):
+    compact = isinstance(probs, CompactRows)
+    if any(np.any(values < 0) for values in (probs.values if compact else [probs])):
         raise ValueError("negative probability")
-    total = float(probs.sum())  # an array's sum() is np.sum
+    total = probs.total() if compact else float(np.sum(probs))
     if not abs(total - 1.0) <= _SUM_ATOL:  # a NaN sum fails too
         raise ValueError(f"probabilities sum to {total}, not 1")
 
@@ -305,6 +308,9 @@ class CompactRows:
     Every row outside the ranges equals the row two before it, as
     CompactPrefix.rows gives them, so the stretch after a range repeats
     its last two values; a range a stretch follows holds at least two.
+    Two totals: ``sum`` has np.sum's bits over the n rows, by walking
+    numpy's pairwise tree, and serves C; ``total`` multiplies each
+    stretch's values by their repeats, and serves check_probabilities.
     """
 
     def __init__(self, n: int, ranges):
@@ -369,6 +375,24 @@ class CompactRows:
             return total
 
         return tree(0, self.n)
+
+    def total(self) -> float:
+        """The sum of the n rows, each distinct value times its repeats: not np.sum's bits.
+
+        np.add.reduce of each range, plus each stretch's two values times
+        how often each repeats: in a stretch of length L the first row
+        repeats values[-2], so it counts (L+1)//2 times and values[-1]
+        L//2 times.  A value repeated 0 times is not added, so that an
+        inf there does not make the total NaN.
+        """
+        total = 0.0
+        for values, a, b in zip(self.values, self.edges[1::2], self.edges[2::2]):
+            total += float(np.add.reduce(values))
+            if b > a:
+                total += float(values[-2]) * ((b - a + 1) // 2)
+            if b > a + 1:
+                total += float(values[-1]) * ((b - a) // 2)
+        return total
 
 
 class CompactPrefix:
@@ -467,10 +491,10 @@ class CompactPrefix:
         """
         n, R = self.n, min(radius, self.n)
         # clipped into the edge ranges, so that lo and hi both ascend
-        lo = np.clip(np.r_[0, self.breaks - R + 1, n - R - 2], 0, max(n - R - 2, 0))
-        hi = np.clip(np.r_[R + 2, self.breaks + R + 3, n], min(R + 2, n), n)
-        starts = np.flatnonzero(np.r_[True, lo[1:] > hi[:-1]])
-        return list(zip(lo[starts].tolist(), hi[np.r_[starts[1:] - 1, -1]].tolist()))
+        lo = np.clip(np.concatenate([[0], self.breaks - R + 1, [n - R - 2]]), 0, max(n - R - 2, 0))
+        hi = np.clip(np.concatenate([[R + 2], self.breaks + R + 3, [n]]), min(R + 2, n), n)
+        starts = np.flatnonzero(np.append(True, lo[1:] > hi[:-1]))
+        return list(zip(lo[starts].tolist(), hi[np.append(starts[1:], lo.size) - 1].tolist()))
 
 
 def distinct_rows(prefix: CompactPrefix, windows: Windows):

@@ -331,9 +331,11 @@ def beam_sweep(spec, dspecs):
     them, never N entries) and its rows(R) serve every cell: at the own
     phases, a banded pass over the rows near a beam or an edge, each
     range reading the prefix window it needs, into one buffer per range,
-    with the stretches between ranges left to CompactRows, whose sums
-    have np.sum's bits over all N rows; then one over the block rows
-    from the flipped grammar's own CompactPrefix, also built once.
+    with the stretches between ranges left to CompactRows, whose one
+    walk of numpy's pairwise tree (sum) gives C with np.sum's bits over
+    all N rows, and whose total checks the scaled rows; then one over
+    the block rows from the flipped grammar's own CompactPrefix, also
+    built once.
     Cells only read what they share.
     """
     m3 = spec.as_m3()

@@ -841,6 +841,32 @@ def test_lattice_bad_scale_or_mass_exits_65(tmp_path, capsys, flags):
     assert err.startswith("SpecViolation:") and "finite and >= 0" in err
 
 
+@pytest.mark.parametrize("value", ["-2e-3", "-1e+308"])
+@pytest.mark.parametrize("flag, weight", [
+    ("--mass", "uniform"), ("--distance-scale", "uniform"), ("--threshold", "curvature_cutoff"),
+    ("--distance-sc", "uniform"),  # a prefix argparse takes for --distance-scale
+])
+def test_negative_exponent_value_parses_as_its_equals_form(tmp_path, capsys, flag, weight, value):
+    # argparse reads "-2e-3" alone as a flag: after a float flag it is
+    # joined to it, so the space form exits, prints and writes what the
+    # = form does
+    out = tmp_path / "out.csv"
+    argv = ["lattice", "--steps", "3", "--extent", "2", "--weight", weight, "--output", str(out)]
+    runs = []
+    for form in ([flag, value], [f"{flag}={value}"]):
+        rc = run_cli([*argv, *form])
+        files = [path.read_bytes() for path in (out, Path(f"{out}.paths.csv")) if path.exists()]
+        runs.append((rc, *capsys.readouterr(), files))
+        for path in (out, Path(f"{out}.paths.csv")):
+            path.unlink(missing_ok=True)
+    assert runs[0] == runs[1]
+    assert runs[0][0] in (0, 65, 70)
+    # a token float() refuses is left for argparse, which exits 2
+    with pytest.raises(SystemExit) as exited:
+        main([*argv, flag, "-2e"])
+    assert exited.value.code == 2
+
+
 @pytest.mark.parametrize("fields", [
     {"distance_scale": -1},
     {"distance_scale": float("nan")},

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from realpathsim import engine, screen
 from realpathsim.distances import DistanceSpec
@@ -443,6 +443,58 @@ def test_compact_rows_refuse_a_stretch_without_two_rows_before():
         engine.CompactRows(10, [(0, np.ones(1)), (5, np.ones(5))])
     with pytest.raises(ValueError):
         engine.CompactRows(10, [(1, np.ones(9))])
+
+
+def _verdict(probs):
+    """None if check_probabilities accepts probs, else its message and the finite total named."""
+    try:
+        engine.check_probabilities(probs)
+    except ValueError as exc:
+        message = str(exc)
+    else:
+        return None
+    named = message.removeprefix("probabilities sum to ").removesuffix(", not 1")
+    if named != message and math.isfinite(float(named)):
+        return message.replace(named, "{total}"), float(named)
+    return message, None
+
+
+# a stretch of one row after range 0, whose last row (seat 2) repeats 0 times
+_ONE_ROW_STRETCH = (6, [(0, np.array([1.0, 2.0, 3.0])), (4, np.array([1.0, 1.0]))])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_compact_layouts(), st.sampled_from(["scaled", "nan", "inf", "negative", "offset"]),
+       st.integers(0, 2**31))
+@example(_ONE_ROW_STRETCH, "inf", 2)
+@example(_ONE_ROW_STRETCH, "nan", 2)
+def test_compact_check_decides_as_the_full_rows_do(layout, poison, seat):
+    # check_probabilities totals CompactRows by each stretch's repeats,
+    # not by np.sum's pairwise tree: on rows scaled to sum to 1, or
+    # poisoned in one row of a range, it accepts or refuses as on every
+    # row, naming a finite total to within its last bits
+    n, ranges = layout
+    full = np.abs(_strided_expansion(n, ranges))
+    top = full.max()
+    assume(top > 0)
+    scale = top * np.sum(full / top)
+    ranges = [(start, np.abs(values) / scale) for start, values in ranges]
+    k, pick = seat % len(ranges), seat // len(ranges)
+    values = ranges[k][1]
+    # one of the last two rows, which the stretch after them repeats, or any row
+    i = values.size - 1 - pick // 2 % min(2, values.size) if pick % 2 else pick // 2 % values.size
+    values[i] = {"scaled": values[i], "nan": np.nan, "inf": np.inf, "negative": -1e-3,
+                 "offset": values[i] + 1e-6}[poison]
+    rows = engine.CompactRows(n, ranges)
+    full = rows.take(0, n)
+    total = np.sum(full)
+    assert not abs(abs(total - 1.0) - engine._SUM_ATOL) <= 1e-12  # clear of the tolerance
+    got, want = _verdict(rows), _verdict(full)
+    assert (got is None) == (want is None) == (poison == "scaled")
+    if want is not None:
+        assert got[0] == want[0]
+        assert (got[1] is None) == (want[1] is None)
+        assert want[1] is None or got[1] == pytest.approx(want[1], rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 15, 33, 63, 65, 513])

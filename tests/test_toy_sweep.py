@@ -28,6 +28,7 @@ from realpathsim.cli import main
 from realpathsim.distances import DistanceSpec
 from realpathsim.engine import (
     CompactPrefix,
+    CompactRows,
     check_probabilities,
     distinct_rows,
     index_smeared,
@@ -210,6 +211,26 @@ def test_cell_computes_only_the_rows_near_a_beam_or_an_edge(monkeypatch):
         rows[dspec.D] = sum(handed)
     assert rows[2] <= 27
     assert max(rows.values()) == rows[5120] <= 20_706
+
+
+def test_cell_walks_the_pairwise_tree_once(monkeypatch):
+    # C takes CompactRows.sum, whose walk gives np.sum's bits; the
+    # probability check totals the compact rows instead
+    config = json.loads((DATA / "m2_sweep.json").read_text())
+    spec = M2Spec(**{k: v for k, v in config["model"].items() if k != "model"})
+    dspecs = [DistanceSpec(config["distance"]["name"], D=D) for D in config["sweep"]["values"]]
+    walks, walk = [], CompactRows.sum
+
+    def counted(rows):
+        walks.append(rows.n)
+        return walk(rows)
+
+    monkeypatch.setattr(CompactRows, "sum", counted)
+    cell = beam_sweep(spec, dspecs)
+    for dspec in dspecs:
+        walks.clear()
+        cell(dspec)
+        assert walks == [spec.N], dspec.D
 
 
 def test_cell_holds_no_full_length_array():
