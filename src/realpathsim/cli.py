@@ -198,17 +198,16 @@ def _index_table(lo: int, hi: int) -> np.ndarray:
     return table
 
 
-def _paths_text(spec: LatticeSpec):
+def _paths_text(spec: LatticeSpec, halves: lattice_mod.PathHalves):
     """The lattice paths file: a header, then "index,x0,...,xT" of each path in depth-first order.
 
-    Each distinct prefix and suffix of the paths (lattice.path_halves) is
-    %d-formatted once into a table; a block of _CSV_ROWS rows is one
-    concatenation of the index digits and its paths' prefix and suffix
-    rows of those tables, with the pad bytes dropped: the bytes of
+    Each distinct prefix and suffix of the paths (``halves``, the run's
+    walk) is %d-formatted once into a table; a block of _CSV_ROWS rows is
+    one concatenation of the index digits and its paths' prefix and
+    suffix rows of those tables, with the pad bytes dropped: the bytes of
     _csv_lines's "%d" rows.
     """
     yield "index," + ",".join(f"x{t}" for t in range(spec.steps + 1)) + "\n"
-    halves = lattice_mod.path_halves(spec)
     prefixes = _text_table(",".join(["%d"] * halves.prefixes.shape[1]), halves.prefixes)
     suffixes = _text_table(",%d" * (halves.suffixes.shape[1] - 1) + "\n", halves.suffixes[:, 1:])
     pre, suf = halves.pairs()
@@ -438,7 +437,7 @@ def cmd_run(args) -> int:
         dspec = _distance_spec(config, args.literal_log_half)
         _check_keys(config, _READS["run"][1], "run config")
         if isinstance(spec, LatticeSpec):
-            dist, _sites = lattice_mod.run_lattice_experiment(spec, dspec, **lattice)
+            dist, _ = lattice_mod.run_lattice_experiment(spec, dspec, **lattice)
         else:
             kernel_windows(dspec, spec.N)  # refused before the build
             dist = path_probabilities(build_model(spec), dspec)
@@ -629,13 +628,13 @@ def cmd_lattice(args) -> int:
     # a flag the chosen weight does not read is refused as its unknown key
     weight = {"name": args.weight} | {k: getattr(args, k) for k in ("threshold", "margin")
                                       if getattr(args, k) is not None}
-    dist, _ = lattice_mod.run_lattice_experiment(
+    dist, halves = lattice_mod.run_lattice_experiment(
         spec, DistanceSpec(args.distance, literal_log_half=args.literal_log_half),
         weight=_weight(weight), distance_scale=args.distance_scale,
     )
     out = _write(args.output, _distribution_text(dist, args.format or "csv"))
     if out is sys.stdout:  # the data went to a file: the paths file goes beside it
-        _write(args.output + ".paths.csv", _paths_text(spec))
+        _write(args.output + ".paths.csv", _paths_text(spec, halves))
     print(_summary_line(dist), file=out)
     return EX_OK
 

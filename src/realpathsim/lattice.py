@@ -7,7 +7,9 @@ start site (t=0) to the end site (t=T) is enumerated, in depth-first
 action S = sum m (dx)^2 / 2.  The paths are assembled from their
 distinct halves, split at the middle time (path_halves): the prefixes
 walked forward from the start and the suffixes backward from the end,
-each walk growing only the distinct chains of every step.
+each walk growing only the distinct chains of every step (_steps, the
+step admission counts them by).  A run walks once, and its enumeration,
+plan and paths file read that one walk.
 A transfer-matrix pass computes the total amplitude independently of the
 enumeration, which is the correctness oracle for both.
 
@@ -44,7 +46,6 @@ destructive settings interference visibility is measured between.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -158,44 +159,51 @@ class LatticeSpec:
             )
 
 
-def _site_steps(spec: LatticeSpec):
-    """(lo, hi, new_lo, new_hi) for each of the T steps.
+def _site_bounds(spec: LatticeSpec) -> list[tuple[int, int]]:
+    """(lo, hi) of the sites a complete path can occupy at each time t = 0..T, empty if none.
 
-    [lo, hi] holds the sites a complete path can occupy before the step
-    and [new_lo, new_hi] those after it: sites within hop of the last
-    interval, inside the extent and within reach of the end
-    (|end - x| <= hop * steps_left).
+    Those inside the extent, t hops of the start and T - t of the end: the
+    same read from either end, and each within hop of the last.
     """
-    T, X, h = spec.steps, spec.extent, spec.hop
-    lo = hi = spec.start
-    for k in range(1, T + 1):
-        reach = h * (T - k)
-        new_lo = max(lo - h, -X, spec.end - reach)
-        new_hi = min(hi + h, X, spec.end + reach)
-        yield lo, hi, new_lo, new_hi
-        lo, hi = new_lo, new_hi
+    T, X, h, a, b = spec.steps, spec.extent, spec.hop, spec.start, spec.end
+    return [(max(a - h * t, -X, b - h * (T - t)), min(a + h * t, X, b + h * (T - t)))
+            for t in range(T + 1)]
 
 
-def _walk(first: int, bounds, hop: int) -> list:
-    """The distinct chains from the site ``first`` through the intervals ``bounds[1:]``.
+def _steps(bounds, hop: int):
+    """The hop step of the distinct chains from the sites of ``bounds[0]``, over the intervals ``bounds``.
 
-    One (sites, parents) pair per step: each chain's last site and the
-    index of the chain one step shorter that it extends.  The chains of a
-    step come ordered by last site, then by parent, that is by their
-    sites read from the last back to the first; so the parents within hop
-    of a site are one run of the last step's chains, found by binary
-    search.  Each interval of _site_steps lies within hop of the last
-    and within reach of the other end, so every chain completes.
+    Yields, per interval, its sites x, the count of chains into each and
+    where their parents start among the last step's chains (None at
+    bounds[0]).  A step's chains come ordered by last site, so the parents
+    within hop of x are one run of them, read from the prefix sums of the
+    last counts; as no interval reaches past hop of the last, that run
+    starts within them and ends past their first site.
     """
-    last = np.array([first])
+    lo, hi = bounds[0]
+    counts = np.ones(max(hi - lo + 1, 0), dtype=np.int64)
+    yield np.arange(lo, hi + 1), counts, None
+    for new_lo, new_hi in bounds[1:]:
+        x = np.arange(new_lo, new_hi + 1)
+        ends = np.concatenate(([0], np.cumsum(counts)))
+        begin = ends[np.maximum(x - (lo + hop), 0)]
+        counts = ends[np.minimum(x + (hop + 1 - lo), counts.size)] - begin
+        yield x, counts, begin
+        lo = new_lo
+
+
+def _walk(bounds, hop: int) -> list:
+    """The distinct chains from the one site of ``bounds[0]`` through the intervals ``bounds[1:]``.
+
+    One (sites, parents) pair per step of _steps: each chain's last site
+    and the index of the chain one step shorter that it extends.  Each
+    interval of _site_bounds lies within hop of the last and within reach
+    of the other end, so every chain completes.
+    """
     levels = []
-    for lo, hi in bounds[1:]:
-        x = np.arange(lo, hi + 1)
-        begin = np.searchsorted(last, x - hop)
-        runs = np.searchsorted(last, x + hop, side="right") - begin
+    for x, runs, begin in [*_steps(bounds, hop)][1:]:  # past the one chain of no step
         ends = np.cumsum(runs)
-        last = np.repeat(x, runs)
-        levels.append((last, np.arange(ends[-1]) + np.repeat(begin - ends + runs, runs)))
+        levels.append((np.repeat(x, runs), np.arange(ends[-1]) + np.repeat(begin - ends + runs, runs)))
     return levels
 
 
@@ -215,6 +223,7 @@ def _chains(first: int, levels) -> np.ndarray:
 class PathHalves:
     """The paths of a spec as their distinct halves, split at the time mid = (T+1)//2.
 
+    ``bounds`` are the _site_bounds intervals of the times 0..T.
     ``prefixes`` (p, mid+1) and ``suffixes`` (s, T-mid+1) are the site
     sequences up to and from the middle time, grown by ``walks``: the
     _walk levels of the prefixes forward from the start and of the
@@ -225,6 +234,7 @@ class PathHalves:
     prefixes ``order``, each followed by its suffixes in their order.
     """
 
+    bounds: list
     prefixes: np.ndarray
     suffixes: np.ndarray
     walks: tuple
@@ -243,38 +253,44 @@ class PathHalves:
         return np.repeat(self.order, self.runs[self.order]), self.spread(self.first)
 
 
+def _sides(bounds):
+    """The intervals of the prefixes, from the start, and of the suffixes, from the end."""
+    mid = len(bounds) // 2
+    return bounds[: mid + 1], bounds[: mid - 1 : -1]
+
+
 def path_halves(spec: LatticeSpec) -> PathHalves:
     """The distinct prefixes and suffixes of the paths, walked without the paths.
 
-    Each half grows one step at a time through the intervals of
-    _site_steps (_walk), so its cost grows with the prefixes and suffixes,
-    not with the paths.
+    Each half grows one step at a time through the _site_bounds intervals
+    (_walk), so its cost grows with the prefixes and suffixes, not with
+    the paths.  A run walks once, and all it does reads these halves.
     """
     bounds = _site_bounds(spec)
     if any(lo > hi for lo, hi in bounds):
         raise NoPaths("no admissible path (extent too tight)")
-    mid = (spec.steps + 1) // 2
-    walks = (_walk(spec.start, bounds[: mid + 1], spec.hop),
-             _walk(spec.end, bounds[: mid - 1 : -1], spec.hop))
+    forward, backward = _sides(bounds)
+    walks = (_walk(forward, spec.hop), _walk(backward, spec.hop))
     prefixes = _chains(spec.start, walks[0])
     suffixes = _chains(spec.end, walks[1])[:, ::-1]
-    lo, hi = bounds[mid]
+    lo, hi = forward[-1]
     at = np.searchsorted(suffixes[:, 0], np.arange(lo, hi + 2))
     k = prefixes[:, -1] - lo
     # lexsort's last key sorts first: the sites from the start on
-    return PathHalves(prefixes, suffixes, walks, at[k], np.diff(at)[k],
+    return PathHalves(bounds, prefixes, suffixes, walks, at[k], np.diff(at)[k],
                       np.lexsort(prefixes.T[::-1]))
 
 
-def enumerate_paths(spec: LatticeSpec) -> np.ndarray:
+def enumerate_paths(spec: LatticeSpec, halves: PathHalves | None = None) -> np.ndarray:
     """All site sequences as an (n_paths, T+1) int array, in depth-first order.
 
-    Assembled from the distinct halves (path_halves): each prefix, in
-    lexicographic order, is followed by the suffixes that start at its
-    middle site, in theirs.  Rows are thus in lexicographic, that is
-    depth-first, order.  Raises NoPaths when no path fits the extent.
+    Assembled from the distinct halves (``halves``, path_halves(spec) when
+    None): each prefix, in lexicographic order, is followed by the
+    suffixes that start at its middle site, in theirs.  Rows are thus in
+    lexicographic, that is depth-first, order.  Raises NoPaths when no
+    path fits the extent.
     """
-    halves = path_halves(spec)
+    halves = halves or path_halves(spec)
     pre, suf = halves.pairs()
     sites = np.empty((pre.size, spec.steps + 1), dtype=int)
     cut = halves.prefixes.shape[1]
@@ -296,58 +312,38 @@ def lattice_ensemble(
     return PathEnsemble(np.exp(-1j * phases))
 
 
-def _partial_counts(spec: LatticeSpec, steps: int) -> np.ndarray:
-    """Paths of ``steps`` steps from the start into each site at that time.
+def _ends(bounds, hop: int) -> np.ndarray:
+    """The count of chains into each site of bounds[-1] by _steps, without walking them."""
+    return [*_steps(bounds, hop)][-1][1]
 
-    Counts, step by step, over only the sites a complete path can occupy
-    (an interval no wider than the path count), so the cost is bounded
-    for any hop and extent; the result runs over that interval.
+
+def _half_counts(spec: LatticeSpec):
+    """(path count, prefixes, suffixes, site bounds) of the middle-time split.
+
+    The distinct halves of path_halves, counted into and out of each
+    middle site by _ends: a path is any prefix joined with any suffix
+    that starts at its middle site.
     """
-    h = spec.hop
-    counts = np.ones(1, dtype=np.int64)
-    for _, (lo, hi, new_lo, new_hi) in zip(range(steps), _site_steps(spec)):
-        # paths into site x come from sites x-h..x+h of the last step
-        prefix = np.concatenate([[0], np.cumsum(counts)])
-        x = np.arange(new_lo, new_hi + 1)
-        counts = (prefix[np.clip(x + h - lo + 1, 0, counts.size)]
-                  - prefix[np.clip(x - h - lo, 0, counts.size)])
-    return counts
+    bounds = _site_bounds(spec)
+    into, out_of = (_ends(side, spec.hop) for side in _sides(bounds))
+    return int(into @ out_of), int(into.sum()), int(out_of.sum()), bounds
 
 
 def path_count(spec: LatticeSpec) -> int:
     """Exact number of enumerated paths, without enumerating them."""
-    return int(_partial_counts(spec, spec.steps).sum())
+    return _half_counts(spec)[0]
 
 
-def _site_bounds(spec: LatticeSpec) -> list[tuple[int, int]]:
-    """(lo, hi) of the sites a complete path can occupy, at each time 0..T."""
-    return [(spec.start, spec.start)] + [(lo, hi) for _, _, lo, hi in _site_steps(spec)]
-
-
-def _halves(spec: LatticeSpec):
-    """(path count, prefixes, suffixes, site bounds) of the middle-time split.
-
-    The prefixes and suffixes are the distinct halves of the paths,
-    counted by _partial_counts without enumerating: a path is any prefix
-    joined with any suffix that starts at its middle site.
-    """
-    mid = (spec.steps + 1) // 2
-    into = _partial_counts(spec, mid)
-    back = dataclasses.replace(spec, start=spec.end, end=spec.start)
-    out_of = _partial_counts(back, spec.steps - mid)
-    return int(into @ out_of), int(into.sum()), int(out_of.sum()), _site_bounds(spec)
-
-
-def _radii(spec: LatticeSpec, distance: DistanceSpec, bounds) -> int:
+def _radii(distance: DistanceSpec, bounds) -> int:
     """Most tube radii transfer_plan carries: one per gap for the max variants."""
     return max(hi - lo for lo, hi in bounds) + 1 if distance.name in MAX_VARIANTS else 1
 
 
-def transfer_bytes(spec: LatticeSpec, distance: DistanceSpec, halves=None) -> int:
+def transfer_bytes(spec: LatticeSpec, distance: DistanceSpec, counts=None) -> int:
     """Peak bytes of a transfer-route run, at two phase settings.
 
     The messages run over the distinct prefixes and suffixes of the
-    paths (``halves``, _halves(spec) when None), each over a site
+    paths (``counts``, _half_counts(spec) when None), each over a site
     interval and, for the max variants, over as many radii as sites; the
     join holds O(1) arrays per path.
     The run around it holds the enumerated sites and O(1) arrays and
@@ -357,27 +353,27 @@ def transfer_bytes(spec: LatticeSpec, distance: DistanceSpec, halves=None) -> in
     max_sep and l1_time_integral at T=8 to 10, X=6, h=2 (38 131 to
     850 739 paths).
     """
-    n, prefixes, suffixes, bounds = halves or _halves(spec)
+    n, prefixes, suffixes, bounds = counts or _half_counts(spec)
     width = max(hi - lo for lo, hi in bounds) + 1
-    messages = (prefixes + suffixes) * _radii(spec, distance, bounds) * width
+    messages = (prefixes + suffixes) * _radii(distance, bounds) * width
     run = n * (_RUN_SITE_BYTES * (spec.steps + 1) + _RUN_PATH_BYTES)
     return _MESSAGE_BYTES * messages + _PATH_BYTES * n + run + _FIXED_BYTES
 
 
-def transfer_work(spec: LatticeSpec, distance: DistanceSpec, halves) -> int:
+def transfer_work(spec: LatticeSpec, distance: DistanceSpec, counts) -> int:
     """Multiply-adds of one transfer-route message and join pass.
 
     Each side's messages step once per time over its rows' radii, from
     the last time's sites to the next's; the join pairs every path's
     prefix and suffix messages over the radii and middle sites.
-    ``halves`` is _halves(spec).
+    ``counts`` is _half_counts(spec).
     """
-    n, prefixes, suffixes, bounds = halves
+    n, prefixes, suffixes, bounds = counts
     mid = (spec.steps + 1) // 2
     widths = [hi - lo + 1 for lo, hi in bounds]
     hops = [a * b for a, b in zip(widths, widths[1:])]
     steps = prefixes * sum(hops[:mid]) + suffixes * sum(hops[mid:]) + n * widths[mid]
-    return _radii(spec, distance, bounds) * steps
+    return _radii(distance, bounds) * steps
 
 
 def admit(spec: LatticeSpec, distance: DistanceSpec) -> tuple[int, bool]:
@@ -388,25 +384,25 @@ def admit(spec: LatticeSpec, distance: DistanceSpec) -> tuple[int, bool]:
     reach (past DENSE_PATH_BOUND paths) or the transfer route costs less
     (transfer_work within _PAIR_WORK n^2); otherwise it takes the dense
     pass, as ``l2`` always does, refused past DENSE_PATH_BOUND paths.
-    Either refusal raises ModelTooLarge before anything is enumerated;
-    an index distance, which orders no lattice paths, raises ValueError
+    Every distance reads the count of _half_counts, which walks nothing.
+    Either refusal raises ModelTooLarge before anything is enumerated; an
+    index distance, which orders no lattice paths, raises ValueError
     before anything is counted.
     """
     if distance.is_index_based:
         raise ValueError(f"{distance.name} is an index distance, which lattice paths do not take")
+    counts = _half_counts(spec)
+    n = counts[0]
     if distance.name not in FACTORING_VARIANTS:
-        n = path_count(spec)
         if n > DENSE_PATH_BOUND:
             raise ModelTooLarge(
                 f"{n} paths need {float(n) ** 2:.3g} exponentials in the dense pass, "
                 f"above the bound of {DENSE_PATH_BOUND} paths"
             )
         return n, False
-    halves = _halves(spec)
-    n = halves[0]
-    need = transfer_bytes(spec, distance, halves)
+    need = transfer_bytes(spec, distance, counts)
     if need <= MAX_TILE_BYTES and (n > DENSE_PATH_BOUND
-                                   or transfer_work(spec, distance, halves) <= _PAIR_WORK * n * n):
+                                   or transfer_work(spec, distance, counts) <= _PAIR_WORK * n * n):
         return n, True
     if n > DENSE_PATH_BOUND:
         raise ModelTooLarge(
@@ -614,10 +610,11 @@ def _hops(spec: LatticeSpec):
     return (count, float), (amp, np.complex128)
 
 
-def transfer_plan(spec: LatticeSpec, distance: DistanceSpec, scales):
+def transfer_plan(spec: LatticeSpec, distance: DistanceSpec, scales, halves=None):
     """smeared(distance_scale, phases): smeared sums at each phase and their denominators.
 
-    The sums run over the paths of enumerate_paths(spec), in its order;
+    The sums run over the paths of enumerate_paths(spec, halves), in its
+    order, where ``halves`` is the run's walk (path_halves(spec) when None);
     ``distance`` is one of FACTORING_VARIANTS, times ``distance_scale``,
     which must be one of ``scales``; ``phases`` the phase plate settings,
     each turning the amplitude of every path with middle site >= 1
@@ -629,7 +626,7 @@ def transfer_plan(spec: LatticeSpec, distance: DistanceSpec, scales):
     does A, so each sum splits at the middle time into a forward message
     over P's prefix and a backward message over its suffix (_messages),
     both over Q's middle site.  The messages run over the walks of
-    path_halves, once per distinct prefix and suffix and, before the
+    ``halves``, once per distinct prefix and suffix and, before the
     middle, once per distinct shorter chain; nothing here runs over the
     paths one by one but the placing of each path's sum.  The paths
     through one middle site are every pairing of its prefixes with its
@@ -651,11 +648,10 @@ def transfer_plan(spec: LatticeSpec, distance: DistanceSpec, scales):
     """
     if distance.name not in FACTORING_VARIANTS:
         raise ValueError(f"{distance.name} does not factor over time steps")
-    halves = path_halves(spec)
-    mid = halves.prefixes.shape[1] - 1
-    bounds = _site_bounds(spec)
+    halves = halves or path_halves(spec)
+    bounds = halves.bounds
     # suffixes are walked backward from the end, so their middle site comes last
-    fwd_bounds, bwd_bounds = bounds[: mid + 1], bounds[: mid - 1 : -1]
+    fwd_bounds, bwd_bounds = _sides(bounds)
     fwd_walk, bwd_walk = halves.walks
     counting, amplitude = _hops(spec)
 
@@ -668,7 +664,7 @@ def transfer_plan(spec: LatticeSpec, distance: DistanceSpec, scales):
                         last_site=False)
         return fwd, bwd
 
-    lo, hi = bounds[mid]
+    lo, hi = fwd_bounds[-1]
     middle = np.arange(lo, hi + 1)
     # block k of the joined sums pairs the prefixes pre_at[k]:pre_at[k+1]
     # with the suffixes suf_at[k]:suf_at[k+1], those through middle site k;
@@ -681,8 +677,6 @@ def transfer_plan(spec: LatticeSpec, distance: DistanceSpec, scales):
     blocks = np.column_stack([pre_at[:-1], pre_at[1:], suf_at[:-1], suf_at[1:],
                               start[pre_at[:-1]], start[pre_at[1:]]]).tolist()
     place = halves.spread(start[:-1])
-    n_pre, n_suf = halves.prefixes.shape[0], halves.suffixes.shape[0]
-    del halves  # the plan keeps the walks only
 
     def join(left, right, plates):
         """Each path's product of its prefix's forward row and its suffix's row of ``right``.
@@ -704,7 +698,7 @@ def transfer_plan(spec: LatticeSpec, distance: DistanceSpec, scales):
 
     shared = None
     if distance.name in MAX_VARIANTS:
-        kept = np.zeros(_radii(spec, distance, bounds), dtype=bool)
+        kept = np.zeros(_radii(distance, bounds), dtype=bool)
         for scale in scales:
             kept[_distance_terms(spec, distance, scale, bounds)[0][0]] = True
         union = np.flatnonzero(kept)
@@ -717,22 +711,22 @@ def transfer_plan(spec: LatticeSpec, distance: DistanceSpec, scales):
     def weighted(hop, dtype, terms, weights):
         """(left, backward): the radius-weighted forward rows for join, and the backward messages.
 
-        Both are (rows, radius x site) matrices; a plan's shared messages
-        are weighted one block of rows at a time, as join asks for them.
+        Both are (rows, radius x site) matrices; the forward rows are
+        weighted one block at a time, as join asks for them.  The L1
+        variants' one weight is 1, which keeps every bit of their rows.
         """
+        pick = slice(None)
         if shared is None:
             fwd, bwd = messages(hop, dtype, terms)
-            fwd *= weights[:, None]
-            fwd = fwd.reshape(n_pre, -1)
-            return (lambda a, b: fwd[a:b]), bwd.reshape(n_suf, -1)
-        pick = row[terms[0]]
-        if pick.min() < 0:
-            raise ValueError("the scale keeps a radius the plan was not built for")
-        if pick.size == union.size:
-            pick = slice(None)
-        fwd, bwd = shared[dtype]
+        else:
+            pick = row[terms[0]]
+            if pick.min() < 0:
+                raise ValueError("the scale keeps a radius the plan was not built for")
+            if pick.size == union.size:
+                pick = slice(None)
+            fwd, bwd = shared[dtype]
         return ((lambda a, b: (fwd[a:b, pick] * weights[:, None]).reshape(b - a, -1)),
-                bwd[:, pick].reshape(n_suf, -1))
+                bwd[:, pick].reshape(len(bwd), -1))
 
     def smeared(distance_scale, phases):
         terms, weights = _distance_terms(spec, distance, distance_scale, bounds)
@@ -756,22 +750,24 @@ def admit_scales(spec: LatticeSpec, distance: DistanceSpec, scales) -> bool:
 
 
 def _passes(spec, distance, scales, transfer=None):
-    """(sites, smeared(distance_scale, phases)) for every scale of ``scales``.
+    """(halves, sites, smeared(distance_scale, phases)) for every scale of ``scales``.
 
     Every scale is checked, and the route chosen (admit_scales), before
-    the one enumeration; ``transfer`` is the route admit_scales already
-    chose for these scales, or None to admit here.  smeared returns the
-    smeared sums at each phase and the shared denominators:
-    transfer_plan's, or the dense pass's, which multiplies each tile of
-    exp(-d), streamed from a GridPathSource, by every phase setting's
-    amplitudes.  Each scale's pass runs when smeared is called, which
-    reads the shared sites and plan only.
+    the one walk (path_halves), which the enumeration and the plan both
+    read; ``transfer`` is the route admit_scales already chose for these
+    scales, or None to admit here.  smeared returns the smeared sums at
+    each phase and the shared denominators: transfer_plan's, or the dense
+    pass's, which multiplies each tile of exp(-d), streamed from a
+    GridPathSource, by every phase setting's amplitudes.  Each scale's
+    pass runs when smeared is called, which reads the shared sites and
+    plan only.
     """
     if transfer is None:
         transfer = admit_scales(spec, distance, scales)
-    sites = enumerate_paths(spec)
+    halves = path_halves(spec)
+    sites = enumerate_paths(spec, halves)
     if transfer:
-        return sites, transfer_plan(spec, distance, scales)
+        return halves, sites, transfer_plan(spec, distance, scales, halves)
     mask = upper_arm_mask(sites).astype(float)
 
     def dense(distance_scale, phases):
@@ -779,7 +775,7 @@ def _passes(spec, distance, scales, transfer=None):
                 for phase in phases]
         return dense_smeared(amps, GridPathSource(sites, distance, spec.mass, distance_scale))
 
-    return sites, dense
+    return halves, sites, dense
 
 
 def run_lattice_experiment(
@@ -788,7 +784,7 @@ def run_lattice_experiment(
     weight: Callable[[np.ndarray], np.ndarray] | None = None,
     distance_scale: float = 1.0,
     arm_phase: float = 0.0,
-) -> tuple[PathDistribution, np.ndarray]:
+) -> tuple[PathDistribution, PathHalves]:
     """Path probabilities over the enumerated ensemble.
 
     ``weight`` maps the sites to per-path weights, as curvature_cutoff_weights
@@ -796,14 +792,16 @@ def run_lattice_experiment(
     ``distance_scale`` multiplies every pairwise distance (0 is the
     quantum limit); ``arm_phase`` is the setting of the upper-arm phase
     plate (upper_arm_mask), which must be finite.
-    Returns (distribution, sites).
+    Returns (distribution, halves): the run's one walk (path_halves), from
+    which enumerate_paths gives the sites of the distribution's rows and
+    the CLI writes the paths file.
     """
     if not math.isfinite(arm_phase):
         raise SpecViolation(f"arm_phase must be finite, not {arm_phase!r}")
-    sites, smeared = _passes(spec, distance, [distance_scale])
+    halves, sites, smeared = _passes(spec, distance, [distance_scale])
     (sums,), denom = smeared(distance_scale, [arm_phase])
     weights = None if weight is None else weight(sites)
-    return distribution_from_sums(sums, denom, weights), sites
+    return distribution_from_sums(sums, denom, weights), halves
 
 
 def two_arm_sweep(spec: LatticeSpec, distance: DistanceSpec, scales, transfer=None):
@@ -818,12 +816,12 @@ def two_arm_sweep(spec: LatticeSpec, distance: DistanceSpec, scales, transfer=No
     block mass its share on corridor paths, and the norm constant its
     C.  Both settings run in one pass and share the denominators, as
     these do not depend on the amplitudes.  Every scale is checked
-    before the one enumeration, whose plan (transfer_plan) serves every
+    before the one walk and enumeration, whose plan (transfer_plan) serves every
     scale; cells only read it.  A caller that has admitted the scales
     passes the route admit_scales returned as ``transfer``, and the spec
     is not admitted again.
     """
-    sites, smeared = _passes(spec, distance, scales, transfer)
+    _, sites, smeared = _passes(spec, distance, scales, transfer)
     w = corridor_weights(sites)
 
     def cell(distance_scale):

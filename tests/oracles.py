@@ -10,7 +10,9 @@ pass keeps the form whose bits the tiled dense route must reproduce; the
 recursive lattice walk gives the depth-first order the vectorized
 enumeration must keep, and row_messages computes the transfer route's
 messages over every row at every step, the bits the messages over the
-walks' distinct chains must keep.  The screen model's
+walks' distinct chains must keep, and tube_smeared, numpy over a sample
+of rows, gives each row's smeared sums by one forward pass over the
+whole time, with no middle split, at T=10.  The screen model's
 materializer and block_distance_matrix build numpy arrays for the dense
 engine to read; the materializer's distance tables come from
 step_distance_table, not from the package's distance code.
@@ -259,6 +261,70 @@ def row_messages(rows, bounds, hop, dtype, terms, last_site):
             elif radii[0] < sites.size - 1:
                 view *= gap[:, None, :] <= radii[:, None]
     return msg.reshape(m, radii.size, -1)
+
+
+def tube_smeared(spec, rows, distance, scale, phase):
+    """(smeared sums, denominators) of the lattice paths ``rows`` by one forward pass each.
+
+    For each row P: sum_Q A(Q) exp(-scale d(P, Q)) and sum_Q exp(-scale
+    d(P, Q)) over every path Q of the spec, A(Q) = exp(-i S(Q)) turned by
+    exp(-i phase) where Q's site at the middle time (T+1)//2 is >= 1, the
+    upper-arm phase plate.  A vector over the sites -X..X runs from the
+    start site to the end site with P held fixed: the hop kernel
+    exp(-i m dx^2 / 2) per step (the unit kernel for the denominators)
+    times the distance factor of that time or step,
+    - max variants: a tube mask |x - P_t| <= r at every time, one pass per
+      radius r = 0..2X, so that exp(-s D) is sum_r e^(-s r) times the
+      paths of D = max_t |Q_t - P_t| exactly r (s = scale, times the mass
+      for mass_max_sep);
+    - L1 variants: exp(-c_t |x - P_t|) at time t, c_t the trapezoid weight
+      of the unit time grid times the scale (over T for l1_time_average,
+      times the mass for mass_l1);
+    - velocity_l1: exp(-scale |dx - dP_t|) on each hop of step t.
+    It splits nothing at the middle, reads no walk and places no path:
+    transfer_amplitude's recursion with a factor per path.
+    """
+    T, X, h, m = spec.steps, spec.extent, spec.hop, spec.mass
+    rows = np.asarray(rows)
+    sites = np.arange(-X, X + 1)
+    step = sites - sites[:, None]  # from site y (row) to site x (column)
+    near = np.abs(step) <= h
+    hops = [(near.astype(float), None),
+            (np.where(near, np.exp(-0.5j * m * np.where(near, step, 0) ** 2), 0), phase)]
+    name = distance.name
+    radii = np.arange(2 * X + 1) if name in ("max_sep", "mass_max_sep") else np.array([2 * X])
+    site_c = np.full(T + 1, float(scale))
+    site_c[[0, -1]] *= 0.5
+    if name == "l1_time_average":
+        site_c /= T
+    if name == "mass_l1":
+        site_c *= m
+    out = []
+    for kernel, plate in hops:
+        psi = np.zeros((rows.shape[0], radii.size, sites.size), dtype=kernel.dtype)
+        psi[:, :, spec.start + X] = 1.0
+        # velocity_l1: the kernel of each step value dP in -h..h
+        moves = kernel * _row_decay(float(scale), np.abs(step - np.arange(-h, h + 1)[:, None, None]))
+        for t in range(1, T + 1):
+            if name == "velocity_l1":
+                psi = psi @ moves[rows[:, t] - rows[:, t - 1] + h]
+            else:
+                psi = (psi.reshape(-1, sites.size) @ kernel).reshape(psi.shape)
+            gap = np.abs(sites - rows[:, t, None])
+            if name in ("max_sep", "mass_max_sep"):
+                psi *= gap[:, None, :] <= radii[:, None]
+            elif name != "velocity_l1":
+                psi *= _row_decay(site_c[t], gap)[:, None, :]
+            if plate is not None and t == (T + 1) // 2:
+                psi *= np.where(sites >= 1, np.exp(-1j * plate), 1.0)
+        inside = psi[:, :, spec.end + X]  # the paths within each tube
+        if name in ("max_sep", "mass_max_sep"):
+            s = scale * m if name == "mass_max_sep" else scale
+            out.append(np.diff(inside, axis=1, prepend=0) @ _row_decay(float(s), radii))
+        else:
+            out.append(inside[:, 0])
+    denom, sums = out
+    return sums, denom
 
 
 def flip_last_theta(spec):

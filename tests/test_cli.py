@@ -1016,7 +1016,7 @@ def _refuse_enumeration(monkeypatch):
     def refuse(*args):
         raise AssertionError("counted or enumerated paths")
 
-    for name in ("enumerate_paths", "path_halves", "path_count", "_halves"):
+    for name in ("enumerate_paths", "path_halves", "path_count", "_half_counts"):
         monkeypatch.setattr(lattice, name, refuse)
 
 
@@ -1159,7 +1159,7 @@ def test_large_admitted_mass_runs_on_the_transfer_route_without_a_warning(tmp_pa
     (dict(steps=7, extent=6, start=0, end=0, hop=2), None),    # the default blocks
 ])
 def test_paths_file_has_the_bytes_of_the_row_formatter(monkeypatch, spec, rows):
-    from realpathsim.lattice import LatticeSpec, enumerate_paths
+    from realpathsim.lattice import LatticeSpec, enumerate_paths, path_halves
 
     if rows is not None:
         monkeypatch.setattr(cli, "_CSV_ROWS", rows)
@@ -1168,15 +1168,13 @@ def test_paths_file_has_the_bytes_of_the_row_formatter(monkeypatch, spec, rows):
     header = "index," + ",".join(f"x{t}" for t in range(spec.steps + 1)) + "\n"
     want = header + "".join(cli._csv_lines(",".join(["%d"] * (spec.steps + 2)) + "\n",
                                            np.arange(1, len(sites) + 1), sites))
-    blocks = list(cli._paths_text(spec))
+    blocks = list(cli._paths_text(spec, path_halves(spec)))
     assert "".join(blocks) == want
     assert len(blocks) == 1 + -(-len(sites) // cli._CSV_ROWS)
 
 
-def test_lattice_sweep_enumerates_once_and_passes_messages_once(tmp_path, monkeypatch):
-    # the 8 cells of a max_sep scale sweep share one enumeration and one
-    # forward and backward pass of count and amplitude messages: 1 and 4
-    # calls, not 8 and 32
+def _count_lattice_calls(monkeypatch, names) -> list:
+    """The list each call of the lattice functions ``names`` appends its name to."""
     from realpathsim import lattice
 
     calls = []
@@ -1189,13 +1187,41 @@ def test_lattice_sweep_enumerates_once_and_passes_messages_once(tmp_path, monkey
             return original(*args, **kwargs)
         return call
 
-    for name in ("enumerate_paths", "_messages"):
+    for name in names:
         monkeypatch.setattr(lattice, name, counted(name))
+    return calls
+
+
+def test_lattice_sweep_enumerates_once_and_passes_messages_once(tmp_path, monkeypatch):
+    # the 8 cells of a max_sep scale sweep share one walk, one enumeration
+    # and one forward and backward pass of count and amplitude messages:
+    # 1, 1 and 4 calls, not 8, 8 and 32
+    names = ("path_halves", "enumerate_paths", "_messages")
+    calls = _count_lattice_calls(monkeypatch, names)
     out = tmp_path / "sweep.csv"
     cfg = str(DATA / "lattice_sweep_transfer.json")
     assert run_cli(["--config", cfg, "--output", str(out), "sweep"]) == 0
     assert out.read_bytes() == (DATA / "lattice_sweep_transfer.csv").read_bytes()
-    assert (calls.count("enumerate_paths"), calls.count("_messages")) == (1, 4)
+    assert [calls.count(name) for name in names] == [1, 1, 4]
+
+
+def test_lattice_run_walks_once(tmp_path, monkeypatch):
+    # a lattice run on the transfer route walks its halves once: the
+    # enumeration, the plan and the paths file all read that walk
+    from realpathsim.lattice import LatticeSpec, enumerate_paths
+
+    names = ("path_halves", "enumerate_paths", "_messages")
+    calls = _count_lattice_calls(monkeypatch, names)
+    out = tmp_path / "t7.csv"
+    argv = ["lattice", "--steps", "7", "--extent", "6", "--hop", "2", "--weight", "corridor",
+            "--output", str(out)]
+    assert run_cli(argv) == 0
+    assert [calls.count(name) for name in names] == [1, 1, 4]
+    sites = enumerate_paths(LatticeSpec(steps=7, extent=6, start=0, end=0, hop=2))
+    header = "index," + ",".join(f"x{t}" for t in range(8)) + "\n"
+    want = header + "".join(cli._csv_lines(",".join(["%d"] * 9) + "\n",
+                                           np.arange(1, len(sites) + 1), sites))
+    assert Path(str(out) + ".paths.csv").read_text() == want
 
 
 @pytest.mark.parametrize("argv, golden, admits", [
@@ -1255,14 +1281,15 @@ def test_sweep_holds_one_group_preparation_at_a_time(tmp_path, monkeypatch, conf
 
 def test_lattice_admission_bound_is_a_path_count(monkeypatch):
     # the bound the 512-row dense block set, 2**30 // (512*16 + 32*32)
-    # paths, is kept as a path count
+    # paths, is kept as a path count: the one count admission reads
     from realpathsim import lattice
     from realpathsim.errors import ModelTooLarge
 
     spec = lattice.LatticeSpec(steps=4, extent=3, start=0, end=0)
-    monkeypatch.setattr(lattice, "path_count", lambda spec: 116_508)
+    counts = lattice._half_counts(spec)
+    monkeypatch.setattr(lattice, "_half_counts", lambda spec: (116_508, *counts[1:]))
     assert lattice.admit(spec, DistanceSpec("l2")) == (116_508, False)
-    monkeypatch.setattr(lattice, "path_count", lambda spec: 116_509)
+    monkeypatch.setattr(lattice, "_half_counts", lambda spec: (116_509, *counts[1:]))
     with pytest.raises(ModelTooLarge):
         lattice.admit(spec, DistanceSpec("l2"))
 

@@ -31,9 +31,11 @@ from realpathsim.lattice import (
     MAX_VARIANTS,
     LatticeSpec,
     _distance_terms,
-    _halves,
+    _ends,
+    _half_counts,
     _hops,
     _messages,
+    _sides,
     _site_bounds,
     admit,
     corridor_weights,
@@ -57,6 +59,7 @@ from oracles import (
     galilean_distance,
     row_messages,
     site_path,
+    tube_smeared,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -138,7 +141,8 @@ def test_site_paths_match_grid_distances():
 
 def test_velocity_distance_suppresses_zigzags():
     spec = LatticeSpec(steps=4, extent=4, start=0, end=0, hop=1, mass=10.0)
-    dist, sites = run_lattice_experiment(spec, DistanceSpec("velocity_l1"))
+    dist, _ = run_lattice_experiment(spec, DistanceSpec("velocity_l1"))
+    sites = enumerate_paths(spec)
     zig = np.abs(np.diff(sites, n=2, axis=1)).sum(axis=1)
     straight = int(np.argmin(zig))      # the resting path
     zigzag = int(np.argmax(zig))        # maximal velocity reversals
@@ -148,11 +152,12 @@ def test_velocity_distance_suppresses_zigzags():
 
 def test_curvature_cutoff_zeroes_kinked_paths():
     spec = LatticeSpec(steps=4, extent=4, start=0, end=0, hop=1)
-    dist, sites = run_lattice_experiment(
+    dist, _ = run_lattice_experiment(
         spec,
         DistanceSpec("max_sep"),
         weight=partial(curvature_cutoff_weights, threshold=1.0),
     )
+    sites = enumerate_paths(spec)
     kinked = np.abs(np.diff(sites, n=2, axis=1)).max(axis=1) > 1.0
     assert kinked.any()
     assert np.all(dist.probs[kinked] == 0.0)
@@ -255,6 +260,7 @@ def test_walk_matches_depth_first_walk_on_drawn_specs(data):
     except NoPaths:
         with pytest.raises(NoPaths):
             enumerate_paths(spec)
+        assert path_count(spec) == 0
         return
     assert np.array_equal(enumerate_paths(spec), want)
     halves = path_halves(spec)
@@ -262,11 +268,13 @@ def test_walk_matches_depth_first_walk_on_drawn_specs(data):
     counts = (int(halves.runs.sum()), halves.prefixes.shape[0], halves.suffixes.shape[0])
     assert counts == (want.shape[0], len(np.unique(want[:, : mid + 1], axis=0)),
                       len(np.unique(want[:, mid:], axis=0)))
-    try:
-        full = LatticeSpec(steps=steps, extent=extent, start=start, end=end, hop=hop)
-    except TooManyPaths:  # the worst case (2h+1)^(T-1) of a hop wider than the lattice
-        return
-    assert counts == _halves(full)[:3]
+    # admission counts the halves into and out of each middle site by the
+    # walk's step rule, without walking: the walk's counts, site by site
+    assert _half_counts(spec)[:3] == counts
+    lo, hi = halves.bounds[mid]
+    into, out_of = (_ends(side, hop) for side in _sides(_site_bounds(spec)))
+    assert np.array_equal(into, np.bincount(halves.prefixes[:, -1] - lo, minlength=hi - lo + 1))
+    assert np.array_equal(out_of, np.bincount(halves.suffixes[:, 0] - lo, minlength=hi - lo + 1))
 
 
 def _message_sides(spec):
@@ -359,8 +367,9 @@ def test_one_pass_experiment_matches_separate_runs():
     spec = LatticeSpec(steps=5, extent=4, start=0, end=0, hop=2)
     dspec = DistanceSpec("max_sep")
     vis, mass, dist, _C = two_arm_sweep(spec, dspec, [0.3])(0.3)
-    alone, sites = run_lattice_experiment(spec, dspec, distance_scale=0.3)
-    assert np.array_equal(sites, enumerate_paths(spec))
+    alone, halves = run_lattice_experiment(spec, dspec, distance_scale=0.3)
+    sites = enumerate_paths(spec)
+    assert np.array_equal(enumerate_paths(spec, halves), sites)
     assert np.array_equal(dist.probs, alone.probs)
     assert dist.norm_constant == alone.norm_constant
     assert mass == float(np.sum(alone.probs[corridor_weights(sites) > 0]))
@@ -391,8 +400,8 @@ def test_single_step_admits_any_hop_and_extent():
     big = 10**12
     spec = LatticeSpec(steps=1, extent=big, start=-big, end=big, hop=2 * big)
     assert path_count(spec) == 1
-    dist, sites = run_lattice_experiment(spec, DistanceSpec("max_sep"))
-    assert sites.tolist() == [[-big, big]]
+    dist, _ = run_lattice_experiment(spec, DistanceSpec("max_sep"))
+    assert enumerate_paths(spec).tolist() == [[-big, big]]
     assert dist.probs.tolist() == [1.0] and dist.denom.tolist() == [1.0]
 
 
@@ -554,9 +563,41 @@ def test_transfer_route_runs_steps_10():
     # 850,739 paths, past the dense bound, on every factoring variant
     spec = LatticeSpec(steps=10, extent=6, start=0, end=0, hop=2)
     for name in FACTORING_VARIANTS:
-        dist, sites = run_lattice_experiment(spec, DistanceSpec(name), weight=corridor_weights)
-        assert sites.shape[0] == dist.n_paths == 850_739
+        dist, halves = run_lattice_experiment(spec, DistanceSpec(name), weight=corridor_weights)
+        assert enumerate_paths(spec, halves).shape[0] == dist.n_paths == 850_739
         assert np.all(dist.denom >= 1.0)  # Q = P alone contributes 1
+
+
+# rows of T=10 (850 739 paths) the tube oracle recomputes, a seeded sample
+T10_ROWS = 2_000
+
+
+def test_transfer_route_matches_tube_oracle_at_steps_10():
+    # the size the route runs at in tier-1 and CI, past the dense oracle's
+    # reach: sampled rows of every factoring variant at five scales and
+    # both phase plate settings, from one walk and one plan per variant,
+    # against a pass over the whole time per row (oracles.tube_smeared),
+    # within the dense oracle's 1e-12 of each denominator; the
+    # probabilities of those rows with C from the full run
+    spec = LatticeSpec(steps=10, extent=6, start=0, end=0, hop=2)
+    halves = path_halves(spec)
+    sites = enumerate_paths(spec, halves)
+    rows = np.sort(np.random.default_rng(23).choice(sites.shape[0], T10_ROWS, replace=False))
+    scales = [0.0, 0.3, 1.0, 10.0, 300.0]
+    phases = (0.0, np.pi)
+    for name in FACTORING_VARIANTS:
+        dspec = DistanceSpec(name)
+        smeared = transfer_plan(spec, dspec, scales, halves)
+        for scale in scales:
+            got, denom = smeared(scale, phases)
+            for phase, sums in zip(phases, got):
+                want, want_denom = tube_smeared(spec, sites[rows], dspec, scale, phase)
+                assert np.all(np.abs(denom[rows] - want_denom) <= 1e-12 * want_denom), (name, scale)
+                assert np.all(np.abs(sums[rows] - want) <= 1e-12 * want_denom), (name, scale, phase)
+                dist = distribution_from_sums(sums, denom)
+                p = dist.norm_constant * weighted_probabilities(want, want_denom)
+                assert np.max(np.abs(dist.probs[rows] - p)) <= 1e-12 * dist.probs.max(), (
+                    name, scale, phase)
 
 
 def test_transfer_pass_peak_within_transfer_bytes():
@@ -639,13 +680,14 @@ def test_sweep_cells_have_the_bits_of_single_scale_runs(spec):
     # scales share its plan, gives what a sweep of its scale alone gives,
     # and what a run at its scale gives at arm phase 0
     scales = [0.0, 0.3, 1.0, 10.0, 300.0]
+    sites = enumerate_paths(spec)
     for name in (*FACTORING_VARIANTS, "l2"):
         dspec = DistanceSpec(name)
         cell = two_arm_sweep(spec, dspec, scales)
         for scale in scales:
             vis, mass, dist, C = cell(scale)
             want_vis, want_mass, want, _C = two_arm_sweep(spec, dspec, [scale])(scale)
-            run, sites = run_lattice_experiment(spec, dspec, distance_scale=scale)
+            run, _ = run_lattice_experiment(spec, dspec, distance_scale=scale)
             run_mass = float(np.sum(run.probs[corridor_weights(sites) > 0]))
             assert vis == want_vis == two_arm_visibility(spec, dspec, scale), (name, scale)
             assert mass == want_mass == run_mass, (name, scale)
